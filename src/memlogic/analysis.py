@@ -468,6 +468,9 @@ def run_scouting_experiment(config: ExperimentConfig,
     n = config.n_inputs
     if n < 2:
         raise ValueError("scouting needs at least two input cells")
+    if config.split == "split" and config.cycles < 2:
+        raise ValueError("split mode needs cycles >= 2 (one half places the "
+                         "references, the other is classified)")
     include_single = "read" in ops and n == 2
     samples = sample_scouting_currents(config, n, include_single=include_single,
                                        volts=volts, v_read=v_read, v_wl=v_wl)
@@ -568,9 +571,9 @@ def run_characterization(params: VariabilityParams,
         rows = []
         for cycle in range(cycles):
             rng = _stream(seed, 32, ci, cycle)
-            array.apply_drive(set_drive(addr, volts), rng)
+            array.apply_drive(set_drive(topology, addr, volts), rng)
             r_lrs = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
-            array.apply_drive(reset_drive(addr, volts), rng)
+            array.apply_drive(reset_drive(topology, addr, volts), rng)
             r_hrs = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
             rows.append((ci, cycle, r_lrs, r_hrs))
         return rows

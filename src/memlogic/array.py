@@ -8,11 +8,14 @@ the gate share row-wise BL/WL lines, which allows different voltages on
 parallel-connected cells.
 
 Line parasitics and sneak paths are ignored: the access transistor isolates
-unselected cells, and every selected cell sees the ideal line voltages.
+unselected cells, and every selected cell sees the ideal line voltages.  The
+transistor is off at 0 V gate, so a drive only pulses cells on its driven word
+lines.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -59,6 +62,15 @@ class ArrayTopology:
     def contains(self, addr: CellAddress) -> bool:
         return 0 <= addr.row < self.rows and 0 <= addr.col < self.cols
 
+    @property
+    def bl_count(self) -> int:
+        return self.rows if self.kind == TopologyKind.PSEUDO_CROSSBAR else self.cols
+
+    def bl_of(self, addr: CellAddress) -> int:
+        """The BL the cell's bottom electrode hangs on: its column in the
+        standard array, its row in the pseudo-crossbar."""
+        return addr.row if self.kind == TopologyKind.PSEUDO_CROSSBAR else addr.col
+
 
 @dataclass(frozen=True)
 class LineDrive:
@@ -70,6 +82,12 @@ class LineDrive:
     width: float = 1.0e-6
 
     def __post_init__(self) -> None:
+        for name in ("wl", "sl", "bl"):
+            for idx, volts in getattr(self, name).items():
+                if not math.isfinite(volts):
+                    raise ValueError(f"{name.upper()} {idx} voltage must be finite")
+        if not math.isfinite(self.width):
+            raise ValueError("width must be finite")
         if self.width <= 0:
             raise ValueError("width must be > 0")
 
@@ -78,9 +96,8 @@ def _check_line_bounds(topology: ArrayTopology, drive: LineDrive) -> None:
     for idx in drive.wl:
         if not 0 <= idx < topology.rows:
             raise ValueError(f"WL index {idx} out of range")
-    row_lines = topology.rows if topology.kind == TopologyKind.PSEUDO_CROSSBAR else topology.cols
     for idx in drive.bl:
-        if not 0 <= idx < row_lines:
+        if not 0 <= idx < topology.bl_count:
             raise ValueError(f"BL index {idx} out of range")
     for idx in drive.sl:
         if not 0 <= idx < topology.cols:
@@ -98,13 +115,10 @@ def resolve_drives(topology: ArrayTopology, drive: LineDrive) -> list[tuple[Cell
     for row in range(topology.rows):
         v_g = drive.wl.get(row, 0.0)
         for col in range(topology.cols):
+            addr = CellAddress(row, col)
             v_te = drive.sl.get(col, 0.0)
-            if topology.kind == TopologyKind.STANDARD_1T1R:
-                v_be = drive.bl.get(col, 0.0)
-            else:
-                v_be = drive.bl.get(row, 0.0)
-            resolved.append((CellAddress(row, col),
-                             Pulse(v_te, v_be, v_g, drive.width)))
+            v_be = drive.bl.get(topology.bl_of(addr), 0.0)
+            resolved.append((addr, Pulse(v_te, v_be, v_g, drive.width)))
     return resolved
 
 
@@ -193,20 +207,36 @@ class CellArray:
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, 1, addr.row, addr.col)))
         form_by_ramp(self.cell(addr), self.transistor, rng)
 
-    def form_all(self) -> None:
-        for addr in self.cells:
-            self.form(addr)
-
     def apply_drive(self, drive: LineDrive,
                     rng: np.random.Generator) -> list[tuple[CellAddress, SwitchEvent]]:
-        """Pulse every cell with its resolved voltages, in address order."""
+        """Pulse the cells the drive can switch, in address order.
+
+        Only rows whose WL voltage turns the transistor on are visited, and on
+        them cells with both electrodes at 0 V are skipped.  A skipped cell
+        cannot switch and its pulse would draw no randomness (gate-off returns
+        first, every switching threshold is > 0), so the results and the order
+        of random draws are those of pulsing every cell.  The returned events
+        list only the pulsed cells.
+        """
+        _check_line_bounds(self.topology, drive)
         events = []
-        for addr, pulse in resolve_drives(self.topology, drive):
-            try:
-                event = apply_pulse(self.cells[addr], pulse, self.transistor, rng)
-            except Exception as exc:
-                raise type(exc)(f"at cell {tuple(addr)}: {exc}") from exc
-            events.append((addr, event))
+        for row in sorted(drive.wl):
+            v_g = drive.wl[row]
+            if not self.transistor.is_on(v_g):
+                continue
+            for col in range(self.topology.cols):
+                addr = CellAddress(row, col)
+                v_te = drive.sl.get(col, 0.0)
+                v_be = drive.bl.get(self.topology.bl_of(addr), 0.0)
+                if v_te == 0.0 and v_be == 0.0:
+                    continue
+                try:
+                    event = apply_pulse(self.cells[addr],
+                                        Pulse(v_te, v_be, v_g, drive.width),
+                                        self.transistor, rng)
+                except Exception as exc:
+                    raise type(exc)(f"at cell {tuple(addr)}: {exc}") from exc
+                events.append((addr, event))
         return events
 
     def read_cell(self, addr: CellAddress | tuple[int, int], v_read: float,

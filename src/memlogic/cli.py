@@ -7,8 +7,9 @@ Usage::
 The optional leading positional is a flat-key config file; command-line
 overrides win over config values, and the ``MEMLOGIC_OUTPUT_DIR`` environment
 variable overrides the configured output directory (but not an explicit
-``--output``).  The exit code is 0 only when the run saw zero logical
-failures and zero experiment errors, so scripts can gate on correctness.
+``--output``).  The exit code is 0 only when the run evaluated at least one
+trial and saw zero logical failures and zero experiment errors, so scripts can
+gate on correctness; a rejected setting exits 2 with a one-line message.
 """
 
 from __future__ import annotations
@@ -32,18 +33,18 @@ from .analysis import (
     run_scouting_experiment,
     sweep_parameter,
 )
-from .config import AppConfig, ConfigError, load_config
+from .config import AppConfig, load_config
 from .device import PRESETS, default_boundary, preset
 from .logic1t1r import (
     CASE_TABLE,
+    InitFailureError,
     default_gate_library,
     evaluate_mapping,
     load_gate_library,
     save_gate_library,
-    synthesize_mapping,
     truth_table_of,
 )
-from .scouting import REFERENCE_PRESETS
+from .scouting import REFERENCE_PRESETS, OverlapError
 
 SUBCOMMANDS = ("characterize", "gate", "synthesize", "scouting", "sweep", "cases")
 
@@ -127,8 +128,9 @@ def _apply_overrides(app: AppConfig, args: argparse.Namespace) -> AppConfig:
     return AppConfig(experiment=exp, output_dir=output_dir, format=fmt)
 
 
-def _exit_code(failures: int, errors: int) -> int:
-    return 0 if failures == 0 and errors == 0 else 1
+def _exit_code(failures: int, errors: int, trials: int) -> int:
+    """0 only for a run that evaluated something and saw nothing go wrong."""
+    return 0 if trials > 0 and failures == 0 and errors == 0 else 1
 
 
 def cmd_characterize(app: AppConfig, args: argparse.Namespace) -> int:
@@ -176,11 +178,13 @@ def cmd_gate(app: AppConfig, args: argparse.Namespace) -> int:
               f"log_variation={case.log_variation:.4f}")
     paths = export_logic_result(result, app.output_dir, app.format)
     print("wrote:", ", ".join(str(p) for p in paths))
-    return _exit_code(result.report.failures, result.report.errors)
+    return _exit_code(result.report.failures, result.report.errors,
+                      result.report.trials)
 
 
 def cmd_synthesize(app: AppConfig, args: argparse.Namespace) -> int:
-    mappings = [synthesize_mapping(format(n, "04b")) for n in range(16)]
+    library = default_gate_library()
+    mappings = [library[f"F{n:04b}"] for n in range(16)]
     out_dir = Path(app.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "gates_synthesized.csv"
@@ -192,7 +196,7 @@ def cmd_synthesize(app: AppConfig, args: argparse.Namespace) -> int:
         print(f"{m.name}: g={m.g.value} te={m.te.value} be={m.be.value} "
               f"i={m.i.value}  {'ok' if ok else 'INVALID'}")
     print("wrote:", path)
-    return _exit_code(bad, 0)
+    return _exit_code(bad, 0, len(mappings))
 
 
 def cmd_scouting(app: AppConfig, args: argparse.Namespace) -> int:
@@ -222,7 +226,7 @@ def cmd_scouting(app: AppConfig, args: argparse.Namespace) -> int:
     print("wrote:", ", ".join(str(p) for p in paths))
     overlap_failures = 1 if result.overlap is not None else 0
     return _exit_code(result.report.failures + overlap_failures,
-                      result.report.errors)
+                      result.report.errors, result.report.trials)
 
 
 def cmd_sweep(app: AppConfig, args: argparse.Namespace) -> int:
@@ -253,7 +257,8 @@ def cmd_sweep(app: AppConfig, args: argparse.Namespace) -> int:
     print("wrote:", path)
     failures = sum(p.logic_failures + p.scouting_failures for p in points)
     errors = sum(p.logic_errors for p in points) + sum(int(p.overlap) for p in points)
-    return _exit_code(failures, errors)
+    trials = sum(p.logic_trials + p.scouting_trials for p in points)
+    return _exit_code(failures, errors, trials)
 
 
 def cmd_cases(app: AppConfig, args: argparse.Namespace) -> int:
@@ -291,13 +296,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         app = load_config(config_path) if config_path else AppConfig()
-    except (ConfigError, OSError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     try:
         app = _apply_overrides(app, args)
         return _COMMANDS[args.command](app, args)
-    except (ConfigError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError, InitFailureError, OverlapError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(str(message), file=sys.stderr)
         return 2

@@ -16,7 +16,8 @@ per-read jitter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -49,6 +50,13 @@ class NotFormedError(RuntimeError):
     """Operation requires a formed cell but the cell is still pristine."""
 
 
+def _require_finite(params) -> None:
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class VariabilityParams:
     """Distribution parameters for resistance, threshold and read-noise spread.
@@ -77,6 +85,7 @@ class VariabilityParams:
     min_pulse_reset: float = 3.0e-7
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for name in ("lrs_median", "hrs_median", "v_set_th_median",
                      "v_reset_th_median", "v_form_th_median"):
             if getattr(self, name) <= 0:
@@ -115,6 +124,10 @@ class TransistorModel:
     i_sat_max: float = 3.0e-4
 
     def __post_init__(self) -> None:
+        _require_finite(self)
+        if self.v_g_on_threshold <= 0:
+            raise ValueError("v_g_on_threshold must be > 0 (a grounded word line "
+                             "must isolate its cells)")
         if self.r_on < 0:
             raise ValueError("r_on must be >= 0")
         if self.i_sat_slope < 0 or self.i_sat_max < 0:

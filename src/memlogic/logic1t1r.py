@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .array import CellAddress, CellArray, LineDrive
+from .array import ArrayTopology, CellAddress, CellArray, LineDrive
 from .device import (
     STATE_HRS,
     STATE_LRS,
@@ -45,18 +45,21 @@ class Term(Enum):
     NOT_Q = "!q"
 
     def resolve(self, p: int, q: int) -> int:
-        return {
-            Term.CONST0: 0,
-            Term.CONST1: 1,
-            Term.P: p,
-            Term.NOT_P: 1 - p,
-            Term.Q: q,
-            Term.NOT_Q: 1 - q,
-        }[self]
+        try:
+            return _TERM_BITS[self, p, q]
+        except KeyError:
+            raise ValueError(f"inputs must be 0 or 1, got p={p!r}, q={q!r}") from None
 
 
 #: Deterministic search order used by the synthesizer.
 TERM_ORDER = (Term.CONST0, Term.CONST1, Term.P, Term.NOT_P, Term.Q, Term.NOT_Q)
+
+#: Resolved bit of every term on every input pair, keyed (term, p, q).
+_TERM_BITS = {
+    (term, p, q): bit
+    for p, q in itertools.product((0, 1), repeat=2)
+    for term, bit in zip(TERM_ORDER, (0, 1, p, 1 - p, q, 1 - q))
+}
 
 
 @dataclass(frozen=True)
@@ -187,12 +190,20 @@ def synthesize_mapping(truth_table: str | Sequence[int]) -> ParamMapping:
 
 
 def default_gate_library() -> dict[str, ParamMapping]:
-    """The five named mappings plus one synthesized mapping per truth table."""
+    """The five named mappings plus one synthesized mapping per truth table.
+
+    One pass over the search order keeps the first mapping found for each
+    truth table, which is the mapping ``synthesize_mapping`` returns for it.
+    """
+    first: dict[str, tuple[Term, Term, Term, Term]] = {}
+    for terms in itertools.product(TERM_ORDER, repeat=4):
+        first.setdefault(truth_table_of(ParamMapping("", *terms)), terms)
+        if len(first) == 16:
+            break
     library = dict(BUILTIN_MAPPINGS)
     for n in range(16):
         bits = format(n, "04b")
-        mapping = synthesize_mapping(bits)
-        library[mapping.name] = mapping
+        library[f"F{bits}"] = ParamMapping(f"F{bits}", *first[bits])
     return library
 
 
@@ -293,18 +304,23 @@ class InitFailureError(RuntimeError):
         self.retries = retries
 
 
-def single_cell_drive(addr: CellAddress, v_te: float, v_be: float, v_g: float,
-                      width: float) -> LineDrive:
-    return LineDrive(wl={addr.row: v_g}, sl={addr.col: v_te}, bl={addr.col: v_be},
-                     width=width)
+def single_cell_drive(topology: ArrayTopology, addr: CellAddress, v_te: float,
+                      v_be: float, v_g: float, width: float) -> LineDrive:
+    """Drive one cell: its WL, its column SL and the BL its BE hangs on."""
+    return LineDrive(wl={addr.row: v_g}, sl={addr.col: v_te},
+                     bl={topology.bl_of(addr): v_be}, width=width)
 
 
-def set_drive(addr: CellAddress, volts: LogicVoltages) -> LineDrive:
-    return single_cell_drive(addr, volts.v_te_set, 0.0, volts.v_g_set, volts.width)
+def set_drive(topology: ArrayTopology, addr: CellAddress,
+              volts: LogicVoltages) -> LineDrive:
+    return single_cell_drive(topology, addr, volts.v_te_set, 0.0, volts.v_g_set,
+                             volts.width)
 
 
-def reset_drive(addr: CellAddress, volts: LogicVoltages) -> LineDrive:
-    return single_cell_drive(addr, 0.0, volts.v_be_reset, volts.v_g_reset, volts.width)
+def reset_drive(topology: ArrayTopology, addr: CellAddress,
+                volts: LogicVoltages) -> LineDrive:
+    return single_cell_drive(topology, addr, 0.0, volts.v_be_reset, volts.v_g_reset,
+                             volts.width)
 
 
 def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: int,
@@ -335,11 +351,11 @@ def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: 
         if target == 1:
             if cell.state == STATE_LRS:
                 # Cycle through HRS so the LRS value is re-drawn.
-                array.apply_drive(reset_drive(addr, volts), rng)
-            array.apply_drive(set_drive(addr, volts), rng)
+                array.apply_drive(reset_drive(array.topology, addr, volts), rng)
+            array.apply_drive(set_drive(array.topology, addr, volts), rng)
         else:
             # RESET switches an LRS cell and re-draws a resident HRS value.
-            array.apply_drive(reset_drive(addr, volts), rng)
+            array.apply_drive(reset_drive(array.topology, addr, volts), rng)
 
     if not verify:
         pulses = 0
@@ -381,7 +397,8 @@ def execute_gate(array: CellArray, addr: CellAddress | tuple[int, int],
     r_init, retries = initialize_cell(array, addr, ev.i, rng, volts=volts,
                                       boundary=boundary, max_retries=max_init_retries)
     v_te, v_be, v_g = logic_pulse_voltages(ev.g, ev.te, ev.be, volts)
-    array.apply_drive(single_cell_drive(addr, v_te, v_be, v_g, volts.width), rng)
+    array.apply_drive(single_cell_drive(array.topology, addr, v_te, v_be, v_g,
+                                        volts.width), rng)
     r_final = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
     return GateTrace(
         p=p, q=q, g=ev.g, te=ev.te, be=ev.be, i=ev.i, case_id=ev.case_id,

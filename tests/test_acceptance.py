@@ -6,6 +6,7 @@ deterministic; tolerances are stated inline next to each assertion.
 """
 
 import itertools
+import json
 import time
 
 import numpy as np
@@ -24,6 +25,7 @@ from memlogic.analysis import (
 )
 from memlogic.array import ArrayTopology, CellAddress, TopologyKind, \
     check_parallel_distinct_voltages
+from memlogic.cli import main
 from memlogic.device import Pulse, VariabilityParams, binarize, default_boundary
 from memlogic.logic1t1r import (
     builtin_mapping,
@@ -236,3 +238,24 @@ def test_c11_reproducibility(tmp_path):
     assert seq_s.samples == par_s.samples and seq_s.refs == par_s.refs
     report("criterion 11 (reproducibility)",
            "byte-identical exports; concurrent == sequential results")
+
+
+def test_c12_pseudo_crossbar_end_to_end(tmp_path, capsys):
+    cfg = tmp_path / "pseudo.cfg"
+    cfg.write_text("array.kind = pseudo-crossbar\n")
+    out = tmp_path / "out"
+    assert main([str(cfg), "gate", "OR", "AND", "NIMP", "XOR", "--cycles", "20",
+                 "-o", str(out)]) == 0
+    gate_report = json.loads((out / "report.json").read_text())
+    assert gate_report["trials"] == 320
+    assert gate_report["failures"] == gate_report["errors"] == 0
+    capsys.readouterr()
+    # Scouting stores its inputs in one column, which the pseudo-crossbar
+    # cannot read in parallel: rejected with one line, not a traceback.
+    assert main([str(cfg), "scouting", "--cycles", "4", "-o", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "pseudo-crossbar parallel selection requires one row" in err
+    assert len(err.splitlines()) == 1
+    report("criterion 12 (pseudo-crossbar)",
+           "gates run failure-free over 320 trials; one-column scouting is "
+           "rejected with exit 2")

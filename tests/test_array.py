@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memlogic.array import (
     ArrayTopology,
@@ -16,6 +20,7 @@ from memlogic.device import (
     Pulse,
     SwitchEvent,
     VariabilityParams,
+    apply_pulse,
     binarize,
     default_boundary,
 )
@@ -82,6 +87,19 @@ def test_pseudo_crossbar_row_bl():
     assert pulses[CellAddress(0, 0)].v_be == pulses[CellAddress(0, 1)].v_be == 0.2
 
 
+@pytest.mark.parametrize("line", ["wl", "sl", "bl"])
+@pytest.mark.parametrize("volts", [math.nan, math.inf, -math.inf])
+def test_line_drive_rejects_non_finite_voltage(line, volts):
+    with pytest.raises(ValueError, match="finite"):
+        LineDrive(**{line: {0: 1.0, 1: volts}})
+
+
+def test_line_drive_rejects_bad_width():
+    for width in (math.nan, math.inf, 0.0, -1e-6):
+        with pytest.raises(ValueError):
+            LineDrive(width=width)
+
+
 def test_line_bounds_checked():
     with pytest.raises(ValueError):
         resolve_drives(STD, LineDrive(wl={9: 3.0}))
@@ -140,6 +158,46 @@ def test_apply_drive_single_set_event():
     assert events[CellAddress(0, 0)] == SwitchEvent.SET
     others = [ev for addr, ev in events.items() if addr != CellAddress(0, 0)]
     assert all(ev == SwitchEvent.NONE for ev in others)
+
+
+def test_apply_drive_reports_only_pulsed_cells():
+    array = make_array()
+    rng = np.random.default_rng(1)
+    events = array.apply_drive(LineDrive(wl={0: 3.0, 2: 0.0}, bl={0: 1.6}), rng)
+    assert events == [(CellAddress(0, 0), SwitchEvent.RESET)]
+    with pytest.raises(ValueError):
+        array.apply_drive(LineDrive(wl={0: 3.0}, bl={4: 1.6}), rng)
+
+
+def pulse_every_cell(array, drive, rng):
+    """Reference drive path: pulse all cells with their resolved voltages."""
+    for addr, pulse in resolve_drives(array.topology, drive):
+        apply_pulse(array.cells[addr], pulse, array.transistor, rng)
+
+
+LINE_VOLTS = st.sampled_from([0.0, 0.1, 1.3, 1.6])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(list(TopologyKind)), seed=st.integers(0, 20),
+       formed=st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2))),
+       drives=st.lists(st.tuples(
+           st.dictionaries(st.integers(0, 2), st.sampled_from([0.0, 0.5, 1.3, 3.0])),
+           st.dictionaries(st.integers(0, 2), LINE_VOLTS),
+           st.dictionaries(st.integers(0, 2), LINE_VOLTS)), min_size=1, max_size=4))
+def test_apply_drive_matches_pulsing_every_cell(kind, seed, formed, drives):
+    topology = ArrayTopology(kind, rows=3, cols=3)
+    fast, full = (CellArray(topology, PARAMS, seed=seed) for _ in range(2))
+    for addr in formed:
+        fast.form(addr)
+        full.form(addr)
+    rng_fast, rng_full = np.random.default_rng(seed), np.random.default_rng(seed)
+    for wl, sl, bl in drives:
+        drive = LineDrive(wl=wl, sl=sl, bl=bl)
+        fast.apply_drive(drive, rng_fast)
+        pulse_every_cell(full, drive, rng_full)
+    assert fast.cells == full.cells
+    assert rng_fast.bit_generator.state == rng_full.bit_generator.state
 
 
 def test_apply_drive_idle_is_identity():

@@ -2,10 +2,13 @@ import json
 
 import pytest
 
-from memlogic.array import TopologyKind
+from memlogic import cli
+from memlogic.array import CellAddress, TopologyKind
 from memlogic.cli import main
 from memlogic.config import ConfigError, build_config, load_config
 from memlogic.device import VariabilityParams
+from memlogic.logic1t1r import InitFailureError
+from memlogic.scouting import OverlapError
 
 
 # ------------------------------------------------------------------- config
@@ -217,3 +220,51 @@ def test_cli_byte_identical_reruns(tmp_path):
               "-o", str(tmp_path / sub)])
     for name in ("traces.csv", "summary.csv", "non_switching.csv", "report.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# ------------------------------------------------- rejected settings, exit 2
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1, err
+    return err
+
+
+@pytest.mark.parametrize("line", ["device.hrs_sigma_c2c = nan",
+                                  "device.hrs_sigma_c2c = inf",
+                                  "device.hrs_sigma_c2c = -1",
+                                  "transistor.r_on = nan",
+                                  "experiment.cycles = many"])
+def test_cli_rejects_bad_config_values(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main([str(cfg), "gate", "OR", "--cycles", "2", "-o", str(tmp_path)]) == 2
+    _one_line_error(capsys)
+
+
+def test_cli_scouting_split_needs_two_cycles(tmp_path, capsys):
+    assert main(["scouting", "--cycles", "1", "-o", str(tmp_path)]) == 2
+    assert "cycles >= 2" in _one_line_error(capsys)
+
+
+def test_cli_no_trials_is_not_a_pass(tmp_path, capsys):
+    # With three inputs only OR and AND are evaluated, so READ alone runs nothing.
+    assert main(["scouting", "read", "--n", "3", "--cycles", "4",
+                 "-o", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["trials"] == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("error", [
+    InitFailureError(CellAddress(0, 0), 1, 3),
+    OverlapError("00", "01|10", 2e-6, 1e-6),
+])
+def test_cli_experiment_errors_exit_2(tmp_path, capsys, monkeypatch, error):
+    def failing_run(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_1t1r_experiment", failing_run)
+    assert main(["gate", "OR", "--cycles", "2", "-o", str(tmp_path)]) == 2
+    assert str(error) in _one_line_error(capsys)

@@ -1,4 +1,6 @@
+import copy
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -285,6 +287,29 @@ def test_polarity_and_stability_properties(v_te, v_be, v_g, state, seed):
         assert binarize(cell.resistance, default_boundary(PARAMS)) == before_bit
 
 
+@settings(max_examples=80, deadline=None)
+@given(state=st.sampled_from(["pristine", "hrs", "lrs"]), seed=st.integers(0, 50),
+       gate_off=st.booleans(), v_te=st.floats(-5, 5), v_be=st.floats(-5, 5),
+       v_g=st.floats(-5, 5))
+def test_inert_pulse_draws_nothing(state, seed, gate_off, v_te, v_be, v_g):
+    # The array skips gate-off and zero-bias cells; that is only exact if such
+    # a pulse can neither change the cell nor consume randomness.
+    if state == "pristine":
+        rng = np.random.default_rng(seed)
+        cell = sample_fresh_cell(PARAMS, rng, "c")
+    else:
+        cell, rng = formed_cell(seed=seed, state=state)
+    if gate_off:
+        pulse = Pulse(v_te, v_be, min(v_g, math.nextafter(T.v_g_on_threshold, 0.0)), 1e-6)
+    else:
+        pulse = Pulse(0.0, 0.0, v_g, 1e-6)
+    before_cell = copy.copy(cell)
+    before_rng = copy.deepcopy(rng.bit_generator.state)
+    assert apply_pulse(cell, pulse, T, rng) == SwitchEvent.NONE
+    assert cell == before_cell
+    assert rng.bit_generator.state == before_rng
+
+
 @settings(max_examples=60, deadline=None)
 @given(v1=st.floats(0, 6), v2=st.floats(0, 6))
 def test_i_sat_monotone(v1, v2):
@@ -314,3 +339,16 @@ def test_param_validation():
         VariabilityParams(read_noise_lrs=0.2, read_noise_hrs=0.1)
     with pytest.raises(ValueError):
         VariabilityParams(lrs_median=0.0)
+
+
+@pytest.mark.parametrize("model", [VariabilityParams, TransistorModel])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.5"])
+def test_params_must_be_finite_numbers(model, bad):
+    for f in fields(model):
+        with pytest.raises(ValueError, match=f.name):
+            model(**{f.name: bad})
+
+
+def test_transistor_must_isolate_at_zero_gate():
+    with pytest.raises(ValueError):
+        TransistorModel(v_g_on_threshold=0.0)

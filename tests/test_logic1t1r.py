@@ -14,6 +14,7 @@ from memlogic.device import (
 from memlogic.logic1t1r import (
     BUILTIN_MAPPINGS,
     CASE_TABLE,
+    DEFAULT_VOLTAGES,
     InitFailureError,
     ParamMapping,
     Term,
@@ -26,6 +27,7 @@ from memlogic.logic1t1r import (
     initialize_cell,
     load_gate_library,
     logic_pulse_voltages,
+    reset_drive,
     run_cascade,
     save_gate_library,
     synthesize_mapping,
@@ -153,6 +155,20 @@ def test_default_library():
     assert truth_table_of(library["F0111"]) == truth_table_of(library["OR"])
 
 
+def test_default_library_is_the_synthesizer_output():
+    library = default_gate_library()
+    assert list(library)[:5] == list(BUILTIN_MAPPINGS)
+    for n in range(16):
+        bits = format(n, "04b")
+        assert library[f"F{bits}"] == synthesize_mapping(bits)
+
+
+def test_term_resolve_rejects_non_bits():
+    assert [Term.NOT_Q.resolve(p, q) for p, q in INPUTS] == [1, 0, 1, 0]
+    with pytest.raises(ValueError):
+        Term.CONST1.resolve(2, 0)
+
+
 def test_library_roundtrip(tmp_path):
     path = tmp_path / "gates.csv"
     save_gate_library(BUILTIN_MAPPINGS.values(), path)
@@ -245,6 +261,26 @@ def test_cascade_stream_count_mismatch():
     with pytest.raises(ValueError):
         run_cascade(array, (0, 0), [(builtin_mapping("OR"), 0, 0)],
                     [np.random.default_rng(0), np.random.default_rng(1)])
+
+
+def test_reset_drive_uses_the_cell_bl():
+    addr = CellAddress(2, 1)
+    volts = DEFAULT_VOLTAGES
+    standard = ArrayTopology(TopologyKind.STANDARD_1T1R, 4, 4)
+    pseudo = ArrayTopology(TopologyKind.PSEUDO_CROSSBAR, 4, 4)
+    assert reset_drive(standard, addr, volts).bl == {1: volts.v_be_reset}
+    assert reset_drive(pseudo, addr, volts).bl == {2: volts.v_be_reset}
+
+
+def test_pseudo_crossbar_gates_switch_both_ways():
+    array = CellArray(ArrayTopology(TopologyKind.PSEUDO_CROSSBAR, 4, 4), PARAMS, seed=3)
+    array.form(CellAddress(2, 1))
+    rng = np.random.default_rng(4)
+    for mapping, p, q in [(builtin_mapping("XOR"), 1, 1), (builtin_mapping("OR"), 0, 1),
+                          (builtin_mapping("NIMP"), 1, 0)] * 5:
+        trace = execute_gate(array, (2, 1), mapping, p, q, rng)
+        assert trace.output_bit == trace.expected_bit
+        assert trace.init_retries <= 1
 
 
 def test_hundred_cycle_repetition_without_failures():
