@@ -3,8 +3,8 @@
 Input bits are stored in two cells of one column; a 0.1 V read on both open
 word lines sums their currents.  The four input patterns produce three
 current classes with clean gaps, and reference currents placed in those gaps
-classify OR, AND, XOR and single-cell READ outputs.  A third cell extends the
-scheme to popcount thresholds.
+classify OR, AND, XOR and single-cell READ outputs.  Each reference is a
+threshold between popcount classes, so a third cell only adds a level.
 
 Run:  python demos/04_scouting_logic.py
 """
@@ -28,8 +28,7 @@ for s in result.summaries:
 print()
 print("references placed at the gap midpoints:")
 refs = result.refs
-print(f"  read {ua(refs.i_read)}   or/xor1 {ua(refs.i_or)}   "
-      f"and/xor2 {ua(refs.i_and)}")
+print(f"  read {ua(refs.i_read)}   or {ua(refs.i_or)}   and {ua(refs.i_and)}")
 print(f"published preset: read {ua(PAPER_REFS.i_read)}   "
       f"or {ua(PAPER_REFS.i_or)}   and {ua(PAPER_REFS.i_and)}")
 for margin in result.margins:
@@ -50,10 +49,9 @@ print()
 print(f"failure counts over all ops and classes: "
       f"{result.report.failures} / {result.report.trials}")
 
-three = run_scouting_experiment(ExperimentConfig(
-    seed=12, cycles=60, n_inputs=3, scouting_ops=("or", "and")))
+three = run_scouting_experiment(ExperimentConfig(seed=12, cycles=60, n_inputs=3))
 print()
 print("three-cell extension (popcount classes 0..3):")
-print("  thresholds: " + "  ".join(ua(t) for t in three.thresholds.thresholds))
-print(f"  or/and failures: {three.report.failures} / {three.report.trials}")
+print("  levels: " + "  ".join(ua(t) for t in three.refs.levels))
+print(f"  read/or/and/xor failures: {three.report.failures} / {three.report.trials}")
 print("more cells squeeze the gaps, so reliable placement gets harder.")

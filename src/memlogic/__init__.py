@@ -57,9 +57,8 @@ from .scouting import (
     PAPER_REFS,
     CurrentSample,
     OverlapError,
-    ReferenceSet,
+    ReferenceLevels,
     classify,
-    extend_n_inputs,
     place_references,
     scout_current,
     scouting_gate,

@@ -3,21 +3,19 @@ failure accounting and deterministic CSV/JSON exports.
 
 Every trial draws its randomness from a stream derived from (seed, experiment
 kind, bucket, cycle), so results are bit-reproducible and independent of
-execution order; the harness can therefore run its independent blocks
-concurrently and still produce results identical to a sequential run.
+execution order.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
+import numbers
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,12 +38,14 @@ from .logic1t1r import (
     set_drive,
 )
 from .scouting import (
+    SCOUTING_OPS,
     CurrentSample,
-    NInputThresholds,
     OverlapError,
-    ReferenceSet,
+    ReferenceLevels,
+    class_gaps,
     classify,
-    extend_n_inputs,
+    expected_bit,
+    input_patterns,
     place_references,
     reference_preset,
     scout_current,
@@ -93,9 +93,12 @@ class ExperimentConfig:
     refs: str = "placed"  # "placed" or a reference preset name
     split: str = "split"  # "split" (train/classify halves) or "insample"
     rotate_cells: bool = False
-    parallel: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("seed", "cycles", "n_inputs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.cycles < 1:
             raise ValueError("cycles must be >= 1")
         if self.split not in ("split", "insample"):
@@ -229,8 +232,7 @@ class LogicExperimentResult:
 class ScoutingExperimentResult:
     config: ExperimentConfig
     samples: list[CurrentSample]
-    refs: ReferenceSet | None
-    thresholds: NInputThresholds | None
+    refs: ReferenceLevels | None
     summaries: list[DistributionSummary]
     report: FailureReport
     margins: list[GapMargin]
@@ -248,19 +250,6 @@ class CharacterizationResult:
 
 def _stream(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def _run_blocks(blocks: Sequence[Callable[[], object]], parallel: bool) -> list:
-    """Run independent work blocks, optionally on a thread pool.
-
-    Results come back in block order either way, so concurrent and sequential
-    execution are indistinguishable.
-    """
-    if not parallel or len(blocks) <= 1:
-        return [block() for block in blocks]
-    with ThreadPoolExecutor(max_workers=min(4, len(blocks))) as pool:
-        futures = [pool.submit(block) for block in blocks]
-        return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +274,11 @@ def run_1t1r_experiment(config: ExperimentConfig,
             raise KeyError(f"unknown gate {name!r}; available: {sorted(library)}")
         mappings.append((name, library[key]))
     boundary = default_boundary(config.device)
-
-    def gate_block(gate_idx: int, name: str, mapping: ParamMapping):
+    all_rows: list[TraceRow] = []
+    report = FailureReport()
+    for gate_idx, (name, mapping) in enumerate(mappings):
         array = CellArray(config.topology, config.device, config.transistor,
                           seed=config.seed)
-        rows: list[TraceRow] = []
-        buckets: list[BucketStats] = []
-        first_failure = None
         col = gate_idx % config.topology.cols
         for combo_idx, (p, q) in enumerate(INPUT_COMBOS):
             row_idx = combo_idx % config.topology.rows if config.rotate_cells else 0
@@ -308,29 +295,16 @@ def run_1t1r_experiment(config: ExperimentConfig,
                 except InitFailureError:
                     bucket.errors += 1
                     continue
-                rows.append(TraceRow(
+                all_rows.append(TraceRow(
                     gate=name, p=p, q=q, case_id=trace.case_id, cycle=cycle,
                     r_init_ohm=trace.init_resistance,
                     r_final_ohm=trace.final_resistance,
                     out_bit=trace.output_bit, expected_bit=expected))
                 if trace.output_bit != expected:
                     bucket.failures += 1
-                    if first_failure is None:
-                        first_failure = (config.seed, bucket.label, cycle)
-            buckets.append(bucket)
-        return rows, buckets, first_failure
-
-    blocks = [(lambda i=i, n=n, m=m: gate_block(i, n, m))
-              for i, (n, m) in enumerate(mappings)]
-    results = _run_blocks(blocks, config.parallel)
-
-    all_rows: list[TraceRow] = []
-    report = FailureReport()
-    for rows, buckets, first_failure in results:
-        all_rows.extend(rows)
-        report.buckets.extend(buckets)
-        if report.first_failure is None and first_failure is not None:
-            report.first_failure = first_failure
+                    if report.first_failure is None:
+                        report.first_failure = (config.seed, bucket.label, cycle)
+            report.buckets.append(bucket)
     summaries = []
     grouped: dict[str, list[float]] = defaultdict(list)
     for row in all_rows:
@@ -376,19 +350,6 @@ def non_switching_report(rows: Sequence[TraceRow],
 # Scouting experiment
 # ---------------------------------------------------------------------------
 
-def _pair_expected(input_class: str, op: str) -> int:
-    ones = input_class.count("1")
-    if op == "or":
-        return int(ones >= 1)
-    if op == "and":
-        return int(ones == len(input_class))
-    if op == "xor":
-        return int(ones == 1)
-    if op == "read":
-        return int(input_class == "1")
-    raise ValueError(f"unknown op {op!r}")
-
-
 def sample_scouting_currents(config: ExperimentConfig, n: int,
                              include_single: bool = False,
                              volts: LogicVoltages = DEFAULT_VOLTAGES,
@@ -401,19 +362,16 @@ def sample_scouting_currents(config: ExperimentConfig, n: int,
     carries a fresh cycle-to-cycle draw.  With ``include_single`` the one-cell
     classes "0" and "1" are measured as well (for the read operation).
     """
-    patterns = ["".join(bits) for bits in
-                itertools.product("01", repeat=n)]
     classes: list[tuple[str, list[CellAddress]]] = [
-        (pattern, [CellAddress(r, 0) for r in range(n)]) for pattern in patterns]
+        (pattern, [CellAddress(r, 0) for r in range(n)]) for pattern in input_patterns(n)]
     if include_single:
         classes += [(bit, [CellAddress(0, 0)]) for bit in ("0", "1")]
-
-    def class_block(input_class: str, addrs: list[CellAddress]):
+    samples = []
+    for input_class, addrs in classes:
         array = CellArray(config.topology, config.device, config.transistor,
                           seed=config.seed)
         for addr in addrs:
             array.form(addr)
-        samples = []
         for cycle in range(config.cycles):
             rng = _stream(config.seed, 20, len(input_class), int(input_class, 2), cycle)
             write_inputs(array, addrs, input_class, rng, volts=volts, refresh=True,
@@ -421,34 +379,28 @@ def sample_scouting_currents(config: ExperimentConfig, n: int,
             current = scout_current(array, addrs, rng, v_read=v_read, v_wl=v_wl)
             samples.append(CurrentSample(input_class=input_class, current=current,
                                          cycle=cycle))
-        return samples
-
-    blocks = [(lambda c=cls, a=addrs: class_block(c, a)) for cls, addrs in classes]
-    results = _run_blocks(blocks, config.parallel)
-    return [s for block_samples in results for s in block_samples]
+    return samples
 
 
-def _extremes(samples: Iterable[CurrentSample]) -> dict[str, tuple[float, float]]:
-    grouped: dict[str, list[float]] = defaultdict(list)
-    for s in samples:
-        grouped[s.input_class].append(s.current)
-    return {cls: (min(v), max(v)) for cls, v in grouped.items()}
+def _margins(samples: Sequence[CurrentSample],
+             refs: ReferenceLevels | None) -> list[GapMargin]:
+    """One row per popcount gap, ascending, then the READ gap when sampled.
 
-
-def _pair_margins(samples: Sequence[CurrentSample],
-                  refs: ReferenceSet | None) -> list[GapMargin]:
-    ext = _extremes(samples)
+    A gap is named by the reference it holds: "or" below popcount 1, "and"
+    below popcount n, "level<k>" for the k-th level between them.
+    """
+    level_gaps, read_gap = class_gaps(samples)
+    n = len(level_gaps)
+    nan = float("nan")
     margins = []
-    if {"00", "01", "10", "11"} <= set(ext):
-        mixed_min = min(ext["01"][0], ext["10"][0])
-        mixed_max = max(ext["01"][1], ext["10"][1])
-        margins.append(GapMargin("00|or|01|10", ext["00"][1], mixed_min,
-                                 refs.i_or if refs else float("nan")))
-        margins.append(GapMargin("01|10|and|11", mixed_max, ext["11"][0],
-                                 refs.i_and if refs else float("nan")))
-    if {"0", "1"} <= set(ext):
-        margins.append(GapMargin("0|read|1", ext["0"][1], ext["1"][0],
-                                 refs.i_read if refs else float("nan")))
+    for k, gap in enumerate(level_gaps):
+        name = "or" if k == 0 else "and" if k == n - 1 else f"level{k}"
+        margins.append(GapMargin(f"{gap.lower_class}|{name}|{gap.upper_class}",
+                                 gap.lower_max, gap.upper_min,
+                                 refs.levels[k] if refs else nan))
+    if read_gap is not None:
+        margins.append(GapMargin("0|read|1", read_gap.lower_max, read_gap.upper_min,
+                                 refs.i_read if refs else nan))
     return margins
 
 
@@ -458,84 +410,61 @@ def run_scouting_experiment(config: ExperimentConfig,
                             v_wl: float = 3.0) -> ScoutingExperimentResult:
     """Sample the input-class currents, place references, classify.
 
-    With ``split`` mode the references come from the first half of the cycles
+    Every op is evaluated on each input class it reads (the n-bit patterns,
+    or the one-cell classes for READ), in one bucket per op and class.  With
+    ``split`` mode the references come from the first half of the cycles
     and classification runs on the second half (out-of-sample margins); with
     ``insample`` mode both use all samples.  An overlap between adjacent
-    classes is recorded as a total failure of the operations that depend on
-    the collapsed gap.
+    classes is recorded as a total failure of every evaluated trial.
     """
     ops = tuple(op.lower() for op in config.scouting_ops)
+    for op in ops:
+        if op not in SCOUTING_OPS:
+            raise ValueError(f"unknown scouting op {op!r}; expected one of {SCOUTING_OPS}")
     n = config.n_inputs
     if n < 2:
         raise ValueError("scouting needs at least two input cells")
     if config.split == "split" and config.cycles < 2:
         raise ValueError("split mode needs cycles >= 2 (one half places the "
                          "references, the other is classified)")
-    include_single = "read" in ops and n == 2
-    samples = sample_scouting_currents(config, n, include_single=include_single,
+    refs: ReferenceLevels | None = None
+    if config.refs != "placed":
+        refs = reference_preset(config.refs)
+        if refs.n != n:
+            raise ValueError(f"reference preset {config.refs!r} has {refs.n} levels; "
+                             f"a {n}-input read needs {n}")
+    samples = sample_scouting_currents(config, n, include_single="read" in ops,
                                        volts=volts, v_read=v_read, v_wl=v_wl)
 
     half = (config.cycles + 1) // 2 if config.split == "split" else config.cycles
     train = [s for s in samples if s.cycle < half]
     evaluate = [s for s in samples if s.cycle >= half] if config.split == "split" else samples
 
-    refs: ReferenceSet | None = None
-    thresholds: NInputThresholds | None = None
     overlap: OverlapError | None = None
-    if config.refs == "placed":
+    if refs is None:
         try:
-            if n == 2:
-                refs = place_references(train)
-            else:
-                thresholds = extend_n_inputs(n, train)
+            refs = place_references(train)
         except OverlapError as exc:
             overlap = exc
-    else:
-        refs = reference_preset(config.refs)
-        if n != 2:
-            try:
-                thresholds = extend_n_inputs(n, train)
-            except OverlapError as exc:
-                overlap = exc
 
+    by_class: dict[str, list[CurrentSample]] = defaultdict(list)
+    for s in evaluate:
+        by_class[s.input_class].append(s)
     report = FailureReport()
-    if n == 2:
-        for op in ops:
-            for input_class in ("00", "01", "10", "11") if op != "read" else ("0", "1"):
-                class_samples = [s for s in evaluate if s.input_class == input_class]
-                if not class_samples:
-                    continue
-                bucket = BucketStats(label=f"{op}/{input_class}")
-                expected = _pair_expected(input_class, op)
-                for s in class_samples:
-                    bucket.trials += 1
-                    failed = (refs is None  # collapsed gap: nothing to compare against
-                              or classify(s.current, refs, op) != expected)
-                    if failed:
-                        bucket.failures += 1
-                        if report.first_failure is None:
-                            report.first_failure = (config.seed, bucket.label, s.cycle)
-                report.buckets.append(bucket)
-    else:
-        for op in ops:
-            if op not in ("or", "and"):
-                continue
-            bucket = BucketStats(label=f"{op}/n{n}")
-            for s in evaluate:
-                if len(s.input_class) != n:
-                    continue
+    for op in ops:
+        for input_class in ("0", "1") if op == "read" else input_patterns(n):
+            bucket = BucketStats(label=f"{op}/{input_class}")
+            expected = expected_bit(op, input_class)
+            for s in by_class[input_class]:
                 bucket.trials += 1
-                ones = s.input_class.count("1")
-                expected = int(ones >= 1) if op == "or" else int(ones == n)
-                if thresholds is None:
+                failed = (refs is None  # collapsed gap: nothing to compare against
+                          or classify(s.current, refs, op) != expected)
+                if failed:
                     bucket.failures += 1
-                else:
-                    level = thresholds.thresholds[0] if op == "or" else thresholds.thresholds[-1]
-                    if int(s.current > level) != expected:
-                        bucket.failures += 1
+                    if report.first_failure is None:
+                        report.first_failure = (config.seed, bucket.label, s.cycle)
             report.buckets.append(bucket)
 
-    margins = _pair_margins(train, refs) if n == 2 else []
     summaries = []
     grouped: dict[str, list[float]] = defaultdict(list)
     for s in samples:
@@ -543,8 +472,8 @@ def run_scouting_experiment(config: ExperimentConfig,
     for label in sorted(grouped):
         summaries.append(DistributionSummary.from_samples(label, grouped[label]))
     return ScoutingExperimentResult(config=config, samples=samples, refs=refs,
-                                    thresholds=thresholds, summaries=summaries,
-                                    report=report, margins=margins, overlap=overlap)
+                                    summaries=summaries, report=report,
+                                    margins=_margins(train, refs), overlap=overlap)
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +483,7 @@ def run_scouting_experiment(config: ExperimentConfig,
 def run_characterization(params: VariabilityParams,
                          transistor: TransistorModel | None = None,
                          cells: int = 10, cycles: int = 100, seed: int = 0,
-                         volts: LogicVoltages = DEFAULT_VOLTAGES,
-                         parallel: bool = False) -> CharacterizationResult:
+                         volts: LogicVoltages = DEFAULT_VOLTAGES) -> CharacterizationResult:
     """Cycle each cell through SET/RESET and record both state resistances.
 
     One row per (cell, cycle) holds the LRS read after the SET pulse and the
@@ -563,12 +491,11 @@ def run_characterization(params: VariabilityParams,
     """
     transistor = transistor if transistor is not None else TransistorModel()
     topology = ArrayTopology(TopologyKind.STANDARD_1T1R, rows=1, cols=max(cells, 1))
-
-    def cell_block(ci: int):
+    rows = []
+    for ci in range(cells):
         array = CellArray(topology, params, transistor, seed=seed)
         addr = CellAddress(0, ci)
         array.form(addr)
-        rows = []
         for cycle in range(cycles):
             rng = _stream(seed, 32, ci, cycle)
             array.apply_drive(set_drive(topology, addr, volts), rng)
@@ -576,10 +503,6 @@ def run_characterization(params: VariabilityParams,
             array.apply_drive(reset_drive(topology, addr, volts), rng)
             r_hrs = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
             rows.append((ci, cycle, r_lrs, r_hrs))
-        return rows
-
-    blocks = [(lambda ci=ci: cell_block(ci)) for ci in range(cells)]
-    rows = [row for block_rows in _run_blocks(blocks, parallel) for row in block_rows]
     lrs_values = [r[2] for r in rows]
     hrs_values = [r[3] for r in rows]
     summaries = [DistributionSummary.from_samples("lrs", lrs_values),
@@ -652,8 +575,7 @@ def overlap_collides(config: ExperimentConfig, n: int, hrs_sigma_c2c: float) -> 
     cfg = config.replace(device=config.device.replace(hrs_sigma_c2c=hrs_sigma_c2c),
                          n_inputs=n)
     try:
-        samples = sample_scouting_currents(cfg, n, verify=False)
-        extend_n_inputs(n, samples)
+        place_references(sample_scouting_currents(cfg, n, verify=False))
     except (OverlapError, InitFailureError):
         return True
     return False
@@ -795,7 +717,9 @@ def export_scouting_result(result: ScoutingExperimentResult, out_dir: str | Path
                     "reference_a": m.reference_a} for m in result.margins]
     extra = {
         "overlap": str(result.overlap) if result.overlap is not None else None,
-        "thresholds": list(result.thresholds.thresholds) if result.thresholds else None,
+        # The refs table holds only the OR and AND levels; wider reads list all.
+        "thresholds": (list(result.refs.levels)
+                       if result.refs is not None and result.refs.n > 2 else None),
     }
     return [
         export_table("currents", current_rows, out_dir, fmt),

@@ -66,8 +66,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="device parameter preset")
     parser.add_argument("-o", "--output", help="output directory for exports")
     parser.add_argument("--format", choices=("csv", "json"), help="export format")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run independent experiment blocks on threads")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="number of input cells")
     p.add_argument("--refs", default=None,
                    help="'placed' or a reference preset (%s)" %
-                        "/".join(sorted(set(REFERENCE_PRESETS))))
+                        "/".join(sorted(REFERENCE_PRESETS)))
     _common_flags(p)
 
     p = sub.add_parser("sweep", help="sweep one device parameter")
@@ -117,8 +115,6 @@ def _apply_overrides(app: AppConfig, args: argparse.Namespace) -> AppConfig:
         exp = exp.replace(seed=args.seed)
     if getattr(args, "cycles", None) is not None:
         exp = exp.replace(cycles=args.cycles)
-    if getattr(args, "parallel", False):
-        exp = exp.replace(parallel=True)
     output_dir = app.output_dir
     if os.environ.get(OUTPUT_DIR_ENV):
         output_dir = os.environ[OUTPUT_DIR_ENV]
@@ -136,8 +132,7 @@ def _exit_code(failures: int, errors: int, trials: int) -> int:
 def cmd_characterize(app: AppConfig, args: argparse.Namespace) -> int:
     exp = app.experiment
     result = run_characterization(exp.device, exp.transistor, cells=args.cells,
-                                  cycles=exp.cycles, seed=exp.seed,
-                                  parallel=exp.parallel)
+                                  cycles=exp.cycles, seed=exp.seed)
     paths = export_characterization(result, app.output_dir, app.format)
     for s in result.summaries[:2]:
         print(f"{s.label}: n={s.count} median={_kohm(s.median)} "
@@ -207,14 +202,14 @@ def cmd_scouting(app: AppConfig, args: argparse.Namespace) -> int:
         exp = exp.replace(refs=args.refs)
     exp = exp.replace(n_inputs=args.n)
     result = run_scouting_experiment(exp)
-    if result.refs is not None:
-        print(f"references: read={_ua(result.refs.i_read)} "
-              f"or={_ua(result.refs.i_or)} and={_ua(result.refs.i_and)} "
-              f"({result.refs.i_read!r}, {result.refs.i_or!r}, "
-              f"{result.refs.i_and!r} A)")
-    if result.thresholds is not None:
-        levels = ", ".join(_ua(t) for t in result.thresholds.thresholds)
-        print(f"popcount thresholds (n={result.thresholds.n}): {levels}")
+    refs = result.refs
+    if refs is not None:
+        print(f"references: read={_ua(refs.i_read)} "
+              f"or={_ua(refs.i_or)} and={_ua(refs.i_and)} "
+              f"({refs.i_read!r}, {refs.i_or!r}, {refs.i_and!r} A)")
+        if refs.n > 2:
+            levels = ", ".join(_ua(t) for t in refs.levels)
+            print(f"popcount thresholds (n={refs.n}): {levels}")
     if result.overlap is not None:
         print(f"overlap: {result.overlap}")
     for bucket in result.report.buckets:

@@ -113,15 +113,11 @@ class VariabilityParams:
 class TransistorModel:
     """Behavioral access transistor: an on/off switch with a series resistance.
 
-    The channel is open-circuit below ``v_g_on_threshold``.  The saturation
-    current is modeled as linear in the gate overdrive, clamped at a maximum;
-    it is reported for analysis but does not limit the resistance draws.
+    The channel is open-circuit below ``v_g_on_threshold``.
     """
 
     v_g_on_threshold: float = 0.7
     r_on: float = 0.0
-    i_sat_slope: float = 1.0e-4
-    i_sat_max: float = 3.0e-4
 
     def __post_init__(self) -> None:
         _require_finite(self)
@@ -130,16 +126,9 @@ class TransistorModel:
                              "must isolate its cells)")
         if self.r_on < 0:
             raise ValueError("r_on must be >= 0")
-        if self.i_sat_slope < 0 or self.i_sat_max < 0:
-            raise ValueError("i_sat parameters must be >= 0")
 
     def is_on(self, v_g: float) -> bool:
         return v_g >= self.v_g_on_threshold
-
-    def i_sat(self, v_g: float) -> float:
-        if not self.is_on(v_g):
-            return 0.0
-        return min(self.i_sat_slope * (v_g - self.v_g_on_threshold), self.i_sat_max)
 
 
 @dataclass(frozen=True)

@@ -1,61 +1,84 @@
 """Scouting logic: parallel read-out of input cells against reference currents.
 
-Inputs are stored as the resistive states of two (or more) cells sharing one
-read path.  A read voltage is applied and the summed current is compared
-against reference currents placed in the gaps between the per-input-pattern
-current classes: above the OR reference means at least one LRS cell, above
-the AND reference means all cells are LRS, and the XOR window sits between
-the two.  The read is non-destructive, so the gate never switches a device.
+Inputs are stored as the resistive states of n cells sharing one read path.
+A read voltage is applied and the summed current is compared against
+reference levels placed in the gaps between the popcount classes (the number
+of cells in LRS).  The number of levels below the current is the popcount,
+and every operation is a predicate on it: OR is a popcount of at least one,
+AND a popcount of n, XOR an odd popcount.  READ is the one-cell case, with its
+own reference.  The read is non-destructive, so the gate never switches a
+device.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .array import CellAddress, CellArray, validate_parallel_selection
 from .logic1t1r import DEFAULT_VOLTAGES, LogicVoltages, initialize_cell
 
-SCOUTING_OPS = ("read", "or", "and", "xor")
+#: The output of each operation as a predicate on (popcount k, input width n).
+OP_TABLE: dict[str, Callable[[int, int], bool]] = {
+    "read": lambda k, n: k == 1,  # one cell: n == 1
+    "or": lambda k, n: k >= 1,
+    "and": lambda k, n: k == n,
+    "xor": lambda k, n: k % 2 == 1,
+}
+SCOUTING_OPS = tuple(OP_TABLE)
+
+
+def expected_bit(op: str, input_class: str) -> int:
+    """The ideal output of ``op`` for one stored bit pattern."""
+    return int(OP_TABLE[op](input_class.count("1"), len(input_class)))
+
+
+def input_patterns(n: int) -> list[str]:
+    """All n-bit input patterns in ascending order."""
+    return ["".join(bits) for bits in itertools.product("01", repeat=n)]
 
 
 @dataclass(frozen=True)
-class ReferenceSet:
-    """Reference currents for the four scouting operations.
+class ReferenceLevels:
+    """Reference currents of an n-cell scouting read.
 
-    The XOR window is bounded by the OR and AND references (i_xor1 = i_or,
-    i_xor2 = i_and).
+    ``levels`` holds one threshold per popcount boundary, ascending, so
+    ``n = len(levels)``; ``i_read`` is the single-cell READ reference.  The
+    OR reference is the lowest level and the AND reference the highest.
     """
 
+    levels: tuple[float, ...]
     i_read: float
-    i_or: float
-    i_and: float
 
     def __post_init__(self) -> None:
         if self.i_read <= 0:
             raise ValueError("i_read must be > 0")
-        if not self.i_or < self.i_and:
-            raise ValueError("i_or must be below i_and")
+        if not self.levels:
+            raise ValueError("need at least one reference level")
+        if any(lo >= hi for lo, hi in zip(self.levels, self.levels[1:])):
+            raise ValueError("reference levels must be strictly ascending")
 
     @property
-    def i_xor1(self) -> float:
-        return self.i_or
+    def n(self) -> int:
+        return len(self.levels)
 
     @property
-    def i_xor2(self) -> float:
-        return self.i_and
+    def i_or(self) -> float:
+        return self.levels[0]
+
+    @property
+    def i_and(self) -> float:
+        return self.levels[-1]
 
 
 #: Published reference-current preset for the default operating point.
-PAPER_REFS = ReferenceSet(i_read=7.25e-6, i_or=11.55e-6, i_and=32.74e-6)
+PAPER_REFS = ReferenceLevels(levels=(11.55e-6, 32.74e-6), i_read=7.25e-6)
 
-REFERENCE_PRESETS: dict[str, ReferenceSet] = {
-    "paper-refs": PAPER_REFS,
-    "paper": PAPER_REFS,
-}
+REFERENCE_PRESETS: dict[str, ReferenceLevels] = {"paper-refs": PAPER_REFS}
 
 
 @dataclass(frozen=True)
@@ -127,56 +150,89 @@ def _class_extremes(samples: Iterable[CurrentSample]) -> dict[str, tuple[float, 
     return {cls: (min(vals), max(vals)) for cls, vals in grouped.items()}
 
 
-def _gap_midpoint(lower_class: str, upper_class: str,
-                  lower_max: float, upper_min: float) -> float:
-    if lower_max >= upper_min:
-        raise OverlapError(lower_class, upper_class, lower_max, upper_min)
-    return 0.5 * (lower_max + upper_min)
+@dataclass(frozen=True)
+class ClassGap:
+    """The current interval between two adjacent classes; empty on overlap."""
+
+    lower_class: str
+    upper_class: str
+    lower_max: float
+    upper_min: float
+
+    def midpoint(self) -> float:
+        """The reference placed in this gap; ``OverlapError`` if it is empty."""
+        if self.lower_max >= self.upper_min:
+            raise OverlapError(self.lower_class, self.upper_class,
+                               self.lower_max, self.upper_min)
+        return 0.5 * (self.lower_max + self.upper_min)
 
 
-def place_references(samples: Sequence[CurrentSample]) -> ReferenceSet:
-    """Place reference currents at the midpoints of the inter-class gaps.
+def class_gaps(samples: Sequence[CurrentSample]) -> tuple[list[ClassGap], ClassGap | None]:
+    """The gaps between adjacent popcount classes, ascending, and the READ gap.
 
-    Requires samples for the pair classes 00, 01, 10 and 11; the mixed classes
-    01 and 10 are pooled because both have one cell per state.  The read
-    reference uses single-cell classes "0"/"1" when present, otherwise it is
-    the OR reference scaled to a single cell (half).  Raises ``OverlapError``
-    when a required gap is empty -- the logical-failure signal.
+    The width n is inferred from the multi-bit input classes, which must
+    cover every n-bit pattern.  They are grouped by popcount, and a group is
+    labelled by its patterns joined with "|" (for n = 2: "00", "01|10",
+    "11").  The READ gap lies between the single-cell classes "0" and "1"; it
+    is ``None`` unless both were sampled.
     """
     extremes = _class_extremes(samples)
-    missing = {"00", "01", "10", "11"} - set(extremes)
+    for cls in extremes:
+        if set(cls) - {"0", "1"}:
+            raise ValueError(f"input class {cls!r} is not a bit pattern")
+    widths = sorted({len(cls) for cls in extremes if len(cls) > 1})
+    if len(widths) != 1:
+        raise ValueError(f"need samples of one input width >= 2, got widths {widths}")
+    n = widths[0]
+    groups = [[p for p in input_patterns(n) if p.count("1") == k] for k in range(n + 1)]
+    missing = [p for group in groups for p in group if p not in extremes]
     if missing:
         raise ValueError(f"missing samples for classes {sorted(missing)}")
-    mixed_min = min(extremes["01"][0], extremes["10"][0])
-    mixed_max = max(extremes["01"][1], extremes["10"][1])
-    i_or = _gap_midpoint("00", "01|10", extremes["00"][1], mixed_min)
-    i_and = _gap_midpoint("01|10", "11", mixed_max, extremes["11"][0])
+    labels = ["|".join(group) for group in groups]
+    spans = [(min(extremes[p][0] for p in group), max(extremes[p][1] for p in group))
+             for group in groups]
+    level_gaps = [ClassGap(labels[k], labels[k + 1], spans[k][1], spans[k + 1][0])
+                  for k in range(n)]
+    read_gap = None
     if "0" in extremes and "1" in extremes:
-        i_read = _gap_midpoint("0", "1", extremes["0"][1], extremes["1"][0])
-    else:
-        i_read = 0.5 * i_or
-    return ReferenceSet(i_read=i_read, i_or=i_or, i_and=i_and)
+        read_gap = ClassGap("0", "1", extremes["0"][1], extremes["1"][0])
+    return level_gaps, read_gap
 
 
-def classify(current: float, refs: ReferenceSet, op: str) -> int:
+def place_references(samples: Sequence[CurrentSample]) -> ReferenceLevels:
+    """Place one reference level at the midpoint of each popcount gap.
+
+    The read reference uses the single-cell classes "0"/"1" when present,
+    otherwise it is the OR reference scaled to a single cell (half).  Raises
+    ``OverlapError`` for the lowest empty popcount gap, then for an empty
+    READ gap -- the logical-failure signal.  Collisions appear at smaller
+    spreads as n grows, which quantifies the overlap risk of wider gates.
+    """
+    level_gaps, read_gap = class_gaps(samples)
+    levels = tuple(gap.midpoint() for gap in level_gaps)
+    i_read = read_gap.midpoint() if read_gap is not None else 0.5 * levels[0]
+    return ReferenceLevels(levels=levels, i_read=i_read)
+
+
+def classify(current: float, refs: ReferenceLevels, op: str) -> int:
     """Compare one read current against the references for the given op.
 
-    Boundary equality maps to 0 (ideal comparator, conservative tie-break).
+    The number of levels below the current is the popcount the op is applied
+    to; READ compares against ``i_read`` as a one-cell read.  A current equal
+    to a level maps to 0 (ideal comparator, conservative tie-break).
     """
     op = op.lower()
-    if op == "read":
-        return int(current > refs.i_read)
-    if op == "or":
-        return int(current > refs.i_or)
-    if op == "and":
-        return int(current > refs.i_and)
-    if op == "xor":
-        return int(refs.i_xor1 < current < refs.i_xor2)
-    raise ValueError(f"unknown scouting op {op!r}; expected one of {SCOUTING_OPS}")
+    if op not in OP_TABLE:
+        raise ValueError(f"unknown scouting op {op!r}; expected one of {SCOUTING_OPS}")
+    levels = (refs.i_read,) if op == "read" else refs.levels
+    if current in levels:
+        return 0
+    popcount = sum(1 for level in levels if level < current)
+    return int(OP_TABLE[op](popcount, len(levels)))
 
 
 def scouting_gate(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
-                  bits: Sequence[int] | str, op: str, refs: ReferenceSet,
+                  bits: Sequence[int] | str, op: str, refs: ReferenceLevels,
                   rng: np.random.Generator, v_read: float = 0.1,
                   v_wl: float = 3.0) -> int:
     """Write the input bits, scout the summed current, classify it."""
@@ -185,47 +241,9 @@ def scouting_gate(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int
     return classify(current, refs, op)
 
 
-@dataclass(frozen=True)
-class NInputThresholds:
-    """Reference thresholds for an n-cell read, one per popcount boundary."""
-
-    n: int
-    thresholds: tuple[float, ...]
-    gaps: tuple[tuple[float, float], ...]  # (lower_max, upper_min) per boundary
-
-
-def extend_n_inputs(n: int, samples: Sequence[CurrentSample]) -> NInputThresholds:
-    """Place n thresholds between the n+1 popcount classes of an n-cell read.
-
-    Samples carry n-bit input classes and are grouped by the number of LRS
-    cells.  Raises ``OverlapError`` for the first (lowest) colliding popcount
-    pair; collisions appear at smaller spreads as n grows, which quantifies
-    the growing overlap risk of wider scouting gates.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    by_popcount: dict[int, list[float]] = defaultdict(list)
-    for s in samples:
-        if len(s.input_class) != n or any(c not in "01" for c in s.input_class):
-            raise ValueError(f"input class {s.input_class!r} is not an {n}-bit pattern")
-        by_popcount[s.input_class.count("1")].append(s.current)
-    missing = [k for k in range(n + 1) if k not in by_popcount]
-    if missing:
-        raise ValueError(f"missing samples for popcount classes {missing}")
-    thresholds = []
-    gaps = []
-    for k in range(n):
-        lower_max = max(by_popcount[k])
-        upper_min = min(by_popcount[k + 1])
-        thresholds.append(_gap_midpoint(f"popcount-{k}", f"popcount-{k + 1}",
-                                        lower_max, upper_min))
-        gaps.append((lower_max, upper_min))
-    return NInputThresholds(n=n, thresholds=tuple(thresholds), gaps=tuple(gaps))
-
-
-def reference_preset(name: str) -> ReferenceSet:
+def reference_preset(name: str) -> ReferenceLevels:
     try:
         return REFERENCE_PRESETS[name.lower()]
     except KeyError:
         raise KeyError(f"unknown reference preset {name!r}; "
-                       f"available: {sorted(set(REFERENCE_PRESETS))}") from None
+                       f"available: {sorted(REFERENCE_PRESETS)}") from None

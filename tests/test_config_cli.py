@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from memlogic import cli
+from memlogic import analysis, cli
 from memlogic.array import CellAddress, TopologyKind
 from memlogic.cli import main
 from memlogic.config import ConfigError, build_config, load_config
@@ -124,7 +124,7 @@ def test_cli_synthesize_deterministic(tmp_path):
 
 
 def test_cli_scouting_paper_refs(tmp_path, capsys):
-    assert main(["scouting", "read", "and", "or", "xor", "--refs", "paper",
+    assert main(["scouting", "read", "and", "or", "xor", "--refs", "paper-refs",
                  "--cycles", "30", "-o", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "7.25 µA" in out or "7.25" in out
@@ -137,6 +137,28 @@ def test_cli_scouting_three_cells(tmp_path, capsys):
                  "-o", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "popcount thresholds (n=3)" in out
+
+
+def test_cli_scouting_three_cells_every_op(tmp_path, capsys):
+    assert main(["scouting", "read", "or", "and", "xor", "--n", "3", "--cycles", "6",
+                 "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "report.json").read_text())
+    trials = {b["label"]: b["trials"] for b in report["buckets"]}
+    assert {label.split("/")[0] for label in trials} == {"read", "or", "and", "xor"}
+    assert len(trials) == 2 + 3 * 8
+    assert all(count > 0 for count in trials.values())
+
+
+@pytest.mark.parametrize("args", [["nand", "--n", "3"],
+                                  ["--refs", "paper-refs", "--n", "3"]])
+def test_cli_scouting_rejects_before_sampling(tmp_path, capsys, monkeypatch, args):
+    def no_sampling(*a, **k):
+        raise AssertionError("sampled before rejecting the setting")
+
+    monkeypatch.setattr(analysis, "sample_scouting_currents", no_sampling)
+    assert main(["scouting", *args, "--cycles", "4", "-o", str(tmp_path)]) == 2
+    _one_line_error(capsys)
 
 
 def test_cli_scouting_rejects_single_cell(tmp_path, capsys):
@@ -235,7 +257,10 @@ def _one_line_error(capsys) -> str:
                                   "device.hrs_sigma_c2c = inf",
                                   "device.hrs_sigma_c2c = -1",
                                   "transistor.r_on = nan",
-                                  "experiment.cycles = many"])
+                                  "transistor.i_sat_slope = 1e-4",
+                                  "experiment.parallel = true",
+                                  "experiment.cycles = many",
+                                  "experiment.cycles = 2.5"])
 def test_cli_rejects_bad_config_values(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -249,9 +274,10 @@ def test_cli_scouting_split_needs_two_cycles(tmp_path, capsys):
 
 
 def test_cli_no_trials_is_not_a_pass(tmp_path, capsys):
-    # With three inputs only OR and AND are evaluated, so READ alone runs nothing.
-    assert main(["scouting", "read", "--n", "3", "--cycles", "4",
-                 "-o", str(tmp_path)]) == 1
+    # An empty op list samples and places references but evaluates nothing.
+    cfg = tmp_path / "no_ops.cfg"
+    cfg.write_text("experiment.scouting_ops =\n")
+    assert main([str(cfg), "scouting", "--cycles", "4", "-o", str(tmp_path)]) == 1
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["trials"] == 0
     capsys.readouterr()

@@ -310,13 +310,6 @@ def test_inert_pulse_draws_nothing(state, seed, gate_off, v_te, v_be, v_g):
     assert rng.bit_generator.state == before_rng
 
 
-@settings(max_examples=60, deadline=None)
-@given(v1=st.floats(0, 6), v2=st.floats(0, 6))
-def test_i_sat_monotone(v1, v2):
-    lo, hi = sorted((v1, v2))
-    assert T.i_sat(lo) <= T.i_sat(hi)
-
-
 # ------------------------------------------------------------------ presets
 
 def test_presets():

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +10,13 @@ from memlogic.array import ArrayTopology, CellAddress, CellArray, TopologyError,
 from memlogic.device import VariabilityParams, binarize, default_boundary
 from memlogic.scouting import (
     PAPER_REFS,
+    SCOUTING_OPS,
     CurrentSample,
     OverlapError,
-    ReferenceSet,
+    ReferenceLevels,
     classify,
-    extend_n_inputs,
+    expected_bit,
+    input_patterns,
     place_references,
     reference_preset,
     scout_current,
@@ -122,21 +127,24 @@ def test_write_inputs_length_mismatch():
 
 def test_reference_set_validation():
     with pytest.raises(ValueError):
-        ReferenceSet(i_read=0.0, i_or=1e-6, i_and=2e-6)
+        ReferenceLevels(levels=(1e-6, 2e-6), i_read=0.0)
     with pytest.raises(ValueError):
-        ReferenceSet(i_read=1e-6, i_or=3e-6, i_and=2e-6)
-    refs = ReferenceSet(1e-6, 2e-6, 3e-6)
-    assert refs.i_xor1 == refs.i_or and refs.i_xor2 == refs.i_and
+        ReferenceLevels(levels=(3e-6, 2e-6), i_read=1e-6)
+    with pytest.raises(ValueError):
+        ReferenceLevels(levels=(), i_read=1e-6)
+    refs = ReferenceLevels(levels=(2e-6, 3e-6, 5e-6), i_read=1e-6)
+    assert (refs.n, refs.i_or, refs.i_and) == (3, 2e-6, 5e-6)
 
 
 def test_paper_reference_preset_values():
     assert PAPER_REFS.i_read == 7.25e-6
     assert PAPER_REFS.i_or == 11.55e-6
     assert PAPER_REFS.i_and == 32.74e-6
+    assert PAPER_REFS.n == 2
     assert reference_preset("paper-refs") == PAPER_REFS
-    assert reference_preset("paper") == PAPER_REFS
-    with pytest.raises(KeyError):
-        reference_preset("nope")
+    for name in ("paper", "nope"):
+        with pytest.raises(KeyError):
+            reference_preset(name)
 
 
 def noise_free_pair_samples():
@@ -200,6 +208,35 @@ def test_classify_boundary_ties_map_to_zero():
         classify(1e-6, PAPER_REFS, "nand")
 
 
+# The Boolean function of each op on a stored bit pattern, written out
+# independently of the popcount table.
+BOOLEAN_OPS = {
+    "read": lambda bits: int(bits == "1"),
+    "or": lambda bits: int(any(b == "1" for b in bits)),
+    "and": lambda bits: int(all(b == "1" for b in bits)),
+    "xor": lambda bits: functools.reduce(operator.xor, (int(b) for b in bits)),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_classify_matches_op_table_noise_free(n):
+    array, addrs = column_array(n=n)
+    rng = np.random.default_rng(n)
+    samples = []
+    for bits in input_patterns(n) + ["0", "1"]:
+        cells = addrs[:len(bits)]
+        write_inputs(array, cells, bits, rng)
+        samples.append(CurrentSample(bits, scout_current(array, cells, rng)))
+    refs = place_references(samples)
+    assert refs.n == n
+    for op in SCOUTING_OPS:
+        for s in samples:
+            if (op == "read") == (len(s.input_class) == 1):
+                bit = expected_bit(op, s.input_class)
+                assert bit == BOOLEAN_OPS[op](s.input_class), (op, s.input_class)
+                assert classify(s.current, refs, op) == bit, (op, s.input_class)
+
+
 def test_scouting_gate_composition():
     array, addrs = column_array(params=VariabilityParams(), seed=7)
     rng = np.random.default_rng(7)
@@ -219,34 +256,36 @@ def n3_samples():
 
 
 def test_extend_three_inputs_noise_free():
-    result = extend_n_inputs(3, n3_samples())
-    assert result.thresholds == pytest.approx(
+    refs = place_references(n3_samples())
+    assert refs.levels == pytest.approx(
         (1.257732e-5, 3.154639e-5, 5.051546e-5), rel=1e-4)
+    assert refs.i_read == pytest.approx(refs.i_or / 2)
 
 
 def test_extend_two_inputs_matches_place_references():
-    samples = noise_free_pair_samples()
-    refs = place_references(samples)
-    result = extend_n_inputs(2, samples)
-    assert result.thresholds[0] == pytest.approx(refs.i_or)
-    assert result.thresholds[1] == pytest.approx(refs.i_and)
+    # The pair placement is the n = 2 case: one level per popcount gap.
+    refs = place_references(noise_free_pair_samples())
+    assert refs.levels == (refs.i_or, refs.i_and)
+    assert refs.levels == pytest.approx((0.5 * (I_00 + I_01), 0.5 * (I_01 + I_11)))
 
 
 def test_extend_overlap_names_lowest_pair():
     samples = n3_samples() + [CurrentSample("000", 23e-6)]
     with pytest.raises(OverlapError) as info:
-        extend_n_inputs(3, samples)
-    assert info.value.lower_class == "popcount-0"
-    assert info.value.upper_class == "popcount-1"
+        place_references(samples)
+    assert info.value.lower_class == "000"
+    assert info.value.upper_class == "001|010|100"
 
 
 def test_extend_validates_input():
     with pytest.raises(ValueError):
-        extend_n_inputs(1, [])
+        place_references([])
     with pytest.raises(ValueError):
-        extend_n_inputs(3, [CurrentSample("01", 1e-6)])
+        place_references([CurrentSample("01", 1e-6)])  # missing classes
     with pytest.raises(ValueError):
-        extend_n_inputs(2, [CurrentSample("01", 1e-6)])  # missing popcounts
+        place_references(noise_free_pair_samples() + [CurrentSample("011", 1e-6)])
+    with pytest.raises(ValueError):
+        place_references(noise_free_pair_samples() + [CurrentSample("2", 1e-6)])
 
 
 # ------------------------------------------------------------- properties
