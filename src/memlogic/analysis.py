@@ -1,9 +1,12 @@
 """Monte Carlo experiment harness: repeated-cycle runs, distribution summaries,
 failure accounting and deterministic CSV/JSON exports.
 
-Every trial draws its randomness from a stream derived from (seed, experiment
+Every trial draws its randomness from a stream keyed by (seed, experiment
 kind, bucket, cycle), so results are bit-reproducible and independent of
-execution order.
+execution order.  Each bucket (a gate and input pair, a scouting class or a
+characterized cell) derives the streams of all its cycles in one vectorized
+pass (``streams.trial_streams``); each stream equals
+``default_rng(SeedSequence(key))`` bit for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -25,6 +27,7 @@ from .device import (
     VariabilityParams,
     binarize,
     default_boundary,
+    require_int,
 )
 from .logic1t1r import (
     DEFAULT_VOLTAGES,
@@ -51,6 +54,7 @@ from .scouting import (
     scout_current,
     write_inputs,
 )
+from .streams import trial_streams
 
 INPUT_COMBOS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -95,16 +99,10 @@ class ExperimentConfig:
     rotate_cells: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("seed", "cycles", "n_inputs"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
+        for name, least in (("seed", 0), ("cycles", 1), ("n_inputs", 1)):
+            require_int(name, getattr(self, name), least)
         if self.split not in ("split", "insample"):
             raise ValueError("split must be 'split' or 'insample'")
-        if self.n_inputs < 1:
-            raise ValueError("n_inputs must be >= 1")
 
     def replace(self, **changes) -> "ExperimentConfig":
         return replace(self, **changes)
@@ -248,10 +246,6 @@ class CharacterizationResult:
     hrs_log_spread: float
 
 
-def _stream(*entropy: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
 # ---------------------------------------------------------------------------
 # 1T1R logic experiment
 # ---------------------------------------------------------------------------
@@ -286,9 +280,10 @@ def run_1t1r_experiment(config: ExperimentConfig,
             array.form(addr)
             bucket = BucketStats(label=f"{name}/{p}{q}")
             expected = evaluate_mapping(mapping, p, q).output
-            for cycle in range(config.cycles):
+            streams = trial_streams([(config.seed, 10, gate_idx, p, q, cycle)
+                                     for cycle in range(config.cycles)])
+            for cycle, rng in enumerate(streams):
                 bucket.trials += 1
-                rng = _stream(config.seed, 10, gate_idx, p, q, cycle)
                 try:
                     trace = execute_gate(array, addr, mapping, p, q, rng,
                                          volts=volts, boundary=boundary)
@@ -372,8 +367,9 @@ def sample_scouting_currents(config: ExperimentConfig, n: int,
                           seed=config.seed)
         for addr in addrs:
             array.form(addr)
-        for cycle in range(config.cycles):
-            rng = _stream(config.seed, 20, len(input_class), int(input_class, 2), cycle)
+        streams = trial_streams([(config.seed, 20, len(input_class), int(input_class, 2), cycle)
+                                 for cycle in range(config.cycles)])
+        for cycle, rng in enumerate(streams):
             write_inputs(array, addrs, input_class, rng, volts=volts, refresh=True,
                          verify=verify)
             current = scout_current(array, addrs, rng, v_read=v_read, v_wl=v_wl)
@@ -489,15 +485,17 @@ def run_characterization(params: VariabilityParams,
     One row per (cell, cycle) holds the LRS read after the SET pulse and the
     HRS read after the RESET pulse.
     """
+    for name, value, least in (("cells", cells, 1), ("cycles", cycles, 1), ("seed", seed, 0)):
+        require_int(name, value, least)
     transistor = transistor if transistor is not None else TransistorModel()
-    topology = ArrayTopology(TopologyKind.STANDARD_1T1R, rows=1, cols=max(cells, 1))
+    topology = ArrayTopology(TopologyKind.STANDARD_1T1R, rows=1, cols=cells)
     rows = []
     for ci in range(cells):
         array = CellArray(topology, params, transistor, seed=seed)
         addr = CellAddress(0, ci)
         array.form(addr)
-        for cycle in range(cycles):
-            rng = _stream(seed, 32, ci, cycle)
+        for cycle, rng in enumerate(trial_streams([(seed, 32, ci, cycle)
+                                                   for cycle in range(cycles)])):
             array.apply_drive(set_drive(topology, addr, volts), rng)
             r_lrs = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
             array.apply_drive(reset_drive(topology, addr, volts), rng)

@@ -16,9 +16,10 @@ lines.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .device import (
     apply_pulse,
     form_by_ramp,
     read_resistance,
+    require_int,
     sample_fresh_cell,
 )
 
@@ -56,8 +58,8 @@ class ArrayTopology:
     cols: int = 8
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("rows and cols must be >= 1")
+        require_int("array rows", self.rows, 1)
+        require_int("array cols", self.cols, 1)
 
     def contains(self, addr: CellAddress) -> bool:
         return 0 <= addr.row < self.rows and 0 <= addr.col < self.cols
@@ -70,6 +72,16 @@ class ArrayTopology:
         """The BL the cell's bottom electrode hangs on: its column in the
         standard array, its row in the pseudo-crossbar."""
         return addr.row if self.kind == TopologyKind.PSEUDO_CROSSBAR else addr.col
+
+    def live_cols(self, row: int, drive: LineDrive) -> list[int]:
+        """Ascending columns of ``row`` whose cell sees a nonzero SL or BL
+        voltage under ``drive``; every other cell of the row has TE = BE = 0 V."""
+        if self.kind == TopologyKind.PSEUDO_CROSSBAR and drive.bl.get(row, 0.0) != 0.0:
+            return list(range(self.cols))
+        live = {col for col, volts in drive.sl.items() if volts != 0.0}
+        if self.kind == TopologyKind.STANDARD_1T1R:
+            live.update(col for col, volts in drive.bl.items() if volts != 0.0)
+        return sorted(live)
 
 
 @dataclass(frozen=True)
@@ -174,12 +186,51 @@ def validate_parallel_selection(topology: ArrayTopology,
                 f"pseudo-crossbar parallel selection requires one row, got {sorted(rows)}")
 
 
+class LazyCells(Mapping):
+    """Every address of a topology, mapped to its cell, sampled on first access.
+
+    Iteration and ``len`` cover all rows x cols in row-major order; looking a
+    cell up (or iterating its items) samples it once and keeps it.
+    """
+
+    def __init__(self, topology: ArrayTopology,
+                 sample: Callable[[CellAddress], MemristorCell]):
+        self._topology = topology
+        self._sample = sample
+        self._sampled: dict[CellAddress, MemristorCell] = {}
+
+    def __getitem__(self, addr) -> MemristorCell:
+        cell = self._sampled.get(addr)
+        if cell is None:
+            if addr not in self:
+                raise KeyError(addr)
+            addr = CellAddress(int(addr[0]), int(addr[1]))
+            cell = self._sampled[addr] = self._sample(addr)
+        return cell
+
+    def __contains__(self, addr) -> bool:
+        # Tuple equality, as for dict keys: (1, 2), np.int64 indices alike.
+        return (isinstance(addr, tuple) and len(addr) == 2
+                and addr[0] in range(self._topology.rows)
+                and addr[1] in range(self._topology.cols))
+
+    def __iter__(self) -> Iterator[CellAddress]:
+        for row in range(self._topology.rows):
+            for col in range(self._topology.cols):
+                yield CellAddress(row, col)
+
+    def __len__(self) -> int:
+        return self._topology.rows * self._topology.cols
+
+
 class CellArray:
     """A rectangular array of independently sampled 1T1R cells.
 
     Cell parameters are drawn from per-address random streams derived from the
     array seed, so the population is reproducible and independent of access
-    order.  All pulse randomness comes from generators passed by the caller.
+    order.  A cell is sampled from its stream when it is first touched, so an
+    array costs only the cells a run uses; ``cells`` still maps every address.
+    All pulse randomness comes from generators passed by the caller.
     """
 
     def __init__(self, topology: ArrayTopology, params: VariabilityParams,
@@ -188,12 +239,11 @@ class CellArray:
         self.params = params
         self.transistor = transistor if transistor is not None else TransistorModel()
         self.seed = seed
-        self.cells: dict[CellAddress, MemristorCell] = {}
-        for row in range(topology.rows):
-            for col in range(topology.cols):
-                addr = CellAddress(row, col)
-                rng = np.random.default_rng(np.random.SeedSequence((seed, 0, row, col)))
-                self.cells[addr] = sample_fresh_cell(params, rng, cell_id=f"r{row}c{col}")
+        self.cells = LazyCells(topology, self._sample_cell)
+
+    def _sample_cell(self, addr: CellAddress) -> MemristorCell:
+        rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0, *addr)))
+        return sample_fresh_cell(self.params, rng, cell_id=f"r{addr.row}c{addr.col}")
 
     def cell(self, addr: CellAddress | tuple[int, int]) -> MemristorCell:
         addr = CellAddress(*addr)
@@ -212,11 +262,12 @@ class CellArray:
         """Pulse the cells the drive can switch, in address order.
 
         Only rows whose WL voltage turns the transistor on are visited, and on
-        them cells with both electrodes at 0 V are skipped.  A skipped cell
-        cannot switch and its pulse would draw no randomness (gate-off returns
-        first, every switching threshold is > 0), so the results and the order
-        of random draws are those of pulsing every cell.  The returned events
-        list only the pulsed cells.
+        them only the live columns (``ArrayTopology.live_cols``): cells with
+        both electrodes at 0 V are skipped.  A skipped cell cannot switch and
+        its pulse would draw no randomness (gate-off returns first, every
+        switching threshold is > 0), so the results and the order of random
+        draws are those of pulsing every cell.  The returned events list only
+        the pulsed cells.
         """
         _check_line_bounds(self.topology, drive)
         events = []
@@ -224,12 +275,10 @@ class CellArray:
             v_g = drive.wl[row]
             if not self.transistor.is_on(v_g):
                 continue
-            for col in range(self.topology.cols):
+            for col in self.topology.live_cols(row, drive):
                 addr = CellAddress(row, col)
                 v_te = drive.sl.get(col, 0.0)
                 v_be = drive.bl.get(self.topology.bl_of(addr), 0.0)
-                if v_te == 0.0 and v_be == 0.0:
-                    continue
                 try:
                     event = apply_pulse(self.cells[addr],
                                         Pulse(v_te, v_be, v_g, drive.width),

@@ -129,8 +129,8 @@ def build_config(raw: dict[str, object], source: str = "<config>") -> AppConfig:
                 raise ConfigError(f"{source}: unknown array.kind {kind_name!r}; "
                                   f"one of {sorted(set(_TOPOLOGY_KINDS))}")
             kind = _TOPOLOGY_KINDS[kind_name]
-        rows = int(array_keys.pop("rows", topology.rows))
-        cols = int(array_keys.pop("cols", topology.cols))
+        rows = array_keys.pop("rows", topology.rows)
+        cols = array_keys.pop("cols", topology.cols)
         if array_keys:
             raise ConfigError(f"{source}: unknown key array.{sorted(array_keys)[0]}")
         topology = ArrayTopology(kind=kind, rows=rows, cols=cols)

@@ -57,6 +57,14 @@ def _require_finite(params) -> None:
             raise ValueError(f"{f.name} must be a finite number, got {value!r}")
 
 
+def require_int(name: str, value, least: int) -> None:
+    """Reject a bool, a non-integer or a value below ``least``, naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class VariabilityParams:
     """Distribution parameters for resistance, threshold and read-noise spread.

@@ -191,6 +191,19 @@ def test_characterization_single_cycle_rows():
     assert len(result.rows) == 10
 
 
+@pytest.mark.parametrize("kwargs, name", [({"cells": 0}, "cells"), ({"cells": 2.5}, "cells"),
+                                          ({"cycles": 0}, "cycles"), ({"seed": -1}, "seed")])
+def test_characterization_rejects_bad_counts_by_name(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        run_characterization(VariabilityParams(), **{"cells": 2, "cycles": 2, **kwargs})
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**64)])
+def test_config_rejects_negative_seed(seed):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ExperimentConfig(seed=seed)
+
+
 # ----------------------------------------------------------------- exports
 
 def test_export_empty_results_headers_only(tmp_path):

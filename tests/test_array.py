@@ -252,3 +252,76 @@ def test_topology_validation():
     array = make_array()
     with pytest.raises(ValueError):
         array.cell(CellAddress(9, 9))
+
+
+def cell_params(cell):
+    return (cell.lrs_median_cell, cell.hrs_median_cell, cell.v_set_th,
+            cell.v_reset_th, cell.v_form_th, cell.resistance)
+
+
+def test_cells_sampled_in_any_order_match_row_major():
+    row_major = CellArray(STD, PARAMS, seed=8)
+    expected = {addr: cell_params(cell) for addr, cell in row_major.cells.items()}
+    addrs = list(expected)
+    rng = np.random.default_rng(0)
+    for order in (addrs[::-1], list(rng.permutation(addrs))):
+        array = CellArray(STD, PARAMS, seed=8)
+        for row, col in order:
+            assert cell_params(array.cell((int(row), int(col)))) == expected[(row, col)]
+        assert array.cells == row_major.cells
+
+
+def test_untouched_cells_are_never_sampled(monkeypatch):
+    import memlogic.array as array_module
+
+    sampled = []
+    real = array_module.sample_fresh_cell
+
+    def counting(params, rng, cell_id="cell"):
+        sampled.append(cell_id)
+        return real(params, rng, cell_id=cell_id)
+
+    monkeypatch.setattr(array_module, "sample_fresh_cell", counting)
+    array = CellArray(STD, PARAMS, seed=9)
+    assert sampled == []
+    array.form((1, 2))
+    rng = np.random.default_rng(5)
+    array.apply_drive(LineDrive(wl={1: 1.3}, sl={2: 1.3}), rng)
+    array.read_cell((1, 2), 0.1, 3.0, rng)
+    assert CellAddress(3, 3) in array.cells and (4, 0) not in array.cells
+    assert sampled == ["r1c2"]
+    assert len(array.cells) == STD.rows * STD.cols
+    assert list(array.cells) == [CellAddress(r, c) for r in range(4) for c in range(4)]
+    assert sampled == ["r1c2"]
+
+
+def test_cells_mapping_rejects_foreign_keys():
+    array = make_array()
+    for key in [(4, 0), (0, -1), (0.5, 0), "r0c0", (0, 0, 0)]:
+        assert key not in array.cells
+        with pytest.raises(KeyError):
+            array.cells[key]
+    cell = array.cells[(np.int64(1), np.int64(2))]
+    assert cell is array.cells[CellAddress(1, 2)] and cell.cell_id == "r1c2"
+
+
+@pytest.mark.parametrize("topology, drive, row, expected", [
+    (STD, LineDrive(wl={0: 3.0}, sl={2: 1.3}, bl={0: 1.6, 3: 0.0}), 0, [0, 2]),
+    (STD, LineDrive(wl={1: 3.0}), 1, []),
+    (PSEUDO, LineDrive(wl={0: 3.0}, sl={3: 1.3}, bl={1: 1.6}), 0, [3]),
+    (PSEUDO, LineDrive(wl={1: 3.0}, sl={3: 1.3}, bl={1: 1.6}), 1, [0, 1, 2, 3]),
+    (PSEUDO, LineDrive(wl={1: 3.0}, sl={0: -0.0}, bl={1: 0.0}), 1, []),
+])
+def test_live_cols_follow_the_wiring(topology, drive, row, expected):
+    assert topology.live_cols(row, drive) == expected
+    pulses = pulses_by_addr(topology, drive)
+    assert expected == [col for col in range(topology.cols)
+                        if (pulses[CellAddress(row, col)].v_te,
+                            pulses[CellAddress(row, col)].v_be) != (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("rows, cols", [(2.5, 4), (4, 2.0), (True, 4), (4, False),
+                                        ("4", 4), (0, 4), (4, -1)])
+def test_topology_rejects_non_integer_or_small_sizes(rows, cols):
+    with pytest.raises(ValueError, match="rows|cols"):
+        ArrayTopology(rows=rows, cols=cols)

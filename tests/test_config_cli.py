@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import memlogic
 
 from memlogic import analysis, cli
 from memlogic.array import CellAddress, TopologyKind
@@ -260,7 +266,12 @@ def _one_line_error(capsys) -> str:
                                   "transistor.i_sat_slope = 1e-4",
                                   "experiment.parallel = true",
                                   "experiment.cycles = many",
-                                  "experiment.cycles = 2.5"])
+                                  "experiment.cycles = 2.5",
+                                  "experiment.seed = -1",
+                                  "array.rows = 2.5",
+                                  "array.rows = true",
+                                  "array.cols = 0",
+                                  "array.cols = eight"])
 def test_cli_rejects_bad_config_values(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -294,3 +305,22 @@ def test_cli_experiment_errors_exit_2(tmp_path, capsys, monkeypatch, error):
     monkeypatch.setattr(cli, "run_1t1r_experiment", failing_run)
     assert main(["gate", "OR", "--cycles", "2", "-o", str(tmp_path)]) == 2
     assert str(error) in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("args, name", [(["gate", "OR", "--seed", "-1"], "seed"),
+                                        (["scouting", "--seed", "-1"], "seed"),
+                                        (["characterize", "--cells", "0"], "cells"),
+                                        (["characterize", "--cells", "-3"], "cells")])
+def test_cli_rejects_bad_counts_by_name(tmp_path, capsys, args, name):
+    assert main(args + ["-o", str(tmp_path)]) == 2
+    assert name in _one_line_error(capsys)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(memlogic.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "memlogic", "gate", "OR", "--cycles", "2",
+                           "-o", str(tmp_path)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "OR p=1 q=1 -> 1" in proc.stdout
+    assert (tmp_path / "traces.csv").exists()

@@ -2,7 +2,11 @@
 
 The digests were recorded with a drive path that pulsed every cell of the
 array.  Skipping the cells a drive cannot switch must not change one random
-draw, so any change to these bytes means the simulated results changed.
+draw, so any change to these bytes means the simulated results changed.  The
+second group was recorded while every trial stream was still built through
+its own ``SeedSequence`` and every array sampled all its cells up front; it
+covers a seed wider than one 32-bit word, a three-input scouting read and a
+characterization run over several cells.
 """
 
 import hashlib
@@ -42,12 +46,40 @@ GOLDEN_SHA256 = {
     },
 }
 
+GOLDEN_SHA256.update({
+    "gate_seed_2**32+3": {
+        "traces.csv": "0b2fbfa2587d1ea37624d3bd42c233859712f3aaa4e736867a3c7ee034f26e80",
+        "summary.csv": "dc080d70b60fd073c2efd29fbc10e57d2faa92d816d63bebe7a6e1b2ca953faf",
+        "non_switching.csv": "0c97c70636de8d8b36e6617c9a6065a0af412fca05931ec0342f952901f09b7e",
+        "report.json": "af46ba7e50e5e69c64730e93f89e6b93d32d0908946786b4963c33790beb24ff",
+    },
+    "scouting_n3": {
+        "currents.csv": "a0511e27eb6430bc1c90718a16adda2de99703804c6fb0f7dab4a216196d8922",
+        "refs.csv": "caeddd148adfc981e70a82257506d76a473ee3ad327addf7362497f8cf205474",
+        "margins.csv": "38ae46a5b01fc3d9aaf53f88452cd3551103b43be30e60dfd7540063848f3c39",
+        "summary.csv": "13a5dc40f2ec8ad8056be8f21878acb4fb8f0781337efc67e3dd56228c8af49e",
+        "report.json": "b5efbdc2dc5015d3bb16f7721bf258fa332f4b4b88b1282139467f5b92a9a56d",
+    },
+    "characterize_cells3": {
+        "characterize.csv": "99788bafbdfe4eeb547705ef81000a2c740851aab2d279afd5b1e409dd53f8d4",
+        "summary.csv": "d6a4611318e6e0fea1bf4a021a19b4e0269fb0fad3a66a09dd88981f68bf9ecc",
+        "characterize_report.json": "1f922ec12f3aa39daf14f3c0bbce98d7d457cd9fe755d4876caf23c3b24b6008",
+    },
+})
+
 EXPORTERS = {
     "gate": lambda out: export_logic_result(run_1t1r_experiment(CONFIG), out),
     "scouting": lambda out: export_scouting_result(run_scouting_experiment(CONFIG), out),
     "characterize": lambda out: export_characterization(
         run_characterization(CONFIG.device, CONFIG.transistor, cycles=CONFIG.cycles,
                              seed=CONFIG.seed), out),
+    "gate_seed_2**32+3": lambda out: export_logic_result(
+        run_1t1r_experiment(CONFIG.replace(seed=2**32 + 3)), out),
+    "scouting_n3": lambda out: export_scouting_result(run_scouting_experiment(
+        CONFIG.replace(n_inputs=3, scouting_ops=("read", "or", "and", "xor"))), out),
+    "characterize_cells3": lambda out: export_characterization(
+        run_characterization(CONFIG.device, CONFIG.transistor, cells=3,
+                             cycles=CONFIG.cycles, seed=CONFIG.seed), out),
 }
 
 
