@@ -32,11 +32,11 @@ from .device import (
 from .logic1t1r import (
     DEFAULT_VOLTAGES,
     InitFailureError,
-    LogicVoltages,
     ParamMapping,
     default_gate_library,
     evaluate_mapping,
     execute_gate,
+    lookup_gate,
     reset_drive,
     set_drive,
 )
@@ -103,6 +103,10 @@ class ExperimentConfig:
             require_int(name, getattr(self, name), least)
         if self.split not in ("split", "insample"):
             raise ValueError("split must be 'split' or 'insample'")
+        if not isinstance(self.refs, str):
+            raise ValueError(f"refs must be 'placed' or a preset name, got {self.refs!r}")
+        if not isinstance(self.rotate_cells, bool):
+            raise ValueError(f"rotate_cells must be true or false, got {self.rotate_cells!r}")
 
     def replace(self, **changes) -> "ExperimentConfig":
         return replace(self, **changes)
@@ -146,10 +150,11 @@ def log_spread(samples: Sequence[float]) -> float:
 
 @dataclass
 class BucketStats:
-    """Per-(gate, input) trial accounting: failures are wrong output bits,
-    errors are initialization breakdowns (experiment defects, not logic)."""
+    """Per-bucket trial accounting against the ideal output bit ``expected``:
+    failures are wrong bits, errors are initialization breakdowns (not logic)."""
 
     label: str
+    expected: int
     trials: int = 0
     failures: int = 0
     errors: int = 0
@@ -157,10 +162,6 @@ class BucketStats:
     @property
     def successes(self) -> int:
         return self.trials - self.failures - self.errors
-
-    @property
-    def failure_rate(self) -> float:
-        return self.failures / self.trials if self.trials else 0.0
 
 
 @dataclass
@@ -179,10 +180,6 @@ class FailureReport:
     @property
     def errors(self) -> int:
         return sum(b.errors for b in self.buckets)
-
-    @property
-    def overall_rate(self) -> float:
-        return self.failures / self.trials if self.trials else 0.0
 
 
 @dataclass(frozen=True)
@@ -224,6 +221,7 @@ class LogicExperimentResult:
     rows: list[TraceRow]
     summaries: list[DistributionSummary]
     report: FailureReport
+    non_switching: list["NonSwitchingCaseReport"]
 
 
 @dataclass
@@ -251,8 +249,7 @@ class CharacterizationResult:
 # ---------------------------------------------------------------------------
 
 def run_1t1r_experiment(config: ExperimentConfig,
-                        library: dict[str, ParamMapping] | None = None,
-                        volts: LogicVoltages = DEFAULT_VOLTAGES) -> LogicExperimentResult:
+                        library: dict[str, ParamMapping] | None = None) -> LogicExperimentResult:
     """Repeat every gate for every input pair over ``config.cycles`` cycles.
 
     Each gate runs cascaded on one cell (a fresh cell per input pair with
@@ -261,13 +258,7 @@ def run_1t1r_experiment(config: ExperimentConfig,
     """
     if library is None:
         library = default_gate_library()
-    mappings = []
-    for name in config.gates:
-        key = name.upper() if name.upper() in library else name
-        if key not in library:
-            raise KeyError(f"unknown gate {name!r}; available: {sorted(library)}")
-        mappings.append((name, library[key]))
-    boundary = default_boundary(config.device)
+    mappings = [(name, lookup_gate(library, name)) for name in config.gates]
     all_rows: list[TraceRow] = []
     report = FailureReport()
     for gate_idx, (name, mapping) in enumerate(mappings):
@@ -278,15 +269,14 @@ def run_1t1r_experiment(config: ExperimentConfig,
             row_idx = combo_idx % config.topology.rows if config.rotate_cells else 0
             addr = CellAddress(row_idx, col)
             array.form(addr)
-            bucket = BucketStats(label=f"{name}/{p}{q}")
             expected = evaluate_mapping(mapping, p, q).output
+            bucket = BucketStats(label=f"{name}/{p}{q}", expected=expected)
             streams = trial_streams([(config.seed, 10, gate_idx, p, q, cycle)
                                      for cycle in range(config.cycles)])
             for cycle, rng in enumerate(streams):
                 bucket.trials += 1
                 try:
-                    trace = execute_gate(array, addr, mapping, p, q, rng,
-                                         volts=volts, boundary=boundary)
+                    trace = execute_gate(array, addr, mapping, p, q, rng)
                 except InitFailureError:
                     bucket.errors += 1
                     continue
@@ -306,8 +296,9 @@ def run_1t1r_experiment(config: ExperimentConfig,
         grouped[f"{row.gate}/{row.p}{row.q}"].append(row.r_final_ohm)
     for label in sorted(grouped):
         summaries.append(DistributionSummary.from_samples(label, grouped[label]))
-    return LogicExperimentResult(config=config, rows=all_rows,
-                                 summaries=summaries, report=report)
+    return LogicExperimentResult(
+        config=config, rows=all_rows, summaries=summaries, report=report,
+        non_switching=non_switching_report(all_rows, default_boundary(config.device)))
 
 
 @dataclass(frozen=True)
@@ -347,16 +338,18 @@ def non_switching_report(rows: Sequence[TraceRow],
 
 def sample_scouting_currents(config: ExperimentConfig, n: int,
                              include_single: bool = False,
-                             volts: LogicVoltages = DEFAULT_VOLTAGES,
-                             v_read: float = 0.1, v_wl: float = 3.0,
                              verify: bool = True) -> list[CurrentSample]:
     """Measure ``config.cycles`` read currents for every n-bit input pattern.
 
     The input cells occupy one column (rows 0..n-1), which the standard array
-    can select in parallel.  States are rewritten every cycle so each sample
-    carries a fresh cycle-to-cycle draw.  With ``include_single`` the one-cell
-    classes "0" and "1" are measured as well (for the read operation).
+    can select in parallel, so n may not exceed the row count.  States are
+    rewritten every cycle so each sample carries a fresh cycle-to-cycle draw.
+    With ``include_single`` the one-cell classes "0" and "1" are measured as
+    well (for the read operation).
     """
+    if n > config.topology.rows:
+        raise ValueError(f"n={n} input cells do not fit in one column of "
+                         f"{config.topology.rows} rows")
     classes: list[tuple[str, list[CellAddress]]] = [
         (pattern, [CellAddress(r, 0) for r in range(n)]) for pattern in input_patterns(n)]
     if include_single:
@@ -370,9 +363,8 @@ def sample_scouting_currents(config: ExperimentConfig, n: int,
         streams = trial_streams([(config.seed, 20, len(input_class), int(input_class, 2), cycle)
                                  for cycle in range(config.cycles)])
         for cycle, rng in enumerate(streams):
-            write_inputs(array, addrs, input_class, rng, volts=volts, refresh=True,
-                         verify=verify)
-            current = scout_current(array, addrs, rng, v_read=v_read, v_wl=v_wl)
+            write_inputs(array, addrs, input_class, rng, refresh=True, verify=verify)
+            current = scout_current(array, addrs, rng)
             samples.append(CurrentSample(input_class=input_class, current=current,
                                          cycle=cycle))
     return samples
@@ -400,10 +392,7 @@ def _margins(samples: Sequence[CurrentSample],
     return margins
 
 
-def run_scouting_experiment(config: ExperimentConfig,
-                            volts: LogicVoltages = DEFAULT_VOLTAGES,
-                            v_read: float = 0.1,
-                            v_wl: float = 3.0) -> ScoutingExperimentResult:
+def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResult:
     """Sample the input-class currents, place references, classify.
 
     Every op is evaluated on each input class it reads (the n-bit patterns,
@@ -429,8 +418,7 @@ def run_scouting_experiment(config: ExperimentConfig,
         if refs.n != n:
             raise ValueError(f"reference preset {config.refs!r} has {refs.n} levels; "
                              f"a {n}-input read needs {n}")
-    samples = sample_scouting_currents(config, n, include_single="read" in ops,
-                                       volts=volts, v_read=v_read, v_wl=v_wl)
+    samples = sample_scouting_currents(config, n, include_single="read" in ops)
 
     half = (config.cycles + 1) // 2 if config.split == "split" else config.cycles
     train = [s for s in samples if s.cycle < half]
@@ -449,12 +437,12 @@ def run_scouting_experiment(config: ExperimentConfig,
     report = FailureReport()
     for op in ops:
         for input_class in ("0", "1") if op == "read" else input_patterns(n):
-            bucket = BucketStats(label=f"{op}/{input_class}")
-            expected = expected_bit(op, input_class)
+            bucket = BucketStats(label=f"{op}/{input_class}",
+                                 expected=expected_bit(op, input_class))
             for s in by_class[input_class]:
                 bucket.trials += 1
                 failed = (refs is None  # collapsed gap: nothing to compare against
-                          or classify(s.current, refs, op) != expected)
+                          or classify(s.current, refs, op) != bucket.expected)
                 if failed:
                     bucket.failures += 1
                     if report.first_failure is None:
@@ -478,8 +466,8 @@ def run_scouting_experiment(config: ExperimentConfig,
 
 def run_characterization(params: VariabilityParams,
                          transistor: TransistorModel | None = None,
-                         cells: int = 10, cycles: int = 100, seed: int = 0,
-                         volts: LogicVoltages = DEFAULT_VOLTAGES) -> CharacterizationResult:
+                         cells: int = 10, cycles: int = 100,
+                         seed: int = 0) -> CharacterizationResult:
     """Cycle each cell through SET/RESET and record both state resistances.
 
     One row per (cell, cycle) holds the LRS read after the SET pulse and the
@@ -489,6 +477,7 @@ def run_characterization(params: VariabilityParams,
         require_int(name, value, least)
     transistor = transistor if transistor is not None else TransistorModel()
     topology = ArrayTopology(TopologyKind.STANDARD_1T1R, rows=1, cols=cells)
+    volts = DEFAULT_VOLTAGES
     rows = []
     for ci in range(cells):
         array = CellArray(topology, params, transistor, seed=seed)
@@ -496,9 +485,9 @@ def run_characterization(params: VariabilityParams,
         array.form(addr)
         for cycle, rng in enumerate(trial_streams([(seed, 32, ci, cycle)
                                                    for cycle in range(cycles)])):
-            array.apply_drive(set_drive(topology, addr, volts), rng)
+            array.apply_drive(set_drive(topology, addr), rng)
             r_lrs = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
-            array.apply_drive(reset_drive(topology, addr, volts), rng)
+            array.apply_drive(reset_drive(topology, addr), rng)
             r_hrs = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
             rows.append((ci, cycle, r_lrs, r_hrs))
     lrs_values = [r[2] for r in rows]
@@ -687,11 +676,9 @@ def export_logic_result(result: LogicExperimentResult, out_dir: str | Path,
                    "cycle": r.cycle, "r_init_ohm": r.r_init_ohm,
                    "r_final_ohm": r.r_final_ohm, "out_bit": r.out_bit,
                    "expected_bit": r.expected_bit} for r in result.rows]
-    boundary = default_boundary(result.config.device)
     ns_rows = [{"case_id": r.case_id, "count": r.count,
                 "binary_changes": r.binary_changes,
-                "log_variation": r.log_variation}
-               for r in non_switching_report(result.rows, boundary)]
+                "log_variation": r.log_variation} for r in result.non_switching]
     return [
         export_table("traces", trace_rows, out_dir, fmt),
         export_table("summary", summary_rows(result.summaries), out_dir, fmt),

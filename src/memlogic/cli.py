@@ -27,19 +27,17 @@ from .analysis import (
     export_scouting_result,
     export_sweep,
     export_table,
-    non_switching_report,
     run_1t1r_experiment,
     run_characterization,
     run_scouting_experiment,
     sweep_parameter,
 )
 from .config import AppConfig, load_config
-from .device import PRESETS, default_boundary, preset
+from .device import PRESETS, NotFormedError, preset
 from .logic1t1r import (
     CASE_TABLE,
     InitFailureError,
     default_gate_library,
-    evaluate_mapping,
     load_gate_library,
     save_gate_library,
     truth_table_of,
@@ -88,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scouting", help="run scouting-logic experiments")
     p.add_argument("ops", nargs="*", default=[], help="read / or / and / xor")
-    p.add_argument("--n", type=int, default=2, help="number of input cells")
+    p.add_argument("--n", type=int, help="number of input cells (default: n_inputs, 2)")
     p.add_argument("--refs", default=None,
                    help="'placed' or a reference preset (%s)" %
                         "/".join(sorted(REFERENCE_PRESETS)))
@@ -144,30 +142,17 @@ def cmd_characterize(app: AppConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_library(args: argparse.Namespace):
-    library = default_gate_library()
-    if getattr(args, "library", None):
-        library.update(load_gate_library(args.library))
-    return library
-
-
 def cmd_gate(app: AppConfig, args: argparse.Namespace) -> int:
-    library = _resolve_library(args)
-    for name in args.names:
-        if name.upper() not in library and name not in library:
-            print(f"unknown gate {name!r}; available: {', '.join(sorted(library))}",
-                  file=sys.stderr)
-            return 2
+    library = default_gate_library()
+    if args.library:
+        library.update(load_gate_library(args.library))
     exp = app.experiment.replace(gates=tuple(args.names))
     result = run_1t1r_experiment(exp, library=library)
     for bucket in result.report.buckets:
-        gate_name, combo = bucket.label.split("/")
-        mapping = library[gate_name.upper() if gate_name.upper() in library else gate_name]
-        expected = evaluate_mapping(mapping, int(combo[0]), int(combo[1])).output
-        print(f"{gate_name} p={combo[0]} q={combo[1]} -> {expected}  "
+        gate_name, combo = bucket.label.rsplit("/", 1)
+        print(f"{gate_name} p={combo[0]} q={combo[1]} -> {bucket.expected}  "
               f"failures {bucket.failures}/{bucket.trials} errors {bucket.errors}")
-    boundary = default_boundary(exp.device)
-    for case in non_switching_report(result.rows, boundary):
+    for case in result.non_switching:
         print(f"non-switching case {case.case_id}: n={case.count} "
               f"binary_changes={case.binary_changes} "
               f"log_variation={case.log_variation:.4f}")
@@ -200,7 +185,8 @@ def cmd_scouting(app: AppConfig, args: argparse.Namespace) -> int:
         exp = exp.replace(scouting_ops=tuple(op.lower() for op in args.ops))
     if args.refs:
         exp = exp.replace(refs=args.refs)
-    exp = exp.replace(n_inputs=args.n)
+    if args.n is not None:
+        exp = exp.replace(n_inputs=args.n)
     result = run_scouting_experiment(exp)
     refs = result.refs
     if refs is not None:
@@ -297,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         app = _apply_overrides(app, args)
         return _COMMANDS[args.command](app, args)
-    except (KeyError, ValueError, InitFailureError, OverlapError) as exc:
+    except (KeyError, ValueError, InitFailureError, NotFormedError, OverlapError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(str(message), file=sys.stderr)
         return 2

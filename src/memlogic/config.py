@@ -105,8 +105,10 @@ def build_config(raw: dict[str, object], source: str = "<config>") -> AppConfig:
     if raw:
         raise ConfigError(f"{source}: unknown section in keys {sorted(raw)}")
 
-    params = preset(str(device_keys.pop("preset"))) if "preset" in device_keys \
-        else VariabilityParams()
+    try:
+        params = preset(str(device_keys.pop("preset", "table3-logic")))
+    except KeyError as exc:
+        raise ConfigError(f"{source}: {exc.args[0]}") from None
     valid = {f.name for f in fields(VariabilityParams)}
     for name, value in device_keys.items():
         if name not in valid:
@@ -141,7 +143,8 @@ def build_config(raw: dict[str, object], source: str = "<config>") -> AppConfig:
         raise ConfigError(f"{source}: experiment.format must be csv or json")
     experiment = ExperimentConfig(device=params, transistor=transistor,
                                   topology=topology)
-    valid = {f.name for f in fields(ExperimentConfig)}
+    # The nested models are set through their own sections.
+    valid = {f.name for f in fields(ExperimentConfig)} - {"device", "transistor", "topology"}
     for name, value in experiment_keys.items():
         if name not in valid:
             raise ConfigError(f"{source}: unknown key experiment.{name}")

@@ -31,6 +31,10 @@ PRISTINE_RESISTANCE_FACTOR = 10.0
 
 _MAX_REJECTION_TRIES = 1000
 
+#: Largest log-space spread: exp(N(0, sigma)) overflows a float past about 709,
+#: a 70-sigma draw at this bound.
+MAX_LOG_SIGMA = 10.0
+
 
 class SwitchEvent(Enum):
     """Outcome of one voltage pulse applied to a cell."""
@@ -53,7 +57,12 @@ class NotFormedError(RuntimeError):
 def _require_finite(params) -> None:
     for f in fields(params):
         value = getattr(params, f.name)
-        if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        try:
+            finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                      and math.isfinite(value))
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
             raise ValueError(f"{f.name} must be a finite number, got {value!r}")
 
 
@@ -104,6 +113,10 @@ class VariabilityParams:
                      "min_pulse_set", "min_pulse_reset"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        for name in ("lrs_sigma_c2c", "lrs_sigma_d2d", "hrs_sigma_c2c",
+                     "hrs_sigma_d2d", "read_noise_lrs", "read_noise_hrs"):
+            if getattr(self, name) > MAX_LOG_SIGMA:
+                raise ValueError(f"{name} must be <= {MAX_LOG_SIGMA}")
         if self.hrs_median <= self.lrs_median:
             raise ValueError("hrs_median must exceed lrs_median")
         if self.hrs_median / self.lrs_median < 2.0:
@@ -330,25 +343,35 @@ def default_boundary(params: VariabilityParams) -> float:
     return math.sqrt(params.lrs_median * params.hrs_median)
 
 
+#: The forming ramp: TE pulses of FORM_WIDTH seconds at a FORM_V_G gate, rising
+#: in FORM_V_STEP steps from FORM_V_STEP up to FORM_V_MAX volts.
+FORM_V_MAX = 4.8
+FORM_V_STEP = 0.1
+FORM_WIDTH = 1.0e-5
+FORM_V_G = 1.1
+
+
 def form_by_ramp(cell: MemristorCell, transistor: TransistorModel,
-                 rng: np.random.Generator, v_max: float = 4.8, v_step: float = 0.1,
-                 width: float = 1.0e-5, v_g: float = 1.1) -> int:
+                 rng: np.random.Generator) -> int:
     """Apply pulses of increasing TE voltage until the cell forms.
 
-    Returns the number of pulses applied.  Raises ``NotFormedError`` if the
-    ramp tops out without forming.
+    The ramp is the module's ``FORM_*`` constants.  Returns the number of
+    pulses applied.  Raises ``NotFormedError`` if the ramp tops out without
+    forming, e.g. for a transistor threshold above the ramp's gate voltage or a
+    SET pulse minimum above its width.
     """
     if cell.is_formed:
         return 0
     pulses = 0
-    v = v_step
-    while v <= v_max + 1e-12:
+    v = FORM_V_STEP
+    while v <= FORM_V_MAX + 1e-12:
         pulses += 1
-        event = apply_pulse(cell, Pulse(v, 0.0, v_g, width), transistor, rng)
+        event = apply_pulse(cell, Pulse(v, 0.0, FORM_V_G, FORM_WIDTH), transistor, rng)
         if event == SwitchEvent.FORMED:
             return pulses
-        v += v_step
-    raise NotFormedError(f"{cell.cell_id} did not form up to {v_max} V")
+        v += FORM_V_STEP
+    raise NotFormedError(f"{cell.cell_id} did not form up to {FORM_V_MAX} V "
+                         f"({FORM_WIDTH} s pulses at a {FORM_V_G} V gate)")
 
 
 #: Named parameter presets.  "table3-logic" is the operating point used by the

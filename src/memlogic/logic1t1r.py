@@ -131,12 +131,18 @@ BUILTIN_MAPPINGS: dict[str, ParamMapping] = {
 }
 
 
-def builtin_mapping(name: str) -> ParamMapping:
+def lookup_gate(library: dict[str, ParamMapping], name: str) -> ParamMapping:
+    """The mapping named ``name``, upper-cased when the library has that key."""
+    key = name.upper() if name.upper() in library else name
     try:
-        return BUILTIN_MAPPINGS[name.upper()]
+        return library[key]
     except KeyError:
-        raise KeyError(
-            f"unknown gate {name!r}; built-ins: {sorted(BUILTIN_MAPPINGS)}") from None
+        raise KeyError(f"unknown gate {name!r}; "
+                       f"available: {', '.join(sorted(library))}") from None
+
+
+def builtin_mapping(name: str) -> ParamMapping:
+    return lookup_gate(BUILTIN_MAPPINGS, name)
 
 
 class GateEval(NamedTuple):
@@ -239,8 +245,10 @@ def load_gate_library(path: str | Path) -> dict[str, ParamMapping]:
 
 @dataclass(frozen=True)
 class LogicVoltages:
-    """Physical operating point for logic and initialization pulses.
+    """The one physical operating point of the simulator.
 
+    Logic pulses, initialization writes, verify reads, scouting reads and
+    characterization all run at ``DEFAULT_VOLTAGES`` (forming has its own ramp):
     SET drives 1.3 V on the TE with a 1.3 V gate; RESET drives 1.6 V on the BE
     with a 3 V gate; reads use 0.1 V with a 3 V gate.  All pulses are 1 us.
     """
@@ -257,8 +265,7 @@ class LogicVoltages:
 DEFAULT_VOLTAGES = LogicVoltages()
 
 
-def logic_pulse_voltages(g: int, te: int, be: int,
-                         volts: LogicVoltages = DEFAULT_VOLTAGES) -> tuple[float, float, float]:
+def logic_pulse_voltages(g: int, te: int, be: int) -> tuple[float, float, float]:
     """Map resolved logic bits to physical pulse voltages.
 
     te=1 raises the TE to the SET amplitude, be=1 raises the BE to the RESET
@@ -266,6 +273,7 @@ def logic_pulse_voltages(g: int, te: int, be: int,
     SET polarity and the (higher) RESET gate voltage otherwise; a logic-0 gate
     grounds the word line.
     """
+    volts = DEFAULT_VOLTAGES
     v_te = volts.v_te_set if te else 0.0
     v_be = volts.v_be_reset if be else 0.0
     if g:
@@ -311,22 +319,20 @@ def single_cell_drive(topology: ArrayTopology, addr: CellAddress, v_te: float,
                      bl={topology.bl_of(addr): v_be}, width=width)
 
 
-def set_drive(topology: ArrayTopology, addr: CellAddress,
-              volts: LogicVoltages) -> LineDrive:
-    return single_cell_drive(topology, addr, volts.v_te_set, 0.0, volts.v_g_set,
-                             volts.width)
+def set_drive(topology: ArrayTopology, addr: CellAddress) -> LineDrive:
+    volts = DEFAULT_VOLTAGES
+    return single_cell_drive(topology, addr, volts.v_te_set, 0.0, volts.v_g_set, volts.width)
 
 
-def reset_drive(topology: ArrayTopology, addr: CellAddress,
-                volts: LogicVoltages) -> LineDrive:
-    return single_cell_drive(topology, addr, 0.0, volts.v_be_reset, volts.v_g_reset,
-                             volts.width)
+def reset_drive(topology: ArrayTopology, addr: CellAddress) -> LineDrive:
+    volts = DEFAULT_VOLTAGES
+    return single_cell_drive(topology, addr, 0.0, volts.v_be_reset, volts.v_g_reset, volts.width)
 
 
 def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: int,
-                    rng: np.random.Generator, volts: LogicVoltages = DEFAULT_VOLTAGES,
-                    boundary: float | None = None, max_retries: int = 3,
-                    refresh: bool = False, verify: bool = True) -> tuple[float, int]:
+                    rng: np.random.Generator, boundary: float | None = None,
+                    max_retries: int = 3, refresh: bool = False,
+                    verify: bool = True) -> tuple[float, int]:
     """Bring a cell to the binary state ``bit``, verifying by read.
 
     Returns ``(verified read resistance, correction pulses applied)``.  With
@@ -346,16 +352,17 @@ def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: 
         raise NotFormedError(f"cell {tuple(addr)} is pristine; form it first")
     if boundary is None:
         boundary = default_boundary(array.params)
+    volts = DEFAULT_VOLTAGES
 
     def pulse_towards(target: int) -> None:
         if target == 1:
             if cell.state == STATE_LRS:
                 # Cycle through HRS so the LRS value is re-drawn.
-                array.apply_drive(reset_drive(array.topology, addr, volts), rng)
-            array.apply_drive(set_drive(array.topology, addr, volts), rng)
+                array.apply_drive(reset_drive(array.topology, addr), rng)
+            array.apply_drive(set_drive(array.topology, addr), rng)
         else:
             # RESET switches an LRS cell and re-draws a resident HRS value.
-            array.apply_drive(reset_drive(array.topology, addr, volts), rng)
+            array.apply_drive(reset_drive(array.topology, addr), rng)
 
     if not verify:
         pulses = 0
@@ -381,9 +388,8 @@ def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: 
 
 
 def execute_gate(array: CellArray, addr: CellAddress | tuple[int, int],
-                 mapping: ParamMapping, p: int, q: int, rng: np.random.Generator,
-                 volts: LogicVoltages = DEFAULT_VOLTAGES,
-                 boundary: float | None = None, max_init_retries: int = 3) -> GateTrace:
+                 mapping: ParamMapping, p: int, q: int,
+                 rng: np.random.Generator) -> GateTrace:
     """Run one gate on a formed cell: initialize, pulse, read out.
 
     The cell is first brought to the mapping's required initial state (skipped
@@ -391,12 +397,11 @@ def execute_gate(array: CellArray, addr: CellAddress | tuple[int, int],
     array lines, and the output is the binarized post-pulse read.
     """
     addr = CellAddress(*addr)
-    if boundary is None:
-        boundary = default_boundary(array.params)
+    boundary = default_boundary(array.params)
+    volts = DEFAULT_VOLTAGES
     ev = evaluate_mapping(mapping, p, q)
-    r_init, retries = initialize_cell(array, addr, ev.i, rng, volts=volts,
-                                      boundary=boundary, max_retries=max_init_retries)
-    v_te, v_be, v_g = logic_pulse_voltages(ev.g, ev.te, ev.be, volts)
+    r_init, retries = initialize_cell(array, addr, ev.i, rng, boundary=boundary)
+    v_te, v_be, v_g = logic_pulse_voltages(ev.g, ev.te, ev.be)
     array.apply_drive(single_cell_drive(array.topology, addr, v_te, v_be, v_g,
                                         volts.width), rng)
     r_final = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
@@ -410,10 +415,7 @@ def execute_gate(array: CellArray, addr: CellAddress | tuple[int, int],
 
 def run_cascade(array: CellArray, addr: CellAddress | tuple[int, int],
                 gates: Sequence[tuple[ParamMapping, int, int]],
-                rng: np.random.Generator | Sequence[np.random.Generator],
-                volts: LogicVoltages = DEFAULT_VOLTAGES,
-                boundary: float | None = None,
-                max_init_retries: int = 3) -> list[GateTrace]:
+                rng: np.random.Generator | Sequence[np.random.Generator]) -> list[GateTrace]:
     """Execute gates back to back on one cell.
 
     The final state of each step is reused as the next initial state whenever
@@ -431,9 +433,7 @@ def run_cascade(array: CellArray, addr: CellAddress | tuple[int, int],
     traces = []
     for step, ((mapping, p, q), stream) in enumerate(zip(gates, streams)):
         try:
-            traces.append(execute_gate(array, addr, mapping, p, q, stream,
-                                       volts=volts, boundary=boundary,
-                                       max_init_retries=max_init_retries))
+            traces.append(execute_gate(array, addr, mapping, p, q, stream))
         except InitFailureError as exc:
             exc.step = step
             raise

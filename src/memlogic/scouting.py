@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .array import CellAddress, CellArray, validate_parallel_selection
-from .logic1t1r import DEFAULT_VOLTAGES, LogicVoltages, initialize_cell
+from .logic1t1r import DEFAULT_VOLTAGES, initialize_cell
 
 #: The output of each operation as a predicate on (popcount k, input width n).
 OP_TABLE: dict[str, Callable[[int, int], bool]] = {
@@ -110,9 +110,7 @@ class OverlapError(RuntimeError):
 
 def write_inputs(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
                  bits: Sequence[int] | str, rng: np.random.Generator,
-                 volts: LogicVoltages = DEFAULT_VOLTAGES,
-                 refresh: bool = False, max_retries: int = 3,
-                 verify: bool = True) -> None:
+                 refresh: bool = False, verify: bool = True) -> None:
     """Store one bit per cell, with read-verify and retry.
 
     ``refresh=True`` forces a fresh resistance draw even when the binary state
@@ -124,18 +122,18 @@ def write_inputs(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]
     if len(addrs) != len(bit_list):
         raise ValueError("need exactly one bit per address")
     for addr, bit in zip(addrs, bit_list):
-        initialize_cell(array, addr, bit, rng, volts=volts, refresh=refresh,
-                        max_retries=max_retries, verify=verify)
+        initialize_cell(array, addr, bit, rng, refresh=refresh, verify=verify)
 
 
 def scout_current(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
-                  rng: np.random.Generator, v_read: float = 0.1,
-                  v_wl: float = 3.0) -> float:
-    """Simultaneous read of the selected cells: v_read times the summed
-    conductance of the noisy per-cell resistances.  States are not disturbed.
+                  rng: np.random.Generator) -> float:
+    """Simultaneous read of the selected cells at the operating point: the read
+    voltage times the summed conductance of the noisy per-cell resistances.
+    States are not disturbed.
     """
     cell_addrs = [CellAddress(*a) for a in addrs]
     validate_parallel_selection(array.topology, cell_addrs)
+    v_read, v_wl = DEFAULT_VOLTAGES.v_read, DEFAULT_VOLTAGES.v_g_read
     conductance = 0.0
     for addr in cell_addrs:
         r = array.read_cell(addr, v_read, v_wl, rng)
@@ -233,11 +231,10 @@ def classify(current: float, refs: ReferenceLevels, op: str) -> int:
 
 def scouting_gate(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
                   bits: Sequence[int] | str, op: str, refs: ReferenceLevels,
-                  rng: np.random.Generator, v_read: float = 0.1,
-                  v_wl: float = 3.0) -> int:
+                  rng: np.random.Generator) -> int:
     """Write the input bits, scout the summed current, classify it."""
     write_inputs(array, addrs, bits, rng)
-    current = scout_current(array, addrs, rng, v_read=v_read, v_wl=v_wl)
+    current = scout_current(array, addrs, rng)
     return classify(current, refs, op)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,14 @@ def test_cli_gate_exit_codes(tmp_path, capsys):
     assert main(["gate", "NOPE", "-o", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "unknown gate" in err and "XOR" in err
+
+
+def test_cli_gate_from_a_library_name_with_a_slash(tmp_path, capsys):
+    library = tmp_path / "lib.csv"
+    library.write_text("name,g,te,be,i\nA/B,1,q,0,p\n")
+    assert main(["gate", "A/B", "--library", str(library), "--cycles", "2",
+                 "-o", str(tmp_path)]) == 0
+    assert "A/B p=0 q=1 -> 1" in capsys.readouterr().out
 
 
 def test_cli_gate_notp(tmp_path, capsys):
@@ -271,7 +280,18 @@ def _one_line_error(capsys) -> str:
                                   "array.rows = 2.5",
                                   "array.rows = true",
                                   "array.cols = 0",
-                                  "array.cols = eight"])
+                                  "array.cols = eight",
+                                  "device.preset = nope",
+                                  "experiment.device = 1",
+                                  "experiment.transistor = 1",
+                                  "experiment.topology = x",
+                                  "transistor.v_g_on_threshold = 5",
+                                  "device.min_pulse_set = 1",
+                                  "device.hrs_sigma_c2c = 471",
+                                  "device.hrs_sigma_c2c = true",
+                                  "transistor.r_on = false",
+                                  "experiment.refs = 0",
+                                  "experiment.rotate_cells = maybe"])
 def test_cli_rejects_bad_config_values(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -282,6 +302,28 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys, line):
 def test_cli_scouting_split_needs_two_cycles(tmp_path, capsys):
     assert main(["scouting", "--cycles", "1", "-o", str(tmp_path)]) == 2
     assert "cycles >= 2" in _one_line_error(capsys)
+
+
+def test_cli_scouting_reads_n_inputs_from_the_config(tmp_path, capsys):
+    cfg = tmp_path / "n3.cfg"
+    cfg.write_text("experiment.n_inputs = 3\n")
+    assert main([str(cfg), "scouting", "or", "--cycles", "4", "-o", str(tmp_path)]) == 0
+    assert "popcount thresholds (n=3)" in capsys.readouterr().out
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [b["label"] for b in report["buckets"]][-1] == "or/111"
+    # An explicit --n still wins over the config.
+    assert main([str(cfg), "scouting", "or", "--n", "2", "--cycles", "4",
+                 "-o", str(tmp_path)]) == 0
+    assert "or/11: failures" in capsys.readouterr().out
+
+
+def test_cli_scouting_rejects_n_above_the_row_count_at_once(tmp_path, capsys):
+    start = time.perf_counter()
+    assert main(["scouting", "or", "--n", "9", "-o", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "n=9" in _one_line_error(capsys)
+    with pytest.raises(ValueError, match="n=9"):
+        analysis.find_overlap_sigma(analysis.ExperimentConfig(cycles=2), 9)
 
 
 def test_cli_no_trials_is_not_a_pass(tmp_path, capsys):

@@ -6,11 +6,14 @@ draw, so any change to these bytes means the simulated results changed.  The
 second group was recorded while every trial stream was still built through
 its own ``SeedSequence`` and every array sampled all its cells up front; it
 covers a seed wider than one 32-bit word, a three-input scouting read and a
-characterization run over several cells.
+characterization run over several cells.  The third group was recorded
+while the operating point was still passed down as parameters; it covers a
+parameter sweep and the unverified writes of the overlap probe.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from memlogic.analysis import (
@@ -18,9 +21,12 @@ from memlogic.analysis import (
     export_characterization,
     export_logic_result,
     export_scouting_result,
+    export_sweep,
     run_1t1r_experiment,
     run_characterization,
     run_scouting_experiment,
+    sample_scouting_currents,
+    sweep_parameter,
 )
 
 CONFIG = ExperimentConfig(seed=3, cycles=20)
@@ -67,6 +73,16 @@ GOLDEN_SHA256.update({
     },
 })
 
+GOLDEN_SHA256["sweep"] = {
+    "sweep.csv": "2b656cd26c882dddbaae3e2caa3c32e89e8b6b2edb10be0b30feb94ff0aa9dbb",
+}
+
+#: sha256 of "class,cycle,repr(current)" lines of unverified writes, per n.
+UNVERIFIED_CURRENTS_SHA256 = {
+    2: "d765030513fb5c958dfa7cb91f3f50b0f49d8be7a779abf321926cb2ab1224ef",
+    3: "4717423eb43e47c67a499e145ec051b5dcf60cc9a934d817421e4d2ae3fd3b34",
+}
+
 EXPORTERS = {
     "gate": lambda out: export_logic_result(run_1t1r_experiment(CONFIG), out),
     "scouting": lambda out: export_scouting_result(run_scouting_experiment(CONFIG), out),
@@ -80,6 +96,8 @@ EXPORTERS = {
     "characterize_cells3": lambda out: export_characterization(
         run_characterization(CONFIG.device, CONFIG.transistor, cells=3,
                              cycles=CONFIG.cycles, seed=CONFIG.seed), out),
+    "sweep": lambda out: [export_sweep(sweep_parameter(
+        CONFIG, "hrs_sigma_c2c", list(np.linspace(0.1, 1.2, 3))), out)],
 }
 
 
@@ -88,3 +106,10 @@ def test_exports_match_golden_digests(kind, tmp_path):
     paths = EXPORTERS[kind](tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert digests == GOLDEN_SHA256[kind]
+
+
+@pytest.mark.parametrize("n", sorted(UNVERIFIED_CURRENTS_SHA256))
+def test_unverified_currents_match_golden_digest(n):
+    samples = sample_scouting_currents(CONFIG.replace(n_inputs=n), n, verify=False)
+    text = "".join(f"{s.input_class},{s.cycle},{s.current!r}\n" for s in samples)
+    assert hashlib.sha256(text.encode()).hexdigest() == UNVERIFIED_CURRENTS_SHA256[n]

@@ -268,8 +268,8 @@ def test_reset_drive_uses_the_cell_bl():
     volts = DEFAULT_VOLTAGES
     standard = ArrayTopology(TopologyKind.STANDARD_1T1R, 4, 4)
     pseudo = ArrayTopology(TopologyKind.PSEUDO_CROSSBAR, 4, 4)
-    assert reset_drive(standard, addr, volts).bl == {1: volts.v_be_reset}
-    assert reset_drive(pseudo, addr, volts).bl == {2: volts.v_be_reset}
+    assert reset_drive(standard, addr).bl == {1: volts.v_be_reset}
+    assert reset_drive(pseudo, addr).bl == {2: volts.v_be_reset}
 
 
 def test_pseudo_crossbar_gates_switch_both_ways():

@@ -67,13 +67,6 @@ def test_single_hrs_cell_reads_zero():
     assert classify(current, PAPER_REFS, "read") == 0
 
 
-def test_zero_read_voltage_gives_zero_current():
-    array, addrs = column_array()
-    rng = np.random.default_rng(2)
-    write_inputs(array, addrs, "11", rng)
-    assert scout_current(array, addrs, rng, v_read=0.0) == 0.0
-
-
 def test_scout_requires_parallel_selectable_addresses():
     array, _ = column_array()
     rng = np.random.default_rng(3)
