@@ -3,10 +3,11 @@ failure accounting and deterministic CSV/JSON exports.
 
 Every trial draws its randomness from a stream keyed by (seed, experiment
 kind, bucket, cycle), so results are bit-reproducible and independent of
-execution order.  Each bucket (a gate and input pair, a scouting class or a
-characterized cell) derives the streams of all its cycles in one vectorized
-pass (``streams.trial_streams``); each stream equals
-``default_rng(SeedSequence(key))`` bit for bit.
+execution order.  Each experiment derives the streams of all its buckets
+(gate and input pairs, scouting classes or characterized cells) and cycles
+in one vectorized pass (``streams.trial_streams``); each stream equals
+``default_rng(SeedSequence(key))`` bit for bit.  Each array builds and
+resolves a drive once, and its trials replay it.
 """
 
 from __future__ import annotations
@@ -261,6 +262,9 @@ def run_1t1r_experiment(config: ExperimentConfig,
     mappings = [(name, lookup_gate(library, name)) for name in config.gates]
     all_rows: list[TraceRow] = []
     report = FailureReport()
+    streams = trial_streams((config.seed, 10, gate_idx, p, q, cycle)
+                            for gate_idx in range(len(mappings))
+                            for p, q in INPUT_COMBOS for cycle in range(config.cycles))
     for gate_idx, (name, mapping) in enumerate(mappings):
         array = CellArray(config.topology, config.device, config.transistor,
                           seed=config.seed)
@@ -271,9 +275,7 @@ def run_1t1r_experiment(config: ExperimentConfig,
             array.form(addr)
             expected = evaluate_mapping(mapping, p, q).output
             bucket = BucketStats(label=f"{name}/{p}{q}", expected=expected)
-            streams = trial_streams([(config.seed, 10, gate_idx, p, q, cycle)
-                                     for cycle in range(config.cycles)])
-            for cycle, rng in enumerate(streams):
+            for cycle, rng in zip(range(config.cycles), streams):
                 bucket.trials += 1
                 try:
                     trace = execute_gate(array, addr, mapping, p, q, rng)
@@ -355,14 +357,14 @@ def sample_scouting_currents(config: ExperimentConfig, n: int,
     if include_single:
         classes += [(bit, [CellAddress(0, 0)]) for bit in ("0", "1")]
     samples = []
+    streams = trial_streams((config.seed, 20, len(input_class), int(input_class, 2), cycle)
+                            for input_class, _ in classes for cycle in range(config.cycles))
     for input_class, addrs in classes:
         array = CellArray(config.topology, config.device, config.transistor,
                           seed=config.seed)
         for addr in addrs:
             array.form(addr)
-        streams = trial_streams([(config.seed, 20, len(input_class), int(input_class, 2), cycle)
-                                 for cycle in range(config.cycles)])
-        for cycle, rng in enumerate(streams):
+        for cycle, rng in zip(range(config.cycles), streams):
             write_inputs(array, addrs, input_class, rng, refresh=True, verify=verify)
             current = scout_current(array, addrs, rng)
             samples.append(CurrentSample(input_class=input_class, current=current,
@@ -479,15 +481,16 @@ def run_characterization(params: VariabilityParams,
     topology = ArrayTopology(TopologyKind.STANDARD_1T1R, rows=1, cols=cells)
     volts = DEFAULT_VOLTAGES
     rows = []
+    streams = trial_streams((seed, 32, ci, cycle)
+                            for ci in range(cells) for cycle in range(cycles))
     for ci in range(cells):
         array = CellArray(topology, params, transistor, seed=seed)
         addr = CellAddress(0, ci)
         array.form(addr)
-        for cycle, rng in enumerate(trial_streams([(seed, 32, ci, cycle)
-                                                   for cycle in range(cycles)])):
-            array.apply_drive(set_drive(topology, addr), rng)
+        for cycle, rng in zip(range(cycles), streams):
+            array.apply_drive(array.drive(set_drive, addr), rng)
             r_lrs = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
-            array.apply_drive(reset_drive(topology, addr), rng)
+            array.apply_drive(array.drive(reset_drive, addr), rng)
             r_hrs = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
             rows.append((ci, cycle, r_lrs, r_hrs))
     lrs_values = [r[2] for r in rows]

@@ -197,15 +197,15 @@ class LazyCells(Mapping):
                  sample: Callable[[CellAddress], MemristorCell]):
         self._topology = topology
         self._sample = sample
-        self._sampled: dict[CellAddress, MemristorCell] = {}
+        self.sampled: dict[CellAddress, MemristorCell] = {}
 
     def __getitem__(self, addr) -> MemristorCell:
-        cell = self._sampled.get(addr)
+        cell = self.sampled.get(addr)
         if cell is None:
             if addr not in self:
                 raise KeyError(addr)
             addr = CellAddress(int(addr[0]), int(addr[1]))
-            cell = self._sampled[addr] = self._sample(addr)
+            cell = self.sampled[addr] = self._sample(addr)
         return cell
 
     def __contains__(self, addr) -> bool:
@@ -240,12 +240,17 @@ class CellArray:
         self.transistor = transistor if transistor is not None else TransistorModel()
         self.seed = seed
         self.cells = LazyCells(topology, self._sample_cell)
+        self._built: dict[tuple, LineDrive] = {}  # by builder and arguments
+        self._resolved: dict[tuple, list] = {}  # (addr, cell, pulse)s by drive content
 
     def _sample_cell(self, addr: CellAddress) -> MemristorCell:
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0, *addr)))
         return sample_fresh_cell(self.params, rng, cell_id=f"r{addr.row}c{addr.col}")
 
     def cell(self, addr: CellAddress | tuple[int, int]) -> MemristorCell:
+        # A sampled cell is in bounds: skip the re-wrap and the bounds check.
+        if isinstance(addr, tuple) and (cell := self.cells.sampled.get(addr)) is not None:
+            return cell
         addr = CellAddress(*addr)
         if not self.topology.contains(addr):
             raise ValueError(f"address {tuple(addr)} out of bounds")
@@ -257,6 +262,14 @@ class CellArray:
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, 1, addr.row, addr.col)))
         form_by_ramp(self.cell(addr), self.transistor, rng)
 
+    def drive(self, build: Callable[..., LineDrive], *args) -> LineDrive:
+        """``build(self.topology, *args)``, built once per array and then reused."""
+        key = (build, *args)
+        drive = self._built.get(key)
+        if drive is None:
+            drive = self._built[key] = build(self.topology, *args)
+        return drive
+
     def apply_drive(self, drive: LineDrive,
                     rng: np.random.Generator) -> list[tuple[CellAddress, SwitchEvent]]:
         """Pulse the cells the drive can switch, in address order.
@@ -267,25 +280,33 @@ class CellArray:
         its pulse would draw no randomness (gate-off returns first, every
         switching threshold is > 0), so the results and the order of random
         draws are those of pulsing every cell.  The returned events list only
-        the pulsed cells.
+        the pulsed cells.  Each distinct drive is resolved (bounds, live cells,
+        validated pulses) once per array, and replayed after that.
         """
-        _check_line_bounds(self.topology, drive)
+        key = (tuple(drive.wl.items()), tuple(drive.sl.items()),
+               tuple(drive.bl.items()), drive.width)
+        resolved = self._resolved.get(key)
+        if resolved is None:
+            _check_line_bounds(self.topology, drive)
+            resolved = []
+            for row in sorted(drive.wl):
+                v_g = drive.wl[row]
+                if not self.transistor.is_on(v_g):
+                    continue
+                for col in self.topology.live_cols(row, drive):
+                    addr = CellAddress(row, col)
+                    v_te = drive.sl.get(col, 0.0)
+                    v_be = drive.bl.get(self.topology.bl_of(addr), 0.0)
+                    resolved.append((addr, self.cells[addr],
+                                     Pulse(v_te, v_be, v_g, drive.width)))
+            self._resolved[key] = resolved
         events = []
-        for row in sorted(drive.wl):
-            v_g = drive.wl[row]
-            if not self.transistor.is_on(v_g):
-                continue
-            for col in self.topology.live_cols(row, drive):
-                addr = CellAddress(row, col)
-                v_te = drive.sl.get(col, 0.0)
-                v_be = drive.bl.get(self.topology.bl_of(addr), 0.0)
-                try:
-                    event = apply_pulse(self.cells[addr],
-                                        Pulse(v_te, v_be, v_g, drive.width),
-                                        self.transistor, rng)
-                except Exception as exc:
-                    raise type(exc)(f"at cell {tuple(addr)}: {exc}") from exc
-                events.append((addr, event))
+        for addr, cell, pulse in resolved:
+            try:
+                event = apply_pulse(cell, pulse, self.transistor, rng)
+            except Exception as exc:
+                raise type(exc)(f"at cell {tuple(addr)}: {exc}") from exc
+            events.append((addr, event))
         return events
 
     def read_cell(self, addr: CellAddress | tuple[int, int], v_read: float,

@@ -16,7 +16,7 @@ configure, e.g.::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .analysis import ExperimentConfig
@@ -95,6 +95,14 @@ def _pop_section(raw: dict[str, object], section: str) -> dict[str, object]:
     return out
 
 
+def _check_keys(source: str, section: str, keys: dict[str, object], cls: type,
+                exclude: tuple[str, ...] = ()) -> None:
+    valid = {f.name for f in fields(cls) if f.name not in exclude}
+    for name in keys:
+        if name not in valid:
+            raise ConfigError(f"{source}: unknown key {section}.{name}")
+
+
 def build_config(raw: dict[str, object], source: str = "<config>") -> AppConfig:
     """Assemble an ``AppConfig`` from a dotted-key dict, validating every key."""
     raw = dict(raw)
@@ -109,46 +117,31 @@ def build_config(raw: dict[str, object], source: str = "<config>") -> AppConfig:
         params = preset(str(device_keys.pop("preset", "table3-logic")))
     except KeyError as exc:
         raise ConfigError(f"{source}: {exc.args[0]}") from None
-    valid = {f.name for f in fields(VariabilityParams)}
-    for name, value in device_keys.items():
-        if name not in valid:
-            raise ConfigError(f"{source}: unknown key device.{name}")
-        params = params.replace(**{name: value})
+    # Each section is checked for unknown keys, then applied in one step, so
+    # only the final combination is validated, whatever the line order.
+    _check_keys(source, "device", device_keys, VariabilityParams)
+    params = params.replace(**device_keys)
+    _check_keys(source, "transistor", transistor_keys, TransistorModel)
+    transistor = TransistorModel(**transistor_keys)
 
-    transistor = TransistorModel()
-    valid = {f.name for f in fields(TransistorModel)}
-    for name, value in transistor_keys.items():
-        if name not in valid:
-            raise ConfigError(f"{source}: unknown key transistor.{name}")
-        transistor = replace(transistor, **{name: value})
-
-    topology = ArrayTopology()
-    if array_keys:
-        kind = topology.kind
-        if "kind" in array_keys:
-            kind_name = str(array_keys.pop("kind")).lower()
-            if kind_name not in _TOPOLOGY_KINDS:
-                raise ConfigError(f"{source}: unknown array.kind {kind_name!r}; "
-                                  f"one of {sorted(set(_TOPOLOGY_KINDS))}")
-            kind = _TOPOLOGY_KINDS[kind_name]
-        rows = array_keys.pop("rows", topology.rows)
-        cols = array_keys.pop("cols", topology.cols)
-        if array_keys:
-            raise ConfigError(f"{source}: unknown key array.{sorted(array_keys)[0]}")
-        topology = ArrayTopology(kind=kind, rows=rows, cols=cols)
+    _check_keys(source, "array", array_keys, ArrayTopology)
+    if "kind" in array_keys:
+        kind_name = str(array_keys["kind"]).lower()
+        if kind_name not in _TOPOLOGY_KINDS:
+            raise ConfigError(f"{source}: unknown array.kind {kind_name!r}; "
+                              f"one of {sorted(set(_TOPOLOGY_KINDS))}")
+        array_keys["kind"] = _TOPOLOGY_KINDS[kind_name]
+    topology = ArrayTopology(**array_keys)
 
     output_dir = str(experiment_keys.pop("output_dir", AppConfig.output_dir))
     fmt = str(experiment_keys.pop("format", AppConfig.format))
     if fmt not in ("csv", "json"):
         raise ConfigError(f"{source}: experiment.format must be csv or json")
-    experiment = ExperimentConfig(device=params, transistor=transistor,
-                                  topology=topology)
     # The nested models are set through their own sections.
-    valid = {f.name for f in fields(ExperimentConfig)} - {"device", "transistor", "topology"}
-    for name, value in experiment_keys.items():
-        if name not in valid:
-            raise ConfigError(f"{source}: unknown key experiment.{name}")
-        experiment = experiment.replace(**{name: value})
+    _check_keys(source, "experiment", experiment_keys, ExperimentConfig,
+                exclude=("device", "transistor", "topology"))
+    experiment = ExperimentConfig(device=params, transistor=transistor,
+                                  topology=topology, **experiment_keys)
     return AppConfig(experiment=experiment, output_dir=output_dir, format=fmt)
 
 

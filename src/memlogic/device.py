@@ -339,8 +339,12 @@ def binarize(resistance: float, r_boundary: float) -> int:
 
 
 def default_boundary(params: VariabilityParams) -> float:
-    """Geometric mean of the LRS and HRS medians (symmetric log-space margin)."""
-    return math.sqrt(params.lrs_median * params.hrs_median)
+    """Geometric mean of the LRS and HRS medians (symmetric log-space margin);
+    a product that overflows to inf or underflows to 0 is rooted per median."""
+    product = params.lrs_median * params.hrs_median
+    if 0.0 < product < math.inf:
+        return math.sqrt(product)
+    return math.sqrt(params.lrs_median) * math.sqrt(params.hrs_median)
 
 
 #: The forming ramp: TE pulses of FORM_WIDTH seconds at a FORM_V_G gate, rising

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -45,21 +46,19 @@ class Term(Enum):
     NOT_Q = "!q"
 
     def resolve(self, p: int, q: int) -> int:
-        try:
-            return _TERM_BITS[self, p, q]
-        except KeyError:
-            raise ValueError(f"inputs must be 0 or 1, got p={p!r}, q={q!r}") from None
+        if p not in (0, 1) or q not in (0, 1):
+            raise ValueError(f"inputs must be 0 or 1, got p={p!r}, q={q!r}")
+        return _TERM_VECTORS[self] >> (3 - 2 * int(p) - int(q)) & 1
 
 
 #: Deterministic search order used by the synthesizer.
 TERM_ORDER = (Term.CONST0, Term.CONST1, Term.P, Term.NOT_P, Term.Q, Term.NOT_Q)
 
-#: Resolved bit of every term on every input pair, keyed (term, p, q).
-_TERM_BITS = {
-    (term, p, q): bit
-    for p, q in itertools.product((0, 1), repeat=2)
-    for term, bit in zip(TERM_ORDER, (0, 1, p, 1 - p, q, 1 - q))
-}
+#: The input pairs (p, q) in truth-table order: 00, 01, 10, 11.
+INPUT_PAIRS = tuple(itertools.product((0, 1), repeat=2))
+
+#: Each term's bits over the input pairs as a 4-bit vector, pair 00 highest.
+_TERM_VECTORS = dict(zip(TERM_ORDER, (0b0000, 0b1111, 0b0011, 0b1100, 0b0101, 0b1010)))
 
 
 @dataclass(frozen=True)
@@ -101,11 +100,7 @@ def classify_case(g: int, te: int, be: int, i: int) -> LogicCase:
 
 def expected_output(case: LogicCase) -> int:
     """Post-pulse binary state: 1 after a SET, 0 after a RESET, otherwise i."""
-    if case.case_id == 4:
-        return 1
-    if case.case_id == 5:
-        return 0
-    return case.i
+    return {4: 1, 5: 0}.get(case.case_id, case.i)
 
 
 @dataclass(frozen=True)
@@ -120,6 +115,16 @@ class ParamMapping:
 
     def terms(self) -> tuple[Term, Term, Term, Term]:
         return (self.g, self.te, self.be, self.i)
+
+    @cached_property
+    def evaluations(self) -> dict[tuple[int, int], GateEval]:
+        """``evaluate_mapping`` of every input pair, computed on first use."""
+        table = {}
+        for p, q in INPUT_PAIRS:
+            g, te, be, i = (term.resolve(p, q) for term in self.terms())
+            case = classify_case(g, te, be, i)
+            table[p, q] = GateEval(g, te, be, i, case.case_id, expected_output(case))
+        return table
 
 
 BUILTIN_MAPPINGS: dict[str, ParamMapping] = {
@@ -159,20 +164,35 @@ class GateEval(NamedTuple):
 def evaluate_mapping(mapping: ParamMapping, p: int, q: int) -> GateEval:
     """Resolve the mapping on (p, q), classify and return the expected output.
 
-    Pure case algebra; no device model involved.
+    Pure case algebra; no device model involved.  Each mapping evaluates its
+    input pairs once (``ParamMapping.evaluations``).
     """
-    g = mapping.g.resolve(p, q)
-    te = mapping.te.resolve(p, q)
-    be = mapping.be.resolve(p, q)
-    i = mapping.i.resolve(p, q)
-    case = classify_case(g, te, be, i)
-    return GateEval(g, te, be, i, case.case_id, expected_output(case))
+    try:
+        return mapping.evaluations[p, q]
+    except KeyError:
+        raise ValueError(f"inputs must be 0 or 1, got p={p!r}, q={q!r}") from None
 
 
 def truth_table_of(mapping: ParamMapping) -> str:
     """Outputs over (p,q) = 00, 01, 10, 11, as a 4-character bit string."""
-    return "".join(str(evaluate_mapping(mapping, p, q).output)
-                   for p, q in itertools.product((0, 1), repeat=2))
+    return "".join(str(evaluate_mapping(mapping, p, q).output) for p, q in INPUT_PAIRS)
+
+
+def truth_vector(g: Term, te: Term, be: Term, i: Term) -> int:
+    """``truth_table_of`` as a 4-bit vector, in bit operations: the output is
+    I, flipped by a case-4 SET (g te !be !i) and a case-5 RESET (g !te be i)."""
+    g, te, be, i = (_TERM_VECTORS[t] for t in (g, te, be, i))
+    return i ^ (g & te & ~be & ~i) ^ (g & ~te & be & i)
+
+
+def _first_terms() -> dict[int, tuple[Term, Term, Term, Term]]:
+    """The first (G, TE, BE, I) in search order realizing each truth vector."""
+    first: dict[int, tuple[Term, Term, Term, Term]] = {}
+    for terms in itertools.product(TERM_ORDER, repeat=4):
+        first.setdefault(truth_vector(*terms), terms)
+        if len(first) == 16:
+            return first
+    raise RuntimeError("some truth table has no mapping")  # unreachable
 
 
 def synthesize_mapping(truth_table: str | Sequence[int]) -> ParamMapping:
@@ -186,30 +206,17 @@ def synthesize_mapping(truth_table: str | Sequence[int]) -> ParamMapping:
     bits = "".join(str(int(b)) for b in truth_table)
     if len(bits) != 4 or any(c not in "01" for c in bits):
         raise ValueError(f"truth table must be 4 bits, got {truth_table!r}")
-    inputs = tuple(itertools.product((0, 1), repeat=2))
-    for g, te, be, i in itertools.product(TERM_ORDER, repeat=4):
-        candidate = ParamMapping(f"F{bits}", g, te, be, i)
-        if all(evaluate_mapping(candidate, p, q).output == int(bits[k])
-               for k, (p, q) in enumerate(inputs)):
-            return candidate
-    raise RuntimeError(f"no mapping realizes {bits}")  # unreachable
+    return ParamMapping(f"F{bits}", *_first_terms()[int(bits, 2)])
 
 
 def default_gate_library() -> dict[str, ParamMapping]:
-    """The five named mappings plus one synthesized mapping per truth table.
-
-    One pass over the search order keeps the first mapping found for each
-    truth table, which is the mapping ``synthesize_mapping`` returns for it.
-    """
-    first: dict[str, tuple[Term, Term, Term, Term]] = {}
-    for terms in itertools.product(TERM_ORDER, repeat=4):
-        first.setdefault(truth_table_of(ParamMapping("", *terms)), terms)
-        if len(first) == 16:
-            break
+    """The five named mappings plus ``synthesize_mapping``'s mapping for each
+    truth table, all found in one pass over the search order."""
+    first = _first_terms()
     library = dict(BUILTIN_MAPPINGS)
     for n in range(16):
         bits = format(n, "04b")
-        library[f"F{bits}"] = ParamMapping(f"F{bits}", *first[bits])
+        library[f"F{bits}"] = ParamMapping(f"F{bits}", *first[n])
     return library
 
 
@@ -319,14 +326,23 @@ def single_cell_drive(topology: ArrayTopology, addr: CellAddress, v_te: float,
                      bl={topology.bl_of(addr): v_be}, width=width)
 
 
+def logic_drive(topology: ArrayTopology, addr: CellAddress, g: int, te: int,
+                be: int) -> LineDrive:
+    """Drive one cell with the logic pulse of the resolved bits (g, te, be)."""
+    return single_cell_drive(topology, addr, *logic_pulse_voltages(g, te, be),
+                             DEFAULT_VOLTAGES.width)
+
+
+#: The writes are logic pulses: SET is case 4's (g, te, be), RESET case 5's.
+SET_BITS, RESET_BITS = (1, 1, 0), (1, 0, 1)
+
+
 def set_drive(topology: ArrayTopology, addr: CellAddress) -> LineDrive:
-    volts = DEFAULT_VOLTAGES
-    return single_cell_drive(topology, addr, volts.v_te_set, 0.0, volts.v_g_set, volts.width)
+    return logic_drive(topology, addr, *SET_BITS)
 
 
 def reset_drive(topology: ArrayTopology, addr: CellAddress) -> LineDrive:
-    volts = DEFAULT_VOLTAGES
-    return single_cell_drive(topology, addr, 0.0, volts.v_be_reset, volts.v_g_reset, volts.width)
+    return logic_drive(topology, addr, *RESET_BITS)
 
 
 def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: int,
@@ -355,14 +371,12 @@ def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: 
     volts = DEFAULT_VOLTAGES
 
     def pulse_towards(target: int) -> None:
+        # RESET switches an LRS cell and re-draws a resident HRS value; before
+        # a SET, an LRS cell cycles through HRS so its LRS value is re-drawn.
+        if target != 1 or cell.state == STATE_LRS:
+            array.apply_drive(array.drive(logic_drive, addr, *RESET_BITS), rng)
         if target == 1:
-            if cell.state == STATE_LRS:
-                # Cycle through HRS so the LRS value is re-drawn.
-                array.apply_drive(reset_drive(array.topology, addr), rng)
-            array.apply_drive(set_drive(array.topology, addr), rng)
-        else:
-            # RESET switches an LRS cell and re-draws a resident HRS value.
-            array.apply_drive(reset_drive(array.topology, addr), rng)
+            array.apply_drive(array.drive(logic_drive, addr, *SET_BITS), rng)
 
     if not verify:
         pulses = 0
@@ -401,9 +415,7 @@ def execute_gate(array: CellArray, addr: CellAddress | tuple[int, int],
     volts = DEFAULT_VOLTAGES
     ev = evaluate_mapping(mapping, p, q)
     r_init, retries = initialize_cell(array, addr, ev.i, rng, boundary=boundary)
-    v_te, v_be, v_g = logic_pulse_voltages(ev.g, ev.te, ev.be)
-    array.apply_drive(single_cell_drive(array.topology, addr, v_te, v_be, v_g,
-                                        volts.width), rng)
+    array.apply_drive(array.drive(logic_drive, addr, ev.g, ev.te, ev.be), rng)
     r_final = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
     return GateTrace(
         p=p, q=q, g=ev.g, te=ev.te, be=ev.be, i=ev.i, case_id=ev.case_id,

@@ -12,8 +12,9 @@ check the states and the first draws against numpy.
 
 from __future__ import annotations
 
+import itertools
 import operator
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,19 +27,22 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
+PASS_KEYS = 4096  # keys per derivation pass of ``trial_streams``
 
-def _words(key: Sequence[int]) -> list[int]:
-    """Little-endian 32-bit words of each int, concatenated (0 is one word)."""
-    words = []
+
+def _words(key: Sequence[int], split: dict[int, list[int]]) -> list[int]:
+    """Little-endian 32-bit words of each int, concatenated (0 is one word);
+    ``split`` keeps the words of each value met, so each is split once."""
+    words: list[int] = []
     for value in key:
         value = operator.index(value)
-        if value < 0:
-            raise ValueError(f"stream key values must be >= 0, got {value}")
-        words.append(value & _MASK32)
-        value >>= 32
-        while value:
-            words.append(value & _MASK32)
-            value >>= 32
+        part = split.get(value)
+        if part is None:
+            if value < 0:
+                raise ValueError(f"stream key values must be >= 0, got {value}")
+            part = split[value] = [(value >> shift) & _MASK32
+                                   for shift in range(0, max(value.bit_length(), 1), 32)]
+        words += part
     return words
 
 
@@ -87,7 +91,8 @@ def pcg64_states(keys: Sequence[Sequence[int]]) -> list[dict]:
     Keys are tuples of non-negative ints; a negative value raises
     ``ValueError`` (it is never wrapped), a non-integer ``TypeError``.
     """
-    key_words = [_words(key) for key in keys]
+    split: dict[int, list[int]] = {}
+    key_words = [_words(key, split) for key in keys]
     by_length: dict[int, list[int]] = {}
     for index, words in enumerate(key_words):
         by_length.setdefault(len(words), []).append(index)
@@ -103,20 +108,22 @@ def pcg64_states(keys: Sequence[Sequence[int]]) -> list[dict]:
     return states
 
 
-def trial_streams(keys: Sequence[Sequence[int]]) -> Iterator[np.random.Generator]:
+def trial_streams(keys: Iterable[Sequence[int]]) -> Iterator[np.random.Generator]:
     """One generator per key, equal to ``default_rng(SeedSequence(key))``.
 
-    All states are derived up front (bad keys raise here); the iterator then
-    yields one reused generator, re-keyed for each key, so draw from it before
-    advancing.
+    States are derived in passes of ``PASS_KEYS`` keys, the first up front (a
+    bad key in it raises here).  The iterator yields one reused generator,
+    re-keyed for each key, so draw from it before advancing.
     """
-    states = pcg64_states(keys)
+    keys = iter(keys)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
 
-    def rekeyed() -> Iterator[np.random.Generator]:
-        for state in states:
-            bit_generator.state = state
-            yield rng
+    def rekeyed(states: list[dict]) -> Iterator[np.random.Generator]:
+        while states:
+            for state in states:
+                bit_generator.state = state
+                yield rng
+            states = pcg64_states(list(itertools.islice(keys, PASS_KEYS)))
 
-    return rekeyed()
+    return rekeyed(pcg64_states(list(itertools.islice(keys, PASS_KEYS))))

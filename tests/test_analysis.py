@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,9 @@ from memlogic.analysis import (
     summary_rows,
     sweep_parameter,
 )
-from memlogic.device import VariabilityParams, default_boundary
+from memlogic import array as array_module
+from memlogic.array import CellArray, LineDrive
+from memlogic.device import Pulse, VariabilityParams, default_boundary
 
 NOISE_FREE = VariabilityParams(
     lrs_sigma_c2c=0.0, lrs_sigma_d2d=0.0, hrs_sigma_c2c=0.0, hrs_sigma_d2d=0.0,
@@ -295,3 +298,49 @@ def test_sweep_export(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("parameter,value,")
+
+
+# ------------------------------------------------------- drive validation
+
+@pytest.mark.parametrize("run", [run_1t1r_experiment, run_scouting_experiment],
+                         ids=["gate", "scouting"])
+def test_each_drive_is_validated_once_per_array(monkeypatch, run):
+    """A drive is built and validated once per array, not once per pulse.
+
+    Every ``LineDrive`` and ``Pulse`` construction is counted, and so is every
+    distinct drive (by content) that each array applies, with the cells it
+    pulses the first time.  Forming ramps build their own pulses, one per step.
+    """
+    built = Counter()
+    for cls in (LineDrive, Pulse):
+        def counting(self, real=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            real(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+
+    distinct: dict[tuple, int] = {}  # (array id, drive repr) -> cells pulsed
+    arrays: list[CellArray] = []  # keeps every array alive, so no id is reused
+    applied = Counter()
+    real_apply = CellArray.apply_drive
+
+    def recording(self, drive, rng):
+        events = real_apply(self, drive, rng)
+        arrays.append(self)
+        distinct.setdefault((id(self), repr(drive)), len(events))
+        applied["drives"] += 1
+        return events
+
+    real_form = array_module.form_by_ramp
+
+    def forming(cell, transistor, rng):
+        pulses = real_form(cell, transistor, rng)
+        applied["form_pulses"] += pulses
+        return pulses
+
+    monkeypatch.setattr(CellArray, "apply_drive", recording)
+    monkeypatch.setattr(array_module, "form_by_ramp", forming)
+    run(ExperimentConfig(seed=3, cycles=20, gates=("OR", "AND", "NIMP", "XOR")))
+
+    assert applied["drives"] > 10 * len(distinct)
+    assert built["LineDrive"] <= len(distinct)
+    assert built["Pulse"] <= applied["form_pulses"] + sum(distinct.values())

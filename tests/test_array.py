@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memlogic.array import (
@@ -198,6 +198,68 @@ def test_apply_drive_matches_pulsing_every_cell(kind, seed, formed, drives):
         pulse_every_cell(full, drive, rng_full)
     assert fast.cells == full.cells
     assert rng_fast.bit_generator.state == rng_full.bit_generator.state
+
+
+def single_cell_line_drive(topology, kind, addr):
+    """A SET or RESET drive of one cell, built anew on every call."""
+    if kind == "set":
+        return LineDrive(wl={addr.row: 1.3}, sl={addr.col: 1.3},
+                         bl={topology.bl_of(addr): 0.0})
+    return LineDrive(wl={addr.row: 3.0}, sl={addr.col: 0.0}, bl={topology.bl_of(addr): 1.6})
+
+
+def cell_states(array):
+    return {addr: (c.state, c.resistance, c.last_lrs, c.last_hrs, c.cycle_count)
+            for addr, c in array.cells.items()}
+
+
+ADDRS = st.builds(CellAddress, st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(list(TopologyKind)), seed=st.integers(0, 20),
+       formed=st.sets(ADDRS),
+       steps=st.lists(st.tuples(st.sampled_from(["set", "reset"]), ADDRS),
+                      min_size=1, max_size=12))
+# A pseudo-crossbar RESET drives the shared row BL, so it resolves to every
+# formed cell of the row and resets or disturbs the neighbours too.
+@example(kind=TopologyKind.PSEUDO_CROSSBAR, seed=3,
+         formed={CellAddress(0, c) for c in range(3)} | {CellAddress(1, 1)},
+         steps=[("reset", CellAddress(0, 0)), ("set", CellAddress(0, 1)),
+                ("reset", CellAddress(0, 0)), ("reset", CellAddress(1, 1)),
+                ("reset", CellAddress(0, 0))])
+def test_replaying_a_drive_equals_building_it_anew(kind, seed, formed, steps):
+    topology = ArrayTopology(kind, rows=3, cols=3)
+    replayed, rebuilt = (CellArray(topology, PARAMS, seed=seed) for _ in range(2))
+    for addr in formed:
+        replayed.form(addr)
+        rebuilt.form(addr)
+    built = {}  # one drive object per (kind, cell), applied again and again
+    rng_replayed, rng_rebuilt = np.random.default_rng(seed), np.random.default_rng(seed)
+    for kind_name, addr in steps:
+        drive = built.setdefault((kind_name, addr),
+                                 single_cell_line_drive(topology, kind_name, addr))
+        assert (replayed.apply_drive(drive, rng_replayed)
+                == rebuilt.apply_drive(single_cell_line_drive(topology, kind_name, addr),
+                                       rng_rebuilt))
+    assert cell_states(replayed) == cell_states(rebuilt)
+    assert replayed.cells == rebuilt.cells
+    assert rng_replayed.bit_generator.state == rng_rebuilt.bit_generator.state
+
+
+def test_pseudo_crossbar_reset_replays_onto_its_row_neighbours():
+    array = CellArray(ArrayTopology(TopologyKind.PSEUDO_CROSSBAR, rows=3, cols=3), PARAMS,
+                      seed=1)
+    for col in range(3):
+        array.form((0, col))
+    rng = np.random.default_rng(1)
+    reset = single_cell_line_drive(array.topology, "reset", CellAddress(0, 0))
+    row = [CellAddress(0, col) for col in range(3)]
+    assert array.apply_drive(reset, rng) == [(addr, SwitchEvent.RESET) for addr in row]
+    array.apply_drive(single_cell_line_drive(array.topology, "set", row[1]), rng)
+    assert array.apply_drive(reset, rng) == [(row[0], SwitchEvent.HRS_DISTURB),
+                                             (row[1], SwitchEvent.RESET),
+                                             (row[2], SwitchEvent.HRS_DISTURB)]
 
 
 def test_apply_drive_idle_is_identity():

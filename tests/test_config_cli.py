@@ -299,6 +299,36 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys, line):
     _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("lines", [
+    # Ordered so that every single line is a valid step on its own, too.
+    ["device.hrs_median = 1e307", "device.lrs_median = 1e306"],  # product is inf
+    ["device.lrs_median = 1e-200", "device.hrs_median = 1e-199"],  # product is 0
+])
+@pytest.mark.parametrize("args", [["gate", "OR", "--cycles", "2"],
+                                  ["scouting", "--cycles", "4"]])
+def test_cli_extreme_medians_keep_a_finite_boundary(tmp_path, lines, args):
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main([str(cfg), *args, "-o", str(tmp_path / "out")]) == 0
+
+
+def test_cli_device_keys_apply_in_any_order(tmp_path, capsys):
+    lines = ["device.lrs_median = 2e5", "device.hrs_median = 2e6"]
+    exports = []
+    for index, order in enumerate((lines, lines[::-1])):
+        cfg = tmp_path / f"order{index}.cfg"
+        cfg.write_text("\n".join(order) + "\n")
+        out = tmp_path / f"out{index}"
+        assert main([str(cfg), "gate", "OR", "--cycles", "3", "-o", str(out)]) == 0
+        exports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert exports[0] == exports[1] and len(exports[0]) == 4
+    capsys.readouterr()
+    cfg = tmp_path / "inverted.cfg"
+    cfg.write_text("device.hrs_median = 2e5\ndevice.lrs_median = 2e6\n")
+    assert main([str(cfg), "gate", "OR", "--cycles", "3", "-o", str(tmp_path)]) == 2
+    assert "hrs_median must exceed lrs_median" in _one_line_error(capsys)
+
+
 def test_cli_scouting_split_needs_two_cycles(tmp_path, capsys):
     assert main(["scouting", "--cycles", "1", "-o", str(tmp_path)]) == 2
     assert "cycles >= 2" in _one_line_error(capsys)

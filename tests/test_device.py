@@ -345,3 +345,16 @@ def test_params_must_be_finite_numbers(model, bad):
 def test_transistor_must_isolate_at_zero_gate():
     with pytest.raises(ValueError):
         TransistorModel(v_g_on_threshold=0.0)
+
+
+@pytest.mark.parametrize("lrs, hrs", [(1e306, 1e307), (1e-200, 1e-199)])
+def test_default_boundary_survives_an_overflowing_or_underflowing_product(lrs, hrs):
+    boundary = default_boundary(VariabilityParams(lrs_median=lrs, hrs_median=hrs))
+    assert lrs < boundary < hrs
+    assert boundary == pytest.approx(math.sqrt(10) * lrs)
+
+
+@given(lrs=st.floats(1e-3, 1e9), ratio=st.floats(2.0, 1e6))
+def test_default_boundary_is_the_root_of_the_product(lrs, ratio):
+    params = VariabilityParams(lrs_median=lrs, hrs_median=lrs * ratio)
+    assert default_boundary(params) == math.sqrt(params.lrs_median * params.hrs_median)

@@ -8,7 +8,11 @@ its own ``SeedSequence`` and every array sampled all its cells up front; it
 covers a seed wider than one 32-bit word, a three-input scouting read and a
 characterization run over several cells.  The third group was recorded
 while the operating point was still passed down as parameters; it covers a
-parameter sweep and the unverified writes of the overlap probe.
+parameter sweep and the unverified writes of the overlap probe.  The fourth
+group was recorded while every drive was still resolved and validated anew
+on each pulse; it covers the pseudo-crossbar wiring, with one cell per gate
+(whose digests equal the standard array's: the pristine neighbours on the
+cell's shared row BL stay inert) and with the input pairs rotated over rows.
 """
 
 import hashlib
@@ -28,8 +32,10 @@ from memlogic.analysis import (
     sample_scouting_currents,
     sweep_parameter,
 )
+from memlogic.array import ArrayTopology, TopologyKind
 
 CONFIG = ExperimentConfig(seed=3, cycles=20)
+PSEUDO_CROSSBAR = CONFIG.replace(topology=ArrayTopology(TopologyKind.PSEUDO_CROSSBAR))
 
 GOLDEN_SHA256 = {
     "gate": {
@@ -73,6 +79,21 @@ GOLDEN_SHA256.update({
     },
 })
 
+GOLDEN_SHA256.update({
+    "gate_pseudo_crossbar": {
+        "traces.csv": "bf1eda3d8e573afdee842a05275d2ae29db85452f0e315db44e2a52be3fbae5e",
+        "summary.csv": "9416427b43c6d08eb2a419064cd1adf1bc3705b9848d680af7d60b252a9fd921",
+        "non_switching.csv": "3559944649d36ce802d424446864e8e223d709ef3eb5b6fb3f58e29eab590cce",
+        "report.json": "af46ba7e50e5e69c64730e93f89e6b93d32d0908946786b4963c33790beb24ff",
+    },
+    "gate_pseudo_crossbar_rotated": {
+        "traces.csv": "86905a3397774ef6c4b3168daf79d0cd2d542ad6d58c5a0882c26a49b54ac826",
+        "summary.csv": "68fcf3e78d0def82ee72963f36fc04c67a8bb391c9eca5c5588c1e2ce8e5d7f7",
+        "non_switching.csv": "4b231e535dc835fbe594c2bbaa766631ee9cfe3d54728e83b1bc8da1dad37949",
+        "report.json": "af46ba7e50e5e69c64730e93f89e6b93d32d0908946786b4963c33790beb24ff",
+    },
+})
+
 GOLDEN_SHA256["sweep"] = {
     "sweep.csv": "2b656cd26c882dddbaae3e2caa3c32e89e8b6b2edb10be0b30feb94ff0aa9dbb",
 }
@@ -96,6 +117,10 @@ EXPORTERS = {
     "characterize_cells3": lambda out: export_characterization(
         run_characterization(CONFIG.device, CONFIG.transistor, cells=3,
                              cycles=CONFIG.cycles, seed=CONFIG.seed), out),
+    "gate_pseudo_crossbar": lambda out: export_logic_result(
+        run_1t1r_experiment(PSEUDO_CROSSBAR), out),
+    "gate_pseudo_crossbar_rotated": lambda out: export_logic_result(
+        run_1t1r_experiment(PSEUDO_CROSSBAR.replace(rotate_cells=True)), out),
     "sweep": lambda out: [export_sweep(sweep_parameter(
         CONFIG, "hrs_sigma_c2c", list(np.linspace(0.1, 1.2, 3))), out)],
 }

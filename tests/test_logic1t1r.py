@@ -15,6 +15,7 @@ from memlogic.logic1t1r import (
     BUILTIN_MAPPINGS,
     CASE_TABLE,
     DEFAULT_VOLTAGES,
+    TERM_ORDER,
     InitFailureError,
     ParamMapping,
     Term,
@@ -32,6 +33,7 @@ from memlogic.logic1t1r import (
     save_gate_library,
     synthesize_mapping,
     truth_table_of,
+    truth_vector,
 )
 
 PARAMS = VariabilityParams()
@@ -161,6 +163,42 @@ def test_default_library_is_the_synthesizer_output():
     for n in range(16):
         bits = format(n, "04b")
         assert library[f"F{bits}"] == synthesize_mapping(bits)
+
+
+# Known-good resolution of every term, and the switching rule of the case
+# table: case 4 (g, te, !be, !i) SETs to 1, case 5 (g, !te, be, i) RESETs to 0.
+TERM_ORACLE = {Term.CONST0: lambda p, q: 0, Term.CONST1: lambda p, q: 1,
+               Term.P: lambda p, q: p, Term.NOT_P: lambda p, q: 1 - p,
+               Term.Q: lambda p, q: q, Term.NOT_Q: lambda p, q: 1 - q}
+
+
+def oracle_output(g, te, be, i):
+    return {(1, 1, 0, 0): 1, (1, 0, 1, 1): 0}.get((g, te, be, i), i)
+
+
+def test_truth_vector_matches_the_case_algebra_for_every_mapping():
+    for terms in itertools.product(TERM_ORDER, repeat=4):
+        expected = "".join(str(oracle_output(*(TERM_ORACLE[t](p, q) for t in terms)))
+                           for p, q in INPUTS)
+        assert format(truth_vector(*terms), "04b") == expected, terms
+        assert truth_table_of(ParamMapping("m", *terms)) == expected, terms
+    for term in Term:
+        assert [term.resolve(p, q) for p, q in INPUTS] == [TERM_ORACLE[term](p, q)
+                                                            for p, q in INPUTS]
+
+
+def test_evaluation_table_is_the_case_algebra():
+    for mapping in BUILTIN_MAPPINGS.values():
+        for p, q in INPUTS:
+            g, te, be, i = (term.resolve(p, q) for term in mapping.terms())
+            case = classify_case(g, te, be, i)
+            assert evaluate_mapping(mapping, p, q) == (g, te, be, i, case.case_id,
+                                                       expected_output(case))
+        # The table is not a field: equality and hashing ignore it.
+        fresh = ParamMapping(mapping.name, *mapping.terms())
+        assert fresh == mapping and hash(fresh) == hash(mapping)
+    with pytest.raises(ValueError, match="inputs must be 0 or 1"):
+        evaluate_mapping(BUILTIN_MAPPINGS["OR"], 2, 0)
 
 
 def test_term_resolve_rejects_non_bits():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memlogic import streams
 from memlogic.streams import pcg64_states, trial_streams
 
 # Word-boundary values (0, 2**32 - 1, 2**32, 2**64 + k) next to arbitrary ones
@@ -50,6 +51,18 @@ def test_negative_key_value_raises(key):
 def test_non_integer_key_value_raises():
     with pytest.raises(TypeError):
         pcg64_states([(1.5,)])
+    # A float equal to a value already split into words is still rejected.
+    with pytest.raises(TypeError):
+        pcg64_states([(1, 2), (1.0, 2)])
+
+
+def test_streams_span_several_derivation_passes(monkeypatch):
+    monkeypatch.setattr(streams, "PASS_KEYS", 3)
+    keys = [(7, 20, 2, cls, cycle) for cls in range(4) for cycle in range(3)]
+    keys += [(2**64 + 5, 32, cycle) for cycle in range(4)]
+    derived = trial_streams(iter(keys))
+    for key, rng in zip(keys, derived, strict=True):
+        assert rng.bit_generator.state == reference(key).bit_generator.state
 
 
 def test_empty_key_list_gives_no_streams():
