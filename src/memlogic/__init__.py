@@ -22,7 +22,6 @@ from .array import (
     LineDrive,
     TopologyKind,
     check_parallel_distinct_voltages,
-    resolve_drives,
 )
 from .device import (
     MemristorCell,
@@ -50,7 +49,6 @@ from .logic1t1r import (
     evaluate_mapping,
     execute_gate,
     expected_output,
-    run_cascade,
     synthesize_mapping,
 )
 from .scouting import (

@@ -8,6 +8,11 @@ execution order.  Each experiment derives the streams of all its buckets
 in one vectorized pass (``streams.trial_streams``); each stream equals
 ``default_rng(SeedSequence(key))`` bit for bit.  Each array builds and
 resolves a drive once, and its trials replay it.
+
+A table's rows are tuples in column order, and its columns are stated once:
+the fields of its row type (``TraceRow``, ``DistributionSummary``,
+``GapMargin``, ``NonSwitchingCaseReport``, ``SweepPoint``) or a column tuple
+next to the rows it heads.  ``export_table`` writes any of them as CSV or JSON.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +33,7 @@ from .device import (
     VariabilityParams,
     binarize,
     default_boundary,
+    require_finite_result,
     require_int,
 )
 from .logic1t1r import (
@@ -61,22 +67,6 @@ INPUT_COMBOS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 #: Cases that must not switch; covered by the four shipped gates.
 NON_SWITCHING_CASES = (3, 6, 7, 8, 12, 13, 16)
-
-TABLE_COLUMNS = {
-    "traces": ("gate", "p", "q", "case_id", "cycle", "r_init_ohm", "r_final_ohm",
-               "out_bit", "expected_bit"),
-    "currents": ("op", "class", "cycle", "current_a"),
-    "refs": ("i_read_a", "i_or_a", "i_and_a"),
-    "summary": ("label", "count", "min", "p1", "p25", "median", "p75", "p99",
-                "max", "mean"),
-    "margins": ("gap", "lower_max_a", "upper_min_a", "width_a", "midpoint_a",
-                "margin", "reference_a"),
-    "characterize": ("cell", "cycle", "r_lrs_ohm", "r_hrs_ohm"),
-    "non_switching": ("case_id", "count", "binary_changes", "log_variation"),
-    "cases": ("case_id", "g", "te", "be", "i", "te_minus_be", "process", "possible"),
-    "sweep": ("parameter", "value", "logic_trials", "logic_failures", "logic_errors",
-              "scouting_trials", "scouting_failures", "overlap", "min_margin"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +103,7 @@ class ExperimentConfig:
         return replace(self, **changes)
 
 
-@dataclass(frozen=True)
-class DistributionSummary:
+class DistributionSummary(NamedTuple):
     """Whisker-box summary of one sample set (nearest-rank quantiles)."""
 
     label: str
@@ -183,8 +172,7 @@ class FailureReport:
         return sum(b.errors for b in self.buckets)
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     gate: str
     p: int
     q: int
@@ -196,24 +184,22 @@ class TraceRow:
     expected_bit: int
 
 
-@dataclass(frozen=True)
-class GapMargin:
+class GapMargin(NamedTuple):
     gap: str
     lower_max_a: float
     upper_min_a: float
+    width_a: float
+    midpoint_a: float
+    margin: float  # width over midpoint
     reference_a: float
 
-    @property
-    def width_a(self) -> float:
-        return self.upper_min_a - self.lower_max_a
-
-    @property
-    def midpoint_a(self) -> float:
-        return 0.5 * (self.lower_max_a + self.upper_min_a)
-
-    @property
-    def margin(self) -> float:
-        return self.width_a / self.midpoint_a if self.midpoint_a else 0.0
+    @classmethod
+    def between(cls, gap: str, lower_max_a: float, upper_min_a: float,
+                reference_a: float) -> "GapMargin":
+        width = upper_min_a - lower_max_a
+        midpoint = 0.5 * (lower_max_a + upper_min_a)
+        return cls(gap, lower_max_a, upper_min_a, width, midpoint,
+                   width / midpoint if midpoint else 0.0, reference_a)
 
 
 @dataclass
@@ -283,10 +269,8 @@ def run_1t1r_experiment(config: ExperimentConfig,
                     bucket.errors += 1
                     continue
                 all_rows.append(TraceRow(
-                    gate=name, p=p, q=q, case_id=trace.case_id, cycle=cycle,
-                    r_init_ohm=trace.init_resistance,
-                    r_final_ohm=trace.final_resistance,
-                    out_bit=trace.output_bit, expected_bit=expected))
+                    name, p, q, trace.case_id, cycle, trace.init_resistance,
+                    trace.final_resistance, trace.output_bit, expected))
                 if trace.output_bit != expected:
                     bucket.failures += 1
                     if report.first_failure is None:
@@ -303,8 +287,7 @@ def run_1t1r_experiment(config: ExperimentConfig,
         non_switching=non_switching_report(all_rows, default_boundary(config.device)))
 
 
-@dataclass(frozen=True)
-class NonSwitchingCaseReport:
+class NonSwitchingCaseReport(NamedTuple):
     case_id: int
     count: int
     binary_changes: int
@@ -385,12 +368,12 @@ def _margins(samples: Sequence[CurrentSample],
     margins = []
     for k, gap in enumerate(level_gaps):
         name = "or" if k == 0 else "and" if k == n - 1 else f"level{k}"
-        margins.append(GapMargin(f"{gap.lower_class}|{name}|{gap.upper_class}",
-                                 gap.lower_max, gap.upper_min,
-                                 refs.levels[k] if refs else nan))
+        margins.append(GapMargin.between(f"{gap.lower_class}|{name}|{gap.upper_class}",
+                                         gap.lower_max, gap.upper_min,
+                                         refs.levels[k] if refs else nan))
     if read_gap is not None:
-        margins.append(GapMargin("0|read|1", read_gap.lower_max, read_gap.upper_min,
-                                 refs.i_read if refs else nan))
+        margins.append(GapMargin.between("0|read|1", read_gap.lower_max,
+                                         read_gap.upper_min, refs.i_read if refs else nan))
     return margins
 
 
@@ -495,6 +478,10 @@ def run_characterization(params: VariabilityParams,
             rows.append((ci, cycle, r_lrs, r_hrs))
     lrs_values = [r[2] for r in rows]
     hrs_values = [r[3] for r in rows]
+    # A zero read (from a subnormal median) has neither a ratio nor a log spread.
+    ratio = ((sum(hrs_values) / len(hrs_values)) / (sum(lrs_values) / len(lrs_values))
+             if min(lrs_values + hrs_values) > 0 else math.inf)
+    require_finite_result("mean HRS/LRS ratio", ratio, params)
     summaries = [DistributionSummary.from_samples("lrs", lrs_values),
                  DistributionSummary.from_samples("hrs", hrs_values)]
     for ci in range(cells):
@@ -502,7 +489,6 @@ def run_characterization(params: VariabilityParams,
             f"lrs/cell{ci}", [r[2] for r in rows if r[0] == ci]))
         summaries.append(DistributionSummary.from_samples(
             f"hrs/cell{ci}", [r[3] for r in rows if r[0] == ci]))
-    ratio = (sum(hrs_values) / len(hrs_values)) / (sum(lrs_values) / len(lrs_values))
     return CharacterizationResult(rows=rows, summaries=summaries,
                                   hrs_lrs_ratio=ratio,
                                   lrs_log_spread=log_spread(lrs_values),
@@ -513,8 +499,7 @@ def run_characterization(params: VariabilityParams,
 # Parameter sweep and overlap bisection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     parameter: str
     value: float
     logic_trials: int
@@ -522,7 +507,7 @@ class SweepPoint:
     logic_errors: int
     scouting_trials: int
     scouting_failures: int
-    overlap: bool
+    overlap: int  # 1 when the scouting classes overlap
     min_margin: float
 
 
@@ -547,7 +532,7 @@ def sweep_parameter(config: ExperimentConfig, parameter: str,
             logic_errors=logic.report.errors,
             scouting_trials=scouting.report.trials,
             scouting_failures=scouting.report.failures,
-            overlap=scouting.overlap is not None,
+            overlap=int(scouting.overlap is not None),
             min_margin=min(margins) if margins else float("nan"),
         ))
     return points
@@ -591,26 +576,17 @@ def find_overlap_sigma(config: ExperimentConfig, n: int, lo: float = 0.32,
 # Exports
 # ---------------------------------------------------------------------------
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(float(value))  # plain-float repr, round-trip exact
-    return str(value)
+def _write_json(path: Path, payload) -> Path:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return path
 
 
-def _json_value(value):
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float):
-        return float(value)
-    return value
-
-
-def export_table(name: str, rows: Sequence[dict], out_dir: str | Path,
-                 fmt: str = "csv") -> Path:
-    """Write one table with its fixed column schema; deterministic bytes."""
-    columns = TABLE_COLUMNS[name]
+def export_table(name: str, columns: Sequence[str], rows: Iterable[tuple],
+                 out_dir: str | Path, fmt: str = "csv") -> Path:
+    """Write one table: a ``columns`` header, then each row's values in
+    column order; deterministic bytes."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.{fmt}"
@@ -618,40 +594,12 @@ def export_table(name: str, rows: Sequence[dict], out_dir: str | Path,
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_format_value(row[c]) for c in columns])
+            writer.writerows(rows)
     elif fmt == "json":
-        payload = [{c: _json_value(row[c]) for c in columns} for row in rows]
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(path, [dict(zip(columns, row)) for row in rows])
     else:
         raise ValueError(f"unknown export format {fmt!r} (csv or json)")
     return path
-
-
-def summary_rows(summaries: Sequence[DistributionSummary]) -> list[dict]:
-    return [{"label": s.label, "count": s.count, "min": s.min, "p1": s.p1,
-             "p25": s.p25, "median": s.median, "p75": s.p75, "p99": s.p99,
-             "max": s.max, "mean": s.mean} for s in summaries]
-
-
-def import_summaries(path: str | Path) -> list[DistributionSummary]:
-    """Read a summary table back (CSV or JSON round-trip)."""
-    path = Path(path)
-    if path.suffix == ".json":
-        records = json.loads(path.read_text())
-    else:
-        with open(path, newline="") as handle:
-            records = list(csv.DictReader(handle))
-    out = []
-    for rec in records:
-        out.append(DistributionSummary(
-            label=str(rec["label"]), count=int(rec["count"]),
-            min=float(rec["min"]), p1=float(rec["p1"]), p25=float(rec["p25"]),
-            median=float(rec["median"]), p75=float(rec["p75"]),
-            p99=float(rec["p99"]), max=float(rec["max"]), mean=float(rec["mean"])))
-    return out
 
 
 def _write_failure_report(report: FailureReport, out_dir: str | Path,
@@ -666,82 +614,57 @@ def _write_failure_report(report: FailureReport, out_dir: str | Path,
     }
     if extra:
         payload.update(extra)
-    path = Path(out_dir) / "report.json"
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+    return _write_json(Path(out_dir) / "report.json", payload)
 
 
 def export_logic_result(result: LogicExperimentResult, out_dir: str | Path,
                         fmt: str = "csv") -> list[Path]:
-    trace_rows = [{"gate": r.gate, "p": r.p, "q": r.q, "case_id": r.case_id,
-                   "cycle": r.cycle, "r_init_ohm": r.r_init_ohm,
-                   "r_final_ohm": r.r_final_ohm, "out_bit": r.out_bit,
-                   "expected_bit": r.expected_bit} for r in result.rows]
-    ns_rows = [{"case_id": r.case_id, "count": r.count,
-                "binary_changes": r.binary_changes,
-                "log_variation": r.log_variation} for r in result.non_switching]
     return [
-        export_table("traces", trace_rows, out_dir, fmt),
-        export_table("summary", summary_rows(result.summaries), out_dir, fmt),
-        export_table("non_switching", ns_rows, out_dir, fmt),
+        export_table("traces", TraceRow._fields, result.rows, out_dir, fmt),
+        export_table("summary", DistributionSummary._fields, result.summaries,
+                     out_dir, fmt),
+        export_table("non_switching", NonSwitchingCaseReport._fields,
+                     result.non_switching, out_dir, fmt),
         _write_failure_report(result.report, out_dir),
     ]
 
 
 def export_scouting_result(result: ScoutingExperimentResult, out_dir: str | Path,
                            fmt: str = "csv") -> list[Path]:
-    current_rows = [{"op": "scout" if len(s.input_class) > 1 else "read",
-                     "class": s.input_class, "cycle": s.cycle,
-                     "current_a": s.current} for s in result.samples]
-    ref_rows = []
-    if result.refs is not None:
-        ref_rows.append({"i_read_a": result.refs.i_read, "i_or_a": result.refs.i_or,
-                         "i_and_a": result.refs.i_and})
-    margin_rows = [{"gap": m.gap, "lower_max_a": m.lower_max_a,
-                    "upper_min_a": m.upper_min_a, "width_a": m.width_a,
-                    "midpoint_a": m.midpoint_a, "margin": m.margin,
-                    "reference_a": m.reference_a} for m in result.margins]
+    refs = result.refs
     extra = {
         "overlap": str(result.overlap) if result.overlap is not None else None,
         # The refs table holds only the OR and AND levels; wider reads list all.
-        "thresholds": (list(result.refs.levels)
-                       if result.refs is not None and result.refs.n > 2 else None),
+        "thresholds": list(refs.levels) if refs is not None and refs.n > 2 else None,
     }
     return [
-        export_table("currents", current_rows, out_dir, fmt),
-        export_table("refs", ref_rows, out_dir, fmt),
-        export_table("margins", margin_rows, out_dir, fmt),
-        export_table("summary", summary_rows(result.summaries), out_dir, fmt),
+        export_table("currents", ("op", "class", "cycle", "current_a"),
+                     [("scout" if len(s.input_class) > 1 else "read", s.input_class,
+                       s.cycle, s.current) for s in result.samples], out_dir, fmt),
+        export_table("refs", ("i_read_a", "i_or_a", "i_and_a"),
+                     [] if refs is None else [(refs.i_read, refs.i_or, refs.i_and)],
+                     out_dir, fmt),
+        export_table("margins", GapMargin._fields, result.margins, out_dir, fmt),
+        export_table("summary", DistributionSummary._fields, result.summaries,
+                     out_dir, fmt),
         _write_failure_report(result.report, out_dir, extra=extra),
     ]
 
 
 def export_characterization(result: CharacterizationResult, out_dir: str | Path,
                             fmt: str = "csv") -> list[Path]:
-    rows = [{"cell": c, "cycle": cy, "r_lrs_ohm": rl, "r_hrs_ohm": rh}
-            for c, cy, rl, rh in result.rows]
-    paths = [
-        export_table("characterize", rows, out_dir, fmt),
-        export_table("summary", summary_rows(result.summaries), out_dir, fmt),
+    return [
+        export_table("characterize", ("cell", "cycle", "r_lrs_ohm", "r_hrs_ohm"),
+                     result.rows, out_dir, fmt),
+        export_table("summary", DistributionSummary._fields, result.summaries,
+                     out_dir, fmt),
+        _write_json(Path(out_dir) / "characterize_report.json",
+                    {"hrs_lrs_ratio": result.hrs_lrs_ratio,
+                     "lrs_log_spread": result.lrs_log_spread,
+                     "hrs_log_spread": result.hrs_log_spread}),
     ]
-    report = {"hrs_lrs_ratio": result.hrs_lrs_ratio,
-              "lrs_log_spread": result.lrs_log_spread,
-              "hrs_log_spread": result.hrs_log_spread}
-    report_path = Path(out_dir) / "characterize_report.json"
-    with open(report_path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    paths.append(report_path)
-    return paths
 
 
 def export_sweep(points: Sequence[SweepPoint], out_dir: str | Path,
                  fmt: str = "csv") -> Path:
-    rows = [{"parameter": p.parameter, "value": p.value,
-             "logic_trials": p.logic_trials, "logic_failures": p.logic_failures,
-             "logic_errors": p.logic_errors, "scouting_trials": p.scouting_trials,
-             "scouting_failures": p.scouting_failures, "overlap": p.overlap,
-             "min_margin": p.min_margin} for p in points]
-    return export_table("sweep", rows, out_dir, fmt)
+    return export_table("sweep", SweepPoint._fields, points, out_dir, fmt)

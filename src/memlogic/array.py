@@ -104,36 +104,6 @@ class LineDrive:
             raise ValueError("width must be > 0")
 
 
-def _check_line_bounds(topology: ArrayTopology, drive: LineDrive) -> None:
-    for idx in drive.wl:
-        if not 0 <= idx < topology.rows:
-            raise ValueError(f"WL index {idx} out of range")
-    for idx in drive.bl:
-        if not 0 <= idx < topology.bl_count:
-            raise ValueError(f"BL index {idx} out of range")
-    for idx in drive.sl:
-        if not 0 <= idx < topology.cols:
-            raise ValueError(f"SL index {idx} out of range")
-
-
-def resolve_drives(topology: ArrayTopology, drive: LineDrive) -> list[tuple[CellAddress, Pulse]]:
-    """Map line voltages onto per-cell pulses, one entry per cell.
-
-    Cells on undriven word lines appear with their gate at 0 V so disturb
-    exposure can be inspected; the transistor keeps them inert.
-    """
-    _check_line_bounds(topology, drive)
-    resolved = []
-    for row in range(topology.rows):
-        v_g = drive.wl.get(row, 0.0)
-        for col in range(topology.cols):
-            addr = CellAddress(row, col)
-            v_te = drive.sl.get(col, 0.0)
-            v_be = drive.bl.get(topology.bl_of(addr), 0.0)
-            resolved.append((addr, Pulse(v_te, v_be, v_g, drive.width)))
-    return resolved
-
-
 def check_parallel_distinct_voltages(topology: ArrayTopology,
                                      cell_a: CellAddress, cell_b: CellAddress,
                                      pulse_a: Pulse, pulse_b: Pulse) -> str | None:
@@ -287,16 +257,22 @@ class CellArray:
                tuple(drive.bl.items()), drive.width)
         resolved = self._resolved.get(key)
         if resolved is None:
-            _check_line_bounds(self.topology, drive)
+            topology = self.topology
+            for name, lines, count in (("WL", drive.wl, topology.rows),
+                                       ("BL", drive.bl, topology.bl_count),
+                                       ("SL", drive.sl, topology.cols)):
+                for idx in lines:
+                    if not 0 <= idx < count:
+                        raise ValueError(f"{name} index {idx} out of range")
             resolved = []
             for row in sorted(drive.wl):
                 v_g = drive.wl[row]
                 if not self.transistor.is_on(v_g):
                     continue
-                for col in self.topology.live_cols(row, drive):
+                for col in topology.live_cols(row, drive):
                     addr = CellAddress(row, col)
                     v_te = drive.sl.get(col, 0.0)
-                    v_be = drive.bl.get(self.topology.bl_of(addr), 0.0)
+                    v_be = drive.bl.get(topology.bl_of(addr), 0.0)
                     resolved.append((addr, self.cells[addr],
                                      Pulse(v_te, v_be, v_g, drive.width)))
             self._resolved[key] = resolved

@@ -221,14 +221,7 @@ def cmd_sweep(app: AppConfig, args: argparse.Namespace) -> int:
     else:
         print("sweep needs --values or --start/--stop/--steps", file=sys.stderr)
         return 2
-    if not values:
-        print("sweep range is empty", file=sys.stderr)
-        return 2
-    try:
-        points = sweep_parameter(app.experiment, args.parameter, values)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    points = sweep_parameter(app.experiment, args.parameter, values)
     for pt in points:
         print(f"{pt.parameter}={pt.value:.4g}: logic {pt.logic_failures}/"
               f"{pt.logic_trials} scouting {pt.scouting_failures}/"
@@ -243,6 +236,7 @@ def cmd_sweep(app: AppConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_cases(app: AppConfig, args: argparse.Namespace) -> int:
+    columns = ("case_id", "g", "te", "be", "i", "te_minus_be", "process", "possible")
     rows = []
     print("case  g te be i  te-be  process  possible")
     for case in CASE_TABLE:
@@ -250,10 +244,9 @@ def cmd_cases(app: AppConfig, args: argparse.Namespace) -> int:
         possible = "yes" if case.possible else ("no" if case.process else "/")
         print(f"{case.case_id:>4}  {case.g} {case.te}  {case.be} {case.i}  "
               f"{case.te_minus_be:>5}  {process:<7}  {possible}")
-        rows.append({"case_id": case.case_id, "g": case.g, "te": case.te,
-                     "be": case.be, "i": case.i, "te_minus_be": case.te_minus_be,
-                     "process": process, "possible": int(case.possible)})
-    path = export_table("cases", rows, app.output_dir, app.format)
+        rows.append((case.case_id, case.g, case.te, case.be, case.i,
+                     case.te_minus_be, process, int(case.possible)))
+    path = export_table("cases", columns, rows, app.output_dir, app.format)
     print("wrote:", path)
     return 0
 

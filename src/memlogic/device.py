@@ -74,6 +74,17 @@ def require_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def require_finite_result(what: str, value: float, params: VariabilityParams) -> float:
+    """``value`` when finite; otherwise a ``ValueError`` naming the medians,
+    whose reads left the float range (a subnormal ``lrs_median`` reads as 0 Ohm
+    or as an infinite current)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is {value!r}, not finite: reads at device.lrs_median"
+                         f" = {params.lrs_median!r} and device.hrs_median = "
+                         f"{params.hrs_median!r} leave the float range")
+    return value
+
+
 @dataclass(frozen=True)
 class VariabilityParams:
     """Distribution parameters for resistance, threshold and read-noise spread.

@@ -424,31 +424,3 @@ def execute_gate(array: CellArray, addr: CellAddress | tuple[int, int],
         init_retries=retries,
     )
 
-
-def run_cascade(array: CellArray, addr: CellAddress | tuple[int, int],
-                gates: Sequence[tuple[ParamMapping, int, int]],
-                rng: np.random.Generator | Sequence[np.random.Generator]) -> list[GateTrace]:
-    """Execute gates back to back on one cell.
-
-    The final state of each step is reused as the next initial state whenever
-    it already matches the required I bit; otherwise the cell is
-    re-initialized (the per-step retry counts record this).  ``rng`` may be a
-    single generator or one generator per step.  Errors are re-raised with the
-    failing step index.
-    """
-    if isinstance(rng, np.random.Generator):
-        streams: Sequence[np.random.Generator] = [rng] * len(gates)
-    else:
-        streams = list(rng)
-        if len(streams) != len(gates):
-            raise ValueError("need one random stream per cascade step")
-    traces = []
-    for step, ((mapping, p, q), stream) in enumerate(zip(gates, streams)):
-        try:
-            traces.append(execute_gate(array, addr, mapping, p, q, stream))
-        except InitFailureError as exc:
-            exc.step = step
-            raise
-        except Exception as exc:
-            raise type(exc)(f"cascade step {step}: {exc}") from exc
-    return traces

@@ -13,6 +13,7 @@ device.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -20,6 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .array import CellAddress, CellArray, validate_parallel_selection
+from .device import require_finite_result
 from .logic1t1r import DEFAULT_VOLTAGES, initialize_cell
 
 #: The output of each operation as a predicate on (popcount k, input width n).
@@ -129,7 +131,7 @@ def scout_current(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int
                   rng: np.random.Generator) -> float:
     """Simultaneous read of the selected cells at the operating point: the read
     voltage times the summed conductance of the noisy per-cell resistances.
-    States are not disturbed.
+    States are not disturbed; a current beyond the float range is a ``ValueError``.
     """
     cell_addrs = [CellAddress(*a) for a in addrs]
     validate_parallel_selection(array.topology, cell_addrs)
@@ -137,8 +139,8 @@ def scout_current(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int
     conductance = 0.0
     for addr in cell_addrs:
         r = array.read_cell(addr, v_read, v_wl, rng)
-        conductance += 1.0 / r
-    return v_read * conductance
+        conductance += 1.0 / r if r > 0 else math.inf
+    return require_finite_result("read current", v_read * conductance, array.params)
 
 
 def _class_extremes(samples: Iterable[CurrentSample]) -> dict[str, tuple[float, float]]:

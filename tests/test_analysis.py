@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from collections import Counter
@@ -9,17 +10,16 @@ from hypothesis import strategies as st
 from memlogic.analysis import (
     DistributionSummary,
     ExperimentConfig,
+    TraceRow,
     export_characterization,
     export_logic_result,
     export_scouting_result,
     export_sweep,
     export_table,
-    import_summaries,
     non_switching_report,
     run_1t1r_experiment,
     run_characterization,
     run_scouting_experiment,
-    summary_rows,
     sweep_parameter,
 )
 from memlogic import array as array_module
@@ -210,11 +210,11 @@ def test_config_rejects_negative_seed(seed):
 # ----------------------------------------------------------------- exports
 
 def test_export_empty_results_headers_only(tmp_path):
-    path = export_table("traces", [], tmp_path, "csv")
+    path = export_table("traces", TraceRow._fields, [], tmp_path, "csv")
     content = path.read_text()
     assert content == ("gate,p,q,case_id,cycle,r_init_ohm,r_final_ohm,"
                        "out_bit,expected_bit\n")
-    path = export_table("refs", [], tmp_path, "json")
+    path = export_table("refs", ("i_read_a", "i_or_a", "i_and_a"), [], tmp_path, "json")
     assert json.loads(path.read_text()) == []
 
 
@@ -229,16 +229,29 @@ def test_scouting_row_accounting(tmp_path):
     assert len(refs) == 1 + 1
 
 
+def read_summaries(path):
+    """Parse a summary table back into ``DistributionSummary`` rows."""
+    if path.suffix == ".json":
+        records = json.loads(path.read_text())
+    else:
+        with open(path, newline="") as handle:
+            records = list(csv.DictReader(handle))
+    return [DistributionSummary(str(rec["label"]), int(rec["count"]),
+                                *(float(rec[c]) for c in DistributionSummary._fields[2:]))
+            for rec in records]
+
+
 def test_summary_roundtrip(tmp_path):
     result = run_1t1r_experiment(ExperimentConfig(seed=15, cycles=5))
     for fmt in ("csv", "json"):
-        path = export_table("summary", summary_rows(result.summaries), tmp_path, fmt)
-        assert import_summaries(path) == result.summaries
+        path = export_table("summary", DistributionSummary._fields, result.summaries,
+                            tmp_path, fmt)
+        assert read_summaries(path) == result.summaries
 
 
 def test_export_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
-        export_table("traces", [], tmp_path, "xml")
+        export_table("traces", TraceRow._fields, [], tmp_path, "xml")
 
 
 def test_export_files_are_deterministic(tmp_path):

@@ -13,7 +13,6 @@ from memlogic.array import (
     TopologyError,
     TopologyKind,
     check_parallel_distinct_voltages,
-    resolve_drives,
     validate_parallel_selection,
 )
 from memlogic.device import (
@@ -31,6 +30,20 @@ PARAMS = VariabilityParams()
 
 SET_PULSE = Pulse(1.3, 0.0, 1.3, 1e-6)
 RESET_PULSE = Pulse(0.0, 1.6, 3.0, 1e-6)
+
+
+def resolve_drives(topology, drive):
+    """Every cell's pulse under ``drive``, row-major, the inert cells included:
+    the oracle the skipping drive path is checked against."""
+    resolved = []
+    for row in range(topology.rows):
+        v_g = drive.wl.get(row, 0.0)
+        for col in range(topology.cols):
+            addr = CellAddress(row, col)
+            v_te = drive.sl.get(col, 0.0)
+            v_be = drive.bl.get(topology.bl_of(addr), 0.0)
+            resolved.append((addr, Pulse(v_te, v_be, v_g, drive.width)))
+    return resolved
 
 
 def pulses_by_addr(topology, drive):
@@ -101,10 +114,11 @@ def test_line_drive_rejects_bad_width():
 
 
 def test_line_bounds_checked():
-    with pytest.raises(ValueError):
-        resolve_drives(STD, LineDrive(wl={9: 3.0}))
-    with pytest.raises(ValueError):
-        resolve_drives(STD, LineDrive(sl={-1: 1.0}))
+    array, rng = CellArray(STD, PARAMS), np.random.default_rng(0)
+    with pytest.raises(ValueError, match="WL index 9"):
+        array.apply_drive(LineDrive(wl={9: 3.0}), rng)
+    with pytest.raises(ValueError, match="SL index -1"):
+        array.apply_drive(LineDrive(sl={-1: 1.0}), rng)
 
 
 def test_parallel_distinct_voltages_standard_violation():

@@ -210,10 +210,17 @@ def test_cli_sweep(tmp_path, capsys):
 
 
 def test_cli_sweep_bad_usage(tmp_path, capsys):
+    usage = "sweep needs --values or --start/--stop/--steps\n"
     assert main(["sweep", "hrs_sigma_c2c", "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == usage
     assert main(["sweep", "hrs_sigma_c2c", "--values", "", "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == usage
+    assert main(["sweep", "hrs_sigma_c2c", "--values", ",", "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "sweep range is empty\n"
     assert main(["sweep", "not_a_param", "--values", "0.1", "-o", str(tmp_path)]) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.startswith("unknown device parameter 'not_a_param'; one of ['hrs_median', ")
+    assert err.count("\n") == 1
 
 
 def test_cli_config_positional_and_overrides(tmp_path, capsys):
@@ -310,6 +317,28 @@ def test_cli_extreme_medians_keep_a_finite_boundary(tmp_path, lines, args):
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text("\n".join(lines) + "\n")
     assert main([str(cfg), *args, "-o", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("lines, args", [
+    # A subnormal LRS median reads an infinite current and an infinite ratio.
+    (["device.lrs_median = 1e-320", "device.hrs_median = 1"],
+     ["characterize", "--cells", "2", "--cycles", "4"]),
+    (["device.lrs_median = 1e-320", "device.hrs_median = 1"],
+     ["scouting", "--cycles", "4"]),
+    # A normal median whose wide spread draws subnormal LRS states.
+    (["device.lrs_median = 1e-300", "device.hrs_median = 1",
+      "device.lrs_sigma_c2c = 10"], ["scouting", "--cycles", "20"]),
+    # The smallest subnormal median reads 0 Ohm.
+    (["device.lrs_median = 5e-324", "device.hrs_median = 1",
+      "device.lrs_sigma_c2c = 10"], ["scouting", "--cycles", "20"]),
+    (["device.lrs_median = 5e-324", "device.hrs_median = 1",
+      "device.lrs_sigma_c2c = 10"], ["characterize", "--cells", "2", "--cycles", "20"]),
+])
+def test_cli_non_finite_results_exit_2(tmp_path, capsys, lines, args):
+    cfg = tmp_path / "subnormal.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main([str(cfg), *args, "-o", str(tmp_path / "out")]) == 2
+    assert "device.lrs_median" in _one_line_error(capsys)
 
 
 def test_cli_device_keys_apply_in_any_order(tmp_path, capsys):

@@ -13,6 +13,9 @@ group was recorded while every drive was still resolved and validated anew
 on each pulse; it covers the pseudo-crossbar wiring, with one cell per gate
 (whose digests equal the standard array's: the pristine neighbours on the
 cell's shared row BL stay inert) and with the input pairs rotated over rows.
+The fifth group was recorded while every exported value was still formatted
+one by one through a dict per row; it covers the JSON exports and the tables
+only the command line writes (the case table and the synthesized library).
 """
 
 import hashlib
@@ -33,6 +36,7 @@ from memlogic.analysis import (
     sweep_parameter,
 )
 from memlogic.array import ArrayTopology, TopologyKind
+from memlogic.cli import main
 
 CONFIG = ExperimentConfig(seed=3, cycles=20)
 PSEUDO_CROSSBAR = CONFIG.replace(topology=ArrayTopology(TopologyKind.PSEUDO_CROSSBAR))
@@ -126,6 +130,65 @@ EXPORTERS = {
 }
 
 
+JSON_EXPORTERS = {
+    "gate": lambda out: export_logic_result(run_1t1r_experiment(CONFIG), out, "json"),
+    "scouting": lambda out: export_scouting_result(
+        run_scouting_experiment(CONFIG), out, "json"),
+    "characterize": lambda out: export_characterization(
+        run_characterization(CONFIG.device, CONFIG.transistor, cycles=CONFIG.cycles,
+                             seed=CONFIG.seed), out, "json"),
+    "sweep": lambda out: [export_sweep(sweep_parameter(
+        CONFIG, "hrs_sigma_c2c", list(np.linspace(0.1, 1.2, 3))), out, "json")],
+}
+
+GOLDEN_JSON_SHA256 = {
+    "gate": {
+        "traces.json": "3cb3ac16a720599da1e17c7a75c18e9a726ba2914ff12e014d538c4a6e75c6f2",
+        "summary.json": "b28752d4f17e9f50fde7ebe5257c40b004c0e6fc43aba4b43d824747d574217b",
+        "non_switching.json": "53172624de65acbbb30888387310f4d68b866f4214a0a851bd34ca59e7812166",
+        "report.json": "af46ba7e50e5e69c64730e93f89e6b93d32d0908946786b4963c33790beb24ff",
+    },
+    "scouting": {
+        "currents.json": "1a201f49b1b2f58eb93ed9d9abf0bb469d7d55027ca70baf1146ddf575ed4cba",
+        "refs.json": "a2ab0dbe4ccf9084d33284640c7e82e5c1d87018dccbe90a2189db06fad0fffb",
+        "margins.json": "daad6f337077bd45b82bd226c684fe3504bf1b5dfe0f3b9b31443498785f75bf",
+        "summary.json": "f1fdc63227454134f6af614694e3ac01f5340fda37c8c22f6c22ccacecff1bea",
+        "report.json": "868deac54fdf2be06764ba03cba3d73847f7ac92cbf2379ee8c5766c8484fae2",
+    },
+    "characterize": {
+        "characterize.json": "34b5dfea624f138e7d27153528af464c97fd22f8adfcb991398511d4f9d5b729",
+        "summary.json": "e8060860550261e578e2e917ffdc04cc59c159ad836c490d57a5de0199b2f8c9",
+        "characterize_report.json": "b3100c46f7558b246eea614b0faac9b7fa5d7a47a087e2fb3e72991a90252ddc",
+    },
+    "sweep": {
+        "sweep.json": "6be188200c41d8f6a231b5d1b24324a99552c332d687b525e47123980553c884",
+    },
+}
+
+#: Command-line runs that write a table, with the digests of what they write.
+CLI_RUNS = {
+    "cases": ["cases"],
+    "cases_json": ["cases", "--format", "json"],
+    "synthesize": ["synthesize"],
+}
+
+GOLDEN_CLI_SHA256 = {
+    "cases": {
+        "cases.csv": "42765a7b140229d754b7c6090a2a0d1906529e3cf153b84c6552199b5009a0e0",
+    },
+    "cases_json": {
+        "cases.json": "e41467a8812fd4f7d03b4b147afc9293e58051f38e56fd5a94374139833d43a4",
+    },
+    "synthesize": {
+        "gates_synthesized.csv": "5254631f4fcf07ca6f559a9f3ced5a1d30a072a1d8b2aac3a5547e3e11f06403",
+    },
+}
+
+
+def _digests(paths):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
 @pytest.mark.parametrize("kind", sorted(GOLDEN_SHA256))
 def test_exports_match_golden_digests(kind, tmp_path):
     paths = EXPORTERS[kind](tmp_path)
@@ -138,3 +201,15 @@ def test_unverified_currents_match_golden_digest(n):
     samples = sample_scouting_currents(CONFIG.replace(n_inputs=n), n, verify=False)
     text = "".join(f"{s.input_class},{s.cycle},{s.current!r}\n" for s in samples)
     assert hashlib.sha256(text.encode()).hexdigest() == UNVERIFIED_CURRENTS_SHA256[n]
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_JSON_SHA256))
+def test_json_exports_match_golden_digests(kind, tmp_path):
+    assert _digests(JSON_EXPORTERS[kind](tmp_path)) == GOLDEN_JSON_SHA256[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_CLI_SHA256))
+def test_cli_tables_match_golden_digests(kind, tmp_path, capsys):
+    assert main(CLI_RUNS[kind] + ["-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _digests(sorted(tmp_path.iterdir())) == GOLDEN_CLI_SHA256[kind]

@@ -29,7 +29,6 @@ from memlogic.logic1t1r import (
     load_gate_library,
     logic_pulse_voltages,
     reset_drive,
-    run_cascade,
     save_gate_library,
     synthesize_mapping,
     truth_table_of,
@@ -281,24 +280,11 @@ def test_init_failure_raises():
 def test_cascade_reuses_matching_state():
     array = formed_array()
     rng = np.random.default_rng(6)
-    traces = run_cascade(array, (0, 0),
-                         [(builtin_mapping("OR"), 1, 1),
-                          (builtin_mapping("NIMP"), 1, 1)], rng)
+    traces = [execute_gate(array, (0, 0), builtin_mapping(name), 1, 1, rng)
+              for name in ("OR", "NIMP")]
     # OR(1,1) leaves LRS; NIMP(1,1) needs i=q=1, so no re-initialization.
     assert traces[1].init_retries == 0
     assert [t.output_bit for t in traces] == [1, 0]
-
-
-def test_cascade_empty():
-    array = formed_array()
-    assert run_cascade(array, (0, 0), [], np.random.default_rng(0)) == []
-
-
-def test_cascade_stream_count_mismatch():
-    array = formed_array()
-    with pytest.raises(ValueError):
-        run_cascade(array, (0, 0), [(builtin_mapping("OR"), 0, 0)],
-                    [np.random.default_rng(0), np.random.default_rng(1)])
 
 
 def test_reset_drive_uses_the_cell_bl():
@@ -324,8 +310,8 @@ def test_pseudo_crossbar_gates_switch_both_ways():
 def test_hundred_cycle_repetition_without_failures():
     array = formed_array()
     rng = np.random.default_rng(7)
-    gates = [(builtin_mapping("XOR"), 1, 0)] * 100
-    traces = run_cascade(array, (0, 0), gates, rng)
+    traces = [execute_gate(array, (0, 0), builtin_mapping("XOR"), 1, 0, rng)
+              for _ in range(100)]
     assert len(traces) == 100
     assert all(t.output_bit == t.expected_bit == 1 for t in traces)
 
