@@ -478,17 +478,16 @@ def run_characterization(params: VariabilityParams,
             rows.append((ci, cycle, r_lrs, r_hrs))
     lrs_values = [r[2] for r in rows]
     hrs_values = [r[3] for r in rows]
-    # A zero read (from a subnormal median) has neither a ratio nor a log spread.
-    ratio = ((sum(hrs_values) / len(hrs_values)) / (sum(lrs_values) / len(lrs_values))
-             if min(lrs_values + hrs_values) > 0 else math.inf)
+    ratio = (sum(hrs_values) / len(hrs_values)) / (sum(lrs_values) / len(lrs_values))
     require_finite_result("mean HRS/LRS ratio", ratio, params)
     summaries = [DistributionSummary.from_samples("lrs", lrs_values),
                  DistributionSummary.from_samples("hrs", hrs_values)]
-    for ci in range(cells):
+    for ci in range(cells):  # each cell's rows are one run of ``cycles`` rows
+        cell_rows = rows[ci * cycles:(ci + 1) * cycles]
         summaries.append(DistributionSummary.from_samples(
-            f"lrs/cell{ci}", [r[2] for r in rows if r[0] == ci]))
+            f"lrs/cell{ci}", [r[2] for r in cell_rows]))
         summaries.append(DistributionSummary.from_samples(
-            f"hrs/cell{ci}", [r[3] for r in rows if r[0] == ci]))
+            f"hrs/cell{ci}", [r[3] for r in cell_rows]))
     return CharacterizationResult(rows=rows, summaries=summaries,
                                   hrs_lrs_ratio=ratio,
                                   lrs_log_spread=log_spread(lrs_values),

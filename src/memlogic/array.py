@@ -16,7 +16,6 @@ lines.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
@@ -30,8 +29,10 @@ from .device import (
     TransistorModel,
     VariabilityParams,
     apply_pulse,
+    default_boundary,
     form_by_ramp,
     read_resistance,
+    require_finite_result,
     require_int,
     sample_fresh_cell,
 )
@@ -60,9 +61,6 @@ class ArrayTopology:
     def __post_init__(self) -> None:
         require_int("array rows", self.rows, 1)
         require_int("array cols", self.cols, 1)
-
-    def contains(self, addr: CellAddress) -> bool:
-        return 0 <= addr.row < self.rows and 0 <= addr.col < self.cols
 
     @property
     def bl_count(self) -> int:
@@ -156,51 +154,15 @@ def validate_parallel_selection(topology: ArrayTopology,
                 f"pseudo-crossbar parallel selection requires one row, got {sorted(rows)}")
 
 
-class LazyCells(Mapping):
-    """Every address of a topology, mapped to its cell, sampled on first access.
-
-    Iteration and ``len`` cover all rows x cols in row-major order; looking a
-    cell up (or iterating its items) samples it once and keeps it.
-    """
-
-    def __init__(self, topology: ArrayTopology,
-                 sample: Callable[[CellAddress], MemristorCell]):
-        self._topology = topology
-        self._sample = sample
-        self.sampled: dict[CellAddress, MemristorCell] = {}
-
-    def __getitem__(self, addr) -> MemristorCell:
-        cell = self.sampled.get(addr)
-        if cell is None:
-            if addr not in self:
-                raise KeyError(addr)
-            addr = CellAddress(int(addr[0]), int(addr[1]))
-            cell = self.sampled[addr] = self._sample(addr)
-        return cell
-
-    def __contains__(self, addr) -> bool:
-        # Tuple equality, as for dict keys: (1, 2), np.int64 indices alike.
-        return (isinstance(addr, tuple) and len(addr) == 2
-                and addr[0] in range(self._topology.rows)
-                and addr[1] in range(self._topology.cols))
-
-    def __iter__(self) -> Iterator[CellAddress]:
-        for row in range(self._topology.rows):
-            for col in range(self._topology.cols):
-                yield CellAddress(row, col)
-
-    def __len__(self) -> int:
-        return self._topology.rows * self._topology.cols
-
-
 class CellArray:
     """A rectangular array of independently sampled 1T1R cells.
 
     Cell parameters are drawn from per-address random streams derived from the
     array seed, so the population is reproducible and independent of access
-    order.  A cell is sampled from its stream when it is first touched, so an
-    array costs only the cells a run uses; ``cells`` still maps every address.
-    All pulse randomness comes from generators passed by the caller.
+    order.  A cell is sampled from its stream when ``cell`` first touches it,
+    so an array costs only the cells a run uses; ``cells`` holds the cells
+    sampled so far.  Reads binarize at ``boundary``, the geometric mean of the
+    medians.  All pulse randomness comes from generators passed by the caller.
     """
 
     def __init__(self, topology: ArrayTopology, params: VariabilityParams,
@@ -209,21 +171,25 @@ class CellArray:
         self.params = params
         self.transistor = transistor if transistor is not None else TransistorModel()
         self.seed = seed
-        self.cells = LazyCells(topology, self._sample_cell)
+        self.boundary = default_boundary(params)
+        self.cells: dict[CellAddress, MemristorCell] = {}
         self._built: dict[tuple, LineDrive] = {}  # by builder and arguments
         self._resolved: dict[tuple, list] = {}  # (addr, cell, pulse)s by drive content
 
-    def _sample_cell(self, addr: CellAddress) -> MemristorCell:
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0, *addr)))
-        return sample_fresh_cell(self.params, rng, cell_id=f"r{addr.row}c{addr.col}")
-
     def cell(self, addr: CellAddress | tuple[int, int]) -> MemristorCell:
-        # A sampled cell is in bounds: skip the re-wrap and the bounds check.
-        if isinstance(addr, tuple) and (cell := self.cells.sampled.get(addr)) is not None:
-            return cell
-        addr = CellAddress(*addr)
-        if not self.topology.contains(addr):
+        """The cell at ``addr``, sampled from ``(seed, 0, row, col)`` on first touch."""
+        try:
+            return self.cells[addr]
+        except (KeyError, TypeError):  # not sampled yet, or an unhashable list
+            row, col = addr
+        # Range membership admits ints and numpy integers, as dict keys do.
+        if not (row in range(self.topology.rows) and col in range(self.topology.cols)):
             raise ValueError(f"address {tuple(addr)} out of bounds")
+        addr = CellAddress(int(row), int(col))
+        if addr not in self.cells:
+            rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0, *addr)))
+            self.cells[addr] = sample_fresh_cell(self.params, rng,
+                                                 cell_id=f"r{addr.row}c{addr.col}")
         return self.cells[addr]
 
     def form(self, addr: CellAddress | tuple[int, int]) -> None:
@@ -273,7 +239,7 @@ class CellArray:
                     addr = CellAddress(row, col)
                     v_te = drive.sl.get(col, 0.0)
                     v_be = drive.bl.get(topology.bl_of(addr), 0.0)
-                    resolved.append((addr, self.cells[addr],
+                    resolved.append((addr, self.cell(addr),
                                      Pulse(v_te, v_be, v_g, drive.width)))
             self._resolved[key] = resolved
         events = []
@@ -287,4 +253,9 @@ class CellArray:
 
     def read_cell(self, addr: CellAddress | tuple[int, int], v_read: float,
                   v_g: float, rng: np.random.Generator) -> float:
-        return read_resistance(self.cell(addr), v_read, v_g, self.transistor, rng)
+        """The cell's noisy read resistance; a 0 Ohm read (its infinite
+        conductance) is a ``ValueError`` naming the medians."""
+        r = read_resistance(self.cell(addr), v_read, v_g, self.transistor, rng)
+        if r == 0.0:
+            require_finite_result("read conductance", math.inf, self.params)
+        return r

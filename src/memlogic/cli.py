@@ -276,8 +276,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         app = _apply_overrides(app, args)
         return _COMMANDS[args.command](app, args)
-    except (KeyError, ValueError, InitFailureError, NotFormedError, OverlapError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
+    except (KeyError, OSError, ValueError, InitFailureError, NotFormedError,
+            OverlapError) as exc:
+        # A KeyError's str() quotes its message; an OSError's first arg is its errno.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(str(message), file=sys.stderr)
         return 2
 

@@ -31,7 +31,6 @@ from .device import (
     STATE_LRS,
     NotFormedError,
     binarize,
-    default_boundary,
 )
 
 
@@ -290,16 +289,9 @@ def logic_pulse_voltages(g: int, te: int, be: int) -> tuple[float, float, float]
     return v_te, v_be, v_g
 
 
-@dataclass(frozen=True)
-class GateTrace:
-    """Record of one physical gate execution."""
+class GateTrace(NamedTuple):
+    """What one physical gate execution measured."""
 
-    p: int
-    q: int
-    g: int
-    te: int
-    be: int
-    i: int
     case_id: int
     init_resistance: float
     final_resistance: float
@@ -345,17 +337,20 @@ def reset_drive(topology: ArrayTopology, addr: CellAddress) -> LineDrive:
     return logic_drive(topology, addr, *RESET_BITS)
 
 
+#: Correction pulses a verified write may apply before it gives up.
+INIT_RETRIES = 3
+
+
 def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: int,
-                    rng: np.random.Generator, boundary: float | None = None,
-                    max_retries: int = 3, refresh: bool = False,
+                    rng: np.random.Generator, refresh: bool = False,
                     verify: bool = True) -> tuple[float, int]:
     """Bring a cell to the binary state ``bit``, verifying by read.
 
     Returns ``(verified read resistance, correction pulses applied)``.  With
     ``refresh=True`` a fresh resistance value is always cycled in, even when
     the binary state already matches (used by experiments that need new
-    cycle-to-cycle draws every trial).  Raises ``InitFailureError`` after
-    ``max_retries`` failed corrections.
+    cycle-to-cycle draws every trial).  Reads binarize at ``array.boundary``;
+    raises ``InitFailureError`` after ``INIT_RETRIES`` failed corrections.
 
     ``verify=False`` fires the write pulses blindly, without the read-back
     loop.  Verified writes retry any draw that straddles the binarization
@@ -366,8 +361,6 @@ def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: 
     cell = array.cell(addr)
     if not cell.is_formed:
         raise NotFormedError(f"cell {tuple(addr)} is pristine; form it first")
-    if boundary is None:
-        boundary = default_boundary(array.params)
     volts = DEFAULT_VOLTAGES
 
     def pulse_towards(target: int) -> None:
@@ -392,9 +385,9 @@ def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: 
         pulse_towards(bit)
         pulses += 1
         r = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
-    while binarize(r, boundary) != bit:
-        if pulses > max_retries:
-            raise InitFailureError(addr, bit, max_retries)
+    while binarize(r, array.boundary) != bit:
+        if pulses > INIT_RETRIES:
+            raise InitFailureError(addr, bit, INIT_RETRIES)
         pulse_towards(bit)
         pulses += 1
         r = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
@@ -411,16 +404,11 @@ def execute_gate(array: CellArray, addr: CellAddress | tuple[int, int],
     array lines, and the output is the binarized post-pulse read.
     """
     addr = CellAddress(*addr)
-    boundary = default_boundary(array.params)
     volts = DEFAULT_VOLTAGES
     ev = evaluate_mapping(mapping, p, q)
-    r_init, retries = initialize_cell(array, addr, ev.i, rng, boundary=boundary)
+    r_init, retries = initialize_cell(array, addr, ev.i, rng)
     array.apply_drive(array.drive(logic_drive, addr, ev.g, ev.te, ev.be), rng)
     r_final = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
-    return GateTrace(
-        p=p, q=q, g=ev.g, te=ev.te, be=ev.be, i=ev.i, case_id=ev.case_id,
-        init_resistance=r_init, final_resistance=r_final,
-        output_bit=binarize(r_final, boundary), expected_bit=ev.output,
-        init_retries=retries,
-    )
+    return GateTrace(ev.case_id, r_init, r_final, binarize(r_final, array.boundary),
+                     ev.output, retries)
 

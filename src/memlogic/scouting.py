@@ -13,7 +13,6 @@ device.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -139,7 +138,7 @@ def scout_current(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int
     conductance = 0.0
     for addr in cell_addrs:
         r = array.read_cell(addr, v_read, v_wl, rng)
-        conductance += 1.0 / r if r > 0 else math.inf
+        conductance += 1.0 / r
     return require_finite_result("read current", v_read * conductance, array.params)
 
 

@@ -20,8 +20,7 @@ from memlogic.device import (
     SwitchEvent,
     VariabilityParams,
     apply_pulse,
-    binarize,
-    default_boundary,
+    sample_fresh_cell,
 )
 
 STD = ArrayTopology(TopologyKind.STANDARD_1T1R, rows=4, cols=4)
@@ -44,6 +43,13 @@ def resolve_drives(topology, drive):
             v_be = drive.bl.get(topology.bl_of(addr), 0.0)
             resolved.append((addr, Pulse(v_te, v_be, v_g, drive.width)))
     return resolved
+
+
+def every_cell(array):
+    """Every rows x cols address mapped through ``array.cell``, row-major."""
+    return {addr: array.cell(addr) for addr in (
+        CellAddress(row, col) for row in range(array.topology.rows)
+        for col in range(array.topology.cols))}
 
 
 def pulses_by_addr(topology, drive):
@@ -186,7 +192,7 @@ def test_apply_drive_reports_only_pulsed_cells():
 def pulse_every_cell(array, drive, rng):
     """Reference drive path: pulse all cells with their resolved voltages."""
     for addr, pulse in resolve_drives(array.topology, drive):
-        apply_pulse(array.cells[addr], pulse, array.transistor, rng)
+        apply_pulse(array.cell(addr), pulse, array.transistor, rng)
 
 
 LINE_VOLTS = st.sampled_from([0.0, 0.1, 1.3, 1.6])
@@ -210,7 +216,7 @@ def test_apply_drive_matches_pulsing_every_cell(kind, seed, formed, drives):
         drive = LineDrive(wl=wl, sl=sl, bl=bl)
         fast.apply_drive(drive, rng_fast)
         pulse_every_cell(full, drive, rng_full)
-    assert fast.cells == full.cells
+    assert every_cell(fast) == every_cell(full)
     assert rng_fast.bit_generator.state == rng_full.bit_generator.state
 
 
@@ -224,7 +230,7 @@ def single_cell_line_drive(topology, kind, addr):
 
 def cell_states(array):
     return {addr: (c.state, c.resistance, c.last_lrs, c.last_hrs, c.cycle_count)
-            for addr, c in array.cells.items()}
+            for addr, c in every_cell(array).items()}
 
 
 ADDRS = st.builds(CellAddress, st.integers(0, 2), st.integers(0, 2))
@@ -257,7 +263,7 @@ def test_replaying_a_drive_equals_building_it_anew(kind, seed, formed, steps):
                 == rebuilt.apply_drive(single_cell_line_drive(topology, kind_name, addr),
                                        rng_rebuilt))
     assert cell_states(replayed) == cell_states(rebuilt)
-    assert replayed.cells == rebuilt.cells
+    assert every_cell(replayed) == every_cell(rebuilt)
     assert rng_replayed.bit_generator.state == rng_rebuilt.bit_generator.state
 
 
@@ -279,10 +285,10 @@ def test_pseudo_crossbar_reset_replays_onto_its_row_neighbours():
 def test_apply_drive_idle_is_identity():
     array = make_array()
     rng = np.random.default_rng(2)
-    before = {addr: (c.state, c.resistance) for addr, c in array.cells.items()}
+    before = {addr: (c.state, c.resistance) for addr, c in every_cell(array).items()}
     events = array.apply_drive(LineDrive(), rng)
     assert all(ev == SwitchEvent.NONE for _, ev in events)
-    after = {addr: (c.state, c.resistance) for addr, c in array.cells.items()}
+    after = {addr: (c.state, c.resistance) for addr, c in every_cell(array).items()}
     assert before == after
 
 
@@ -300,26 +306,29 @@ def test_two_wl_read_drive():
 
 def test_unselected_cells_never_flip():
     array = make_array()
-    for addr in array.cells:
+    for addr in every_cell(array):
         array.form(addr)
     rng = np.random.default_rng(4)
-    boundary = default_boundary(PARAMS)
-    bits_before = {a: binarize(c.resistance, boundary) for a, c in array.cells.items()}
+    before = cell_states(array)
     # Hammer row 0 with SET/RESET; all other rows have their WL grounded.
     for _ in range(20):
         array.apply_drive(LineDrive(wl={0: 3.0}, bl={0: 1.6, 1: 1.6}), rng)
         array.apply_drive(LineDrive(wl={0: 1.3}, sl={0: 1.3, 1: 1.3}), rng)
-    for addr, cell in array.cells.items():
-        if addr.row != 0:
-            assert binarize(cell.resistance, boundary) == bits_before[addr]
+    after = cell_states(array)
+    assert after[CellAddress(0, 0)] != before[CellAddress(0, 0)]
+    # An unselected cell is not even disturbed: its state and resistance stay.
+    assert {a: s for a, s in after.items() if a.row != 0} == {
+        a: s for a, s in before.items() if a.row != 0}
 
 
 def test_sampling_is_per_address_deterministic():
     a = CellArray(STD, PARAMS, seed=5)
     b = CellArray(STD, PARAMS, seed=5)
-    for addr in a.cells:
-        assert a.cells[addr].lrs_median_cell == b.cells[addr].lrs_median_cell
-        assert a.cells[addr].v_set_th == b.cells[addr].v_set_th
+    a_cells = every_cell(a)
+    for addr in reversed(list(a_cells)):  # b is sampled last to first
+        rng = np.random.default_rng(np.random.SeedSequence((5, 0, *addr)))
+        assert (b.cell(addr) == a_cells[addr]
+                == sample_fresh_cell(PARAMS, rng, cell_id=a_cells[addr].cell_id))
 
 
 def test_topology_validation():
@@ -337,14 +346,14 @@ def cell_params(cell):
 
 def test_cells_sampled_in_any_order_match_row_major():
     row_major = CellArray(STD, PARAMS, seed=8)
-    expected = {addr: cell_params(cell) for addr, cell in row_major.cells.items()}
+    expected = {addr: cell_params(cell) for addr, cell in every_cell(row_major).items()}
     addrs = list(expected)
     rng = np.random.default_rng(0)
     for order in (addrs[::-1], list(rng.permutation(addrs))):
         array = CellArray(STD, PARAMS, seed=8)
         for row, col in order:
             assert cell_params(array.cell((int(row), int(col)))) == expected[(row, col)]
-        assert array.cells == row_major.cells
+        assert every_cell(array) == every_cell(row_major)
 
 
 def test_untouched_cells_are_never_sampled(monkeypatch):
@@ -364,21 +373,19 @@ def test_untouched_cells_are_never_sampled(monkeypatch):
     rng = np.random.default_rng(5)
     array.apply_drive(LineDrive(wl={1: 1.3}, sl={2: 1.3}), rng)
     array.read_cell((1, 2), 0.1, 3.0, rng)
-    assert CellAddress(3, 3) in array.cells and (4, 0) not in array.cells
     assert sampled == ["r1c2"]
-    assert len(array.cells) == STD.rows * STD.cols
-    assert list(array.cells) == [CellAddress(r, c) for r in range(4) for c in range(4)]
-    assert sampled == ["r1c2"]
+    assert list(array.cells) == [CellAddress(1, 2)]
 
 
-def test_cells_mapping_rejects_foreign_keys():
+def test_cell_rejects_foreign_addresses():
     array = make_array()
-    for key in [(4, 0), (0, -1), (0.5, 0), "r0c0", (0, 0, 0)]:
-        assert key not in array.cells
-        with pytest.raises(KeyError):
-            array.cells[key]
-    cell = array.cells[(np.int64(1), np.int64(2))]
-    assert cell is array.cells[CellAddress(1, 2)] and cell.cell_id == "r1c2"
+    for addr in [(4, 0), (0, -1), (0.5, 0), "r0c0", (0, 0, 0), [0], 7]:
+        with pytest.raises((TypeError, ValueError)):
+            array.cell(addr)
+    cell = array.cell((np.int64(1), np.int64(2)))
+    assert cell is array.cell(CellAddress(1, 2)) is array.cell([1, 2])
+    assert cell.cell_id == "r1c2"
+    assert list(array.cells) == [CellAddress(0, 0), CellAddress(1, 2)]
 
 
 @pytest.mark.parametrize("topology, drive, row, expected", [

@@ -333,12 +333,57 @@ def test_cli_extreme_medians_keep_a_finite_boundary(tmp_path, lines, args):
       "device.lrs_sigma_c2c = 10"], ["scouting", "--cycles", "20"]),
     (["device.lrs_median = 5e-324", "device.hrs_median = 1",
       "device.lrs_sigma_c2c = 10"], ["characterize", "--cells", "2", "--cycles", "20"]),
+    *[(["device.lrs_median = 5e-324", "device.hrs_median = 1", "device.lrs_sigma_c2c = 10"],
+       ["gate", "OR", "AND", "NIMP", "XOR", "--cycles", "20", "--seed", seed])
+      for seed in ("1", "2", "3")],
 ])
 def test_cli_non_finite_results_exit_2(tmp_path, capsys, lines, args):
     cfg = tmp_path / "subnormal.cfg"
     cfg.write_text("\n".join(lines) + "\n")
     assert main([str(cfg), *args, "-o", str(tmp_path / "out")]) == 2
-    assert "device.lrs_median" in _one_line_error(capsys)
+    err = _one_line_error(capsys)
+    assert "device.lrs_median" in err and "device.hrs_median" in err
+
+
+@pytest.mark.parametrize("lines", [
+    # Tiny LRS medians whose reads stay above 0 Ohm still simulate.
+    ["device.lrs_median = 1e-320", "device.hrs_median = 1"],
+    ["device.lrs_median = 1e-300", "device.hrs_median = 1", "device.lrs_sigma_c2c = 10"],
+])
+def test_cli_gate_runs_while_reads_stay_above_0_ohm(tmp_path, capsys, lines):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main([str(cfg), "gate", "OR", "AND", "NIMP", "XOR", "--cycles", "20",
+                 "-o", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+
+
+def _a_file(tmp_path) -> Path:
+    path = tmp_path / "a_file"
+    path.write_text("")
+    return path
+
+
+@pytest.mark.parametrize("args", [["gate", "OR", "--cycles", "2"], ["synthesize"], ["cases"]])
+@pytest.mark.parametrize("below", [False, True])
+def test_cli_unusable_output_dir_exits_2(tmp_path, capsys, args, below):
+    # An existing file, or a path below one, cannot be an output directory.
+    out = _a_file(tmp_path) / "x" if below else _a_file(tmp_path)
+    assert main([*args, "-o", str(out)]) == 2
+    assert str(out) in _one_line_error(capsys)
+
+
+def test_cli_unusable_env_output_dir_exits_2(tmp_path, capsys, monkeypatch):
+    out = _a_file(tmp_path) / "x"
+    monkeypatch.setenv("MEMLOGIC_OUTPUT_DIR", str(out))
+    assert main(["cases"]) == 2
+    assert str(out) in _one_line_error(capsys)
+
+
+def test_cli_missing_library_exits_2(tmp_path, capsys):
+    library = tmp_path / "missing.csv"
+    assert main(["gate", "OR", "--library", str(library), "-o", str(tmp_path)]) == 2
+    assert str(library) in _one_line_error(capsys)
 
 
 def test_cli_device_keys_apply_in_any_order(tmp_path, capsys):

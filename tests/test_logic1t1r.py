@@ -15,6 +15,7 @@ from memlogic.logic1t1r import (
     BUILTIN_MAPPINGS,
     CASE_TABLE,
     DEFAULT_VOLTAGES,
+    INIT_RETRIES,
     TERM_ORDER,
     InitFailureError,
     ParamMapping,
@@ -259,7 +260,7 @@ def test_zero_differential_mapping_keeps_initial_bit():
     rng = np.random.default_rng(3)
     for p, q in INPUTS:
         trace = execute_gate(array, (0, 0), mapping, p, q, rng)
-        assert trace.output_bit == trace.i == p
+        assert trace.output_bit == evaluate_mapping(mapping, p, q).i == p
 
 
 def test_execute_gate_requires_formed_cell():
@@ -270,11 +271,13 @@ def test_execute_gate_requires_formed_cell():
 
 
 def test_init_failure_raises():
-    array = formed_array()
+    # A RESET threshold above the 1.6 V RESET drive leaves the formed LRS cell stuck.
+    params = PARAMS.replace(v_reset_th_median=2.0, v_reset_th_sigma=0.0)
+    array = CellArray(ArrayTopology(TopologyKind.STANDARD_1T1R, 4, 4), params, seed=0)
+    array.form(CellAddress(0, 0))
     rng = np.random.default_rng(5)
-    # An absurd boundary makes the target state unreachable.
-    with pytest.raises(InitFailureError):
-        initialize_cell(array, (0, 0), 0, rng, boundary=1.0e12, max_retries=2)
+    with pytest.raises(InitFailureError, match=f"after {INIT_RETRIES} retries"):
+        initialize_cell(array, (0, 0), 0, rng)
 
 
 def test_cascade_reuses_matching_state():

@@ -1,20 +1,22 @@
-"""Every name the README and the demos import from memlogic exists.
+"""Every name the README and the demos import from memlogic exists, and every
+demo runs to completion.
 
-The demos are not run by the test suite, so a name dropped from the library
-would otherwise break one of them silently.  The imports are read from the
-source with ``ast``; nothing is executed.
+The imports are read from the source with ``ast``, so a dropped name is
+reported by name; running the demos also catches a removed attribute or field.
 """
 
 import ast
 import importlib
 import re
+import runpy
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
-SOURCES = {path.name: path.read_text() for path in sorted((ROOT / "demos").glob("*.py"))}
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SOURCES = {path.name: path.read_text() for path in DEMOS}
 SOURCES.update({f"README.md block {i}": block for i, block in enumerate(
     re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S))})
 
@@ -35,3 +37,9 @@ def test_imported_names_resolve(where):
     missing = [f"{module}.{name}" for module, name in memlogic_imports(SOURCES[where])
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, where
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo, capsys):
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out.strip()
