@@ -3,16 +3,17 @@ failure accounting and deterministic CSV/JSON exports.
 
 Every trial draws its randomness from a stream keyed by (seed, experiment
 kind, bucket, cycle), so results are bit-reproducible and independent of
-execution order.  Each experiment derives the streams of all its buckets
-(gate and input pairs, scouting classes or characterized cells) and cycles
-in one vectorized pass (``streams.trial_streams``); each stream equals
-``default_rng(SeedSequence(key))`` bit for bit.  Each array builds and
-resolves a drive once, and its trials replay it.
+execution order.  Each experiment derives the streams of all its trials in one
+vectorized pass over one integer grid of bucket keys (gate and input pair,
+scouting class or characterized cell) and cycles (``_bucket_streams``); each
+stream equals ``default_rng(SeedSequence(key))`` bit for bit.  Each array
+builds and resolves a drive once, and its trials replay it.
 
 A table's rows are tuples in column order, and its columns are stated once:
 the fields of its row type (``TraceRow``, ``DistributionSummary``,
 ``GapMargin``, ``NonSwitchingCaseReport``, ``SweepPoint``) or a column tuple
-next to the rows it heads.  ``export_table`` writes any of them as CSV or JSON.
+next to the rows it heads.  ``export_table`` writes any of them as CSV or JSON
+(a non-finite float is JSON null).
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import numpy as np
 
 from .array import ArrayTopology, CellAddress, CellArray, TopologyKind
 from .device import (
+    STATE_HRS,
+    STATE_LRS,
     TransistorModel,
     VariabilityParams,
     binarize,
@@ -231,6 +234,14 @@ class CharacterizationResult:
     hrs_log_spread: float
 
 
+def _bucket_streams(prefix: tuple[int, int], buckets: Sequence[tuple[int, ...]], cycles: int):
+    """The streams keyed ``(*prefix, *bucket, cycle)``, every cycle of one
+    bucket before the next bucket."""
+    buckets = np.asarray(buckets, dtype=np.int64)
+    return trial_streams(prefix, np.column_stack((
+        np.repeat(buckets, cycles, axis=0), np.tile(np.arange(cycles), len(buckets)))))
+
+
 # ---------------------------------------------------------------------------
 # 1T1R logic experiment
 # ---------------------------------------------------------------------------
@@ -248,9 +259,9 @@ def run_1t1r_experiment(config: ExperimentConfig,
     mappings = [(name, lookup_gate(library, name)) for name in config.gates]
     all_rows: list[TraceRow] = []
     report = FailureReport()
-    streams = trial_streams((config.seed, 10, gate_idx, p, q, cycle)
-                            for gate_idx in range(len(mappings))
-                            for p, q in INPUT_COMBOS for cycle in range(config.cycles))
+    streams = _bucket_streams((config.seed, 10), [
+        (gate_idx, p, q) for gate_idx in range(len(mappings)) for p, q in INPUT_COMBOS],
+        config.cycles)
     for gate_idx, (name, mapping) in enumerate(mappings):
         array = CellArray(config.topology, config.device, config.transistor,
                           seed=config.seed)
@@ -340,8 +351,8 @@ def sample_scouting_currents(config: ExperimentConfig, n: int,
     if include_single:
         classes += [(bit, [CellAddress(0, 0)]) for bit in ("0", "1")]
     samples = []
-    streams = trial_streams((config.seed, 20, len(input_class), int(input_class, 2), cycle)
-                            for input_class, _ in classes for cycle in range(config.cycles))
+    streams = _bucket_streams((config.seed, 20), [
+        (len(input_class), int(input_class, 2)) for input_class, _ in classes], config.cycles)
     for input_class, addrs in classes:
         array = CellArray(config.topology, config.device, config.transistor,
                           seed=config.seed)
@@ -456,26 +467,37 @@ def run_characterization(params: VariabilityParams,
     """Cycle each cell through SET/RESET and record both state resistances.
 
     One row per (cell, cycle) holds the LRS read after the SET pulse and the
-    HRS read after the RESET pulse.
+    HRS read after the RESET pulse.  A cell left in the wrong state by either
+    pulse (parameters out of the operating point's reach) is a ``ValueError``
+    naming the cell, the cycle and the parameters.
     """
     for name, value, least in (("cells", cells, 1), ("cycles", cycles, 1), ("seed", seed, 0)):
         require_int(name, value, least)
     transistor = transistor if transistor is not None else TransistorModel()
     topology = ArrayTopology(TopologyKind.STANDARD_1T1R, rows=1, cols=cells)
     volts = DEFAULT_VOLTAGES
+    phases = ((set_drive, STATE_LRS, f"{volts.v_te_set} V SET", "v_set_th_median",
+               "min_pulse_set"),
+              (reset_drive, STATE_HRS, f"{volts.v_be_reset} V RESET", "v_reset_th_median",
+               "min_pulse_reset"))
     rows = []
-    streams = trial_streams((seed, 32, ci, cycle)
-                            for ci in range(cells) for cycle in range(cycles))
+    streams = _bucket_streams((seed, 32), [(ci,) for ci in range(cells)], cycles)
     for ci in range(cells):
         array = CellArray(topology, params, transistor, seed=seed)
         addr = CellAddress(0, ci)
         array.form(addr)
+        cell = array.cell(addr)
         for cycle, rng in zip(range(cycles), streams):
-            array.apply_drive(array.drive(set_drive, addr), rng)
-            r_lrs = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
-            array.apply_drive(array.drive(reset_drive, addr), rng)
-            r_hrs = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
-            rows.append((ci, cycle, r_lrs, r_hrs))
+            reads = []
+            for build, state, pulse, *names in phases:
+                array.apply_drive(array.drive(build, addr), rng)
+                if cell.state != state:
+                    raise ValueError(
+                        f"cell {ci} is {cell.state.upper()} after the {volts.width} s, "
+                        f"{pulse} pulse of cycle {cycle}: " + ", ".join(
+                            f"device.{name} = {getattr(params, name)!r}" for name in names))
+                reads.append(array.read_cell(addr, volts.v_read, volts.v_g_read, rng))
+            rows.append((ci, cycle, *reads))
     lrs_values = [r[2] for r in rows]
     hrs_values = [r[3] for r in rows]
     ratio = (sum(hrs_values) / len(hrs_values)) / (sum(lrs_values) / len(lrs_values))
@@ -577,7 +599,7 @@ def find_overlap_sigma(config: ExperimentConfig, n: int, lo: float = 0.32,
 
 def _write_json(path: Path, payload) -> Path:
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
     return path
 
@@ -594,8 +616,10 @@ def export_table(name: str, columns: Sequence[str], rows: Iterable[tuple],
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(columns)
             writer.writerows(rows)
-    elif fmt == "json":
-        _write_json(path, [dict(zip(columns, row)) for row in rows])
+    elif fmt == "json":  # JSON has no NaN or infinity: a non-finite float is null
+        _write_json(path, [{column: None if isinstance(value, float)
+                            and not math.isfinite(value) else value
+                            for column, value in zip(columns, row)} for row in rows])
     else:
         raise ValueError(f"unknown export format {fmt!r} (csv or json)")
     return path

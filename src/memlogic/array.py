@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,22 +85,29 @@ class ArrayTopology:
 
 @dataclass(frozen=True)
 class LineDrive:
-    """Voltages applied on the array lines; unlisted lines are held at 0 V."""
+    """Voltages applied on the array lines; unlisted lines are held at 0 V.
+    The line maps are read-only copies, so ``key``, the drive's content (its
+    WL, SL and BL items and its width), is built once and never goes stale."""
 
-    wl: dict[int, float] = field(default_factory=dict)
-    sl: dict[int, float] = field(default_factory=dict)
-    bl: dict[int, float] = field(default_factory=dict)
+    wl: Mapping[int, float] = field(default_factory=dict)
+    sl: Mapping[int, float] = field(default_factory=dict)
+    bl: Mapping[int, float] = field(default_factory=dict)
     width: float = 1.0e-6
+    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("wl", "sl", "bl"):
-            for idx, volts in getattr(self, name).items():
+            lines = MappingProxyType(dict(getattr(self, name)))
+            for idx, volts in lines.items():
                 if not math.isfinite(volts):
                     raise ValueError(f"{name.upper()} {idx} voltage must be finite")
+            object.__setattr__(self, name, lines)
         if not math.isfinite(self.width):
             raise ValueError("width must be finite")
         if self.width <= 0:
             raise ValueError("width must be > 0")
+        object.__setattr__(self, "key", (tuple(self.wl.items()), tuple(self.sl.items()),
+                                         tuple(self.bl.items()), self.width))
 
 
 def check_parallel_distinct_voltages(topology: ArrayTopology,
@@ -219,9 +227,7 @@ class CellArray:
         the pulsed cells.  Each distinct drive is resolved (bounds, live cells,
         validated pulses) once per array, and replayed after that.
         """
-        key = (tuple(drive.wl.items()), tuple(drive.sl.items()),
-               tuple(drive.bl.items()), drive.width)
-        resolved = self._resolved.get(key)
+        resolved = self._resolved.get(drive.key)
         if resolved is None:
             topology = self.topology
             for name, lines, count in (("WL", drive.wl, topology.rows),
@@ -241,7 +247,7 @@ class CellArray:
                     v_be = drive.bl.get(topology.bl_of(addr), 0.0)
                     resolved.append((addr, self.cell(addr),
                                      Pulse(v_te, v_be, v_g, drive.width)))
-            self._resolved[key] = resolved
+            self._resolved[drive.key] = resolved
         events = []
         for addr, cell, pulse in resolved:
             try:

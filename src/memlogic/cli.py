@@ -213,7 +213,7 @@ def cmd_scouting(app: AppConfig, args: argparse.Namespace) -> int:
 def cmd_sweep(app: AppConfig, args: argparse.Namespace) -> int:
     if args.values:
         values = [float(v) for v in args.values.split(",") if v.strip()]
-    elif args.start is not None and args.stop is not None and args.steps:
+    elif args.start is not None and args.stop is not None and args.steps is not None:
         if args.steps < 1:
             print("sweep needs --steps >= 1", file=sys.stderr)
             return 2

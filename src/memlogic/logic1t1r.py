@@ -29,6 +29,7 @@ from .array import ArrayTopology, CellAddress, CellArray, LineDrive
 from .device import (
     STATE_HRS,
     STATE_LRS,
+    MemristorCell,
     NotFormedError,
     binarize,
 )
@@ -58,6 +59,7 @@ INPUT_PAIRS = tuple(itertools.product((0, 1), repeat=2))
 
 #: Each term's bits over the input pairs as a 4-bit vector, pair 00 highest.
 _TERM_VECTORS = dict(zip(TERM_ORDER, (0b0000, 0b1111, 0b0011, 0b1100, 0b0101, 0b1010)))
+_TERM_OF_VECTOR = {vector: term for term, vector in _TERM_VECTORS.items()}
 
 
 @dataclass(frozen=True)
@@ -178,19 +180,24 @@ def truth_table_of(mapping: ParamMapping) -> str:
 
 
 def truth_vector(g: Term, te: Term, be: Term, i: Term) -> int:
-    """``truth_table_of`` as a 4-bit vector, in bit operations: the output is
-    I, flipped by a case-4 SET (g te !be !i) and a case-5 RESET (g !te be i)."""
-    g, te, be, i = (_TERM_VECTORS[t] for t in (g, te, be, i))
+    """``truth_table_of`` as a 4-bit vector: ``_output_vector`` of the terms'."""
+    return _output_vector(*(_TERM_VECTORS[t] for t in (g, te, be, i)))
+
+
+def _output_vector(g: int, te: int, be: int, i: int) -> int:
+    """The output is I, flipped by a case-4 SET (g te !be !i) and a case-5
+    RESET (g !te be i)."""
     return i ^ (g & te & ~be & ~i) ^ (g & ~te & be & i)
 
 
 def _first_terms() -> dict[int, tuple[Term, Term, Term, Term]]:
     """The first (G, TE, BE, I) in search order realizing each truth vector."""
-    first: dict[int, tuple[Term, Term, Term, Term]] = {}
-    for terms in itertools.product(TERM_ORDER, repeat=4):
-        first.setdefault(truth_vector(*terms), terms)
+    first: dict[int, tuple[int, int, int, int]] = {}
+    for vectors in itertools.product(_TERM_VECTORS.values(), repeat=4):
+        first.setdefault(_output_vector(*vectors), vectors)
         if len(first) == 16:
-            return first
+            return {out: tuple(_TERM_OF_VECTOR[v] for v in vectors)
+                    for out, vectors in first.items()}
     raise RuntimeError("some truth table has no mapping")  # unreachable
 
 
@@ -311,18 +318,13 @@ class InitFailureError(RuntimeError):
         self.retries = retries
 
 
-def single_cell_drive(topology: ArrayTopology, addr: CellAddress, v_te: float,
-                      v_be: float, v_g: float, width: float) -> LineDrive:
-    """Drive one cell: its WL, its column SL and the BL its BE hangs on."""
-    return LineDrive(wl={addr.row: v_g}, sl={addr.col: v_te},
-                     bl={topology.bl_of(addr): v_be}, width=width)
-
-
 def logic_drive(topology: ArrayTopology, addr: CellAddress, g: int, te: int,
                 be: int) -> LineDrive:
-    """Drive one cell with the logic pulse of the resolved bits (g, te, be)."""
-    return single_cell_drive(topology, addr, *logic_pulse_voltages(g, te, be),
-                             DEFAULT_VOLTAGES.width)
+    """Drive one cell with the logic pulse of the resolved bits (g, te, be):
+    its WL, its column SL and the BL its BE hangs on."""
+    v_te, v_be, v_g = logic_pulse_voltages(g, te, be)
+    return LineDrive(wl={addr.row: v_g}, sl={addr.col: v_te},
+                     bl={topology.bl_of(addr): v_be}, width=DEFAULT_VOLTAGES.width)
 
 
 #: The writes are logic pulses: SET is case 4's (g, te, be), RESET case 5's.
@@ -341,6 +343,20 @@ def reset_drive(topology: ArrayTopology, addr: CellAddress) -> LineDrive:
 INIT_RETRIES = 3
 
 
+def _pulse_towards(array: CellArray, addr: CellAddress, cell: MemristorCell, target: int,
+                   rng: np.random.Generator) -> None:
+    """One write towards ``target``: RESET switches an LRS cell or re-draws an HRS
+    value; before a SET an LRS cell cycles through HRS to re-draw its LRS value."""
+    if target != 1 or cell.state == STATE_LRS:
+        array.apply_drive(array.drive(logic_drive, addr, *RESET_BITS), rng)
+    if target == 1:
+        array.apply_drive(array.drive(logic_drive, addr, *SET_BITS), rng)
+
+
+#: The verify and output reads' voltages (read, gate) at the operating point.
+_V_READ, _V_G_READ = DEFAULT_VOLTAGES.v_read, DEFAULT_VOLTAGES.v_g_read
+
+
 def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: int,
                     rng: np.random.Generator, refresh: bool = False,
                     verify: bool = True) -> tuple[float, int]:
@@ -357,40 +373,30 @@ def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: 
     boundary, which truncates the state distributions there; stress analyses
     that need the raw tails should disable verification.
     """
-    addr = CellAddress(*addr)
+    if not isinstance(addr, CellAddress):
+        addr = CellAddress(*addr)
     cell = array.cell(addr)
     if not cell.is_formed:
         raise NotFormedError(f"cell {tuple(addr)} is pristine; form it first")
-    volts = DEFAULT_VOLTAGES
-
-    def pulse_towards(target: int) -> None:
-        # RESET switches an LRS cell and re-draws a resident HRS value; before
-        # a SET, an LRS cell cycles through HRS so its LRS value is re-drawn.
-        if target != 1 or cell.state == STATE_LRS:
-            array.apply_drive(array.drive(logic_drive, addr, *RESET_BITS), rng)
-        if target == 1:
-            array.apply_drive(array.drive(logic_drive, addr, *SET_BITS), rng)
-
     if not verify:
-        pulses = 0
-        target_state = STATE_LRS if bit == 1 else STATE_HRS
-        if refresh or cell.state != target_state:
-            pulse_towards(bit)
-            pulses += 1
-        return cell.resistance, pulses
+        if refresh or cell.state != (STATE_LRS if bit == 1 else STATE_HRS):
+            _pulse_towards(array, addr, cell, bit, rng)
+            return cell.resistance, 1
+        return cell.resistance, 0
 
+    boundary = array.boundary
     pulses = 0
-    r = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
+    r = array.read_cell(addr, _V_READ, _V_G_READ, rng)
     if refresh:
-        pulse_towards(bit)
+        _pulse_towards(array, addr, cell, bit, rng)
         pulses += 1
-        r = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
-    while binarize(r, array.boundary) != bit:
+        r = array.read_cell(addr, _V_READ, _V_G_READ, rng)
+    while binarize(r, boundary) != bit:
         if pulses > INIT_RETRIES:
             raise InitFailureError(addr, bit, INIT_RETRIES)
-        pulse_towards(bit)
+        _pulse_towards(array, addr, cell, bit, rng)
         pulses += 1
-        r = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
+        r = array.read_cell(addr, _V_READ, _V_G_READ, rng)
     return r, pulses
 
 
@@ -403,12 +409,11 @@ def execute_gate(array: CellArray, addr: CellAddress | tuple[int, int],
     when it already matches), then the single logic pulse is fired through the
     array lines, and the output is the binarized post-pulse read.
     """
-    addr = CellAddress(*addr)
-    volts = DEFAULT_VOLTAGES
+    if not isinstance(addr, CellAddress):
+        addr = CellAddress(*addr)
     ev = evaluate_mapping(mapping, p, q)
     r_init, retries = initialize_cell(array, addr, ev.i, rng)
     array.apply_drive(array.drive(logic_drive, addr, ev.g, ev.te, ev.be), rng)
-    r_final = array.read_cell(addr, volts.v_read, volts.v_g_read, rng)
+    r_final = array.read_cell(addr, _V_READ, _V_G_READ, rng)
     return GateTrace(ev.case_id, r_init, r_final, binarize(r_final, array.boundary),
                      ev.output, retries)
-

@@ -1,20 +1,21 @@
 """Keyed random streams, derived in bulk.
 
 Every Monte Carlo trial draws from ``default_rng(SeedSequence(key))`` for its
-integer key tuple.  Building that SeedSequence costs tens of microseconds in
-Python, more than a short trial, so ``pcg64_states`` reproduces the derivation
-for many keys at once in vectorized uint32 arithmetic: O'Neill's ``seed_seq``
-hash mixing into a 4-word pool, ``generate_state(4, uint64)``, then PCG64's
-seeding step.  ``trial_streams`` re-keys one generator to each derived state
-in turn.  The streams are bit for bit those of ``SeedSequence``; the tests
-check the states and the first draws against numpy.
+integer key: an experiment's prefix ``(seed, kind)`` followed by one row of
+small ints (bucket and cycle).  Building that SeedSequence costs tens of
+microseconds in Python, more than a short trial, so ``trial_streams`` takes
+the rows as one integer grid and reproduces the derivation for all of them in
+vectorized uint32 arithmetic: O'Neill's ``seed_seq`` hash mixing into a
+4-word pool, ``generate_state(4, uint64)``, then PCG64's seeding step, after
+which it re-keys one generator to each derived state in turn.  The streams
+are bit for bit those of ``SeedSequence``; the tests check the states and the
+first draws against numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,34 +31,26 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 PASS_KEYS = 4096  # keys per derivation pass of ``trial_streams``
 
 
-def _words(key: Sequence[int], split: dict[int, list[int]]) -> list[int]:
-    """Little-endian 32-bit words of each int, concatenated (0 is one word);
-    ``split`` keeps the words of each value met, so each is split once."""
+def _words(key: Sequence[int]) -> list[int]:
+    """Little-endian 32-bit words of each int, concatenated (0 is one word)."""
     words: list[int] = []
-    for value in key:
-        value = operator.index(value)
-        part = split.get(value)
-        if part is None:
-            if value < 0:
-                raise ValueError(f"stream key values must be >= 0, got {value}")
-            part = split[value] = [(value >> shift) & _MASK32
-                                   for shift in range(0, max(value.bit_length(), 1), 32)]
-        words += part
+    for value in map(operator.index, key):
+        if value < 0:
+            raise ValueError(f"stream key values must be >= 0, got {value}")
+        words += [(value >> shift) & _MASK32
+                  for shift in range(0, max(value.bit_length(), 1), 32)]
     return words
 
 
-class _HashConst:
-    """The running multiplier of seed_seq's hashmix; it never depends on data."""
-
-    def __init__(self, init: int, mult: int):
-        self.value = init
-        self.mult = mult
-
-    def mix(self, data: np.ndarray) -> np.ndarray:
-        data = data ^ np.uint32(self.value)
-        self.value = (self.value * self.mult) & _MASK32
-        data = data * np.uint32(self.value)
+def _hashmix(value: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """seed_seq's hashmix; its running multiplier never depends on data."""
+    def mix(data: np.ndarray) -> np.ndarray:
+        nonlocal value
+        data = data ^ np.uint32(value)
+        value = (value * mult) & _MASK32
+        data = data * np.uint32(value)
         return data ^ (data >> _XSHIFT)
+    return mix
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -69,61 +62,57 @@ def _pool_state(words: np.ndarray) -> np.ndarray:
     """``SeedSequence(key).generate_state(4, uint64)`` for a (keys, words) array
     of keys that all have the same word count."""
     n_words = words.shape[1]
-    hash_a = _HashConst(_INIT_A, _MULT_A)
+    hash_a = _hashmix(_INIT_A, _MULT_A)
     zeros = np.zeros(words.shape[0], dtype=np.uint32)
-    pool = [hash_a.mix(words[:, i] if i < n_words else zeros) for i in range(_POOL_SIZE)]
+    pool = [hash_a(words[:, i] if i < n_words else zeros) for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                pool[dst] = _mix(pool[dst], hash_a.mix(pool[src]))
+                pool[dst] = _mix(pool[dst], hash_a(pool[src]))
     for src in range(_POOL_SIZE, n_words):
         for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hash_a.mix(words[:, src]))
-    hash_b = _HashConst(_INIT_B, _MULT_B)
-    state = np.stack([hash_b.mix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)],
+            pool[dst] = _mix(pool[dst], hash_a(words[:, src]))
+    hash_b = _hashmix(_INIT_B, _MULT_B)
+    state = np.stack([hash_b(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)],
                      axis=1)
     return np.ascontiguousarray(state, dtype="<u4").view("<u8")
 
 
-def pcg64_states(keys: Sequence[Sequence[int]]) -> list[dict]:
-    """``default_rng(SeedSequence(key)).bit_generator.state`` for every key.
+def trial_streams(prefix: Sequence[int], grid: np.ndarray) -> Iterator[np.random.Generator]:
+    """One generator per row of ``grid``, equal to
+    ``default_rng(SeedSequence((*prefix, *row)))``.
 
-    Keys are tuples of non-negative ints; a negative value raises
-    ``ValueError`` (it is never wrapped), a non-integer ``TypeError``.
+    ``prefix`` holds non-negative ints of any size; ``grid`` is a 2-D integer
+    array of values in [0, 2**32), one seed word each.  A bad key raises here:
+    a negative or too large value ``ValueError``, a non-integer ``TypeError``.
+    States are derived in passes of ``PASS_KEYS`` rows.  The iterator yields
+    one reused generator, re-keyed per row, so draw from it before advancing.
     """
-    split: dict[int, list[int]] = {}
-    key_words = [_words(key, split) for key in keys]
-    by_length: dict[int, list[int]] = {}
-    for index, words in enumerate(key_words):
-        by_length.setdefault(len(words), []).append(index)
-    states: list = [None] * len(key_words)
-    for indices in by_length.values():
-        words = np.array([key_words[i] for i in indices], dtype=np.uint32)
-        for index, (s_hi, s_lo, q_hi, q_lo) in zip(indices, _pool_state(words).tolist()):
-            inc = (((q_hi << 64) | q_lo) << 1 | 1) & _MASK128
-            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-            states[index] = {"bit_generator": "PCG64",
-                             "state": {"state": state, "inc": inc},
-                             "has_uint32": 0, "uinteger": 0}
-    return states
+    head = _words(prefix)
+    grid = np.asarray(grid)
+    if grid.ndim != 2 or grid.dtype.kind not in "iu":
+        raise TypeError(f"stream key grid must be a 2-D integer array, "
+                        f"got {grid.dtype} of shape {grid.shape}")
+    for bad in (grid.min(), grid.max()) if grid.size else ():
+        if not 0 <= bad <= _MASK32:
+            raise ValueError(f"stream key grid values must lie in [0, 2**32), got {bad}")
+    return _rekeyed(head, grid)
 
 
-def trial_streams(keys: Iterable[Sequence[int]]) -> Iterator[np.random.Generator]:
-    """One generator per key, equal to ``default_rng(SeedSequence(key))``.
-
-    States are derived in passes of ``PASS_KEYS`` keys, the first up front (a
-    bad key in it raises here).  The iterator yields one reused generator,
-    re-keyed for each key, so draw from it before advancing.
-    """
-    keys = iter(keys)
+def _rekeyed(head: list[int], grid: np.ndarray) -> Iterator[np.random.Generator]:
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-
-    def rekeyed(states: list[dict]) -> Iterator[np.random.Generator]:
-        while states:
-            for state in states:
-                bit_generator.state = state
-                yield rng
-            states = pcg64_states(list(itertools.islice(keys, PASS_KEYS)))
-
-    return rekeyed(pcg64_states(list(itertools.islice(keys, PASS_KEYS))))
+    pcg = {"state": 0, "inc": 1}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for start in range(0, len(grid), PASS_KEYS):
+        rows = grid[start:start + PASS_KEYS]
+        words = np.empty((len(rows), len(head) + rows.shape[1]), dtype=np.uint32)
+        words[:, :len(head)] = head
+        words[:, len(head):] = rows
+        for s_hi, s_lo, q_hi, q_lo in _pool_state(words).tolist():
+            # PCG64 seeding: inc = (initseq << 1) | 1, state = (inc + initstate)·M + inc.
+            inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+            pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            pcg["inc"] = inc
+            bit_generator.state = state
+            yield rng

@@ -22,7 +22,11 @@ from memlogic.analysis import (
     run_scouting_experiment,
     sweep_parameter,
 )
+from memlogic import analysis as analysis_module
 from memlogic import array as array_module
+from memlogic import device as device_module
+from memlogic import logic1t1r as logic_module
+from memlogic import scouting as scouting_module
 from memlogic.array import CellArray, LineDrive
 from memlogic.device import Pulse, VariabilityParams, default_boundary
 
@@ -249,6 +253,19 @@ def test_summary_roundtrip(tmp_path):
         assert read_summaries(path) == result.summaries
 
 
+def test_json_tables_write_non_finite_floats_as_null(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    path = export_table("t", ("a", "b", "c"), [(nan, -inf, 1.5), ("x", 2, inf)],
+                        tmp_path, "json")
+    assert json.loads(path.read_text()) == [{"a": None, "b": None, "c": 1.5},
+                                            {"a": "x", "b": 2, "c": None}]
+    csv_text = export_table("t", ("a", "b"), [(nan, inf)], tmp_path, "csv").read_text()
+    assert csv_text == "a,b\nnan,inf\n"
+    # Any other non-finite value is refused, never written as a bare NaN.
+    with pytest.raises(ValueError):
+        analysis_module._write_json(tmp_path / "report.json", {"ratio": nan})
+
+
 def test_export_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         export_table("traces", TraceRow._fields, [], tmp_path, "xml")
@@ -357,3 +374,40 @@ def test_each_drive_is_validated_once_per_array(monkeypatch, run):
     assert applied["drives"] > 10 * len(distinct)
     assert built["LineDrive"] <= len(distinct)
     assert built["Pulse"] <= applied["form_pulses"] + sum(distinct.values())
+
+
+# ------------------------------------------------------------- work done
+
+#: Calls per default run at seed 7, recorded before the trial path was leaned
+#: up: a cut in per-call overhead must not skip a pulse, a read or a write.
+WORK_AT_SEED_7 = {
+    "gate": {"apply_pulse": 1283, "read_resistance": 3702, "apply_drive": 2102,
+             "initialize_cell": 1600},
+    "scouting": {"apply_pulse": 1708, "read_resistance": 3000, "apply_drive": 1500,
+                 "initialize_cell": 1000},
+}
+
+
+@pytest.mark.parametrize("run", [run_1t1r_experiment, run_scouting_experiment],
+                         ids=["gate", "scouting"])
+def test_default_runs_do_the_pinned_work(monkeypatch, request, run):
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    # Each counted function is replaced in every module that binds it by name.
+    for home, name, users in ((device_module, "apply_pulse", (array_module,)),
+                              (device_module, "read_resistance", (array_module,)),
+                              (logic_module, "initialize_cell", (scouting_module,))):
+        counted = counting(name, getattr(home, name))
+        for module in (home, *users):
+            monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(CellArray, "apply_drive",
+                        counting("apply_drive", CellArray.apply_drive))
+    result = run(ExperimentConfig(seed=7))
+    assert result.report.failures == result.report.errors == 0
+    assert dict(calls) == WORK_AT_SEED_7[request.node.callspec.id]

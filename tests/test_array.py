@@ -119,6 +119,31 @@ def test_line_drive_rejects_bad_width():
             LineDrive(width=width)
 
 
+LINES = st.dictionaries(st.integers(0, 3), st.sampled_from([0.0, 0.1, 1.3, 1.6, 3.0]),
+                        max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wl=LINES, sl=LINES, bl=LINES, extra=st.integers(0, 3))
+def test_line_drive_lines_cannot_change_after_it_is_built(wl, sl, bl, extra):
+    """A drive keeps the content it was built with, so its key never goes stale."""
+    drive = LineDrive(wl=wl, sl=sl, bl=bl)
+    key = (tuple(wl.items()), tuple(sl.items()), tuple(bl.items()), drive.width)
+    assert drive.key == key
+    for name, source in (("wl", wl), ("sl", sl), ("bl", bl)):
+        lines = getattr(drive, name)
+        source[extra] = 9.9  # the caller's dict is not the drive's
+        with pytest.raises(TypeError):
+            lines[extra] = 9.9
+        with pytest.raises(TypeError):
+            del lines[next(iter(lines), extra)]
+        with pytest.raises(AttributeError):
+            setattr(drive, name, {extra: 9.9})
+    assert drive.key == key
+    assert (dict(drive.wl), dict(drive.sl), dict(drive.bl)) == tuple(
+        dict(items) for items in key[:3])
+
+
 def test_line_bounds_checked():
     array, rng = CellArray(STD, PARAMS), np.random.default_rng(0)
     with pytest.raises(ValueError, match="WL index 9"):

@@ -221,6 +221,10 @@ def test_cli_sweep_bad_usage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("unknown device parameter 'not_a_param'; one of ['hrs_median', ")
     assert err.count("\n") == 1
+    # --steps 0 is given, so it is named rather than taken for a missing flag.
+    assert main(["sweep", "hrs_sigma_c2c", "--start", "0.1", "--stop", "1.2", "--steps",
+                 "0", "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "sweep needs --steps >= 1\n"
 
 
 def test_cli_config_positional_and_overrides(tmp_path, capsys):
@@ -470,3 +474,42 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "OR p=1 q=1 -> 1" in proc.stdout
     assert (tmp_path / "traces.csv").exists()
+
+
+@pytest.mark.parametrize("config_line, flags", [("", ["--preset", "fig1f-nominal"]),
+                                                 ("device.min_pulse_reset = 3e-6\n", [])],
+                         ids=["preset", "config"])
+def test_cli_characterize_that_cannot_switch_exits_2(tmp_path, capsys, config_line, flags):
+    """A cell the operating point cannot RESET would export LRS reads as HRS."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_line)
+    argv = [str(cfg), "characterize", "--cells", "2", "--cycles", "3", *flags,
+            "-o", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("cell 0 is LRS after the 1e-06 s, 1.6 V RESET pulse of "
+                                   "cycle 0: device.v_reset_th_median = ")
+    assert "device.min_pulse_reset = 3e-06" in captured.err
+    assert not (tmp_path / "out" / "characterize.csv").exists()
+
+
+def test_cli_json_exports_hold_no_bare_nan(tmp_path, capsys):
+    """Overlapping classes leave the margins without references: JSON null."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("device.hrs_median = 10000\ndevice.hrs_sigma_c2c = 1.0\n")
+    out = tmp_path / "out"
+    argv = [str(cfg), "scouting", "--cycles", "30", "--seed", "9"]
+    assert main([*argv, "--format", "json", "-o", str(out)]) == 1
+    assert main([*argv, "-o", str(tmp_path / "csv")]) == 1
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    for path in sorted(out.glob("*.json")):
+        json.loads(path.read_text(), parse_constant=reject)
+    margins = json.loads((out / "margins.json").read_text())
+    assert [m["reference_a"] for m in margins] == [None, None, None]
+    # CSV keeps writing the float as Python does.
+    assert (tmp_path / "csv" / "margins.csv").read_text().count(",nan\n") == 3
