@@ -56,7 +56,7 @@ from .scouting import (
     OverlapError,
     ReferenceLevels,
     class_gaps,
-    classify,
+    classify_bucket,
     expected_bit,
     input_patterns,
     place_references,
@@ -242,6 +242,22 @@ def _bucket_streams(prefix: tuple[int, int], buckets: Sequence[tuple[int, ...]],
         np.repeat(buckets, cycles, axis=0), np.tile(np.arange(cycles), len(buckets)))))
 
 
+def _require_switching_pulse(params: VariabilityParams) -> None:
+    """Reject a pulse minimum longer than the operating point's pulse, under
+    which no write can switch; checked before any array is built."""
+    for name in ("min_pulse_set", "min_pulse_reset"):
+        if getattr(params, name) > DEFAULT_VOLTAGES.width:
+            raise ValueError(f"device.{name} = {getattr(params, name)!r} is longer than "
+                             f"the {DEFAULT_VOLTAGES.width} s pulse of the operating point")
+
+
+def _reject_repeats(kind: str, names: Sequence[str], keys: list) -> None:
+    """Reject a name whose key (its resolved gate or op) an earlier name had."""
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ValueError(f"{kind} {names[i]!r} repeats {names[keys.index(key)]!r}")
+
+
 # ---------------------------------------------------------------------------
 # 1T1R logic experiment
 # ---------------------------------------------------------------------------
@@ -257,6 +273,8 @@ def run_1t1r_experiment(config: ExperimentConfig,
     if library is None:
         library = default_gate_library()
     mappings = [(name, lookup_gate(library, name)) for name in config.gates]
+    _reject_repeats("gate", config.gates, [mapping for _, mapping in mappings])
+    _require_switching_pulse(config.device)
     all_rows: list[TraceRow] = []
     report = FailureReport()
     streams = _bucket_streams((config.seed, 10), [
@@ -346,10 +364,10 @@ def sample_scouting_currents(config: ExperimentConfig, n: int,
     if n > config.topology.rows:
         raise ValueError(f"n={n} input cells do not fit in one column of "
                          f"{config.topology.rows} rows")
-    classes: list[tuple[str, list[CellAddress]]] = [
-        (pattern, [CellAddress(r, 0) for r in range(n)]) for pattern in input_patterns(n)]
+    classes: list[tuple[str, tuple[CellAddress, ...]]] = [
+        (pattern, tuple(CellAddress(r, 0) for r in range(n))) for pattern in input_patterns(n)]
     if include_single:
-        classes += [(bit, [CellAddress(0, 0)]) for bit in ("0", "1")]
+        classes += [(bit, (CellAddress(0, 0),)) for bit in ("0", "1")]
     samples = []
     streams = _bucket_streams((config.seed, 20), [
         (len(input_class), int(input_class, 2)) for input_class, _ in classes], config.cycles)
@@ -359,10 +377,8 @@ def sample_scouting_currents(config: ExperimentConfig, n: int,
         for addr in addrs:
             array.form(addr)
         for cycle, rng in zip(range(config.cycles), streams):
-            write_inputs(array, addrs, input_class, rng, refresh=True, verify=verify)
-            current = scout_current(array, addrs, rng)
-            samples.append(CurrentSample(input_class=input_class, current=current,
-                                         cycle=cycle))
+            write_inputs(array, addrs, input_class, rng, True, verify)
+            samples.append(CurrentSample(input_class, scout_current(array, addrs, rng), cycle))
     return samples
 
 
@@ -402,6 +418,8 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
     for op in ops:
         if op not in SCOUTING_OPS:
             raise ValueError(f"unknown scouting op {op!r}; expected one of {SCOUTING_OPS}")
+    _reject_repeats("scouting op", config.scouting_ops, list(ops))
+    _require_switching_pulse(config.device)
     n = config.n_inputs
     if n < 2:
         raise ValueError("scouting needs at least two input cells")
@@ -433,17 +451,16 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
     report = FailureReport()
     for op in ops:
         for input_class in ("0", "1") if op == "read" else input_patterns(n):
-            bucket = BucketStats(label=f"{op}/{input_class}",
-                                 expected=expected_bit(op, input_class))
-            for s in by_class[input_class]:
-                bucket.trials += 1
-                failed = (refs is None  # collapsed gap: nothing to compare against
-                          or classify(s.current, refs, op) != bucket.expected)
-                if failed:
-                    bucket.failures += 1
-                    if report.first_failure is None:
-                        report.first_failure = (config.seed, bucket.label, s.cycle)
-            report.buckets.append(bucket)
+            label, expected = f"{op}/{input_class}", expected_bit(op, input_class)
+            class_samples = by_class[input_class]
+            if refs is None:  # collapsed gap: nothing to compare against
+                failed = [s.cycle for s in class_samples]
+            else:
+                bits = classify_bucket([s.current for s in class_samples], refs, op)
+                failed = [s.cycle for s, bit in zip(class_samples, bits) if bit != expected]
+            if failed and report.first_failure is None:
+                report.first_failure = (config.seed, label, failed[0])
+            report.buckets.append(BucketStats(label, expected, len(class_samples), len(failed)))
 
     summaries = []
     grouped: dict[str, list[float]] = defaultdict(list)

@@ -183,6 +183,7 @@ class CellArray:
         self.cells: dict[CellAddress, MemristorCell] = {}
         self._built: dict[tuple, LineDrive] = {}  # by builder and arguments
         self._resolved: dict[tuple, list] = {}  # (addr, cell, pulse)s by drive content
+        self._selections: dict[tuple, tuple[CellAddress, ...]] = {}  # validated reads
 
     def cell(self, addr: CellAddress | tuple[int, int]) -> MemristorCell:
         """The cell at ``addr``, sampled from ``(seed, 0, row, col)`` on first touch."""
@@ -257,11 +258,27 @@ class CellArray:
             events.append((addr, event))
         return events
 
+    def parallel_selection(self, addrs: Sequence) -> tuple[CellAddress, ...]:
+        """``addrs`` as addresses the wiring can read in parallel, validated once per
+        array (``validate_parallel_selection``); an invalid one raises every time."""
+        key = tuple(addrs)
+        try:
+            return self._selections[key]
+        except (KeyError, TypeError):  # not validated yet, or an unhashable address
+            selection = tuple(CellAddress(*a) for a in key)
+        validate_parallel_selection(self.topology, selection)
+        self._selections[selection] = selection
+        return selection
+
     def read_cell(self, addr: CellAddress | tuple[int, int], v_read: float,
                   v_g: float, rng: np.random.Generator) -> float:
         """The cell's noisy read resistance; a 0 Ohm read (its infinite
         conductance) is a ``ValueError`` naming the medians."""
-        r = read_resistance(self.cell(addr), v_read, v_g, self.transistor, rng)
+        try:  # a sampled cell in one lookup
+            cell = self.cells[addr]
+        except (KeyError, TypeError):
+            cell = self.cell(addr)
+        r = read_resistance(cell, v_read, v_g, self.transistor, rng)
         if r == 0.0:
             require_finite_result("read conductance", math.inf, self.params)
         return r

@@ -214,7 +214,9 @@ def _positive_normal(rng: np.random.Generator, mean: float, sigma: float) -> flo
 
 
 def _lognormal_around(rng: np.random.Generator, median: float, sigma: float) -> float:
-    return median * math.exp(rng.normal(0.0, sigma))
+    """``median * exp(N(0, sigma))``: ``rng.normal(0.0, sigma)`` is ``0.0 + sigma *
+    rng.standard_normal()``, the same draw without the argument checks."""
+    return median * math.exp(sigma * rng.standard_normal())
 
 
 def sample_fresh_cell(params: VariabilityParams, rng: np.random.Generator,
@@ -242,38 +244,30 @@ def sample_fresh_cell(params: VariabilityParams, rng: np.random.Generator,
     return cell
 
 
-def _draw_lrs(cell: MemristorCell, rng: np.random.Generator) -> float:
-    """Fresh LRS value, resampled so it stays below the cell's realized HRS."""
+def _enter_lrs(cell: MemristorCell, rng: np.random.Generator) -> None:
+    """Switch to a fresh LRS value, resampled until below the realized HRS."""
     ceiling = cell.last_hrs if cell.last_hrs is not None else cell.hrs_median_cell
-    value = _lognormal_around(rng, cell.lrs_median_cell, cell.params.lrs_sigma_c2c)
+    median, sigma = cell.lrs_median_cell, cell.params.lrs_sigma_c2c
+    value = median * math.exp(sigma * rng.standard_normal())  # _lognormal_around
     tries = 0
     while value >= ceiling and tries < _MAX_REJECTION_TRIES:
-        value = _lognormal_around(rng, cell.lrs_median_cell, cell.params.lrs_sigma_c2c)
+        value = median * math.exp(sigma * rng.standard_normal())
         tries += 1
-    return min(value, math.nextafter(ceiling, 0.0))
-
-
-def _draw_hrs(cell: MemristorCell, rng: np.random.Generator) -> float:
-    """Fresh HRS value, resampled so it stays above the cell's realized LRS."""
-    floor = cell.last_lrs if cell.last_lrs is not None else cell.lrs_median_cell
-    value = _lognormal_around(rng, cell.hrs_median_cell, cell.params.hrs_sigma_c2c)
-    tries = 0
-    while value <= floor and tries < _MAX_REJECTION_TRIES:
-        value = _lognormal_around(rng, cell.hrs_median_cell, cell.params.hrs_sigma_c2c)
-        tries += 1
-    return max(value, math.nextafter(floor, math.inf))
-
-
-def _enter_lrs(cell: MemristorCell, rng: np.random.Generator) -> None:
-    cell.resistance = _draw_lrs(cell, rng)
+    cell.resistance = cell.last_lrs = min(value, math.nextafter(ceiling, 0.0))
     cell.state = STATE_LRS
-    cell.last_lrs = cell.resistance
 
 
 def _enter_hrs(cell: MemristorCell, rng: np.random.Generator) -> None:
-    cell.resistance = _draw_hrs(cell, rng)
+    """Switch to a fresh HRS value, resampled until above the realized LRS."""
+    floor = cell.last_lrs if cell.last_lrs is not None else cell.lrs_median_cell
+    median, sigma = cell.hrs_median_cell, cell.params.hrs_sigma_c2c
+    value = median * math.exp(sigma * rng.standard_normal())  # _lognormal_around
+    tries = 0
+    while value <= floor and tries < _MAX_REJECTION_TRIES:
+        value = median * math.exp(sigma * rng.standard_normal())
+        tries += 1
+    cell.resistance = cell.last_hrs = max(value, math.nextafter(floor, math.inf))
     cell.state = STATE_HRS
-    cell.last_hrs = cell.resistance
 
 
 def apply_pulse(cell: MemristorCell, pulse: Pulse, transistor: TransistorModel,
@@ -298,7 +292,7 @@ def apply_pulse(cell: MemristorCell, pulse: Pulse, transistor: TransistorModel,
     super-threshold differential; the single-ended calibration of this model
     cannot be trusted for such drives.
     """
-    if not transistor.is_on(pulse.v_g):
+    if not pulse.v_g >= transistor.v_g_on_threshold:  # ``transistor.is_on``, inlined
         return SwitchEvent.NONE
     diff = pulse.v_te - pulse.v_be
     if (pulse.v_te >= cell.v_set_th and pulse.v_be >= cell.v_reset_th
@@ -333,15 +327,15 @@ def read_resistance(cell: MemristorCell, v_read: float, v_g: float,
     ``inf`` (open circuit).  The read voltage must sit below the cell's SET
     threshold so the read cannot disturb the state.
     """
-    if not transistor.is_on(v_g):
+    if not v_g >= transistor.v_g_on_threshold:  # ``transistor.is_on``, inlined
         return math.inf
     if not 0 <= v_read < cell.v_set_th:
         raise ValueError(f"v_read={v_read} is not disturb-free for {cell.cell_id}")
     if cell.state == STATE_PRISTINE:
         return cell.resistance + transistor.r_on
     sigma = (cell.params.read_noise_lrs if cell.state == STATE_LRS
-             else cell.params.read_noise_hrs)
-    return cell.resistance * math.exp(rng.normal(0.0, sigma)) + transistor.r_on
+             else cell.params.read_noise_hrs)  # ``_lognormal_around``, inlined
+    return cell.resistance * math.exp(sigma * rng.standard_normal()) + transistor.r_on
 
 
 def binarize(resistance: float, r_boundary: float) -> int:

@@ -13,13 +13,14 @@ device.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .array import CellAddress, CellArray, validate_parallel_selection
+from .array import CellAddress, CellArray
 from .device import require_finite_result
 from .logic1t1r import DEFAULT_VOLTAGES, initialize_cell
 
@@ -31,6 +32,7 @@ OP_TABLE: dict[str, Callable[[int, int], bool]] = {
     "xor": lambda k, n: k % 2 == 1,
 }
 SCOUTING_OPS = tuple(OP_TABLE)
+_BITS = {0: 0, 1: 1, "0": 0, "1": 1}  # the bit each input symbol stores
 
 
 def expected_bit(op: str, input_class: str) -> int:
@@ -82,17 +84,17 @@ PAPER_REFS = ReferenceLevels(levels=(11.55e-6, 32.74e-6), i_read=7.25e-6)
 REFERENCE_PRESETS: dict[str, ReferenceLevels] = {"paper-refs": PAPER_REFS}
 
 
-@dataclass(frozen=True)
-class CurrentSample:
-    """One measured read current for a given input bit pattern."""
+class CurrentSample(NamedTuple("_CurrentSample", [("input_class", str), ("current", float),
+                                                  ("cycle", int)])):
+    """One measured read current for a given input bit pattern (immutable)."""
 
-    input_class: str
-    current: float
-    cycle: int = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so ``_replace`` checks, too
 
-    def __post_init__(self) -> None:
-        if self.current < 0:
+    def __new__(cls, input_class: str, current: float, cycle: int = 0):
+        if current < 0:
             raise ValueError("current must be >= 0")
+        return tuple.__new__(cls, (input_class, current, cycle))
 
 
 class OverlapError(RuntimeError):
@@ -112,18 +114,21 @@ class OverlapError(RuntimeError):
 def write_inputs(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
                  bits: Sequence[int] | str, rng: np.random.Generator,
                  refresh: bool = False, verify: bool = True) -> None:
-    """Store one bit per cell, with read-verify and retry.
+    """Store one bit (0, 1, "0" or "1") per cell, with read-verify and retry.
 
     ``refresh=True`` forces a fresh resistance draw even when the binary state
     already matches, so repeated trials see cycle-to-cycle variability.
     ``verify=False`` skips the read-back loop (used by stress analyses that
     must not truncate the state tails).
     """
-    bit_list = [int(b) for b in bits]
+    try:
+        bit_list = [_BITS[b] for b in bits]
+    except (KeyError, TypeError):  # checked before any pulse
+        raise ValueError(f"input bits must be 0 or 1, got {bits!r}") from None
     if len(addrs) != len(bit_list):
         raise ValueError("need exactly one bit per address")
     for addr, bit in zip(addrs, bit_list):
-        initialize_cell(array, addr, bit, rng, refresh=refresh, verify=verify)
+        initialize_cell(array, addr, bit, rng, refresh, verify)
 
 
 def scout_current(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
@@ -131,14 +136,11 @@ def scout_current(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int
     """Simultaneous read of the selected cells at the operating point: the read
     voltage times the summed conductance of the noisy per-cell resistances.
     States are not disturbed; a current beyond the float range is a ``ValueError``.
+    The selection is validated once per array (``CellArray.parallel_selection``).
     """
-    cell_addrs = [CellAddress(*a) for a in addrs]
-    validate_parallel_selection(array.topology, cell_addrs)
-    v_read, v_wl = DEFAULT_VOLTAGES.v_read, DEFAULT_VOLTAGES.v_g_read
-    conductance = 0.0
-    for addr in cell_addrs:
-        r = array.read_cell(addr, v_read, v_wl, rng)
-        conductance += 1.0 / r
+    v_read, v_wl, conductance = DEFAULT_VOLTAGES.v_read, DEFAULT_VOLTAGES.v_g_read, 0.0
+    for addr in array.parallel_selection(addrs):
+        conductance += 1.0 / array.read_cell(addr, v_read, v_wl, rng)
     return require_finite_result("read current", v_read * conductance, array.params)
 
 
@@ -213,21 +215,31 @@ def place_references(samples: Sequence[CurrentSample]) -> ReferenceLevels:
     return ReferenceLevels(levels=levels, i_read=i_read)
 
 
-def classify(current: float, refs: ReferenceLevels, op: str) -> int:
-    """Compare one read current against the references for the given op.
+def classify_bucket(currents: Iterable[float], refs: ReferenceLevels,
+                    op: str) -> list[int]:
+    """Compare each read current against the references for the given op.
 
-    The number of levels below the current is the popcount the op is applied
-    to; READ compares against ``i_read`` as a one-cell read.  A current equal
-    to a level maps to 0 (ideal comparator, conservative tie-break).
+    The number of levels below a current (``bisect_left`` over the strictly
+    ascending levels) is the popcount the op is applied to; READ compares
+    against ``i_read`` as a one-cell read.  A current equal to a level maps to
+    0 (ideal comparator, conservative tie-break).
     """
     op = op.lower()
     if op not in OP_TABLE:
         raise ValueError(f"unknown scouting op {op!r}; expected one of {SCOUTING_OPS}")
     levels = (refs.i_read,) if op == "read" else refs.levels
-    if current in levels:
-        return 0
-    popcount = sum(1 for level in levels if level < current)
-    return int(OP_TABLE[op](popcount, len(levels)))
+    n = len(levels)
+    outputs = [int(OP_TABLE[op](k, n)) for k in range(n + 1)]  # by popcount
+    bits = []
+    for current in currents:
+        k = bisect_left(levels, current)
+        bits.append(0 if k < n and levels[k] == current else outputs[k])
+    return bits
+
+
+def classify(current: float, refs: ReferenceLevels, op: str) -> int:
+    """``classify_bucket`` of one read current."""
+    return classify_bucket((current,), refs, op)[0]
 
 
 def scouting_gate(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],

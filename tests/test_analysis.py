@@ -109,6 +109,22 @@ def test_unknown_gate_raises():
         run_1t1r_experiment(ExperimentConfig(gates=("NOPE",), cycles=1))
 
 
+@pytest.mark.parametrize("run, field, names, err", [
+    (run_1t1r_experiment, "gates", ("OR", "AND", "or"), "gate 'or' repeats 'OR'"),
+    (run_1t1r_experiment, "gates", ("F0111", "OR", "F0111"), "gate 'F0111' repeats 'F0111'"),
+    (run_scouting_experiment, "scouting_ops", ("read", "and", "AND"),
+     "scouting op 'AND' repeats 'and'"),
+])
+def test_a_repeated_gate_or_op_is_rejected(run, field, names, err):
+    with pytest.raises(ValueError, match=err):
+        run(ExperimentConfig(cycles=2, **{field: names}))
+
+
+def test_distinct_mappings_of_one_truth_table_both_run():
+    result = run_1t1r_experiment(ExperimentConfig(cycles=2, gates=("OR", "F0111")))
+    assert [b.trials for b in result.report.buckets] == [2] * 8
+
+
 # ------------------------------------------------------ non-switching cases
 
 def test_non_switching_exact_when_noise_free():
@@ -374,6 +390,21 @@ def test_each_drive_is_validated_once_per_array(monkeypatch, run):
     assert applied["drives"] > 10 * len(distinct)
     assert built["LineDrive"] <= len(distinct)
     assert built["Pulse"] <= applied["form_pulses"] + sum(distinct.values())
+
+
+def test_a_default_scouting_run_validates_each_selection_once(monkeypatch):
+    validated = []
+    real = array_module.validate_parallel_selection
+
+    def counting(topology, addrs):
+        validated.append(addrs)
+        real(topology, addrs)
+
+    monkeypatch.setattr(array_module, "validate_parallel_selection", counting)
+    result = run_scouting_experiment(ExperimentConfig(seed=7))
+    assert len(result.samples) == 600
+    # One array per class: four two-cell selections and two one-cell READ ones.
+    assert sorted(map(len, validated)) == [1, 1, 2, 2, 2, 2]
 
 
 # ------------------------------------------------------------- work done

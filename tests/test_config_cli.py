@@ -495,6 +495,52 @@ def test_cli_characterize_that_cannot_switch_exits_2(tmp_path, capsys, config_li
     assert not (tmp_path / "out" / "characterize.csv").exists()
 
 
+@pytest.mark.parametrize("config_line, args, err", [
+    ("", ["scouting", "or", "or"], "scouting op 'or' repeats 'or'"),
+    ("", ["scouting", "xor", "OR", "or"], "scouting op 'or' repeats 'or'"),
+    ("", ["gate", "OR", "OR"], "gate 'OR' repeats 'OR'"),
+    ("", ["gate", "or", "AND", "OR"], "gate 'OR' repeats 'or'"),
+    ("experiment.scouting_ops = and,XOR,xor\n", ["scouting"], "scouting op 'xor' repeats 'XOR'"),
+    ("experiment.gates = XOR,xor\n", ["sweep", "hrs_sigma_c2c", "--values", "0.32"],
+     "gate 'xor' repeats 'XOR'"),
+])
+def test_cli_rejects_a_repeated_gate_or_op(tmp_path, capsys, monkeypatch, config_line, args,
+                                           err):
+    """A repeated gate or op would run twice and count its trials twice."""
+    monkeypatch.setattr(analysis, "CellArray", None)  # rejected before any array
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_line)
+    assert main([str(cfg), *args, "--cycles", "4", "-o", str(tmp_path / "out")]) == 2
+    assert _one_line_error(capsys).startswith(err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config_line, flags, err", [
+    ("", ["--preset", "fig1f-nominal"], "device.min_pulse_reset = 3e-06 is longer than "),
+    ("device.min_pulse_set = 2e-6\n", [], "device.min_pulse_set = 2e-06 is longer than "),
+    ("device.min_pulse_reset = 1.5e-6\n", [], "device.min_pulse_reset = 1.5e-06 is "),
+], ids=["preset", "set", "reset"])
+@pytest.mark.parametrize("args", [["gate", "OR", "AND"], ["scouting"]])
+def test_cli_gate_and_scouting_that_cannot_switch_exit_2(tmp_path, capsys, monkeypatch,
+                                                         config_line, flags, err, args):
+    """A pulse minimum above the 1 us pulse is named before any array is built."""
+    monkeypatch.setattr(analysis, "CellArray", None)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_line)
+    argv = [str(cfg), *args, "--cycles", "2", *flags, "-o", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert _one_line_error(capsys).startswith(err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_pulse_minimum_at_the_pulse_width_still_switches(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("device.min_pulse_set = 1e-6\ndevice.min_pulse_reset = 1e-6\n")
+    for args in (["gate", "OR"], ["scouting"]):
+        assert main([str(cfg), *args, "--cycles", "4", "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_json_exports_hold_no_bare_nan(tmp_path, capsys):
     """Overlapping classes leave the margins without references: JSON null."""
     cfg = tmp_path / "run.cfg"

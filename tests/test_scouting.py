@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memlogic import array as array_module
 from memlogic.array import ArrayTopology, CellAddress, CellArray, TopologyError, TopologyKind
 from memlogic.device import VariabilityParams, binarize, default_boundary
 from memlogic.scouting import (
@@ -15,6 +16,7 @@ from memlogic.scouting import (
     OverlapError,
     ReferenceLevels,
     classify,
+    classify_bucket,
     expected_bit,
     input_patterns,
     place_references,
@@ -74,6 +76,21 @@ def test_scout_requires_parallel_selectable_addresses():
         scout_current(array, [CellAddress(0, 0), CellAddress(0, 1)], rng)
 
 
+def test_an_invalid_selection_raises_on_every_call(monkeypatch):
+    validated = []
+    real = array_module.validate_parallel_selection
+    monkeypatch.setattr(array_module, "validate_parallel_selection",
+                        lambda topology, addrs: validated.append(addrs) or real(topology, addrs))
+    array, addrs = column_array()
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        with pytest.raises(TopologyError):
+            scout_current(array, [CellAddress(0, 0), CellAddress(0, 1)], rng)
+        scout_current(array, [tuple(a) for a in addrs], rng)  # plain tuples are wrapped
+    assert len(validated) == 4
+    assert validated[1] == tuple(addrs) and type(validated[1][0]) is CellAddress
+
+
 def test_scout_read_is_non_destructive():
     array, addrs = column_array(params=VariabilityParams(), seed=4)
     rng = np.random.default_rng(4)
@@ -114,6 +131,34 @@ def test_write_inputs_length_mismatch():
     array, addrs = column_array()
     with pytest.raises(ValueError):
         write_inputs(array, addrs, "011", np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bits", ["12", [0, 2], ["1", "x"], [1, None], [0, 0.5]])
+def test_write_inputs_rejects_non_bits_before_any_pulse(bits):
+    array, addrs = column_array(params=VariabilityParams(), seed=11)
+    rng = np.random.default_rng(11)
+    write_inputs(array, addrs, "10", rng)
+    cells = {a: (c.state, c.resistance, c.cycle_count) for a, c in array.cells.items()}
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="input bits must be 0 or 1"):
+        write_inputs(array, [(0, 0), (1, 0)], bits, rng)
+    assert {a: (c.state, c.resistance, c.cycle_count) for a, c in array.cells.items()} == cells
+    assert rng.bit_generator.state == state
+
+
+def test_current_sample_rejects_a_negative_current_and_is_immutable():
+    with pytest.raises(ValueError, match="current must be >= 0"):
+        CurrentSample("01", -1e-12, cycle=2)
+    sample = CurrentSample("01", 2e-5, 3)
+    assert sample == CurrentSample(input_class="01", current=2e-5, cycle=3)
+    assert CurrentSample("11", 0.0).cycle == 0
+    for name in ("current", "input_class", "cycle", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(sample, name, 1.0)
+    assert sample.current == 2e-5
+    with pytest.raises(ValueError, match="current must be >= 0"):
+        sample._replace(current=-1.0)
+    assert sample._replace(cycle=4) == ("01", 2e-5, 4)
 
 
 # ------------------------------------------------------------- references
@@ -209,6 +254,32 @@ BOOLEAN_OPS = {
     "and": lambda bits: int(all(b == "1" for b in bits)),
     "xor": lambda bits: functools.reduce(operator.xor, (int(b) for b in bits)),
 }
+
+
+def popcount_rule(current, refs, op):
+    """The classification written out per current: a tie with a level is 0,
+    otherwise the op of the number of levels strictly below the current."""
+    levels = [refs.i_read] if op == "read" else list(refs.levels)
+    if any(current == level for level in levels):
+        return 0
+    return expected_bit(op, "1" * sum(level < current for level in levels)
+                        + "0" * sum(level >= current for level in levels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.sets(st.floats(1e-7, 1e-4), min_size=n, max_size=n), st.floats(1e-8, 1e-4))),
+    st.data())
+def test_bucket_classification_equals_classify(levels_and_read, data):
+    levels, i_read = levels_and_read
+    refs = ReferenceLevels(levels=tuple(sorted(levels)), i_read=i_read)
+    ties = st.sampled_from(refs.levels + (refs.i_read,))
+    currents = data.draw(st.lists(st.floats(0.0, 2e-4) | ties, max_size=20))
+    currents += [*refs.levels, refs.i_read]  # an exact tie at every level and at i_read
+    for op in SCOUTING_OPS:
+        bits = classify_bucket(currents, refs, op.upper())
+        assert bits == [classify(c, refs, op) for c in currents], op
+        assert bits == [popcount_rule(c, refs, op) for c in currents], op
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
