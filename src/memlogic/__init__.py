@@ -24,6 +24,7 @@ from .array import (
     check_parallel_distinct_voltages,
 )
 from .device import (
+    LogicVoltages,
     MemristorCell,
     Pulse,
     SwitchEvent,
@@ -40,7 +41,6 @@ from .device import (
 from .logic1t1r import (
     CASE_TABLE,
     GateTrace,
-    LogicVoltages,
     ParamMapping,
     Term,
     builtin_mapping,
@@ -48,7 +48,6 @@ from .logic1t1r import (
     default_gate_library,
     evaluate_mapping,
     execute_gate,
-    expected_output,
     synthesize_mapping,
 )
 from .scouting import (

@@ -40,15 +40,18 @@ from .device import (
     require_int,
 )
 from .logic1t1r import (
+    CASE_TABLE,
     DEFAULT_VOLTAGES,
+    INPUT_PAIRS,
+    RESET_BITS,
+    SET_BITS,
     InitFailureError,
     ParamMapping,
     default_gate_library,
     evaluate_mapping,
     execute_gate,
+    logic_drive,
     lookup_gate,
-    reset_drive,
-    set_drive,
 )
 from .scouting import (
     SCOUTING_OPS,
@@ -65,11 +68,6 @@ from .scouting import (
     write_inputs,
 )
 from .streams import trial_streams
-
-INPUT_COMBOS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-#: Cases that must not switch; covered by the four shipped gates.
-NON_SWITCHING_CASES = (3, 6, 7, 8, 12, 13, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +99,9 @@ class ExperimentConfig:
             raise ValueError(f"refs must be 'placed' or a preset name, got {self.refs!r}")
         if not isinstance(self.rotate_cells, bool):
             raise ValueError(f"rotate_cells must be true or false, got {self.rotate_cells!r}")
+        for name in ("gates", "scouting_ops"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must name at least one entry")
 
     def replace(self, **changes) -> "ExperimentConfig":
         return replace(self, **changes)
@@ -278,13 +279,13 @@ def run_1t1r_experiment(config: ExperimentConfig,
     all_rows: list[TraceRow] = []
     report = FailureReport()
     streams = _bucket_streams((config.seed, 10), [
-        (gate_idx, p, q) for gate_idx in range(len(mappings)) for p, q in INPUT_COMBOS],
+        (gate_idx, p, q) for gate_idx in range(len(mappings)) for p, q in INPUT_PAIRS],
         config.cycles)
     for gate_idx, (name, mapping) in enumerate(mappings):
         array = CellArray(config.topology, config.device, config.transistor,
                           seed=config.seed)
         col = gate_idx % config.topology.cols
-        for combo_idx, (p, q) in enumerate(INPUT_COMBOS):
+        for combo_idx, (p, q) in enumerate(INPUT_PAIRS):
             row_idx = combo_idx % config.topology.rows if config.rotate_cells else 0
             addr = CellAddress(row_idx, col)
             array.form(addr)
@@ -325,14 +326,15 @@ class NonSwitchingCaseReport(NamedTuple):
 
 def non_switching_report(rows: Sequence[TraceRow],
                          boundary: float) -> list[NonSwitchingCaseReport]:
-    """Initial-versus-final resistance scatter for the non-switching cases.
+    """Initial-versus-final resistance scatter for every non-switching case
+    the rows reach (``LogicCase.possible`` is false).
 
     ``binary_changes`` must stay zero; ``log_variation`` is the standard
     deviation of ln(final/initial), the analog drift of the resident state.
     """
     by_case: dict[int, list[TraceRow]] = defaultdict(list)
     for row in rows:
-        if row.case_id in NON_SWITCHING_CASES:
+        if not CASE_TABLE[row.case_id - 1].possible:
             by_case[row.case_id].append(row)
     reports = []
     for case_id in sorted(by_case):
@@ -493,9 +495,9 @@ def run_characterization(params: VariabilityParams,
     transistor = transistor if transistor is not None else TransistorModel()
     topology = ArrayTopology(TopologyKind.STANDARD_1T1R, rows=1, cols=cells)
     volts = DEFAULT_VOLTAGES
-    phases = ((set_drive, STATE_LRS, f"{volts.v_te_set} V SET", "v_set_th_median",
+    phases = ((SET_BITS, STATE_LRS, f"{volts.v_te_set} V SET", "v_set_th_median",
                "min_pulse_set"),
-              (reset_drive, STATE_HRS, f"{volts.v_be_reset} V RESET", "v_reset_th_median",
+              (RESET_BITS, STATE_HRS, f"{volts.v_be_reset} V RESET", "v_reset_th_median",
                "min_pulse_reset"))
     rows = []
     streams = _bucket_streams((seed, 32), [(ci,) for ci in range(cells)], cycles)
@@ -506,14 +508,14 @@ def run_characterization(params: VariabilityParams,
         cell = array.cell(addr)
         for cycle, rng in zip(range(cycles), streams):
             reads = []
-            for build, state, pulse, *names in phases:
-                array.apply_drive(array.drive(build, addr), rng)
+            for bits, state, pulse, *names in phases:
+                array.apply_drive(array.drive(logic_drive, addr, *bits), rng)
                 if cell.state != state:
                     raise ValueError(
                         f"cell {ci} is {cell.state.upper()} after the {volts.width} s, "
                         f"{pulse} pulse of cycle {cycle}: " + ", ".join(
                             f"device.{name} = {getattr(params, name)!r}" for name in names))
-                reads.append(array.read_cell(addr, volts.v_read, volts.v_g_read, rng))
+                reads.append(array.read_cell(addr, rng))
             rows.append((ci, cycle, *reads))
     lrs_values = [r[2] for r in rows]
     hrs_values = [r[3] for r in rows]
@@ -554,8 +556,8 @@ def sweep_parameter(config: ExperimentConfig, parameter: str,
     """Re-run the logic and scouting experiments across device parameter values."""
     if not values:
         raise ValueError("sweep range is empty")
-    if not hasattr(config.device, parameter):
-        fields = sorted(VariabilityParams().__dataclass_fields__)
+    fields = sorted(VariabilityParams.__dataclass_fields__)
+    if parameter not in fields:
         raise ValueError(f"unknown device parameter {parameter!r}; one of {fields}")
     points = []
     for value in values:

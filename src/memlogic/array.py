@@ -5,7 +5,9 @@ column-wise (one pair per column) and WL runs row-wise, so parallel-selected
 cells in a column necessarily see the same electrode voltages.  In the
 pseudo-crossbar variant each cell's TE keeps its own column SL while BE and
 the gate share row-wise BL/WL lines, which allows different voltages on
-parallel-connected cells.
+parallel-connected cells.  The BL a cell's bottom electrode hangs on
+(``ArrayTopology.bl_of``) is the only difference between the two: drive
+resolution and both parallel checks follow from it.
 
 Line parasitics and sneak paths are ignored: the access transistor isolates
 unselected cells, and every selected cell sees the ideal line voltages.  The
@@ -24,6 +26,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .device import (
+    DEFAULT_VOLTAGES,
     MemristorCell,
     Pulse,
     SwitchEvent,
@@ -72,16 +75,6 @@ class ArrayTopology:
         standard array, its row in the pseudo-crossbar."""
         return addr.row if self.kind == TopologyKind.PSEUDO_CROSSBAR else addr.col
 
-    def live_cols(self, row: int, drive: LineDrive) -> list[int]:
-        """Ascending columns of ``row`` whose cell sees a nonzero SL or BL
-        voltage under ``drive``; every other cell of the row has TE = BE = 0 V."""
-        if self.kind == TopologyKind.PSEUDO_CROSSBAR and drive.bl.get(row, 0.0) != 0.0:
-            return list(range(self.cols))
-        live = {col for col, volts in drive.sl.items() if volts != 0.0}
-        if self.kind == TopologyKind.STANDARD_1T1R:
-            live.update(col for col, volts in drive.bl.items() if volts != 0.0)
-        return sorted(live)
-
 
 @dataclass(frozen=True)
 class LineDrive:
@@ -116,50 +109,45 @@ def check_parallel_distinct_voltages(topology: ArrayTopology,
     """Can these two cells be driven simultaneously with these pulses?
 
     Returns ``None`` when the request is wirable and a human-readable
-    violation description otherwise.  In the standard array, cells sharing a
-    column share one SL/BL pair, so distinct electrode voltages cannot be
-    wired; the pseudo-crossbar row grouping allows them.
+    violation description otherwise: a shared SL cannot carry different TE
+    voltages, nor a shared BL different BE voltages.  In the standard array,
+    cells sharing a column share its SL/BL pair; the pseudo-crossbar's row
+    BLs let a column's cells take distinct BE voltages and a row's distinct TE
+    voltages.
     """
     if cell_a == cell_b:
         raise ValueError("cell_a and cell_b must differ")
-    same_te = pulse_a.v_te == pulse_b.v_te
-    same_be = pulse_a.v_be == pulse_b.v_be
-    if topology.kind == TopologyKind.STANDARD_1T1R:
-        if cell_a.col == cell_b.col and not (same_te and same_be):
-            return (f"cells {tuple(cell_a)} and {tuple(cell_b)} share the SL/BL pair of "
-                    f"column {cell_a.col}; distinct electrode voltages are impossible")
-        return None
-    # Pseudo-crossbar: SL per column, BL shared per row.
-    if cell_a.col == cell_b.col and not same_te:
-        return (f"cells {tuple(cell_a)} and {tuple(cell_b)} share SL {cell_a.col}; "
-                "distinct TE voltages are impossible")
-    if cell_a.row == cell_b.row and not same_be:
-        return (f"cells {tuple(cell_a)} and {tuple(cell_b)} share BL {cell_a.row}; "
-                "distinct BE voltages are impossible")
+    cells = f"cells {tuple(cell_a)} and {tuple(cell_b)}"
+    bl = topology.bl_of(cell_a)
+    shared_sl = cell_a.col == cell_b.col
+    shared_bl = bl == topology.bl_of(cell_b)
+    distinct_te = pulse_a.v_te != pulse_b.v_te
+    distinct_be = pulse_a.v_be != pulse_b.v_be
+    if shared_sl and shared_bl and (distinct_te or distinct_be):
+        return (f"{cells} share the SL/BL pair of column {cell_a.col}; "
+                "distinct electrode voltages are impossible")
+    if shared_sl and distinct_te:
+        return f"{cells} share SL {cell_a.col}; distinct TE voltages are impossible"
+    if shared_bl and distinct_be:
+        return f"{cells} share BL {bl}; distinct BE voltages are impossible"
     return None
 
 
 def validate_parallel_selection(topology: ArrayTopology,
                                 addrs: Sequence[CellAddress]) -> None:
-    """Check that the addressed cells can be read out in parallel.
-
-    Standard array: one shared SL/BL column, one WL per cell.  Pseudo-crossbar:
-    one shared BL/WL row.  Raises ``TopologyError`` otherwise.
+    """Check that the addressed cells can be read out in parallel: distinct
+    cells that all share one BL (a column in the standard array, a row in the
+    pseudo-crossbar).  Raises ``TopologyError`` otherwise.
     """
     if not addrs:
         raise TopologyError("empty selection")
     if len(set(addrs)) != len(addrs):
         raise TopologyError("duplicate addresses in parallel selection")
-    if topology.kind == TopologyKind.STANDARD_1T1R:
-        cols = {a.col for a in addrs}
-        if len(cols) != 1:
-            raise TopologyError(
-                f"standard array parallel selection requires one column, got {sorted(cols)}")
-    else:
-        rows = {a.row for a in addrs}
-        if len(rows) != 1:
-            raise TopologyError(
-                f"pseudo-crossbar parallel selection requires one row, got {sorted(rows)}")
+    bls = {topology.bl_of(a) for a in addrs}
+    if len(bls) != 1:
+        name, line = (("pseudo-crossbar", "row") if topology.kind == TopologyKind.PSEUDO_CROSSBAR
+                      else ("standard array", "column"))
+        raise TopologyError(f"{name} parallel selection requires one {line}, got {sorted(bls)}")
 
 
 class CellArray:
@@ -220,11 +208,12 @@ class CellArray:
         """Pulse the cells the drive can switch, in address order.
 
         Only rows whose WL voltage turns the transistor on are visited, and on
-        them only the live columns (``ArrayTopology.live_cols``): cells with
-        both electrodes at 0 V are skipped.  A skipped cell cannot switch and
-        its pulse would draw no randomness (gate-off returns first, every
-        switching threshold is > 0), so the results and the order of random
-        draws are those of pulsing every cell.  The returned events list only
+        them only the cells with a nonzero voltage on their SL or their BL
+        (``ArrayTopology.bl_of``): cells with both electrodes at 0 V are
+        skipped.  A skipped cell cannot switch and its pulse would draw no
+        randomness (gate-off returns first, every switching threshold is > 0),
+        so the results and the order of random draws are those of pulsing
+        every cell.  The returned events list only
         the pulsed cells.  Each distinct drive is resolved (bounds, live cells,
         validated pulses) once per array, and replayed after that.
         """
@@ -242,12 +231,13 @@ class CellArray:
                 v_g = drive.wl[row]
                 if not self.transistor.is_on(v_g):
                     continue
-                for col in topology.live_cols(row, drive):
+                for col in range(topology.cols):
                     addr = CellAddress(row, col)
                     v_te = drive.sl.get(col, 0.0)
                     v_be = drive.bl.get(topology.bl_of(addr), 0.0)
-                    resolved.append((addr, self.cell(addr),
-                                     Pulse(v_te, v_be, v_g, drive.width)))
+                    if v_te != 0.0 or v_be != 0.0:
+                        resolved.append((addr, self.cell(addr),
+                                         Pulse(v_te, v_be, v_g, drive.width)))
             self._resolved[drive.key] = resolved
         events = []
         for addr, cell, pulse in resolved:
@@ -270,15 +260,17 @@ class CellArray:
         self._selections[selection] = selection
         return selection
 
-    def read_cell(self, addr: CellAddress | tuple[int, int], v_read: float,
-                  v_g: float, rng: np.random.Generator) -> float:
-        """The cell's noisy read resistance; a 0 Ohm read (its infinite
-        conductance) is a ``ValueError`` naming the medians."""
+    def read_cell(self, addr: CellAddress | tuple[int, int],
+                  rng: np.random.Generator) -> float:
+        """The cell's noisy read resistance at the operating point
+        (``DEFAULT_VOLTAGES``); a 0 Ohm read (its infinite conductance) is a
+        ``ValueError`` naming the medians."""
         try:  # a sampled cell in one lookup
             cell = self.cells[addr]
         except (KeyError, TypeError):
             cell = self.cell(addr)
-        r = read_resistance(cell, v_read, v_g, self.transistor, rng)
+        volts = DEFAULT_VOLTAGES
+        r = read_resistance(cell, volts.v_read, volts.v_g_read, self.transistor, rng)
         if r == 0.0:
             require_finite_result("read conductance", math.inf, self.params)
         return r

@@ -352,6 +352,28 @@ def default_boundary(params: VariabilityParams) -> float:
     return math.sqrt(params.lrs_median) * math.sqrt(params.hrs_median)
 
 
+@dataclass(frozen=True)
+class LogicVoltages:
+    """The one physical operating point of the simulator.
+
+    Logic pulses, initialization writes, verify reads, scouting reads and
+    characterization all run at ``DEFAULT_VOLTAGES`` (forming has its own ramp):
+    SET drives 1.3 V on the TE with a 1.3 V gate; RESET drives 1.6 V on the BE
+    with a 3 V gate; reads use 0.1 V with a 3 V gate.  All pulses are 1 us.
+    """
+
+    v_te_set: float = 1.3
+    v_g_set: float = 1.3
+    v_be_reset: float = 1.6
+    v_g_reset: float = 3.0
+    v_read: float = 0.1
+    v_g_read: float = 3.0
+    width: float = 1.0e-6
+
+
+DEFAULT_VOLTAGES = LogicVoltages()
+
+
 #: The forming ramp: TE pulses of FORM_WIDTH seconds at a FORM_V_G gate, rising
 #: in FORM_V_STEP steps from FORM_V_STEP up to FORM_V_MAX volts.
 FORM_V_MAX = 4.8

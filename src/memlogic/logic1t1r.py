@@ -6,12 +6,15 @@ to a constant or to one of the inputs p, q (possibly inverted).  For a given
 input pair the resolved bit pattern (g, te, be, i) lands on one of 16 cases;
 only two of them actually switch the cell (SET with g=1, te=1, be=0, i=0 and
 RESET with g=1, te=0, be=1, i=1), and the output is the post-pulse binary
-state of the memristor.
+state of the memristor.  ``_output_vector`` states this switching rule once;
+the case table (``LogicCase.output``), every mapping's truth table and the
+synthesizer are derived from it.
 
 This module provides the pure case/mapping algebra (no device model), an
 exhaustive synthesizer covering all 16 two-input Boolean functions, and the
 physical execution path that initializes a cell, fires the logic pulse
-through the array wiring and reads the output back.
+through the array wiring and reads the output back, all at the operating
+point ``DEFAULT_VOLTAGES`` (defined in ``device`` and re-exported here).
 """
 
 from __future__ import annotations
@@ -27,8 +30,10 @@ import numpy as np
 
 from .array import ArrayTopology, CellAddress, CellArray, LineDrive
 from .device import (
+    DEFAULT_VOLTAGES,
     STATE_HRS,
     STATE_LRS,
+    LogicVoltages,  # noqa: F401  re-exported with the operating point
     MemristorCell,
     NotFormedError,
     binarize,
@@ -62,9 +67,16 @@ _TERM_VECTORS = dict(zip(TERM_ORDER, (0b0000, 0b1111, 0b0011, 0b1100, 0b0101, 0b
 _TERM_OF_VECTOR = {vector: term for term, vector in _TERM_VECTORS.items()}
 
 
+def _output_vector(g: int, te: int, be: int, i: int) -> int:
+    """The switching rule, bitwise over bits or truth vectors: the output is I,
+    flipped by a case-4 SET (g te !be !i) and a case-5 RESET (g !te be i)."""
+    return i ^ (g & te & ~be & ~i) ^ (g & ~te & be & i)
+
+
 @dataclass(frozen=True)
 class LogicCase:
-    """One row of the 16-entry input-case table."""
+    """One row of the 16-entry input-case table: a resolved (g, te, be, i)
+    pattern and the post-pulse binary state ``output`` it leaves."""
 
     case_id: int
     g: int
@@ -73,7 +85,12 @@ class LogicCase:
     i: int
     te_minus_be: int
     process: str | None  # "set", "reset" or None
-    possible: bool
+    output: int
+
+    @property
+    def possible(self) -> bool:
+        """Whether the pulse switches the cell."""
+        return self.output != self.i
 
 
 def _build_case_table() -> tuple[LogicCase, ...]:
@@ -83,8 +100,8 @@ def _build_case_table() -> tuple[LogicCase, ...]:
         g, te, be, i = (bits >> 3) & 1, (bits >> 2) & 1, (bits >> 1) & 1, bits & 1
         tmb = te - be
         process = "set" if tmb > 0 else "reset" if tmb < 0 else None
-        possible = case_id in (4, 5)
-        rows.append(LogicCase(case_id, g, te, be, i, tmb, process, possible))
+        rows.append(LogicCase(case_id, g, te, be, i, tmb, process,
+                              _output_vector(g, te, be, i)))
     return tuple(rows)
 
 
@@ -97,11 +114,6 @@ def classify_case(g: int, te: int, be: int, i: int) -> LogicCase:
         if bit not in (0, 1):
             raise ValueError(f"{name} must be 0 or 1, got {bit!r}")
     return CASE_TABLE[15 - (g * 8 + te * 4 + be * 2 + i)]
-
-
-def expected_output(case: LogicCase) -> int:
-    """Post-pulse binary state: 1 after a SET, 0 after a RESET, otherwise i."""
-    return {4: 1, 5: 0}.get(case.case_id, case.i)
 
 
 @dataclass(frozen=True)
@@ -118,14 +130,10 @@ class ParamMapping:
         return (self.g, self.te, self.be, self.i)
 
     @cached_property
-    def evaluations(self) -> dict[tuple[int, int], GateEval]:
+    def evaluations(self) -> dict[tuple[int, int], LogicCase]:
         """``evaluate_mapping`` of every input pair, computed on first use."""
-        table = {}
-        for p, q in INPUT_PAIRS:
-            g, te, be, i = (term.resolve(p, q) for term in self.terms())
-            case = classify_case(g, te, be, i)
-            table[p, q] = GateEval(g, te, be, i, case.case_id, expected_output(case))
-        return table
+        return {(p, q): classify_case(*(term.resolve(p, q) for term in self.terms()))
+                for p, q in INPUT_PAIRS}
 
 
 BUILTIN_MAPPINGS: dict[str, ParamMapping] = {
@@ -151,19 +159,8 @@ def builtin_mapping(name: str) -> ParamMapping:
     return lookup_gate(BUILTIN_MAPPINGS, name)
 
 
-class GateEval(NamedTuple):
-    """Pure evaluation of a mapping on one input pair."""
-
-    g: int
-    te: int
-    be: int
-    i: int
-    case_id: int
-    output: int
-
-
-def evaluate_mapping(mapping: ParamMapping, p: int, q: int) -> GateEval:
-    """Resolve the mapping on (p, q), classify and return the expected output.
+def evaluate_mapping(mapping: ParamMapping, p: int, q: int) -> LogicCase:
+    """Resolve the mapping on (p, q) and return its case, expected output included.
 
     Pure case algebra; no device model involved.  Each mapping evaluates its
     input pairs once (``ParamMapping.evaluations``).
@@ -182,12 +179,6 @@ def truth_table_of(mapping: ParamMapping) -> str:
 def truth_vector(g: Term, te: Term, be: Term, i: Term) -> int:
     """``truth_table_of`` as a 4-bit vector: ``_output_vector`` of the terms'."""
     return _output_vector(*(_TERM_VECTORS[t] for t in (g, te, be, i)))
-
-
-def _output_vector(g: int, te: int, be: int, i: int) -> int:
-    """The output is I, flipped by a case-4 SET (g te !be !i) and a case-5
-    RESET (g !te be i)."""
-    return i ^ (g & te & ~be & ~i) ^ (g & ~te & be & i)
 
 
 def _first_terms() -> dict[int, tuple[Term, Term, Term, Term]]:
@@ -256,28 +247,6 @@ def load_gate_library(path: str | Path) -> dict[str, ParamMapping]:
     return mappings
 
 
-@dataclass(frozen=True)
-class LogicVoltages:
-    """The one physical operating point of the simulator.
-
-    Logic pulses, initialization writes, verify reads, scouting reads and
-    characterization all run at ``DEFAULT_VOLTAGES`` (forming has its own ramp):
-    SET drives 1.3 V on the TE with a 1.3 V gate; RESET drives 1.6 V on the BE
-    with a 3 V gate; reads use 0.1 V with a 3 V gate.  All pulses are 1 us.
-    """
-
-    v_te_set: float = 1.3
-    v_g_set: float = 1.3
-    v_be_reset: float = 1.6
-    v_g_reset: float = 3.0
-    v_read: float = 0.1
-    v_g_read: float = 3.0
-    width: float = 1.0e-6
-
-
-DEFAULT_VOLTAGES = LogicVoltages()
-
-
 def logic_pulse_voltages(g: int, te: int, be: int) -> tuple[float, float, float]:
     """Map resolved logic bits to physical pulse voltages.
 
@@ -289,10 +258,7 @@ def logic_pulse_voltages(g: int, te: int, be: int) -> tuple[float, float, float]
     volts = DEFAULT_VOLTAGES
     v_te = volts.v_te_set if te else 0.0
     v_be = volts.v_be_reset if be else 0.0
-    if g:
-        v_g = volts.v_g_set if (te - be) > 0 else volts.v_g_reset
-    else:
-        v_g = 0.0
+    v_g = (volts.v_g_set if te > be else volts.v_g_reset) if g else 0.0
     return v_te, v_be, v_g
 
 
@@ -331,14 +297,6 @@ def logic_drive(topology: ArrayTopology, addr: CellAddress, g: int, te: int,
 SET_BITS, RESET_BITS = (1, 1, 0), (1, 0, 1)
 
 
-def set_drive(topology: ArrayTopology, addr: CellAddress) -> LineDrive:
-    return logic_drive(topology, addr, *SET_BITS)
-
-
-def reset_drive(topology: ArrayTopology, addr: CellAddress) -> LineDrive:
-    return logic_drive(topology, addr, *RESET_BITS)
-
-
 #: Correction pulses a verified write may apply before it gives up.
 INIT_RETRIES = 3
 
@@ -351,10 +309,6 @@ def _pulse_towards(array: CellArray, addr: CellAddress, cell: MemristorCell, tar
         array.apply_drive(array.drive(logic_drive, addr, *RESET_BITS), rng)
     if target == 1:
         array.apply_drive(array.drive(logic_drive, addr, *SET_BITS), rng)
-
-
-#: The verify and output reads' voltages (read, gate) at the operating point.
-_V_READ, _V_G_READ = DEFAULT_VOLTAGES.v_read, DEFAULT_VOLTAGES.v_g_read
 
 
 def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: int,
@@ -386,17 +340,17 @@ def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: 
 
     boundary = array.boundary
     pulses = 0
-    r = array.read_cell(addr, _V_READ, _V_G_READ, rng)
+    r = array.read_cell(addr, rng)
     if refresh:
         _pulse_towards(array, addr, cell, bit, rng)
         pulses += 1
-        r = array.read_cell(addr, _V_READ, _V_G_READ, rng)
+        r = array.read_cell(addr, rng)
     while binarize(r, boundary) != bit:
         if pulses > INIT_RETRIES:
             raise InitFailureError(addr, bit, INIT_RETRIES)
         _pulse_towards(array, addr, cell, bit, rng)
         pulses += 1
-        r = array.read_cell(addr, _V_READ, _V_G_READ, rng)
+        r = array.read_cell(addr, rng)
     return r, pulses
 
 
@@ -411,9 +365,9 @@ def execute_gate(array: CellArray, addr: CellAddress | tuple[int, int],
     """
     if not isinstance(addr, CellAddress):
         addr = CellAddress(*addr)
-    ev = evaluate_mapping(mapping, p, q)
-    r_init, retries = initialize_cell(array, addr, ev.i, rng)
-    array.apply_drive(array.drive(logic_drive, addr, ev.g, ev.te, ev.be), rng)
-    r_final = array.read_cell(addr, _V_READ, _V_G_READ, rng)
-    return GateTrace(ev.case_id, r_init, r_final, binarize(r_final, array.boundary),
-                     ev.output, retries)
+    case = evaluate_mapping(mapping, p, q)
+    r_init, retries = initialize_cell(array, addr, case.i, rng)
+    array.apply_drive(array.drive(logic_drive, addr, case.g, case.te, case.be), rng)
+    r_final = array.read_cell(addr, rng)
+    return GateTrace(case.case_id, r_init, r_final, binarize(r_final, array.boundary),
+                     case.output, retries)

@@ -13,6 +13,7 @@ device.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
@@ -21,8 +22,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .array import CellAddress, CellArray
-from .device import require_finite_result
-from .logic1t1r import DEFAULT_VOLTAGES, initialize_cell
+from .device import DEFAULT_VOLTAGES, require_finite_result
+from .logic1t1r import initialize_cell
 
 #: The output of each operation as a predicate on (popcount k, input width n).
 OP_TABLE: dict[str, Callable[[int, int], bool]] = {
@@ -58,6 +59,9 @@ class ReferenceLevels:
     i_read: float
 
     def __post_init__(self) -> None:
+        for name, values in (("i_read", (self.i_read,)), ("levels", self.levels)):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.i_read <= 0:
             raise ValueError("i_read must be > 0")
         if not self.levels:
@@ -138,9 +142,9 @@ def scout_current(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int
     States are not disturbed; a current beyond the float range is a ``ValueError``.
     The selection is validated once per array (``CellArray.parallel_selection``).
     """
-    v_read, v_wl, conductance = DEFAULT_VOLTAGES.v_read, DEFAULT_VOLTAGES.v_g_read, 0.0
+    v_read, conductance = DEFAULT_VOLTAGES.v_read, 0.0
     for addr in array.parallel_selection(addrs):
-        conductance += 1.0 / array.read_cell(addr, v_read, v_wl, rng)
+        conductance += 1.0 / array.read_cell(addr, rng)
     return require_finite_result("read current", v_read * conductance, array.params)
 
 

@@ -325,7 +325,7 @@ def test_two_wl_read_drive():
     events = dict(array.apply_drive(drive, rng))
     assert all(ev == SwitchEvent.NONE for ev in events.values())
     for row in (0, 1):
-        r = array.read_cell(CellAddress(row, 0), 0.1, 3.0, rng)
+        r = array.read_cell(CellAddress(row, 0), rng)
         assert 0 < r < float("inf")
 
 
@@ -397,7 +397,7 @@ def test_untouched_cells_are_never_sampled(monkeypatch):
     array.form((1, 2))
     rng = np.random.default_rng(5)
     array.apply_drive(LineDrive(wl={1: 1.3}, sl={2: 1.3}), rng)
-    array.read_cell((1, 2), 0.1, 3.0, rng)
+    array.read_cell((1, 2), rng)
     assert sampled == ["r1c2"]
     assert list(array.cells) == [CellAddress(1, 2)]
 
@@ -421,7 +421,8 @@ def test_cell_rejects_foreign_addresses():
     (PSEUDO, LineDrive(wl={1: 3.0}, sl={0: -0.0}, bl={1: 0.0}), 1, []),
 ])
 def test_live_cols_follow_the_wiring(topology, drive, row, expected):
-    assert topology.live_cols(row, drive) == expected
+    events = CellArray(topology, PARAMS).apply_drive(drive, np.random.default_rng(0))
+    assert [addr.col for addr, _ in events if addr.row == row] == expected
     pulses = pulses_by_addr(topology, drive)
     assert expected == [col for col in range(topology.cols)
                         if (pulses[CellAddress(row, col)].v_te,

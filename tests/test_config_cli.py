@@ -113,6 +113,10 @@ def test_cli_gate_notp(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "NOTP p=0 q=0 -> 1" in out
     assert "NOTP p=1 q=1 -> 0" in out
+    # NOTP reaches cases 15, 13, 16 and 14; none of them switches.
+    assert [line.split(":")[0] for line in out.splitlines()
+            if line.startswith("non-switching")] == [
+        f"non-switching case {k}" for k in (13, 14, 15, 16)]
 
 
 def test_cli_gate_custom_library(tmp_path, capsys):
@@ -221,6 +225,11 @@ def test_cli_sweep_bad_usage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("unknown device parameter 'not_a_param'; one of ['hrs_median', ")
     assert err.count("\n") == 1
+    # Attributes of the parameter object that are not its fields are unknown, too.
+    for name in ("replace", "__class__"):
+        assert main(["sweep", name, "--values", "1", "-o", str(tmp_path)]) == 2
+        err = _one_line_error(capsys)
+        assert err.startswith(f"unknown device parameter {name!r}; one of ['hrs_median', ")
     # --steps 0 is given, so it is named rather than taken for a missing flag.
     assert main(["sweep", "hrs_sigma_c2c", "--start", "0.1", "--stop", "1.2", "--steps",
                  "0", "-o", str(tmp_path)]) == 2
@@ -435,13 +444,27 @@ def test_cli_scouting_rejects_n_above_the_row_count_at_once(tmp_path, capsys):
 
 
 def test_cli_no_trials_is_not_a_pass(tmp_path, capsys):
-    # An empty op list samples and places references but evaluates nothing.
+    assert cli._exit_code(failures=0, errors=0, trials=0) == 1
+    # An empty op list would evaluate nothing, so it is rejected before sampling.
     cfg = tmp_path / "no_ops.cfg"
     cfg.write_text("experiment.scouting_ops =\n")
-    assert main([str(cfg), "scouting", "--cycles", "4", "-o", str(tmp_path)]) == 1
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["trials"] == 0
-    capsys.readouterr()
+    assert main([str(cfg), "scouting", "--cycles", "4", "-o", str(tmp_path)]) == 2
+    assert _one_line_error(capsys) == "scouting_ops must name at least one entry\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+SWEEP = ["sweep", "hrs_sigma_c2c", "--values", "0.32"]
+
+
+@pytest.mark.parametrize("key, command", [("gates", SWEEP), ("gates", ["gate", "OR"]),
+                                          ("scouting_ops", SWEEP)])
+def test_cli_rejects_an_empty_gate_or_op_list(tmp_path, capsys, key, command):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(f"experiment.{key} =\n")
+    assert main([str(cfg), *command, "--cycles", "2", "-o", str(tmp_path)]) == 2
+    assert _one_line_error(capsys) == f"{key} must name at least one entry\n"
+    with pytest.raises(ValueError, match=key):
+        analysis.ExperimentConfig(**{key: ()})
 
 
 @pytest.mark.parametrize("error", [

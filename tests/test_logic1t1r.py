@@ -16,6 +16,7 @@ from memlogic.logic1t1r import (
     CASE_TABLE,
     DEFAULT_VOLTAGES,
     INIT_RETRIES,
+    RESET_BITS,
     TERM_ORDER,
     InitFailureError,
     ParamMapping,
@@ -25,11 +26,10 @@ from memlogic.logic1t1r import (
     default_gate_library,
     evaluate_mapping,
     execute_gate,
-    expected_output,
     initialize_cell,
     load_gate_library,
+    logic_drive,
     logic_pulse_voltages,
-    reset_drive,
     save_gate_library,
     synthesize_mapping,
     truth_table_of,
@@ -38,6 +38,11 @@ from memlogic.logic1t1r import (
 
 PARAMS = VariabilityParams()
 BOUNDARY = default_boundary(PARAMS)
+NOISE_FREE = PARAMS.replace(
+    lrs_sigma_c2c=0.0, lrs_sigma_d2d=0.0, hrs_sigma_c2c=0.0, hrs_sigma_d2d=0.0,
+    v_set_th_sigma=0.0, v_reset_th_sigma=0.0, v_form_th_sigma=0.0,
+    read_noise_lrs=0.0, read_noise_hrs=0.0)
+
 
 # Known-good copy of the 16-row input case table:
 # (case, g, te, be, i, te-be, process, possible)
@@ -89,10 +94,11 @@ def test_classify_rejects_non_bits():
 
 
 def test_expected_output_rules():
-    assert expected_output(classify_case(1, 1, 0, 0)) == 1  # case 4
-    assert expected_output(classify_case(1, 0, 1, 1)) == 0  # case 5
-    assert expected_output(classify_case(0, 0, 1, 1)) == 1  # case 13 -> i
-    assert expected_output(classify_case(0, 0, 0, 0)) == 0  # case 16 -> i
+    assert classify_case(1, 1, 0, 0).output == 1  # case 4
+    assert classify_case(1, 0, 1, 1).output == 0  # case 5
+    assert classify_case(0, 0, 1, 1).output == 1  # case 13 -> i
+    assert classify_case(0, 0, 0, 0).output == 0  # case 16 -> i
+    assert [c.case_id for c in CASE_TABLE if c.output != c.i] == [4, 5]
 
 
 def test_builtin_mapping_terms():
@@ -192,8 +198,7 @@ def test_evaluation_table_is_the_case_algebra():
         for p, q in INPUTS:
             g, te, be, i = (term.resolve(p, q) for term in mapping.terms())
             case = classify_case(g, te, be, i)
-            assert evaluate_mapping(mapping, p, q) == (g, te, be, i, case.case_id,
-                                                       expected_output(case))
+            assert evaluate_mapping(mapping, p, q) is case
         # The table is not a field: equality and hashing ignore it.
         fresh = ParamMapping(mapping.name, *mapping.terms())
         assert fresh == mapping and hash(fresh) == hash(mapping)
@@ -295,8 +300,22 @@ def test_reset_drive_uses_the_cell_bl():
     volts = DEFAULT_VOLTAGES
     standard = ArrayTopology(TopologyKind.STANDARD_1T1R, 4, 4)
     pseudo = ArrayTopology(TopologyKind.PSEUDO_CROSSBAR, 4, 4)
-    assert reset_drive(standard, addr).bl == {1: volts.v_be_reset}
-    assert reset_drive(pseudo, addr).bl == {2: volts.v_be_reset}
+    assert logic_drive(standard, addr, *RESET_BITS).bl == {1: volts.v_be_reset}
+    assert logic_drive(pseudo, addr, *RESET_BITS).bl == {2: volts.v_be_reset}
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind))
+@pytest.mark.parametrize("case", CASE_TABLE, ids=lambda case: f"case{case.case_id}")
+def test_every_case_pulse_leaves_the_case_output(case, kind):
+    # The one switching rule holds against the device model for all 16 cases,
+    # including those no shipped gate reaches.
+    array = CellArray(ArrayTopology(kind, 4, 4), NOISE_FREE, seed=1)
+    addr = CellAddress(2, 1)
+    array.form(addr)
+    rng = np.random.default_rng(case.case_id)
+    initialize_cell(array, addr, case.i, rng)
+    array.apply_drive(array.drive(logic_drive, addr, case.g, case.te, case.be), rng)
+    assert binarize(array.read_cell(addr, rng), array.boundary) == case.output
 
 
 def test_pseudo_crossbar_gates_switch_both_ways():

@@ -174,6 +174,18 @@ def test_reference_set_validation():
     assert (refs.n, refs.i_or, refs.i_and) == (3, 2e-6, 5e-6)
 
 
+@pytest.mark.parametrize("levels, i_read, name", [
+    ((float("nan"), 1e-5), float("nan"), "i_read"),
+    ((1e-6, 2e-6), float("inf"), "i_read"),
+    ((float("nan"), 1e-5), 1e-6, "levels"),
+    ((1e-6, float("inf")), 1e-6, "levels"),
+    ((-float("inf"), 1e-6), 1e-6, "levels"),
+])
+def test_reference_levels_reject_non_finite_values(levels, i_read, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        ReferenceLevels(levels=levels, i_read=i_read)
+
+
 def test_paper_reference_preset_values():
     assert PAPER_REFS.i_read == 7.25e-6
     assert PAPER_REFS.i_or == 11.55e-6
