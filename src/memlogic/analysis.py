@@ -6,8 +6,10 @@ kind, bucket, cycle), so results are bit-reproducible and independent of
 execution order.  Each experiment derives the streams of all its trials in one
 vectorized pass over one integer grid of bucket keys (gate and input pair,
 scouting class or characterized cell) and cycles (``_bucket_streams``); each
-stream equals ``default_rng(SeedSequence(key))`` bit for bit.  Each array
-builds and resolves a drive once, and its trials replay it.
+stream equals ``default_rng(SeedSequence(key))`` bit for bit.  Each bucket is
+one runner call over its streams (``execute_gate_bucket`` for a gate and input
+pair, ``scout_class`` for a scouting class, one cell's cycle loop in
+characterization), and each cell's drives are built once per array.
 
 A table's rows are tuples in column order, and its columns are stated once:
 the fields of its row type (``TraceRow``, ``DistributionSummary``,
@@ -23,6 +25,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -49,8 +52,7 @@ from .logic1t1r import (
     ParamMapping,
     default_gate_library,
     evaluate_mapping,
-    execute_gate,
-    logic_drive,
+    execute_gate_bucket,
     lookup_gate,
 )
 from .scouting import (
@@ -64,8 +66,7 @@ from .scouting import (
     input_patterns,
     place_references,
     reference_preset,
-    scout_current,
-    write_inputs,
+    scout_class,
 )
 from .streams import trial_streams
 
@@ -290,12 +291,11 @@ def run_1t1r_experiment(config: ExperimentConfig,
             addr = CellAddress(row_idx, col)
             array.form(addr)
             expected = evaluate_mapping(mapping, p, q).output
-            bucket = BucketStats(label=f"{name}/{p}{q}", expected=expected)
-            for cycle, rng in zip(range(config.cycles), streams):
-                bucket.trials += 1
-                try:
-                    trace = execute_gate(array, addr, mapping, p, q, rng)
-                except InitFailureError:
+            traces = execute_gate_bucket(array, addr, mapping, p, q,
+                                         islice(streams, config.cycles))
+            bucket = BucketStats(f"{name}/{p}{q}", expected, trials=len(traces))
+            for cycle, trace in enumerate(traces):
+                if isinstance(trace, InitFailureError):
                     bucket.errors += 1
                     continue
                 all_rows.append(TraceRow(
@@ -378,9 +378,10 @@ def sample_scouting_currents(config: ExperimentConfig, n: int,
                           seed=config.seed)
         for addr in addrs:
             array.form(addr)
-        for cycle, rng in zip(range(config.cycles), streams):
-            write_inputs(array, addrs, input_class, rng, True, verify)
-            samples.append(CurrentSample(input_class, scout_current(array, addrs, rng), cycle))
+        currents = scout_class(array, addrs, input_class, islice(streams, config.cycles),
+                               True, verify)
+        samples += [CurrentSample(input_class, current, cycle)
+                    for cycle, current in enumerate(currents)]
     return samples
 
 
@@ -505,11 +506,11 @@ def run_characterization(params: VariabilityParams,
         array = CellArray(topology, params, transistor, seed=seed)
         addr = CellAddress(0, ci)
         array.form(addr)
-        cell = array.cell(addr)
+        cell, drives = array.cell(addr), array.cell_drives(addr)
         for cycle, rng in zip(range(cycles), streams):
             reads = []
             for bits, state, pulse, *names in phases:
-                array.apply_drive(array.drive(logic_drive, addr, *bits), rng)
+                array.apply_drive(drives[bits], rng)
                 if cell.state != state:
                     raise ValueError(
                         f"cell {ci} is {cell.state.upper()} after the {volts.width} s, "

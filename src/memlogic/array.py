@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,6 +75,13 @@ class ArrayTopology:
         standard array, its row in the pseudo-crossbar."""
         return addr.row if self.kind == TopologyKind.PSEUDO_CROSSBAR else addr.col
 
+    def require_address(self, addr: CellAddress | tuple[int, int]) -> None:
+        """Raise ``ValueError`` unless ``addr`` (row, col) lies in the array."""
+        row, col = addr
+        # Range membership admits ints and numpy integers, as dict keys do.
+        if not (row in range(self.rows) and col in range(self.cols)):
+            raise ValueError(f"address {tuple(addr)} out of bounds")
+
 
 @dataclass(frozen=True)
 class LineDrive:
@@ -103,6 +110,47 @@ class LineDrive:
                                          tuple(self.bl.items()), self.width))
 
 
+def logic_pulse_voltages(g: int, te: int, be: int) -> tuple[float, float, float]:
+    """Map resolved logic bits to physical pulse voltages.
+
+    te=1 raises the TE to the SET amplitude, be=1 raises the BE to the RESET
+    amplitude.  A logic-1 gate uses the SET gate voltage when the pulse has
+    SET polarity and the (higher) RESET gate voltage otherwise; a logic-0 gate
+    grounds the word line.
+    """
+    volts = DEFAULT_VOLTAGES
+    v_te = volts.v_te_set if te else 0.0
+    v_be = volts.v_be_reset if be else 0.0
+    v_g = (volts.v_g_set if te > be else volts.v_g_reset) if g else 0.0
+    return v_te, v_be, v_g
+
+
+def logic_drive(topology: ArrayTopology, addr: CellAddress, g: int, te: int,
+                be: int) -> LineDrive:
+    """Drive one cell with the logic pulse of the resolved bits (g, te, be):
+    its WL, its column SL and the BL its BE hangs on."""
+    v_te, v_be, v_g = logic_pulse_voltages(g, te, be)
+    return LineDrive(wl={addr.row: v_g}, sl={addr.col: v_te},
+                     bl={topology.bl_of(addr): v_be}, width=DEFAULT_VOLTAGES.width)
+
+
+#: The writes are logic pulses: SET is case 4's (g, te, be), RESET case 5's.
+SET_BITS, RESET_BITS = (1, 1, 0), (1, 0, 1)
+
+
+class CellDrives(dict):
+    """One cell (``cell``) and its logic drives by their bits (g, te, be), each
+    built on first use."""
+
+    def __init__(self, topology: ArrayTopology, addr: CellAddress, cell: MemristorCell):
+        super().__init__()
+        self.topology, self.addr, self.cell = topology, addr, cell
+
+    def __missing__(self, bits: tuple[int, int, int]) -> LineDrive:
+        drive = self[bits] = logic_drive(self.topology, self.addr, *bits)
+        return drive
+
+
 def check_parallel_distinct_voltages(topology: ArrayTopology,
                                      cell_a: CellAddress, cell_b: CellAddress,
                                      pulse_a: Pulse, pulse_b: Pulse) -> str | None:
@@ -117,6 +165,8 @@ def check_parallel_distinct_voltages(topology: ArrayTopology,
     """
     if cell_a == cell_b:
         raise ValueError("cell_a and cell_b must differ")
+    for addr in (cell_a, cell_b):  # an address outside the array is a ValueError
+        topology.require_address(addr)
     cells = f"cells {tuple(cell_a)} and {tuple(cell_b)}"
     bl = topology.bl_of(cell_a)
     shared_sl = cell_a.col == cell_b.col
@@ -143,6 +193,8 @@ def validate_parallel_selection(topology: ArrayTopology,
         raise TopologyError("empty selection")
     if len(set(addrs)) != len(addrs):
         raise TopologyError("duplicate addresses in parallel selection")
+    for addr in addrs:  # an address outside the array is a ValueError
+        topology.require_address(addr)
     bls = {topology.bl_of(a) for a in addrs}
     if len(bls) != 1:
         name, line = (("pseudo-crossbar", "row") if topology.kind == TopologyKind.PSEUDO_CROSSBAR
@@ -169,7 +221,7 @@ class CellArray:
         self.seed = seed
         self.boundary = default_boundary(params)
         self.cells: dict[CellAddress, MemristorCell] = {}
-        self._built: dict[tuple, LineDrive] = {}  # by builder and arguments
+        self._drives: dict[CellAddress, CellDrives] = {}  # by cell
         self._resolved: dict[tuple, list] = {}  # (addr, cell, pulse)s by drive content
         self._selections: dict[tuple, tuple[CellAddress, ...]] = {}  # validated reads
 
@@ -178,11 +230,8 @@ class CellArray:
         try:
             return self.cells[addr]
         except (KeyError, TypeError):  # not sampled yet, or an unhashable list
-            row, col = addr
-        # Range membership admits ints and numpy integers, as dict keys do.
-        if not (row in range(self.topology.rows) and col in range(self.topology.cols)):
-            raise ValueError(f"address {tuple(addr)} out of bounds")
-        addr = CellAddress(int(row), int(col))
+            self.topology.require_address(addr)
+        addr = CellAddress(*map(int, addr))
         if addr not in self.cells:
             rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0, *addr)))
             self.cells[addr] = sample_fresh_cell(self.params, rng,
@@ -195,13 +244,14 @@ class CellArray:
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, 1, addr.row, addr.col)))
         form_by_ramp(self.cell(addr), self.transistor, rng)
 
-    def drive(self, build: Callable[..., LineDrive], *args) -> LineDrive:
-        """``build(self.topology, *args)``, built once per array and then reused."""
-        key = (build, *args)
-        drive = self._built.get(key)
-        if drive is None:
-            drive = self._built[key] = build(self.topology, *args)
-        return drive
+    def cell_drives(self, addr: CellAddress) -> CellDrives:
+        """The cell with its drives (its SET and RESET writes among them), kept
+        for the array's life; sampled, and checked against the bounds, as ``cell``."""
+        drives = self._drives.get(addr)
+        if drives is None:
+            drives = self._drives[addr] = CellDrives(self.topology, CellAddress(*addr),
+                                                     self.cell(addr))
+        return drives
 
     def apply_drive(self, drive: LineDrive,
                     rng: np.random.Generator) -> list[tuple[CellAddress, SwitchEvent]]:

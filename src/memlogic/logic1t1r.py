@@ -15,6 +15,10 @@ exhaustive synthesizer covering all 16 two-input Boolean functions, and the
 physical execution path that initializes a cell, fires the logic pulse
 through the array wiring and reads the output back, all at the operating
 point ``DEFAULT_VOLTAGES`` (defined in ``device`` and re-exported here).
+A gate bucket (one gate, input pair and cell) runs in one call,
+``execute_gate_bucket``, with its case and logic drive (one of the cell's
+drives, ``CellArray.cell_drives``) resolved once; ``execute_gate`` is its
+one-trial case.
 """
 
 from __future__ import annotations
@@ -22,19 +26,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .array import ArrayTopology, CellAddress, CellArray, LineDrive
+from .array import RESET_BITS, SET_BITS, CellAddress, CellArray
+from .array import logic_drive, logic_pulse_voltages  # noqa: F401  re-exported
 from .device import (
-    DEFAULT_VOLTAGES,
+    DEFAULT_VOLTAGES,  # noqa: F401  re-exported with the operating point
     STATE_HRS,
     STATE_LRS,
-    LogicVoltages,  # noqa: F401  re-exported with the operating point
-    MemristorCell,
+    LogicVoltages,  # noqa: F401
     NotFormedError,
     binarize,
 )
@@ -129,12 +132,6 @@ class ParamMapping:
     def terms(self) -> tuple[Term, Term, Term, Term]:
         return (self.g, self.te, self.be, self.i)
 
-    @cached_property
-    def evaluations(self) -> dict[tuple[int, int], LogicCase]:
-        """``evaluate_mapping`` of every input pair, computed on first use."""
-        return {(p, q): classify_case(*(term.resolve(p, q) for term in self.terms()))
-                for p, q in INPUT_PAIRS}
-
 
 BUILTIN_MAPPINGS: dict[str, ParamMapping] = {
     "OR": ParamMapping("OR", Term.CONST1, Term.Q, Term.CONST0, Term.P),
@@ -162,13 +159,9 @@ def builtin_mapping(name: str) -> ParamMapping:
 def evaluate_mapping(mapping: ParamMapping, p: int, q: int) -> LogicCase:
     """Resolve the mapping on (p, q) and return its case, expected output included.
 
-    Pure case algebra; no device model involved.  Each mapping evaluates its
-    input pairs once (``ParamMapping.evaluations``).
+    Pure case algebra; no device model involved.
     """
-    try:
-        return mapping.evaluations[p, q]
-    except KeyError:
-        raise ValueError(f"inputs must be 0 or 1, got p={p!r}, q={q!r}") from None
+    return classify_case(*(term.resolve(p, q) for term in mapping.terms()))
 
 
 def truth_table_of(mapping: ParamMapping) -> str:
@@ -247,21 +240,6 @@ def load_gate_library(path: str | Path) -> dict[str, ParamMapping]:
     return mappings
 
 
-def logic_pulse_voltages(g: int, te: int, be: int) -> tuple[float, float, float]:
-    """Map resolved logic bits to physical pulse voltages.
-
-    te=1 raises the TE to the SET amplitude, be=1 raises the BE to the RESET
-    amplitude.  A logic-1 gate uses the SET gate voltage when the pulse has
-    SET polarity and the (higher) RESET gate voltage otherwise; a logic-0 gate
-    grounds the word line.
-    """
-    volts = DEFAULT_VOLTAGES
-    v_te = volts.v_te_set if te else 0.0
-    v_be = volts.v_be_reset if be else 0.0
-    v_g = (volts.v_g_set if te > be else volts.v_g_reset) if g else 0.0
-    return v_te, v_be, v_g
-
-
 class GateTrace(NamedTuple):
     """What one physical gate execution measured."""
 
@@ -284,31 +262,8 @@ class InitFailureError(RuntimeError):
         self.retries = retries
 
 
-def logic_drive(topology: ArrayTopology, addr: CellAddress, g: int, te: int,
-                be: int) -> LineDrive:
-    """Drive one cell with the logic pulse of the resolved bits (g, te, be):
-    its WL, its column SL and the BL its BE hangs on."""
-    v_te, v_be, v_g = logic_pulse_voltages(g, te, be)
-    return LineDrive(wl={addr.row: v_g}, sl={addr.col: v_te},
-                     bl={topology.bl_of(addr): v_be}, width=DEFAULT_VOLTAGES.width)
-
-
-#: The writes are logic pulses: SET is case 4's (g, te, be), RESET case 5's.
-SET_BITS, RESET_BITS = (1, 1, 0), (1, 0, 1)
-
-
 #: Correction pulses a verified write may apply before it gives up.
 INIT_RETRIES = 3
-
-
-def _pulse_towards(array: CellArray, addr: CellAddress, cell: MemristorCell, target: int,
-                   rng: np.random.Generator) -> None:
-    """One write towards ``target``: RESET switches an LRS cell or re-draws an HRS
-    value; before a SET an LRS cell cycles through HRS to re-draw its LRS value."""
-    if target != 1 or cell.state == STATE_LRS:
-        array.apply_drive(array.drive(logic_drive, addr, *RESET_BITS), rng)
-    if target == 1:
-        array.apply_drive(array.drive(logic_drive, addr, *SET_BITS), rng)
 
 
 def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: int,
@@ -329,29 +284,51 @@ def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: 
     """
     if not isinstance(addr, CellAddress):
         addr = CellAddress(*addr)
-    cell = array.cell(addr)
+    drives = array.cell_drives(addr)
+    cell = drives.cell
     if not cell.is_formed:
         raise NotFormedError(f"cell {tuple(addr)} is pristine; form it first")
-    if not verify:
-        if refresh or cell.state != (STATE_LRS if bit == 1 else STATE_HRS):
-            _pulse_towards(array, addr, cell, bit, rng)
-            return cell.resistance, 1
-        return cell.resistance, 0
-
-    boundary = array.boundary
+    state = STATE_LRS if bit == 1 else STATE_HRS
     pulses = 0
-    r = array.read_cell(addr, rng)
-    if refresh:
-        _pulse_towards(array, addr, cell, bit, rng)
-        pulses += 1
-        r = array.read_cell(addr, rng)
-    while binarize(r, boundary) != bit:
+    r = array.read_cell(addr, rng) if verify else cell.resistance
+    # Write while a refresh is owed or the state is wrong (as read back, or as set).
+    while (refresh and not pulses) or (binarize(r, array.boundary) != bit if verify
+                                       else not pulses and cell.state != state):
         if pulses > INIT_RETRIES:
             raise InitFailureError(addr, bit, INIT_RETRIES)
-        _pulse_towards(array, addr, cell, bit, rng)
+        # RESET switches an LRS cell or re-draws an HRS value; before a SET an
+        # LRS cell cycles through HRS to re-draw its LRS value.
+        if bit != 1 or cell.state == STATE_LRS:
+            array.apply_drive(drives[RESET_BITS], rng)
+        if bit == 1:
+            array.apply_drive(drives[SET_BITS], rng)
         pulses += 1
-        r = array.read_cell(addr, rng)
+        r = array.read_cell(addr, rng) if verify else cell.resistance
     return r, pulses
+
+
+def execute_gate_bucket(array: CellArray, addr: CellAddress | tuple[int, int],
+                        mapping: ParamMapping, p: int, q: int,
+                        rngs: Iterable[np.random.Generator],
+                        ) -> list[GateTrace | InitFailureError]:
+    """``execute_gate`` once per generator of ``rngs``, each used before the next
+    is drawn, with the case and the logic drive resolved once.  A trial whose
+    initialization fails gives its ``InitFailureError`` in place of a trace.
+    """
+    addr, case = CellAddress(*addr), evaluate_mapping(mapping, p, q)
+    drive = array.cell_drives(addr)[case.g, case.te, case.be]
+    traces = []
+    for rng in rngs:
+        try:
+            r_init, retries = initialize_cell(array, addr, case.i, rng)
+        except InitFailureError as exc:
+            traces.append(exc)
+            continue
+        array.apply_drive(drive, rng)
+        r_final = array.read_cell(addr, rng)
+        traces.append(GateTrace(case.case_id, r_init, r_final,
+                                binarize(r_final, array.boundary), case.output, retries))
+    return traces
 
 
 def execute_gate(array: CellArray, addr: CellAddress | tuple[int, int],
@@ -361,13 +338,10 @@ def execute_gate(array: CellArray, addr: CellAddress | tuple[int, int],
 
     The cell is first brought to the mapping's required initial state (skipped
     when it already matches), then the single logic pulse is fired through the
-    array lines, and the output is the binarized post-pulse read.
+    array lines, and the output is the binarized post-pulse read.  This is the
+    one-trial case of ``execute_gate_bucket``.
     """
-    if not isinstance(addr, CellAddress):
-        addr = CellAddress(*addr)
-    case = evaluate_mapping(mapping, p, q)
-    r_init, retries = initialize_cell(array, addr, case.i, rng)
-    array.apply_drive(array.drive(logic_drive, addr, case.g, case.te, case.be), rng)
-    r_final = array.read_cell(addr, rng)
-    return GateTrace(case.case_id, r_init, r_final, binarize(r_final, array.boundary),
-                     case.output, retries)
+    [trace] = execute_gate_bucket(array, addr, mapping, p, q, (rng,))
+    if isinstance(trace, InitFailureError):
+        raise trace
+    return trace

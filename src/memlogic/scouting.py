@@ -7,7 +7,9 @@ of cells in LRS).  The number of levels below the current is the popcount,
 and every operation is a predicate on it: OR is a popcount of at least one,
 AND a popcount of n, XOR an odd popcount.  READ is the one-cell case, with its
 own reference.  The read is non-destructive, so the gate never switches a
-device.
+device.  ``scout_class`` writes one input class and scouts it cycle after
+cycle, with the bits, the selection and each cell's write resolved once;
+``write_inputs`` followed by ``scout_current`` is its one-cycle case.
 """
 
 from __future__ import annotations
@@ -115,6 +117,18 @@ class OverlapError(RuntimeError):
         self.upper_min = upper_min
 
 
+def _input_writes(addrs: Sequence[CellAddress | tuple[int, int]],
+                  bits: Sequence[int] | str) -> list[tuple[CellAddress, int]]:
+    """Each address with the bit it stores; checked before any pulse."""
+    try:
+        bit_list = [_BITS[b] for b in bits]
+    except (KeyError, TypeError):
+        raise ValueError(f"input bits must be 0 or 1, got {bits!r}") from None
+    if len(addrs) != len(bit_list):
+        raise ValueError("need exactly one bit per address")
+    return [(CellAddress(*addr), bit) for addr, bit in zip(addrs, bit_list)]
+
+
 def write_inputs(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
                  bits: Sequence[int] | str, rng: np.random.Generator,
                  refresh: bool = False, verify: bool = True) -> None:
@@ -125,13 +139,7 @@ def write_inputs(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]
     ``verify=False`` skips the read-back loop (used by stress analyses that
     must not truncate the state tails).
     """
-    try:
-        bit_list = [_BITS[b] for b in bits]
-    except (KeyError, TypeError):  # checked before any pulse
-        raise ValueError(f"input bits must be 0 or 1, got {bits!r}") from None
-    if len(addrs) != len(bit_list):
-        raise ValueError("need exactly one bit per address")
-    for addr, bit in zip(addrs, bit_list):
+    for addr, bit in _input_writes(addrs, bits):
         initialize_cell(array, addr, bit, rng, refresh, verify)
 
 
@@ -142,10 +150,32 @@ def scout_current(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int
     States are not disturbed; a current beyond the float range is a ``ValueError``.
     The selection is validated once per array (``CellArray.parallel_selection``).
     """
+    return _read_current(array, array.parallel_selection(addrs), rng)
+
+
+def _read_current(array: CellArray, selection: tuple[CellAddress, ...],
+                  rng: np.random.Generator) -> float:
     v_read, conductance = DEFAULT_VOLTAGES.v_read, 0.0
-    for addr in array.parallel_selection(addrs):
+    for addr in selection:
         conductance += 1.0 / array.read_cell(addr, rng)
     return require_finite_result("read current", v_read * conductance, array.params)
+
+
+def scout_class(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
+                bits: Sequence[int] | str, rngs: Iterable[np.random.Generator],
+                refresh: bool = False, verify: bool = True) -> list[float]:
+    """``write_inputs`` then ``scout_current`` once per generator of ``rngs``,
+    each used before the next is drawn, with the bits parsed, the selection
+    validated and each cell's write resolved once: an invalid request raises
+    before any pulse."""
+    writes = _input_writes(addrs, bits)
+    selection = array.parallel_selection(addrs)
+    currents = []
+    for rng in rngs:
+        for addr, bit in writes:
+            initialize_cell(array, addr, bit, rng, refresh, verify)
+        currents.append(_read_current(array, selection, rng))
+    return currents
 
 
 def _class_extremes(samples: Iterable[CurrentSample]) -> dict[str, tuple[float, float]]:
@@ -249,9 +279,12 @@ def classify(current: float, refs: ReferenceLevels, op: str) -> int:
 def scouting_gate(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
                   bits: Sequence[int] | str, op: str, refs: ReferenceLevels,
                   rng: np.random.Generator) -> int:
-    """Write the input bits, scout the summed current, classify it."""
-    write_inputs(array, addrs, bits, rng)
-    current = scout_current(array, addrs, rng)
+    """Write the input bits, scout the summed current, classify it (one cycle
+    of ``scout_class``); READ reads one cell, every other op ``refs.n`` cells."""
+    width = 1 if op.lower() == "read" else refs.n
+    if len(addrs) != width:
+        raise ValueError(f"scouting op {op!r} reads {width} input cells, got {len(addrs)}")
+    [current] = scout_class(array, addrs, bits, (rng,))
     return classify(current, refs, op)
 
 

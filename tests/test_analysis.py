@@ -442,3 +442,30 @@ def test_default_runs_do_the_pinned_work(monkeypatch, request, run):
     result = run(ExperimentConfig(seed=7))
     assert result.report.failures == result.report.errors == 0
     assert dict(calls) == WORK_AT_SEED_7[request.node.callspec.id]
+
+
+#: Calls of the default ``run_characterization`` at seed 7, recorded as
+#: ``WORK_AT_SEED_7`` was and before its drives were built once per cell:
+#: 10 cells x 100 cycles of one SET and one RESET drive and a read after each,
+#: plus the forming ramps' pulses.
+CHARACTERIZE_WORK_AT_SEED_7 = {"apply_pulse": 2206, "read_resistance": 2000,
+                               "apply_drive": 2000}
+
+
+def test_default_characterization_does_the_pinned_work(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("apply_pulse", "read_resistance"):
+        counted = counting(name, getattr(device_module, name))
+        for module in (device_module, array_module):
+            monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(CellArray, "apply_drive",
+                        counting("apply_drive", CellArray.apply_drive))
+    run_characterization(VariabilityParams(), seed=7)
+    assert dict(calls) == CHARACTERIZE_WORK_AT_SEED_7

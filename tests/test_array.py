@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,21 @@ def test_validate_parallel_selection():
         validate_parallel_selection(PSEUDO, [CellAddress(0, 0), CellAddress(1, 0)])
     with pytest.raises(TopologyError):
         validate_parallel_selection(STD, [])
+
+
+def test_parallel_checks_reject_addresses_outside_the_array():
+    topology = ArrayTopology(rows=4, cols=4)
+    for addrs, bad in [([(99, 0), (100, 0)], (99, 0)),
+                       ([CellAddress(0, 0), CellAddress(0, 4)], (0, 4))]:
+        with pytest.raises(ValueError, match=f"^address {re.escape(str(bad))} out of bounds$"):
+            validate_parallel_selection(topology, addrs)
+    for cell_a, cell_b, bad in [((99, 7), (-5, 7), (99, 7)), ((1, 3), (1, -1), (1, -1))]:
+        with pytest.raises(ValueError, match=f"^address {re.escape(str(bad))} out of bounds$"):
+            check_parallel_distinct_voltages(topology, CellAddress(*cell_a),
+                                             CellAddress(*cell_b), SET_PULSE, RESET_PULSE)
+    # In-bounds requests keep their verdicts.
+    assert "share the SL/BL pair of column 3" in check_parallel_distinct_voltages(
+        topology, CellAddress(0, 3), CellAddress(3, 3), SET_PULSE, RESET_PULSE)
 
 
 def make_array(seed=0):

@@ -314,7 +314,7 @@ def test_every_case_pulse_leaves_the_case_output(case, kind):
     array.form(addr)
     rng = np.random.default_rng(case.case_id)
     initialize_cell(array, addr, case.i, rng)
-    array.apply_drive(array.drive(logic_drive, addr, case.g, case.te, case.be), rng)
+    array.apply_drive(array.cell_drives(addr)[case.g, case.te, case.be], rng)
     assert binarize(array.read_cell(addr, rng), array.boundary) == case.output
 
 

@@ -323,6 +323,24 @@ def test_scouting_gate_composition():
     assert scouting_gate(array, addrs, "11", "xor", PAPER_REFS, rng) == 0
 
 
+@pytest.mark.parametrize("op, n", [("read", 2), ("READ", 3), ("and", 1), ("or", 3),
+                                   ("xor", 1)])
+def test_scouting_gate_rejects_a_selection_of_another_width(op, n):
+    # READ reads one cell, every other op refs.n cells: a two-cell READ would
+    # answer as OR, and a one-cell AND at the paper's references as 0.
+    array, addrs = column_array(params=VariabilityParams(), n=3, seed=7)
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    width = 1 if op.lower() == "read" else PAPER_REFS.n
+    with pytest.raises(ValueError, match=f"^scouting op {op!r} reads {width} input "
+                                         f"cells, got {n}$"):
+        scouting_gate(array, addrs[:n], "1" * n, op, PAPER_REFS, rng)
+    assert rng.bit_generator.state == state  # rejected before any pulse
+    bits = "1" * width
+    assert scouting_gate(array, addrs[:width], bits, op, PAPER_REFS, rng) == expected_bit(
+        op.lower(), bits)
+
+
 # ------------------------------------------------------------ n-input form
 
 def n3_samples():
