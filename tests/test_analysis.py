@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import tempfile
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -280,6 +283,38 @@ def test_json_tables_write_non_finite_floats_as_null(tmp_path):
     # Any other non-finite value is refused, never written as a bare NaN.
     with pytest.raises(ValueError):
         analysis_module._write_json(tmp_path / "report.json", {"ratio": nan})
+
+
+#: Cell values a CSV table is written straight from (``int``, ``float``, ``str``,
+#: with the characters that need quoting), and every value besides.
+PLAIN_CELLS = st.one_of(
+    st.integers(-2**80, 2**80), st.floats(),  # nan, infinities and -0.0 among them
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    st.sampled_from(["", ",", '"', "\r", "\n", ' a,"b"\r\nc ']))
+ANY_CELLS = st.one_of(PLAIN_CELLS, st.none(), st.booleans(), st.floats().map(np.float64),
+                      st.integers(-2**40, 2**40).map(np.int64))
+
+
+@st.composite
+def csv_tables(draw):
+    width = draw(st.integers(1, 4))
+    cells = draw(st.sampled_from([PLAIN_CELLS, ANY_CELLS]))
+    columns = draw(st.lists(st.text(max_size=4), min_size=width, max_size=width))
+    return columns, draw(st.lists(st.tuples(*[cells] * width), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_tables())
+def test_csv_tables_equal_the_csv_writer_bytes(table):
+    columns, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = export_table("table", columns, rows, tmp, "csv")
+        oracle = Path(tmp) / "oracle.csv"
+        with open(oracle, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
+        assert path.read_bytes() == oracle.read_bytes()
 
 
 def test_export_rejects_unknown_format(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -106,6 +107,26 @@ def test_cli_gate_from_a_library_name_with_a_slash(tmp_path, capsys):
     assert main(["gate", "A/B", "--library", str(library), "--cycles", "2",
                  "-o", str(tmp_path)]) == 0
     assert "A/B p=0 q=1 -> 1" in capsys.readouterr().out
+
+
+#: sha256 of the tables a gate named ``Q"R`` writes beside OR, recorded while
+#: every CSV row still went through ``csv.writer``: its name and labels are quoted.
+QUOTED_GATE_SHA256 = {
+    "traces.csv": "6a5404aa219eba04765599e83ed92e532a7b2c5a642f0fb7e082beebd1628315",
+    "summary.csv": "3b752ec394c5237beec8167c595ccba5553e996cae109a68ed0a4b902e8aa441",
+}
+
+
+def test_cli_gate_from_a_library_name_with_a_quote(tmp_path, capsys):
+    library = tmp_path / "lib.csv"
+    library.write_text('name,g,te,be,i\nQ"R,1,q,0,p\n')
+    out = tmp_path / "out"
+    assert main(["gate", 'Q"R', "OR", "--library", str(library), "--cycles", "5",
+                 "-o", str(out)]) == 0
+    assert 'Q"R p=0 q=1 -> 1' in capsys.readouterr().out
+    assert (out / "traces.csv").read_text().splitlines()[1].startswith('"Q""R",0,0,')
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in QUOTED_GATE_SHA256} == QUOTED_GATE_SHA256
 
 
 def test_cli_gate_notp(tmp_path, capsys):
