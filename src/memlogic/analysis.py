@@ -9,13 +9,16 @@ scouting class or characterized cell) and cycles (``_bucket_streams``); each
 stream equals ``default_rng(SeedSequence(key))`` bit for bit.  Each bucket is
 one runner call over its streams (``execute_gate_bucket`` for a gate and input
 pair, ``scout_class`` for a scouting class, one cell's cycle loop in
-characterization), and each cell's drives are built once per array.
+characterization), and each cell's drives are built once per array.  A gate
+bucket's trace rows, error and failure counts and summary come from one pass
+over that call's traces; the summaries are sorted by label once, at the end.
 
 A table's rows are tuples in column order, and its columns are stated once:
 the fields of its row type (``TraceRow``, ``DistributionSummary``,
 ``GapMargin``, ``NonSwitchingCaseReport``, ``SweepPoint``) or a column tuple
-next to the rows it heads.  ``export_table`` writes any of them as CSV or JSON
-(a non-finite float is JSON null).
+next to the rows it heads.  ``export_table`` writes any of them as CSV (each
+value's ``str``, quoted as ``csv.writer`` quotes) or JSON (a non-finite float
+is null).
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, groupby, islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -277,7 +281,8 @@ def run_1t1r_experiment(config: ExperimentConfig,
     mappings = [(name, lookup_gate(library, name)) for name in config.gates]
     _reject_repeats("gate", config.gates, [mapping for _, mapping in mappings])
     _require_switching_pulse(config.device)
-    all_rows: list[TraceRow] = []
+    rows: list[TraceRow] = []
+    summaries: list[DistributionSummary] = []
     report = FailureReport()
     streams = _bucket_streams((config.seed, 10), [
         (gate_idx, p, q) for gate_idx in range(len(mappings)) for p, q in INPUT_PAIRS],
@@ -293,28 +298,24 @@ def run_1t1r_experiment(config: ExperimentConfig,
             expected = evaluate_mapping(mapping, p, q).output
             traces = execute_gate_bucket(array, addr, mapping, p, q,
                                          islice(streams, config.cycles))
-            bucket = BucketStats(f"{name}/{p}{q}", expected, trials=len(traces))
-            for cycle, trace in enumerate(traces):
-                if isinstance(trace, InitFailureError):
-                    bucket.errors += 1
-                    continue
-                all_rows.append(TraceRow(
-                    name, p, q, trace.case_id, cycle, trace.init_resistance,
-                    trace.final_resistance, trace.output_bit, expected))
-                if trace.output_bit != expected:
-                    bucket.failures += 1
-                    if report.first_failure is None:
-                        report.first_failure = (config.seed, bucket.label, cycle)
-            report.buckets.append(bucket)
-    summaries = []
-    grouped: dict[str, list[float]] = defaultdict(list)
-    for row in all_rows:
-        grouped[f"{row.gate}/{row.p}{row.q}"].append(row.r_final_ohm)
-    for label in sorted(grouped):
-        summaries.append(DistributionSummary.from_samples(label, grouped[label]))
+            label = f"{name}/{p}{q}"
+            bucket_rows = [TraceRow(name, p, q, trace.case_id, cycle, trace.init_resistance,
+                                    trace.final_resistance, trace.output_bit, expected)
+                           for cycle, trace in enumerate(traces)
+                           if not isinstance(trace, InitFailureError)]
+            failed = [row.cycle for row in bucket_rows if row.out_bit != expected]
+            if failed and report.first_failure is None:
+                report.first_failure = (config.seed, label, failed[0])
+            report.buckets.append(BucketStats(label, expected, len(traces), len(failed),
+                                              len(traces) - len(bucket_rows)))
+            if bucket_rows:  # a bucket whose every trial errored has no summary
+                summaries.append(DistributionSummary.from_samples(
+                    label, [row.r_final_ohm for row in bucket_rows]))
+            rows += bucket_rows
+    summaries.sort()  # by label, which no two buckets share
     return LogicExperimentResult(
-        config=config, rows=all_rows, summaries=summaries, report=report,
-        non_switching=non_switching_report(all_rows, default_boundary(config.device)))
+        config=config, rows=rows, summaries=summaries, report=report,
+        non_switching=non_switching_report(rows, default_boundary(config.device)))
 
 
 class NonSwitchingCaseReport(NamedTuple):
@@ -333,11 +334,12 @@ def non_switching_report(rows: Sequence[TraceRow],
     deviation of ln(final/initial), the analog drift of the resident state.
     """
     by_case: dict[int, list[TraceRow]] = defaultdict(list)
-    for row in rows:
-        if not CASE_TABLE[row.case_id - 1].possible:
-            by_case[row.case_id].append(row)
+    for case_id, run in groupby(rows, attrgetter("case_id")):  # a bucket is one run
+        by_case[case_id] += run
     reports = []
     for case_id in sorted(by_case):
+        if CASE_TABLE[case_id - 1].possible:
+            continue
         case_rows = by_case[case_id]
         changes = sum(1 for r in case_rows
                       if binarize(r.r_init_ohm, boundary) != binarize(r.r_final_ohm, boundary))
@@ -465,12 +467,11 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
                 report.first_failure = (config.seed, label, failed[0])
             report.buckets.append(BucketStats(label, expected, len(class_samples), len(failed)))
 
-    summaries = []
     grouped: dict[str, list[float]] = defaultdict(list)
     for s in samples:
         grouped[s.input_class].append(s.current)
-    for label in sorted(grouped):
-        summaries.append(DistributionSummary.from_samples(label, grouped[label]))
+    summaries = [DistributionSummary.from_samples(label, grouped[label])
+                 for label in sorted(grouped)]
     return ScoutingExperimentResult(config=config, samples=samples, refs=refs,
                                     summaries=summaries, report=report,
                                     margins=_margins(train, refs), overlap=overlap)
@@ -624,18 +625,38 @@ def _write_json(path: Path, payload) -> Path:
     return path
 
 
+def _csv_body(rows: list, width: int) -> str | None:
+    """The rows as ``csv.writer`` writes them, from one line template; ``None`` for a
+    row of another width, a value not exactly ``int``, ``float`` or ``str``, or a field
+    to quote (a comma, a quote, a line break, the empty field of a one-column row)."""
+    values = tuple(chain.from_iterable(rows))
+    if set(map(len, rows)) - {width} or set(map(type, values)) - {int, float, str}:
+        return None
+    body = (",".join(["%s"] * width) + "\n") * len(rows) % values
+    if (body.count(",") != len(rows) * (width - 1) or body.count("\n") != len(rows)
+            or '"' in body or "\r" in body or width == 1 and "\n\n" in "\n" + body):
+        return None
+    return body
+
+
 def export_table(name: str, columns: Sequence[str], rows: Iterable[tuple],
                  out_dir: str | Path, fmt: str = "csv") -> Path:
     """Write one table: a ``columns`` header, then each row's values in
-    column order; deterministic bytes."""
+    column order; deterministic bytes.  A CSV row holds its values' ``str``,
+    written through ``csv.writer`` where some field needs quoting."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.{fmt}"
     if fmt == "csv":
+        rows = list(rows)
+        body = _csv_body(rows, len(columns))
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(columns)
-            writer.writerows(rows)
+            if body is None:
+                writer.writerows(rows)
+            else:
+                handle.write(body)
     elif fmt == "json":  # JSON has no NaN or infinity: a non-finite float is null
         _write_json(path, [{column: None if isinstance(value, float)
                             and not math.isfinite(value) else value

@@ -70,10 +70,11 @@ class ArrayTopology:
     def bl_count(self) -> int:
         return self.rows if self.kind == TopologyKind.PSEUDO_CROSSBAR else self.cols
 
-    def bl_of(self, addr: CellAddress) -> int:
+    def bl_of(self, addr: CellAddress | tuple[int, int]) -> int:
         """The BL the cell's bottom electrode hangs on: its column in the
         standard array, its row in the pseudo-crossbar."""
-        return addr.row if self.kind == TopologyKind.PSEUDO_CROSSBAR else addr.col
+        row, col = addr
+        return row if self.kind == TopologyKind.PSEUDO_CROSSBAR else col
 
     def require_address(self, addr: CellAddress | tuple[int, int]) -> None:
         """Raise ``ValueError`` unless ``addr`` (row, col) lies in the array."""
@@ -152,7 +153,8 @@ class CellDrives(dict):
 
 
 def check_parallel_distinct_voltages(topology: ArrayTopology,
-                                     cell_a: CellAddress, cell_b: CellAddress,
+                                     cell_a: CellAddress | tuple[int, int],
+                                     cell_b: CellAddress | tuple[int, int],
                                      pulse_a: Pulse, pulse_b: Pulse) -> str | None:
     """Can these two cells be driven simultaneously with these pulses?
 
@@ -167,6 +169,7 @@ def check_parallel_distinct_voltages(topology: ArrayTopology,
         raise ValueError("cell_a and cell_b must differ")
     for addr in (cell_a, cell_b):  # an address outside the array is a ValueError
         topology.require_address(addr)
+    cell_a, cell_b = CellAddress(*cell_a), CellAddress(*cell_b)
     cells = f"cells {tuple(cell_a)} and {tuple(cell_b)}"
     bl = topology.bl_of(cell_a)
     shared_sl = cell_a.col == cell_b.col
@@ -184,7 +187,7 @@ def check_parallel_distinct_voltages(topology: ArrayTopology,
 
 
 def validate_parallel_selection(topology: ArrayTopology,
-                                addrs: Sequence[CellAddress]) -> None:
+                                addrs: Sequence[CellAddress | tuple[int, int]]) -> None:
     """Check that the addressed cells can be read out in parallel: distinct
     cells that all share one BL (a column in the standard array, a row in the
     pseudo-crossbar).  Raises ``TopologyError`` otherwise.
@@ -222,7 +225,9 @@ class CellArray:
         self.boundary = default_boundary(params)
         self.cells: dict[CellAddress, MemristorCell] = {}
         self._drives: dict[CellAddress, CellDrives] = {}  # by cell
-        self._resolved: dict[tuple, list] = {}  # (addr, cell, pulse)s by drive content
+        # (addr, cell, pulse)s by drive content (with its first drive) and by drive id
+        self._resolved: dict[tuple, tuple[LineDrive, list]] = {}
+        self._resolved_by_id: dict[int, list] = {}
         self._selections: dict[tuple, tuple[CellAddress, ...]] = {}  # validated reads
 
     def cell(self, addr: CellAddress | tuple[int, int]) -> MemristorCell:
@@ -241,8 +246,10 @@ class CellArray:
     def form(self, addr: CellAddress | tuple[int, int]) -> None:
         """Form one cell with the voltage-ramp routine (idempotent)."""
         addr = CellAddress(*addr)
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, 1, addr.row, addr.col)))
-        form_by_ramp(self.cell(addr), self.transistor, rng)
+        cell = self.cell(addr)
+        if not cell.is_formed:
+            rng = np.random.default_rng(np.random.SeedSequence((self.seed, 1, *addr)))
+            form_by_ramp(cell, self.transistor, rng)
 
     def cell_drives(self, addr: CellAddress) -> CellDrives:
         """The cell with its drives (its SET and RESET writes among them), kept
@@ -263,11 +270,13 @@ class CellArray:
         skipped.  A skipped cell cannot switch and its pulse would draw no
         randomness (gate-off returns first, every switching threshold is > 0),
         so the results and the order of random draws are those of pulsing
-        every cell.  The returned events list only
-        the pulsed cells.  Each distinct drive is resolved (bounds, live cells,
-        validated pulses) once per array, and replayed after that.
+        every cell.  The returned events list only the pulsed cells.  Each
+        distinct drive is resolved (bounds, live cells, validated pulses) once
+        per array, and replayed after that.
         """
-        resolved = self._resolved.get(drive.key)
+        resolved = self._resolved_by_id.get(id(drive))
+        if resolved is None:  # a new drive object; an equal one may be resolved
+            resolved = self._resolved.get(drive.key, (None, None))[1]
         if resolved is None:
             topology = self.topology
             for name, lines, count in (("WL", drive.wl, topology.rows),
@@ -288,7 +297,9 @@ class CellArray:
                     if v_te != 0.0 or v_be != 0.0:
                         resolved.append((addr, self.cell(addr),
                                          Pulse(v_te, v_be, v_g, drive.width)))
-            self._resolved[drive.key] = resolved
+            # The drive is kept with its pulses, so no other drive can take its id.
+            self._resolved[drive.key] = (drive, resolved)
+            self._resolved_by_id[id(drive)] = resolved
         events = []
         for addr, cell, pulse in resolved:
             try:

@@ -53,14 +53,11 @@ def _parse_scalar(text: str):
         return True
     if lowered in ("false", "no", "off"):
         return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
     return text
 
 

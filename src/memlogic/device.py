@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from itertools import accumulate, repeat, takewhile
 
 import numpy as np
 
@@ -136,9 +137,7 @@ class VariabilityParams:
             raise ValueError("read_noise_hrs must be >= read_noise_lrs")
 
     def replace(self, **changes) -> "VariabilityParams":
-        from dataclasses import replace as _replace
-
-        return _replace(self, **changes)
+        return replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -381,6 +380,10 @@ FORM_V_STEP = 0.1
 FORM_WIDTH = 1.0e-5
 FORM_V_G = 1.1
 
+#: The ramp's pulses, built once; each voltage is the last plus FORM_V_STEP.
+_FORM_RAMP = tuple(Pulse(v, 0.0, FORM_V_G, FORM_WIDTH) for v in takewhile(
+    lambda v: v <= FORM_V_MAX + 1e-12, accumulate(repeat(FORM_V_STEP))))
+
 
 def form_by_ramp(cell: MemristorCell, transistor: TransistorModel,
                  rng: np.random.Generator) -> int:
@@ -393,14 +396,9 @@ def form_by_ramp(cell: MemristorCell, transistor: TransistorModel,
     """
     if cell.is_formed:
         return 0
-    pulses = 0
-    v = FORM_V_STEP
-    while v <= FORM_V_MAX + 1e-12:
-        pulses += 1
-        event = apply_pulse(cell, Pulse(v, 0.0, FORM_V_G, FORM_WIDTH), transistor, rng)
-        if event == SwitchEvent.FORMED:
+    for pulses, pulse in enumerate(_FORM_RAMP, 1):
+        if apply_pulse(cell, pulse, transistor, rng) == SwitchEvent.FORMED:
             return pulses
-        v += FORM_V_STEP
     raise NotFormedError(f"{cell.cell_id} did not form up to {FORM_V_MAX} V "
                          f"({FORM_WIDTH} s pulses at a {FORM_V_G} V gate)")
 

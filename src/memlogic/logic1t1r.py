@@ -317,17 +317,19 @@ def execute_gate_bucket(array: CellArray, addr: CellAddress | tuple[int, int],
     """
     addr, case = CellAddress(*addr), evaluate_mapping(mapping, p, q)
     drive = array.cell_drives(addr)[case.g, case.te, case.be]
+    init_bit, case_id, output, boundary = case.i, case.case_id, case.output, array.boundary
+    apply_drive, read_cell = array.apply_drive, array.read_cell
     traces = []
     for rng in rngs:
         try:
-            r_init, retries = initialize_cell(array, addr, case.i, rng)
+            r_init, retries = initialize_cell(array, addr, init_bit, rng)
         except InitFailureError as exc:
             traces.append(exc)
             continue
-        array.apply_drive(drive, rng)
-        r_final = array.read_cell(addr, rng)
-        traces.append(GateTrace(case.case_id, r_init, r_final,
-                                binarize(r_final, array.boundary), case.output, retries))
+        apply_drive(drive, rng)
+        r_final = read_cell(addr, rng)
+        traces.append(GateTrace(case_id, r_init, r_final, binarize(r_final, boundary),
+                                output, retries))
     return traces
 
 

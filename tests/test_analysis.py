@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memlogic.analysis import (
@@ -305,6 +305,8 @@ def csv_tables(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(csv_tables())
+@example((["a"], [("",), (1,)]))  # csv.writer quotes a row's one empty field
+@example((["a", "b"], [(1,), (2, 3, 4)]))  # and writes rows of any width
 def test_csv_tables_equal_the_csv_writer_bytes(table):
     columns, rows = table
     with tempfile.TemporaryDirectory() as tmp:

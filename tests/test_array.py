@@ -205,6 +205,43 @@ def test_parallel_checks_reject_addresses_outside_the_array():
         topology, CellAddress(0, 3), CellAddress(3, 3), SET_PULSE, RESET_PULSE)
 
 
+@pytest.mark.parametrize("topology", [STD, PSEUDO], ids=["standard", "pseudo-crossbar"])
+def test_parallel_checks_take_plain_tuples(topology):
+    def verdict(check, *args):
+        try:
+            return check(topology, *args)
+        except (TopologyError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    pairs = [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((2, 3), (3, 3)), ((1, 1), (2, 2))]
+    for a, b in pairs:
+        addrs = [CellAddress(*a), CellAddress(*b)]
+        assert (verdict(validate_parallel_selection, [a, b])
+                == verdict(validate_parallel_selection, addrs))
+        for pulse_b in (SET_PULSE, RESET_PULSE):
+            assert (verdict(check_parallel_distinct_voltages, a, b, SET_PULSE, pulse_b)
+                    == verdict(check_parallel_distinct_voltages, *addrs, SET_PULSE, pulse_b))
+    one_bl = [(0, 0), (1, 0)] if topology is STD else [(0, 0), (0, 1)]
+    assert verdict(validate_parallel_selection, one_bl) is None
+
+
+def test_equal_drives_share_one_resolution_and_no_id_is_taken_over(monkeypatch):
+    array, rng = CellArray(STD, PARAMS), np.random.default_rng(0)
+    built = []
+    real_post_init = Pulse.__post_init__
+    monkeypatch.setattr(Pulse, "__post_init__", lambda pulse: (built.append(pulse),
+                                                                 real_post_init(pulse)))
+    for _ in range(3):  # one content, built anew each time: resolved once
+        array.apply_drive(single_cell_line_drive(STD, "set", CellAddress(0, 0)), rng)
+    assert len(built) == 1
+    # Each drive is dropped after its pulse, so its memory and its id can go to
+    # the next one; a drive must still pulse its own cell, never a dropped one's.
+    for i in range(48):
+        addr = CellAddress(i % 4, i // 4 % 4)
+        events = array.apply_drive(single_cell_line_drive(STD, "set", addr), rng)
+        assert [a for a, _ in events] == [addr]
+
+
 def make_array(seed=0):
     array = CellArray(STD, PARAMS, seed=seed)
     array.form(CellAddress(0, 0))
