@@ -520,6 +520,45 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert (tmp_path / "traces.csv").exists()
 
 
+
+def test_one_process_runs_each_command_as_a_fresh_process_would(tmp_path, capsys):
+    """One parser and one gate-library search serve every call of a process:
+    a call's exit code, output and exports equal a fresh process's, whatever
+    ran before it (an empty op list, an argparse error, a library that
+    redefines OR)."""
+    lib = tmp_path / "lib.csv"
+    lib.write_text("name,g,te,be,i\nOR,p,q,0,0\n")  # OR redefined as AND
+    runs = [["scouting", "xor", "--cycles", "4"],
+            ["scouting", "--cycles", "4"],  # no ops: the config's ops
+            ["gate"],  # no names: an argparse error
+            ["gate", "OR", "--cycles", "3", "--library", str(lib)],
+            ["gate", "OR", "--cycles", "3"],
+            ["cases"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(memlogic.__file__).parents[1]))
+    env.pop(cli.OUTPUT_DIR_ENV, None)
+    fresh = [subprocess.Popen([sys.executable, "-m", "memlogic", *argv,
+                               "-o", str(tmp_path / "fresh" / str(k))],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=env)
+             for k, argv in enumerate(runs)]
+
+    def outcome(code, out, err, out_dir):
+        kept = [line for line in out.splitlines() if not line.startswith("wrote:")]
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))}
+        return code, kept, err, files
+
+    for k, (argv, proc) in enumerate(zip(runs, fresh)):
+        out_dir = tmp_path / "here" / str(k)
+        try:
+            code = main([*argv, "-o", str(out_dir)])
+        except SystemExit as exc:
+            code = exc.code
+        here = outcome(code, *capsys.readouterr(), out_dir)
+        out, err = proc.communicate(timeout=120)
+        assert here == outcome(proc.returncode, out, err, tmp_path / "fresh" / str(k)), argv
+        assert (code == 2) == (argv == ["gate"])
+
+
 @pytest.mark.parametrize("config_line, flags", [("", ["--preset", "fig1f-nominal"]),
                                                  ("device.min_pulse_reset = 3e-6\n", [])],
                          ids=["preset", "config"])

@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from memlogic import logic1t1r as logic_module
 from memlogic.array import ArrayTopology, CellAddress, CellArray, TopologyKind
 from memlogic.device import (
     NotFormedError,
@@ -169,6 +174,24 @@ def test_default_library_is_the_synthesizer_output():
     for n in range(16):
         bits = format(n, "04b")
         assert library[f"F{bits}"] == synthesize_mapping(bits)
+
+
+def test_default_library_is_new_on_every_call():
+    """Mutating one returned library changes neither the next one nor the
+    synthesizer: both still equal what a fresh process builds."""
+    script = ("from memlogic.logic1t1r import default_gate_library, synthesize_mapping\n"
+              "print(repr((default_gate_library(),"
+              " [synthesize_mapping(format(n, '04b')) for n in range(16)])))")
+    env = dict(os.environ, PYTHONPATH=str(Path(logic_module.__file__).parents[1]))
+    fresh = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, env=env, timeout=120, check=True).stdout.strip()
+    library = default_gate_library()
+    library.update({"MYOR": library["OR"]})
+    library["OR"] = BUILTIN_MAPPINGS["AND"]
+    del library["F0110"]
+    again = default_gate_library()
+    assert "MYOR" not in again and again["OR"] == BUILTIN_MAPPINGS["OR"]
+    assert repr((again, [synthesize_mapping(format(n, "04b")) for n in range(16)])) == fresh
 
 
 # Known-good resolution of every term, and the switching rule of the case
