@@ -10,11 +10,14 @@ variable overrides the configured output directory (but not an explicit
 ``--output``).  The exit code is 0 only when the run evaluated at least one
 trial and saw zero logical failures and zero experiment errors, so scripts can
 gate on correctness; a rejected setting exits 2 with a one-line message.
+The argument parser is built once per process, at the first call, and reused
+by every later one: argparse keeps no state between ``parse_args`` calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -57,15 +60,17 @@ def _kohm(ohms: float) -> str:
     return f"{ohms / 1e3:.2f} kΩ"
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _common_flags(parser: argparse.ArgumentParser, tables: bool = True) -> None:
     parser.add_argument("--seed", type=int, help="override the experiment seed")
     parser.add_argument("--cycles", type=int, help="override the cycle count")
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="device parameter preset")
     parser.add_argument("-o", "--output", help="output directory for exports")
-    parser.add_argument("--format", choices=("csv", "json"), help="export format")
+    if tables:
+        parser.add_argument("--format", choices=("csv", "json"), help="export table format")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memlogic",
@@ -82,10 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("synthesize", help="synthesize mappings for all 16 truth tables")
-    _common_flags(p)
+    _common_flags(p, tables=False)  # the library file is the CSV that --library reads
 
     p = sub.add_parser("scouting", help="run scouting-logic experiments")
-    p.add_argument("ops", nargs="*", default=[], help="read / or / and / xor")
+    p.add_argument("ops", nargs="*", default=(), help="read / or / and / xor")
     p.add_argument("--n", type=int, help="number of input cells (default: n_inputs, 2)")
     p.add_argument("--refs", default=None,
                    help="'placed' or a reference preset (%s)" %
@@ -266,8 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     config_path = None
     if argv and not argv[0].startswith("-") and argv[0] not in SUBCOMMANDS:
         config_path = argv.pop(0)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         app = load_config(config_path) if config_path else AppConfig()
     except (OSError, TypeError, ValueError) as exc:

@@ -23,6 +23,7 @@ one-trial case.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -174,14 +175,15 @@ def truth_vector(g: Term, te: Term, be: Term, i: Term) -> int:
     return _output_vector(*(_TERM_VECTORS[t] for t in (g, te, be, i)))
 
 
-def _first_terms() -> dict[int, tuple[Term, Term, Term, Term]]:
-    """The first (G, TE, BE, I) in search order realizing each truth vector."""
+@functools.cache
+def _first_terms() -> tuple[tuple[Term, Term, Term, Term], ...]:
+    """The first (G, TE, BE, I) in search order realizing each truth vector,
+    indexed by the vector; searched once per process."""
     first: dict[int, tuple[int, int, int, int]] = {}
     for vectors in itertools.product(_TERM_VECTORS.values(), repeat=4):
         first.setdefault(_output_vector(*vectors), vectors)
         if len(first) == 16:
-            return {out: tuple(_TERM_OF_VECTOR[v] for v in vectors)
-                    for out, vectors in first.items()}
+            return tuple(tuple(_TERM_OF_VECTOR[v] for v in first[out]) for out in range(16))
     raise RuntimeError("some truth table has no mapping")  # unreachable
 
 
@@ -200,8 +202,9 @@ def synthesize_mapping(truth_table: str | Sequence[int]) -> ParamMapping:
 
 
 def default_gate_library() -> dict[str, ParamMapping]:
-    """The five named mappings plus ``synthesize_mapping``'s mapping for each
-    truth table, all found in one pass over the search order."""
+    """A new dict, free to update, of the five named mappings plus
+    ``synthesize_mapping``'s mapping for each truth table, all found in one
+    pass over the search order."""
     first = _first_terms()
     library = dict(BUILTIN_MAPPINGS)
     for n in range(16):

@@ -163,6 +163,15 @@ def test_cli_synthesize_deterministic(tmp_path):
            (tmp_path / "b" / "gates_synthesized.csv").read_bytes()
 
 
+def test_cli_synthesize_takes_no_format(tmp_path, capsys):
+    """The library file has one format, the CSV that ``--library`` reads."""
+    with pytest.raises(SystemExit) as info:
+        main(["synthesize", "--format", "json", "-o", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_scouting_paper_refs(tmp_path, capsys):
     assert main(["scouting", "read", "and", "or", "xor", "--refs", "paper-refs",
                  "--cycles", "30", "-o", str(tmp_path)]) == 0
@@ -520,7 +529,6 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert (tmp_path / "traces.csv").exists()
 
 
-
 def test_one_process_runs_each_command_as_a_fresh_process_would(tmp_path, capsys):
     """One parser and one gate-library search serve every call of a process:
     a call's exit code, output and exports equal a fresh process's, whatever
@@ -535,7 +543,6 @@ def test_one_process_runs_each_command_as_a_fresh_process_would(tmp_path, capsys
             ["gate", "OR", "--cycles", "3"],
             ["cases"]]
     env = dict(os.environ, PYTHONPATH=str(Path(memlogic.__file__).parents[1]))
-    env.pop(cli.OUTPUT_DIR_ENV, None)
     fresh = [subprocess.Popen([sys.executable, "-m", "memlogic", *argv,
                                "-o", str(tmp_path / "fresh" / str(k))],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
