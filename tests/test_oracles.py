@@ -2,16 +2,28 @@
 
 Each oracle checks a sampled statistic against the value the device model
 predicts in closed form, with a tolerance fixed from the model's own standard
-error before the test was first run.  They hold for any stream layout, so they
-keep checking the distributions when the draws are re-rolled and the golden
-digests no longer can.
+error (or, for a rate, a 99% Clopper-Pearson interval) before the test was
+first run.  They hold for any stream layout, so they keep checking the
+distributions when the draws are re-rolled and the golden digests no longer
+can.
 """
 
 import math
 import statistics
 
-from memlogic.analysis import run_characterization
-from memlogic.device import TransistorModel, VariabilityParams
+from memlogic.analysis import (
+    ExperimentConfig,
+    run_1t1r_experiment,
+    run_characterization,
+    sample_scouting_currents,
+)
+from memlogic.array import CellArray
+from memlogic.device import (
+    DEFAULT_VOLTAGES,
+    TransistorModel,
+    VariabilityParams,
+    default_boundary,
+)
 
 #: Tolerance, in standard errors, of every oracle.
 Z = 4.0
@@ -80,3 +92,112 @@ def test_characterization_matches_the_lognormal_model():
     se_ratio = predicted * math.sqrt(rel_var)
     assert abs(result.hrs_lrs_ratio - predicted) <= Z * se_ratio, (
         result.hrs_lrs_ratio, predicted, se_ratio)
+
+
+def test_scouting_mean_currents_match_the_lognormal_model():
+    """Seed 11, 400 cycles, default parameters, two cells and the READ cell.
+
+    Model: a scouting read of class ``bits`` sums the currents of its cells,
+    ``I = sum_c v_read / R_c``.  A cell in state S holds a fresh
+    cycle-to-cycle draw every cycle (the writes refresh) and is read with a
+    fresh jitter, so ``R_c = m_c exp(X_c)`` with ``X_c ~ N(0, w^2)``,
+    ``w^2 = c2c_S^2 + read_S^2``, and ``m_c`` the cell's own median in S.
+    Every class reads the same cells ``(r, 0)``, sampled from the array seed,
+    so the device-to-device offsets are fixed, not averaged out: ``m_c`` is
+    the median of the cell the config's seed samples.  The default transistor
+    adds no series resistance.  Lognormal moments give
+    ``E[1/R_c] = exp(w^2 / 2) / m_c`` and
+    ``Var[1/R_c] = exp(w^2) (exp(w^2) - 1) / m_c^2``; the cells are drawn
+    independently, so over ``N`` cycles the class mean has
+    ``E = sum_c (v_read / m_c) exp(w^2 / 2)`` and
+    ``SE = sqrt(sum_c (v_read / m_c)^2 exp(w^2) (exp(w^2) - 1) / N)``.  The
+    truncations (a verified write's retry past the boundary, an LRS value
+    above the last HRS) lie more than 4 standard deviations out and are
+    ignored.  The tolerance is ``Z = 4`` standard errors per class.
+    """
+    config = ExperimentConfig(seed=11, cycles=400)
+    params = config.device
+    assert config.transistor.r_on == 0.0
+    samples = sample_scouting_currents(config, 2, include_single=True)
+    array = CellArray(config.topology, params, config.transistor, seed=config.seed)
+    cells = [array.cell((r, 0)) for r in range(2)]
+    states = {  # each bit's median (an attribute of the cell) and its w
+        "1": ("lrs_median_cell", math.hypot(params.lrs_sigma_c2c, params.read_noise_lrs)),
+        "0": ("hrs_median_cell", math.hypot(params.hrs_sigma_c2c, params.read_noise_hrs)),
+    }
+    by_class: dict[str, list[float]] = {}
+    for sample in samples:
+        by_class.setdefault(sample.input_class, []).append(sample.current)
+    assert sorted(by_class) == ["0", "00", "01", "1", "10", "11"]
+    v_read = DEFAULT_VOLTAGES.v_read
+    for input_class, currents in by_class.items():
+        predicted = variance = 0.0
+        for cell, bit in zip(cells, input_class):
+            median_name, w = states[bit]
+            g = v_read / getattr(cell, median_name)
+            predicted += g * math.exp(w ** 2 / 2)
+            variance += g ** 2 * math.exp(w ** 2) * math.expm1(w ** 2)
+        se = math.sqrt(variance / len(currents))
+        mean = statistics.fmean(currents)
+        assert abs(mean - predicted) <= Z * se, (input_class, mean, predicted, se)
+
+
+def _binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
+    """``P(X <= k)`` and ``P(X >= k)`` for ``X ~ Binomial(n, p)``, exactly."""
+    log_q = math.log1p(-p)
+
+    def pmf(j: int) -> float:
+        return math.exp(math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                        + j * math.log(p) + (n - j) * log_q)
+
+    return math.fsum(map(pmf, range(k + 1))), math.fsum(map(pmf, range(k, n + 1)))
+
+
+def test_gate_flip_rates_match_the_lognormal_model():
+    """Seed 1, 2,000 cycles, gates NIMP and XOR at ``hrs_sigma_c2c = 0.9``.
+
+    Three buckets end on a fresh HRS draw: ``NIMP/10`` is case 6 (an HRS
+    disturb re-draws the HRS value), ``NIMP/11`` and ``XOR/11`` are case 5 (a
+    RESET from LRS).  The gate reads 0 unless that draw reads below the
+    boundary ``B``, the geometric mean of the population medians, so a
+    logical failure is exactly a flip.  NIMP runs on cell ``(0, 0)`` and XOR
+    on ``(0, 1)``, each with its own sampled medians ``m`` (HRS) and ``m_L``
+    (LRS).  Model: the draw is ``ln R = ln m + c Z1``, resampled until it
+    lies above the last LRS value, taken here as ``m_L`` (its LRS spread is
+    0.06 against ``c = 0.9``), and it is read as ``ln R + r Z2`` with
+    ``r = read_noise_hrs``.  With ``a = (ln m_L - ln m) / c`` the flip rate is
+
+        P = integral_a^inf phi(z) Phi((ln B - ln m - c z) / r) dz / (1 - Phi(a)),
+
+    integrated with Simpson's rule over ``[a, a + 12]``.  Every trial draws
+    afresh, so the failures of a bucket are ``Binomial(2000, P)``.  The
+    prediction must lie in the two-sided 99% Clopper-Pearson interval of the
+    observed count ``k``, which holds exactly when both exact tails at ``P``,
+    ``P(X <= k)`` and ``P(X >= k)``, exceed 0.005.
+    """
+    params = VariabilityParams(hrs_sigma_c2c=0.9)
+    config = ExperimentConfig(seed=1, cycles=2000, gates=("NIMP", "XOR"), device=params)
+    buckets = {b.label: b for b in run_1t1r_experiment(config).report.buckets}
+    array = CellArray(config.topology, params, config.transistor, seed=config.seed)
+    ln_b = math.log(default_boundary(params))
+    c, r = params.hrs_sigma_c2c, params.read_noise_hrs
+    normal = statistics.NormalDist()
+
+    def flip_rate(cell, steps=400):
+        a = math.log(cell.lrs_median_cell / cell.hrs_median_cell) / c
+        h = 12.0 / steps
+
+        def f(k):
+            z = a + k * h
+            return normal.pdf(z) * normal.cdf((ln_b - math.log(cell.hrs_median_cell)
+                                               - c * z) / r)
+
+        simpson = f(0) + f(steps) + sum((4 if k % 2 else 2) * f(k) for k in range(1, steps))
+        return simpson * h / 3 / (1 - normal.cdf(a))
+
+    for label, col in (("NIMP/10", 0), ("NIMP/11", 0), ("XOR/11", 1)):
+        bucket = buckets[label]
+        assert (bucket.expected, bucket.errors) == (0, 0), label
+        predicted = flip_rate(array.cell((0, col)))
+        lower, upper = _binomial_tails(bucket.failures, bucket.trials, predicted)
+        assert min(lower, upper) > 0.005, (label, bucket.failures, predicted, lower, upper)
