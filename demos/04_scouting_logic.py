@@ -10,7 +10,7 @@ Run:  python demos/04_scouting_logic.py
 """
 
 from memlogic.analysis import ExperimentConfig, run_scouting_experiment
-from memlogic.scouting import PAPER_REFS, classify
+from memlogic.scouting import PAPER_REFS, classify_bucket
 
 
 def ua(amps):
@@ -38,12 +38,13 @@ for margin in result.margins:
 print()
 print("classification of the mean class currents against both reference sets:")
 means = {s.label: s.mean for s in result.summaries if len(s.label) == 2}
+classes = sorted(means)
 print("  class   or  and  xor   (placed | published)")
-for cls, current in sorted(means.items()):
-    placed = [classify(current, refs, op) for op in ("or", "and", "xor")]
-    published = [classify(current, PAPER_REFS, op) for op in ("or", "and", "xor")]
-    print(f"   {cls}     {placed[0]}    {placed[1]}    {placed[2]}        "
-          f"{published[0]}    {published[1]}    {published[2]}")
+columns = [classify_bucket([means[cls] for cls in classes], ref_set, op)
+           for ref_set in (refs, PAPER_REFS) for op in ("or", "and", "xor")]
+for cls, row in zip(classes, zip(*columns)):
+    print(f"   {cls}     {row[0]}    {row[1]}    {row[2]}        "
+          f"{row[3]}    {row[4]}    {row[5]}")
 
 print()
 print(f"failure counts over all ops and classes: "

@@ -47,7 +47,7 @@ from .logic1t1r import (
     classify_case,
     default_gate_library,
     evaluate_mapping,
-    execute_gate,
+    execute_gate_bucket,
     synthesize_mapping,
 )
 from .scouting import (
@@ -55,11 +55,9 @@ from .scouting import (
     CurrentSample,
     OverlapError,
     ReferenceLevels,
-    classify,
+    classify_bucket,
     place_references,
-    scout_current,
-    scouting_gate,
-    write_inputs,
+    scout_class,
 )
 
 __version__ = "0.1.0"

@@ -228,7 +228,6 @@ class CellArray:
         # (addr, cell, pulse)s by drive content (with its first drive) and by drive id
         self._resolved: dict[tuple, tuple[LineDrive, list]] = {}
         self._resolved_by_id: dict[int, list] = {}
-        self._selections: dict[tuple, tuple[CellAddress, ...]] = {}  # validated reads
 
     def cell(self, addr: CellAddress | tuple[int, int]) -> MemristorCell:
         """The cell at ``addr``, sampled from ``(seed, 0, row, col)`` on first touch."""
@@ -310,15 +309,10 @@ class CellArray:
         return events
 
     def parallel_selection(self, addrs: Sequence) -> tuple[CellAddress, ...]:
-        """``addrs`` as addresses the wiring can read in parallel, validated once per
-        array (``validate_parallel_selection``); an invalid one raises every time."""
-        key = tuple(addrs)
-        try:
-            return self._selections[key]
-        except (KeyError, TypeError):  # not validated yet, or an unhashable address
-            selection = tuple(CellAddress(*a) for a in key)
+        """``addrs`` as addresses the wiring can read in parallel, validated
+        (``validate_parallel_selection``) on every call."""
+        selection = tuple(CellAddress(*a) for a in addrs)
         validate_parallel_selection(self.topology, selection)
-        self._selections[selection] = selection
         return selection
 
     def read_cell(self, addr: CellAddress | tuple[int, int],

@@ -9,7 +9,9 @@ overrides win over config values, and the ``MEMLOGIC_OUTPUT_DIR`` environment
 variable overrides the configured output directory (but not an explicit
 ``--output``).  The exit code is 0 only when the run evaluated at least one
 trial and saw zero logical failures and zero experiment errors, so scripts can
-gate on correctness; a rejected setting exits 2 with a one-line message.
+gate on correctness; a rejected setting or a usage error exits 2 with a
+one-line message.  The config file is loaded before the arguments are parsed,
+so a misspelled subcommand is reported as the file it was taken for.
 The argument parser is built once per process, at the first call, and reused
 by every later one: argparse keeps no state between ``parse_args`` calls.
 """
@@ -70,9 +72,14 @@ def _common_flags(parser: argparse.ArgumentParser, tables: bool = True) -> None:
         parser.add_argument("--format", choices=("csv", "json"), help="export table format")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error: one line, exit 2, from main
+        raise ValueError(f"{self.prog}: error: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="memlogic",
         description="Behavioral 1T1R in-memory logic simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -271,9 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     config_path = None
     if argv and not argv[0].startswith("-") and argv[0] not in SUBCOMMANDS:
         config_path = argv.pop(0)
-    args = _build_parser().parse_args(argv)
     try:
         app = load_config(config_path) if config_path else AppConfig()
+        args = _build_parser().parse_args(argv)
     except (OSError, TypeError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

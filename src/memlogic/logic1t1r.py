@@ -17,8 +17,8 @@ through the array wiring and reads the output back, all at the operating
 point ``DEFAULT_VOLTAGES`` (defined in ``device`` and re-exported here).
 A gate bucket (one gate, input pair and cell) runs in one call,
 ``execute_gate_bucket``, with its case and logic drive (one of the cell's
-drives, ``CellArray.cell_drives``) resolved once; ``execute_gate`` is its
-one-trial case.
+drives, ``CellArray.cell_drives``) resolved once; one trial is a bucket of
+one generator.
 """
 
 from __future__ import annotations
@@ -314,8 +314,10 @@ def execute_gate_bucket(array: CellArray, addr: CellAddress | tuple[int, int],
                         mapping: ParamMapping, p: int, q: int,
                         rngs: Iterable[np.random.Generator],
                         ) -> list[GateTrace | InitFailureError]:
-    """``execute_gate`` once per generator of ``rngs``, each used before the next
-    is drawn, with the case and the logic drive resolved once.  A trial whose
+    """Run one gate on a formed cell once per generator of ``rngs``, each used
+    before the next is drawn: bring the cell to the mapping's initial state
+    (skipped when it already matches), fire the logic pulse, binarize the
+    read.  The case and the logic drive are resolved once.  A trial whose
     initialization fails gives its ``InitFailureError`` in place of a trace.
     """
     addr, case = CellAddress(*addr), evaluate_mapping(mapping, p, q)
@@ -334,19 +336,3 @@ def execute_gate_bucket(array: CellArray, addr: CellAddress | tuple[int, int],
         traces.append(GateTrace(case_id, r_init, r_final, binarize(r_final, boundary),
                                 output, retries))
     return traces
-
-
-def execute_gate(array: CellArray, addr: CellAddress | tuple[int, int],
-                 mapping: ParamMapping, p: int, q: int,
-                 rng: np.random.Generator) -> GateTrace:
-    """Run one gate on a formed cell: initialize, pulse, read out.
-
-    The cell is first brought to the mapping's required initial state (skipped
-    when it already matches), then the single logic pulse is fired through the
-    array lines, and the output is the binarized post-pulse read.  This is the
-    one-trial case of ``execute_gate_bucket``.
-    """
-    [trace] = execute_gate_bucket(array, addr, mapping, p, q, (rng,))
-    if isinstance(trace, InitFailureError):
-        raise trace
-    return trace

@@ -8,8 +8,9 @@ and every operation is a predicate on it: OR is a popcount of at least one,
 AND a popcount of n, XOR an odd popcount.  READ is the one-cell case, with its
 own reference.  The read is non-destructive, so the gate never switches a
 device.  ``scout_class`` writes one input class and scouts it cycle after
-cycle, with the bits, the selection and each cell's write resolved once;
-``write_inputs`` followed by ``scout_current`` is its one-cycle case.
+cycle, with the bits and the selection resolved once, and ``classify_bucket``
+compares a bucket of read currents against the references: one cycle is a
+bucket of one generator.
 """
 
 from __future__ import annotations
@@ -129,52 +130,27 @@ def _input_writes(addrs: Sequence[CellAddress | tuple[int, int]],
     return [(CellAddress(*addr), bit) for addr, bit in zip(addrs, bit_list)]
 
 
-def write_inputs(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
-                 bits: Sequence[int] | str, rng: np.random.Generator,
-                 refresh: bool = False, verify: bool = True) -> None:
-    """Store one bit (0, 1, "0" or "1") per cell, with read-verify and retry.
-
-    ``refresh=True`` forces a fresh resistance draw even when the binary state
-    already matches, so repeated trials see cycle-to-cycle variability.
-    ``verify=False`` skips the read-back loop (used by stress analyses that
-    must not truncate the state tails).
-    """
-    for addr, bit in _input_writes(addrs, bits):
-        initialize_cell(array, addr, bit, rng, refresh, verify)
-
-
-def scout_current(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
-                  rng: np.random.Generator) -> float:
-    """Simultaneous read of the selected cells at the operating point: the read
-    voltage times the summed conductance of the noisy per-cell resistances.
-    States are not disturbed; a current beyond the float range is a ``ValueError``.
-    The selection is validated once per array (``CellArray.parallel_selection``).
-    """
-    return _read_current(array, array.parallel_selection(addrs), rng)
-
-
-def _read_current(array: CellArray, selection: tuple[CellAddress, ...],
-                  rng: np.random.Generator) -> float:
-    v_read, conductance = DEFAULT_VOLTAGES.v_read, 0.0
-    for addr in selection:
-        conductance += 1.0 / array.read_cell(addr, rng)
-    return require_finite_result("read current", v_read * conductance, array.params)
-
-
 def scout_class(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
                 bits: Sequence[int] | str, rngs: Iterable[np.random.Generator],
                 refresh: bool = False, verify: bool = True) -> list[float]:
-    """``write_inputs`` then ``scout_current`` once per generator of ``rngs``,
-    each used before the next is drawn, with the bits parsed, the selection
-    validated and each cell's write resolved once: an invalid request raises
-    before any pulse."""
+    """Store one bit (0, 1, "0" or "1") per cell with ``initialize_cell``, then
+    read the cells in parallel: the read voltage times the summed conductance
+    of the noisy reads, a ``ValueError`` beyond the float range.  Once per
+    generator of ``rngs``, each used before the next is drawn; the bits and
+    the selection are checked once, before any pulse.  ``refresh=True`` draws
+    a fresh value every write; ``verify=False`` skips the read-back loop, for
+    analyses that must not truncate the state tails.  Reads never switch."""
     writes = _input_writes(addrs, bits)
     selection = array.parallel_selection(addrs)
-    currents = []
+    v_read, read_cell, currents = DEFAULT_VOLTAGES.v_read, array.read_cell, []
     for rng in rngs:
         for addr, bit in writes:
             initialize_cell(array, addr, bit, rng, refresh, verify)
-        currents.append(_read_current(array, selection, rng))
+        conductance = 0.0
+        for addr in selection:
+            conductance += 1.0 / read_cell(addr, rng)
+        currents.append(require_finite_result("read current", v_read * conductance,
+                                              array.params))
     return currents
 
 
@@ -269,23 +245,6 @@ def classify_bucket(currents: Iterable[float], refs: ReferenceLevels,
         k = bisect_left(levels, current)
         bits.append(0 if k < n and levels[k] == current else outputs[k])
     return bits
-
-
-def classify(current: float, refs: ReferenceLevels, op: str) -> int:
-    """``classify_bucket`` of one read current."""
-    return classify_bucket((current,), refs, op)[0]
-
-
-def scouting_gate(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
-                  bits: Sequence[int] | str, op: str, refs: ReferenceLevels,
-                  rng: np.random.Generator) -> int:
-    """Write the input bits, scout the summed current, classify it (one cycle
-    of ``scout_class``); READ reads one cell, every other op ``refs.n`` cells."""
-    width = 1 if op.lower() == "read" else refs.n
-    if len(addrs) != width:
-        raise ValueError(f"scouting op {op!r} reads {width} input cells, got {len(addrs)}")
-    [current] = scout_class(array, addrs, bits, (rng,))
-    return classify(current, refs, op)
 
 
 def reference_preset(name: str) -> ReferenceLevels:

@@ -165,10 +165,8 @@ def test_cli_synthesize_deterministic(tmp_path):
 
 def test_cli_synthesize_takes_no_format(tmp_path, capsys):
     """The library file has one format, the CSV that ``--library`` reads."""
-    with pytest.raises(SystemExit) as info:
-        main(["synthesize", "--format", "json", "-o", str(tmp_path / "out")])
-    assert info.value.code == 2
-    assert "--format" in capsys.readouterr().err
+    assert main(["synthesize", "--format", "json", "-o", str(tmp_path / "out")]) == 2
+    assert "--format" in _one_line_error(capsys)
     assert not (tmp_path / "out").exists()
 
 
@@ -316,6 +314,24 @@ def _one_line_error(capsys) -> str:
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1, err
     return err
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["gate"], "memlogic gate: error: the following arguments are required: names"),
+    (["gate", "OR", "--bogus"], "memlogic: error: unrecognized arguments: --bogus"),
+    (["gatee", "OR"], "'gatee'"),  # taken for a config file, and named as one
+], ids=["missing-argument", "unknown-flag", "misspelled-subcommand"])
+def test_cli_usage_errors_exit_2_in_one_line(tmp_path, capsys, argv, names):
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+    assert names in _one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["gate", "--help"])
+    assert info.value.code == 0
+    assert "usage: memlogic gate" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("line", ["device.hrs_sigma_c2c = nan",
@@ -556,10 +572,7 @@ def test_one_process_runs_each_command_as_a_fresh_process_would(tmp_path, capsys
 
     for k, (argv, proc) in enumerate(zip(runs, fresh)):
         out_dir = tmp_path / "here" / str(k)
-        try:
-            code = main([*argv, "-o", str(out_dir)])
-        except SystemExit as exc:
-            code = exc.code
+        code = main([*argv, "-o", str(out_dir)])
         here = outcome(code, *capsys.readouterr(), out_dir)
         out, err = proc.communicate(timeout=120)
         assert here == outcome(proc.returncode, out, err, tmp_path / "fresh" / str(k)), argv

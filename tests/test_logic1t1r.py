@@ -30,7 +30,7 @@ from memlogic.logic1t1r import (
     classify_case,
     default_gate_library,
     evaluate_mapping,
-    execute_gate,
+    execute_gate_bucket,
     initialize_cell,
     load_gate_library,
     logic_drive,
@@ -256,6 +256,12 @@ def test_logic_pulse_voltage_mapping():
     assert logic_pulse_voltages(1, 0, 0) == (0.0, 0.0, 3.0)
 
 
+def one_trial(array, addr, mapping, p, q, rng):
+    """One trial: ``execute_gate_bucket`` of one generator."""
+    [trace] = execute_gate_bucket(array, addr, mapping, p, q, [rng])
+    return trace
+
+
 def formed_array(seed=0, rows=4, cols=4):
     array = CellArray(ArrayTopology(TopologyKind.STANDARD_1T1R, rows, cols),
                       PARAMS, seed=seed)
@@ -266,7 +272,7 @@ def formed_array(seed=0, rows=4, cols=4):
 def test_execute_gate_or_01():
     array = formed_array()
     rng = np.random.default_rng(1)
-    trace = execute_gate(array, (0, 0), builtin_mapping("OR"), 0, 1, rng)
+    trace = one_trial(array, (0, 0), builtin_mapping("OR"), 0, 1, rng)
     assert trace.case_id == 4
     assert binarize(trace.init_resistance, BOUNDARY) == 0  # initialized to i=p=0
     assert trace.output_bit == 1 == trace.expected_bit
@@ -275,7 +281,7 @@ def test_execute_gate_or_01():
 def test_execute_gate_xor_11():
     array = formed_array()
     rng = np.random.default_rng(2)
-    trace = execute_gate(array, (0, 0), builtin_mapping("XOR"), 1, 1, rng)
+    trace = one_trial(array, (0, 0), builtin_mapping("XOR"), 1, 1, rng)
     assert trace.case_id == 5
     assert binarize(trace.init_resistance, BOUNDARY) == 1  # initialized to i=p=1
     assert trace.output_bit == 0 == trace.expected_bit
@@ -287,7 +293,7 @@ def test_zero_differential_mapping_keeps_initial_bit():
     array = formed_array()
     rng = np.random.default_rng(3)
     for p, q in INPUTS:
-        trace = execute_gate(array, (0, 0), mapping, p, q, rng)
+        trace = one_trial(array, (0, 0), mapping, p, q, rng)
         assert trace.output_bit == evaluate_mapping(mapping, p, q).i == p
 
 
@@ -295,7 +301,7 @@ def test_execute_gate_requires_formed_cell():
     array = formed_array()
     rng = np.random.default_rng(4)
     with pytest.raises(NotFormedError):
-        execute_gate(array, (1, 1), builtin_mapping("OR"), 0, 0, rng)
+        one_trial(array, (1, 1), builtin_mapping("OR"), 0, 0, rng)
 
 
 def test_init_failure_raises():
@@ -311,7 +317,7 @@ def test_init_failure_raises():
 def test_cascade_reuses_matching_state():
     array = formed_array()
     rng = np.random.default_rng(6)
-    traces = [execute_gate(array, (0, 0), builtin_mapping(name), 1, 1, rng)
+    traces = [one_trial(array, (0, 0), builtin_mapping(name), 1, 1, rng)
               for name in ("OR", "NIMP")]
     # OR(1,1) leaves LRS; NIMP(1,1) needs i=q=1, so no re-initialization.
     assert traces[1].init_retries == 0
@@ -347,7 +353,7 @@ def test_pseudo_crossbar_gates_switch_both_ways():
     rng = np.random.default_rng(4)
     for mapping, p, q in [(builtin_mapping("XOR"), 1, 1), (builtin_mapping("OR"), 0, 1),
                           (builtin_mapping("NIMP"), 1, 0)] * 5:
-        trace = execute_gate(array, (2, 1), mapping, p, q, rng)
+        trace = one_trial(array, (2, 1), mapping, p, q, rng)
         assert trace.output_bit == trace.expected_bit
         assert trace.init_retries <= 1
 
@@ -355,8 +361,7 @@ def test_pseudo_crossbar_gates_switch_both_ways():
 def test_hundred_cycle_repetition_without_failures():
     array = formed_array()
     rng = np.random.default_rng(7)
-    traces = [execute_gate(array, (0, 0), builtin_mapping("XOR"), 1, 0, rng)
-              for _ in range(100)]
+    traces = execute_gate_bucket(array, (0, 0), builtin_mapping("XOR"), 1, 0, [rng] * 100)
     assert len(traces) == 100
     assert all(t.output_bit == t.expected_bit == 1 for t in traces)
 
@@ -370,5 +375,5 @@ def test_simulated_truth_tables_all_gates():
         rng = np.random.default_rng(8)
         for p, q in INPUTS:
             for _ in range(5):
-                trace = execute_gate(array, (0, 0), mapping, p, q, rng)
+                trace = one_trial(array, (0, 0), mapping, p, q, rng)
                 assert trace.output_bit == trace.expected_bit

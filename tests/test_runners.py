@@ -1,10 +1,9 @@
-"""Each bucket runner equals its one-trial calls, trial for trial.
+"""A bucket of N generators equals N one-generator buckets, trial for trial.
 
-``execute_gate_bucket`` must give what ``execute_gate`` gives once per
-generator, and ``scout_class`` what ``write_inputs`` then ``scout_current``
-give once per generator: the same traces or currents, the same errors at the
-same trials, the same cells afterwards and every generator left in the same
-state.
+``execute_gate_bucket`` and ``scout_class`` over N generators must give what
+the same runner gives called once per generator: the same traces or currents,
+the same errors at the same trials, the same cells afterwards and every
+generator left in the same state.
 """
 
 import re
@@ -20,10 +19,9 @@ from memlogic.logic1t1r import (
     INPUT_PAIRS,
     InitFailureError,
     builtin_mapping,
-    execute_gate,
     execute_gate_bucket,
 )
-from memlogic.scouting import scout_class, scout_current, write_inputs
+from memlogic.scouting import scout_class
 
 PARAMS = VariabilityParams()
 #: A 21 kOhm access transistor lifts LRS reads to the 22 kOhm boundary, and
@@ -61,14 +59,9 @@ def outcome(result):
 
 
 def gate_trials(array, addr, mapping, p, q, rngs):
-    """``execute_gate`` once per generator, an ``InitFailureError`` kept in place."""
-    traces = []
-    for rng in rngs:
-        try:
-            traces.append(execute_gate(array, addr, mapping, p, q, rng))
-        except InitFailureError as exc:
-            traces.append(exc)
-    return traces
+    """One-generator gate buckets, one per generator, their traces joined."""
+    return [trace for rng in rngs
+            for trace in execute_gate_bucket(array, addr, mapping, p, q, [rng])]
 
 
 @settings(max_examples=40, deadline=None)
@@ -106,13 +99,12 @@ def test_an_init_failure_costs_its_trial_only():
 
 
 def scout_trials(array, addrs, bits, rngs, refresh, verify):
-    """``write_inputs`` then ``scout_current`` once per generator, up to the
-    first ``InitFailureError``, which ends the list."""
+    """One-generator scouting buckets, one per generator, up to the first
+    ``InitFailureError``, which ends the list."""
     currents = []
     try:
         for rng in rngs:
-            write_inputs(array, addrs, bits, rng, refresh, verify)
-            currents.append(scout_current(array, addrs, rng))
+            currents += scout_class(array, addrs, bits, [rng], refresh, verify)
     except InitFailureError as exc:
         currents.append(exc)
     return currents

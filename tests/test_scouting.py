@@ -15,15 +15,12 @@ from memlogic.scouting import (
     CurrentSample,
     OverlapError,
     ReferenceLevels,
-    classify,
     classify_bucket,
     expected_bit,
     input_patterns,
     place_references,
     reference_preset,
-    scout_current,
-    scouting_gate,
-    write_inputs,
+    scout_class,
 )
 
 NOISE_FREE = VariabilityParams(
@@ -40,6 +37,16 @@ I_01 = I_LRS + I_HRS             # 2.1031e-05 A
 I_11 = 2 * I_LRS                 # 4.0000e-05 A
 
 
+def classify_one(current, refs, op):
+    """``classify_bucket`` of one current."""
+    [bit] = classify_bucket([current], refs, op)
+    return bit
+
+
+def cell_states(array):
+    return {a: (c.state, c.resistance, c.cycle_count) for a, c in array.cells.items()}
+
+
 def column_array(params=NOISE_FREE, n=2, seed=0):
     array = CellArray(ArrayTopology(TopologyKind.STANDARD_1T1R, rows=max(n, 2), cols=2),
                       params, seed=seed)
@@ -54,26 +61,24 @@ def test_noise_free_class_currents_match_oracle():
     rng = np.random.default_rng(0)
     expected = {"00": I_00, "01": I_01, "10": I_01, "11": I_11}
     for bits, value in expected.items():
-        write_inputs(array, addrs, bits, rng)
-        current = scout_current(array, addrs, rng)
+        [current] = scout_class(array, addrs, bits, [rng])
         assert current == pytest.approx(value, rel=1e-3)
 
 
 def test_single_hrs_cell_reads_zero():
     array, addrs = column_array(n=1)
     rng = np.random.default_rng(1)
-    write_inputs(array, addrs[:1], "0", rng)
-    current = scout_current(array, addrs[:1], rng)
+    [current] = scout_class(array, addrs[:1], "0", [rng])
     assert current == pytest.approx(I_HRS, rel=1e-3)
     assert current < PAPER_REFS.i_read
-    assert classify(current, PAPER_REFS, "read") == 0
+    assert classify_one(current, PAPER_REFS, "read") == 0
 
 
 def test_scout_requires_parallel_selectable_addresses():
     array, _ = column_array()
     rng = np.random.default_rng(3)
     with pytest.raises(TopologyError):
-        scout_current(array, [CellAddress(0, 0), CellAddress(0, 1)], rng)
+        scout_class(array, [CellAddress(0, 0), CellAddress(0, 1)], "11", [rng])
 
 
 def test_an_invalid_selection_raises_on_every_call(monkeypatch):
@@ -84,35 +89,38 @@ def test_an_invalid_selection_raises_on_every_call(monkeypatch):
     array, addrs = column_array()
     rng = np.random.default_rng(3)
     for _ in range(3):
+        cells, state = cell_states(array), rng.bit_generator.state
         with pytest.raises(TopologyError):
-            scout_current(array, [CellAddress(0, 0), CellAddress(0, 1)], rng)
-        scout_current(array, [tuple(a) for a in addrs], rng)  # plain tuples are wrapped
-    assert len(validated) == 4
+            scout_class(array, [CellAddress(0, 0), CellAddress(0, 1)], "11", [rng])
+        assert (cell_states(array), rng.bit_generator.state) == (cells, state)  # no pulse
+        scout_class(array, [tuple(a) for a in addrs], "10", [rng])  # plain tuples are wrapped
+    assert len(validated) == 6
     assert validated[1] == tuple(addrs) and type(validated[1][0]) is CellAddress
 
 
 def test_scout_read_is_non_destructive():
-    array, addrs = column_array(params=VariabilityParams(), seed=4)
-    rng = np.random.default_rng(4)
-    write_inputs(array, addrs, "10", rng)
-    before = [(array.cell(a).state, array.cell(a).resistance) for a in addrs]
-    for _ in range(50):
-        scout_current(array, addrs, rng)
-    after = [(array.cell(a).state, array.cell(a).resistance) for a in addrs]
-    assert before == after
+    # Without refresh, every cycle after the first finds its cells written and
+    # only reads them: the bucket leaves the cells as its first cycle wrote them.
+    (first, addrs), (bucket, _) = (column_array(params=VariabilityParams(), seed=4)
+                                   for _ in range(2))
+    scout_class(first, addrs, "10", [np.random.default_rng((4, 0))])
+    currents = scout_class(bucket, addrs, "10", [np.random.default_rng((4, k))
+                                                 for k in range(50)])
+    assert cell_states(bucket) == cell_states(first)
+    assert len(set(currents)) == 50  # each cycle's read draws its own noise
 
 
 def test_write_inputs_states():
     array, addrs = column_array(params=VariabilityParams(), seed=5)
     rng = np.random.default_rng(5)
     boundary = default_boundary(VariabilityParams())
-    write_inputs(array, addrs, "11", rng)
+    scout_class(array, addrs, "11", [rng])
     assert [array.cell(a).state for a in addrs] == ["lrs", "lrs"]
-    write_inputs(array, addrs, "00", rng)
+    scout_class(array, addrs, "00", [rng])
     assert [array.cell(a).state for a in addrs] == ["hrs", "hrs"]
-    write_inputs(array, addrs, "10", rng)
+    scout_class(array, addrs, [1, 0], [rng])
     assert [array.cell(a).state for a in addrs] == ["lrs", "hrs"]
-    write_inputs(array, addrs, "01", rng)
+    scout_class(array, addrs, "01", [rng])
     assert [array.cell(a).state for a in addrs] == ["hrs", "lrs"]
     assert binarize(array.cell(addrs[1]).resistance, boundary) == 1
 
@@ -122,27 +130,26 @@ def test_write_inputs_refresh_draws_fresh_values():
     rng = np.random.default_rng(6)
     values = set()
     for _ in range(10):
-        write_inputs(array, addrs, "01", rng, refresh=True)
+        scout_class(array, addrs, "01", [rng], refresh=True)
         values.add((array.cell(addrs[0]).resistance, array.cell(addrs[1]).resistance))
     assert len(values) == 10
 
 
 def test_write_inputs_length_mismatch():
     array, addrs = column_array()
-    with pytest.raises(ValueError):
-        write_inputs(array, addrs, "011", np.random.default_rng(0))
+    with pytest.raises(ValueError, match="one bit per address"):
+        scout_class(array, addrs, "011", [np.random.default_rng(0)])
 
 
 @pytest.mark.parametrize("bits", ["12", [0, 2], ["1", "x"], [1, None], [0, 0.5]])
 def test_write_inputs_rejects_non_bits_before_any_pulse(bits):
     array, addrs = column_array(params=VariabilityParams(), seed=11)
     rng = np.random.default_rng(11)
-    write_inputs(array, addrs, "10", rng)
-    cells = {a: (c.state, c.resistance, c.cycle_count) for a, c in array.cells.items()}
-    state = rng.bit_generator.state
+    scout_class(array, addrs, "10", [rng])
+    cells, state = cell_states(array), rng.bit_generator.state
     with pytest.raises(ValueError, match="input bits must be 0 or 1"):
-        write_inputs(array, [(0, 0), (1, 0)], bits, rng)
-    assert {a: (c.state, c.resistance, c.cycle_count) for a, c in array.cells.items()} == cells
+        scout_class(array, [(0, 0), (1, 0)], bits, [rng])
+    assert cell_states(array) == cells
     assert rng.bit_generator.state == state
 
 
@@ -240,22 +247,23 @@ def test_place_references_overlap_error():
 # ----------------------------------------------------------- classification
 
 def test_classify_examples():
-    assert classify(21e-6, PAPER_REFS, "or") == 1
-    assert classify(21e-6, PAPER_REFS, "and") == 0
-    assert classify(40e-6, PAPER_REFS, "xor") == 0  # above the window
-    assert classify(21e-6, PAPER_REFS, "xor") == 1
-    assert classify(2e-6, PAPER_REFS, "read") == 0
-    assert classify(20e-6, PAPER_REFS, "read") == 1
+    assert classify_one(21e-6, PAPER_REFS, "or") == 1
+    assert classify_one(21e-6, PAPER_REFS, "and") == 0
+    assert classify_one(40e-6, PAPER_REFS, "xor") == 0  # above the window
+    assert classify_one(21e-6, PAPER_REFS, "xor") == 1
+    assert classify_one(2e-6, PAPER_REFS, "read") == 0
+    assert classify_one(20e-6, PAPER_REFS, "read") == 1
 
 
 def test_classify_boundary_ties_map_to_zero():
-    assert classify(PAPER_REFS.i_read, PAPER_REFS, "read") == 0
-    assert classify(PAPER_REFS.i_or, PAPER_REFS, "or") == 0
-    assert classify(PAPER_REFS.i_and, PAPER_REFS, "and") == 0
-    assert classify(PAPER_REFS.i_or, PAPER_REFS, "xor") == 0
-    assert classify(PAPER_REFS.i_and, PAPER_REFS, "xor") == 0
+    # A tie with any level maps to 0, whatever the op gives on either side.
+    assert classify_one(PAPER_REFS.i_read, PAPER_REFS, "read") == 0
+    assert classify_one(PAPER_REFS.i_or, PAPER_REFS, "or") == 0
+    assert classify_one(PAPER_REFS.i_and, PAPER_REFS, "and") == 0
+    assert classify_one(PAPER_REFS.i_or, PAPER_REFS, "xor") == 0
+    assert classify_one(PAPER_REFS.i_and, PAPER_REFS, "xor") == 0
     with pytest.raises(ValueError):
-        classify(1e-6, PAPER_REFS, "nand")
+        classify_one(1e-6, PAPER_REFS, "nand")
 
 
 # The Boolean function of each op on a stored bit pattern, written out
@@ -290,7 +298,7 @@ def test_bucket_classification_equals_classify(levels_and_read, data):
     currents += [*refs.levels, refs.i_read]  # an exact tie at every level and at i_read
     for op in SCOUTING_OPS:
         bits = classify_bucket(currents, refs, op.upper())
-        assert bits == [classify(c, refs, op) for c in currents], op
+        assert bits == [classify_one(c, refs, op) for c in currents], op  # one at a time
         assert bits == [popcount_rule(c, refs, op) for c in currents], op
 
 
@@ -300,9 +308,8 @@ def test_classify_matches_op_table_noise_free(n):
     rng = np.random.default_rng(n)
     samples = []
     for bits in input_patterns(n) + ["0", "1"]:
-        cells = addrs[:len(bits)]
-        write_inputs(array, cells, bits, rng)
-        samples.append(CurrentSample(bits, scout_current(array, cells, rng)))
+        [current] = scout_class(array, addrs[:len(bits)], bits, [rng])
+        samples.append(CurrentSample(bits, current))
     refs = place_references(samples)
     assert refs.n == n
     for op in SCOUTING_OPS:
@@ -310,35 +317,16 @@ def test_classify_matches_op_table_noise_free(n):
             if (op == "read") == (len(s.input_class) == 1):
                 bit = expected_bit(op, s.input_class)
                 assert bit == BOOLEAN_OPS[op](s.input_class), (op, s.input_class)
-                assert classify(s.current, refs, op) == bit, (op, s.input_class)
+                assert classify_one(s.current, refs, op) == bit, (op, s.input_class)
 
 
 def test_scouting_gate_composition():
+    # Write, scout and classify one cycle against the published references.
     array, addrs = column_array(params=VariabilityParams(), seed=7)
     rng = np.random.default_rng(7)
-    assert scouting_gate(array, addrs, "11", "and", PAPER_REFS, rng) == 1
-    assert scouting_gate(array, addrs, "00", "or", PAPER_REFS, rng) == 0
-    assert scouting_gate(array, addrs, "10", "xor", PAPER_REFS, rng) == 1
-    assert scouting_gate(array, addrs, "01", "xor", PAPER_REFS, rng) == 1
-    assert scouting_gate(array, addrs, "11", "xor", PAPER_REFS, rng) == 0
-
-
-@pytest.mark.parametrize("op, n", [("read", 2), ("READ", 3), ("and", 1), ("or", 3),
-                                   ("xor", 1)])
-def test_scouting_gate_rejects_a_selection_of_another_width(op, n):
-    # READ reads one cell, every other op refs.n cells: a two-cell READ would
-    # answer as OR, and a one-cell AND at the paper's references as 0.
-    array, addrs = column_array(params=VariabilityParams(), n=3, seed=7)
-    rng = np.random.default_rng(7)
-    state = rng.bit_generator.state
-    width = 1 if op.lower() == "read" else PAPER_REFS.n
-    with pytest.raises(ValueError, match=f"^scouting op {op!r} reads {width} input "
-                                         f"cells, got {n}$"):
-        scouting_gate(array, addrs[:n], "1" * n, op, PAPER_REFS, rng)
-    assert rng.bit_generator.state == state  # rejected before any pulse
-    bits = "1" * width
-    assert scouting_gate(array, addrs[:width], bits, op, PAPER_REFS, rng) == expected_bit(
-        op.lower(), bits)
+    for bits, op, out in [("11", "and", 1), ("00", "or", 0), ("10", "xor", 1),
+                          ("01", "xor", 1), ("11", "xor", 0)]:
+        assert classify_bucket(scout_class(array, addrs, bits, [rng]), PAPER_REFS, op) == [out]
 
 
 # ------------------------------------------------------------ n-input form
@@ -397,8 +385,8 @@ def test_adding_a_cell_never_decreases_current(resistances, extra):
 def test_monotonicity_on_arrays():
     array, addrs = column_array(n=4)
     rng = np.random.default_rng(9)
-    write_inputs(array, addrs, "1100", rng)
-    currents = [scout_current(array, addrs[:k], rng) for k in range(1, 5)]
+    scout_class(array, addrs, "1100", [rng])
+    currents = [scout_class(array, addrs[:k], "1100"[:k], [rng])[0] for k in range(1, 5)]
     assert currents[1] >= currents[0]
     assert currents[2] >= currents[1]
     assert currents[3] >= currents[2]
@@ -409,10 +397,7 @@ def test_class_ordering_with_variability():
     rng = np.random.default_rng(10)
     means = {}
     for bits in ("00", "01", "10", "11"):
-        vals = []
-        for _ in range(30):
-            write_inputs(array, addrs, bits, rng, refresh=True)
-            vals.append(scout_current(array, addrs, rng))
+        vals = scout_class(array, addrs, bits, [rng] * 30, refresh=True)
         means[bits] = sum(vals) / len(vals)
     assert means["00"] < means["01"] < means["11"]
     assert means["00"] < means["10"] < means["11"]
