@@ -1,14 +1,16 @@
 """Monte Carlo experiment harness: repeated-cycle runs, distribution summaries,
 failure accounting and deterministic CSV/JSON exports.
 
-Every trial draws its randomness from a stream keyed by (seed, experiment
-kind, bucket, cycle), so results are bit-reproducible and independent of
-execution order.  Each experiment derives the streams of all its trials in one
-vectorized pass over one integer grid of bucket keys (gate and input pair,
-scouting class or characterized cell) and cycles (``_bucket_streams``); each
-stream equals ``default_rng(SeedSequence(key))`` bit for bit.  Each bucket is
-one runner call over its streams (``execute_gate_bucket`` for a gate and input
-pair, ``scout_class`` for a scouting class, one cell's cycle loop in
+Every bucket (a gate and input pair, a scouting class or a characterized
+cell) draws from two generators of its own, ``_stream``:
+``default_rng(SeedSequence((seed, kind, *key, purpose)))``, where purpose 0
+feeds the switching draws and purpose 1 the read noise.  The keys are
+``(seed, 10, gate_idx, p, q)`` for a gate bucket, ``(seed, 20, width,
+int(class, 2))`` for a scouting class and ``(seed, 32, cell)`` for a
+characterized cell, so results are bit-reproducible and no bucket's draws
+depend on the buckets run before it.  Each bucket is one runner
+call over its cycles (``execute_gate_bucket`` for a gate and input pair,
+``scout_class`` for a scouting class, one cell's cycle loop in
 characterization), and each cell's drives are built once per array.  A gate
 bucket's trace rows, error and failure counts and summary come from one pass
 over that call's traces; the summaries are sorted by label once, at the end.
@@ -28,7 +30,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from itertools import chain, groupby, islice
+from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -72,7 +74,6 @@ from .scouting import (
     reference_preset,
     scout_class,
 )
-from .streams import trial_streams
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +241,11 @@ class CharacterizationResult:
     hrs_log_spread: float
 
 
-def _bucket_streams(prefix: tuple[int, int], buckets: Sequence[tuple[int, ...]], cycles: int):
-    """The streams keyed ``(*prefix, *bucket, cycle)``, every cycle of one
-    bucket before the next bucket."""
-    buckets = np.asarray(buckets, dtype=np.int64)
-    return trial_streams(prefix, np.column_stack((
-        np.repeat(buckets, cycles, axis=0), np.tile(np.arange(cycles), len(buckets)))))
+def _stream(seed: int, kind: int, *key: int) -> list[np.random.Generator]:
+    """A bucket's switching and read-noise generators: purposes 0 and 1 of
+    ``SeedSequence((seed, kind, *key, purpose))``."""
+    return [np.random.default_rng(np.random.SeedSequence((seed, kind, *key, purpose)))
+            for purpose in (0, 1)]
 
 
 def _require_switching_pulse(params: VariabilityParams) -> None:
@@ -284,9 +284,6 @@ def run_1t1r_experiment(config: ExperimentConfig,
     rows: list[TraceRow] = []
     summaries: list[DistributionSummary] = []
     report = FailureReport()
-    streams = _bucket_streams((config.seed, 10), [
-        (gate_idx, p, q) for gate_idx in range(len(mappings)) for p, q in INPUT_PAIRS],
-        config.cycles)
     for gate_idx, (name, mapping) in enumerate(mappings):
         array = CellArray(config.topology, config.device, config.transistor,
                           seed=config.seed)
@@ -296,8 +293,8 @@ def run_1t1r_experiment(config: ExperimentConfig,
             addr = CellAddress(row_idx, col)
             array.form(addr)
             expected = evaluate_mapping(mapping, p, q).output
-            traces = execute_gate_bucket(array, addr, mapping, p, q,
-                                         islice(streams, config.cycles))
+            traces = execute_gate_bucket(array, addr, mapping, p, q, config.cycles,
+                                         *_stream(config.seed, 10, gate_idx, p, q))
             label = f"{name}/{p}{q}"
             bucket_rows = [TraceRow(name, p, q, trace.case_id, cycle, trace.init_resistance,
                                     trace.final_resistance, trace.output_bit, expected)
@@ -373,14 +370,13 @@ def sample_scouting_currents(config: ExperimentConfig, n: int,
     if include_single:
         classes += [(bit, (CellAddress(0, 0),)) for bit in ("0", "1")]
     samples = []
-    streams = _bucket_streams((config.seed, 20), [
-        (len(input_class), int(input_class, 2)) for input_class, _ in classes], config.cycles)
     for input_class, addrs in classes:
         array = CellArray(config.topology, config.device, config.transistor,
                           seed=config.seed)
         for addr in addrs:
             array.form(addr)
-        currents = scout_class(array, addrs, input_class, islice(streams, config.cycles),
+        currents = scout_class(array, addrs, input_class, config.cycles,
+                               *_stream(config.seed, 20, len(input_class), int(input_class, 2)),
                                True, verify)
         samples += [CurrentSample(input_class, current, cycle)
                     for cycle, current in enumerate(currents)]
@@ -502,13 +498,13 @@ def run_characterization(params: VariabilityParams,
               (RESET_BITS, STATE_HRS, f"{volts.v_be_reset} V RESET", "v_reset_th_median",
                "min_pulse_reset"))
     rows = []
-    streams = _bucket_streams((seed, 32), [(ci,) for ci in range(cells)], cycles)
     for ci in range(cells):
         array = CellArray(topology, params, transistor, seed=seed)
         addr = CellAddress(0, ci)
         array.form(addr)
         cell, drives = array.cell(addr), array.cell_drives(addr)
-        for cycle, rng in zip(range(cycles), streams):
+        rng, read_rng = _stream(seed, 32, ci)
+        for cycle in range(cycles):
             reads = []
             for bits, state, pulse, *names in phases:
                 array.apply_drive(drives[bits], rng)
@@ -517,7 +513,7 @@ def run_characterization(params: VariabilityParams,
                         f"cell {ci} is {cell.state.upper()} after the {volts.width} s, "
                         f"{pulse} pulse of cycle {cycle}: " + ", ".join(
                             f"device.{name} = {getattr(params, name)!r}" for name in names))
-                reads.append(array.read_cell(addr, rng))
+                reads.append(array.read_cell(addr, read_rng))
             rows.append((ci, cycle, *reads))
     lrs_values = [r[2] for r in rows]
     hrs_values = [r[3] for r in rows]

@@ -10,7 +10,10 @@ high-ohmic pristine state and must be formed once before they switch.
 Switching itself is threshold-deterministic; all stochastic behavior lives in
 the resistance values drawn after each switching event (lognormal, with
 separate cycle-to-cycle and cell-to-cell spreads) and in a multiplicative
-per-read jitter.
+per-read jitter.  Every truncated draw (a new LRS value below the last HRS,
+a new HRS value above the last LRS, a cell's HRS median above its LRS median,
+a threshold above zero) inverts the normal CDF at one uniform, so a switching
+event costs exactly one draw from the generator it is given.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numbers
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import accumulate, repeat, takewhile
+from statistics import NormalDist
 
 import numpy as np
 
@@ -30,7 +34,9 @@ STATE_HRS = "hrs"
 # Pristine devices are treated as a fixed, very large resistance.
 PRISTINE_RESISTANCE_FACTOR = 10.0
 
-_MAX_REJECTION_TRIES = 1000
+_INV_CDF = NormalDist().inv_cdf
+_SQRT2 = math.sqrt(2.0)
+_TINY = math.ulp(0.0)  # the smallest positive float
 
 #: Largest log-space spread: exp(N(0, sigma)) overflows a float past about 709,
 #: a 70-sigma draw at this bound.
@@ -202,14 +208,21 @@ class MemristorCell:
         return self.state != STATE_PRISTINE
 
 
+def _normal_above(rng: np.random.Generator, bound: float, sigma: float) -> float:
+    """``sigma * z`` for a standard normal ``z`` conditioned on ``sigma * z >
+    bound``, from one uniform ``v`` in (0, 1): ``z = -inv_cdf(v * Phi(-a))``
+    with ``a = bound / sigma``, inverted in the upper tail so that a bound far
+    out keeps its digits.  ``sigma = 0`` still draws its uniform and gives 0.
+    Rounding, or a tail too thin for a float (``a`` beyond about 38), can put
+    the value at or past the bound; callers clamp."""
+    a = bound / sigma if sigma else math.copysign(math.inf, bound)
+    p = rng.random() * 0.5 * math.erfc(a / _SQRT2)  # v * Phi(-a), or 0 on underflow
+    return -sigma * _INV_CDF(max(_TINY, p))
+
+
 def _positive_normal(rng: np.random.Generator, mean: float, sigma: float) -> float:
-    """Normal draw truncated at zero (resampled)."""
-    value = rng.normal(mean, sigma)
-    tries = 0
-    while value <= 0 and tries < _MAX_REJECTION_TRIES:
-        value = rng.normal(mean, sigma)
-        tries += 1
-    return value if value > 0 else mean
+    """Normal draw truncated at zero."""
+    return max(_TINY, mean + _normal_above(rng, -mean, sigma))
 
 
 def _lognormal_around(rng: np.random.Generator, median: float, sigma: float) -> float:
@@ -218,18 +231,22 @@ def _lognormal_around(rng: np.random.Generator, median: float, sigma: float) -> 
     return median * math.exp(sigma * rng.standard_normal())
 
 
+def _lognormal_above(rng: np.random.Generator, median: float, sigma: float,
+                     floor: float) -> float:
+    """``median * exp(N(0, sigma))`` conditioned above ``floor``, strictly."""
+    bound = math.log(max(_TINY, floor / median))
+    value = median * math.exp(_normal_above(rng, bound, sigma))
+    return max(value, math.nextafter(floor, math.inf))
+
+
 def sample_fresh_cell(params: VariabilityParams, rng: np.random.Generator,
                       cell_id: str = "cell") -> MemristorCell:
     """Draw a new pristine cell: per-cell medians (lognormal around the global
-    medians, device-to-device sigma) and per-cell thresholds (truncated normal).
+    medians, device-to-device sigma, the HRS median conditioned above the LRS
+    median) and per-cell thresholds (normal, truncated at zero).
     """
     lrs_med = _lognormal_around(rng, params.lrs_median, params.lrs_sigma_d2d)
-    hrs_med = _lognormal_around(rng, params.hrs_median, params.hrs_sigma_d2d)
-    tries = 0
-    while hrs_med <= lrs_med and tries < _MAX_REJECTION_TRIES:
-        lrs_med = _lognormal_around(rng, params.lrs_median, params.lrs_sigma_d2d)
-        hrs_med = _lognormal_around(rng, params.hrs_median, params.hrs_sigma_d2d)
-        tries += 1
+    hrs_med = _lognormal_above(rng, params.hrs_median, params.hrs_sigma_d2d, lrs_med)
     cell = MemristorCell(
         cell_id=cell_id,
         params=params,
@@ -244,28 +261,20 @@ def sample_fresh_cell(params: VariabilityParams, rng: np.random.Generator,
 
 
 def _enter_lrs(cell: MemristorCell, rng: np.random.Generator) -> None:
-    """Switch to a fresh LRS value, resampled until below the realized HRS."""
+    """Switch to a fresh LRS value, conditioned below the realized HRS."""
     ceiling = cell.last_hrs if cell.last_hrs is not None else cell.hrs_median_cell
     median, sigma = cell.lrs_median_cell, cell.params.lrs_sigma_c2c
-    value = median * math.exp(sigma * rng.standard_normal())  # _lognormal_around
-    tries = 0
-    while value >= ceiling and tries < _MAX_REJECTION_TRIES:
-        value = median * math.exp(sigma * rng.standard_normal())
-        tries += 1
+    bound = math.log(max(_TINY, median / ceiling))
+    value = median * math.exp(-_normal_above(rng, bound, sigma))
     cell.resistance = cell.last_lrs = min(value, math.nextafter(ceiling, 0.0))
     cell.state = STATE_LRS
 
 
 def _enter_hrs(cell: MemristorCell, rng: np.random.Generator) -> None:
-    """Switch to a fresh HRS value, resampled until above the realized LRS."""
+    """Switch to a fresh HRS value, conditioned above the realized LRS."""
     floor = cell.last_lrs if cell.last_lrs is not None else cell.lrs_median_cell
-    median, sigma = cell.hrs_median_cell, cell.params.hrs_sigma_c2c
-    value = median * math.exp(sigma * rng.standard_normal())  # _lognormal_around
-    tries = 0
-    while value <= floor and tries < _MAX_REJECTION_TRIES:
-        value = median * math.exp(sigma * rng.standard_normal())
-        tries += 1
-    cell.resistance = cell.last_hrs = max(value, math.nextafter(floor, math.inf))
+    cell.resistance = cell.last_hrs = _lognormal_above(
+        rng, cell.hrs_median_cell, cell.params.hrs_sigma_c2c, floor)
     cell.state = STATE_HRS
 
 

@@ -18,7 +18,9 @@ point ``DEFAULT_VOLTAGES`` (defined in ``device`` and re-exported here).
 A gate bucket (one gate, input pair and cell) runs in one call,
 ``execute_gate_bucket``, with its case and logic drive (one of the cell's
 drives, ``CellArray.cell_drives``) resolved once; one trial is a bucket of
-one generator.
+one cycle.  Each run takes two generators: ``rng`` feeds the switching draws
+of every pulse, ``read_rng`` the noise of every read, so reading a cell more
+or less often never shifts its switching draws.
 """
 
 from __future__ import annotations
@@ -270,15 +272,17 @@ INIT_RETRIES = 3
 
 
 def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: int,
-                    rng: np.random.Generator, refresh: bool = False,
-                    verify: bool = True) -> tuple[float, int]:
-    """Bring a cell to the binary state ``bit``, verifying by read.
+                    rng: np.random.Generator, read_rng: np.random.Generator,
+                    refresh: bool = False, verify: bool = True) -> tuple[float, int]:
+    """Bring a cell to the binary state ``bit``, verifying by read: pulses draw
+    from ``rng``, reads from ``read_rng``.
 
     Returns ``(verified read resistance, correction pulses applied)``.  With
     ``refresh=True`` a fresh resistance value is always cycled in, even when
     the binary state already matches (used by experiments that need new
-    cycle-to-cycle draws every trial).  Reads binarize at ``array.boundary``;
-    raises ``InitFailureError`` after ``INIT_RETRIES`` failed corrections.
+    cycle-to-cycle draws every trial), and the cell is not read before it.
+    Reads binarize at ``array.boundary``; raises ``InitFailureError`` after
+    ``INIT_RETRIES`` failed corrections.
 
     ``verify=False`` fires the write pulses blindly, without the read-back
     loop.  Verified writes retry any draw that straddles the binarization
@@ -293,7 +297,7 @@ def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: 
         raise NotFormedError(f"cell {tuple(addr)} is pristine; form it first")
     state = STATE_LRS if bit == 1 else STATE_HRS
     pulses = 0
-    r = array.read_cell(addr, rng) if verify else cell.resistance
+    r = array.read_cell(addr, read_rng) if verify and not refresh else cell.resistance
     # Write while a refresh is owed or the state is wrong (as read back, or as set).
     while (refresh and not pulses) or (binarize(r, array.boundary) != bit if verify
                                        else not pulses and cell.state != state):
@@ -306,33 +310,34 @@ def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: 
         if bit == 1:
             array.apply_drive(drives[SET_BITS], rng)
         pulses += 1
-        r = array.read_cell(addr, rng) if verify else cell.resistance
+        r = array.read_cell(addr, read_rng) if verify else cell.resistance
     return r, pulses
 
 
 def execute_gate_bucket(array: CellArray, addr: CellAddress | tuple[int, int],
-                        mapping: ParamMapping, p: int, q: int,
-                        rngs: Iterable[np.random.Generator],
+                        mapping: ParamMapping, p: int, q: int, cycles: int,
+                        rng: np.random.Generator, read_rng: np.random.Generator,
                         ) -> list[GateTrace | InitFailureError]:
-    """Run one gate on a formed cell once per generator of ``rngs``, each used
-    before the next is drawn: bring the cell to the mapping's initial state
-    (skipped when it already matches), fire the logic pulse, binarize the
-    read.  The case and the logic drive are resolved once.  A trial whose
-    initialization fails gives its ``InitFailureError`` in place of a trace.
+    """Run one gate on a formed cell ``cycles`` times: bring the cell to the
+    mapping's initial state (skipped when it already matches), fire the logic
+    pulse, binarize the read.  Pulses draw from ``rng``, reads from
+    ``read_rng``.  The case and the logic drive are resolved once.  A cycle
+    whose initialization fails gives its ``InitFailureError`` in place of a
+    trace.
     """
     addr, case = CellAddress(*addr), evaluate_mapping(mapping, p, q)
     drive = array.cell_drives(addr)[case.g, case.te, case.be]
     init_bit, case_id, output, boundary = case.i, case.case_id, case.output, array.boundary
     apply_drive, read_cell = array.apply_drive, array.read_cell
     traces = []
-    for rng in rngs:
+    for _ in range(cycles):
         try:
-            r_init, retries = initialize_cell(array, addr, init_bit, rng)
+            r_init, retries = initialize_cell(array, addr, init_bit, rng, read_rng)
         except InitFailureError as exc:
             traces.append(exc)
             continue
         apply_drive(drive, rng)
-        r_final = read_cell(addr, rng)
+        r_final = read_cell(addr, read_rng)
         traces.append(GateTrace(case_id, r_init, r_final, binarize(r_final, boundary),
                                 output, retries))
     return traces

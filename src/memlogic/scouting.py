@@ -9,8 +9,8 @@ AND a popcount of n, XOR an odd popcount.  READ is the one-cell case, with its
 own reference.  The read is non-destructive, so the gate never switches a
 device.  ``scout_class`` writes one input class and scouts it cycle after
 cycle, with the bits and the selection resolved once, and ``classify_bucket``
-compares a bucket of read currents against the references: one cycle is a
-bucket of one generator.
+compares a bucket of read currents against the references.  Writes draw
+from one generator and reads from another.
 """
 
 from __future__ import annotations
@@ -131,24 +131,26 @@ def _input_writes(addrs: Sequence[CellAddress | tuple[int, int]],
 
 
 def scout_class(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
-                bits: Sequence[int] | str, rngs: Iterable[np.random.Generator],
-                refresh: bool = False, verify: bool = True) -> list[float]:
+                bits: Sequence[int] | str, cycles: int, rng: np.random.Generator,
+                read_rng: np.random.Generator, refresh: bool = False,
+                verify: bool = True) -> list[float]:
     """Store one bit (0, 1, "0" or "1") per cell with ``initialize_cell``, then
     read the cells in parallel: the read voltage times the summed conductance
     of the noisy reads, a ``ValueError`` beyond the float range.  Once per
-    generator of ``rngs``, each used before the next is drawn; the bits and
-    the selection are checked once, before any pulse.  ``refresh=True`` draws
-    a fresh value every write; ``verify=False`` skips the read-back loop, for
-    analyses that must not truncate the state tails.  Reads never switch."""
+    cycle, for ``cycles`` cycles; the bits and the selection are checked once,
+    before any pulse.  Pulses draw from ``rng``, reads from ``read_rng``.
+    ``refresh=True`` draws a fresh value every write; ``verify=False`` skips
+    the read-back loop, for analyses that must not truncate the state tails.
+    Reads never switch."""
     writes = _input_writes(addrs, bits)
     selection = array.parallel_selection(addrs)
     v_read, read_cell, currents = DEFAULT_VOLTAGES.v_read, array.read_cell, []
-    for rng in rngs:
+    for _ in range(cycles):
         for addr, bit in writes:
-            initialize_cell(array, addr, bit, rng, refresh, verify)
+            initialize_cell(array, addr, bit, rng, read_rng, refresh, verify)
         conductance = 0.0
         for addr in selection:
-            conductance += 1.0 / read_cell(addr, rng)
+            conductance += 1.0 / read_cell(addr, read_rng)
         currents.append(require_finite_result("read current", v_read * conductance,
                                               array.params))
     return currents

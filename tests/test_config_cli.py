@@ -109,11 +109,13 @@ def test_cli_gate_from_a_library_name_with_a_slash(tmp_path, capsys):
     assert "A/B p=0 q=1 -> 1" in capsys.readouterr().out
 
 
-#: sha256 of the tables a gate named ``Q"R`` writes beside OR, recorded while
-#: every CSV row still went through ``csv.writer``: its name and labels are quoted.
+#: sha256 of the tables a gate named ``Q"R`` writes beside OR: its name and
+#: labels are quoted.  First recorded while every CSV row still went through
+#: ``csv.writer``; re-recorded once, when the draws moved to one stream pair
+#: per bucket.
 QUOTED_GATE_SHA256 = {
-    "traces.csv": "6a5404aa219eba04765599e83ed92e532a7b2c5a642f0fb7e082beebd1628315",
-    "summary.csv": "3b752ec394c5237beec8167c595ccba5553e996cae109a68ed0a4b902e8aa441",
+    "traces.csv": "b100ce473a632e243fabf89d1c44142adc77705e6dc0f8eed1b7938ecda89306",
+    "summary.csv": "cca50187ee2ff3a649a7b2e7bf6137644fae7b38bbe8a5ca2532673774b91116",
 }
 
 

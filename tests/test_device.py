@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memlogic import device
 from memlogic.device import (
     PRESETS,
     InvalidDriveError,
+    MemristorCell,
     Pulse,
     SwitchEvent,
     TransistorModel,
@@ -158,11 +160,35 @@ def test_too_short_pulse_does_not_switch():
 
 def test_ambiguous_drive_rejected():
     cell, rng = formed_cell()
+    cell.v_set_th, cell.v_reset_th = 1.0, 0.9
     with pytest.raises(InvalidDriveError):
         apply_pulse(cell, Pulse(2.3, 1.0, 3.0, 1e-6), T, rng)
     # Both electrodes high but with a sub-threshold differential is benign.
     event = apply_pulse(cell, Pulse(1.3, 1.6, 3.0, 1e-6), T, rng)
-    assert event in (SwitchEvent.NONE, SwitchEvent.HRS_DISTURB)
+    assert event == SwitchEvent.HRS_DISTURB
+
+
+@pytest.mark.parametrize("v_set_th, v_reset_th, v_te, v_be", [
+    (1.0, 0.5, 1.5, 0.5),   # TE-BE at the SET threshold
+    (0.5, 1.0, 0.5, 1.5),   # BE-TE at the RESET threshold
+    (1.0, 0.5, 1.0, 1.5),   # TE at the SET threshold, BE-TE at the RESET one
+])
+def test_ambiguous_drive_rejected_at_its_thresholds(v_set_th, v_reset_th, v_te, v_be):
+    cell, rng = formed_cell()
+    cell.v_set_th, cell.v_reset_th = v_set_th, v_reset_th
+    with pytest.raises(InvalidDriveError):
+        apply_pulse(cell, Pulse(v_te, v_be, 3.0, 1e-6), T, rng)
+
+
+def test_switching_happens_at_its_thresholds():
+    # "At or above": each threshold and pulse minimum switches at equality.
+    cell = sample_fresh_cell(PARAMS, np.random.default_rng(0), "c")
+    cell.v_form_th, cell.v_set_th, cell.v_reset_th = 2.0, 1.0, 0.5
+    rng = np.random.default_rng(1)
+    set_width, reset_width = PARAMS.min_pulse_set, PARAMS.min_pulse_reset
+    assert apply_pulse(cell, Pulse(2.0, 0.0, 3.0, set_width), T, rng) == SwitchEvent.FORMED
+    assert apply_pulse(cell, Pulse(0.0, 0.5, 3.0, reset_width), T, rng) == SwitchEvent.RESET
+    assert apply_pulse(cell, Pulse(1.0, 0.0, 3.0, set_width), T, rng) == SwitchEvent.SET
 
 
 def test_pulse_validation():
@@ -200,6 +226,7 @@ def test_read_disturb_guard():
     cell, rng = formed_cell()
     with pytest.raises(ValueError):
         read_resistance(cell, cell.v_set_th + 0.1, 3.0, T, rng)
+    assert 0 < read_resistance(cell, 0.0, 3.0, T, rng) < math.inf  # 0 V disturbs nothing
 
 
 def test_series_resistance_added():
@@ -207,6 +234,75 @@ def test_series_resistance_added():
     cell, rng = formed_cell(NOISE_FREE, state="lrs")
     cell.resistance = 5000.0
     assert read_resistance(cell, 0.1, 3.0, big_r_on, rng) == 5100.0
+
+
+# --------------------------------------------------------- truncated draws
+
+class FixedUniform:
+    """A generator stand-in whose every uniform is ``u`` and every standard
+    normal ``z``."""
+
+    def __init__(self, u, z=0.0):
+        self.u, self.z = u, z
+
+    def random(self):
+        return self.u
+
+    def standard_normal(self):
+        return self.z
+
+
+#: Both ends of ``Generator.random``: it returns k / 2**53 for k in [0, 2**53).
+UNIFORM_ENDS = (0.0, 1 - 2**-53)
+
+
+def cell_between(floor, ceiling, sigma):
+    """A cell with its last LRS at ``floor`` and last HRS at ``ceiling``, both
+    states' medians at 10 kOhm and both cycle-to-cycle spreads ``sigma``."""
+    params = PARAMS.replace(lrs_sigma_c2c=sigma, hrs_sigma_c2c=sigma)
+    return MemristorCell("c", params, 1e4, 1e4, 1.0, 0.9, 2.0, state="lrs",
+                         last_lrs=floor, last_hrs=ceiling)
+
+
+@pytest.mark.parametrize("u", UNIFORM_ENDS)
+@pytest.mark.parametrize("sigma, offset", [
+    (0.32, 40.0), (0.32, -40.0), (0.32, 0.0), (10.0, 40.0), (10.0, -40.0),
+    (0.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+def test_truncated_draws_stay_finite_and_strictly_inside_their_bound(u, sigma, offset):
+    # ``offset``: the bound's distance from the median, in sigmas (in log
+    # space for resistances; plain units at sigma = 0).
+    bound = 1e4 * math.exp(offset * sigma if sigma else offset)
+    cell = cell_between(bound, bound, sigma)
+    device._enter_hrs(cell, FixedUniform(u))
+    assert bound < cell.resistance < math.inf
+    cell = cell_between(bound, bound, sigma)
+    device._enter_lrs(cell, FixedUniform(u))
+    assert 0 < cell.resistance < bound
+    # A threshold's zero lies 1/40, 1 or 40 sigmas below its mean.
+    for mean in (sigma / 40, sigma, 40 * sigma) if sigma else (1.0,):
+        assert 0 < device._positive_normal(FixedUniform(u), mean, sigma) < math.inf
+
+
+@pytest.mark.parametrize("u", UNIFORM_ENDS)
+def test_a_cell_hrs_median_lies_above_its_lrs_median(u):
+    # A 5-sigma LRS median of a 1.0 d2d spread lands far above the HRS median.
+    params = PARAMS.replace(lrs_sigma_d2d=1.0)
+    cell = sample_fresh_cell(params, FixedUniform(u, z=5.0))
+    assert cell.lrs_median_cell == params.lrs_median * math.exp(5.0)
+    assert cell.lrs_median_cell < cell.hrs_median_cell < math.inf
+    assert all(0 < v < math.inf for v in (cell.v_set_th, cell.v_reset_th, cell.v_form_th))
+
+
+@pytest.mark.parametrize("a", [-2.0, 0.0, 1.5, 4.0])
+def test_truncated_draw_mean_is_the_inverse_mills_ratio(a):
+    # E[z | z > a] = phi(a) / Phi(-a) =: lam, Var[z | z > a] = 1 + a lam - lam^2.
+    n = 20_000
+    rng = np.random.default_rng(int(10 * a) + 100)
+    draws = [device._normal_above(rng, a, 1.0) for _ in range(n)]
+    assert min(draws) > a
+    lam = math.exp(-a * a / 2) / math.sqrt(2 * math.pi) / (0.5 * math.erfc(a / math.sqrt(2)))
+    se = math.sqrt((1 + a * lam - lam * lam) / n)
+    assert abs(sum(draws) / n - lam) <= 4 * se
 
 
 # ----------------------------------------------------------------- binarize

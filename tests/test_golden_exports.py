@@ -1,22 +1,18 @@
 """Exports of one fixed-seed run, pinned byte for byte by their sha256 digests.
 
-The digests were recorded with a drive path that pulsed every cell of the
-array.  Skipping the cells a drive cannot switch must not change one random
-draw, so any change to these bytes means the simulated results changed.  The
-second group was recorded while every trial stream was still built through
-its own ``SeedSequence`` and every array sampled all its cells up front; it
-covers a seed wider than one 32-bit word, a three-input scouting read and a
-characterization run over several cells.  The third group was recorded
-while the operating point was still passed down as parameters; it covers a
-parameter sweep and the unverified writes of the overlap probe.  The fourth
-group was recorded while every drive was still resolved and validated anew
-on each pulse; it covers the pseudo-crossbar wiring, with one cell per gate
+Any change to these bytes means the simulated results changed.  Every digest
+was re-recorded once, on purpose, when each bucket moved to its own pair of
+switching and read-noise streams and every truncated draw to one uniform;
+a change that keeps the draws must keep them all.  The groups were added
+as the code they guard appeared.  The first covers the default
+experiments.  The second covers a seed wider than one 32-bit word, a
+three-input scouting read and a characterization run over several cells.
+The third covers a parameter sweep and the unverified writes of the overlap
+probe.  The fourth covers the pseudo-crossbar wiring, with one cell per gate
 (whose digests equal the standard array's: the pristine neighbours on the
 cell's shared row BL stay inert) and with the input pairs rotated over rows.
-The fifth group was recorded while every exported value was still formatted
-one by one through a dict per row; it covers the JSON exports and the tables
-only the command line writes (the case table and the synthesized library).
-"""
+The fifth covers the JSON exports and the tables only the command line
+writes (the case table and the synthesized library)."""
 
 import hashlib
 
@@ -43,69 +39,69 @@ PSEUDO_CROSSBAR = CONFIG.replace(topology=ArrayTopology(TopologyKind.PSEUDO_CROS
 
 GOLDEN_SHA256 = {
     "gate": {
-        "traces.csv": "bf1eda3d8e573afdee842a05275d2ae29db85452f0e315db44e2a52be3fbae5e",
-        "summary.csv": "9416427b43c6d08eb2a419064cd1adf1bc3705b9848d680af7d60b252a9fd921",
-        "non_switching.csv": "3559944649d36ce802d424446864e8e223d709ef3eb5b6fb3f58e29eab590cce",
+        "traces.csv": "09e808c2cc8ff7140048fb2a92d379f33e6469447eac188a463b55a35afb59e2",
+        "summary.csv": "7c2c7cb94a81358ee4bc052b3f171702c17861903c1764a93b7a67c67df6c076",
+        "non_switching.csv": "f0f2d4ed4bb3d99a4914ab0c49982021f3486fea9fa454b8c3660d90fbe2eab5",
         "report.json": "af46ba7e50e5e69c64730e93f89e6b93d32d0908946786b4963c33790beb24ff",
     },
     "scouting": {
-        "currents.csv": "6473caa31badbd8ed2d4cd6eeabad50536d4e2bf07baecb719729e5604638d59",
-        "refs.csv": "abddd4921d8f695238e66530e429585126f78873ce764a36c9c0f038519ff7d9",
-        "margins.csv": "9f6aea3087d0f05737c24ddcabde9c1d8db25905f422f605c0eb3a2024d8fee4",
-        "summary.csv": "1deb6551702076ca69e36f14121d8e1a9136c8a68f5563cc778171a87e3a1bff",
+        "currents.csv": "3efbb9f0355807570d76a37e00f31d6d742afd2be3da2938211e3f1e0b55c0c8",
+        "refs.csv": "504adcb51a1e22fe0faab7f795055d4785ca63fb87ff4d5ee4c099e76dab4887",
+        "margins.csv": "d7ef50024b00954670abbbfb90e0261a6883fa6b11c55dfd7a64c7228b789f5b",
+        "summary.csv": "167cff6a16acceb29fe097c69ffe8ef9f588f1920da519a64b64ed118450d3fa",
         "report.json": "868deac54fdf2be06764ba03cba3d73847f7ac92cbf2379ee8c5766c8484fae2",
     },
     "characterize": {
-        "characterize.csv": "235449a9c3397a912c5d4c75aa1f81dd8e59782351c93e3946e2ea9ca8a75ce4",
-        "summary.csv": "81dc0e8fa588685647a5625d94bc6a0f1fe41f28a15c4ccf801fc114a843fafd",
-        "characterize_report.json": "b3100c46f7558b246eea614b0faac9b7fa5d7a47a087e2fb3e72991a90252ddc",
+        "characterize.csv": "f351626df29ad6a4fb26cd3c16e58db2e4b71af1cb3d8b51c9fc089c268b56fc",
+        "summary.csv": "778fbd621873a2178483eb23896354a0423ccd906511b3a9c56d210e44bd47f0",
+        "characterize_report.json": "1a9599e14432617d23af2d549733151364e7e5cc3fc0e2137bcaa948916b7439",
     },
 }
 
 GOLDEN_SHA256.update({
     "gate_seed_2**32+3": {
-        "traces.csv": "0b2fbfa2587d1ea37624d3bd42c233859712f3aaa4e736867a3c7ee034f26e80",
-        "summary.csv": "dc080d70b60fd073c2efd29fbc10e57d2faa92d816d63bebe7a6e1b2ca953faf",
-        "non_switching.csv": "0c97c70636de8d8b36e6617c9a6065a0af412fca05931ec0342f952901f09b7e",
+        "traces.csv": "7cb0afb2766784da3aaf50e0fdd5289203f2e64e269dab98377930bbd2d559c9",
+        "summary.csv": "f0c81ac7548380b96dd9d90c96bf2a492dc14f4a045d8c953291eceb57faf16b",
+        "non_switching.csv": "60f36224a0ccf36de985e5e03fffd2966712e6af8ae65d14a370b1d2dc950bb5",
         "report.json": "af46ba7e50e5e69c64730e93f89e6b93d32d0908946786b4963c33790beb24ff",
     },
     "scouting_n3": {
-        "currents.csv": "a0511e27eb6430bc1c90718a16adda2de99703804c6fb0f7dab4a216196d8922",
-        "refs.csv": "caeddd148adfc981e70a82257506d76a473ee3ad327addf7362497f8cf205474",
-        "margins.csv": "38ae46a5b01fc3d9aaf53f88452cd3551103b43be30e60dfd7540063848f3c39",
-        "summary.csv": "13a5dc40f2ec8ad8056be8f21878acb4fb8f0781337efc67e3dd56228c8af49e",
-        "report.json": "b5efbdc2dc5015d3bb16f7721bf258fa332f4b4b88b1282139467f5b92a9a56d",
+        "currents.csv": "5c7694f11ef85a3bfd55e5d7ff735e21f468485bd0779ddd0ff1e37eec22cd37",
+        "refs.csv": "05bccdde758c47cfd32b97564ad0f4a71c9e558b14d36e5faf193c892e911448",
+        "margins.csv": "d3c79e3708a52a548f62945e5365e13200710436f3cd3e73523cca2fa9d464d2",
+        "summary.csv": "3610db460faeee7c945a05795c9d0ed4e5635640e20b7ee4ad4af1c4e372dc86",
+        "report.json": "291c80a336318f3941ecf36041b84bfc199a357785e348a6ed0d9de3a67e16db",
     },
     "characterize_cells3": {
-        "characterize.csv": "99788bafbdfe4eeb547705ef81000a2c740851aab2d279afd5b1e409dd53f8d4",
-        "summary.csv": "d6a4611318e6e0fea1bf4a021a19b4e0269fb0fad3a66a09dd88981f68bf9ecc",
-        "characterize_report.json": "1f922ec12f3aa39daf14f3c0bbce98d7d457cd9fe755d4876caf23c3b24b6008",
+        "characterize.csv": "1e8376c77ff086cdd97f76191120b350b97d5d3bf6b77ad46eeb214f58c2a3f8",
+        "summary.csv": "bcac31c03cdeee0bb2906a3691b692801f757e11dc09e73b687803e41c155778",
+        "characterize_report.json": "d8986e4cb7531cf7e0d32170b606d0459f1270300aa730f2465cce9df660dde7",
     },
 })
 
 GOLDEN_SHA256.update({
     "gate_pseudo_crossbar": {
-        "traces.csv": "bf1eda3d8e573afdee842a05275d2ae29db85452f0e315db44e2a52be3fbae5e",
-        "summary.csv": "9416427b43c6d08eb2a419064cd1adf1bc3705b9848d680af7d60b252a9fd921",
-        "non_switching.csv": "3559944649d36ce802d424446864e8e223d709ef3eb5b6fb3f58e29eab590cce",
+        "traces.csv": "09e808c2cc8ff7140048fb2a92d379f33e6469447eac188a463b55a35afb59e2",
+        "summary.csv": "7c2c7cb94a81358ee4bc052b3f171702c17861903c1764a93b7a67c67df6c076",
+        "non_switching.csv": "f0f2d4ed4bb3d99a4914ab0c49982021f3486fea9fa454b8c3660d90fbe2eab5",
         "report.json": "af46ba7e50e5e69c64730e93f89e6b93d32d0908946786b4963c33790beb24ff",
     },
     "gate_pseudo_crossbar_rotated": {
-        "traces.csv": "86905a3397774ef6c4b3168daf79d0cd2d542ad6d58c5a0882c26a49b54ac826",
-        "summary.csv": "68fcf3e78d0def82ee72963f36fc04c67a8bb391c9eca5c5588c1e2ce8e5d7f7",
-        "non_switching.csv": "4b231e535dc835fbe594c2bbaa766631ee9cfe3d54728e83b1bc8da1dad37949",
+        "traces.csv": "a493127d0578116a6bfd1e382134be454b63eca10e7ddab47df7715220f908b9",
+        "summary.csv": "827548f7b02e0c685e864960d8023535c17f6352273c9d54f855659d30904171",
+        "non_switching.csv": "530cbb7d82013748c5ee4e02590529748b2c4297d017414baf51e76f8e65ba66",
         "report.json": "af46ba7e50e5e69c64730e93f89e6b93d32d0908946786b4963c33790beb24ff",
     },
 })
 
 GOLDEN_SHA256["sweep"] = {
-    "sweep.csv": "2b656cd26c882dddbaae3e2caa3c32e89e8b6b2edb10be0b30feb94ff0aa9dbb",
+    "sweep.csv": "bcb08ea15075736264d27ce044ec48f21f7a89bc3fa6140d040245a1ad516734",
 }
 
 #: sha256 of "class,cycle,repr(current)" lines of unverified writes, per n.
 UNVERIFIED_CURRENTS_SHA256 = {
-    2: "d765030513fb5c958dfa7cb91f3f50b0f49d8be7a779abf321926cb2ab1224ef",
-    3: "4717423eb43e47c67a499e145ec051b5dcf60cc9a934d817421e4d2ae3fd3b34",
+    2: "bf8f41ec57e3a1c65ece5c409f9174c0a69461054e9d1af8b14c01629abbf6fd",
+    3: "b7e129cd2ea32bd8a9d37b8609f3643f340a482d6a9f4e74bcb54e3b6f8e282e",
 }
 
 EXPORTERS = {
@@ -143,25 +139,25 @@ JSON_EXPORTERS = {
 
 GOLDEN_JSON_SHA256 = {
     "gate": {
-        "traces.json": "3cb3ac16a720599da1e17c7a75c18e9a726ba2914ff12e014d538c4a6e75c6f2",
-        "summary.json": "b28752d4f17e9f50fde7ebe5257c40b004c0e6fc43aba4b43d824747d574217b",
-        "non_switching.json": "53172624de65acbbb30888387310f4d68b866f4214a0a851bd34ca59e7812166",
+        "traces.json": "603debcd530ed494aff1ab0c6e773ebc011f8b120e6f081c74e9bfc1a6f286f0",
+        "summary.json": "7d511b8dcdc6f79012d2a8449a57d7d5c35858bdabf3c1ff40daaa50170006ad",
+        "non_switching.json": "f02afe7efe994683ab54a90724a6e1f84c3eb931c9226fb7571e492104fdfdc9",
         "report.json": "af46ba7e50e5e69c64730e93f89e6b93d32d0908946786b4963c33790beb24ff",
     },
     "scouting": {
-        "currents.json": "1a201f49b1b2f58eb93ed9d9abf0bb469d7d55027ca70baf1146ddf575ed4cba",
-        "refs.json": "a2ab0dbe4ccf9084d33284640c7e82e5c1d87018dccbe90a2189db06fad0fffb",
-        "margins.json": "daad6f337077bd45b82bd226c684fe3504bf1b5dfe0f3b9b31443498785f75bf",
-        "summary.json": "f1fdc63227454134f6af614694e3ac01f5340fda37c8c22f6c22ccacecff1bea",
+        "currents.json": "9a82919add7979e97d9e30e66ce4e700a410e4ff4efec0f94a4a95db92f2ba3b",
+        "refs.json": "277ad241ecb51b11781a589f12653ab21f17514446f880bd14cdd55554154cd1",
+        "margins.json": "6b2b46b04f2804282cb8a9c897f7aac20901f91346ca962d4ea0b06b05fc79d3",
+        "summary.json": "99e61f1769b1ea0186b6a4c59eaaca8df99b3aee22cbef05d8f36565e0a11851",
         "report.json": "868deac54fdf2be06764ba03cba3d73847f7ac92cbf2379ee8c5766c8484fae2",
     },
     "characterize": {
-        "characterize.json": "34b5dfea624f138e7d27153528af464c97fd22f8adfcb991398511d4f9d5b729",
-        "summary.json": "e8060860550261e578e2e917ffdc04cc59c159ad836c490d57a5de0199b2f8c9",
-        "characterize_report.json": "b3100c46f7558b246eea614b0faac9b7fa5d7a47a087e2fb3e72991a90252ddc",
+        "characterize.json": "6853333b51bee88bc7869e6040fa57016e0a167de368463ac2df7b4a53847718",
+        "summary.json": "e9d28cf3bb30948db604b2850bce939a541beefe3222d83add9446bc745b3a42",
+        "characterize_report.json": "1a9599e14432617d23af2d549733151364e7e5cc3fc0e2137bcaa948916b7439",
     },
     "sweep": {
-        "sweep.json": "6be188200c41d8f6a231b5d1b24324a99552c332d687b525e47123980553c884",
+        "sweep.json": "ce2e94404146490ae363ac6bdc05dd45df086e9aac8e514268d9541242fff927",
     },
 }
 

@@ -257,8 +257,8 @@ def test_logic_pulse_voltage_mapping():
 
 
 def one_trial(array, addr, mapping, p, q, rng):
-    """One trial: ``execute_gate_bucket`` of one generator."""
-    [trace] = execute_gate_bucket(array, addr, mapping, p, q, [rng])
+    """One trial: ``execute_gate_bucket`` of one cycle, pulses and reads on ``rng``."""
+    [trace] = execute_gate_bucket(array, addr, mapping, p, q, 1, rng, rng)
     return trace
 
 
@@ -311,7 +311,7 @@ def test_init_failure_raises():
     array.form(CellAddress(0, 0))
     rng = np.random.default_rng(5)
     with pytest.raises(InitFailureError, match=f"after {INIT_RETRIES} retries"):
-        initialize_cell(array, (0, 0), 0, rng)
+        initialize_cell(array, (0, 0), 0, rng, rng)
 
 
 def test_cascade_reuses_matching_state():
@@ -342,7 +342,7 @@ def test_every_case_pulse_leaves_the_case_output(case, kind):
     addr = CellAddress(2, 1)
     array.form(addr)
     rng = np.random.default_rng(case.case_id)
-    initialize_cell(array, addr, case.i, rng)
+    initialize_cell(array, addr, case.i, rng, rng)
     array.apply_drive(array.cell_drives(addr)[case.g, case.te, case.be], rng)
     assert binarize(array.read_cell(addr, rng), array.boundary) == case.output
 
@@ -361,7 +361,7 @@ def test_pseudo_crossbar_gates_switch_both_ways():
 def test_hundred_cycle_repetition_without_failures():
     array = formed_array()
     rng = np.random.default_rng(7)
-    traces = execute_gate_bucket(array, (0, 0), builtin_mapping("XOR"), 1, 0, [rng] * 100)
+    traces = execute_gate_bucket(array, (0, 0), builtin_mapping("XOR"), 1, 0, 100, rng, rng)
     assert len(traces) == 100
     assert all(t.output_bit == t.expected_bit == 1 for t in traces)
 

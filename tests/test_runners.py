@@ -1,9 +1,11 @@
-"""A bucket of N generators equals N one-generator buckets, trial for trial.
+"""The bucket runners' contract, and the harness's per-bucket streams.
 
-``execute_gate_bucket`` and ``scout_class`` over N generators must give what
-the same runner gives called once per generator: the same traces or currents,
-the same errors at the same trials, the same cells afterwards and every
-generator left in the same state.
+``execute_gate_bucket`` and ``scout_class`` over N cycles must give what the
+same runner gives called N times for one cycle on the same two generators:
+the same traces or currents, the same errors at the same cycles, the same
+cells afterwards and both generators left in the same state.  A bucket of an
+experiment whose cells are its own replays alone, on a fresh array, from its
+documented keys.
 """
 
 import re
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memlogic.analysis import ExperimentConfig, run_1t1r_experiment, sample_scouting_currents
 from memlogic.array import ArrayTopology, CellAddress, CellArray, TopologyKind
 from memlogic.device import TransistorModel, VariabilityParams
 from memlogic.logic1t1r import (
@@ -42,9 +45,9 @@ def twin_arrays(kind, stressed, seed, addrs):
     return arrays
 
 
-def twin_generators(key, count):
-    """Two lists of ``count`` generators, seeded ``(*key, k)``."""
-    return [[np.random.default_rng((*key, k)) for k in range(count)] for _ in range(2)]
+def twin_generators(key):
+    """Two (switching, read-noise) generator pairs, seeded ``(*key, purpose)``."""
+    return [[np.random.default_rng((*key, purpose)) for purpose in (0, 1)] for _ in range(2)]
 
 
 def states(rngs):
@@ -58,10 +61,10 @@ def outcome(result):
     return result
 
 
-def gate_trials(array, addr, mapping, p, q, rngs):
-    """One-generator gate buckets, one per generator, their traces joined."""
-    return [trace for rng in rngs
-            for trace in execute_gate_bucket(array, addr, mapping, p, q, [rng])]
+def gate_trials(array, addr, mapping, p, q, cycles, rng, read_rng):
+    """One-cycle gate buckets, ``cycles`` of them, their traces joined."""
+    return [trace for _ in range(cycles)
+            for trace in execute_gate_bucket(array, addr, mapping, p, q, 1, rng, read_rng)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,9 +80,9 @@ def test_gate_bucket_equals_its_one_trial_calls(kind, gate, rotate_cells, stress
     addrs = [CellAddress(k if rotate_cells else 0, col) for k in range(len(INPUT_PAIRS))]
     bucket_array, trial_array = twin_arrays(kind, stressed, seed, set(addrs))
     for addr, (p, q) in zip(addrs, INPUT_PAIRS):
-        bucket_rngs, trial_rngs = twin_generators((seed, p, q), cycles)
-        traces = execute_gate_bucket(bucket_array, addr, mapping, p, q, iter(bucket_rngs))
-        expected = gate_trials(trial_array, addr, mapping, p, q, trial_rngs)
+        bucket_rngs, trial_rngs = twin_generators((seed, p, q))
+        traces = execute_gate_bucket(bucket_array, addr, mapping, p, q, cycles, *bucket_rngs)
+        expected = gate_trials(trial_array, addr, mapping, p, q, cycles, *trial_rngs)
         assert list(map(outcome, traces)) == list(map(outcome, expected))
         assert states(bucket_rngs) == states(trial_rngs)
         assert bucket_array.cells == trial_array.cells
@@ -88,23 +91,23 @@ def test_gate_bucket_equals_its_one_trial_calls(kind, gate, rotate_cells, stress
 def test_an_init_failure_costs_its_trial_only():
     bucket_array, trial_array = twin_arrays(TopologyKind.STANDARD_1T1R, True, 1,
                                             [CellAddress(0, 0)])
-    bucket_rngs, trial_rngs = twin_generators((4,), 10)
+    bucket_rngs, trial_rngs = twin_generators((4,))
     mapping = builtin_mapping("OR")
-    traces = execute_gate_bucket(bucket_array, (0, 0), mapping, 1, 0, bucket_rngs)
+    traces = execute_gate_bucket(bucket_array, (0, 0), mapping, 1, 0, 10, *bucket_rngs)
     failed = [isinstance(trace, InitFailureError) for trace in traces]
     assert True in failed[1:-1] and not all(failed)  # mid-bucket, trials go on
-    expected = gate_trials(trial_array, (0, 0), mapping, 1, 0, trial_rngs)
+    expected = gate_trials(trial_array, (0, 0), mapping, 1, 0, 10, *trial_rngs)
     assert list(map(outcome, traces)) == list(map(outcome, expected))
     assert states(bucket_rngs) == states(trial_rngs)
 
 
-def scout_trials(array, addrs, bits, rngs, refresh, verify):
-    """One-generator scouting buckets, one per generator, up to the first
+def scout_trials(array, addrs, bits, cycles, rng, read_rng, refresh, verify):
+    """One-cycle scouting buckets, ``cycles`` of them, up to the first
     ``InitFailureError``, which ends the list."""
     currents = []
     try:
-        for rng in rngs:
-            currents += scout_class(array, addrs, bits, [rng], refresh, verify)
+        for _ in range(cycles):
+            currents += scout_class(array, addrs, bits, 1, rng, read_rng, refresh, verify)
     except InitFailureError as exc:
         currents.append(exc)
     return currents
@@ -127,11 +130,12 @@ def test_scout_class_equals_its_one_cycle_calls(kind, stressed, refresh, verify,
 
     bucket_array, trial_array = twin_arrays(kind, stressed, seed, cells(3))
     for k, bits in enumerate(classes):
-        bucket_rngs, trial_rngs = twin_generators((seed, k), cycles)
+        bucket_rngs, trial_rngs = twin_generators((seed, k))
         addrs = cells(len(bits))
-        expected = scout_trials(trial_array, addrs, bits, trial_rngs, refresh, verify)
+        expected = scout_trials(trial_array, addrs, bits, cycles, *trial_rngs, refresh,
+                                verify)
         try:
-            currents = scout_class(bucket_array, addrs, bits, iter(bucket_rngs), refresh,
+            currents = scout_class(bucket_array, addrs, bits, cycles, *bucket_rngs, refresh,
                                    verify)
         except InitFailureError as exc:  # the class ends at the trial it failed
             assert outcome(exc) == outcome(expected[-1])
@@ -144,11 +148,51 @@ def test_scout_class_equals_its_one_cycle_calls(kind, stressed, refresh, verify,
 def test_a_scouting_init_failure_stops_the_class_where_the_cycles_stop():
     bucket_array, trial_array = twin_arrays(TopologyKind.STANDARD_1T1R, True, 0,
                                             [CellAddress(0, 0), CellAddress(1, 0)])
-    bucket_rngs, trial_rngs = twin_generators((2,), 40)
+    bucket_rngs, trial_rngs = twin_generators((2,))
     addrs = [CellAddress(0, 0), CellAddress(1, 0)]
-    expected = scout_trials(trial_array, addrs, "10", trial_rngs, True, True)
+    expected = scout_trials(trial_array, addrs, "10", 40, *trial_rngs, True, True)
     assert isinstance(expected[-1], InitFailureError) and len(expected) > 1
     with pytest.raises(InitFailureError, match=re.escape(str(expected[-1]))):
-        scout_class(bucket_array, addrs, "10", iter(bucket_rngs), True, True)
+        scout_class(bucket_array, addrs, "10", 40, *bucket_rngs, True, True)
     assert states(bucket_rngs) == states(trial_rngs)
     assert bucket_array.cells == trial_array.cells
+
+
+def bucket_stream(*key):
+    """The documented per-bucket generators: purposes 0 (switching) and 1
+    (read noise) of ``SeedSequence((*key, purpose))``."""
+    return [np.random.default_rng(np.random.SeedSequence((*key, purpose)))
+            for purpose in (0, 1)]
+
+
+def test_a_gate_bucket_replays_alone():
+    # With rotated cells every input pair has a cell of its own, so XOR/10,
+    # the third bucket of the fourth gate, needs nothing that ran before it.
+    config = ExperimentConfig(seed=3, cycles=20, rotate_cells=True)
+    gate_idx, (p, q) = config.gates.index("XOR"), (1, 0)
+    addr = CellAddress(INPUT_PAIRS.index((p, q)), gate_idx)
+    array = CellArray(config.topology, config.device, config.transistor, seed=config.seed)
+    array.form(addr)
+    traces = execute_gate_bucket(array, addr, builtin_mapping("XOR"), p, q, config.cycles,
+                                 *bucket_stream(config.seed, 10, gate_idx, p, q))
+    rows = [row for row in run_1t1r_experiment(config).rows
+            if (row.gate, row.p, row.q) == ("XOR", p, q)]
+    assert [(t.case_id, t.init_resistance, t.final_resistance, t.output_bit)
+            for t in traces] == [(row.case_id, row.r_init_ohm, row.r_final_ohm, row.out_bit)
+                                 for row in rows]
+    assert len(rows) == config.cycles
+
+
+@pytest.mark.parametrize("input_class", ["01", "1"])
+def test_a_scouting_class_replays_alone(input_class):
+    config = ExperimentConfig(seed=3, cycles=20)
+    addrs = [CellAddress(row, 0) for row in range(len(input_class))]
+    array = CellArray(config.topology, config.device, config.transistor, seed=config.seed)
+    for addr in addrs:
+        array.form(addr)
+    currents = scout_class(array, addrs, input_class, config.cycles,
+                           *bucket_stream(config.seed, 20, len(input_class),
+                                          int(input_class, 2)), True)
+    samples = sample_scouting_currents(config, 2, include_single=True)
+    assert currents == [s.current for s in samples if s.input_class == input_class]
+    assert len(currents) == config.cycles

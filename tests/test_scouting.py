@@ -61,14 +61,14 @@ def test_noise_free_class_currents_match_oracle():
     rng = np.random.default_rng(0)
     expected = {"00": I_00, "01": I_01, "10": I_01, "11": I_11}
     for bits, value in expected.items():
-        [current] = scout_class(array, addrs, bits, [rng])
+        [current] = scout_class(array, addrs, bits, 1, rng, rng)
         assert current == pytest.approx(value, rel=1e-3)
 
 
 def test_single_hrs_cell_reads_zero():
     array, addrs = column_array(n=1)
     rng = np.random.default_rng(1)
-    [current] = scout_class(array, addrs[:1], "0", [rng])
+    [current] = scout_class(array, addrs[:1], "0", 1, rng, rng)
     assert current == pytest.approx(I_HRS, rel=1e-3)
     assert current < PAPER_REFS.i_read
     assert classify_one(current, PAPER_REFS, "read") == 0
@@ -78,7 +78,7 @@ def test_scout_requires_parallel_selectable_addresses():
     array, _ = column_array()
     rng = np.random.default_rng(3)
     with pytest.raises(TopologyError):
-        scout_class(array, [CellAddress(0, 0), CellAddress(0, 1)], "11", [rng])
+        scout_class(array, [CellAddress(0, 0), CellAddress(0, 1)], "11", 1, rng, rng)
 
 
 def test_an_invalid_selection_raises_on_every_call(monkeypatch):
@@ -91,9 +91,9 @@ def test_an_invalid_selection_raises_on_every_call(monkeypatch):
     for _ in range(3):
         cells, state = cell_states(array), rng.bit_generator.state
         with pytest.raises(TopologyError):
-            scout_class(array, [CellAddress(0, 0), CellAddress(0, 1)], "11", [rng])
+            scout_class(array, [CellAddress(0, 0), CellAddress(0, 1)], "11", 1, rng, rng)
         assert (cell_states(array), rng.bit_generator.state) == (cells, state)  # no pulse
-        scout_class(array, [tuple(a) for a in addrs], "10", [rng])  # plain tuples are wrapped
+        scout_class(array, [tuple(a) for a in addrs], "10", 1, rng, rng)  # plain tuples are wrapped
     assert len(validated) == 6
     assert validated[1] == tuple(addrs) and type(validated[1][0]) is CellAddress
 
@@ -103,9 +103,9 @@ def test_scout_read_is_non_destructive():
     # only reads them: the bucket leaves the cells as its first cycle wrote them.
     (first, addrs), (bucket, _) = (column_array(params=VariabilityParams(), seed=4)
                                    for _ in range(2))
-    scout_class(first, addrs, "10", [np.random.default_rng((4, 0))])
-    currents = scout_class(bucket, addrs, "10", [np.random.default_rng((4, k))
-                                                 for k in range(50)])
+    scout_class(first, addrs, "10", 1, np.random.default_rng(4), np.random.default_rng(5))
+    currents = scout_class(bucket, addrs, "10", 50, np.random.default_rng(4),
+                           np.random.default_rng(5))
     assert cell_states(bucket) == cell_states(first)
     assert len(set(currents)) == 50  # each cycle's read draws its own noise
 
@@ -114,13 +114,13 @@ def test_write_inputs_states():
     array, addrs = column_array(params=VariabilityParams(), seed=5)
     rng = np.random.default_rng(5)
     boundary = default_boundary(VariabilityParams())
-    scout_class(array, addrs, "11", [rng])
+    scout_class(array, addrs, "11", 1, rng, rng)
     assert [array.cell(a).state for a in addrs] == ["lrs", "lrs"]
-    scout_class(array, addrs, "00", [rng])
+    scout_class(array, addrs, "00", 1, rng, rng)
     assert [array.cell(a).state for a in addrs] == ["hrs", "hrs"]
-    scout_class(array, addrs, [1, 0], [rng])
+    scout_class(array, addrs, [1, 0], 1, rng, rng)
     assert [array.cell(a).state for a in addrs] == ["lrs", "hrs"]
-    scout_class(array, addrs, "01", [rng])
+    scout_class(array, addrs, "01", 1, rng, rng)
     assert [array.cell(a).state for a in addrs] == ["hrs", "lrs"]
     assert binarize(array.cell(addrs[1]).resistance, boundary) == 1
 
@@ -130,7 +130,7 @@ def test_write_inputs_refresh_draws_fresh_values():
     rng = np.random.default_rng(6)
     values = set()
     for _ in range(10):
-        scout_class(array, addrs, "01", [rng], refresh=True)
+        scout_class(array, addrs, "01", 1, rng, rng, refresh=True)
         values.add((array.cell(addrs[0]).resistance, array.cell(addrs[1]).resistance))
     assert len(values) == 10
 
@@ -138,17 +138,18 @@ def test_write_inputs_refresh_draws_fresh_values():
 def test_write_inputs_length_mismatch():
     array, addrs = column_array()
     with pytest.raises(ValueError, match="one bit per address"):
-        scout_class(array, addrs, "011", [np.random.default_rng(0)])
+        scout_class(array, addrs, "011", 1, np.random.default_rng(0),
+                    np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("bits", ["12", [0, 2], ["1", "x"], [1, None], [0, 0.5]])
 def test_write_inputs_rejects_non_bits_before_any_pulse(bits):
     array, addrs = column_array(params=VariabilityParams(), seed=11)
     rng = np.random.default_rng(11)
-    scout_class(array, addrs, "10", [rng])
+    scout_class(array, addrs, "10", 1, rng, rng)
     cells, state = cell_states(array), rng.bit_generator.state
     with pytest.raises(ValueError, match="input bits must be 0 or 1"):
-        scout_class(array, [(0, 0), (1, 0)], bits, [rng])
+        scout_class(array, [(0, 0), (1, 0)], bits, 1, rng, rng)
     assert cell_states(array) == cells
     assert rng.bit_generator.state == state
 
@@ -308,7 +309,7 @@ def test_classify_matches_op_table_noise_free(n):
     rng = np.random.default_rng(n)
     samples = []
     for bits in input_patterns(n) + ["0", "1"]:
-        [current] = scout_class(array, addrs[:len(bits)], bits, [rng])
+        [current] = scout_class(array, addrs[:len(bits)], bits, 1, rng, rng)
         samples.append(CurrentSample(bits, current))
     refs = place_references(samples)
     assert refs.n == n
@@ -326,7 +327,7 @@ def test_scouting_gate_composition():
     rng = np.random.default_rng(7)
     for bits, op, out in [("11", "and", 1), ("00", "or", 0), ("10", "xor", 1),
                           ("01", "xor", 1), ("11", "xor", 0)]:
-        assert classify_bucket(scout_class(array, addrs, bits, [rng]), PAPER_REFS, op) == [out]
+        assert classify_bucket(scout_class(array, addrs, bits, 1, rng, rng), PAPER_REFS, op) == [out]
 
 
 # ------------------------------------------------------------ n-input form
@@ -372,21 +373,11 @@ def test_extend_validates_input():
 
 # ------------------------------------------------------------- properties
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(1e3, 1e6), min_size=1, max_size=5),
-       st.floats(1e3, 1e5))
-def test_adding_a_cell_never_decreases_current(resistances, extra):
-    # Conductances add, so the summed current is monotone in the selection.
-    base = 0.1 * sum(1.0 / r for r in resistances)
-    extended = base + 0.1 / extra
-    assert extended >= base
-
-
 def test_monotonicity_on_arrays():
     array, addrs = column_array(n=4)
     rng = np.random.default_rng(9)
-    scout_class(array, addrs, "1100", [rng])
-    currents = [scout_class(array, addrs[:k], "1100"[:k], [rng])[0] for k in range(1, 5)]
+    scout_class(array, addrs, "1100", 1, rng, rng)
+    currents = [scout_class(array, addrs[:k], "1100"[:k], 1, rng, rng)[0] for k in range(1, 5)]
     assert currents[1] >= currents[0]
     assert currents[2] >= currents[1]
     assert currents[3] >= currents[2]
@@ -397,7 +388,7 @@ def test_class_ordering_with_variability():
     rng = np.random.default_rng(10)
     means = {}
     for bits in ("00", "01", "10", "11"):
-        vals = scout_class(array, addrs, bits, [rng] * 30, refresh=True)
+        vals = scout_class(array, addrs, bits, 30, rng, rng, refresh=True)
         means[bits] = sum(vals) / len(vals)
     assert means["00"] < means["01"] < means["11"]
     assert means["00"] < means["10"] < means["11"]

@@ -5,9 +5,10 @@ transistor and wide LRS and read spreads (``STRESSED`` in ``test_runners``)
 make verified writes give up: ``InitFailureError`` lands mid-bucket, so these
 pins cover the per-bucket error, failure, summary and non-switching
 bookkeeping, with the input pairs on one cell or rotated over rows.  At three
-cycles some buckets error on every trial and so have no summary row.  The
-digests were recorded while the harness still regrouped all rows by label
-after the trial loop.
+cycles and seed 0 (the smallest seed that does so) some buckets error on
+every trial and so have no summary row.  The digests were first recorded
+while the harness still regrouped all rows by label after the trial loop,
+and re-recorded once when the draws moved to one stream pair per bucket.
 """
 
 import hashlib
@@ -25,27 +26,27 @@ STRESSED = ExperimentConfig(
 RUNS = {
     "one_cell": STRESSED,
     "rotated": STRESSED.replace(rotate_cells=True),
-    "whole_buckets_fail": STRESSED.replace(seed=3, cycles=3),
+    "whole_buckets_fail": STRESSED.replace(seed=0, cycles=3),
 }
 
 GOLDEN_SHA256 = {
     "one_cell": {
-        "traces.csv": "dfa218c9d4ba25e1fcd0347f034f155e12954ba0a74feecf2abde4389db90f85",
-        "summary.csv": "e4241d49b3e7ecc0f8c5bd040fbb2beba8bf6cdef2a2f72ffedfd0c0e3941270",
-        "non_switching.csv": "58bb643872cee5d24fd59a643577825580e2e8fb3dea482881153cb502b016f1",
-        "report.json": "2a7d3e530930ecee6f6e241d84b60edee9e44d9d0636b9f93d2879e817895e28",
+        "traces.csv": "6ad1bf396b339f1635d7aad5f29c75c7719e629c551db318df61be39e05e6189",
+        "summary.csv": "eb86f736cf940bddb45f05452a71870bee2c12d55f5280c186a2184fdc52871c",
+        "non_switching.csv": "f968f9b3d32bc9258a6640b448d7e829551abaff447c5711d08bc4a030084902",
+        "report.json": "5e965d536101be6c895e044f9782260b9b5f3b4a8fa9ad65c541508cb940a5e5",
     },
     "rotated": {
-        "traces.csv": "a75819707d96eba6ee4d1eea6e9bc9ffc80de7f75e23e166de318db7770fcd19",
-        "summary.csv": "9c590b0de726f7e1a07ec737b5318c56c6ed2284124e2167fcfb89c0c1856e47",
-        "non_switching.csv": "3e5dc397543824981622ff75280db5664ae1d6fd669cf91e5e989525672c9ae3",
-        "report.json": "1737a2853cabbdd12a4714f101dee4dd4afe432af5c2126f1ae99c84950f6dcd",
+        "traces.csv": "dd72004949091efb8dc33c41a3929b0c7a47abb88455e296eba0e531ecd0e4e1",
+        "summary.csv": "c44947985a80c919731e911706aae0d6c68d9e57297520a3e91340f5a23dee92",
+        "non_switching.csv": "8155300f40b2f5fefad3d0fd9fe36d31e746da4aec888ec111a3277b2ca4f8e4",
+        "report.json": "c50aa065010fdfcedf99af170eb517b01dc331aea30d8be85dc28b0e58082b5f",
     },
     "whole_buckets_fail": {
-        "traces.csv": "a81303a5ee25537858644a3b7f36ffbeae4e96b4bea72a726e7c507f28767bf7",
-        "summary.csv": "57bb413b22587d672aed41ad19b510d38b47f3509b6cbe75054dbd8c698ae575",
-        "non_switching.csv": "f5fa628c2e39547c5e142badd6015e07924c6a0af7f1fcaa7ad826ebaa56005c",
-        "report.json": "33d83ea8b83d249cab4fcb07451dfd3a8a535a6d4a27f1e54e2aa8b78493cbc7",
+        "traces.csv": "d8ecbda0fffd9ae4b554022c167830adc1ba14306ca4f90b8042cff49892c534",
+        "summary.csv": "7d25a92762668791e2056a5b1943214eccee0c176d38e5e1929645e56f01f204",
+        "non_switching.csv": "d5c0db8ea552e380d2f4bc5eeca111bad9caa067574ac238e168ec1f6f78b7d3",
+        "report.json": "1f406ca0e5fae713a7a1f403353bb09f33b3bb6a9305eb2b5271157c2513e4ed",
     },
 }
 
