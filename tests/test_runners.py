@@ -4,8 +4,9 @@
 same runner gives called N times for one cycle on the same two generators:
 the same traces or currents, the same errors at the same cycles, the same
 cells afterwards and both generators left in the same state.  A bucket of an
-experiment whose cells are its own replays alone, on a fresh array, from its
-documented keys.
+experiment whose cells are its own (a gate bucket under ``rotate_cells``, a
+scouting class, a characterized cell) replays alone, on a fresh array, from
+its documented keys.
 """
 
 import re
@@ -15,8 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlogic.analysis import ExperimentConfig, run_1t1r_experiment, sample_scouting_currents
-from memlogic.array import ArrayTopology, CellAddress, CellArray, TopologyKind
+from memlogic.analysis import (
+    ExperimentConfig,
+    run_1t1r_experiment,
+    run_characterization,
+    sample_scouting_currents,
+)
+from memlogic.array import (
+    RESET_BITS,
+    SET_BITS,
+    ArrayTopology,
+    CellAddress,
+    CellArray,
+    TopologyKind,
+)
 from memlogic.device import TransistorModel, VariabilityParams
 from memlogic.logic1t1r import (
     INPUT_PAIRS,
@@ -196,3 +209,24 @@ def test_a_scouting_class_replays_alone(input_class):
     samples = sample_scouting_currents(config, 2, include_single=True)
     assert currents == [s.current for s in samples if s.input_class == input_class]
     assert len(currents) == config.cycles
+
+
+def test_a_characterized_cell_replays_alone():
+    # Cell 2 of a three-cell characterization, on a fresh array where it is
+    # the only formed cell: its SET/RESET cycles and reads need nothing else.
+    seed, cycles = 3, 20
+    array = CellArray(ArrayTopology(TopologyKind.STANDARD_1T1R, rows=1, cols=3), PARAMS,
+                      seed=seed)
+    addr = CellAddress(0, 2)
+    array.form(addr)
+    drives = array.cell_drives(addr)
+    rng, read_rng = bucket_stream(seed, 32, 2)
+    reads = []
+    for cycle in range(cycles):
+        row = [2, cycle]
+        for bits in (SET_BITS, RESET_BITS):
+            array.apply_drive(drives[bits], rng)
+            row.append(array.read_cell(addr, read_rng))
+        reads.append(tuple(row))
+    result = run_characterization(PARAMS, cells=3, cycles=cycles, seed=seed)
+    assert reads == [row for row in result.rows if row[0] == 2]

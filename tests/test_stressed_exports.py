@@ -1,4 +1,4 @@
-"""Exports of stressed gate runs, pinned byte for byte by their sha256 digests.
+"""Exports of stressed runs, pinned byte for byte by their sha256 digests.
 
 The default goldens never see an initialization error.  Here a 21 kOhm access
 transistor and wide LRS and read spreads (``STRESSED`` in ``test_runners``)
@@ -9,13 +9,25 @@ cycles and seed 0 (the smallest seed that does so) some buckets error on
 every trial and so have no summary row.  The digests were first recorded
 while the harness still regrouped all rows by label after the trial loop,
 and re-recorded once when the draws moved to one stream pair per bucket.
+
+A scouting run with a wide LRS spread collapses the ``01|10``/``11`` gap at
+seed 9: no reference is placed, so ``refs.csv`` is its header alone,
+``margins.csv`` holds ``nan`` references and a negative width, and
+``report.json`` carries the overlap message over buckets whose every
+evaluated cycle failed.  No default golden reaches that path.
 """
 
 import hashlib
 
 import pytest
 
-from memlogic.analysis import ExperimentConfig, export_logic_result, run_1t1r_experiment
+from memlogic.analysis import (
+    ExperimentConfig,
+    export_logic_result,
+    export_scouting_result,
+    run_1t1r_experiment,
+    run_scouting_experiment,
+)
 from memlogic.device import TransistorModel, VariabilityParams
 
 STRESSED = ExperimentConfig(
@@ -63,3 +75,25 @@ def test_stressed_exports_match_golden_digests(kind, tmp_path):
     paths = export_logic_result(result, tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert digests == GOLDEN_SHA256[kind]
+
+
+COLLAPSED_SCOUTING = ExperimentConfig(seed=9, cycles=30,
+                                      device=VariabilityParams(lrs_sigma_c2c=1.0))
+
+COLLAPSED_SHA256 = {
+    "currents.csv": "d5fea1770bf792f37ba467e7c790eaa0eb494856dae915efb0b1f0373a4a9209",
+    "refs.csv": "643c2f168d0f0a6369fef045e41cd9734431e5f4890e330670752cd832cd1fc4",
+    "margins.csv": "36738918edf2a352cea934e563bf226704e7d6e23a726f9767873a4ea61b18a1",
+    "summary.csv": "a9bd9ff19e2eca1a7946da5840507e2ff487d44e06950c313572009b7fe8f82e",
+    "report.json": "cc70b87867b8a5d00af4dcab47694429e8c5a338c0420dfa7fcc6ac2abd65ecc",
+}
+
+
+def test_collapsed_scouting_exports_match_golden_digests(tmp_path):
+    result = run_scouting_experiment(COLLAPSED_SCOUTING)
+    assert result.overlap is not None and result.refs is None
+    assert result.report.failures == result.report.trials
+    assert any(m.width_a < 0 for m in result.margins)
+    paths = export_scouting_result(result, tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert digests == COLLAPSED_SHA256
