@@ -2,18 +2,17 @@
 failure accounting and deterministic CSV/JSON exports.
 
 Every bucket (a gate and input pair, a scouting class or a characterized
-cell) draws from two generators of its own, ``_stream``:
-``default_rng(SeedSequence((seed, kind, *key, purpose)))``, where purpose 0
-feeds the switching draws and purpose 1 the read noise.  The keys are
-``(seed, 10, gate_idx, p, q)`` for a gate bucket, ``(seed, 20, width,
-int(class, 2))`` for a scouting class and ``(seed, 32, cell)`` for a
-characterized cell, so results are bit-reproducible and no bucket's draws
-depend on the buckets run before it.  Each bucket is one runner
-call over its cycles (``execute_gate_bucket`` for a gate and input pair,
-``scout_class`` for a scouting class, one cell's cycle loop in
-characterization), and each cell's drives are built once per array.  A gate
-bucket's trace rows, error and failure counts and summary come from one pass
-over that call's traces; the summaries are sorted by label once, at the end.
+cell) is one runner call over its cycles and draws from two generators of
+its own, ``_stream``: purposes 0 (switching) and 1 (read noise) of
+``SeedSequence((seed, STREAM_KINDS[kind], *key, purpose))``.  Results are
+bit-reproducible, and no bucket's draws depend on the buckets run before it.
+Each experiment hands every bucket's (label, expected bit, trials, failed
+cycles, errors) to ``FailureReport.tally``, which builds the report whole.
+A scouting run groups its samples by class once: the training and classified
+halves are slices of each class's currents, and the gaps between the training
+extremes are computed once, for both the placed references and the margins.
+A characterization runs all its cells on one array, whose drives for one
+cell leave every other cell at 0 V.
 
 A table's rows are tuples in column order, and its columns are stated once:
 the fields of its row type (``TraceRow``, ``DistributionSummary``,
@@ -64,6 +63,7 @@ from .logic1t1r import (
 from .scouting import (
     SCOUTING_OPS,
     CurrentSample,
+    Gap,
     OverlapError,
     ReferenceLevels,
     class_gaps,
@@ -72,6 +72,7 @@ from .scouting import (
     input_patterns,
     place_references,
     reference_preset,
+    references_in,
     scout_class,
 )
 
@@ -159,15 +160,21 @@ class BucketStats:
     failures: int = 0
     errors: int = 0
 
-    @property
-    def successes(self) -> int:
-        return self.trials - self.failures - self.errors
-
 
 @dataclass
 class FailureReport:
     buckets: list[BucketStats] = field(default_factory=list)
     first_failure: tuple | None = None  # (seed, bucket label, cycle)
+
+    @classmethod
+    def tally(cls, seed: int,
+              buckets: Sequence[tuple[str, int, int, list[int], int]]) -> "FailureReport":
+        """A run's report from each bucket's (label, expected bit, trials, failed
+        cycles, errors), in run order; the first failed cycle is the first failure."""
+        return cls([BucketStats(label, expected, trials, len(failed), errors)
+                    for label, expected, trials, failed, errors in buckets],
+                   next(((seed, label, failed[0]) for label, _, _, failed, _ in buckets
+                         if failed), None))
 
     @property
     def trials(self) -> int:
@@ -204,12 +211,12 @@ class GapMargin(NamedTuple):
     reference_a: float
 
     @classmethod
-    def between(cls, gap: str, lower_max_a: float, upper_min_a: float,
-                reference_a: float) -> "GapMargin":
+    def between(cls, name: str, gap: Gap, reference_a: float) -> "GapMargin":
+        lower_class, upper_class, lower_max_a, upper_min_a = gap
         width = upper_min_a - lower_max_a
         midpoint = 0.5 * (lower_max_a + upper_min_a)
-        return cls(gap, lower_max_a, upper_min_a, width, midpoint,
-                   width / midpoint if midpoint else 0.0, reference_a)
+        return cls(f"{lower_class}|{name}|{upper_class}", lower_max_a, upper_min_a, width,
+                   midpoint, width / midpoint if midpoint else 0.0, reference_a)
 
 
 @dataclass
@@ -241,11 +248,15 @@ class CharacterizationResult:
     hrs_log_spread: float
 
 
-def _stream(seed: int, kind: int, *key: int) -> list[np.random.Generator]:
+#: The stream kind of each bucket type, the word after the seed in its keys.
+STREAM_KINDS = {"gate": 10, "scouting": 20, "cell": 32}
+
+
+def _stream(seed: int, kind: str, *key: int) -> list[np.random.Generator]:
     """A bucket's switching and read-noise generators: purposes 0 and 1 of
-    ``SeedSequence((seed, kind, *key, purpose))``."""
-    return [np.random.default_rng(np.random.SeedSequence((seed, kind, *key, purpose)))
-            for purpose in (0, 1)]
+    ``SeedSequence((seed, STREAM_KINDS[kind], *key, purpose))``."""
+    words = (seed, STREAM_KINDS[kind], *key)
+    return [np.random.default_rng(np.random.SeedSequence((*words, purpose))) for purpose in (0, 1)]
 
 
 def _require_switching_pulse(params: VariabilityParams) -> None:
@@ -283,7 +294,7 @@ def run_1t1r_experiment(config: ExperimentConfig,
     _require_switching_pulse(config.device)
     rows: list[TraceRow] = []
     summaries: list[DistributionSummary] = []
-    report = FailureReport()
+    tallies = []
     for gate_idx, (name, mapping) in enumerate(mappings):
         array = CellArray(config.topology, config.device, config.transistor,
                           seed=config.seed)
@@ -294,24 +305,23 @@ def run_1t1r_experiment(config: ExperimentConfig,
             array.form(addr)
             expected = evaluate_mapping(mapping, p, q).output
             traces = execute_gate_bucket(array, addr, mapping, p, q, config.cycles,
-                                         *_stream(config.seed, 10, gate_idx, p, q))
+                                         *_stream(config.seed, "gate", gate_idx, p, q))
             label = f"{name}/{p}{q}"
             bucket_rows = [TraceRow(name, p, q, trace.case_id, cycle, trace.init_resistance,
                                     trace.final_resistance, trace.output_bit, expected)
                            for cycle, trace in enumerate(traces)
                            if not isinstance(trace, InitFailureError)]
-            failed = [row.cycle for row in bucket_rows if row.out_bit != expected]
-            if failed and report.first_failure is None:
-                report.first_failure = (config.seed, label, failed[0])
-            report.buckets.append(BucketStats(label, expected, len(traces), len(failed),
-                                              len(traces) - len(bucket_rows)))
+            tallies.append((label, expected, len(traces),
+                            [row.cycle for row in bucket_rows if row.out_bit != expected],
+                            len(traces) - len(bucket_rows)))
             if bucket_rows:  # a bucket whose every trial errored has no summary
                 summaries.append(DistributionSummary.from_samples(
                     label, [row.r_final_ohm for row in bucket_rows]))
             rows += bucket_rows
     summaries.sort()  # by label, which no two buckets share
     return LogicExperimentResult(
-        config=config, rows=rows, summaries=summaries, report=report,
+        config=config, rows=rows, summaries=summaries,
+        report=FailureReport.tally(config.seed, tallies),
         non_switching=non_switching_report(rows, default_boundary(config.device)))
 
 
@@ -376,33 +386,27 @@ def sample_scouting_currents(config: ExperimentConfig, n: int,
         for addr in addrs:
             array.form(addr)
         currents = scout_class(array, addrs, input_class, config.cycles,
-                               *_stream(config.seed, 20, len(input_class), int(input_class, 2)),
+                               *_stream(config.seed, "scouting", len(input_class),
+                                        int(input_class, 2)),
                                True, verify)
         samples += [CurrentSample(input_class, current, cycle)
                     for cycle, current in enumerate(currents)]
     return samples
 
 
-def _margins(samples: Sequence[CurrentSample],
+def _margins(level_gaps: Sequence[Gap], read_gap: Gap | None,
              refs: ReferenceLevels | None) -> list[GapMargin]:
     """One row per popcount gap, ascending, then the READ gap when sampled.
 
     A gap is named by the reference it holds: "or" below popcount 1, "and"
     below popcount n, "level<k>" for the k-th level between them.
     """
-    level_gaps, read_gap = class_gaps(samples)
-    n = len(level_gaps)
-    nan = float("nan")
-    margins = []
-    for k, gap in enumerate(level_gaps):
-        name = "or" if k == 0 else "and" if k == n - 1 else f"level{k}"
-        margins.append(GapMargin.between(f"{gap.lower_class}|{name}|{gap.upper_class}",
-                                         gap.lower_max, gap.upper_min,
-                                         refs.levels[k] if refs else nan))
-    if read_gap is not None:
-        margins.append(GapMargin.between("0|read|1", read_gap.lower_max,
-                                         read_gap.upper_min, refs.i_read if refs else nan))
-    return margins
+    n = len(level_gaps)  # at least 2
+    names = ["or", *(f"level{k}" for k in range(1, n - 1)), "and", "read"]
+    references = (*refs.levels, refs.i_read) if refs else (math.nan,) * (n + 1)
+    return [GapMargin.between(name, gap, reference)
+            for name, gap, reference in zip(names, (*level_gaps, read_gap), references)
+            if gap is not None]
 
 
 def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResult:
@@ -434,43 +438,37 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
             raise ValueError(f"reference preset {config.refs!r} has {refs.n} levels; "
                              f"a {n}-input read needs {n}")
     samples = sample_scouting_currents(config, n, include_single="read" in ops)
-
+    # Each class's samples are one run, in cycle order: a cycle is its index.
+    currents = {input_class: [s.current for s in run]
+                for input_class, run in groupby(samples, attrgetter("input_class"))}
     half = (config.cycles + 1) // 2 if config.split == "split" else config.cycles
-    train = [s for s in samples if s.cycle < half]
-    evaluate = [s for s in samples if s.cycle >= half] if config.split == "split" else samples
+    start = half if config.split == "split" else 0  # the first classified cycle
 
+    level_gaps, read_gap = class_gaps({input_class: (min(values[:half]), max(values[:half]))
+                                       for input_class, values in currents.items()})
     overlap: OverlapError | None = None
     if refs is None:
         try:
-            refs = place_references(train)
+            refs = references_in(level_gaps, read_gap)
         except OverlapError as exc:
             overlap = exc
 
-    by_class: dict[str, list[CurrentSample]] = defaultdict(list)
-    for s in evaluate:
-        by_class[s.input_class].append(s)
-    report = FailureReport()
+    tallies = []
     for op in ops:
         for input_class in ("0", "1") if op == "read" else input_patterns(n):
-            label, expected = f"{op}/{input_class}", expected_bit(op, input_class)
-            class_samples = by_class[input_class]
-            if refs is None:  # collapsed gap: nothing to compare against
-                failed = [s.cycle for s in class_samples]
-            else:
-                bits = classify_bucket([s.current for s in class_samples], refs, op)
-                failed = [s.cycle for s, bit in zip(class_samples, bits) if bit != expected]
-            if failed and report.first_failure is None:
-                report.first_failure = (config.seed, label, failed[0])
-            report.buckets.append(BucketStats(label, expected, len(class_samples), len(failed)))
+            expected = expected_bit(op, input_class)
+            evaluated = currents[input_class][start:]
+            # A collapsed gap leaves nothing to compare against: every cycle fails.
+            bits = classify_bucket(evaluated, refs, op) if refs else [None] * len(evaluated)
+            failed = [start + i for i, bit in enumerate(bits) if bit != expected]
+            tallies.append((f"{op}/{input_class}", expected, len(evaluated), failed, 0))
 
-    grouped: dict[str, list[float]] = defaultdict(list)
-    for s in samples:
-        grouped[s.input_class].append(s.current)
-    summaries = [DistributionSummary.from_samples(label, grouped[label])
-                 for label in sorted(grouped)]
-    return ScoutingExperimentResult(config=config, samples=samples, refs=refs,
-                                    summaries=summaries, report=report,
-                                    margins=_margins(train, refs), overlap=overlap)
+    summaries = [DistributionSummary.from_samples(label, currents[label])
+                 for label in sorted(currents)]
+    return ScoutingExperimentResult(
+        config=config, samples=samples, refs=refs, summaries=summaries,
+        report=FailureReport.tally(config.seed, tallies),
+        margins=_margins(level_gaps, read_gap, refs), overlap=overlap)
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +495,14 @@ def run_characterization(params: VariabilityParams,
                "min_pulse_set"),
               (RESET_BITS, STATE_HRS, f"{volts.v_be_reset} V RESET", "v_reset_th_median",
                "min_pulse_reset"))
+    # A cell's drives leave every other cell's SL and BL at 0 V: none of them moves.
+    array = CellArray(topology, params, transistor, seed=seed)
     rows = []
     for ci in range(cells):
-        array = CellArray(topology, params, transistor, seed=seed)
         addr = CellAddress(0, ci)
         array.form(addr)
         cell, drives = array.cell(addr), array.cell_drives(addr)
-        rng, read_rng = _stream(seed, 32, ci)
+        rng, read_rng = _stream(seed, "cell", ci)
         for cycle in range(cycles):
             reads = []
             for bits, state, pulse, *names in phases:
@@ -522,11 +521,9 @@ def run_characterization(params: VariabilityParams,
     summaries = [DistributionSummary.from_samples("lrs", lrs_values),
                  DistributionSummary.from_samples("hrs", hrs_values)]
     for ci in range(cells):  # each cell's rows are one run of ``cycles`` rows
-        cell_rows = rows[ci * cycles:(ci + 1) * cycles]
-        summaries.append(DistributionSummary.from_samples(
-            f"lrs/cell{ci}", [r[2] for r in cell_rows]))
-        summaries.append(DistributionSummary.from_samples(
-            f"hrs/cell{ci}", [r[3] for r in cell_rows]))
+        run = slice(ci * cycles, (ci + 1) * cycles)
+        summaries.append(DistributionSummary.from_samples(f"lrs/cell{ci}", lrs_values[run]))
+        summaries.append(DistributionSummary.from_samples(f"hrs/cell{ci}", hrs_values[run]))
     return CharacterizationResult(rows=rows, summaries=summaries,
                                   hrs_lrs_ratio=ratio,
                                   lrs_log_spread=log_spread(lrs_values),

@@ -163,33 +163,19 @@ def _class_extremes(samples: Iterable[CurrentSample]) -> dict[str, tuple[float, 
     return {cls: (min(vals), max(vals)) for cls, vals in grouped.items()}
 
 
-@dataclass(frozen=True)
-class ClassGap:
-    """The current interval between two adjacent classes; empty on overlap."""
-
-    lower_class: str
-    upper_class: str
-    lower_max: float
-    upper_min: float
-
-    def midpoint(self) -> float:
-        """The reference placed in this gap; ``OverlapError`` if it is empty."""
-        if self.lower_max >= self.upper_min:
-            raise OverlapError(self.lower_class, self.upper_class,
-                               self.lower_max, self.upper_min)
-        return 0.5 * (self.lower_max + self.upper_min)
+Gap = tuple[str, str, float, float]  # lower class, upper class, lower max, upper min
 
 
-def class_gaps(samples: Sequence[CurrentSample]) -> tuple[list[ClassGap], ClassGap | None]:
+def class_gaps(extremes: dict[str, tuple[float, float]]) -> tuple[list[Gap], Gap | None]:
     """The gaps between adjacent popcount classes, ascending, and the READ gap.
 
-    The width n is inferred from the multi-bit input classes, which must
-    cover every n-bit pattern.  They are grouped by popcount, and a group is
-    labelled by its patterns joined with "|" (for n = 2: "00", "01|10",
-    "11").  The READ gap lies between the single-cell classes "0" and "1"; it
-    is ``None`` unless both were sampled.
+    ``extremes`` holds each class's (min, max) current.  The width n is
+    inferred from the multi-bit input classes, which must cover every n-bit
+    pattern.  They are grouped by popcount, and a group is labelled by its
+    patterns joined with "|" (for n = 2: "00", "01|10", "11").  The READ gap
+    lies between the single-cell classes "0" and "1"; it is ``None`` unless
+    both were sampled.
     """
-    extremes = _class_extremes(samples)
     for cls in extremes:
         if set(cls) - {"0", "1"}:
             raise ValueError(f"input class {cls!r} is not a bit pattern")
@@ -204,27 +190,37 @@ def class_gaps(samples: Sequence[CurrentSample]) -> tuple[list[ClassGap], ClassG
     labels = ["|".join(group) for group in groups]
     spans = [(min(extremes[p][0] for p in group), max(extremes[p][1] for p in group))
              for group in groups]
-    level_gaps = [ClassGap(labels[k], labels[k + 1], spans[k][1], spans[k + 1][0])
-                  for k in range(n)]
+    level_gaps = [(labels[k], labels[k + 1], spans[k][1], spans[k + 1][0]) for k in range(n)]
     read_gap = None
     if "0" in extremes and "1" in extremes:
-        read_gap = ClassGap("0", "1", extremes["0"][1], extremes["1"][0])
+        read_gap = ("0", "1", extremes["0"][1], extremes["1"][0])
     return level_gaps, read_gap
 
 
-def place_references(samples: Sequence[CurrentSample]) -> ReferenceLevels:
-    """Place one reference level at the midpoint of each popcount gap.
+def _midpoint(lower_class: str, upper_class: str, lower_max: float, upper_min: float) -> float:
+    """The reference placed in one gap; ``OverlapError`` if the gap is empty."""
+    if lower_max >= upper_min:
+        raise OverlapError(lower_class, upper_class, lower_max, upper_min)
+    return 0.5 * (lower_max + upper_min)
 
-    The read reference uses the single-cell classes "0"/"1" when present,
-    otherwise it is the OR reference scaled to a single cell (half).  Raises
+
+def references_in(level_gaps: Sequence[Gap], read_gap: Gap | None) -> ReferenceLevels:
+    """One reference level at the midpoint of each popcount gap.
+
+    The read reference is the READ gap's midpoint when it was sampled,
+    otherwise the OR reference scaled to a single cell (half).  Raises
     ``OverlapError`` for the lowest empty popcount gap, then for an empty
-    READ gap -- the logical-failure signal.  Collisions appear at smaller
-    spreads as n grows, which quantifies the overlap risk of wider gates.
+    READ gap -- the logical-failure signal.
     """
-    level_gaps, read_gap = class_gaps(samples)
-    levels = tuple(gap.midpoint() for gap in level_gaps)
-    i_read = read_gap.midpoint() if read_gap is not None else 0.5 * levels[0]
+    levels = tuple(_midpoint(*gap) for gap in level_gaps)
+    i_read = _midpoint(*read_gap) if read_gap is not None else 0.5 * levels[0]
     return ReferenceLevels(levels=levels, i_read=i_read)
+
+
+def place_references(samples: Sequence[CurrentSample]) -> ReferenceLevels:
+    """The references (``references_in``) between the sampled classes.  Collisions
+    appear at smaller spreads as n grows: the overlap risk of wider gates."""
+    return references_in(*class_gaps(_class_extremes(samples)))
 
 
 def classify_bucket(currents: Iterable[float], refs: ReferenceLevels,

@@ -77,8 +77,6 @@ def test_single_cycle_accounting():
     assert len(result.rows) == 16  # 4 gates x 4 input pairs
     assert all(s.count == 1 for s in result.summaries)
     assert result.report.trials == 16
-    for bucket in result.report.buckets:
-        assert bucket.trials == bucket.successes + bucket.failures + bucket.errors
 
 
 def test_defaults_run_failure_free():
