@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import tempfile
@@ -125,6 +126,18 @@ def test_a_repeated_gate_or_op_is_rejected(run, field, names, err):
 def test_distinct_mappings_of_one_truth_table_both_run():
     result = run_1t1r_experiment(ExperimentConfig(cycles=2, gates=("OR", "F0111")))
     assert [b.trials for b in result.report.buckets] == [2] * 8
+
+
+def test_typed_gate_names_label_the_rows_summaries_and_report(tmp_path):
+    # Names are looked up case-folded, but every export carries the name as typed.
+    result = run_1t1r_experiment(ExperimentConfig(gates=("xor", "Or"), cycles=5))
+    assert [row.gate for row in result.rows] == ["xor"] * 20 + ["Or"] * 20
+    labels = [f"{name}/{p}{q}" for name in ("xor", "Or") for p in (0, 1) for q in (0, 1)]
+    assert [b.label for b in result.report.buckets] == labels
+    assert [s.label for s in result.summaries] == sorted(labels)
+    export_logic_result(result, tmp_path)
+    assert hashlib.sha256((tmp_path / "traces.csv").read_bytes()).hexdigest() == (
+        "277c2bb26551f601626020331fb5f549afb63e1f2dc5e516518834254ebee54a")
 
 
 # ------------------------------------------------------ non-switching cases
