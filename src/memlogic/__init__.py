@@ -40,9 +40,9 @@ from .device import (
 )
 from .logic1t1r import (
     CASE_TABLE,
-    GateTrace,
     ParamMapping,
     Term,
+    TraceRow,
     builtin_mapping,
     classify_case,
     default_gate_library,

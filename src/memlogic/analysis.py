@@ -8,18 +8,20 @@ its own, ``_stream``: purposes 0 (switching) and 1 (read noise) of
 bit-reproducible, and no bucket's draws depend on the buckets run before it.
 Each experiment hands every bucket's (label, expected bit, trials, failed
 cycles, errors) to ``FailureReport.tally``, which builds the report whole.
-A scouting run groups its samples by class once: the training and classified
-halves are slices of each class's currents, and the gaps between the training
-extremes are computed once, for both the placed references and the margins.
+A gate bucket's runner returns the rows the ``traces`` table exports, and a
+cycle without a row is an error.  A scouting run groups its samples by class
+once: the training and classified halves are slices of each class's
+currents, and the gaps between the training extremes are computed once, for
+both the placed references and the margins.
 A characterization runs all its cells on one array, whose drives for one
 cell leave every other cell at 0 V.
 
 A table's rows are tuples in column order, and its columns are stated once:
-the fields of its row type (``TraceRow``, ``DistributionSummary``,
-``GapMargin``, ``NonSwitchingCaseReport``, ``SweepPoint``) or a column tuple
-next to the rows it heads.  ``export_table`` writes any of them as CSV (each
-value's ``str``, quoted as ``csv.writer`` quotes) or JSON (a non-finite float
-is null).
+the fields of its row type (``TraceRow`` of ``logic1t1r``,
+``DistributionSummary``, ``GapMargin``, ``NonSwitchingCaseReport``,
+``SweepPoint``) or a column tuple next to the rows it heads.  ``export_table``
+writes any of them as CSV (each value's ``str``, quoted as ``csv.writer``
+quotes) or JSON (a non-finite float is null).
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from .logic1t1r import (
     INPUT_PAIRS,
     RESET_BITS,
     SET_BITS,
-    InitFailureError,
     ParamMapping,
+    TraceRow,
     default_gate_library,
     evaluate_mapping,
     execute_gate_bucket,
@@ -189,18 +191,6 @@ class FailureReport:
         return sum(b.errors for b in self.buckets)
 
 
-class TraceRow(NamedTuple):
-    gate: str
-    p: int
-    q: int
-    case_id: int
-    cycle: int
-    r_init_ohm: float
-    r_final_ohm: float
-    out_bit: int
-    expected_bit: int
-
-
 class GapMargin(NamedTuple):
     gap: str
     lower_max_a: float
@@ -289,13 +279,14 @@ def run_1t1r_experiment(config: ExperimentConfig,
     """
     if library is None:
         library = default_gate_library()
-    mappings = [(name, lookup_gate(library, name)) for name in config.gates]
-    _reject_repeats("gate", config.gates, [mapping for _, mapping in mappings])
+    mappings = [lookup_gate(library, name) for name in config.gates]
+    _reject_repeats("gate", config.gates, mappings)
     _require_switching_pulse(config.device)
     rows: list[TraceRow] = []
     summaries: list[DistributionSummary] = []
     tallies = []
-    for gate_idx, (name, mapping) in enumerate(mappings):
+    for gate_idx, (name, mapping) in enumerate(zip(config.gates, mappings)):
+        mapping = replace(mapping, name=name)  # the rows carry the name as typed
         array = CellArray(config.topology, config.device, config.transistor,
                           seed=config.seed)
         col = gate_idx % config.topology.cols
@@ -304,16 +295,12 @@ def run_1t1r_experiment(config: ExperimentConfig,
             addr = CellAddress(row_idx, col)
             array.form(addr)
             expected = evaluate_mapping(mapping, p, q).output
-            traces = execute_gate_bucket(array, addr, mapping, p, q, config.cycles,
-                                         *_stream(config.seed, "gate", gate_idx, p, q))
+            bucket_rows = execute_gate_bucket(array, addr, mapping, p, q, config.cycles,
+                                              *_stream(config.seed, "gate", gate_idx, p, q))
             label = f"{name}/{p}{q}"
-            bucket_rows = [TraceRow(name, p, q, trace.case_id, cycle, trace.init_resistance,
-                                    trace.final_resistance, trace.output_bit, expected)
-                           for cycle, trace in enumerate(traces)
-                           if not isinstance(trace, InitFailureError)]
-            tallies.append((label, expected, len(traces),
+            tallies.append((label, expected, config.cycles,
                             [row.cycle for row in bucket_rows if row.out_bit != expected],
-                            len(traces) - len(bucket_rows)))
+                            config.cycles - len(bucket_rows)))
             if bucket_rows:  # a bucket whose every trial errored has no summary
                 summaries.append(DistributionSummary.from_samples(
                     label, [row.r_final_ohm for row in bucket_rows]))
@@ -388,7 +375,7 @@ def sample_scouting_currents(config: ExperimentConfig, n: int,
         currents = scout_class(array, addrs, input_class, config.cycles,
                                *_stream(config.seed, "scouting", len(input_class),
                                         int(input_class, 2)),
-                               True, verify)
+                               verify)
         samples += [CurrentSample(input_class, current, cycle)
                     for cycle, current in enumerate(currents)]
     return samples
@@ -578,15 +565,13 @@ def overlap_collides(config: ExperimentConfig, n: int, hrs_sigma_c2c: float) -> 
 
     The probe writes the input states without read-back verification so the
     raw state tails reach the read path (verified writes retry boundary-
-    straddling draws away and would hide the collision).  Cells that cannot
-    be initialized at all also count as collided: the class structure is gone
-    either way.
+    straddling draws away and would hide the collision).
     """
     cfg = config.replace(device=config.device.replace(hrs_sigma_c2c=hrs_sigma_c2c),
                          n_inputs=n)
     try:
         place_references(sample_scouting_currents(cfg, n, verify=False))
-    except (OverlapError, InitFailureError):
+    except OverlapError:
         return True
     return False
 

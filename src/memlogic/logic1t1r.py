@@ -18,9 +18,10 @@ point ``DEFAULT_VOLTAGES`` (defined in ``device`` and re-exported here).
 A gate bucket (one gate, input pair and cell) runs in one call,
 ``execute_gate_bucket``, with its case and logic drive (one of the cell's
 drives, ``CellArray.cell_drives``) resolved once; one trial is a bucket of
-one cycle.  Each run takes two generators: ``rng`` feeds the switching draws
-of every pulse, ``read_rng`` the noise of every read, so reading a cell more
-or less often never shifts its switching draws.
+one cycle.  It returns one ``TraceRow`` per cycle, the row the ``traces``
+table exports.  Each run takes two generators: ``rng`` feeds the switching
+draws of every pulse, ``read_rng`` the noise of every read, so reading a cell
+more or less often never shifts its switching draws.
 """
 
 from __future__ import annotations
@@ -172,11 +173,6 @@ def truth_table_of(mapping: ParamMapping) -> str:
     return "".join(str(evaluate_mapping(mapping, p, q).output) for p, q in INPUT_PAIRS)
 
 
-def truth_vector(g: Term, te: Term, be: Term, i: Term) -> int:
-    """``truth_table_of`` as a 4-bit vector: ``_output_vector`` of the terms'."""
-    return _output_vector(*(_TERM_VECTORS[t] for t in (g, te, be, i)))
-
-
 @functools.cache
 def _first_terms() -> tuple[tuple[Term, Term, Term, Term], ...]:
     """The first (G, TE, BE, I) in search order realizing each truth vector,
@@ -245,15 +241,16 @@ def load_gate_library(path: str | Path) -> dict[str, ParamMapping]:
     return mappings
 
 
-class GateTrace(NamedTuple):
-    """What one physical gate execution measured."""
-
+class TraceRow(NamedTuple):
+    gate: str
+    p: int
+    q: int
     case_id: int
-    init_resistance: float
-    final_resistance: float
-    output_bit: int
+    cycle: int
+    r_init_ohm: float
+    r_final_ohm: float
+    out_bit: int
     expected_bit: int
-    init_retries: int
 
 
 class InitFailureError(RuntimeError):
@@ -317,27 +314,26 @@ def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: 
 def execute_gate_bucket(array: CellArray, addr: CellAddress | tuple[int, int],
                         mapping: ParamMapping, p: int, q: int, cycles: int,
                         rng: np.random.Generator, read_rng: np.random.Generator,
-                        ) -> list[GateTrace | InitFailureError]:
+                        ) -> list[TraceRow]:
     """Run one gate on a formed cell ``cycles`` times: bring the cell to the
     mapping's initial state (skipped when it already matches), fire the logic
     pulse, binarize the read.  Pulses draw from ``rng``, reads from
-    ``read_rng``.  The case and the logic drive are resolved once.  A cycle
-    whose initialization fails gives its ``InitFailureError`` in place of a
-    trace.
+    ``read_rng``.  The case and the logic drive are resolved once.  Each
+    cycle gives one row, its gate column ``mapping.name``; a cycle whose
+    initialization fails (``InitFailureError``) gives none.
     """
     addr, case = CellAddress(*addr), evaluate_mapping(mapping, p, q)
     drive = array.cell_drives(addr)[case.g, case.te, case.be]
     init_bit, case_id, output, boundary = case.i, case.case_id, case.output, array.boundary
     apply_drive, read_cell = array.apply_drive, array.read_cell
-    traces = []
-    for _ in range(cycles):
+    rows = []
+    for cycle in range(cycles):
         try:
-            r_init, retries = initialize_cell(array, addr, init_bit, rng, read_rng)
-        except InitFailureError as exc:
-            traces.append(exc)
+            r_init, _ = initialize_cell(array, addr, init_bit, rng, read_rng)
+        except InitFailureError:
             continue
         apply_drive(drive, rng)
         r_final = read_cell(addr, read_rng)
-        traces.append(GateTrace(case_id, r_init, r_final, binarize(r_final, boundary),
-                                output, retries))
-    return traces
+        rows.append(TraceRow(mapping.name, p, q, case_id, cycle, r_init, r_final,
+                             binarize(r_final, boundary), output))
+    return rows

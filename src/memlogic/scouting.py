@@ -132,22 +132,21 @@ def _input_writes(addrs: Sequence[CellAddress | tuple[int, int]],
 
 def scout_class(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
                 bits: Sequence[int] | str, cycles: int, rng: np.random.Generator,
-                read_rng: np.random.Generator, refresh: bool = False,
-                verify: bool = True) -> list[float]:
+                read_rng: np.random.Generator, verify: bool = True) -> list[float]:
     """Store one bit (0, 1, "0" or "1") per cell with ``initialize_cell``, then
     read the cells in parallel: the read voltage times the summed conductance
     of the noisy reads, a ``ValueError`` beyond the float range.  Once per
     cycle, for ``cycles`` cycles; the bits and the selection are checked once,
     before any pulse.  Pulses draw from ``rng``, reads from ``read_rng``.
-    ``refresh=True`` draws a fresh value every write; ``verify=False`` skips
-    the read-back loop, for analyses that must not truncate the state tails.
-    Reads never switch."""
+    Every write refreshes, so each cycle draws fresh states; ``verify=False``
+    skips the read-back loop, for analyses that must not truncate the state
+    tails.  Reads never switch."""
     writes = _input_writes(addrs, bits)
     selection = array.parallel_selection(addrs)
     v_read, read_cell, currents = DEFAULT_VOLTAGES.v_read, array.read_cell, []
     for _ in range(cycles):
         for addr, bit in writes:
-            initialize_cell(array, addr, bit, rng, read_rng, refresh, verify)
+            initialize_cell(array, addr, bit, rng, read_rng, True, verify)
         conductance = 0.0
         for addr in selection:
             conductance += 1.0 / read_cell(addr, read_rng)

@@ -38,7 +38,6 @@ from memlogic.logic1t1r import (
     save_gate_library,
     synthesize_mapping,
     truth_table_of,
-    truth_vector,
 )
 
 PARAMS = VariabilityParams()
@@ -205,11 +204,10 @@ def oracle_output(g, te, be, i):
     return {(1, 1, 0, 0): 1, (1, 0, 1, 1): 0}.get((g, te, be, i), i)
 
 
-def test_truth_vector_matches_the_case_algebra_for_every_mapping():
+def test_truth_table_matches_the_case_algebra_for_every_mapping():
     for terms in itertools.product(TERM_ORDER, repeat=4):
         expected = "".join(str(oracle_output(*(TERM_ORACLE[t](p, q) for t in terms)))
                            for p, q in INPUTS)
-        assert format(truth_vector(*terms), "04b") == expected, terms
         assert truth_table_of(ParamMapping("m", *terms)) == expected, terms
     for term in Term:
         assert [term.resolve(p, q) for p, q in INPUTS] == [TERM_ORACLE[term](p, q)
@@ -258,8 +256,21 @@ def test_logic_pulse_voltage_mapping():
 
 def one_trial(array, addr, mapping, p, q, rng):
     """One trial: ``execute_gate_bucket`` of one cycle, pulses and reads on ``rng``."""
-    [trace] = execute_gate_bucket(array, addr, mapping, p, q, 1, rng, rng)
-    return trace
+    [row] = execute_gate_bucket(array, addr, mapping, p, q, 1, rng, rng)
+    return row
+
+
+def recorded_init_pulses(monkeypatch):
+    """The pulses each later ``initialize_cell`` call returns, in call order."""
+    real, pulses = logic_module.initialize_cell, []
+
+    def initialize_cell(*args, **kwargs):
+        r, count = real(*args, **kwargs)
+        pulses.append(count)
+        return r, count
+
+    monkeypatch.setattr(logic_module, "initialize_cell", initialize_cell)
+    return pulses
 
 
 def formed_array(seed=0, rows=4, cols=4):
@@ -272,19 +283,19 @@ def formed_array(seed=0, rows=4, cols=4):
 def test_execute_gate_or_01():
     array = formed_array()
     rng = np.random.default_rng(1)
-    trace = one_trial(array, (0, 0), builtin_mapping("OR"), 0, 1, rng)
-    assert trace.case_id == 4
-    assert binarize(trace.init_resistance, BOUNDARY) == 0  # initialized to i=p=0
-    assert trace.output_bit == 1 == trace.expected_bit
+    row = one_trial(array, (0, 0), builtin_mapping("OR"), 0, 1, rng)
+    assert row.case_id == 4
+    assert binarize(row.r_init_ohm, BOUNDARY) == 0  # initialized to i=p=0
+    assert row.out_bit == 1 == row.expected_bit
 
 
 def test_execute_gate_xor_11():
     array = formed_array()
     rng = np.random.default_rng(2)
-    trace = one_trial(array, (0, 0), builtin_mapping("XOR"), 1, 1, rng)
-    assert trace.case_id == 5
-    assert binarize(trace.init_resistance, BOUNDARY) == 1  # initialized to i=p=1
-    assert trace.output_bit == 0 == trace.expected_bit
+    row = one_trial(array, (0, 0), builtin_mapping("XOR"), 1, 1, rng)
+    assert row.case_id == 5
+    assert binarize(row.r_init_ohm, BOUNDARY) == 1  # initialized to i=p=1
+    assert row.out_bit == 0 == row.expected_bit
 
 
 def test_zero_differential_mapping_keeps_initial_bit():
@@ -293,8 +304,8 @@ def test_zero_differential_mapping_keeps_initial_bit():
     array = formed_array()
     rng = np.random.default_rng(3)
     for p, q in INPUTS:
-        trace = one_trial(array, (0, 0), mapping, p, q, rng)
-        assert trace.output_bit == evaluate_mapping(mapping, p, q).i == p
+        row = one_trial(array, (0, 0), mapping, p, q, rng)
+        assert row.out_bit == evaluate_mapping(mapping, p, q).i == p
 
 
 def test_execute_gate_requires_formed_cell():
@@ -314,14 +325,15 @@ def test_init_failure_raises():
         initialize_cell(array, (0, 0), 0, rng, rng)
 
 
-def test_cascade_reuses_matching_state():
+def test_cascade_reuses_matching_state(monkeypatch):
     array = formed_array()
     rng = np.random.default_rng(6)
-    traces = [one_trial(array, (0, 0), builtin_mapping(name), 1, 1, rng)
-              for name in ("OR", "NIMP")]
+    pulses = recorded_init_pulses(monkeypatch)
+    rows = [one_trial(array, (0, 0), builtin_mapping(name), 1, 1, rng)
+            for name in ("OR", "NIMP")]
     # OR(1,1) leaves LRS; NIMP(1,1) needs i=q=1, so no re-initialization.
-    assert traces[1].init_retries == 0
-    assert [t.output_bit for t in traces] == [1, 0]
+    assert len(pulses) == 2 and pulses[1] == 0
+    assert [row.out_bit for row in rows] == [1, 0]
 
 
 def test_reset_drive_uses_the_cell_bl():
@@ -347,23 +359,24 @@ def test_every_case_pulse_leaves_the_case_output(case, kind):
     assert binarize(array.read_cell(addr, rng), array.boundary) == case.output
 
 
-def test_pseudo_crossbar_gates_switch_both_ways():
+def test_pseudo_crossbar_gates_switch_both_ways(monkeypatch):
     array = CellArray(ArrayTopology(TopologyKind.PSEUDO_CROSSBAR, 4, 4), PARAMS, seed=3)
     array.form(CellAddress(2, 1))
     rng = np.random.default_rng(4)
+    pulses = recorded_init_pulses(monkeypatch)
     for mapping, p, q in [(builtin_mapping("XOR"), 1, 1), (builtin_mapping("OR"), 0, 1),
                           (builtin_mapping("NIMP"), 1, 0)] * 5:
-        trace = one_trial(array, (2, 1), mapping, p, q, rng)
-        assert trace.output_bit == trace.expected_bit
-        assert trace.init_retries <= 1
+        row = one_trial(array, (2, 1), mapping, p, q, rng)
+        assert row.out_bit == row.expected_bit
+    assert len(pulses) == 15 and max(pulses) <= 1
 
 
 def test_hundred_cycle_repetition_without_failures():
     array = formed_array()
     rng = np.random.default_rng(7)
-    traces = execute_gate_bucket(array, (0, 0), builtin_mapping("XOR"), 1, 0, 100, rng, rng)
-    assert len(traces) == 100
-    assert all(t.output_bit == t.expected_bit == 1 for t in traces)
+    rows = execute_gate_bucket(array, (0, 0), builtin_mapping("XOR"), 1, 0, 100, rng, rng)
+    assert [row.cycle for row in rows] == list(range(100))
+    assert all(row.out_bit == row.expected_bit == 1 for row in rows)
 
 
 def test_simulated_truth_tables_all_gates():
@@ -375,5 +388,5 @@ def test_simulated_truth_tables_all_gates():
         rng = np.random.default_rng(8)
         for p, q in INPUTS:
             for _ in range(5):
-                trace = one_trial(array, (0, 0), mapping, p, q, rng)
-                assert trace.output_bit == trace.expected_bit
+                row = one_trial(array, (0, 0), mapping, p, q, rng)
+                assert row.out_bit == row.expected_bit

@@ -2,8 +2,8 @@
 
 ``execute_gate_bucket`` and ``scout_class`` over N cycles must give what the
 same runner gives called N times for one cycle on the same two generators:
-the same traces or currents, the same errors at the same cycles, the same
-cells afterwards and both generators left in the same state.  A bucket of an
+the same rows or currents, the same failed cycles, the same cells afterwards
+and both generators left in the same state.  A bucket of an
 experiment whose cells are its own (a gate bucket under ``rotate_cells``, a
 scouting class, a characterized cell) replays alone, on a fresh array, from
 its documented keys.
@@ -67,17 +67,11 @@ def states(rngs):
     return [rng.bit_generator.state for rng in rngs]
 
 
-def outcome(result):
-    """A trial's result, with an error compared by its type and message."""
-    if isinstance(result, Exception):
-        return type(result).__name__, str(result)
-    return result
-
-
 def gate_trials(array, addr, mapping, p, q, cycles, rng, read_rng):
-    """One-cycle gate buckets, ``cycles`` of them, their traces joined."""
-    return [trace for _ in range(cycles)
-            for trace in execute_gate_bucket(array, addr, mapping, p, q, 1, rng, read_rng)]
+    """One-cycle gate buckets, ``cycles`` of them, the k-th call's row as cycle k;
+    a call whose initialization failed gives no row."""
+    return [row._replace(cycle=cycle) for cycle in range(cycles)
+            for row in execute_gate_bucket(array, addr, mapping, p, q, 1, rng, read_rng)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,9 +88,8 @@ def test_gate_bucket_equals_its_one_trial_calls(kind, gate, rotate_cells, stress
     bucket_array, trial_array = twin_arrays(kind, stressed, seed, set(addrs))
     for addr, (p, q) in zip(addrs, INPUT_PAIRS):
         bucket_rngs, trial_rngs = twin_generators((seed, p, q))
-        traces = execute_gate_bucket(bucket_array, addr, mapping, p, q, cycles, *bucket_rngs)
-        expected = gate_trials(trial_array, addr, mapping, p, q, cycles, *trial_rngs)
-        assert list(map(outcome, traces)) == list(map(outcome, expected))
+        rows = execute_gate_bucket(bucket_array, addr, mapping, p, q, cycles, *bucket_rngs)
+        assert rows == gate_trials(trial_array, addr, mapping, p, q, cycles, *trial_rngs)
         assert states(bucket_rngs) == states(trial_rngs)
         assert bucket_array.cells == trial_array.cells
 
@@ -106,33 +99,31 @@ def test_an_init_failure_costs_its_trial_only():
                                             [CellAddress(0, 0)])
     bucket_rngs, trial_rngs = twin_generators((4,))
     mapping = builtin_mapping("OR")
-    traces = execute_gate_bucket(bucket_array, (0, 0), mapping, 1, 0, 10, *bucket_rngs)
-    failed = [isinstance(trace, InitFailureError) for trace in traces]
-    assert True in failed[1:-1] and not all(failed)  # mid-bucket, trials go on
-    expected = gate_trials(trial_array, (0, 0), mapping, 1, 0, 10, *trial_rngs)
-    assert list(map(outcome, traces)) == list(map(outcome, expected))
+    rows = execute_gate_bucket(bucket_array, (0, 0), mapping, 1, 0, 10, *bucket_rngs)
+    missing = set(range(10)) - {row.cycle for row in rows}
+    assert missing & set(range(1, 9)) and rows  # mid-bucket, trials go on
+    assert rows == gate_trials(trial_array, (0, 0), mapping, 1, 0, 10, *trial_rngs)
     assert states(bucket_rngs) == states(trial_rngs)
 
 
-def scout_trials(array, addrs, bits, cycles, rng, read_rng, refresh, verify):
+def scout_trials(array, addrs, bits, cycles, rng, read_rng, verify):
     """One-cycle scouting buckets, ``cycles`` of them, up to the first
     ``InitFailureError``, which ends the list."""
     currents = []
     try:
         for _ in range(cycles):
-            currents += scout_class(array, addrs, bits, 1, rng, read_rng, refresh, verify)
+            currents += scout_class(array, addrs, bits, 1, rng, read_rng, verify)
     except InitFailureError as exc:
         currents.append(exc)
     return currents
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(list(TopologyKind)), stressed=st.booleans(),
-       refresh=st.booleans(), verify=st.booleans(),
+@given(kind=st.sampled_from(list(TopologyKind)), stressed=st.booleans(), verify=st.booleans(),
        classes=st.lists(st.text("01", min_size=1, max_size=3), min_size=1, max_size=3),
        line=st.integers(0, 3), cycles=st.integers(1, 8), seed=st.integers(0, 2**16))
-def test_scout_class_equals_its_one_cycle_calls(kind, stressed, refresh, verify, classes,
-                                                line, cycles, seed):
+def test_scout_class_equals_its_one_cycle_calls(kind, stressed, verify, classes, line,
+                                                cycles, seed):
     # The inputs share one BL: a column in the standard array, a row in the
     # pseudo-crossbar.  Classes of several widths follow one another on one
     # array, as the one-cell READ classes follow the n-cell ones.
@@ -145,13 +136,11 @@ def test_scout_class_equals_its_one_cycle_calls(kind, stressed, refresh, verify,
     for k, bits in enumerate(classes):
         bucket_rngs, trial_rngs = twin_generators((seed, k))
         addrs = cells(len(bits))
-        expected = scout_trials(trial_array, addrs, bits, cycles, *trial_rngs, refresh,
-                                verify)
+        expected = scout_trials(trial_array, addrs, bits, cycles, *trial_rngs, verify)
         try:
-            currents = scout_class(bucket_array, addrs, bits, cycles, *bucket_rngs, refresh,
-                                   verify)
+            currents = scout_class(bucket_array, addrs, bits, cycles, *bucket_rngs, verify)
         except InitFailureError as exc:  # the class ends at the trial it failed
-            assert outcome(exc) == outcome(expected[-1])
+            assert (type(exc), str(exc)) == (type(expected[-1]), str(expected[-1]))
             currents, expected = [], []
         assert currents == expected
         assert states(bucket_rngs) == states(trial_rngs)
@@ -163,10 +152,10 @@ def test_a_scouting_init_failure_stops_the_class_where_the_cycles_stop():
                                             [CellAddress(0, 0), CellAddress(1, 0)])
     bucket_rngs, trial_rngs = twin_generators((2,))
     addrs = [CellAddress(0, 0), CellAddress(1, 0)]
-    expected = scout_trials(trial_array, addrs, "10", 40, *trial_rngs, True, True)
+    expected = scout_trials(trial_array, addrs, "10", 40, *trial_rngs, True)
     assert isinstance(expected[-1], InitFailureError) and len(expected) > 1
     with pytest.raises(InitFailureError, match=re.escape(str(expected[-1]))):
-        scout_class(bucket_array, addrs, "10", 40, *bucket_rngs, True, True)
+        scout_class(bucket_array, addrs, "10", 40, *bucket_rngs, True)
     assert states(bucket_rngs) == states(trial_rngs)
     assert bucket_array.cells == trial_array.cells
 
@@ -186,13 +175,10 @@ def test_a_gate_bucket_replays_alone():
     addr = CellAddress(INPUT_PAIRS.index((p, q)), gate_idx)
     array = CellArray(config.topology, config.device, config.transistor, seed=config.seed)
     array.form(addr)
-    traces = execute_gate_bucket(array, addr, builtin_mapping("XOR"), p, q, config.cycles,
-                                 *bucket_stream(config.seed, 10, gate_idx, p, q))
-    rows = [row for row in run_1t1r_experiment(config).rows
-            if (row.gate, row.p, row.q) == ("XOR", p, q)]
-    assert [(t.case_id, t.init_resistance, t.final_resistance, t.output_bit)
-            for t in traces] == [(row.case_id, row.r_init_ohm, row.r_final_ohm, row.out_bit)
-                                 for row in rows]
+    rows = execute_gate_bucket(array, addr, builtin_mapping("XOR"), p, q, config.cycles,
+                               *bucket_stream(config.seed, 10, gate_idx, p, q))
+    assert rows == [row for row in run_1t1r_experiment(config).rows
+                    if (row.gate, row.p, row.q) == ("XOR", p, q)]
     assert len(rows) == config.cycles
 
 
@@ -205,7 +191,7 @@ def test_a_scouting_class_replays_alone(input_class):
         array.form(addr)
     currents = scout_class(array, addrs, input_class, config.cycles,
                            *bucket_stream(config.seed, 20, len(input_class),
-                                          int(input_class, 2)), True)
+                                          int(input_class, 2)))
     samples = sample_scouting_currents(config, 2, include_single=True)
     assert currents == [s.current for s in samples if s.input_class == input_class]
     assert len(currents) == config.cycles

@@ -98,15 +98,22 @@ def test_an_invalid_selection_raises_on_every_call(monkeypatch):
     assert validated[1] == tuple(addrs) and type(validated[1][0]) is CellAddress
 
 
-def test_scout_read_is_non_destructive():
-    # Without refresh, every cycle after the first finds its cells written and
-    # only reads them: the bucket leaves the cells as its first cycle wrote them.
-    (first, addrs), (bucket, _) = (column_array(params=VariabilityParams(), seed=4)
-                                   for _ in range(2))
-    scout_class(first, addrs, "10", 1, np.random.default_rng(4), np.random.default_rng(5))
-    currents = scout_class(bucket, addrs, "10", 50, np.random.default_rng(4),
-                           np.random.default_rng(5))
-    assert cell_states(bucket) == cell_states(first)
+def test_scout_read_is_non_destructive(monkeypatch):
+    # Every read of a bucket, verifying a write or scouting the class, leaves
+    # every cell as it found it and draws nothing from the switching generator.
+    array, addrs = column_array(params=VariabilityParams(), seed=4)
+    rng, read_rng = np.random.default_rng(4), np.random.default_rng(5)
+    real_read, reads = array.read_cell, []
+
+    def read_cell(addr, noise_rng):
+        before = cell_states(array), rng.bit_generator.state
+        reads.append(real_read(addr, noise_rng))
+        assert (cell_states(array), rng.bit_generator.state) == before
+        return reads[-1]
+
+    monkeypatch.setattr(array, "read_cell", read_cell)
+    currents = scout_class(array, addrs, "10", 50, rng, read_rng)
+    assert len(reads) >= 2 * 50  # at least the two scouting reads of every cycle
     assert len(set(currents)) == 50  # each cycle's read draws its own noise
 
 
@@ -130,7 +137,7 @@ def test_write_inputs_refresh_draws_fresh_values():
     rng = np.random.default_rng(6)
     values = set()
     for _ in range(10):
-        scout_class(array, addrs, "01", 1, rng, rng, refresh=True)
+        scout_class(array, addrs, "01", 1, rng, rng)
         values.add((array.cell(addrs[0]).resistance, array.cell(addrs[1]).resistance))
     assert len(values) == 10
 
@@ -388,7 +395,7 @@ def test_class_ordering_with_variability():
     rng = np.random.default_rng(10)
     means = {}
     for bits in ("00", "01", "10", "11"):
-        vals = scout_class(array, addrs, bits, 30, rng, rng, refresh=True)
+        vals = scout_class(array, addrs, bits, 30, rng, rng)
         means[bits] = sum(vals) / len(vals)
     assert means["00"] < means["01"] < means["11"]
     assert means["00"] < means["10"] < means["11"]
