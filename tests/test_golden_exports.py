@@ -12,7 +12,10 @@ probe.  The fourth covers the pseudo-crossbar wiring, with one cell per gate
 (whose digests equal the standard array's: the pristine neighbours on the
 cell's shared row BL stay inert) and with the input pairs rotated over rows.
 The fifth covers the JSON exports and the tables only the command line
-writes (the case table and the synthesized library)."""
+writes (the case table and the synthesized library).  The sixth runs the
+default experiments at 300 cycles, where every read-noise stream and most
+switching streams draw more than 256 values, so a stream served in blocks
+must carry its draws across a block boundary unchanged."""
 
 import hashlib
 
@@ -35,6 +38,7 @@ from memlogic.array import ArrayTopology, TopologyKind
 from memlogic.cli import main
 
 CONFIG = ExperimentConfig(seed=3, cycles=20)
+LONG = CONFIG.replace(cycles=300)
 PSEUDO_CROSSBAR = CONFIG.replace(topology=ArrayTopology(TopologyKind.PSEUDO_CROSSBAR))
 
 GOLDEN_SHA256 = {
@@ -94,6 +98,27 @@ GOLDEN_SHA256.update({
     },
 })
 
+GOLDEN_SHA256.update({
+    "gate_300": {
+        "traces.csv": "7f193eb479750fd9146a070437459d21eb98614300a5f9fbe1c5b0ffcc788eeb",
+        "summary.csv": "dc9329a7527410ee40d99f0495d46e4263909db4ec9072a940189ebea7daf983",
+        "non_switching.csv": "bb7194e21a66cc1e8419adf75c8fb04f6518183ac71ecd88dc826aaf506f4d2f",
+        "report.json": "4df31f90527b416fac3ef6f397e0f32e0d826abca4478411702a8d4957533312",
+    },
+    "scouting_300": {
+        "currents.csv": "8e7f308e7bb7d3b3213e34da875694dcd644486a9676825777b36ef7db9ae3a3",
+        "refs.csv": "154ed30aeecb1f6253d55d7b4842c2cdeb57188b84044fe9075662f7e65f2d2c",
+        "margins.csv": "e362b2994f8bafb9d65f42a1bd1e558354a3008d8ee2073019da3194d28daab2",
+        "summary.csv": "a88df9cdee16a4476c717662f08f9946c521abf1e50c20ddda13711fef313665",
+        "report.json": "eed99469501f51210ae10b717d5dc4ebf1aadf6b56383900faddacdf0d645b14",
+    },
+    "characterize_300": {
+        "characterize.csv": "2122ae0d67964e45e82dc71fc091f6675f17f69ce0b8a696ec2a182bba8f45ae",
+        "summary.csv": "348468b7a058b767b135bdd27d7d93b64bced8cb4af7839ae6135adbe051fb0c",
+        "characterize_report.json": "76d7df5430f3a8a0d090ec710c3ae8239044113e8d9b1246dd75754b6b3a3855",
+    },
+})
+
 GOLDEN_SHA256["sweep"] = {
     "sweep.csv": "bcb08ea15075736264d27ce044ec48f21f7a89bc3fa6140d040245a1ad516734",
 }
@@ -123,6 +148,11 @@ EXPORTERS = {
         run_1t1r_experiment(PSEUDO_CROSSBAR.replace(rotate_cells=True)), out),
     "sweep": lambda out: [export_sweep(sweep_parameter(
         CONFIG, "hrs_sigma_c2c", list(np.linspace(0.1, 1.2, 3))), out)],
+    "gate_300": lambda out: export_logic_result(run_1t1r_experiment(LONG), out),
+    "scouting_300": lambda out: export_scouting_result(run_scouting_experiment(LONG), out),
+    "characterize_300": lambda out: export_characterization(
+        run_characterization(LONG.device, LONG.transistor, cycles=LONG.cycles,
+                             seed=LONG.seed), out),
 }
 
 

@@ -167,24 +167,40 @@ def bucket_stream(*key):
             for purpose in (0, 1)]
 
 
-def test_a_gate_bucket_replays_alone():
-    # With rotated cells every input pair has a cell of its own, so XOR/10,
-    # the third bucket of the fourth gate, needs nothing that ran before it.
-    config = ExperimentConfig(seed=3, cycles=20, rotate_cells=True)
-    gate_idx, (p, q) = config.gates.index("XOR"), (1, 0)
+def replayed_gate_bucket(cycles, gate, p, q):
+    """One gate bucket of a run with rotated cells, where every input pair has
+    a cell of its own: its rows replayed alone, on a fresh array, from its
+    documented keys, and its rows in the harness's run."""
+    config = ExperimentConfig(seed=3, cycles=cycles, rotate_cells=True)
+    gate_idx = config.gates.index(gate)
     addr = CellAddress(INPUT_PAIRS.index((p, q)), gate_idx)
     array = CellArray(config.topology, config.device, config.transistor, seed=config.seed)
     array.form(addr)
-    rows = execute_gate_bucket(array, addr, builtin_mapping("XOR"), p, q, config.cycles,
+    rows = execute_gate_bucket(array, addr, builtin_mapping(gate), p, q, config.cycles,
                                *bucket_stream(config.seed, 10, gate_idx, p, q))
-    assert rows == [row for row in run_1t1r_experiment(config).rows
-                    if (row.gate, row.p, row.q) == ("XOR", p, q)]
-    assert len(rows) == config.cycles
+    return rows, [row for row in run_1t1r_experiment(config).rows
+                  if (row.gate, row.p, row.q) == (gate, p, q)]
 
 
-@pytest.mark.parametrize("input_class", ["01", "1"])
-def test_a_scouting_class_replays_alone(input_class):
-    config = ExperimentConfig(seed=3, cycles=20)
+def test_a_gate_bucket_replays_alone():
+    # XOR/10, the third bucket of the fourth gate, needs nothing that ran before it.
+    rows, harness_rows = replayed_gate_bucket(20, "XOR", 1, 0)
+    assert rows == harness_rows
+    assert len(rows) == 20
+
+
+def test_a_gate_bucket_replays_alone_over_several_blocks():
+    # Over 300 cycles XOR/11 draws 599 switching and 899 read-noise values,
+    # so the harness serves each of its streams in several blocks.
+    rows, harness_rows = replayed_gate_bucket(300, "XOR", 1, 1)
+    assert rows == harness_rows
+    assert len(rows) == 300
+
+
+def replayed_scouting_class(cycles, input_class):
+    """One scouting class's currents replayed alone, on a fresh array, from
+    its documented keys, and its currents in the harness's run."""
+    config = ExperimentConfig(seed=3, cycles=cycles)
     addrs = [CellAddress(row, 0) for row in range(len(input_class))]
     array = CellArray(config.topology, config.device, config.transistor, seed=config.seed)
     for addr in addrs:
@@ -193,8 +209,22 @@ def test_a_scouting_class_replays_alone(input_class):
                            *bucket_stream(config.seed, 20, len(input_class),
                                           int(input_class, 2)))
     samples = sample_scouting_currents(config, 2, include_single=True)
-    assert currents == [s.current for s in samples if s.input_class == input_class]
-    assert len(currents) == config.cycles
+    return currents, [s.current for s in samples if s.input_class == input_class]
+
+
+@pytest.mark.parametrize("input_class", ["01", "1"])
+def test_a_scouting_class_replays_alone(input_class):
+    currents, harness_currents = replayed_scouting_class(20, input_class)
+    assert currents == harness_currents
+    assert len(currents) == 20
+
+
+def test_a_scouting_class_replays_alone_over_several_blocks():
+    # Over 300 cycles class 01 draws 900 switching and 1,200 read-noise
+    # values, so the harness serves each of its streams in several blocks.
+    currents, harness_currents = replayed_scouting_class(300, "01")
+    assert currents == harness_currents
+    assert len(currents) == 300
 
 
 def test_a_characterized_cell_replays_alone():
