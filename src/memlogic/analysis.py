@@ -2,10 +2,11 @@
 failure accounting and deterministic CSV/JSON exports.
 
 Every bucket (a gate and input pair, a scouting class or a characterized
-cell) is one runner call over its cycles and draws from two generators of
-its own, ``_stream``: purposes 0 (switching) and 1 (read noise) of
-``SeedSequence((seed, STREAM_KINDS[kind], *key, purpose))``.  Results are
-bit-reproducible, and no bucket's draws depend on the buckets run before it.
+cell) is one runner call over its cycles and draws from two streams of its
+own, ``_stream``: purposes 0 (switching) and 1 (read noise) of
+``SeedSequence((seed, STREAM_KINDS[kind], *key, purpose))``, served in blocks
+of exactly its scalar draws.  Results are bit-reproducible, and no bucket's
+draws depend on the buckets run before it.
 Each experiment hands every bucket's (label, expected bit, trials, failed
 cycles, errors) to ``FailureReport.tally``, which builds the report whole.
 A gate bucket's runner returns the rows the ``traces`` table exports, and a
@@ -31,9 +32,10 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from itertools import chain, groupby
-from operator import attrgetter
+from itertools import chain, groupby, repeat
+from operator import attrgetter, methodcaller
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -42,7 +44,9 @@ from .array import ArrayTopology, CellAddress, CellArray, TopologyKind
 from .device import (
     STATE_HRS,
     STATE_LRS,
+    Normals,
     TransistorModel,
+    Uniforms,
     VariabilityParams,
     binarize,
     default_boundary,
@@ -240,13 +244,22 @@ class CharacterizationResult:
 
 #: The stream kind of each bucket type, the word after the seed in its keys.
 STREAM_KINDS = {"gate": 10, "scouting": 20, "cell": 32}
+#: The draws a served stream takes from its generator in one numpy call.
+STREAM_BLOCK = 256
 
 
-def _stream(seed: int, kind: str, *key: int) -> list[np.random.Generator]:
-    """A bucket's switching and read-noise generators: purposes 0 and 1 of
-    ``SeedSequence((seed, STREAM_KINDS[kind], *key, purpose))``."""
+def _stream(seed: int, kind: str, *key: int) -> tuple[Uniforms, Normals]:
+    """A bucket's switching stream, with only ``random()``, and its read-noise
+    stream, with only ``standard_normal()``: purposes 0 and 1 of ``SeedSequence((seed,
+    STREAM_KINDS[kind], *key, purpose))``.  Each fills ``STREAM_BLOCK`` draws in one
+    call, which equal that many scalar calls, and serves them one by one."""
     words = (seed, STREAM_KINDS[kind], *key)
-    return [np.random.default_rng(np.random.SeedSequence((*words, purpose))) for purpose in (0, 1)]
+    served = []
+    for purpose, method in enumerate(("random", "standard_normal")):
+        fill = getattr(np.random.default_rng(np.random.SeedSequence((*words, purpose))), method)
+        blocks = map(methodcaller("tolist"), map(fill, repeat(STREAM_BLOCK)))
+        served.append(SimpleNamespace(**{method: chain.from_iterable(blocks).__next__}))
+    return tuple(served)
 
 
 def _require_switching_pulse(params: VariabilityParams) -> None:

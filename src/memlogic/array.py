@@ -28,9 +28,11 @@ import numpy as np
 from .device import (
     DEFAULT_VOLTAGES,
     MemristorCell,
+    Normals,
     Pulse,
     SwitchEvent,
     TransistorModel,
+    Uniforms,
     VariabilityParams,
     apply_pulse,
     default_boundary,
@@ -260,7 +262,7 @@ class CellArray:
         return drives
 
     def apply_drive(self, drive: LineDrive,
-                    rng: np.random.Generator) -> list[tuple[CellAddress, SwitchEvent]]:
+                    rng: Uniforms) -> list[tuple[CellAddress, SwitchEvent]]:
         """Pulse the cells the drive can switch, in address order.
 
         Only rows whose WL voltage turns the transistor on are visited, and on
@@ -316,7 +318,7 @@ class CellArray:
         return selection
 
     def read_cell(self, addr: CellAddress | tuple[int, int],
-                  rng: np.random.Generator) -> float:
+                  rng: Normals) -> float:
         """The cell's noisy read resistance at the operating point
         (``DEFAULT_VOLTAGES``); a 0 Ohm read (its infinite conductance) is a
         ``ValueError`` naming the medians."""

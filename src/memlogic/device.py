@@ -13,7 +13,8 @@ separate cycle-to-cycle and cell-to-cell spreads) and in a multiplicative
 per-read jitter.  Every truncated draw (a new LRS value below the last HRS,
 a new HRS value above the last LRS, a cell's HRS median above its LRS median,
 a threshold above zero) inverts the normal CDF at one uniform, so a switching
-event costs exactly one draw from the generator it is given.
+event costs exactly one ``random()`` of the source it is given (``Uniforms``),
+and a noisy read one ``standard_normal()`` (``Normals``).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import accumulate, repeat, takewhile
 from statistics import NormalDist
+from typing import Protocol
 
 import numpy as np
 
@@ -208,7 +210,17 @@ class MemristorCell:
         return self.state != STATE_PRISTINE
 
 
-def _normal_above(rng: np.random.Generator, bound: float, sigma: float) -> float:
+class Uniforms(Protocol):
+    """A source of uniforms on [0, 1): a numpy ``Generator``, or a served stream."""
+    def random(self) -> float: ...
+
+
+class Normals(Protocol):
+    """A source of standard normals: a numpy ``Generator``, or a served stream."""
+    def standard_normal(self) -> float: ...
+
+
+def _normal_above(rng: Uniforms, bound: float, sigma: float) -> float:
     """``sigma * z`` for a standard normal ``z`` conditioned on ``sigma * z >
     bound``, from one uniform ``v`` in (0, 1): ``z = -inv_cdf(v * Phi(-a))``
     with ``a = bound / sigma``, inverted in the upper tail so that a bound far
@@ -220,18 +232,18 @@ def _normal_above(rng: np.random.Generator, bound: float, sigma: float) -> float
     return -sigma * _INV_CDF(max(_TINY, p))
 
 
-def _positive_normal(rng: np.random.Generator, mean: float, sigma: float) -> float:
+def _positive_normal(rng: Uniforms, mean: float, sigma: float) -> float:
     """Normal draw truncated at zero."""
     return max(_TINY, mean + _normal_above(rng, -mean, sigma))
 
 
-def _lognormal_around(rng: np.random.Generator, median: float, sigma: float) -> float:
+def _lognormal_around(rng: Normals, median: float, sigma: float) -> float:
     """``median * exp(N(0, sigma))``: ``rng.normal(0.0, sigma)`` is ``0.0 + sigma *
     rng.standard_normal()``, the same draw without the argument checks."""
     return median * math.exp(sigma * rng.standard_normal())
 
 
-def _lognormal_above(rng: np.random.Generator, median: float, sigma: float,
+def _lognormal_above(rng: Uniforms, median: float, sigma: float,
                      floor: float) -> float:
     """``median * exp(N(0, sigma))`` conditioned above ``floor``, strictly."""
     bound = math.log(max(_TINY, floor / median))
@@ -260,7 +272,7 @@ def sample_fresh_cell(params: VariabilityParams, rng: np.random.Generator,
     return cell
 
 
-def _enter_lrs(cell: MemristorCell, rng: np.random.Generator) -> None:
+def _enter_lrs(cell: MemristorCell, rng: Uniforms) -> None:
     """Switch to a fresh LRS value, conditioned below the realized HRS."""
     ceiling = cell.last_hrs if cell.last_hrs is not None else cell.hrs_median_cell
     median, sigma = cell.lrs_median_cell, cell.params.lrs_sigma_c2c
@@ -270,7 +282,7 @@ def _enter_lrs(cell: MemristorCell, rng: np.random.Generator) -> None:
     cell.state = STATE_LRS
 
 
-def _enter_hrs(cell: MemristorCell, rng: np.random.Generator) -> None:
+def _enter_hrs(cell: MemristorCell, rng: Uniforms) -> None:
     """Switch to a fresh HRS value, conditioned above the realized LRS."""
     floor = cell.last_lrs if cell.last_lrs is not None else cell.lrs_median_cell
     cell.resistance = cell.last_hrs = _lognormal_above(
@@ -279,7 +291,7 @@ def _enter_hrs(cell: MemristorCell, rng: np.random.Generator) -> None:
 
 
 def apply_pulse(cell: MemristorCell, pulse: Pulse, transistor: TransistorModel,
-                rng: np.random.Generator) -> SwitchEvent:
+                rng: Uniforms) -> SwitchEvent:
     """Apply one pulse to the cell; mutate its state and return the event.
 
     Rules, in order:
@@ -327,7 +339,7 @@ def apply_pulse(cell: MemristorCell, pulse: Pulse, transistor: TransistorModel,
 
 
 def read_resistance(cell: MemristorCell, v_read: float, v_g: float,
-                    transistor: TransistorModel, rng: np.random.Generator) -> float:
+                    transistor: TransistorModel, rng: Normals) -> float:
     """Non-destructive resistance read-out.
 
     Returns the state resistance with multiplicative read jitter, plus the
@@ -395,7 +407,7 @@ _FORM_RAMP = tuple(Pulse(v, 0.0, FORM_V_G, FORM_WIDTH) for v in takewhile(
 
 
 def form_by_ramp(cell: MemristorCell, transistor: TransistorModel,
-                 rng: np.random.Generator) -> int:
+                 rng: Uniforms) -> int:
     """Apply pulses of increasing TE voltage until the cell forms.
 
     The ramp is the module's ``FORM_*`` constants.  Returns the number of

@@ -19,9 +19,10 @@ A gate bucket (one gate, input pair and cell) runs in one call,
 ``execute_gate_bucket``, with its case and logic drive (one of the cell's
 drives, ``CellArray.cell_drives``) resolved once; one trial is a bucket of
 one cycle.  It returns one ``TraceRow`` per cycle, the row the ``traces``
-table exports.  Each run takes two generators: ``rng`` feeds the switching
-draws of every pulse, ``read_rng`` the noise of every read, so reading a cell
-more or less often never shifts its switching draws.
+table exports.  Each run takes two sources of draws: ``rng`` feeds the
+switching uniforms of every pulse, ``read_rng`` the noise of every read, so
+reading a cell more or less often never shifts its switching draws.  Either
+is a numpy ``Generator`` or a stream that serves only its one method.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from .array import RESET_BITS, SET_BITS, CellAddress, CellArray
 from .array import logic_drive, logic_pulse_voltages  # noqa: F401  re-exported
 from .device import (
@@ -42,7 +41,9 @@ from .device import (
     STATE_HRS,
     STATE_LRS,
     LogicVoltages,  # noqa: F401
+    Normals,
     NotFormedError,
+    Uniforms,
     binarize,
 )
 
@@ -269,7 +270,7 @@ INIT_RETRIES = 3
 
 
 def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: int,
-                    rng: np.random.Generator, read_rng: np.random.Generator,
+                    rng: Uniforms, read_rng: Normals,
                     refresh: bool = False, verify: bool = True) -> tuple[float, int]:
     """Bring a cell to the binary state ``bit``, verifying by read: pulses draw
     from ``rng``, reads from ``read_rng``.
@@ -313,8 +314,7 @@ def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: 
 
 def execute_gate_bucket(array: CellArray, addr: CellAddress | tuple[int, int],
                         mapping: ParamMapping, p: int, q: int, cycles: int,
-                        rng: np.random.Generator, read_rng: np.random.Generator,
-                        ) -> list[TraceRow]:
+                        rng: Uniforms, read_rng: Normals) -> list[TraceRow]:
     """Run one gate on a formed cell ``cycles`` times: bring the cell to the
     mapping's initial state (skipped when it already matches), fire the logic
     pulse, binarize the read.  Pulses draw from ``rng``, reads from

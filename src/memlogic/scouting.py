@@ -10,7 +10,7 @@ own reference.  The read is non-destructive, so the gate never switches a
 device.  ``scout_class`` writes one input class and scouts it cycle after
 cycle, with the bits and the selection resolved once, and ``classify_bucket``
 compares a bucket of read currents against the references.  Writes draw
-from one generator and reads from another.
+uniforms from one source and reads normals from another.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from .array import CellAddress, CellArray
-from .device import DEFAULT_VOLTAGES, require_finite_result
+from .device import DEFAULT_VOLTAGES, Normals, Uniforms, require_finite_result
 from .logic1t1r import initialize_cell
 
 #: The output of each operation as a predicate on (popcount k, input width n).
@@ -131,8 +129,8 @@ def _input_writes(addrs: Sequence[CellAddress | tuple[int, int]],
 
 
 def scout_class(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
-                bits: Sequence[int] | str, cycles: int, rng: np.random.Generator,
-                read_rng: np.random.Generator, verify: bool = True) -> list[float]:
+                bits: Sequence[int] | str, cycles: int, rng: Uniforms,
+                read_rng: Normals, verify: bool = True) -> list[float]:
     """Store one bit (0, 1, "0" or "1") per cell with ``initialize_cell``, then
     read the cells in parallel: the read voltage times the summed conductance
     of the noisy reads, a ``ValueError`` beyond the float range.  Once per

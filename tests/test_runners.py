@@ -6,7 +6,8 @@ the same rows or currents, the same failed cycles, the same cells afterwards
 and both generators left in the same state.  A bucket of an
 experiment whose cells are its own (a gate bucket under ``rotate_cells``, a
 scouting class, a characterized cell) replays alone, on a fresh array, from
-its documented keys.
+its documented keys.  The harness serves each of those streams in blocks,
+and a served stream gives, bit for bit, its generator's scalar draws.
 """
 
 import re
@@ -17,7 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlogic.analysis import (
+    STREAM_BLOCK,
+    STREAM_KINDS,
     ExperimentConfig,
+    _stream,
     run_1t1r_experiment,
     run_characterization,
     sample_scouting_currents,
@@ -165,6 +169,20 @@ def bucket_stream(*key):
     (read noise) of ``SeedSequence((*key, purpose))``."""
     return [np.random.default_rng(np.random.SeedSequence((*key, purpose)))
             for purpose in (0, 1)]
+
+
+@pytest.mark.parametrize("purpose, method, other", [(0, "random", "standard_normal"),
+                                                    (1, "standard_normal", "random")])
+def test_a_served_stream_gives_its_generators_scalar_draws(purpose, method, other):
+    served = _stream(3, "scouting", 2, 1)[purpose]
+    generator = bucket_stream(3, STREAM_KINDS["scouting"], 2, 1)[purpose]
+    count = 2 * STREAM_BLOCK + 3
+    draws = [getattr(served, method)() for _ in range(count)]
+    assert all(type(draw) is float for draw in draws)
+    assert ([draw.hex() for draw in draws]
+            == [getattr(generator, method)().hex() for _ in range(count)])
+    with pytest.raises(AttributeError):
+        getattr(served, other)()
 
 
 def replayed_gate_bucket(cycles, gate, p, q):
