@@ -227,6 +227,22 @@ def test_scouting_inputs_may_fill_their_column():
         sample_scouting_currents(cfg, 4)
 
 
+def test_one_input_cell_samples_its_pattern_and_single_classes_each():
+    # At n = 1 the pattern classes "0" and "1" and their one-cell READ twins
+    # are sampled one after the other, from the same keys: 16 samples, each
+    # class twice, with the values of a fresh array per class.
+    samples = sample_scouting_currents(ExperimentConfig(seed=3, cycles=4), 1,
+                                       include_single=True)
+    zeros = [9.507390034088931e-07, 1.2399054952061086e-06, 1.1249869343000092e-06,
+             9.780363085377486e-07]
+    ones = [2.0002696545556662e-05, 1.910392037421972e-05, 1.883920070286138e-05,
+            1.9159990541283637e-05]
+    assert [tuple(s) for s in samples] == [
+        (input_class, current, cycle)
+        for input_class, currents in (("0", zeros), ("1", ones)) * 2
+        for cycle, current in enumerate(currents)]
+
+
 # -------------------------------------------------------- characterization
 
 def test_characterization_statistics():
