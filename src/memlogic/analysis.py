@@ -10,10 +10,10 @@ draws depend on the buckets run before it.
 Each experiment hands every bucket's (label, expected bit, trials, failed
 cycles, errors) to ``FailureReport.tally``, which builds the report whole.
 A gate bucket's runner returns the rows the ``traces`` table exports, and a
-cycle without a row is an error.  A scouting run groups its samples by class
-once: the training and classified halves are slices of each class's
-currents, and the gaps between the training extremes are computed once, for
-both the placed references and the margins.
+cycle without a row is an error.  A scouting run forms its input cells once,
+runs each class on a copy of them and keeps each class's currents: the
+training and classified halves are slices of them, and the gaps between the
+training extremes are computed once, for the references and the margins.
 A characterization runs all its cells on one array, whose drives for one
 cell leave every other cell at 0 V.
 
@@ -225,12 +225,16 @@ class LogicExperimentResult:
 @dataclass
 class ScoutingExperimentResult:
     config: ExperimentConfig
-    samples: list[CurrentSample]
+    currents: dict[str, list[float]]  # by class, in sampling order; each in cycle order
     refs: ReferenceLevels | None
     summaries: list[DistributionSummary]
     report: FailureReport
     margins: list[GapMargin]
     overlap: OverlapError | None
+
+    @property
+    def samples(self) -> list[CurrentSample]:
+        return _samples(self.currents.items())
 
 
 @dataclass
@@ -361,37 +365,44 @@ def non_switching_report(rows: Sequence[TraceRow],
 # Scouting experiment
 # ---------------------------------------------------------------------------
 
+def _class_currents(config: ExperimentConfig, n: int, include_single: bool = False,
+                    verify: bool = True) -> list[tuple[str, list[float]]]:
+    """Each input class with its ``config.cycles`` read currents, in sampling
+    order: the n-bit patterns, then with ``include_single`` "0" and "1" (at
+    n = 1 each class comes twice).  The n input cells are sampled and formed
+    once, and each class runs on a copy of them, equal to a fresh array."""
+    if n > config.topology.rows:
+        raise ValueError(f"n={n} input cells do not fit in one column of "
+                         f"{config.topology.rows} rows")
+    addrs = tuple(CellAddress(r, 0) for r in range(n))
+    formed = CellArray(config.topology, config.device, config.transistor, seed=config.seed)
+    for addr in addrs:
+        formed.form(addr)
+    return [(bits, scout_class(formed.copy(), addrs[:len(bits)], bits, config.cycles,
+                               *_stream(config.seed, "scouting", len(bits), int(bits, 2)),
+                               verify))
+            for bits in input_patterns(n) + (["0", "1"] if include_single else [])]
+
+
+def _samples(class_currents: Iterable[tuple[str, list[float]]]) -> list[CurrentSample]:
+    return [CurrentSample(input_class, current, cycle)
+            for input_class, currents in class_currents
+            for cycle, current in enumerate(currents)]
+
+
 def sample_scouting_currents(config: ExperimentConfig, n: int,
                              include_single: bool = False,
                              verify: bool = True) -> list[CurrentSample]:
     """Measure ``config.cycles`` read currents for every n-bit input pattern.
 
     The input cells occupy one column (rows 0..n-1), which the standard array
-    can select in parallel, so n may not exceed the row count.  States are
-    rewritten every cycle so each sample carries a fresh cycle-to-cycle draw.
-    With ``include_single`` the one-cell classes "0" and "1" are measured as
-    well (for the read operation).
+    can select in parallel, so n may not exceed the row count; they are formed
+    once, and each class runs on a copy of them.  States are rewritten every
+    cycle so each sample carries a fresh cycle-to-cycle draw.  With
+    ``include_single`` the one-cell classes "0" and "1" are measured as well
+    (for the read operation).
     """
-    if n > config.topology.rows:
-        raise ValueError(f"n={n} input cells do not fit in one column of "
-                         f"{config.topology.rows} rows")
-    classes: list[tuple[str, tuple[CellAddress, ...]]] = [
-        (pattern, tuple(CellAddress(r, 0) for r in range(n))) for pattern in input_patterns(n)]
-    if include_single:
-        classes += [(bit, (CellAddress(0, 0),)) for bit in ("0", "1")]
-    samples = []
-    for input_class, addrs in classes:
-        array = CellArray(config.topology, config.device, config.transistor,
-                          seed=config.seed)
-        for addr in addrs:
-            array.form(addr)
-        currents = scout_class(array, addrs, input_class, config.cycles,
-                               *_stream(config.seed, "scouting", len(input_class),
-                                        int(input_class, 2)),
-                               verify)
-        samples += [CurrentSample(input_class, current, cycle)
-                    for cycle, current in enumerate(currents)]
-    return samples
+    return _samples(_class_currents(config, n, include_single, verify))
 
 
 def _margins(level_gaps: Sequence[Gap], read_gap: Gap | None,
@@ -437,10 +448,8 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
         if refs.n != n:
             raise ValueError(f"reference preset {config.refs!r} has {refs.n} levels; "
                              f"a {n}-input read needs {n}")
-    samples = sample_scouting_currents(config, n, include_single="read" in ops)
-    # Each class's samples are one run, in cycle order: a cycle is its index.
-    currents = {input_class: [s.current for s in run]
-                for input_class, run in groupby(samples, attrgetter("input_class"))}
+    # n >= 2: no class name comes twice.  A cycle is its current's index.
+    currents = dict(_class_currents(config, n, include_single="read" in ops))
     half = (config.cycles + 1) // 2 if config.split == "split" else config.cycles
     start = half if config.split == "split" else 0  # the first classified cycle
 
@@ -466,7 +475,7 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
     summaries = [DistributionSummary.from_samples(label, currents[label])
                  for label in sorted(currents)]
     return ScoutingExperimentResult(
-        config=config, samples=samples, refs=refs, summaries=summaries,
+        config=config, currents=currents, refs=refs, summaries=summaries,
         report=FailureReport.tally(config.seed, tallies),
         margins=_margins(level_gaps, read_gap, refs), overlap=overlap)
 
@@ -694,8 +703,9 @@ def export_scouting_result(result: ScoutingExperimentResult, out_dir: str | Path
     }
     return [
         export_table("currents", ("op", "class", "cycle", "current_a"),
-                     [("scout" if len(s.input_class) > 1 else "read", s.input_class,
-                       s.cycle, s.current) for s in result.samples], out_dir, fmt),
+                     [("scout" if len(input_class) > 1 else "read", input_class, cycle, current)
+                      for input_class, currents in result.currents.items()
+                      for cycle, current in enumerate(currents)], out_dir, fmt),
         export_table("refs", ("i_read_a", "i_or_a", "i_and_a"),
                      [] if refs is None else [(refs.i_read, refs.i_or, refs.i_and)],
                      out_dir, fmt),

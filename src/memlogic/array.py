@@ -18,7 +18,7 @@ lines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -243,6 +243,13 @@ class CellArray:
             self.cells[addr] = sample_fresh_cell(self.params, rng,
                                                  cell_id=f"r{addr.row}c{addr.col}")
         return self.cells[addr]
+
+    def copy(self) -> "CellArray":
+        """A new array of the same topology, parameters, transistor and seed, with
+        copies of this array's sampled cells (each through its ``__init__``)."""
+        array = CellArray(self.topology, self.params, self.transistor, self.seed)
+        array.cells = {addr: replace(cell) for addr, cell in self.cells.items()}
+        return array
 
     def form(self, addr: CellAddress | tuple[int, int]) -> None:
         """Form one cell with the voltage-ramp routine (idempotent)."""

@@ -492,12 +492,14 @@ def test_a_default_scouting_run_validates_each_selection_once(monkeypatch):
 #: pulse, a read or a write.  Re-recorded when the draws moved to one stream
 #: pair per bucket and to one uniform per truncated draw (the forming ramps
 #: changed with the thresholds), and a refreshing write stopped reading the
-#: cell before it: 1,000 fewer ``scouting`` reads.
+#: cell before it: 1,000 fewer ``scouting`` reads.  A scouting run samples and
+#: forms its two input cells once, not once per class (10 of each before):
+#: 167 fewer forming pulses, (0, 0)'s 22 five times and (1, 0)'s 19 three times.
 WORK_AT_SEED_7 = {
     "gate": {"apply_pulse": 1290, "read_resistance": 3702, "apply_drive": 2102,
-             "initialize_cell": 1600},
-    "scouting": {"apply_pulse": 1708, "read_resistance": 2000, "apply_drive": 1500,
-                 "initialize_cell": 1000},
+             "initialize_cell": 1600, "sample_fresh_cell": 4, "form_by_ramp": 4},
+    "scouting": {"apply_pulse": 1541, "read_resistance": 2000, "apply_drive": 1500,
+                 "initialize_cell": 1000, "sample_fresh_cell": 2, "form_by_ramp": 2},
 }
 
 
@@ -515,6 +517,8 @@ def test_default_runs_do_the_pinned_work(monkeypatch, request, run):
     # Each counted function is replaced in every module that binds it by name.
     for home, name, users in ((device_module, "apply_pulse", (array_module,)),
                               (device_module, "read_resistance", (array_module,)),
+                              (device_module, "sample_fresh_cell", (array_module,)),
+                              (device_module, "form_by_ramp", (array_module,)),
                               (logic_module, "initialize_cell", (scouting_module,))):
         counted = counting(name, getattr(home, name))
         for module in (home, *users):

@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 
@@ -23,6 +24,7 @@ from memlogic.device import (
     apply_pulse,
     sample_fresh_cell,
 )
+from memlogic.scouting import scout_class
 
 STD = ArrayTopology(TopologyKind.STANDARD_1T1R, rows=4, cols=4)
 PSEUDO = ArrayTopology(TopologyKind.PSEUDO_CROSSBAR, rows=4, cols=4)
@@ -487,3 +489,45 @@ def test_live_cols_follow_the_wiring(topology, drive, row, expected):
 def test_topology_rejects_non_integer_or_small_sizes(rows, cols):
     with pytest.raises(ValueError, match="rows|cols"):
         ArrayTopology(rows=rows, cols=cols)
+
+
+def formed_column(seed=5, rows=2):
+    """A fresh array with cells (0, 0) .. (rows - 1, 0) formed."""
+    array = CellArray(STD, PARAMS, seed=seed)
+    for row in range(rows):
+        array.form(CellAddress(row, 0))
+    return array
+
+
+def test_a_copy_starts_from_equal_cells_of_its_own():
+    template = formed_column()
+    template.cell(CellAddress(3, 3))  # sampled, never formed
+    copied = template.copy()
+    assert (copied.topology, copied.params, copied.transistor, copied.seed) == (
+        template.topology, template.params, template.transistor, template.seed)
+    assert copied.cells == template.cells
+    assert list(copied.cells) == list(template.cells)
+    assert all(copied.cells[addr] is not cell for addr, cell in template.cells.items())
+
+
+def test_a_drive_on_one_copy_leaves_the_template_and_other_copies_alone():
+    template, rng = formed_column(), np.random.default_rng(6)
+    reset = single_cell_line_drive(STD, "reset", CellAddress(0, 0))
+    template.apply_drive(reset, rng)  # the template's drives are resolved, too
+    before = copy.deepcopy(template.cells)
+    first, second = template.copy(), template.copy()
+    for _ in range(2):
+        for kind in ("set", "reset"):
+            first.apply_drive(single_cell_line_drive(STD, kind, CellAddress(0, 0)), rng)
+    assert first.cells != before
+    assert template.cells == second.cells == before
+
+
+def test_a_copy_of_a_formed_template_scouts_as_a_fresh_array():
+    template = formed_column(rows=3)
+    for bits, addrs in (("101", [(0, 0), (1, 0), (2, 0)]), ("1", [(0, 0)])):
+        currents = [scout_class(array, addrs, bits, 40, np.random.default_rng(7),
+                                np.random.default_rng(8))
+                    for array in (template.copy(), formed_column(rows=len(bits)))]
+        assert currents[0] == currents[1]
+        assert len(currents[0]) == 40

@@ -24,6 +24,7 @@ from memlogic.analysis import (
     _stream,
     run_1t1r_experiment,
     run_characterization,
+    run_scouting_experiment,
     sample_scouting_currents,
 )
 from memlogic.array import (
@@ -217,7 +218,8 @@ def test_a_gate_bucket_replays_alone_over_several_blocks():
 
 def replayed_scouting_class(cycles, input_class):
     """One scouting class's currents replayed alone, on a fresh array, from
-    its documented keys, and its currents in the harness's run."""
+    its documented keys; its samples' currents; and its currents in the
+    experiment, whose classes all start from copies of one formed array."""
     config = ExperimentConfig(seed=3, cycles=cycles)
     addrs = [CellAddress(row, 0) for row in range(len(input_class))]
     array = CellArray(config.topology, config.device, config.transistor, seed=config.seed)
@@ -227,22 +229,25 @@ def replayed_scouting_class(cycles, input_class):
                            *bucket_stream(config.seed, 20, len(input_class),
                                           int(input_class, 2)))
     samples = sample_scouting_currents(config, 2, include_single=True)
-    return currents, [s.current for s in samples if s.input_class == input_class]
+    return (currents, [s.current for s in samples if s.input_class == input_class],
+            run_scouting_experiment(config).currents[input_class])
 
 
 @pytest.mark.parametrize("input_class", ["01", "1"])
 def test_a_scouting_class_replays_alone(input_class):
-    currents, harness_currents = replayed_scouting_class(20, input_class)
-    assert currents == harness_currents
+    currents, sampled, run = replayed_scouting_class(20, input_class)
+    assert currents == sampled == run
     assert len(currents) == 20
 
 
 def test_a_scouting_class_replays_alone_over_several_blocks():
     # Over 300 cycles class 01 draws 900 switching and 1,200 read-noise
-    # values, so the harness serves each of its streams in several blocks.
-    currents, harness_currents = replayed_scouting_class(300, "01")
-    assert currents == harness_currents
-    assert len(currents) == 300
+    # values, so the harness serves each of its streams in several blocks;
+    # class 1 draws more than a block of read noise.
+    for input_class in ("01", "1"):
+        currents, sampled, run = replayed_scouting_class(300, input_class)
+        assert currents == sampled == run, input_class
+        assert len(currents) == 300
 
 
 def test_a_characterized_cell_replays_alone():
