@@ -243,6 +243,37 @@ def test_one_input_cell_samples_its_pattern_and_single_classes_each():
         for cycle, current in enumerate(currents)]
 
 
+@pytest.mark.parametrize("config, include_single, verify, extremes", [
+    (ExperimentConfig(seed=11, cycles=100, split="insample"), True, True, {  # c07, noisy
+        "00": (1.2265874666651257e-06, 3.7594256920171575e-06),
+        "01": (1.858162445305309e-05, 2.460442417181868e-05),
+        "10": (1.8158225319297808e-05, 2.555434612754018e-05),
+        "11": (3.4808395811515755e-05, 4.5232939601851677e-05),
+        "0": (5.521773599013506e-07, 2.369782277769127e-06),
+        "1": (1.7347010430085698e-05, 2.4220926424559068e-05)}),
+    (ExperimentConfig(seed=5, cycles=60, device=VariabilityParams(hrs_sigma_c2c=2.0)),
+     False, False, {  # c09, collapsed
+         "00": (3.140668537079238e-07, 3.2803626455853545e-05),
+         "01": (1.856404299907132e-05, 3.490219444189918e-05),
+         "10": (1.8524586276660697e-05, 3.929106348776488e-05),
+         "11": (3.491211358831047e-05, 4.528141403994868e-05)}),
+])
+def test_acceptance_scouting_runs_measure_pinned_class_extremes(
+        monkeypatch, config, include_single, verify, extremes):
+    # Each class's (min, max) current as ``scout_class`` measures it inside the
+    # sampler, the figures the acceptance criteria 7 and 9 read.
+    measured = {}
+
+    def recording(array, addrs, bits, *rest):
+        currents = scouting_module.scout_class(array, addrs, bits, *rest)
+        measured[bits] = (min(currents), max(currents))
+        return currents
+
+    monkeypatch.setattr(analysis_module, "scout_class", recording)
+    sample_scouting_currents(config, 2, include_single=include_single, verify=verify)
+    assert measured == extremes
+
+
 # -------------------------------------------------------- characterization
 
 def test_characterization_statistics():
