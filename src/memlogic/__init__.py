@@ -52,11 +52,9 @@ from .logic1t1r import (
 )
 from .scouting import (
     PAPER_REFS,
-    CurrentSample,
     OverlapError,
     ReferenceLevels,
     classify_bucket,
-    place_references,
     scout_class,
 )
 

@@ -10,10 +10,11 @@ draws depend on the buckets run before it.
 Each experiment hands every bucket's (label, expected bit, trials, failed
 cycles, errors) to ``FailureReport.tally``, which builds the report whole.
 A gate bucket's runner returns the rows the ``traces`` table exports, and a
-cycle without a row is an error.  A scouting run forms its input cells once,
-runs each class on a copy of them and keeps each class's currents: the
-training and classified halves are slices of them, and the gaps between the
-training extremes are computed once, for the references and the margins.
+cycle without a row is an error.  The one scouting sampler,
+``sample_scouting_currents``, forms the input cells once, runs each class on a
+copy of them and returns each class's currents.  A scouting run's training
+and classified halves are slices of them, and the gaps between the training
+currents are computed once, for the references and the margins.
 A characterization runs all its cells on one array, whose drives for one
 cell leave every other cell at 0 V.
 
@@ -68,7 +69,6 @@ from .logic1t1r import (
 )
 from .scouting import (
     SCOUTING_OPS,
-    CurrentSample,
     Gap,
     OverlapError,
     ReferenceLevels,
@@ -76,7 +76,6 @@ from .scouting import (
     classify_bucket,
     expected_bit,
     input_patterns,
-    place_references,
     reference_preset,
     references_in,
     scout_class,
@@ -232,10 +231,6 @@ class ScoutingExperimentResult:
     margins: list[GapMargin]
     overlap: OverlapError | None
 
-    @property
-    def samples(self) -> list[CurrentSample]:
-        return _samples(self.currents.items())
-
 
 @dataclass
 class CharacterizationResult:
@@ -365,12 +360,21 @@ def non_switching_report(rows: Sequence[TraceRow],
 # Scouting experiment
 # ---------------------------------------------------------------------------
 
-def _class_currents(config: ExperimentConfig, n: int, include_single: bool = False,
-                    verify: bool = True) -> list[tuple[str, list[float]]]:
+def sample_scouting_currents(config: ExperimentConfig, n: int,
+                             include_single: bool = False,
+                             verify: bool = True) -> dict[str, list[float]]:
     """Each input class with its ``config.cycles`` read currents, in sampling
-    order: the n-bit patterns, then with ``include_single`` "0" and "1" (at
-    n = 1 each class comes twice).  The n input cells are sampled and formed
-    once, and each class runs on a copy of them, equal to a fresh array."""
+    order: the n-bit patterns ascending, then with ``include_single`` the
+    one-cell classes "0" and "1" (for the read operation) unless n = 1 has
+    measured them already.
+
+    The input cells occupy one column (rows 0..n-1), which the standard array
+    can select in parallel, so n may not exceed the row count; they are formed
+    once, and each class runs on a copy of them, equal to a fresh array.
+    States are rewritten every cycle so each current carries a fresh
+    cycle-to-cycle draw.
+    """
+    require_int("n", n, 1)
     if n > config.topology.rows:
         raise ValueError(f"n={n} input cells do not fit in one column of "
                          f"{config.topology.rows} rows")
@@ -378,31 +382,10 @@ def _class_currents(config: ExperimentConfig, n: int, include_single: bool = Fal
     formed = CellArray(config.topology, config.device, config.transistor, seed=config.seed)
     for addr in addrs:
         formed.form(addr)
-    return [(bits, scout_class(formed.copy(), addrs[:len(bits)], bits, config.cycles,
-                               *_stream(config.seed, "scouting", len(bits), int(bits, 2)),
-                               verify))
-            for bits in input_patterns(n) + (["0", "1"] if include_single else [])]
-
-
-def _samples(class_currents: Iterable[tuple[str, list[float]]]) -> list[CurrentSample]:
-    return [CurrentSample(input_class, current, cycle)
-            for input_class, currents in class_currents
-            for cycle, current in enumerate(currents)]
-
-
-def sample_scouting_currents(config: ExperimentConfig, n: int,
-                             include_single: bool = False,
-                             verify: bool = True) -> list[CurrentSample]:
-    """Measure ``config.cycles`` read currents for every n-bit input pattern.
-
-    The input cells occupy one column (rows 0..n-1), which the standard array
-    can select in parallel, so n may not exceed the row count; they are formed
-    once, and each class runs on a copy of them.  States are rewritten every
-    cycle so each sample carries a fresh cycle-to-cycle draw.  With
-    ``include_single`` the one-cell classes "0" and "1" are measured as well
-    (for the read operation).
-    """
-    return _samples(_class_currents(config, n, include_single, verify))
+    return {bits: scout_class(formed.copy(), addrs[:len(bits)], bits, config.cycles,
+                              *_stream(config.seed, "scouting", len(bits), int(bits, 2)),
+                              verify)
+            for bits in input_patterns(n) + (["0", "1"] if include_single and n > 1 else [])}
 
 
 def _margins(level_gaps: Sequence[Gap], read_gap: Gap | None,
@@ -448,12 +431,12 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
         if refs.n != n:
             raise ValueError(f"reference preset {config.refs!r} has {refs.n} levels; "
                              f"a {n}-input read needs {n}")
-    # n >= 2: no class name comes twice.  A cycle is its current's index.
-    currents = dict(_class_currents(config, n, include_single="read" in ops))
+    # A cycle is its current's index.
+    currents = sample_scouting_currents(config, n, include_single="read" in ops)
     half = (config.cycles + 1) // 2 if config.split == "split" else config.cycles
     start = half if config.split == "split" else 0  # the first classified cycle
 
-    level_gaps, read_gap = class_gaps({input_class: (min(values[:half]), max(values[:half]))
+    level_gaps, read_gap = class_gaps({input_class: values[:half]
                                        for input_class, values in currents.items()})
     overlap: OverlapError | None = None
     if refs is None:
@@ -583,7 +566,8 @@ def sweep_parameter(config: ExperimentConfig, parameter: str,
 
 
 def overlap_collides(config: ExperimentConfig, n: int, hrs_sigma_c2c: float) -> bool:
-    """True when n-cell reference placement fails at the given HRS spread.
+    """True when a gap between n-cell popcount classes is empty at the given
+    HRS spread, so no reference can be placed in it.
 
     The probe writes the input states without read-back verification so the
     raw state tails reach the read path (verified writes retry boundary-
@@ -591,11 +575,8 @@ def overlap_collides(config: ExperimentConfig, n: int, hrs_sigma_c2c: float) -> 
     """
     cfg = config.replace(device=config.device.replace(hrs_sigma_c2c=hrs_sigma_c2c),
                          n_inputs=n)
-    try:
-        place_references(sample_scouting_currents(cfg, n, verify=False))
-    except OverlapError:
-        return True
-    return False
+    level_gaps, _ = class_gaps(sample_scouting_currents(cfg, n, verify=False))
+    return any(lower_max >= upper_min for _, _, lower_max, upper_min in level_gaps)
 
 
 def find_overlap_sigma(config: ExperimentConfig, n: int, lo: float = 0.32,

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from _statistics import _normal_dist_inv_cdf  # what statistics.NormalDist.inv_cdf calls
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import accumulate, repeat, takewhile
-from statistics import NormalDist
 from typing import Protocol
 
 import numpy as np
@@ -36,7 +36,6 @@ STATE_HRS = "hrs"
 # Pristine devices are treated as a fixed, very large resistance.
 PRISTINE_RESISTANCE_FACTOR = 10.0
 
-_INV_CDF = NormalDist().inv_cdf
 _SQRT2 = math.sqrt(2.0)
 _TINY = math.ulp(0.0)  # the smallest positive float
 
@@ -229,7 +228,7 @@ def _normal_above(rng: Uniforms, bound: float, sigma: float) -> float:
     the value at or past the bound; callers clamp."""
     a = bound / sigma if sigma else math.copysign(math.inf, bound)
     p = rng.random() * 0.5 * math.erfc(a / _SQRT2)  # v * Phi(-a), or 0 on underflow
-    return -sigma * _INV_CDF(max(_TINY, p))
+    return -sigma * _normal_dist_inv_cdf(max(_TINY, p), 0.0, 1.0)
 
 
 def _positive_normal(rng: Uniforms, mean: float, sigma: float) -> float:

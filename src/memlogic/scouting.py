@@ -8,9 +8,11 @@ and every operation is a predicate on it: OR is a popcount of at least one,
 AND a popcount of n, XOR an odd popcount.  READ is the one-cell case, with its
 own reference.  The read is non-destructive, so the gate never switches a
 device.  ``scout_class`` writes one input class and scouts it cycle after
-cycle, with the bits and the selection resolved once, and ``classify_bucket``
-compares a bucket of read currents against the references.  Writes draw
-uniforms from one source and reads normals from another.
+cycle, with the bits and the selection resolved once.  ``class_gaps`` finds
+the gaps from each class's currents, ``references_in`` places a reference in
+each gap, and ``classify_bucket`` compares a bucket of read currents against
+the references.  Writes draw uniforms from one source and reads normals from
+another.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .array import CellAddress, CellArray
 from .device import DEFAULT_VOLTAGES, Normals, Uniforms, require_finite_result
@@ -89,19 +90,6 @@ PAPER_REFS = ReferenceLevels(levels=(11.55e-6, 32.74e-6), i_read=7.25e-6)
 REFERENCE_PRESETS: dict[str, ReferenceLevels] = {"paper-refs": PAPER_REFS}
 
 
-class CurrentSample(NamedTuple("_CurrentSample", [("input_class", str), ("current", float),
-                                                  ("cycle", int)])):
-    """One measured read current for a given input bit pattern (immutable)."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so ``_replace`` checks, too
-
-    def __new__(cls, input_class: str, current: float, cycle: int = 0):
-        if current < 0:
-            raise ValueError("current must be >= 0")
-        return tuple.__new__(cls, (input_class, current, cycle))
-
-
 class OverlapError(RuntimeError):
     """Adjacent current classes overlap; no reference can be placed reliably."""
 
@@ -153,44 +141,39 @@ def scout_class(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]]
     return currents
 
 
-def _class_extremes(samples: Iterable[CurrentSample]) -> dict[str, tuple[float, float]]:
-    grouped: dict[str, list[float]] = defaultdict(list)
-    for s in samples:
-        grouped[s.input_class].append(s.current)
-    return {cls: (min(vals), max(vals)) for cls, vals in grouped.items()}
-
-
 Gap = tuple[str, str, float, float]  # lower class, upper class, lower max, upper min
 
 
-def class_gaps(extremes: dict[str, tuple[float, float]]) -> tuple[list[Gap], Gap | None]:
+def class_gaps(currents: Mapping[str, Sequence[float]]) -> tuple[list[Gap], Gap | None]:
     """The gaps between adjacent popcount classes, ascending, and the READ gap.
 
-    ``extremes`` holds each class's (min, max) current.  The width n is
+    ``currents`` holds each class's read currents; a gap runs from the lower
+    class's largest current to the upper class's smallest.  The width n is
     inferred from the multi-bit input classes, which must cover every n-bit
     pattern.  They are grouped by popcount, and a group is labelled by its
     patterns joined with "|" (for n = 2: "00", "01|10", "11").  The READ gap
     lies between the single-cell classes "0" and "1"; it is ``None`` unless
-    both were sampled.
+    both were sampled.  Collisions appear at smaller spreads as n grows: the
+    overlap risk of wider gates.
     """
-    for cls in extremes:
+    for cls in currents:
         if set(cls) - {"0", "1"}:
             raise ValueError(f"input class {cls!r} is not a bit pattern")
-    widths = sorted({len(cls) for cls in extremes if len(cls) > 1})
+    widths = sorted({len(cls) for cls in currents if len(cls) > 1})
     if len(widths) != 1:
         raise ValueError(f"need samples of one input width >= 2, got widths {widths}")
     n = widths[0]
     groups = [[p for p in input_patterns(n) if p.count("1") == k] for k in range(n + 1)]
-    missing = [p for group in groups for p in group if p not in extremes]
+    missing = [p for group in groups for p in group if p not in currents]
     if missing:
         raise ValueError(f"missing samples for classes {sorted(missing)}")
     labels = ["|".join(group) for group in groups]
-    spans = [(min(extremes[p][0] for p in group), max(extremes[p][1] for p in group))
+    spans = [(min(min(currents[p]) for p in group), max(max(currents[p]) for p in group))
              for group in groups]
     level_gaps = [(labels[k], labels[k + 1], spans[k][1], spans[k + 1][0]) for k in range(n)]
     read_gap = None
-    if "0" in extremes and "1" in extremes:
-        read_gap = ("0", "1", extremes["0"][1], extremes["1"][0])
+    if "0" in currents and "1" in currents:
+        read_gap = ("0", "1", max(currents["0"]), min(currents["1"]))
     return level_gaps, read_gap
 
 
@@ -212,12 +195,6 @@ def references_in(level_gaps: Sequence[Gap], read_gap: Gap | None) -> ReferenceL
     levels = tuple(_midpoint(*gap) for gap in level_gaps)
     i_read = _midpoint(*read_gap) if read_gap is not None else 0.5 * levels[0]
     return ReferenceLevels(levels=levels, i_read=i_read)
-
-
-def place_references(samples: Sequence[CurrentSample]) -> ReferenceLevels:
-    """The references (``references_in``) between the sampled classes.  Collisions
-    appear at smaller spreads as n grows: the overlap risk of wider gates."""
-    return references_in(*class_gaps(_class_extremes(samples)))
 
 
 def classify_bucket(currents: Iterable[float], refs: ReferenceLevels,

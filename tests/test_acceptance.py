@@ -33,7 +33,7 @@ from memlogic.logic1t1r import (
     synthesize_mapping,
     truth_table_of,
 )
-from memlogic.scouting import OverlapError, _class_extremes as _extremes, place_references
+from memlogic.scouting import OverlapError, class_gaps, references_in
 
 PARAMS = VariabilityParams()
 BOUNDARY = default_boundary(PARAMS)
@@ -56,7 +56,7 @@ def ten_seed_runs():
 
 
 @pytest.fixture(scope="module")
-def noisy_scouting_samples():
+def noisy_scouting_currents():
     cfg = ExperimentConfig(seed=11, cycles=100, split="insample")
     return sample_scouting_currents(cfg, 2, include_single=True)
 
@@ -157,22 +157,22 @@ def test_c06_hrs_spread(ten_seed_runs):
            f"log spread lrs {lrs_sigma:.3f} < hrs {hrs_sigma:.3f}")
 
 
-def test_c07_scouting_gaps(noisy_scouting_samples):
+def test_c07_scouting_gaps(noisy_scouting_currents):
     # Closed-form oracle at the 0.1 V read with 5 kOhm / 97 kOhm states.
     i_hrs, i_lrs = 0.1 / 97e3, 0.1 / 5e3
     oracle = {"00": 2 * i_hrs, "01": i_lrs + i_hrs, "10": i_lrs + i_hrs,
               "11": 2 * i_lrs}
     cfg = ExperimentConfig(seed=1, cycles=1, device=NOISE_FREE, split="insample")
-    clean = _extremes(sample_scouting_currents(cfg, 2))
+    clean = sample_scouting_currents(cfg, 2)
     for cls, expected in oracle.items():
-        assert clean[cls][0] == pytest.approx(expected, rel=1e-3)
+        assert min(clean[cls]) == pytest.approx(expected, rel=1e-3)
 
-    ext = _extremes(noisy_scouting_samples)
-    mixed_min = min(ext["01"][0], ext["10"][0])
-    mixed_max = max(ext["01"][1], ext["10"][1])
-    assert ext["0"][1] < 7.25e-6 < ext["1"][0]
-    assert ext["00"][1] < 11.55e-6 < mixed_min
-    assert mixed_max < 32.74e-6 < ext["11"][0]
+    ext = noisy_scouting_currents
+    mixed_min = min(ext["01"] + ext["10"])
+    mixed_max = max(ext["01"] + ext["10"])
+    assert max(ext["0"]) < 7.25e-6 < min(ext["1"])
+    assert max(ext["00"]) < 11.55e-6 < mixed_min
+    assert mixed_max < 32.74e-6 < min(ext["11"])
     report("criterion 7 (scouting gaps)",
            "noise-free currents match the conductance oracle to 0.1%; "
            "7.25/11.55/32.74 uA all strictly inside their 100-cycle gaps")
@@ -195,7 +195,7 @@ def test_c09_overlap_detection():
     collapsed = sample_scouting_currents(
         cfg.replace(device=PARAMS.replace(hrs_sigma_c2c=2.0)), 2, verify=False)
     with pytest.raises(OverlapError):
-        place_references(collapsed)
+        references_in(*class_gaps(collapsed))
     sigma2 = find_overlap_sigma(cfg, 2)
     sigma3 = find_overlap_sigma(cfg, 3)
     assert sigma3 < sigma2

@@ -222,25 +222,28 @@ def test_scouting_split_runs_at_two_cycles():
 
 def test_scouting_inputs_may_fill_their_column():
     cfg = ExperimentConfig(seed=12, cycles=2, topology=ArrayTopology(rows=3, cols=2))
-    assert len(sample_scouting_currents(cfg, 3)) == 8 * 2
+    assert list(map(len, sample_scouting_currents(cfg, 3).values())) == [2] * 8
     with pytest.raises(ValueError, match="do not fit in one column of 3 rows"):
         sample_scouting_currents(cfg, 4)
 
 
+@pytest.mark.parametrize("n, err", [(0, ">= 1, got 0"), (-1, ">= 1, got -1"),
+                                    (2.0, "an integer, got 2.0"), (True, "an integer, got True")])
+def test_the_sampler_rejects_a_width_that_is_not_a_positive_integer(n, err):
+    with pytest.raises(ValueError, match=f"^n must be {err}$"):
+        sample_scouting_currents(ExperimentConfig(cycles=1), n)
+
+
 def test_one_input_cell_samples_its_pattern_and_single_classes_each():
-    # At n = 1 the pattern classes "0" and "1" and their one-cell READ twins
-    # are sampled one after the other, from the same keys: 16 samples, each
-    # class twice, with the values of a fresh array per class.
-    samples = sample_scouting_currents(ExperimentConfig(seed=3, cycles=4), 1,
-                                       include_single=True)
+    # At n = 1 the pattern classes "0" and "1" are the one-cell READ classes:
+    # each is measured once, with the values of a fresh array per class.
+    currents = sample_scouting_currents(ExperimentConfig(seed=3, cycles=4), 1,
+                                        include_single=True)
     zeros = [9.507390034088931e-07, 1.2399054952061086e-06, 1.1249869343000092e-06,
              9.780363085377486e-07]
     ones = [2.0002696545556662e-05, 1.910392037421972e-05, 1.883920070286138e-05,
             1.9159990541283637e-05]
-    assert [tuple(s) for s in samples] == [
-        (input_class, current, cycle)
-        for input_class, currents in (("0", zeros), ("1", ones)) * 2
-        for cycle, current in enumerate(currents)]
+    assert list(currents.items()) == [("0", zeros), ("1", ones)]
 
 
 @pytest.mark.parametrize("config, include_single, verify, extremes", [
@@ -512,7 +515,7 @@ def test_a_default_scouting_run_validates_each_selection_once(monkeypatch):
 
     monkeypatch.setattr(array_module, "validate_parallel_selection", counting)
     result = run_scouting_experiment(ExperimentConfig(seed=7))
-    assert len(result.samples) == 600
+    assert sum(map(len, result.currents.values())) == 600
     # One array per class: four two-cell selections and two one-cell READ ones.
     assert sorted(map(len, validated)) == [1, 1, 2, 2, 2, 2]
 

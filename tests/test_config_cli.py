@@ -205,7 +205,7 @@ def test_cli_scouting_rejects_before_sampling(tmp_path, capsys, monkeypatch, arg
     def no_sampling(*a, **k):
         raise AssertionError("sampled before rejecting the setting")
 
-    monkeypatch.setattr(analysis, "_class_currents", no_sampling)  # the run's sampler
+    monkeypatch.setattr(analysis, "sample_scouting_currents", no_sampling)
     assert main(["scouting", *args, "--cycles", "4", "-o", str(tmp_path)]) == 2
     _one_line_error(capsys)
 

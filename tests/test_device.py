@@ -1,5 +1,6 @@
 import copy
 import math
+import statistics
 from dataclasses import fields
 
 import numpy as np
@@ -303,6 +304,16 @@ def test_truncated_draw_mean_is_the_inverse_mills_ratio(a):
     lam = math.exp(-a * a / 2) / math.sqrt(2 * math.pi) / (0.5 * math.erfc(a / math.sqrt(2)))
     se = math.sqrt((1 + a * lam - lam * lam) / n)
     assert abs(sum(draws) / n - lam) <= 4 * se
+
+
+def test_the_inverse_normal_cdf_equals_statistics_bit_for_bit():
+    # Uniforms over (0, 1), and log-spaced into both tails: from the smallest
+    # subnormal (5e-324) up to the largest float below 1 (1 - 1.1e-16).
+    rng = np.random.default_rng(6)
+    tails = [math.ulp(0.0), 2.0 ** -53, *2.0 ** -rng.uniform(1, 1074, 2000)]
+    uniforms = [*rng.random(2000), *tails, *(1 - t for t in tails if t >= 2 ** -53)]
+    assert [device._normal_dist_inv_cdf(p, 0.0, 1.0) for p in uniforms] == [
+        statistics.NormalDist().inv_cdf(p) for p in uniforms]
 
 
 # ----------------------------------------------------------------- binarize

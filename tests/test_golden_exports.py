@@ -224,8 +224,9 @@ def test_exports_match_golden_digests(kind, tmp_path):
 
 @pytest.mark.parametrize("n", sorted(UNVERIFIED_CURRENTS_SHA256))
 def test_unverified_currents_match_golden_digest(n):
-    samples = sample_scouting_currents(CONFIG.replace(n_inputs=n), n, verify=False)
-    text = "".join(f"{s.input_class},{s.cycle},{s.current!r}\n" for s in samples)
+    currents = sample_scouting_currents(CONFIG.replace(n_inputs=n), n, verify=False)
+    text = "".join(f"{cls},{cycle},{current!r}\n" for cls, values in currents.items()
+                   for cycle, current in enumerate(values))
     assert hashlib.sha256(text.encode()).hexdigest() == UNVERIFIED_CURRENTS_SHA256[n]
 
 

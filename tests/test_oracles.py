@@ -118,16 +118,13 @@ def test_scouting_mean_currents_match_the_lognormal_model():
     config = ExperimentConfig(seed=11, cycles=400)
     params = config.device
     assert config.transistor.r_on == 0.0
-    samples = sample_scouting_currents(config, 2, include_single=True)
+    by_class = sample_scouting_currents(config, 2, include_single=True)
     array = CellArray(config.topology, params, config.transistor, seed=config.seed)
     cells = [array.cell((r, 0)) for r in range(2)]
     states = {  # each bit's median (an attribute of the cell) and its w
         "1": ("lrs_median_cell", math.hypot(params.lrs_sigma_c2c, params.read_noise_lrs)),
         "0": ("hrs_median_cell", math.hypot(params.hrs_sigma_c2c, params.read_noise_hrs)),
     }
-    by_class: dict[str, list[float]] = {}
-    for sample in samples:
-        by_class.setdefault(sample.input_class, []).append(sample.current)
     assert sorted(by_class) == ["0", "00", "01", "1", "10", "11"]
     v_read = DEFAULT_VOLTAGES.v_read
     for input_class, currents in by_class.items():

@@ -218,7 +218,7 @@ def test_a_gate_bucket_replays_alone_over_several_blocks():
 
 def replayed_scouting_class(cycles, input_class):
     """One scouting class's currents replayed alone, on a fresh array, from
-    its documented keys; its samples' currents; and its currents in the
+    its documented keys; the sampler's currents; and its currents in the
     experiment, whose classes all start from copies of one formed array."""
     config = ExperimentConfig(seed=3, cycles=cycles)
     addrs = [CellAddress(row, 0) for row in range(len(input_class))]
@@ -228,8 +228,7 @@ def replayed_scouting_class(cycles, input_class):
     currents = scout_class(array, addrs, input_class, config.cycles,
                            *bucket_stream(config.seed, 20, len(input_class),
                                           int(input_class, 2)))
-    samples = sample_scouting_currents(config, 2, include_single=True)
-    return (currents, [s.current for s in samples if s.input_class == input_class],
+    return (currents, sample_scouting_currents(config, 2, include_single=True)[input_class],
             run_scouting_experiment(config).currents[input_class])
 
 

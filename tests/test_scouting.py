@@ -12,14 +12,14 @@ from memlogic.device import VariabilityParams, binarize, default_boundary
 from memlogic.scouting import (
     PAPER_REFS,
     SCOUTING_OPS,
-    CurrentSample,
     OverlapError,
     ReferenceLevels,
+    class_gaps,
     classify_bucket,
     expected_bit,
     input_patterns,
-    place_references,
     reference_preset,
+    references_in,
     scout_class,
 )
 
@@ -161,21 +161,6 @@ def test_write_inputs_rejects_non_bits_before_any_pulse(bits):
     assert rng.bit_generator.state == state
 
 
-def test_current_sample_rejects_a_negative_current_and_is_immutable():
-    with pytest.raises(ValueError, match="current must be >= 0"):
-        CurrentSample("01", -1e-12, cycle=2)
-    sample = CurrentSample("01", 2e-5, 3)
-    assert sample == CurrentSample(input_class="01", current=2e-5, cycle=3)
-    assert CurrentSample("11", 0.0).cycle == 0
-    for name in ("current", "input_class", "cycle", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(sample, name, 1.0)
-    assert sample.current == 2e-5
-    with pytest.raises(ValueError, match="current must be >= 0"):
-        sample._replace(current=-1.0)
-    assert sample._replace(cycle=4) == ("01", 2e-5, 4)
-
-
 # ------------------------------------------------------------- references
 
 def test_reference_set_validation():
@@ -212,43 +197,26 @@ def test_paper_reference_preset_values():
             reference_preset(name)
 
 
-def noise_free_pair_samples():
-    return [CurrentSample("00", I_00), CurrentSample("01", I_01),
-            CurrentSample("10", I_01), CurrentSample("11", I_11)]
+PAIR_CURRENTS = {"00": [I_00], "01": [I_01], "10": [I_01], "11": [I_11]}
 
 
 def test_place_references_noise_free_midpoints():
-    refs = place_references(noise_free_pair_samples())
+    refs = references_in(*class_gaps(PAIR_CURRENTS))
     assert refs.i_or == pytest.approx(1.15464e-5, rel=1e-4)
     assert refs.i_and == pytest.approx(3.05155e-5, rel=1e-4)
     assert refs.i_read == pytest.approx(refs.i_or / 2)
 
 
 def test_place_references_with_single_cell_classes():
-    samples = noise_free_pair_samples() + [CurrentSample("0", I_HRS),
-                                           CurrentSample("1", I_LRS)]
-    refs = place_references(samples)
+    currents = {**PAIR_CURRENTS, "0": [I_HRS], "1": [I_LRS]}
+    refs = references_in(*class_gaps(currents))
     assert refs.i_read == pytest.approx(0.5 * (I_HRS + I_LRS), rel=1e-6)
 
 
-def test_place_references_simple_midpoints():
-    samples = [CurrentSample("00", 2e-6), CurrentSample("01", 20e-6),
-               CurrentSample("10", 20e-6), CurrentSample("11", 40e-6)]
-    refs = place_references(samples)
-    assert refs.i_or == pytest.approx(11e-6)
-    assert refs.i_and == pytest.approx(30e-6)
-
-
-def test_place_references_missing_class():
-    with pytest.raises(ValueError):
-        place_references([CurrentSample("00", 1e-6), CurrentSample("11", 4e-5)])
-
-
 def test_place_references_overlap_error():
-    samples = [CurrentSample("00", 25e-6), CurrentSample("01", 20e-6),
-               CurrentSample("10", 21e-6), CurrentSample("11", 40e-6)]
+    currents = {"00": [25e-6], "01": [20e-6], "10": [21e-6], "11": [40e-6]}
     with pytest.raises(OverlapError) as info:
-        place_references(samples)
+        references_in(*class_gaps(currents))
     assert info.value.lower_class == "00"
 
 
@@ -314,18 +282,16 @@ def test_bucket_classification_equals_classify(levels_and_read, data):
 def test_classify_matches_op_table_noise_free(n):
     array, addrs = column_array(n=n)
     rng = np.random.default_rng(n)
-    samples = []
-    for bits in input_patterns(n) + ["0", "1"]:
-        [current] = scout_class(array, addrs[:len(bits)], bits, 1, rng, rng)
-        samples.append(CurrentSample(bits, current))
-    refs = place_references(samples)
+    currents = {bits: scout_class(array, addrs[:len(bits)], bits, 1, rng, rng)
+                for bits in input_patterns(n) + ["0", "1"]}
+    refs = references_in(*class_gaps(currents))
     assert refs.n == n
     for op in SCOUTING_OPS:
-        for s in samples:
-            if (op == "read") == (len(s.input_class) == 1):
-                bit = expected_bit(op, s.input_class)
-                assert bit == BOOLEAN_OPS[op](s.input_class), (op, s.input_class)
-                assert classify_one(s.current, refs, op) == bit, (op, s.input_class)
+        for input_class, [current] in currents.items():
+            if (op == "read") == (len(input_class) == 1):
+                bit = expected_bit(op, input_class)
+                assert bit == BOOLEAN_OPS[op](input_class), (op, input_class)
+                assert classify_one(current, refs, op) == bit, (op, input_class)
 
 
 def test_scouting_gate_composition():
@@ -339,43 +305,32 @@ def test_scouting_gate_composition():
 
 # ------------------------------------------------------------ n-input form
 
-def n3_samples():
-    pc = {0: 3 * I_HRS, 1: I_LRS + 2 * I_HRS, 2: 2 * I_LRS + I_HRS, 3: 3 * I_LRS}
-    patterns = ["000", "001", "010", "100", "011", "101", "110", "111"]
-    return [CurrentSample(p, pc[p.count("1")]) for p in patterns]
+POPCOUNT_CURRENTS_3 = (3 * I_HRS, I_LRS + 2 * I_HRS, 2 * I_LRS + I_HRS, 3 * I_LRS)
+N3_CURRENTS = {p: [POPCOUNT_CURRENTS_3[p.count("1")]] for p in input_patterns(3)}
 
 
 def test_extend_three_inputs_noise_free():
-    refs = place_references(n3_samples())
-    assert refs.levels == pytest.approx(
-        (1.257732e-5, 3.154639e-5, 5.051546e-5), rel=1e-4)
+    refs = references_in(*class_gaps(N3_CURRENTS))
+    assert refs.levels == pytest.approx((1.257732e-5, 3.154639e-5, 5.051546e-5), rel=1e-4)
     assert refs.i_read == pytest.approx(refs.i_or / 2)
 
 
-def test_extend_two_inputs_matches_place_references():
-    # The pair placement is the n = 2 case: one level per popcount gap.
-    refs = place_references(noise_free_pair_samples())
-    assert refs.levels == (refs.i_or, refs.i_and)
-    assert refs.levels == pytest.approx((0.5 * (I_00 + I_01), 0.5 * (I_01 + I_11)))
-
-
 def test_extend_overlap_names_lowest_pair():
-    samples = n3_samples() + [CurrentSample("000", 23e-6)]
     with pytest.raises(OverlapError) as info:
-        place_references(samples)
+        references_in(*class_gaps({**N3_CURRENTS, "000": [3 * I_HRS, 23e-6]}))
     assert info.value.lower_class == "000"
     assert info.value.upper_class == "001|010|100"
 
 
 def test_extend_validates_input():
     with pytest.raises(ValueError):
-        place_references([])
+        class_gaps({})
     with pytest.raises(ValueError):
-        place_references([CurrentSample("01", 1e-6)])  # missing classes
+        class_gaps({"01": [1e-6]})  # missing classes
     with pytest.raises(ValueError):
-        place_references(noise_free_pair_samples() + [CurrentSample("011", 1e-6)])
+        class_gaps({**PAIR_CURRENTS, "011": [1e-6]})
     with pytest.raises(ValueError):
-        place_references(noise_free_pair_samples() + [CurrentSample("2", 1e-6)])
+        class_gaps({**PAIR_CURRENTS, "2": [1e-6]})
 
 
 # ------------------------------------------------------------- properties
