@@ -34,7 +34,6 @@ from .device import (
     binarize,
     default_boundary,
     form_by_ramp,
-    preset,
     read_resistance,
     sample_fresh_cell,
 )

@@ -38,7 +38,7 @@ from .analysis import (
     sweep_parameter,
 )
 from .config import AppConfig, load_config
-from .device import PRESETS, NotFormedError, preset
+from .device import NotFormedError
 from .logic1t1r import (
     CASE_TABLE,
     InitFailureError,
@@ -62,11 +62,11 @@ def _kohm(ohms: float) -> str:
     return f"{ohms / 1e3:.2f} kΩ"
 
 
-def _common_flags(parser: argparse.ArgumentParser, tables: bool = True) -> None:
-    parser.add_argument("--seed", type=int, help="override the experiment seed")
-    parser.add_argument("--cycles", type=int, help="override the cycle count")
-    parser.add_argument("--preset", choices=sorted(PRESETS),
-                        help="device parameter preset")
+def _common_flags(parser: argparse.ArgumentParser, runs: bool = True,
+                  tables: bool = True) -> None:
+    if runs:  # only the commands that simulate read a seed and a cycle count
+        parser.add_argument("--seed", type=int, help="override the experiment seed")
+        parser.add_argument("--cycles", type=int, help="override the cycle count")
     parser.add_argument("-o", "--output", help="output directory for exports")
     if tables:
         parser.add_argument("--format", choices=("csv", "json"), help="export table format")
@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("synthesize", help="synthesize mappings for all 16 truth tables")
-    _common_flags(p, tables=False)  # the library file is the CSV that --library reads
+    _common_flags(p, runs=False, tables=False)  # the library file is the CSV that --library reads
 
     p = sub.add_parser("scouting", help="run scouting-logic experiments")
     p.add_argument("ops", nargs="*", default=(), help="read / or / and / xor")
@@ -113,14 +113,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("cases", help="print the 16-row input case table")
-    _common_flags(p)
+    _common_flags(p, runs=False)
     return parser
 
 
 def _apply_overrides(app: AppConfig, args: argparse.Namespace) -> AppConfig:
     exp = app.experiment
-    if getattr(args, "preset", None):
-        exp = exp.replace(device=preset(args.preset))
     if getattr(args, "seed", None) is not None:
         exp = exp.replace(seed=args.seed)
     if getattr(args, "cycles", None) is not None:
@@ -223,9 +221,13 @@ def cmd_scouting(app: AppConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(app: AppConfig, args: argparse.Namespace) -> int:
+    span = (args.start, args.stop, args.steps)
+    if args.values is not None and span != (None, None, None):
+        print("sweep takes --values or --start/--stop/--steps, not both", file=sys.stderr)
+        return 2
     if args.values:
         values = [float(v) for v in args.values.split(",") if v.strip()]
-    elif args.start is not None and args.stop is not None and args.steps is not None:
+    elif None not in span:
         if args.steps < 1:
             print("sweep needs --steps >= 1", file=sys.stderr)
             return 2

@@ -4,7 +4,6 @@ The config format is one ``section.field = value`` assignment per line, with
 ``#`` comments.  Field names mirror the dataclass fields of the module they
 configure, e.g.::
 
-    device.preset = table3-logic
     device.hrs_sigma_c2c = 0.32
     transistor.r_on = 0.0
     array.kind = standard
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from .analysis import ExperimentConfig
 from .array import ArrayTopology, TopologyKind
-from .device import TransistorModel, VariabilityParams, preset
+from .device import TransistorModel, VariabilityParams
 
 
 class ConfigError(ValueError):
@@ -110,14 +109,10 @@ def build_config(raw: dict[str, object], source: str = "<config>") -> AppConfig:
     if raw:
         raise ConfigError(f"{source}: unknown section in keys {sorted(raw)}")
 
-    try:
-        params = preset(str(device_keys.pop("preset", "table3-logic")))
-    except KeyError as exc:
-        raise ConfigError(f"{source}: {exc.args[0]}") from None
     # Each section is checked for unknown keys, then applied in one step, so
     # only the final combination is validated, whatever the line order.
     _check_keys(source, "device", device_keys, VariabilityParams)
-    params = params.replace(**device_keys)
+    params = VariabilityParams(**device_keys)
     _check_keys(source, "transistor", transistor_keys, TransistorModel)
     transistor = TransistorModel(**transistor_keys)
 

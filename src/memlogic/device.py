@@ -421,29 +421,3 @@ def form_by_ramp(cell: MemristorCell, transistor: TransistorModel,
             return pulses
     raise NotFormedError(f"{cell.cell_id} did not form up to {FORM_V_MAX} V "
                          f"({FORM_WIDTH} s pulses at a {FORM_V_G} V gate)")
-
-
-#: Named parameter presets.  "table3-logic" is the operating point used by the
-#: logic experiments (defaults); "fig1f-nominal" is the nominal device
-#: characterization point with slower RESET pulses.
-PRESETS: dict[str, VariabilityParams] = {
-    "table3-logic": VariabilityParams(),
-    "fig1f-nominal": VariabilityParams(
-        v_set_th_median=2.0,
-        v_set_th_sigma=0.1,
-        v_reset_th_median=1.2,
-        v_reset_th_sigma=0.1,
-        v_form_th_median=2.4,
-        v_form_th_sigma=0.3,
-        min_pulse_set=3.0e-7,
-        min_pulse_reset=3.0e-6,
-    ),
-}
-
-
-def preset(name: str) -> VariabilityParams:
-    """Look up a named parameter preset."""
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise KeyError(f"unknown preset {name!r}; available: {sorted(PRESETS)}") from None

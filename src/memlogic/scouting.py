@@ -167,6 +167,9 @@ def class_gaps(currents: Mapping[str, Sequence[float]]) -> tuple[list[Gap], Gap 
     missing = [p for group in groups for p in group if p not in currents]
     if missing:
         raise ValueError(f"missing samples for classes {sorted(missing)}")
+    empty = [cls for cls, values in currents.items() if not values]
+    if empty:
+        raise ValueError(f"no currents for classes {sorted(empty)}")
     labels = ["|".join(group) for group in groups]
     spans = [(min(min(currents[p]) for p in group), max(max(currents[p]) for p in group))
              for group in groups]

@@ -25,7 +25,7 @@ def test_parse_config_scalars_and_lists(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "# comment\n"
-        "device.preset = fig1f-nominal\n"
+        "device.v_set_th_median = 2.0\n"
         "device.hrs_sigma_c2c = 0.5   # inline comment\n"
         "transistor.r_on = 25.0\n"
         "array.kind = pseudo-crossbar\n"
@@ -38,7 +38,7 @@ def test_parse_config_scalars_and_lists(tmp_path):
         "experiment.output_dir = results\n"
         "experiment.format = json\n")
     app = load_config(cfg)
-    assert app.experiment.device.v_set_th_median == 2.0  # from the preset
+    assert app.experiment.device.v_set_th_median == 2.0
     assert app.experiment.device.hrs_sigma_c2c == 0.5
     assert app.experiment.transistor.r_on == 25.0
     assert app.experiment.topology.kind == TopologyKind.PSEUDO_CROSSBAR
@@ -62,6 +62,10 @@ def test_config_error_diagnostics(tmp_path):
     with pytest.raises(ConfigError) as info:
         load_config(cfg)
     assert "device.not_a_field" in str(info.value)
+
+    cfg.write_text("device.preset = table3-logic\n")
+    with pytest.raises(ConfigError, match=r"bad\.cfg: unknown key device\.preset$"):
+        load_config(cfg)
 
     cfg.write_text("nosection = 1\n")
     with pytest.raises(ConfigError):
@@ -264,6 +268,13 @@ def test_cli_sweep_bad_usage(tmp_path, capsys):
     assert main(["sweep", "hrs_sigma_c2c", "--start", "0.1", "--stop", "1.2", "--steps",
                  "0", "-o", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "sweep needs --steps >= 1\n"
+    # A range given next to --values is named, not dropped.
+    both = "sweep takes --values or --start/--stop/--steps, not both\n"
+    for span in (["--start", "0.1"], ["--stop", "0.5"], ["--steps", "2"],
+                 ["--start", "0.1", "--stop", "0.5", "--steps", "2"]):
+        assert main(["sweep", "hrs_sigma_c2c", *span, "--values", "0.2",
+                     "-o", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", both)
 
 
 def test_cli_config_positional_and_overrides(tmp_path, capsys):
@@ -322,7 +333,12 @@ def _one_line_error(capsys) -> str:
     (["gate"], "memlogic gate: error: the following arguments are required: names"),
     (["gate", "OR", "--bogus"], "memlogic: error: unrecognized arguments: --bogus"),
     (["gatee", "OR"], "'gatee'"),  # taken for a config file, and named as one
-], ids=["missing-argument", "unknown-flag", "misspelled-subcommand"])
+    (["gate", "OR", "--cycles", "2", "--preset", "table3-logic"],
+     "memlogic: error: unrecognized arguments: --preset table3-logic"),
+    (["cases", "--seed", "1"], "memlogic: error: unrecognized arguments: --seed 1"),
+    (["synthesize", "--cycles", "3"], "memlogic: error: unrecognized arguments: --cycles 3"),
+], ids=["missing-argument", "unknown-flag", "misspelled-subcommand", "preset",
+        "cases-seed", "synthesize-cycles"])
 def test_cli_usage_errors_exit_2_in_one_line(tmp_path, capsys, argv, names):
     assert main([*argv, "-o", str(tmp_path / "out")]) == 2
     assert names in _one_line_error(capsys)
@@ -350,6 +366,7 @@ def test_cli_help_still_exits_0(capsys):
                                   "array.cols = 0",
                                   "array.cols = eight",
                                   "device.preset = nope",
+                                  "device.preset = table3-logic",
                                   "experiment.device = 1",
                                   "experiment.transistor = 1",
                                   "experiment.topology = x",
@@ -581,22 +598,23 @@ def test_one_process_runs_each_command_as_a_fresh_process_would(tmp_path, capsys
         assert (code == 2) == (argv == ["gate"])
 
 
-@pytest.mark.parametrize("config_line, flags", [("", ["--preset", "fig1f-nominal"]),
-                                                 ("device.min_pulse_reset = 3e-6\n", [])],
-                         ids=["preset", "config"])
-def test_cli_characterize_that_cannot_switch_exits_2(tmp_path, capsys, config_line, flags):
-    """A cell the operating point cannot RESET would export LRS reads as HRS."""
+@pytest.mark.parametrize("config_line, err", [
+    ("device.v_set_th_median = 2.0\n",
+     "cell 0 is HRS after the 1e-06 s, 1.3 V SET pulse of cycle 1: "
+     "device.v_set_th_median = 2.0, device.min_pulse_set = 3e-07\n"),
+    ("device.min_pulse_reset = 3e-6\n",
+     "cell 0 is LRS after the 1e-06 s, 1.6 V RESET pulse of cycle 0: "
+     "device.v_reset_th_median = 0.9, device.min_pulse_reset = 3e-06\n"),
+], ids=["set", "config"])
+def test_cli_characterize_that_cannot_switch_exits_2(tmp_path, capsys, config_line, err):
+    """A cell the operating point cannot SET or RESET would export one state's
+    reads as the other's."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config_line)
-    argv = [str(cfg), "characterize", "--cells", "2", "--cycles", "3", *flags,
+    argv = [str(cfg), "characterize", "--cells", "2", "--cycles", "3",
             "-o", str(tmp_path / "out")]
     assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith("cell 0 is LRS after the 1e-06 s, 1.6 V RESET pulse of "
-                                   "cycle 0: device.v_reset_th_median = ")
-    assert "device.min_pulse_reset = 3e-06" in captured.err
+    assert capsys.readouterr() == ("", err)
     assert not (tmp_path / "out" / "characterize.csv").exists()
 
 
@@ -620,19 +638,19 @@ def test_cli_rejects_a_repeated_gate_or_op(tmp_path, capsys, monkeypatch, config
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("config_line, flags, err", [
-    ("", ["--preset", "fig1f-nominal"], "device.min_pulse_reset = 3e-06 is longer than "),
-    ("device.min_pulse_set = 2e-6\n", [], "device.min_pulse_set = 2e-06 is longer than "),
-    ("device.min_pulse_reset = 1.5e-6\n", [], "device.min_pulse_reset = 1.5e-06 is "),
-], ids=["preset", "set", "reset"])
+@pytest.mark.parametrize("config_line, err", [
+    ("device.min_pulse_reset = 3e-06\n", "device.min_pulse_reset = 3e-06 is longer than "),
+    ("device.min_pulse_set = 2e-6\n", "device.min_pulse_set = 2e-06 is longer than "),
+    ("device.min_pulse_reset = 1.5e-6\n", "device.min_pulse_reset = 1.5e-06 is "),
+], ids=["reset-3e-06", "set", "reset"])
 @pytest.mark.parametrize("args", [["gate", "OR", "AND"], ["scouting"]])
 def test_cli_gate_and_scouting_that_cannot_switch_exit_2(tmp_path, capsys, monkeypatch,
-                                                         config_line, flags, err, args):
+                                                         config_line, err, args):
     """A pulse minimum above the 1 us pulse is named before any array is built."""
     monkeypatch.setattr(analysis, "CellArray", None)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config_line)
-    argv = [str(cfg), *args, "--cycles", "2", *flags, "-o", str(tmp_path / "out")]
+    argv = [str(cfg), *args, "--cycles", "2", "-o", str(tmp_path / "out")]
     assert main(argv) == 2
     assert _one_line_error(capsys).startswith(err)
     assert not (tmp_path / "out").exists()

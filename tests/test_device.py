@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from memlogic import device
 from memlogic.device import (
-    PRESETS,
     InvalidDriveError,
     MemristorCell,
     Pulse,
@@ -21,7 +20,6 @@ from memlogic.device import (
     binarize,
     default_boundary,
     form_by_ramp,
-    preset,
     read_resistance,
     sample_fresh_cell,
 )
@@ -417,18 +415,7 @@ def test_inert_pulse_draws_nothing(state, seed, gate_off, v_te, v_be, v_g):
     assert rng.bit_generator.state == before_rng
 
 
-# ------------------------------------------------------------------ presets
-
-def test_presets():
-    assert preset("table3-logic") == PARAMS
-    fig = preset("fig1f-nominal")
-    assert fig.v_set_th_median == 2.0
-    assert fig.v_reset_th_median == 1.2
-    assert fig.min_pulse_reset == 3.0e-6
-    assert set(PRESETS) == {"table3-logic", "fig1f-nominal"}
-    with pytest.raises(KeyError):
-        preset("nope")
-
+# --------------------------------------------------------------- parameters
 
 def test_param_validation():
     with pytest.raises(ValueError):

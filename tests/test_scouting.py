@@ -333,6 +333,15 @@ def test_extend_validates_input():
         class_gaps({**PAIR_CURRENTS, "2": [1e-6]})
 
 
+@pytest.mark.parametrize("currents, name", [
+    ({**PAIR_CURRENTS, "00": []}, "00"),  # a level class
+    ({**PAIR_CURRENTS, "0": [], "1": [I_LRS]}, "0"),  # the READ class
+])
+def test_class_gaps_names_an_empty_class(currents, name):
+    with pytest.raises(ValueError, match=rf"^no currents for classes \['{name}'\]$"):
+        class_gaps(currents)
+
+
 # ------------------------------------------------------------- properties
 
 def test_monotonicity_on_arrays():
