@@ -41,8 +41,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .array import ArrayTopology, CellAddress, CellArray, TopologyKind
+from .array import RESET_BITS, SET_BITS, ArrayTopology, CellAddress, CellArray, TopologyKind
 from .device import (
+    DEFAULT_VOLTAGES,
     STATE_HRS,
     STATE_LRS,
     Normals,
@@ -56,10 +57,7 @@ from .device import (
 )
 from .logic1t1r import (
     CASE_TABLE,
-    DEFAULT_VOLTAGES,
     INPUT_PAIRS,
-    RESET_BITS,
-    SET_BITS,
     ParamMapping,
     TraceRow,
     default_gate_library,
@@ -68,6 +66,7 @@ from .logic1t1r import (
     lookup_gate,
 )
 from .scouting import (
+    PAPER_REFS,
     SCOUTING_OPS,
     Gap,
     OverlapError,
@@ -76,7 +75,6 @@ from .scouting import (
     classify_bucket,
     expected_bit,
     input_patterns,
-    reference_preset,
     references_in,
     scout_class,
 )
@@ -98,7 +96,7 @@ class ExperimentConfig:
     device: VariabilityParams = field(default_factory=VariabilityParams)
     transistor: TransistorModel = field(default_factory=TransistorModel)
     topology: ArrayTopology = field(default_factory=ArrayTopology)
-    refs: str = "placed"  # "placed" or a reference preset name
+    refs: str = "placed"  # "placed" or "paper-refs", in any case
     split: str = "split"  # "split" (train/classify halves) or "insample"
     rotate_cells: bool = False
 
@@ -108,7 +106,7 @@ class ExperimentConfig:
         if self.split not in ("split", "insample"):
             raise ValueError("split must be 'split' or 'insample'")
         if not isinstance(self.refs, str):
-            raise ValueError(f"refs must be 'placed' or a preset name, got {self.refs!r}")
+            raise ValueError(f"refs must be 'placed' or 'paper-refs', got {self.refs!r}")
         if not isinstance(self.rotate_cells, bool):
             raise ValueError(f"rotate_cells must be true or false, got {self.rotate_cells!r}")
         for name in ("gates", "scouting_ops"):
@@ -410,8 +408,10 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
     or the one-cell classes for READ), in one bucket per op and class.  With
     ``split`` mode the references come from the first half of the cycles
     and classification runs on the second half (out-of-sample margins); with
-    ``insample`` mode both use all samples.  An overlap between adjacent
-    classes is recorded as a total failure of every evaluated trial.
+    ``insample`` mode both use all samples.  ``refs`` is ``placed`` (placed
+    in the sampled gaps) or ``paper-refs`` (``PAPER_REFS``), in any case.  An
+    overlap between adjacent classes is recorded as a total failure of every
+    evaluated trial.
     """
     ops = tuple(op.lower() for op in config.scouting_ops)
     for op in ops:
@@ -425,12 +425,13 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
     if config.split == "split" and config.cycles < 2:
         raise ValueError("split mode needs cycles >= 2 (one half places the "
                          "references, the other is classified)")
-    refs: ReferenceLevels | None = None
-    if config.refs != "placed":
-        refs = reference_preset(config.refs)
-        if refs.n != n:
-            raise ValueError(f"reference preset {config.refs!r} has {refs.n} levels; "
-                             f"a {n}-input read needs {n}")
+    refs_name = config.refs.lower()
+    if refs_name not in ("placed", "paper-refs"):
+        raise ValueError(f"refs must be 'placed' or 'paper-refs', got {config.refs!r}")
+    refs = PAPER_REFS if refs_name == "paper-refs" else None
+    if refs is not None and refs.n != n:
+        raise ValueError(f"reference preset {config.refs!r} has {refs.n} levels; "
+                         f"a {n}-input read needs {n}")
     # A cycle is its current's index.
     currents = sample_scouting_currents(config, n, include_single="read" in ops)
     half = (config.cycles + 1) // 2 if config.split == "split" else config.cycles

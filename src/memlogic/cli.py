@@ -5,7 +5,8 @@ Usage::
     memlogic [CONFIG] SUBCOMMAND [options]
 
 The optional leading positional is a flat-key config file; command-line
-overrides win over config values, and the ``MEMLOGIC_OUTPUT_DIR`` environment
+overrides win over config values (each flag that sets an experiment field is
+one entry of ``_OVERRIDES``), and the ``MEMLOGIC_OUTPUT_DIR`` environment
 variable overrides the configured output directory (but not an explicit
 ``--output``).  The exit code is 0 only when the run evaluated at least one
 trial and saw zero logical failures and zero experiment errors, so scripts can
@@ -47,9 +48,7 @@ from .logic1t1r import (
     save_gate_library,
     truth_table_of,
 )
-from .scouting import REFERENCE_PRESETS, OverlapError
-
-SUBCOMMANDS = ("characterize", "gate", "synthesize", "scouting", "sweep", "cases")
+from .scouting import OverlapError
 
 OUTPUT_DIR_ENV = "MEMLOGIC_OUTPUT_DIR"
 
@@ -97,11 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(p, runs=False, tables=False)  # the library file is the CSV that --library reads
 
     p = sub.add_parser("scouting", help="run scouting-logic experiments")
-    p.add_argument("ops", nargs="*", default=(), help="read / or / and / xor")
+    p.add_argument("ops", nargs="*", help="read / or / and / xor")
     p.add_argument("--n", type=int, help="number of input cells (default: n_inputs, 2)")
-    p.add_argument("--refs", default=None,
-                   help="'placed' or a reference preset (%s)" %
-                        "/".join(sorted(REFERENCE_PRESETS)))
+    p.add_argument("--refs", help="'placed' or 'paper-refs', in any case (default: placed)")
     _common_flags(p)
 
     p = sub.add_parser("sweep", help="sweep one device parameter")
@@ -117,12 +114,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Each flag that sets an experiment field: {argparse dest: field}.
+_OVERRIDES = {"seed": "seed", "cycles": "cycles", "names": "gates",
+              "ops": "scouting_ops", "n": "n_inputs", "refs": "refs"}
+
+
 def _apply_overrides(app: AppConfig, args: argparse.Namespace) -> AppConfig:
-    exp = app.experiment
-    if getattr(args, "seed", None) is not None:
-        exp = exp.replace(seed=args.seed)
-    if getattr(args, "cycles", None) is not None:
-        exp = exp.replace(cycles=args.cycles)
+    # A flag left out (None), an empty op list or an empty --refs keeps the config's value.
+    changes = {name: tuple(value) if isinstance(value, list) else value
+               for dest, name in _OVERRIDES.items()
+               if (value := getattr(args, dest, None)) not in (None, [], "")}
+    exp = app.experiment.replace(**changes)
     output_dir = app.output_dir
     if os.environ.get(OUTPUT_DIR_ENV):
         output_dir = os.environ[OUTPUT_DIR_ENV]
@@ -156,8 +158,7 @@ def cmd_gate(app: AppConfig, args: argparse.Namespace) -> int:
     library = default_gate_library()
     if args.library:
         library.update(load_gate_library(args.library))
-    exp = app.experiment.replace(gates=tuple(args.names))
-    result = run_1t1r_experiment(exp, library=library)
+    result = run_1t1r_experiment(app.experiment, library=library)
     for bucket in result.report.buckets:
         gate_name, combo = bucket.label.rsplit("/", 1)
         print(f"{gate_name} p={combo[0]} q={combo[1]} -> {bucket.expected}  "
@@ -190,14 +191,7 @@ def cmd_synthesize(app: AppConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_scouting(app: AppConfig, args: argparse.Namespace) -> int:
-    exp = app.experiment
-    if args.ops:
-        exp = exp.replace(scouting_ops=tuple(op.lower() for op in args.ops))
-    if args.refs:
-        exp = exp.replace(refs=args.refs)
-    if args.n is not None:
-        exp = exp.replace(n_inputs=args.n)
-    result = run_scouting_experiment(exp)
+    result = run_scouting_experiment(app.experiment)
     refs = result.refs
     if refs is not None:
         print(f"references: read={_ua(refs.i_read)} "
@@ -223,18 +217,15 @@ def cmd_scouting(app: AppConfig, args: argparse.Namespace) -> int:
 def cmd_sweep(app: AppConfig, args: argparse.Namespace) -> int:
     span = (args.start, args.stop, args.steps)
     if args.values is not None and span != (None, None, None):
-        print("sweep takes --values or --start/--stop/--steps, not both", file=sys.stderr)
-        return 2
+        raise ValueError("sweep takes --values or --start/--stop/--steps, not both")
     if args.values:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     elif None not in span:
         if args.steps < 1:
-            print("sweep needs --steps >= 1", file=sys.stderr)
-            return 2
+            raise ValueError("sweep needs --steps >= 1")
         values = list(np.linspace(args.start, args.stop, args.steps))
     else:
-        print("sweep needs --values or --start/--stop/--steps", file=sys.stderr)
-        return 2
+        raise ValueError("sweep needs --values or --start/--stop/--steps")
     points = sweep_parameter(app.experiment, args.parameter, values)
     for pt in points:
         print(f"{pt.parameter}={pt.value:.4g}: logic {pt.logic_failures}/"
@@ -278,7 +269,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     config_path = None
-    if argv and not argv[0].startswith("-") and argv[0] not in SUBCOMMANDS:
+    if argv and not argv[0].startswith("-") and argv[0] not in _COMMANDS:
         config_path = argv.pop(0)
     try:
         app = load_config(config_path) if config_path else AppConfig()

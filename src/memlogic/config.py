@@ -11,6 +11,12 @@ configure, e.g.::
     experiment.seed = 7
     experiment.gates = OR,AND,NIMP,XOR
     experiment.output_dir = out
+
+Each model section (``_MODELS``) builds its class from its keys, and the
+experiment section builds ``ExperimentConfig`` around those models; a key that
+names no field of its class is rejected.  A setting's accepted values are
+stated once, by the type that holds it: ``array.kind`` is a ``TopologyKind``
+value (``standard`` or ``pseudo-crossbar``, in any case).
 """
 
 from __future__ import annotations
@@ -29,11 +35,12 @@ class ConfigError(ValueError):
 
 _LIST_KEYS = {"experiment.gates", "experiment.scouting_ops"}
 
-_TOPOLOGY_KINDS = {
-    "standard": TopologyKind.STANDARD_1T1R,
-    "standard1t1r": TopologyKind.STANDARD_1T1R,
-    "pseudo-crossbar": TopologyKind.PSEUDO_CROSSBAR,
-    "pseudo_crossbar": TopologyKind.PSEUDO_CROSSBAR,
+#: Each model section: the class its keys build and the ``ExperimentConfig``
+#: field that holds it.
+_MODELS = {
+    "device": (VariabilityParams, "device"),
+    "transistor": (TransistorModel, "transistor"),
+    "array": (ArrayTopology, "topology"),
 }
 
 
@@ -82,58 +89,43 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
     return raw
 
 
-def _pop_section(raw: dict[str, object], section: str) -> dict[str, object]:
-    out = {}
-    for key in list(raw):
-        sec, _, name = key.partition(".")
-        if sec == section:
-            out[name] = raw.pop(key)
-    return out
-
-
-def _check_keys(source: str, section: str, keys: dict[str, object], cls: type,
-                exclude: tuple[str, ...] = ()) -> None:
-    valid = {f.name for f in fields(cls) if f.name not in exclude}
-    for name in keys:
-        if name not in valid:
-            raise ConfigError(f"{source}: unknown key {section}.{name}")
-
-
 def build_config(raw: dict[str, object], source: str = "<config>") -> AppConfig:
     """Assemble an ``AppConfig`` from a dotted-key dict, validating every key."""
-    raw = dict(raw)
-    device_keys = _pop_section(raw, "device")
-    transistor_keys = _pop_section(raw, "transistor")
-    array_keys = _pop_section(raw, "array")
-    experiment_keys = _pop_section(raw, "experiment")
-    if raw:
-        raise ConfigError(f"{source}: unknown section in keys {sorted(raw)}")
+    sections: dict[str, dict[str, object]] = {name: {} for name in (*_MODELS, "experiment")}
+    unknown = sorted(key for key in raw if key.partition(".")[0] not in sections)
+    if unknown:
+        raise ConfigError(f"{source}: unknown section in keys {unknown}")
+    for key, value in raw.items():
+        section, _, name = key.partition(".")
+        sections[section][name] = value
 
-    # Each section is checked for unknown keys, then applied in one step, so
+    # Each section is checked for unknown keys, then built in one step, so
     # only the final combination is validated, whatever the line order.
-    _check_keys(source, "device", device_keys, VariabilityParams)
-    params = VariabilityParams(**device_keys)
-    _check_keys(source, "transistor", transistor_keys, TransistorModel)
-    transistor = TransistorModel(**transistor_keys)
+    models = {}
+    for section, (cls, field_name) in _MODELS.items():
+        keys = sections[section]
+        for name in keys:
+            if name not in {f.name for f in fields(cls)}:
+                raise ConfigError(f"{source}: unknown key {section}.{name}")
+        if "kind" in keys:  # the array wiring, by its value
+            kind = str(keys["kind"]).lower()
+            try:
+                keys["kind"] = TopologyKind(kind)
+            except ValueError:
+                raise ConfigError(f"{source}: unknown array.kind {kind!r}; "
+                                  f"one of {[k.value for k in TopologyKind]}") from None
+        models[field_name] = cls(**keys)
 
-    _check_keys(source, "array", array_keys, ArrayTopology)
-    if "kind" in array_keys:
-        kind_name = str(array_keys["kind"]).lower()
-        if kind_name not in _TOPOLOGY_KINDS:
-            raise ConfigError(f"{source}: unknown array.kind {kind_name!r}; "
-                              f"one of {sorted(set(_TOPOLOGY_KINDS))}")
-        array_keys["kind"] = _TOPOLOGY_KINDS[kind_name]
-    topology = ArrayTopology(**array_keys)
-
+    experiment_keys = sections["experiment"]
     output_dir = str(experiment_keys.pop("output_dir", AppConfig.output_dir))
     fmt = str(experiment_keys.pop("format", AppConfig.format))
     if fmt not in ("csv", "json"):
         raise ConfigError(f"{source}: experiment.format must be csv or json")
     # The nested models are set through their own sections.
-    _check_keys(source, "experiment", experiment_keys, ExperimentConfig,
-                exclude=("device", "transistor", "topology"))
-    experiment = ExperimentConfig(device=params, transistor=transistor,
-                                  topology=topology, **experiment_keys)
+    for name in experiment_keys:
+        if name in models or name not in {f.name for f in fields(ExperimentConfig)}:
+            raise ConfigError(f"{source}: unknown key experiment.{name}")
+    experiment = ExperimentConfig(**models, **experiment_keys)
     return AppConfig(experiment=experiment, output_dir=output_dir, format=fmt)
 
 

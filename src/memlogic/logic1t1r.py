@@ -14,7 +14,7 @@ This module provides the pure case/mapping algebra (no device model), an
 exhaustive synthesizer covering all 16 two-input Boolean functions, and the
 physical execution path that initializes a cell, fires the logic pulse
 through the array wiring and reads the output back, all at the operating
-point ``DEFAULT_VOLTAGES`` (defined in ``device`` and re-exported here).
+point ``device.DEFAULT_VOLTAGES``.
 A gate bucket (one gate, input pair and cell) runs in one call,
 ``execute_gate_bucket``, with its case and logic drive (one of the cell's
 drives, ``CellArray.cell_drives``) resolved once; one trial is a bucket of
@@ -35,12 +35,9 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .array import RESET_BITS, SET_BITS, CellAddress, CellArray
-from .array import logic_drive, logic_pulse_voltages  # noqa: F401  re-exported
 from .device import (
-    DEFAULT_VOLTAGES,  # noqa: F401  re-exported with the operating point
     STATE_HRS,
     STATE_LRS,
-    LogicVoltages,  # noqa: F401
     Normals,
     NotFormedError,
     Uniforms,

@@ -87,8 +87,6 @@ class ReferenceLevels:
 #: Published reference-current preset for the default operating point.
 PAPER_REFS = ReferenceLevels(levels=(11.55e-6, 32.74e-6), i_read=7.25e-6)
 
-REFERENCE_PRESETS: dict[str, ReferenceLevels] = {"paper-refs": PAPER_REFS}
-
 
 class OverlapError(RuntimeError):
     """Adjacent current classes overlap; no reference can be placed reliably."""
@@ -152,12 +150,12 @@ def class_gaps(currents: Mapping[str, Sequence[float]]) -> tuple[list[Gap], Gap 
     inferred from the multi-bit input classes, which must cover every n-bit
     pattern.  They are grouped by popcount, and a group is labelled by its
     patterns joined with "|" (for n = 2: "00", "01|10", "11").  The READ gap
-    lies between the single-cell classes "0" and "1"; it is ``None`` unless
-    both were sampled.  Collisions appear at smaller spreads as n grows: the
-    overlap risk of wider gates.
+    lies between the single-cell classes "0" and "1"; it is ``None`` when
+    neither was sampled, and one without the other is rejected.  Collisions
+    appear at smaller spreads as n grows: the overlap risk of wider gates.
     """
     for cls in currents:
-        if set(cls) - {"0", "1"}:
+        if not cls or set(cls) - {"0", "1"}:
             raise ValueError(f"input class {cls!r} is not a bit pattern")
     widths = sorted({len(cls) for cls in currents if len(cls) > 1})
     if len(widths) != 1:
@@ -167,6 +165,9 @@ def class_gaps(currents: Mapping[str, Sequence[float]]) -> tuple[list[Gap], Gap 
     missing = [p for group in groups for p in group if p not in currents]
     if missing:
         raise ValueError(f"missing samples for classes {sorted(missing)}")
+    single = [cls for cls in ("0", "1") if cls in currents]
+    if len(single) == 1:
+        raise ValueError(f"single-cell class {single[0]!r} was sampled without its partner")
     empty = [cls for cls, values in currents.items() if not values]
     if empty:
         raise ValueError(f"no currents for classes {sorted(empty)}")
@@ -175,7 +176,7 @@ def class_gaps(currents: Mapping[str, Sequence[float]]) -> tuple[list[Gap], Gap 
              for group in groups]
     level_gaps = [(labels[k], labels[k + 1], spans[k][1], spans[k + 1][0]) for k in range(n)]
     read_gap = None
-    if "0" in currents and "1" in currents:
+    if single:
         read_gap = ("0", "1", max(currents["0"]), min(currents["1"]))
     return level_gaps, read_gap
 
@@ -220,11 +221,3 @@ def classify_bucket(currents: Iterable[float], refs: ReferenceLevels,
         k = bisect_left(levels, current)
         bits.append(0 if k < n and levels[k] == current else outputs[k])
     return bits
-
-
-def reference_preset(name: str) -> ReferenceLevels:
-    try:
-        return REFERENCE_PRESETS[name.lower()]
-    except KeyError:
-        raise KeyError(f"unknown reference preset {name!r}; "
-                       f"available: {sorted(REFERENCE_PRESETS)}") from None

@@ -71,9 +71,14 @@ def test_config_error_diagnostics(tmp_path):
     with pytest.raises(ConfigError):
         load_config(cfg)
 
-    cfg.write_text("array.kind = hexagon\n")
-    with pytest.raises(ConfigError):
-        load_config(cfg)
+    for kind in ("hexagon", "standard1t1r", "pseudo_crossbar"):
+        cfg.write_text(f"array.kind = {kind}\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert str(info.value) == (f"{cfg}: unknown array.kind '{kind}'; "
+                                   "one of ['standard', 'pseudo-crossbar']")
+    cfg.write_text("array.kind = Pseudo-Crossbar\n")
+    assert load_config(cfg).experiment.topology.kind == TopologyKind.PSEUDO_CROSSBAR
 
 
 def test_build_config_defaults():
@@ -185,6 +190,24 @@ def test_cli_scouting_paper_refs(tmp_path, capsys):
     assert refs[1].startswith("7.25e-06,1.155e-05,")
 
 
+@pytest.mark.parametrize("typed, value", [("PLACED", "placed"), ("Paper-Refs", "paper-refs")])
+def test_cli_refs_in_any_case(tmp_path, capsys, typed, value):
+    runs = []
+    for refs in (typed, value):
+        out = tmp_path / refs
+        code = main(["scouting", "--refs", refs, "--cycles", "6", "-o", str(out)])
+        stdout = [line for line in capsys.readouterr().out.splitlines()
+                  if not line.startswith("wrote:")]
+        runs.append((code, stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert runs[0] == runs[1] and runs[0][0] == 0 and len(runs[0][2]) == 5
+
+
+def test_cli_rejects_an_unknown_refs_value_before_sampling(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "sample_scouting_currents", None)
+    assert main(["scouting", "--refs", "nope", "--cycles", "4", "-o", str(tmp_path)]) == 2
+    assert _one_line_error(capsys) == "refs must be 'placed' or 'paper-refs', got 'nope'\n"
+
+
 def test_cli_scouting_three_cells(tmp_path, capsys):
     assert main(["scouting", "or", "and", "--n", "3", "--cycles", "15",
                  "-o", str(tmp_path)]) == 0
@@ -290,6 +313,42 @@ def test_cli_config_positional_and_overrides(tmp_path, capsys):
     capsys.readouterr()
 
 
+class _Ran(Exception):
+    """Raised by a stubbed runner, with the experiment config it was given."""
+
+
+#: One config file that sets every experiment field a flag also sets.
+EVERY_OVERRIDDEN_FIELD = ("experiment.seed = 5\n"
+                          "experiment.cycles = 5\n"
+                          "experiment.n_inputs = 3\n"
+                          "experiment.refs = paper-refs\n"
+                          "experiment.gates = OR,AND\n"
+                          "experiment.scouting_ops = read,or\n")
+
+
+@pytest.mark.parametrize("argv, changes", [
+    (["scouting", "--seed", "6"], {"seed": 6}),
+    (["scouting", "--cycles", "6"], {"cycles": 6}),
+    (["scouting", "--n", "2"], {"n_inputs": 2}),
+    (["scouting", "--refs", "PLACED"], {"refs": "PLACED"}),
+    (["scouting", "and", "XOR"], {"scouting_ops": ("and", "XOR")}),
+    (["gate", "XOR"], {"gates": ("XOR",)}),
+], ids=["seed", "cycles", "n", "refs", "ops", "names"])
+def test_cli_flags_win_over_the_config(tmp_path, monkeypatch, argv, changes):
+    """Each flag sets its own field of the config the runner receives, and no other."""
+    def capture(config, **kwargs):
+        raise _Ran(config)
+
+    monkeypatch.setattr(cli, "run_1t1r_experiment", capture)
+    monkeypatch.setattr(cli, "run_scouting_experiment", capture)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(EVERY_OVERRIDDEN_FIELD)
+    from_file = load_config(cfg).experiment
+    with pytest.raises(_Ran) as ran:
+        main([str(cfg), *argv, "-o", str(tmp_path / "out")])
+    assert ran.value.args[0] == from_file.replace(**changes) != from_file
+
+
 def test_cli_missing_config_file(capsys):
     assert main(["/nonexistent/path.cfg", "cases"]) == 2
     capsys.readouterr()
@@ -365,6 +424,8 @@ def test_cli_help_still_exits_0(capsys):
                                   "array.rows = true",
                                   "array.cols = 0",
                                   "array.cols = eight",
+                                  "array.kind = standard1t1r",
+                                  "array.kind = pseudo_crossbar",
                                   "device.preset = nope",
                                   "device.preset = table3-logic",
                                   "experiment.device = 1",
@@ -620,7 +681,7 @@ def test_cli_characterize_that_cannot_switch_exits_2(tmp_path, capsys, config_li
 
 @pytest.mark.parametrize("config_line, args, err", [
     ("", ["scouting", "or", "or"], "scouting op 'or' repeats 'or'"),
-    ("", ["scouting", "xor", "OR", "or"], "scouting op 'or' repeats 'or'"),
+    ("", ["scouting", "xor", "OR", "or"], "scouting op 'or' repeats 'OR'"),
     ("", ["gate", "OR", "OR"], "gate 'OR' repeats 'OR'"),
     ("", ["gate", "or", "AND", "OR"], "gate 'OR' repeats 'or'"),
     ("experiment.scouting_ops = and,XOR,xor\n", ["scouting"], "scouting op 'xor' repeats 'XOR'"),

@@ -9,8 +9,17 @@ import numpy as np
 import pytest
 
 from memlogic import logic1t1r as logic_module
-from memlogic.array import ArrayTopology, CellAddress, CellArray, TopologyKind
+from memlogic.array import (
+    RESET_BITS,
+    ArrayTopology,
+    CellAddress,
+    CellArray,
+    TopologyKind,
+    logic_drive,
+    logic_pulse_voltages,
+)
 from memlogic.device import (
+    DEFAULT_VOLTAGES,
     NotFormedError,
     VariabilityParams,
     binarize,
@@ -19,9 +28,7 @@ from memlogic.device import (
 from memlogic.logic1t1r import (
     BUILTIN_MAPPINGS,
     CASE_TABLE,
-    DEFAULT_VOLTAGES,
     INIT_RETRIES,
-    RESET_BITS,
     TERM_ORDER,
     InitFailureError,
     ParamMapping,
@@ -33,8 +40,6 @@ from memlogic.logic1t1r import (
     execute_gate_bucket,
     initialize_cell,
     load_gate_library,
-    logic_drive,
-    logic_pulse_voltages,
     save_gate_library,
     synthesize_mapping,
     truth_table_of,

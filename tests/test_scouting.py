@@ -18,7 +18,6 @@ from memlogic.scouting import (
     classify_bucket,
     expected_bit,
     input_patterns,
-    reference_preset,
     references_in,
     scout_class,
 )
@@ -191,10 +190,6 @@ def test_paper_reference_preset_values():
     assert PAPER_REFS.i_or == 11.55e-6
     assert PAPER_REFS.i_and == 32.74e-6
     assert PAPER_REFS.n == 2
-    assert reference_preset("paper-refs") == PAPER_REFS
-    for name in ("paper", "nope"):
-        with pytest.raises(KeyError):
-            reference_preset(name)
 
 
 PAIR_CURRENTS = {"00": [I_00], "01": [I_01], "10": [I_01], "11": [I_11]}
@@ -340,6 +335,17 @@ def test_extend_validates_input():
 def test_class_gaps_names_an_empty_class(currents, name):
     with pytest.raises(ValueError, match=rf"^no currents for classes \['{name}'\]$"):
         class_gaps(currents)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"": [5.0]}, "input class '' is not a bit pattern"),
+    ({"0": [I_HRS]}, "single-cell class '0' was sampled without its partner"),
+    ({"1": [I_LRS]}, "single-cell class '1' was sampled without its partner"),
+], ids=["empty-name", "lone-0", "lone-1"])
+def test_class_gaps_names_a_class_it_cannot_use(extra, message):
+    """A class the gaps cannot use is named, not dropped without a word."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        class_gaps({**PAIR_CURRENTS, **extra})
 
 
 # ------------------------------------------------------------- properties
