@@ -430,7 +430,7 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
         raise ValueError(f"refs must be 'placed' or 'paper-refs', got {config.refs!r}")
     refs = PAPER_REFS if refs_name == "paper-refs" else None
     if refs is not None and refs.n != n:
-        raise ValueError(f"reference preset {config.refs!r} has {refs.n} levels; "
+        raise ValueError(f"refs {config.refs!r} has {refs.n} levels; "
                          f"a {n}-input read needs {n}")
     # A cycle is its current's index.
     currents = sample_scouting_currents(config, n, include_single="read" in ops)

@@ -12,7 +12,8 @@ resolution and both parallel checks follow from it.
 Line parasitics and sneak paths are ignored: the access transistor isolates
 unselected cells, and every selected cell sees the ideal line voltages.  The
 transistor is off at 0 V gate, so a drive only pulses cells on its driven word
-lines.
+lines.  An array resolves each drive it builds (``CellArray.cell_drives``)
+once, into its one drive cache; any other drive is resolved on every call.
 """
 
 from __future__ import annotations
@@ -89,14 +90,12 @@ class ArrayTopology:
 @dataclass(frozen=True)
 class LineDrive:
     """Voltages applied on the array lines; unlisted lines are held at 0 V.
-    The line maps are read-only copies, so ``key``, the drive's content (its
-    WL, SL and BL items and its width), is built once and never goes stale."""
+    The line maps are read-only copies of the ones the drive is built with."""
 
     wl: Mapping[int, float] = field(default_factory=dict)
     sl: Mapping[int, float] = field(default_factory=dict)
     bl: Mapping[int, float] = field(default_factory=dict)
     width: float = 1.0e-6
-    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("wl", "sl", "bl"):
@@ -109,8 +108,6 @@ class LineDrive:
             raise ValueError("width must be finite")
         if self.width <= 0:
             raise ValueError("width must be > 0")
-        object.__setattr__(self, "key", (tuple(self.wl.items()), tuple(self.sl.items()),
-                                         tuple(self.bl.items()), self.width))
 
 
 def logic_pulse_voltages(g: int, te: int, be: int) -> tuple[float, float, float]:
@@ -141,16 +138,47 @@ def logic_drive(topology: ArrayTopology, addr: CellAddress, g: int, te: int,
 SET_BITS, RESET_BITS = (1, 1, 0), (1, 0, 1)
 
 
-class CellDrives(dict):
-    """One cell (``cell``) and its logic drives by their bits (g, te, be), each
-    built on first use."""
+def resolve_drives(array: CellArray, drive: LineDrive) -> list[tuple]:
+    """The (address, cell, pulse) of each cell ``drive`` can switch on ``array``,
+    in address order; a line outside the array is a ``ValueError``.  Listed are
+    the cells on a WL that turns the transistor on with a nonzero voltage on
+    their SL or BL (``ArrayTopology.bl_of``).  Any other cell cannot switch and
+    its pulse would draw no randomness (gate-off returns first, every switching
+    threshold is > 0), so pulsing the listed cells equals pulsing every cell.
+    Only the drives the array builds (``CellDrives``) keep their resolution."""
+    topology = array.topology
+    for name, lines, count in (("WL", drive.wl, topology.rows),
+                               ("BL", drive.bl, topology.bl_count),
+                               ("SL", drive.sl, topology.cols)):
+        for idx in lines:
+            if not 0 <= idx < count:
+                raise ValueError(f"{name} index {idx} out of range")
+    resolved = []
+    for row in sorted(drive.wl):
+        v_g = drive.wl[row]
+        if not array.transistor.is_on(v_g):
+            continue
+        for col in range(topology.cols):
+            addr = CellAddress(row, col)
+            v_te = drive.sl.get(col, 0.0)
+            v_be = drive.bl.get(topology.bl_of(addr), 0.0)
+            if v_te != 0.0 or v_be != 0.0:
+                resolved.append((addr, array.cell(addr), Pulse(v_te, v_be, v_g, drive.width)))
+    return resolved
 
-    def __init__(self, topology: ArrayTopology, addr: CellAddress, cell: MemristorCell):
+
+class CellDrives(dict):
+    """One cell (``cell``) of ``array`` and its logic drives by their bits
+    (g, te, be), each built on first use and resolved then into the array's one
+    drive cache, keyed by its id: this dict, kept for the array's life, holds it."""
+
+    def __init__(self, array: CellArray, addr: CellAddress):
         super().__init__()
-        self.topology, self.addr, self.cell = topology, addr, cell
+        self.array, self.addr, self.cell = array, addr, array.cell(addr)
 
     def __missing__(self, bits: tuple[int, int, int]) -> LineDrive:
-        drive = self[bits] = logic_drive(self.topology, self.addr, *bits)
+        drive = self[bits] = logic_drive(self.array.topology, self.addr, *bits)
+        self.array._resolved[id(drive)] = resolve_drives(self.array, drive)
         return drive
 
 
@@ -227,9 +255,7 @@ class CellArray:
         self.boundary = default_boundary(params)
         self.cells: dict[CellAddress, MemristorCell] = {}
         self._drives: dict[CellAddress, CellDrives] = {}  # by cell
-        # (addr, cell, pulse)s by drive content (with its first drive) and by drive id
-        self._resolved: dict[tuple, tuple[LineDrive, list]] = {}
-        self._resolved_by_id: dict[int, list] = {}
+        self._resolved: dict[int, list] = {}  # by id of a drive in _drives
 
     def cell(self, addr: CellAddress | tuple[int, int]) -> MemristorCell:
         """The cell at ``addr``, sampled from ``(seed, 0, row, col)`` on first touch."""
@@ -264,50 +290,17 @@ class CellArray:
         for the array's life; sampled, and checked against the bounds, as ``cell``."""
         drives = self._drives.get(addr)
         if drives is None:
-            drives = self._drives[addr] = CellDrives(self.topology, CellAddress(*addr),
-                                                     self.cell(addr))
+            drives = self._drives[addr] = CellDrives(self, CellAddress(*addr))
         return drives
 
     def apply_drive(self, drive: LineDrive,
                     rng: Uniforms) -> list[tuple[CellAddress, SwitchEvent]]:
-        """Pulse the cells the drive can switch, in address order.
-
-        Only rows whose WL voltage turns the transistor on are visited, and on
-        them only the cells with a nonzero voltage on their SL or their BL
-        (``ArrayTopology.bl_of``): cells with both electrodes at 0 V are
-        skipped.  A skipped cell cannot switch and its pulse would draw no
-        randomness (gate-off returns first, every switching threshold is > 0),
-        so the results and the order of random draws are those of pulsing
-        every cell.  The returned events list only the pulsed cells.  Each
-        distinct drive is resolved (bounds, live cells, validated pulses) once
-        per array, and replayed after that.
-        """
-        resolved = self._resolved_by_id.get(id(drive))
-        if resolved is None:  # a new drive object; an equal one may be resolved
-            resolved = self._resolved.get(drive.key, (None, None))[1]
+        """Pulse the cells the drive can switch (``resolve_drives``), in address
+        order, and return their events.  A drive built by ``cell_drives`` replays
+        its cached resolution; any other is resolved on each call, uncached."""
+        resolved = self._resolved.get(id(drive))
         if resolved is None:
-            topology = self.topology
-            for name, lines, count in (("WL", drive.wl, topology.rows),
-                                       ("BL", drive.bl, topology.bl_count),
-                                       ("SL", drive.sl, topology.cols)):
-                for idx in lines:
-                    if not 0 <= idx < count:
-                        raise ValueError(f"{name} index {idx} out of range")
-            resolved = []
-            for row in sorted(drive.wl):
-                v_g = drive.wl[row]
-                if not self.transistor.is_on(v_g):
-                    continue
-                for col in range(topology.cols):
-                    addr = CellAddress(row, col)
-                    v_te = drive.sl.get(col, 0.0)
-                    v_be = drive.bl.get(topology.bl_of(addr), 0.0)
-                    if v_te != 0.0 or v_be != 0.0:
-                        resolved.append((addr, self.cell(addr),
-                                         Pulse(v_te, v_be, v_g, drive.width)))
-            # The drive is kept with its pulses, so no other drive can take its id.
-            self._resolved[drive.key] = (drive, resolved)
-            self._resolved_by_id[id(drive)] = resolved
+            resolved = resolve_drives(self, drive)
         events = []
         for addr, cell, pulse in resolved:
             try:

@@ -120,10 +120,10 @@ _OVERRIDES = {"seed": "seed", "cycles": "cycles", "names": "gates",
 
 
 def _apply_overrides(app: AppConfig, args: argparse.Namespace) -> AppConfig:
-    # A flag left out (None), an empty op list or an empty --refs keeps the config's value.
+    # A flag left out (None) or an empty op list keeps the config's value.
     changes = {name: tuple(value) if isinstance(value, list) else value
                for dest, name in _OVERRIDES.items()
-               if (value := getattr(args, dest, None)) not in (None, [], "")}
+               if (value := getattr(args, dest, None)) not in (None, [])}
     exp = app.experiment.replace(**changes)
     output_dir = app.output_dir
     if os.environ.get(OUTPUT_DIR_ENV):

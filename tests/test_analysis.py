@@ -531,9 +531,11 @@ def test_a_default_scouting_run_validates_each_selection_once(monkeypatch):
 #: 167 fewer forming pulses, (0, 0)'s 22 five times and (1, 0)'s 19 three times.
 WORK_AT_SEED_7 = {
     "gate": {"apply_pulse": 1290, "read_resistance": 3702, "apply_drive": 2102,
-             "initialize_cell": 1600, "sample_fresh_cell": 4, "form_by_ramp": 4},
+             "initialize_cell": 1600, "sample_fresh_cell": 4, "form_by_ramp": 4,
+             "resolve_drives": 15},
     "scouting": {"apply_pulse": 1541, "read_resistance": 2000, "apply_drive": 1500,
-                 "initialize_cell": 1000, "sample_fresh_cell": 2, "form_by_ramp": 2},
+                 "initialize_cell": 1000, "sample_fresh_cell": 2, "form_by_ramp": 2,
+                 "resolve_drives": 15},
 }
 
 
@@ -553,6 +555,7 @@ def test_default_runs_do_the_pinned_work(monkeypatch, request, run):
                               (device_module, "read_resistance", (array_module,)),
                               (device_module, "sample_fresh_cell", (array_module,)),
                               (device_module, "form_by_ramp", (array_module,)),
+                              (array_module, "resolve_drives", ()),
                               (logic_module, "initialize_cell", (scouting_module,))):
         counted = counting(name, getattr(home, name))
         for module in (home, *users):
@@ -568,7 +571,7 @@ def test_default_runs_do_the_pinned_work(monkeypatch, request, run):
 #: ``WORK_AT_SEED_7`` was: 10 cells x 100 cycles of one SET and one RESET
 #: drive and a read after each, plus the forming ramps' pulses.
 CHARACTERIZE_WORK_AT_SEED_7 = {"apply_pulse": 2212, "read_resistance": 2000,
-                               "apply_drive": 2000}
+                               "apply_drive": 2000, "resolve_drives": 20}
 
 
 def test_default_characterization_does_the_pinned_work(monkeypatch):
@@ -586,5 +589,7 @@ def test_default_characterization_does_the_pinned_work(monkeypatch):
             monkeypatch.setattr(module, name, counted)
     monkeypatch.setattr(CellArray, "apply_drive",
                         counting("apply_drive", CellArray.apply_drive))
+    monkeypatch.setattr(array_module, "resolve_drives",
+                        counting("resolve_drives", array_module.resolve_drives))
     run_characterization(VariabilityParams(), seed=7)
     assert dict(calls) == CHARACTERIZE_WORK_AT_SEED_7

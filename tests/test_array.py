@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memlogic.array import (
+    SET_BITS,
     ArrayTopology,
     CellAddress,
     CellArray,
@@ -34,7 +35,7 @@ SET_PULSE = Pulse(1.3, 0.0, 1.3, 1e-6)
 RESET_PULSE = Pulse(0.0, 1.6, 3.0, 1e-6)
 
 
-def resolve_drives(topology, drive):
+def every_cell_pulse(topology, drive):
     """Every cell's pulse under ``drive``, row-major, the inert cells included:
     the oracle the skipping drive path is checked against."""
     resolved = []
@@ -56,7 +57,7 @@ def every_cell(array):
 
 
 def pulses_by_addr(topology, drive):
-    return dict(resolve_drives(topology, drive))
+    return dict(every_cell_pulse(topology, drive))
 
 
 def test_read_drive_resolution():
@@ -66,7 +67,7 @@ def test_read_drive_resolution():
 
 
 def test_idle_drive_resolves_to_zero_pulses():
-    resolved = resolve_drives(STD, LineDrive())
+    resolved = every_cell_pulse(STD, LineDrive())
     assert len(resolved) == 16
     for _, pulse in resolved:
         assert (pulse.v_te, pulse.v_be, pulse.v_g) == (0.0, 0.0, 0.0)
@@ -86,7 +87,7 @@ def test_unselected_rows_have_gate_grounded():
 
 
 def test_address_bijectivity():
-    resolved = resolve_drives(STD, LineDrive(wl={0: 3.0}))
+    resolved = every_cell_pulse(STD, LineDrive(wl={0: 3.0}))
     addrs = [addr for addr, _ in resolved]
     assert len(addrs) == len(set(addrs)) == STD.rows * STD.cols
 
@@ -94,7 +95,7 @@ def test_address_bijectivity():
 def test_standard_same_column_structural_invariant():
     drive = LineDrive(wl={0: 3.0, 2: 1.3}, sl={1: 1.3, 2: 0.5}, bl={1: 0.0})
     by_col = {}
-    for addr, pulse in resolve_drives(STD, drive):
+    for addr, pulse in every_cell_pulse(STD, drive):
         by_col.setdefault(addr.col, set()).add((pulse.v_te, pulse.v_be))
     for col, electrode_pairs in by_col.items():
         assert len(electrode_pairs) == 1
@@ -129,10 +130,9 @@ LINES = st.dictionaries(st.integers(0, 3), st.sampled_from([0.0, 0.1, 1.3, 1.6, 
 @settings(max_examples=40, deadline=None)
 @given(wl=LINES, sl=LINES, bl=LINES, extra=st.integers(0, 3))
 def test_line_drive_lines_cannot_change_after_it_is_built(wl, sl, bl, extra):
-    """A drive keeps the content it was built with, so its key never goes stale."""
+    """A drive keeps the content it was built with."""
     drive = LineDrive(wl=wl, sl=sl, bl=bl)
     key = (tuple(wl.items()), tuple(sl.items()), tuple(bl.items()), drive.width)
-    assert drive.key == key
     for name, source in (("wl", wl), ("sl", sl), ("bl", bl)):
         lines = getattr(drive, name)
         source[extra] = 9.9  # the caller's dict is not the drive's
@@ -142,7 +142,6 @@ def test_line_drive_lines_cannot_change_after_it_is_built(wl, sl, bl, extra):
             del lines[next(iter(lines), extra)]
         with pytest.raises(AttributeError):
             setattr(drive, name, {extra: 9.9})
-    assert drive.key == key
     assert (dict(drive.wl), dict(drive.sl), dict(drive.bl)) == tuple(
         dict(items) for items in key[:3])
 
@@ -227,21 +226,36 @@ def test_parallel_checks_take_plain_tuples(topology):
     assert verdict(validate_parallel_selection, one_bl) is None
 
 
-def test_equal_drives_share_one_resolution_and_no_id_is_taken_over(monkeypatch):
+def test_only_built_drives_keep_a_resolution_and_no_id_is_taken_over(monkeypatch):
     array, rng = CellArray(STD, PARAMS), np.random.default_rng(0)
     built = []
     real_post_init = Pulse.__post_init__
     monkeypatch.setattr(Pulse, "__post_init__", lambda pulse: (built.append(pulse),
                                                                  real_post_init(pulse)))
-    for _ in range(3):  # one content, built anew each time: resolved once
-        array.apply_drive(single_cell_line_drive(STD, "set", CellAddress(0, 0)), rng)
+    own = array.cell_drives(CellAddress(0, 0))[SET_BITS]  # resolved as it is built
+    cached = dict(array._resolved)
+    assert list(cached) == [id(own)] and len(built) == 1
+    for _ in range(3):  # replayed
+        assert [a for a, _ in array.apply_drive(own, rng)] == [CellAddress(0, 0)]
     assert len(built) == 1
+    # An equal drive built outside ``cell_drives`` is resolved on every call
+    # and leaves the cache as it was, so an array's memory stays bounded.
+    for _ in range(3):
+        array.apply_drive(single_cell_line_drive(STD, "set", CellAddress(0, 0)), rng)
+    assert len(built) == 4
+    assert array._resolved == cached
     # Each drive is dropped after its pulse, so its memory and its id can go to
     # the next one; a drive must still pulse its own cell, never a dropped one's.
+    ids = set()
     for i in range(48):
         addr = CellAddress(i % 4, i // 4 % 4)
-        events = array.apply_drive(single_cell_line_drive(STD, "set", addr), rng)
+        drive = single_cell_line_drive(STD, "set", addr)
+        ids.add(id(drive))
+        events = array.apply_drive(drive, rng)
+        del drive
         assert [a for a, _ in events] == [addr]
+    assert len(ids) < 48  # some ids were taken over
+    assert array._resolved == cached
 
 
 def make_array(seed=0):
@@ -271,7 +285,7 @@ def test_apply_drive_reports_only_pulsed_cells():
 
 def pulse_every_cell(array, drive, rng):
     """Reference drive path: pulse all cells with their resolved voltages."""
-    for addr, pulse in resolve_drives(array.topology, drive):
+    for addr, pulse in every_cell_pulse(array.topology, drive):
         apply_pulse(array.cell(addr), pulse, array.transistor, rng)
 
 

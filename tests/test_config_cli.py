@@ -226,15 +226,25 @@ def test_cli_scouting_three_cells_every_op(tmp_path, capsys):
     assert all(count > 0 for count in trials.values())
 
 
-@pytest.mark.parametrize("args", [["nand", "--n", "3"],
-                                  ["--refs", "paper-refs", "--n", "3"]])
+#: The one stderr line of each rejected setting, by its flags.
+REJECTED_BEFORE_SAMPLING = {
+    ("nand", "--n", "3"):
+        "unknown scouting op 'nand'; expected one of ('read', 'or', 'and', 'xor')\n",
+    ("--refs", "paper-refs", "--n", "3"):
+        "refs 'paper-refs' has 2 levels; a 3-input read needs 3\n",
+    # An empty --refs is a value, as ``experiment.refs =`` in a config file is.
+    ("--refs", ""): "refs must be 'placed' or 'paper-refs', got ''\n",
+}
+
+
+@pytest.mark.parametrize("args", [list(args) for args in REJECTED_BEFORE_SAMPLING])
 def test_cli_scouting_rejects_before_sampling(tmp_path, capsys, monkeypatch, args):
     def no_sampling(*a, **k):
         raise AssertionError("sampled before rejecting the setting")
 
     monkeypatch.setattr(analysis, "sample_scouting_currents", no_sampling)
     assert main(["scouting", *args, "--cycles", "4", "-o", str(tmp_path)]) == 2
-    _one_line_error(capsys)
+    assert _one_line_error(capsys) == REJECTED_BEFORE_SAMPLING[tuple(args)]
 
 
 def test_cli_scouting_rejects_single_cell(tmp_path, capsys):

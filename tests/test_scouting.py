@@ -195,20 +195,20 @@ def test_paper_reference_preset_values():
 PAIR_CURRENTS = {"00": [I_00], "01": [I_01], "10": [I_01], "11": [I_11]}
 
 
-def test_place_references_noise_free_midpoints():
+def test_references_in_noise_free_midpoints():
     refs = references_in(*class_gaps(PAIR_CURRENTS))
     assert refs.i_or == pytest.approx(1.15464e-5, rel=1e-4)
     assert refs.i_and == pytest.approx(3.05155e-5, rel=1e-4)
     assert refs.i_read == pytest.approx(refs.i_or / 2)
 
 
-def test_place_references_with_single_cell_classes():
+def test_references_in_with_single_cell_classes():
     currents = {**PAIR_CURRENTS, "0": [I_HRS], "1": [I_LRS]}
     refs = references_in(*class_gaps(currents))
     assert refs.i_read == pytest.approx(0.5 * (I_HRS + I_LRS), rel=1e-6)
 
 
-def test_place_references_overlap_error():
+def test_references_in_overlap_error():
     currents = {"00": [25e-6], "01": [20e-6], "10": [21e-6], "11": [40e-6]}
     with pytest.raises(OverlapError) as info:
         references_in(*class_gaps(currents))
