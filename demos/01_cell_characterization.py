@@ -1,19 +1,21 @@
 """Characterize a small population of 1T1R cells.
 
-Forms ten fresh cells, cycles each one a hundred times through SET and RESET,
-and prints whisker-box statistics of both resistance states together with the
-mean HRS/LRS ratio.  This is the baseline check that the configured
-variability keeps the two states cleanly separated.
+Forms ten fresh cells, cycles each one a hundred times through SET and RESET
+(the cycle count and seed of one ``ExperimentConfig``), and prints whisker-box
+statistics of both resistance states together with the mean HRS/LRS ratio.
+This is the baseline check that the configured variability keeps the two
+states cleanly separated.
 
 Run:  python demos/01_cell_characterization.py
 """
 
 import numpy as np
 
-from memlogic import VariabilityParams, default_boundary
+from memlogic import ExperimentConfig, default_boundary
 from memlogic.analysis import run_characterization
 
-params = VariabilityParams()
+config = ExperimentConfig(seed=0, cycles=100)
+params = config.device
 print("device parameters (defaults):")
 print(f"  lrs_median = {params.lrs_median / 1e3:.0f} kOhm   "
       f"hrs_median = {params.hrs_median / 1e3:.0f} kOhm   "
@@ -22,7 +24,7 @@ print(f"  cycle-to-cycle sigma: lrs {params.lrs_sigma_c2c}, hrs {params.hrs_sigm
 print(f"  cell-to-cell sigma:   lrs {params.lrs_sigma_d2d}, hrs {params.hrs_sigma_d2d}")
 print()
 
-result = run_characterization(params, cells=10, cycles=100, seed=0)
+result = run_characterization(config, cells=10)
 
 print("pooled state distributions over 10 cells x 100 cycles:")
 for summary in result.summaries[:2]:

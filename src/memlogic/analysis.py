@@ -1,6 +1,7 @@
 """Monte Carlo experiment harness: repeated-cycle runs, distribution summaries,
 failure accounting and deterministic CSV/JSON exports.
 
+Every runner reads its settings from its ``ExperimentConfig``, which checks them.
 Every bucket (a gate and input pair, a scouting class or a characterized
 cell) is one runner call over its cycles and draws from two streams of its
 own, ``_stream``: purposes 0 (switching) and 1 (read noise) of
@@ -86,7 +87,7 @@ from .scouting import (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment run."""
+    """Everything needed to reproduce one run; each field's values are checked here."""
 
     seed: int = 7
     cycles: int = 100
@@ -105,7 +106,7 @@ class ExperimentConfig:
             require_int(name, getattr(self, name), least)
         if self.split not in ("split", "insample"):
             raise ValueError("split must be 'split' or 'insample'")
-        if not isinstance(self.refs, str):
+        if not isinstance(self.refs, str) or self.refs.lower() not in ("placed", "paper-refs"):
             raise ValueError(f"refs must be 'placed' or 'paper-refs', got {self.refs!r}")
         if not isinstance(self.rotate_cells, bool):
             raise ValueError(f"rotate_cells must be true or false, got {self.rotate_cells!r}")
@@ -358,13 +359,12 @@ def non_switching_report(rows: Sequence[TraceRow],
 # Scouting experiment
 # ---------------------------------------------------------------------------
 
-def sample_scouting_currents(config: ExperimentConfig, n: int,
-                             include_single: bool = False,
+def sample_scouting_currents(config: ExperimentConfig, include_single: bool = False,
                              verify: bool = True) -> dict[str, list[float]]:
     """Each input class with its ``config.cycles`` read currents, in sampling
-    order: the n-bit patterns ascending, then with ``include_single`` the
-    one-cell classes "0" and "1" (for the read operation) unless n = 1 has
-    measured them already.
+    order: the n-bit patterns (n = ``config.n_inputs``) ascending, then with
+    ``include_single`` the one-cell classes "0" and "1" (for the read
+    operation) unless n = 1 has measured them already.
 
     The input cells occupy one column (rows 0..n-1), which the standard array
     can select in parallel, so n may not exceed the row count; they are formed
@@ -372,7 +372,7 @@ def sample_scouting_currents(config: ExperimentConfig, n: int,
     States are rewritten every cycle so each current carries a fresh
     cycle-to-cycle draw.
     """
-    require_int("n", n, 1)
+    n = config.n_inputs
     if n > config.topology.rows:
         raise ValueError(f"n={n} input cells do not fit in one column of "
                          f"{config.topology.rows} rows")
@@ -425,15 +425,12 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
     if config.split == "split" and config.cycles < 2:
         raise ValueError("split mode needs cycles >= 2 (one half places the "
                          "references, the other is classified)")
-    refs_name = config.refs.lower()
-    if refs_name not in ("placed", "paper-refs"):
-        raise ValueError(f"refs must be 'placed' or 'paper-refs', got {config.refs!r}")
-    refs = PAPER_REFS if refs_name == "paper-refs" else None
+    refs = PAPER_REFS if config.refs.lower() == "paper-refs" else None
     if refs is not None and refs.n != n:
         raise ValueError(f"refs {config.refs!r} has {refs.n} levels; "
                          f"a {n}-input read needs {n}")
     # A cycle is its current's index.
-    currents = sample_scouting_currents(config, n, include_single="read" in ops)
+    currents = sample_scouting_currents(config, include_single="read" in ops)
     half = (config.cycles + 1) // 2 if config.split == "split" else config.cycles
     start = half if config.split == "split" else 0  # the first classified cycle
 
@@ -468,20 +465,17 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
 # Device characterization
 # ---------------------------------------------------------------------------
 
-def run_characterization(params: VariabilityParams,
-                         transistor: TransistorModel | None = None,
-                         cells: int = 10, cycles: int = 100,
-                         seed: int = 0) -> CharacterizationResult:
-    """Cycle each cell through SET/RESET and record both state resistances.
+def run_characterization(config: ExperimentConfig, cells: int = 10) -> CharacterizationResult:
+    """Cycle ``cells`` cells of one 1 x cells standard array through SET/RESET
+    and record both state resistances; ``config.topology`` is not read.
 
     One row per (cell, cycle) holds the LRS read after the SET pulse and the
     HRS read after the RESET pulse.  A cell left in the wrong state by either
     pulse (parameters out of the operating point's reach) is a ``ValueError``
     naming the cell, the cycle and the parameters.
     """
-    for name, value, least in (("cells", cells, 1), ("cycles", cycles, 1), ("seed", seed, 0)):
-        require_int(name, value, least)
-    transistor = transistor if transistor is not None else TransistorModel()
+    require_int("cells", cells, 1)
+    params, cycles, seed = config.device, config.cycles, config.seed
     topology = ArrayTopology(TopologyKind.STANDARD_1T1R, rows=1, cols=cells)
     volts = DEFAULT_VOLTAGES
     phases = ((SET_BITS, STATE_LRS, f"{volts.v_te_set} V SET", "v_set_th_median",
@@ -489,7 +483,7 @@ def run_characterization(params: VariabilityParams,
               (RESET_BITS, STATE_HRS, f"{volts.v_be_reset} V RESET", "v_reset_th_median",
                "min_pulse_reset"))
     # A cell's drives leave every other cell's SL and BL at 0 V: none of them moves.
-    array = CellArray(topology, params, transistor, seed=seed)
+    array = CellArray(topology, params, config.transistor, seed=seed)
     rows = []
     for ci in range(cells):
         addr = CellAddress(0, ci)
@@ -566,30 +560,30 @@ def sweep_parameter(config: ExperimentConfig, parameter: str,
     return points
 
 
-def overlap_collides(config: ExperimentConfig, n: int, hrs_sigma_c2c: float) -> bool:
-    """True when a gap between n-cell popcount classes is empty at the given
-    HRS spread, so no reference can be placed in it.
+def overlap_collides(config: ExperimentConfig, hrs_sigma_c2c: float) -> bool:
+    """True when a gap between the ``config.n_inputs``-cell popcount classes is
+    empty at the given HRS spread, so no reference can be placed in it.
 
     The probe writes the input states without read-back verification so the
     raw state tails reach the read path (verified writes retry boundary-
     straddling draws away and would hide the collision).
     """
-    cfg = config.replace(device=config.device.replace(hrs_sigma_c2c=hrs_sigma_c2c),
-                         n_inputs=n)
-    level_gaps, _ = class_gaps(sample_scouting_currents(cfg, n, verify=False))
+    cfg = config.replace(device=config.device.replace(hrs_sigma_c2c=hrs_sigma_c2c))
+    level_gaps, _ = class_gaps(sample_scouting_currents(cfg, verify=False))
     return any(lower_max >= upper_min for _, _, lower_max, upper_min in level_gaps)
 
 
 def find_overlap_sigma(config: ExperimentConfig, n: int, lo: float = 0.32,
                        hi: float = 3.0, iterations: int = 14) -> float:
-    """Bisect for the smallest HRS cycle-to-cycle sigma that collapses a gap."""
-    if overlap_collides(config, n, lo):
+    """Bisect for the smallest HRS cycle-to-cycle sigma that collapses a gap at n inputs."""
+    config = config.replace(n_inputs=n)
+    if overlap_collides(config, lo):
         return lo
-    if not overlap_collides(config, n, hi):
+    if not overlap_collides(config, hi):
         raise RuntimeError(f"no overlap up to sigma={hi} for n={n}")
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        if overlap_collides(config, n, mid):
+        if overlap_collides(config, mid):
             hi = mid
         else:
             lo = mid

@@ -140,9 +140,7 @@ def _exit_code(failures: int, errors: int, trials: int) -> int:
 
 
 def cmd_characterize(app: AppConfig, args: argparse.Namespace) -> int:
-    exp = app.experiment
-    result = run_characterization(exp.device, exp.transistor, cells=args.cells,
-                                  cycles=exp.cycles, seed=exp.seed)
+    result = run_characterization(app.experiment, cells=args.cells)
     paths = export_characterization(result, app.output_dir, app.format)
     for s in result.summaries[:2]:
         print(f"{s.label}: n={s.count} median={_kohm(s.median)} "
@@ -209,9 +207,7 @@ def cmd_scouting(app: AppConfig, args: argparse.Namespace) -> int:
               f"margin {m.margin:.3f}")
     paths = export_scouting_result(result, app.output_dir, app.format)
     print("wrote:", ", ".join(str(p) for p in paths))
-    overlap_failures = 1 if result.overlap is not None else 0
-    return _exit_code(result.report.failures + overlap_failures,
-                      result.report.errors, result.report.trials)
+    return _exit_code(result.report.failures, result.report.errors, result.report.trials)
 
 
 def cmd_sweep(app: AppConfig, args: argparse.Namespace) -> int:
@@ -235,7 +231,7 @@ def cmd_sweep(app: AppConfig, args: argparse.Namespace) -> int:
     path = export_sweep(points, app.output_dir, app.format)
     print("wrote:", path)
     failures = sum(p.logic_failures + p.scouting_failures for p in points)
-    errors = sum(p.logic_errors for p in points) + sum(int(p.overlap) for p in points)
+    errors = sum(p.logic_errors for p in points)
     trials = sum(p.logic_trials + p.scouting_trials for p in points)
     return _exit_code(failures, errors, trials)
 

@@ -58,7 +58,7 @@ def ten_seed_runs():
 @pytest.fixture(scope="module")
 def noisy_scouting_currents():
     cfg = ExperimentConfig(seed=11, cycles=100, split="insample")
-    return sample_scouting_currents(cfg, 2, include_single=True)
+    return sample_scouting_currents(cfg, include_single=True)
 
 
 def test_c01_case_table_oracle():
@@ -130,7 +130,7 @@ def test_c04_simulated_experiment_failure_free(ten_seed_runs):
 
 
 def test_c05_device_ratio():
-    result = run_characterization(PARAMS, cells=10, cycles=100, seed=0)
+    result = run_characterization(ExperimentConfig(seed=0, cycles=100, device=PARAMS), cells=10)
     assert 19.4 * 0.8 <= result.hrs_lrs_ratio <= 19.4 * 1.2
     report("criterion 5 (device ratio)",
            f"mean HRS/LRS = {result.hrs_lrs_ratio:.2f} within 19.4 +/- 20%")
@@ -163,7 +163,7 @@ def test_c07_scouting_gaps(noisy_scouting_currents):
     oracle = {"00": 2 * i_hrs, "01": i_lrs + i_hrs, "10": i_lrs + i_hrs,
               "11": 2 * i_lrs}
     cfg = ExperimentConfig(seed=1, cycles=1, device=NOISE_FREE, split="insample")
-    clean = sample_scouting_currents(cfg, 2)
+    clean = sample_scouting_currents(cfg)
     for cls, expected in oracle.items():
         assert min(clean[cls]) == pytest.approx(expected, rel=1e-3)
 
@@ -193,7 +193,7 @@ def test_c08_scouting_truth_tables():
 def test_c09_overlap_detection():
     cfg = ExperimentConfig(seed=5, cycles=60)
     collapsed = sample_scouting_currents(
-        cfg.replace(device=PARAMS.replace(hrs_sigma_c2c=2.0)), 2, verify=False)
+        cfg.replace(device=PARAMS.replace(hrs_sigma_c2c=2.0)), verify=False)
     with pytest.raises(OverlapError):
         references_in(*class_gaps(collapsed))
     sigma2 = find_overlap_sigma(cfg, 2)

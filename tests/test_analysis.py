@@ -222,22 +222,22 @@ def test_scouting_split_runs_at_two_cycles():
 
 def test_scouting_inputs_may_fill_their_column():
     cfg = ExperimentConfig(seed=12, cycles=2, topology=ArrayTopology(rows=3, cols=2))
-    assert list(map(len, sample_scouting_currents(cfg, 3).values())) == [2] * 8
+    assert list(map(len, sample_scouting_currents(cfg.replace(n_inputs=3)).values())) == [2] * 8
     with pytest.raises(ValueError, match="do not fit in one column of 3 rows"):
-        sample_scouting_currents(cfg, 4)
+        sample_scouting_currents(cfg.replace(n_inputs=4))
 
 
 @pytest.mark.parametrize("n, err", [(0, ">= 1, got 0"), (-1, ">= 1, got -1"),
                                     (2.0, "an integer, got 2.0"), (True, "an integer, got True")])
 def test_the_sampler_rejects_a_width_that_is_not_a_positive_integer(n, err):
-    with pytest.raises(ValueError, match=f"^n must be {err}$"):
-        sample_scouting_currents(ExperimentConfig(cycles=1), n)
+    with pytest.raises(ValueError, match=f"^n_inputs must be {err}$"):
+        sample_scouting_currents(ExperimentConfig(cycles=1, n_inputs=n))
 
 
 def test_one_input_cell_samples_its_pattern_and_single_classes_each():
     # At n = 1 the pattern classes "0" and "1" are the one-cell READ classes:
     # each is measured once, with the values of a fresh array per class.
-    currents = sample_scouting_currents(ExperimentConfig(seed=3, cycles=4), 1,
+    currents = sample_scouting_currents(ExperimentConfig(seed=3, cycles=4, n_inputs=1),
                                         include_single=True)
     zeros = [9.507390034088931e-07, 1.2399054952061086e-06, 1.1249869343000092e-06,
              9.780363085377486e-07]
@@ -273,14 +273,14 @@ def test_acceptance_scouting_runs_measure_pinned_class_extremes(
         return currents
 
     monkeypatch.setattr(analysis_module, "scout_class", recording)
-    sample_scouting_currents(config, 2, include_single=include_single, verify=verify)
+    sample_scouting_currents(config, include_single=include_single, verify=verify)
     assert measured == extremes
 
 
 # -------------------------------------------------------- characterization
 
 def test_characterization_statistics():
-    result = run_characterization(VariabilityParams(), cells=10, cycles=100, seed=12)
+    result = run_characterization(ExperimentConfig(seed=12, cycles=100), cells=10)
     assert len(result.rows) == 1000
     assert 19.4 * 0.8 <= result.hrs_lrs_ratio <= 19.4 * 1.2
     assert result.lrs_log_spread < result.hrs_log_spread
@@ -289,15 +289,17 @@ def test_characterization_statistics():
 
 
 def test_characterization_single_cycle_rows():
-    result = run_characterization(VariabilityParams(), cells=10, cycles=1, seed=13)
+    result = run_characterization(ExperimentConfig(seed=13, cycles=1), cells=10)
     assert len(result.rows) == 10
 
 
 @pytest.mark.parametrize("kwargs, name", [({"cells": 0}, "cells"), ({"cells": 2.5}, "cells"),
                                           ({"cycles": 0}, "cycles"), ({"seed": -1}, "seed")])
 def test_characterization_rejects_bad_counts_by_name(kwargs, name):
+    counts = {"cells": 2, "cycles": 2, "seed": 7, **kwargs}
     with pytest.raises(ValueError, match=name):
-        run_characterization(VariabilityParams(), **{"cells": 2, "cycles": 2, **kwargs})
+        run_characterization(ExperimentConfig(seed=counts["seed"], cycles=counts["cycles"]),
+                             counts["cells"])
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**64)])
@@ -412,7 +414,7 @@ def test_export_files_are_deterministic(tmp_path):
 
 
 def test_characterization_export(tmp_path):
-    result = run_characterization(VariabilityParams(), cells=2, cycles=3, seed=17)
+    result = run_characterization(ExperimentConfig(seed=17, cycles=3), cells=2)
     paths = export_characterization(result, tmp_path, "csv")
     rows = (tmp_path / "characterize.csv").read_text().splitlines()
     assert rows[0] == "cell,cycle,r_lrs_ohm,r_hrs_ohm"
@@ -591,5 +593,5 @@ def test_default_characterization_does_the_pinned_work(monkeypatch):
                         counting("apply_drive", CellArray.apply_drive))
     monkeypatch.setattr(array_module, "resolve_drives",
                         counting("resolve_drives", array_module.resolve_drives))
-    run_characterization(VariabilityParams(), seed=7)
+    run_characterization(ExperimentConfig(seed=7))
     assert dict(calls) == CHARACTERIZE_WORK_AT_SEED_7

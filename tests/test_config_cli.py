@@ -247,6 +247,38 @@ def test_cli_scouting_rejects_before_sampling(tmp_path, capsys, monkeypatch, arg
     assert _one_line_error(capsys) == REJECTED_BEFORE_SAMPLING[tuple(args)]
 
 
+@pytest.mark.parametrize("command", [["gate", "OR"], ["characterize"], ["cases"],
+                                     ["synthesize"], ["sweep", "hrs_sigma_c2c", "--values", "1"],
+                                     ["scouting", "nand"]],
+                         ids=["gate", "characterize", "cases", "synthesize", "sweep", "scouting"])
+def test_every_command_rejects_a_bad_refs_value(tmp_path, capsys, command):
+    # The config rejects it as it is built, before any command runs (so before
+    # scouting names its unknown op, too).
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("experiment.refs = bogus\n")
+    assert main([str(cfg), *command, "-o", str(tmp_path / "out")]) == 2
+    assert _one_line_error(capsys) == "refs must be 'placed' or 'paper-refs', got 'bogus'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_collapsed_gap_fails_every_classified_cycle(tmp_path, capsys):
+    # The report alone sets the exit code: a gap that leaves no place for a
+    # reference fails every trial, in a scouting run and in a sweep point.
+    cfg = tmp_path / "collapsed.cfg"
+    cfg.write_text("device.lrs_sigma_c2c = 1.0\n")
+    run = ["--seed", "9", "--cycles", "30"]
+    assert main([str(cfg), "scouting", *run, "-o", str(tmp_path / "scouting")]) == 1
+    report = json.loads((tmp_path / "scouting" / "report.json").read_text())
+    assert report["overlap"] is not None
+    assert report["failures"] == report["trials"] == 210
+    assert main([str(cfg), "sweep", "lrs_sigma_c2c", "--values", "1.0", *run,
+                 "-o", str(tmp_path / "sweep")]) == 1
+    header, row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    point = dict(zip(header.split(","), row.split(",")))
+    assert (point["scouting_failures"], point["scouting_trials"], point["overlap"]) == \
+        ("210", "210", "1")
+
+
 def test_cli_scouting_rejects_single_cell(tmp_path, capsys):
     assert main(["scouting", "or", "--n", "1", "--cycles", "5",
                  "-o", str(tmp_path)]) == 2

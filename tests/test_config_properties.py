@@ -1,10 +1,11 @@
 """Every config value either simulates or is rejected with exit 2 and one line.
 
 Each example writes a config file of one to three ``section.field = value``
-lines, drawn over every key of every section, and runs ``gate OR`` or
-``scouting`` on it for two cycles.  Sizes (rows, columns, input width, cycles)
-are drawn from small integers so each run stays short; the other keys get any
-integer, float (nan and inf included), bool or short string.
+lines, drawn over every key of every section, and runs ``gate OR``,
+``scouting`` or ``characterize --cells 2`` on it for two cycles.  Sizes (rows,
+columns, input width, cycles) are drawn from small integers so each run stays
+short; the other keys get any integer, float (nan and inf included), bool or
+short string.
 """
 
 import contextlib
@@ -49,7 +50,9 @@ def run_cli(lines, command):
     return code, err.getvalue()
 
 
-@pytest.mark.parametrize("command", [["gate", "OR"], ["scouting"]], ids=["gate", "scouting"])
+@pytest.mark.parametrize("command", [["gate", "OR"], ["scouting"],
+                                     ["characterize", "--cells", "2"]],
+                         ids=["gate", "scouting", "characterize"])
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(lines=st.lists(config_lines(), min_size=1, max_size=3))
 @example(lines=["device.preset = nope"])

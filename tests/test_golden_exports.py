@@ -132,16 +132,13 @@ UNVERIFIED_CURRENTS_SHA256 = {
 EXPORTERS = {
     "gate": lambda out: export_logic_result(run_1t1r_experiment(CONFIG), out),
     "scouting": lambda out: export_scouting_result(run_scouting_experiment(CONFIG), out),
-    "characterize": lambda out: export_characterization(
-        run_characterization(CONFIG.device, CONFIG.transistor, cycles=CONFIG.cycles,
-                             seed=CONFIG.seed), out),
+    "characterize": lambda out: export_characterization(run_characterization(CONFIG), out),
     "gate_seed_2**32+3": lambda out: export_logic_result(
         run_1t1r_experiment(CONFIG.replace(seed=2**32 + 3)), out),
     "scouting_n3": lambda out: export_scouting_result(run_scouting_experiment(
         CONFIG.replace(n_inputs=3, scouting_ops=("read", "or", "and", "xor"))), out),
     "characterize_cells3": lambda out: export_characterization(
-        run_characterization(CONFIG.device, CONFIG.transistor, cells=3,
-                             cycles=CONFIG.cycles, seed=CONFIG.seed), out),
+        run_characterization(CONFIG, cells=3), out),
     "gate_pseudo_crossbar": lambda out: export_logic_result(
         run_1t1r_experiment(PSEUDO_CROSSBAR), out),
     "gate_pseudo_crossbar_rotated": lambda out: export_logic_result(
@@ -150,9 +147,7 @@ EXPORTERS = {
         CONFIG, "hrs_sigma_c2c", list(np.linspace(0.1, 1.2, 3))), out)],
     "gate_300": lambda out: export_logic_result(run_1t1r_experiment(LONG), out),
     "scouting_300": lambda out: export_scouting_result(run_scouting_experiment(LONG), out),
-    "characterize_300": lambda out: export_characterization(
-        run_characterization(LONG.device, LONG.transistor, cycles=LONG.cycles,
-                             seed=LONG.seed), out),
+    "characterize_300": lambda out: export_characterization(run_characterization(LONG), out),
 }
 
 
@@ -161,8 +156,7 @@ JSON_EXPORTERS = {
     "scouting": lambda out: export_scouting_result(
         run_scouting_experiment(CONFIG), out, "json"),
     "characterize": lambda out: export_characterization(
-        run_characterization(CONFIG.device, CONFIG.transistor, cycles=CONFIG.cycles,
-                             seed=CONFIG.seed), out, "json"),
+        run_characterization(CONFIG), out, "json"),
     "sweep": lambda out: [export_sweep(sweep_parameter(
         CONFIG, "hrs_sigma_c2c", list(np.linspace(0.1, 1.2, 3))), out, "json")],
 }
@@ -224,7 +218,7 @@ def test_exports_match_golden_digests(kind, tmp_path):
 
 @pytest.mark.parametrize("n", sorted(UNVERIFIED_CURRENTS_SHA256))
 def test_unverified_currents_match_golden_digest(n):
-    currents = sample_scouting_currents(CONFIG.replace(n_inputs=n), n, verify=False)
+    currents = sample_scouting_currents(CONFIG.replace(n_inputs=n), verify=False)
     text = "".join(f"{cls},{cycle},{current!r}\n" for cls, values in currents.items()
                    for cycle, current in enumerate(values))
     assert hashlib.sha256(text.encode()).hexdigest() == UNVERIFIED_CURRENTS_SHA256[n]

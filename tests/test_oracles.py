@@ -63,7 +63,7 @@ def test_characterization_matches_the_lognormal_model():
     assert TransistorModel().r_on == 0.0
     cells, cycles = 200, 100
     n, big_n = cells, cells * cycles
-    result = run_characterization(params, cells=cells, cycles=cycles, seed=3)
+    result = run_characterization(ExperimentConfig(seed=3, cycles=cycles, device=params), cells)
     assert len(result.rows) == big_n
 
     states = {
@@ -118,7 +118,7 @@ def test_scouting_mean_currents_match_the_lognormal_model():
     config = ExperimentConfig(seed=11, cycles=400)
     params = config.device
     assert config.transistor.r_on == 0.0
-    by_class = sample_scouting_currents(config, 2, include_single=True)
+    by_class = sample_scouting_currents(config, include_single=True)
     array = CellArray(config.topology, params, config.transistor, seed=config.seed)
     cells = [array.cell((r, 0)) for r in range(2)]
     states = {  # each bit's median (an attribute of the cell) and its w

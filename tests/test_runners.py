@@ -228,7 +228,7 @@ def replayed_scouting_class(cycles, input_class):
     currents = scout_class(array, addrs, input_class, config.cycles,
                            *bucket_stream(config.seed, 20, len(input_class),
                                           int(input_class, 2)))
-    return (currents, sample_scouting_currents(config, 2, include_single=True)[input_class],
+    return (currents, sample_scouting_currents(config, include_single=True)[input_class],
             run_scouting_experiment(config).currents[input_class])
 
 
@@ -266,5 +266,6 @@ def test_a_characterized_cell_replays_alone():
             array.apply_drive(drives[bits], rng)
             row.append(array.read_cell(addr, read_rng))
         reads.append(tuple(row))
-    result = run_characterization(PARAMS, cells=3, cycles=cycles, seed=seed)
+    config = ExperimentConfig(seed=seed, cycles=cycles, device=PARAMS)
+    result = run_characterization(config, cells=3)
     assert reads == [row for row in result.rows if row[0] == 2]

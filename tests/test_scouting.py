@@ -162,7 +162,7 @@ def test_write_inputs_rejects_non_bits_before_any_pulse(bits):
 
 # ------------------------------------------------------------- references
 
-def test_reference_set_validation():
+def test_reference_levels_validation():
     with pytest.raises(ValueError):
         ReferenceLevels(levels=(1e-6, 2e-6), i_read=0.0)
     with pytest.raises(ValueError):
@@ -185,7 +185,7 @@ def test_reference_levels_reject_non_finite_values(levels, i_read, name):
         ReferenceLevels(levels=levels, i_read=i_read)
 
 
-def test_paper_reference_preset_values():
+def test_paper_refs_values():
     assert PAPER_REFS.i_read == 7.25e-6
     assert PAPER_REFS.i_or == 11.55e-6
     assert PAPER_REFS.i_and == 32.74e-6
@@ -304,20 +304,20 @@ POPCOUNT_CURRENTS_3 = (3 * I_HRS, I_LRS + 2 * I_HRS, 2 * I_LRS + I_HRS, 3 * I_LR
 N3_CURRENTS = {p: [POPCOUNT_CURRENTS_3[p.count("1")]] for p in input_patterns(3)}
 
 
-def test_extend_three_inputs_noise_free():
+def test_references_in_three_inputs_noise_free():
     refs = references_in(*class_gaps(N3_CURRENTS))
     assert refs.levels == pytest.approx((1.257732e-5, 3.154639e-5, 5.051546e-5), rel=1e-4)
     assert refs.i_read == pytest.approx(refs.i_or / 2)
 
 
-def test_extend_overlap_names_lowest_pair():
+def test_references_in_overlap_names_lowest_pair():
     with pytest.raises(OverlapError) as info:
         references_in(*class_gaps({**N3_CURRENTS, "000": [3 * I_HRS, 23e-6]}))
     assert info.value.lower_class == "000"
     assert info.value.upper_class == "001|010|100"
 
 
-def test_extend_validates_input():
+def test_class_gaps_validates_input():
     with pytest.raises(ValueError):
         class_gaps({})
     with pytest.raises(ValueError):
