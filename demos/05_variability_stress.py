@@ -40,8 +40,8 @@ print("wider gates collapse earlier: more cells, more tail current in the gaps."
 
 print()
 print("parallel cells at different voltages:")
-set_pulse = Pulse(1.3, 0.0, 1.3, 1e-6)
-half_pulse = Pulse(0.5, 0.0, 3.0, 1e-6)
+set_pulse = Pulse(1.3, 0.0, 1.3)
+half_pulse = Pulse(0.5, 0.0, 3.0)
 standard = ArrayTopology(TopologyKind.STANDARD_1T1R, 8, 8)
 pseudo = ArrayTopology(TopologyKind.PSEUDO_CROSSBAR, 8, 8)
 verdict = check_parallel_distinct_voltages(

@@ -111,7 +111,10 @@ class ExperimentConfig:
         if not isinstance(self.rotate_cells, bool):
             raise ValueError(f"rotate_cells must be true or false, got {self.rotate_cells!r}")
         for name in ("gates", "scouting_ops"):
-            if not getattr(self, name):
+            names = getattr(self, name)
+            if not isinstance(names, (tuple, list)) or not all(isinstance(x, str) for x in names):
+                raise ValueError(f"{name} must be a tuple of names, got {names!r}")
+            if not names:
                 raise ValueError(f"{name} must name at least one entry")
 
     def replace(self, **changes) -> "ExperimentConfig":
@@ -260,15 +263,6 @@ def _stream(seed: int, kind: str, *key: int) -> tuple[Uniforms, Normals]:
     return tuple(served)
 
 
-def _require_switching_pulse(params: VariabilityParams) -> None:
-    """Reject a pulse minimum longer than the operating point's pulse, under
-    which no write can switch; checked before any array is built."""
-    for name in ("min_pulse_set", "min_pulse_reset"):
-        if getattr(params, name) > DEFAULT_VOLTAGES.width:
-            raise ValueError(f"device.{name} = {getattr(params, name)!r} is longer than "
-                             f"the {DEFAULT_VOLTAGES.width} s pulse of the operating point")
-
-
 def _reject_repeats(kind: str, names: Sequence[str], keys: list) -> None:
     """Reject a name whose key (its resolved gate or op) an earlier name had."""
     for i, key in enumerate(keys):
@@ -292,7 +286,6 @@ def run_1t1r_experiment(config: ExperimentConfig,
         library = default_gate_library()
     mappings = [lookup_gate(library, name) for name in config.gates]
     _reject_repeats("gate", config.gates, mappings)
-    _require_switching_pulse(config.device)
     rows: list[TraceRow] = []
     summaries: list[DistributionSummary] = []
     tallies = []
@@ -418,7 +411,6 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
         if op not in SCOUTING_OPS:
             raise ValueError(f"unknown scouting op {op!r}; expected one of {SCOUTING_OPS}")
     _reject_repeats("scouting op", config.scouting_ops, list(ops))
-    _require_switching_pulse(config.device)
     n = config.n_inputs
     if n < 2:
         raise ValueError("scouting needs at least two input cells")
@@ -478,10 +470,8 @@ def run_characterization(config: ExperimentConfig, cells: int = 10) -> Character
     params, cycles, seed = config.device, config.cycles, config.seed
     topology = ArrayTopology(TopologyKind.STANDARD_1T1R, rows=1, cols=cells)
     volts = DEFAULT_VOLTAGES
-    phases = ((SET_BITS, STATE_LRS, f"{volts.v_te_set} V SET", "v_set_th_median",
-               "min_pulse_set"),
-              (RESET_BITS, STATE_HRS, f"{volts.v_be_reset} V RESET", "v_reset_th_median",
-               "min_pulse_reset"))
+    phases = ((SET_BITS, STATE_LRS, f"{volts.v_te_set} V SET", "v_set_th_median"),
+              (RESET_BITS, STATE_HRS, f"{volts.v_be_reset} V RESET", "v_reset_th_median"))
     # A cell's drives leave every other cell's SL and BL at 0 V: none of them moves.
     array = CellArray(topology, params, config.transistor, seed=seed)
     rows = []
@@ -492,13 +482,12 @@ def run_characterization(config: ExperimentConfig, cells: int = 10) -> Character
         rng, read_rng = _stream(seed, "cell", ci)
         for cycle in range(cycles):
             reads = []
-            for bits, state, pulse, *names in phases:
+            for bits, state, pulse, name in phases:
                 array.apply_drive(drives[bits], rng)
                 if cell.state != state:
-                    raise ValueError(
-                        f"cell {ci} is {cell.state.upper()} after the {volts.width} s, "
-                        f"{pulse} pulse of cycle {cycle}: " + ", ".join(
-                            f"device.{name} = {getattr(params, name)!r}" for name in names))
+                    raise ValueError(f"cell {ci} is {cell.state.upper()} after the {pulse} "
+                                     f"pulse of cycle {cycle}: device.{name} = "
+                                     f"{getattr(params, name)!r}")
                 reads.append(array.read_cell(addr, read_rng))
             rows.append((ci, cycle, *reads))
     lrs_values = [r[2] for r in rows]

@@ -95,7 +95,6 @@ class LineDrive:
     wl: Mapping[int, float] = field(default_factory=dict)
     sl: Mapping[int, float] = field(default_factory=dict)
     bl: Mapping[int, float] = field(default_factory=dict)
-    width: float = 1.0e-6
 
     def __post_init__(self) -> None:
         for name in ("wl", "sl", "bl"):
@@ -104,10 +103,6 @@ class LineDrive:
                 if not math.isfinite(volts):
                     raise ValueError(f"{name.upper()} {idx} voltage must be finite")
             object.__setattr__(self, name, lines)
-        if not math.isfinite(self.width):
-            raise ValueError("width must be finite")
-        if self.width <= 0:
-            raise ValueError("width must be > 0")
 
 
 def logic_pulse_voltages(g: int, te: int, be: int) -> tuple[float, float, float]:
@@ -131,7 +126,7 @@ def logic_drive(topology: ArrayTopology, addr: CellAddress, g: int, te: int,
     its WL, its column SL and the BL its BE hangs on."""
     v_te, v_be, v_g = logic_pulse_voltages(g, te, be)
     return LineDrive(wl={addr.row: v_g}, sl={addr.col: v_te},
-                     bl={topology.bl_of(addr): v_be}, width=DEFAULT_VOLTAGES.width)
+                     bl={topology.bl_of(addr): v_be})
 
 
 #: The writes are logic pulses: SET is case 4's (g, te, be), RESET case 5's.
@@ -163,7 +158,7 @@ def resolve_drives(array: CellArray, drive: LineDrive) -> list[tuple]:
             v_te = drive.sl.get(col, 0.0)
             v_be = drive.bl.get(topology.bl_of(addr), 0.0)
             if v_te != 0.0 or v_be != 0.0:
-                resolved.append((addr, array.cell(addr), Pulse(v_te, v_be, v_g, drive.width)))
+                resolved.append((addr, array.cell(addr), Pulse(v_te, v_be, v_g)))
     return resolved
 
 

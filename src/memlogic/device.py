@@ -117,8 +117,6 @@ class VariabilityParams:
     v_form_th_sigma: float = 0.2
     read_noise_lrs: float = 0.02
     read_noise_hrs: float = 0.10
-    min_pulse_set: float = 3.0e-7
-    min_pulse_reset: float = 3.0e-7
 
     def __post_init__(self) -> None:
         _require_finite(self)
@@ -128,8 +126,7 @@ class VariabilityParams:
                 raise ValueError(f"{name} must be > 0")
         for name in ("lrs_sigma_c2c", "lrs_sigma_d2d", "hrs_sigma_c2c",
                      "hrs_sigma_d2d", "v_set_th_sigma", "v_reset_th_sigma",
-                     "v_form_th_sigma", "read_noise_lrs", "read_noise_hrs",
-                     "min_pulse_set", "min_pulse_reset"):
+                     "v_form_th_sigma", "read_noise_lrs", "read_noise_hrs"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("lrs_sigma_c2c", "lrs_sigma_d2d", "hrs_sigma_c2c",
@@ -171,19 +168,16 @@ class TransistorModel:
 
 @dataclass(frozen=True)
 class Pulse:
-    """One rectangular voltage pulse: electrode voltages, gate voltage, width."""
+    """One voltage pulse: electrode voltages and gate voltage."""
 
     v_te: float
     v_be: float
     v_g: float
-    width: float
 
     def __post_init__(self) -> None:
-        for name in ("v_te", "v_be", "v_g", "width"):
+        for name in ("v_te", "v_be", "v_g"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.width <= 0:
-            raise ValueError("width must be > 0")
 
 
 @dataclass
@@ -318,16 +312,13 @@ def apply_pulse(cell: MemristorCell, pulse: Pulse, transistor: TransistorModel,
             and (diff >= cell.v_set_th or -diff >= cell.v_reset_th)):
         raise InvalidDriveError(
             f"ambiguous drive on {cell.cell_id}: v_te={pulse.v_te}, v_be={pulse.v_be}")
-    if (cell.state == STATE_PRISTINE and diff >= cell.v_form_th
-            and pulse.width >= cell.params.min_pulse_set):
+    if cell.state == STATE_PRISTINE and diff >= cell.v_form_th:
         _enter_lrs(cell, rng)
         return SwitchEvent.FORMED
-    if (cell.state == STATE_HRS and diff >= cell.v_set_th
-            and pulse.width >= cell.params.min_pulse_set):
+    if cell.state == STATE_HRS and diff >= cell.v_set_th:
         _enter_lrs(cell, rng)
         return SwitchEvent.SET
-    if (cell.state == STATE_LRS and -diff >= cell.v_reset_th
-            and pulse.width >= cell.params.min_pulse_reset):
+    if cell.state == STATE_LRS and -diff >= cell.v_reset_th:
         _enter_hrs(cell, rng)
         cell.cycle_count += 1
         return SwitchEvent.RESET
@@ -378,7 +369,8 @@ class LogicVoltages:
     Logic pulses, initialization writes, verify reads, scouting reads and
     characterization all run at ``DEFAULT_VOLTAGES`` (forming has its own ramp):
     SET drives 1.3 V on the TE with a 1.3 V gate; RESET drives 1.6 V on the BE
-    with a 3 V gate; reads use 0.1 V with a 3 V gate.  All pulses are 1 us.
+    with a 3 V gate; reads use 0.1 V with a 3 V gate.  The model has no pulse
+    timing: a pulse switches a cell when its voltages reach the cell's thresholds.
     """
 
     v_te_set: float = 1.3
@@ -387,21 +379,19 @@ class LogicVoltages:
     v_g_reset: float = 3.0
     v_read: float = 0.1
     v_g_read: float = 3.0
-    width: float = 1.0e-6
 
 
 DEFAULT_VOLTAGES = LogicVoltages()
 
 
-#: The forming ramp: TE pulses of FORM_WIDTH seconds at a FORM_V_G gate, rising
-#: in FORM_V_STEP steps from FORM_V_STEP up to FORM_V_MAX volts.
+#: The forming ramp: TE pulses at a FORM_V_G gate, rising in FORM_V_STEP steps
+#: from FORM_V_STEP up to FORM_V_MAX volts.
 FORM_V_MAX = 4.8
 FORM_V_STEP = 0.1
-FORM_WIDTH = 1.0e-5
 FORM_V_G = 1.1
 
 #: The ramp's pulses, built once; each voltage is the last plus FORM_V_STEP.
-_FORM_RAMP = tuple(Pulse(v, 0.0, FORM_V_G, FORM_WIDTH) for v in takewhile(
+_FORM_RAMP = tuple(Pulse(v, 0.0, FORM_V_G) for v in takewhile(
     lambda v: v <= FORM_V_MAX + 1e-12, accumulate(repeat(FORM_V_STEP))))
 
 
@@ -411,8 +401,7 @@ def form_by_ramp(cell: MemristorCell, transistor: TransistorModel,
 
     The ramp is the module's ``FORM_*`` constants.  Returns the number of
     pulses applied.  Raises ``NotFormedError`` if the ramp tops out without
-    forming, e.g. for a transistor threshold above the ramp's gate voltage or a
-    SET pulse minimum above its width.
+    forming, e.g. for a transistor threshold above the ramp's gate voltage.
     """
     if cell.is_formed:
         return 0
@@ -420,4 +409,4 @@ def form_by_ramp(cell: MemristorCell, transistor: TransistorModel,
         if apply_pulse(cell, pulse, transistor, rng) == SwitchEvent.FORMED:
             return pulses
     raise NotFormedError(f"{cell.cell_id} did not form up to {FORM_V_MAX} V "
-                         f"({FORM_WIDTH} s pulses at a {FORM_V_G} V gate)")
+                         f"(pulses at a {FORM_V_G} V gate)")

@@ -204,8 +204,8 @@ def test_c09_overlap_detection():
 
 
 def test_c10_topology_constraint():
-    set_pulse = Pulse(1.3, 0.0, 1.3, 1e-6)
-    other = Pulse(0.5, 0.0, 3.0, 1e-6)
+    set_pulse = Pulse(1.3, 0.0, 1.3)
+    other = Pulse(0.5, 0.0, 3.0)
     standard = ArrayTopology(TopologyKind.STANDARD_1T1R, 8, 8)
     pseudo = ArrayTopology(TopologyKind.PSEUDO_CROSSBAR, 8, 8)
     verdict = check_parallel_distinct_voltages(

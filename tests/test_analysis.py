@@ -308,6 +308,17 @@ def test_config_rejects_negative_seed(seed):
         ExperimentConfig(seed=seed)
 
 
+@pytest.mark.parametrize("field, names", [
+    ("gates", "XOR"), ("gates", ("OR", 5)), ("gates", 5),
+    ("scouting_ops", "or"), ("scouting_ops", ("or", 5)), ("scouting_ops", (b"or",)),
+])
+def test_config_rejects_names_that_are_not_a_tuple_of_strings(field, names):
+    # A bare string would run one gate or op per letter; a non-string entry
+    # would fail only at run time.
+    with pytest.raises(ValueError, match=f"^{field} must be a tuple of names, got "):
+        ExperimentConfig(**{field: names})
+
+
 # ----------------------------------------------------------------- exports
 
 def test_export_empty_results_headers_only(tmp_path):

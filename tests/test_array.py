@@ -31,8 +31,8 @@ STD = ArrayTopology(TopologyKind.STANDARD_1T1R, rows=4, cols=4)
 PSEUDO = ArrayTopology(TopologyKind.PSEUDO_CROSSBAR, rows=4, cols=4)
 PARAMS = VariabilityParams()
 
-SET_PULSE = Pulse(1.3, 0.0, 1.3, 1e-6)
-RESET_PULSE = Pulse(0.0, 1.6, 3.0, 1e-6)
+SET_PULSE = Pulse(1.3, 0.0, 1.3)
+RESET_PULSE = Pulse(0.0, 1.6, 3.0)
 
 
 def every_cell_pulse(topology, drive):
@@ -45,7 +45,7 @@ def every_cell_pulse(topology, drive):
             addr = CellAddress(row, col)
             v_te = drive.sl.get(col, 0.0)
             v_be = drive.bl.get(topology.bl_of(addr), 0.0)
-            resolved.append((addr, Pulse(v_te, v_be, v_g, drive.width)))
+            resolved.append((addr, Pulse(v_te, v_be, v_g)))
     return resolved
 
 
@@ -117,12 +117,6 @@ def test_line_drive_rejects_non_finite_voltage(line, volts):
         LineDrive(**{line: {0: 1.0, 1: volts}})
 
 
-def test_line_drive_rejects_bad_width():
-    for width in (math.nan, math.inf, 0.0, -1e-6):
-        with pytest.raises(ValueError):
-            LineDrive(width=width)
-
-
 LINES = st.dictionaries(st.integers(0, 3), st.sampled_from([0.0, 0.1, 1.3, 1.6, 3.0]),
                         max_size=4)
 
@@ -132,7 +126,7 @@ LINES = st.dictionaries(st.integers(0, 3), st.sampled_from([0.0, 0.1, 1.3, 1.6, 
 def test_line_drive_lines_cannot_change_after_it_is_built(wl, sl, bl, extra):
     """A drive keeps the content it was built with."""
     drive = LineDrive(wl=wl, sl=sl, bl=bl)
-    key = (tuple(wl.items()), tuple(sl.items()), tuple(bl.items()), drive.width)
+    key = (tuple(wl.items()), tuple(sl.items()), tuple(bl.items()))
     for name, source in (("wl", wl), ("sl", sl), ("bl", bl)):
         lines = getattr(drive, name)
         source[extra] = 9.9  # the caller's dict is not the drive's
@@ -143,7 +137,7 @@ def test_line_drive_lines_cannot_change_after_it_is_built(wl, sl, bl, extra):
         with pytest.raises(AttributeError):
             setattr(drive, name, {extra: 9.9})
     assert (dict(drive.wl), dict(drive.sl), dict(drive.bl)) == tuple(
-        dict(items) for items in key[:3])
+        dict(items) for items in key)
 
 
 def test_line_bounds_checked():
@@ -167,8 +161,8 @@ def test_parallel_identical_pulses_ok():
 
 
 def test_parallel_distinct_voltages_pseudo_ok():
-    a = Pulse(1.3, 0.0, 3.0, 1e-6)
-    b = Pulse(0.5, 0.0, 3.0, 1e-6)
+    a = Pulse(1.3, 0.0, 3.0)
+    b = Pulse(0.5, 0.0, 3.0)
     verdict = check_parallel_distinct_voltages(
         PSEUDO, CellAddress(0, 0), CellAddress(0, 1), a, b)
     assert verdict is None

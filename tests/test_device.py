@@ -37,7 +37,7 @@ def formed_cell(params=PARAMS, seed=0, state="hrs"):
     cell = sample_fresh_cell(params, rng, "c")
     form_by_ramp(cell, T, rng)
     if state == "hrs":
-        apply_pulse(cell, Pulse(0.0, 1.6, 3.0, 1e-6), T, rng)
+        apply_pulse(cell, Pulse(0.0, 1.6, 3.0), T, rng)
     return cell, rng
 
 
@@ -68,9 +68,9 @@ def test_population_ratio_near_anchor():
         cell = sample_fresh_cell(PARAMS, rng, f"c{ci}")
         form_by_ramp(cell, T, rng)
         for _ in range(100):
-            apply_pulse(cell, Pulse(0.0, 1.6, 3.0, 1e-6), T, rng)
+            apply_pulse(cell, Pulse(0.0, 1.6, 3.0), T, rng)
             r_hrs = cell.resistance
-            apply_pulse(cell, Pulse(1.3, 0.0, 1.3, 1e-6), T, rng)
+            apply_pulse(cell, Pulse(1.3, 0.0, 1.3), T, rng)
             r_lrs = cell.resistance
             ratios.append(r_hrs / r_lrs)
     mean_ratio = sum(ratios) / len(ratios)
@@ -93,7 +93,7 @@ def test_d2d_spread_matches_configured_sigma():
 def test_set_pulse_on_hrs():
     cell, rng = formed_cell()
     assert cell.state == "hrs"
-    event = apply_pulse(cell, Pulse(1.3, 0.0, 1.3, 1e-6), T, rng)
+    event = apply_pulse(cell, Pulse(1.3, 0.0, 1.3), T, rng)
     assert event == SwitchEvent.SET
     assert cell.state == "lrs"
 
@@ -101,7 +101,7 @@ def test_set_pulse_on_hrs():
 def test_reset_pulse_on_lrs():
     cell, rng = formed_cell(state="lrs")
     assert cell.state == "lrs"
-    event = apply_pulse(cell, Pulse(0.0, 1.6, 3.0, 1e-6), T, rng)
+    event = apply_pulse(cell, Pulse(0.0, 1.6, 3.0), T, rng)
     assert event == SwitchEvent.RESET
     assert cell.state == "hrs"
     assert cell.cycle_count == 1  # the reset completes one switching cycle
@@ -110,7 +110,7 @@ def test_reset_pulse_on_lrs():
 def test_set_pulse_on_lrs_is_noop():
     cell, rng = formed_cell(state="lrs")
     r_before = cell.resistance
-    event = apply_pulse(cell, Pulse(1.3, 0.0, 1.3, 1e-6), T, rng)
+    event = apply_pulse(cell, Pulse(1.3, 0.0, 1.3), T, rng)
     assert event == SwitchEvent.NONE
     assert cell.resistance == r_before
 
@@ -120,7 +120,7 @@ def test_closed_gate_is_identity():
         cell, rng = formed_cell(state=state)
         r_before, s_before = cell.resistance, cell.state
         for v_te, v_be in ((1.3, 0.0), (0.0, 1.6), (4.0, 0.0)):
-            event = apply_pulse(cell, Pulse(v_te, v_be, 0.0, 1e-6), T, rng)
+            event = apply_pulse(cell, Pulse(v_te, v_be, 0.0), T, rng)
             assert event == SwitchEvent.NONE
             assert (cell.resistance, cell.state) == (r_before, s_before)
 
@@ -128,9 +128,9 @@ def test_closed_gate_is_identity():
 def test_forming_threshold_and_ramp():
     rng = np.random.default_rng(7)
     cell = sample_fresh_cell(PARAMS, rng)
-    ev = apply_pulse(cell, Pulse(cell.v_form_th - 0.05, 0.0, 3.0, 1e-6), T, rng)
+    ev = apply_pulse(cell, Pulse(cell.v_form_th - 0.05, 0.0, 3.0), T, rng)
     assert ev == SwitchEvent.NONE and not cell.is_formed
-    ev = apply_pulse(cell, Pulse(cell.v_form_th + 0.01, 0.0, 3.0, 1e-6), T, rng)
+    ev = apply_pulse(cell, Pulse(cell.v_form_th + 0.01, 0.0, 3.0), T, rng)
     assert ev == SwitchEvent.FORMED and cell.state == "lrs"
     fresh = sample_fresh_cell(PARAMS, rng)
     pulses = form_by_ramp(fresh, T, rng)
@@ -143,27 +143,20 @@ def test_hrs_disturb_resamples_but_keeps_bit():
     cell, rng = formed_cell()
     values = set()
     for _ in range(20):
-        event = apply_pulse(cell, Pulse(0.0, 1.6, 3.0, 1e-6), T, rng)
+        event = apply_pulse(cell, Pulse(0.0, 1.6, 3.0), T, rng)
         assert event == SwitchEvent.HRS_DISTURB
         assert binarize(cell.resistance, boundary) == 0
         values.add(cell.resistance)
     assert len(values) == 20  # fresh draw every time
 
 
-def test_too_short_pulse_does_not_switch():
-    cell, rng = formed_cell()
-    event = apply_pulse(cell, Pulse(1.3, 0.0, 1.3, PARAMS.min_pulse_set / 10), T, rng)
-    assert event == SwitchEvent.NONE
-    assert cell.state == "hrs"
-
-
 def test_ambiguous_drive_rejected():
     cell, rng = formed_cell()
     cell.v_set_th, cell.v_reset_th = 1.0, 0.9
     with pytest.raises(InvalidDriveError):
-        apply_pulse(cell, Pulse(2.3, 1.0, 3.0, 1e-6), T, rng)
+        apply_pulse(cell, Pulse(2.3, 1.0, 3.0), T, rng)
     # Both electrodes high but with a sub-threshold differential is benign.
-    event = apply_pulse(cell, Pulse(1.3, 1.6, 3.0, 1e-6), T, rng)
+    event = apply_pulse(cell, Pulse(1.3, 1.6, 3.0), T, rng)
     assert event == SwitchEvent.HRS_DISTURB
 
 
@@ -176,25 +169,24 @@ def test_ambiguous_drive_rejected_at_its_thresholds(v_set_th, v_reset_th, v_te, 
     cell, rng = formed_cell()
     cell.v_set_th, cell.v_reset_th = v_set_th, v_reset_th
     with pytest.raises(InvalidDriveError):
-        apply_pulse(cell, Pulse(v_te, v_be, 3.0, 1e-6), T, rng)
+        apply_pulse(cell, Pulse(v_te, v_be, 3.0), T, rng)
 
 
 def test_switching_happens_at_its_thresholds():
-    # "At or above": each threshold and pulse minimum switches at equality.
+    # "At or above": each threshold switches at equality.
     cell = sample_fresh_cell(PARAMS, np.random.default_rng(0), "c")
     cell.v_form_th, cell.v_set_th, cell.v_reset_th = 2.0, 1.0, 0.5
     rng = np.random.default_rng(1)
-    set_width, reset_width = PARAMS.min_pulse_set, PARAMS.min_pulse_reset
-    assert apply_pulse(cell, Pulse(2.0, 0.0, 3.0, set_width), T, rng) == SwitchEvent.FORMED
-    assert apply_pulse(cell, Pulse(0.0, 0.5, 3.0, reset_width), T, rng) == SwitchEvent.RESET
-    assert apply_pulse(cell, Pulse(1.0, 0.0, 3.0, set_width), T, rng) == SwitchEvent.SET
+    assert apply_pulse(cell, Pulse(2.0, 0.0, 3.0), T, rng) == SwitchEvent.FORMED
+    assert apply_pulse(cell, Pulse(0.0, 0.5, 3.0), T, rng) == SwitchEvent.RESET
+    assert apply_pulse(cell, Pulse(1.0, 0.0, 3.0), T, rng) == SwitchEvent.SET
 
 
 def test_pulse_validation():
-    with pytest.raises(ValueError):
-        Pulse(1.0, 0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        Pulse(math.inf, 0.0, 1.0, 1e-6)
+    with pytest.raises(ValueError, match="v_g"):
+        Pulse(1.0, 0.0, math.nan)
+    with pytest.raises(ValueError, match="v_te"):
+        Pulse(math.inf, 0.0, 1.0)
 
 
 # -------------------------------------------------------------------- reads
@@ -208,7 +200,7 @@ def test_noise_free_read_is_exact():
 def test_read_spans():
     cell, rng = formed_cell()
     hrs_reads = [read_resistance(cell, 0.1, 3.0, T, rng) for _ in range(100)]
-    apply_pulse(cell, Pulse(1.3, 0.0, 1.3, 1e-6), T, rng)
+    apply_pulse(cell, Pulse(1.3, 0.0, 1.3), T, rng)
     lrs_reads = [read_resistance(cell, 0.1, 3.0, T, rng) for _ in range(100)]
     hrs_span = max(hrs_reads) / min(hrs_reads)
     lrs_span = max(lrs_reads) / min(lrs_reads)
@@ -334,9 +326,9 @@ def test_no_overlap_over_population():
         cell = sample_fresh_cell(PARAMS, rng, f"c{ci}")
         form_by_ramp(cell, T, rng)
         for _ in range(100):
-            apply_pulse(cell, Pulse(0.0, 1.6, 3.0, 1e-6), T, rng)
+            apply_pulse(cell, Pulse(0.0, 1.6, 3.0), T, rng)
             hrs_all.append(cell.resistance)
-            apply_pulse(cell, Pulse(1.3, 0.0, 1.3, 1e-6), T, rng)
+            apply_pulse(cell, Pulse(1.3, 0.0, 1.3), T, rng)
             lrs_all.append(cell.resistance)
     assert max(lrs_all) < min(hrs_all)
 
@@ -347,9 +339,9 @@ def test_mean_ratio_window_1000_cycles():
     form_by_ramp(cell, T, rng)
     lrs, hrs = [], []
     for _ in range(1000):
-        apply_pulse(cell, Pulse(0.0, 1.6, 3.0, 1e-6), T, rng)
+        apply_pulse(cell, Pulse(0.0, 1.6, 3.0), T, rng)
         hrs.append(cell.resistance)
-        apply_pulse(cell, Pulse(1.3, 0.0, 1.3, 1e-6), T, rng)
+        apply_pulse(cell, Pulse(1.3, 0.0, 1.3), T, rng)
         lrs.append(cell.resistance)
     ratio = np.mean(hrs) / np.mean(lrs)
     assert 15.5 <= ratio <= 23.3
@@ -362,8 +354,8 @@ def test_determinism():
         form_by_ramp(cell, T, rng)
         out = []
         for _ in range(50):
-            apply_pulse(cell, Pulse(0.0, 1.6, 3.0, 1e-6), T, rng)
-            apply_pulse(cell, Pulse(1.3, 0.0, 1.3, 1e-6), T, rng)
+            apply_pulse(cell, Pulse(0.0, 1.6, 3.0), T, rng)
+            apply_pulse(cell, Pulse(1.3, 0.0, 1.3), T, rng)
             out.append(read_resistance(cell, 0.1, 3.0, T, rng))
         return out
 
@@ -379,7 +371,7 @@ def test_polarity_and_stability_properties(v_te, v_be, v_g, state, seed):
     before_bit = binarize(cell.resistance, default_boundary(PARAMS))
     before_r = cell.resistance
     try:
-        event = apply_pulse(cell, Pulse(v_te, v_be, v_g, 1e-6), T, rng)
+        event = apply_pulse(cell, Pulse(v_te, v_be, v_g), T, rng)
     except InvalidDriveError:
         return
     if event == SwitchEvent.SET:
@@ -405,9 +397,9 @@ def test_inert_pulse_draws_nothing(state, seed, gate_off, v_te, v_be, v_g):
     else:
         cell, rng = formed_cell(seed=seed, state=state)
     if gate_off:
-        pulse = Pulse(v_te, v_be, min(v_g, math.nextafter(T.v_g_on_threshold, 0.0)), 1e-6)
+        pulse = Pulse(v_te, v_be, min(v_g, math.nextafter(T.v_g_on_threshold, 0.0)))
     else:
-        pulse = Pulse(0.0, 0.0, v_g, 1e-6)
+        pulse = Pulse(0.0, 0.0, v_g)
     before_cell = copy.copy(cell)
     before_rng = copy.deepcopy(rng.bit_generator.state)
     assert apply_pulse(cell, pulse, T, rng) == SwitchEvent.NONE

@@ -116,7 +116,7 @@ def test_scout_read_is_non_destructive(monkeypatch):
     assert len(set(currents)) == 50  # each cycle's read draws its own noise
 
 
-def test_write_inputs_states():
+def test_scout_class_writes_the_input_states():
     array, addrs = column_array(params=VariabilityParams(), seed=5)
     rng = np.random.default_rng(5)
     boundary = default_boundary(VariabilityParams())
@@ -131,7 +131,7 @@ def test_write_inputs_states():
     assert binarize(array.cell(addrs[1]).resistance, boundary) == 1
 
 
-def test_write_inputs_refresh_draws_fresh_values():
+def test_scout_class_draws_fresh_values_on_every_write():
     array, addrs = column_array(params=VariabilityParams(), seed=6)
     rng = np.random.default_rng(6)
     values = set()
@@ -141,7 +141,7 @@ def test_write_inputs_refresh_draws_fresh_values():
     assert len(values) == 10
 
 
-def test_write_inputs_length_mismatch():
+def test_scout_class_rejects_a_length_mismatch():
     array, addrs = column_array()
     with pytest.raises(ValueError, match="one bit per address"):
         scout_class(array, addrs, "011", 1, np.random.default_rng(0),
@@ -289,7 +289,7 @@ def test_classify_matches_op_table_noise_free(n):
                 assert classify_one(current, refs, op) == bit, (op, input_class)
 
 
-def test_scouting_gate_composition():
+def test_classify_bucket_of_scout_class_currents():
     # Write, scout and classify one cycle against the published references.
     array, addrs = column_array(params=VariabilityParams(), seed=7)
     rng = np.random.default_rng(7)
