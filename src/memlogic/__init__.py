@@ -28,7 +28,6 @@ from .device import (
     MemristorCell,
     Pulse,
     SwitchEvent,
-    TransistorModel,
     VariabilityParams,
     apply_pulse,
     binarize,

@@ -48,7 +48,6 @@ from .device import (
     STATE_HRS,
     STATE_LRS,
     Normals,
-    TransistorModel,
     Uniforms,
     VariabilityParams,
     binarize,
@@ -95,7 +94,6 @@ class ExperimentConfig:
     scouting_ops: tuple[str, ...] = ("read", "or", "and", "xor")
     n_inputs: int = 2
     device: VariabilityParams = field(default_factory=VariabilityParams)
-    transistor: TransistorModel = field(default_factory=TransistorModel)
     topology: ArrayTopology = field(default_factory=ArrayTopology)
     refs: str = "placed"  # "placed" or "paper-refs", in any case
     split: str = "split"  # "split" (train/classify halves) or "insample"
@@ -291,8 +289,7 @@ def run_1t1r_experiment(config: ExperimentConfig,
     tallies = []
     for gate_idx, (name, mapping) in enumerate(zip(config.gates, mappings)):
         mapping = replace(mapping, name=name)  # the rows carry the name as typed
-        array = CellArray(config.topology, config.device, config.transistor,
-                          seed=config.seed)
+        array = CellArray(config.topology, config.device, seed=config.seed)
         col = gate_idx % config.topology.cols
         for combo_idx, (p, q) in enumerate(INPUT_PAIRS):
             row_idx = combo_idx % config.topology.rows if config.rotate_cells else 0
@@ -370,7 +367,7 @@ def sample_scouting_currents(config: ExperimentConfig, include_single: bool = Fa
         raise ValueError(f"n={n} input cells do not fit in one column of "
                          f"{config.topology.rows} rows")
     addrs = tuple(CellAddress(r, 0) for r in range(n))
-    formed = CellArray(config.topology, config.device, config.transistor, seed=config.seed)
+    formed = CellArray(config.topology, config.device, seed=config.seed)
     for addr in addrs:
         formed.form(addr)
     return {bits: scout_class(formed.copy(), addrs[:len(bits)], bits, config.cycles,
@@ -463,17 +460,18 @@ def run_characterization(config: ExperimentConfig, cells: int = 10) -> Character
 
     One row per (cell, cycle) holds the LRS read after the SET pulse and the
     HRS read after the RESET pulse.  A cell left in the wrong state by either
-    pulse (parameters out of the operating point's reach) is a ``ValueError``
-    naming the cell, the cycle and the parameters.
+    pulse (a threshold out of the operating point's reach) is a ``ValueError``
+    naming the cell, the cycle, the cell's drawn threshold and the median and
+    sigma it was drawn from.
     """
     require_int("cells", cells, 1)
     params, cycles, seed = config.device, config.cycles, config.seed
     topology = ArrayTopology(TopologyKind.STANDARD_1T1R, rows=1, cols=cells)
     volts = DEFAULT_VOLTAGES
-    phases = ((SET_BITS, STATE_LRS, f"{volts.v_te_set} V SET", "v_set_th_median"),
-              (RESET_BITS, STATE_HRS, f"{volts.v_be_reset} V RESET", "v_reset_th_median"))
+    phases = ((SET_BITS, STATE_LRS, f"{volts.v_te_set} V SET", "v_set_th"),
+              (RESET_BITS, STATE_HRS, f"{volts.v_be_reset} V RESET", "v_reset_th"))
     # A cell's drives leave every other cell's SL and BL at 0 V: none of them moves.
-    array = CellArray(topology, params, config.transistor, seed=seed)
+    array = CellArray(topology, params, seed=seed)
     rows = []
     for ci in range(cells):
         addr = CellAddress(0, ci)
@@ -482,12 +480,14 @@ def run_characterization(config: ExperimentConfig, cells: int = 10) -> Character
         rng, read_rng = _stream(seed, "cell", ci)
         for cycle in range(cycles):
             reads = []
-            for bits, state, pulse, name in phases:
+            for bits, state, pulse, th in phases:
                 array.apply_drive(drives[bits], rng)
                 if cell.state != state:
-                    raise ValueError(f"cell {ci} is {cell.state.upper()} after the {pulse} "
-                                     f"pulse of cycle {cycle}: device.{name} = "
-                                     f"{getattr(params, name)!r}")
+                    raise ValueError(
+                        f"cell {ci} is {cell.state.upper()} after the {pulse} pulse of "
+                        f"cycle {cycle}: its drawn {th} = {getattr(cell, th)!r}, with "
+                        f"device.{th}_median = {getattr(params, th + '_median')!r} and "
+                        f"device.{th}_sigma = {getattr(params, th + '_sigma')!r}")
                 reads.append(array.read_cell(addr, read_rng))
             rows.append((ci, cycle, *reads))
     lrs_values = [r[2] for r in rows]

@@ -11,9 +11,10 @@ resolution and both parallel checks follow from it.
 
 Line parasitics and sneak paths are ignored: the access transistor isolates
 unselected cells, and every selected cell sees the ideal line voltages.  The
-transistor is off at 0 V gate, so a drive only pulses cells on its driven word
-lines.  An array resolves each drive it builds (``CellArray.cell_drives``)
-once, into its one drive cache; any other drive is resolved on every call.
+transistor is off at 0 V gate (below ``device.V_G_ON``), so a drive only
+pulses cells on its driven word lines.  An array resolves each drive it builds
+(``CellArray.cell_drives``) once, into its one drive cache; any other drive is
+resolved on every call.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ import numpy as np
 
 from .device import (
     DEFAULT_VOLTAGES,
+    V_G_ON,
     MemristorCell,
     Normals,
     Pulse,
     SwitchEvent,
-    TransistorModel,
     Uniforms,
     VariabilityParams,
     apply_pulse,
@@ -136,11 +137,12 @@ SET_BITS, RESET_BITS = (1, 1, 0), (1, 0, 1)
 def resolve_drives(array: CellArray, drive: LineDrive) -> list[tuple]:
     """The (address, cell, pulse) of each cell ``drive`` can switch on ``array``,
     in address order; a line outside the array is a ``ValueError``.  Listed are
-    the cells on a WL that turns the transistor on with a nonzero voltage on
-    their SL or BL (``ArrayTopology.bl_of``).  Any other cell cannot switch and
-    its pulse would draw no randomness (gate-off returns first, every switching
-    threshold is > 0), so pulsing the listed cells equals pulsing every cell.
-    Only the drives the array builds (``CellDrives``) keep their resolution."""
+    the cells on a WL that turns the transistor on (at least ``V_G_ON``) with a
+    nonzero voltage on their SL or BL (``ArrayTopology.bl_of``).  Any other cell
+    cannot switch and its pulse would draw no randomness (gate-off returns
+    first, every switching threshold is > 0), so pulsing the listed cells
+    equals pulsing every cell.  Only the drives the array builds
+    (``CellDrives``) keep their resolution."""
     topology = array.topology
     for name, lines, count in (("WL", drive.wl, topology.rows),
                                ("BL", drive.bl, topology.bl_count),
@@ -151,7 +153,7 @@ def resolve_drives(array: CellArray, drive: LineDrive) -> list[tuple]:
     resolved = []
     for row in sorted(drive.wl):
         v_g = drive.wl[row]
-        if not array.transistor.is_on(v_g):
+        if not v_g >= V_G_ON:
             continue
         for col in range(topology.cols):
             addr = CellAddress(row, col)
@@ -241,11 +243,9 @@ class CellArray:
     medians.  All pulse randomness comes from generators passed by the caller.
     """
 
-    def __init__(self, topology: ArrayTopology, params: VariabilityParams,
-                 transistor: TransistorModel | None = None, seed: int = 0):
+    def __init__(self, topology: ArrayTopology, params: VariabilityParams, seed: int = 0):
         self.topology = topology
         self.params = params
-        self.transistor = transistor if transistor is not None else TransistorModel()
         self.seed = seed
         self.boundary = default_boundary(params)
         self.cells: dict[CellAddress, MemristorCell] = {}
@@ -266,9 +266,9 @@ class CellArray:
         return self.cells[addr]
 
     def copy(self) -> "CellArray":
-        """A new array of the same topology, parameters, transistor and seed, with
-        copies of this array's sampled cells (each through its ``__init__``)."""
-        array = CellArray(self.topology, self.params, self.transistor, self.seed)
+        """A new array of the same topology, parameters and seed, with copies
+        of this array's sampled cells (each through its ``__init__``)."""
+        array = CellArray(self.topology, self.params, self.seed)
         array.cells = {addr: replace(cell) for addr, cell in self.cells.items()}
         return array
 
@@ -278,7 +278,7 @@ class CellArray:
         cell = self.cell(addr)
         if not cell.is_formed:
             rng = np.random.default_rng(np.random.SeedSequence((self.seed, 1, *addr)))
-            form_by_ramp(cell, self.transistor, rng)
+            form_by_ramp(cell, rng)
 
     def cell_drives(self, addr: CellAddress) -> CellDrives:
         """The cell with its drives (its SET and RESET writes among them), kept
@@ -299,7 +299,7 @@ class CellArray:
         events = []
         for addr, cell, pulse in resolved:
             try:
-                event = apply_pulse(cell, pulse, self.transistor, rng)
+                event = apply_pulse(cell, pulse, rng)
             except Exception as exc:
                 raise type(exc)(f"at cell {tuple(addr)}: {exc}") from exc
             events.append((addr, event))
@@ -322,7 +322,7 @@ class CellArray:
         except (KeyError, TypeError):
             cell = self.cell(addr)
         volts = DEFAULT_VOLTAGES
-        r = read_resistance(cell, volts.v_read, volts.v_g_read, self.transistor, rng)
+        r = read_resistance(cell, volts.v_read, volts.v_g_read, rng)
         if r == 0.0:
             require_finite_result("read conductance", math.inf, self.params)
         return r

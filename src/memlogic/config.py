@@ -5,7 +5,7 @@ The config format is one ``section.field = value`` assignment per line, with
 configure, e.g.::
 
     device.hrs_sigma_c2c = 0.32
-    transistor.r_on = 0.0
+    device.r_on = 0.0
     array.kind = standard
     array.rows = 8
     experiment.seed = 7
@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .analysis import ExperimentConfig
 from .array import ArrayTopology, TopologyKind
-from .device import TransistorModel, VariabilityParams
+from .device import VariabilityParams
 
 
 class ConfigError(ValueError):
@@ -39,7 +39,6 @@ _LIST_KEYS = {"experiment.gates", "experiment.scouting_ops"}
 #: field that holds it.
 _MODELS = {
     "device": (VariabilityParams, "device"),
-    "transistor": (TransistorModel, "transistor"),
     "array": (ArrayTopology, "topology"),
 }
 

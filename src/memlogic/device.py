@@ -1,11 +1,13 @@
 """Stochastic behavioral model of a single 1T1R RRAM cell.
 
 A cell is a bipolar resistive-switching element (VCM type) in series with an
-access transistor.  A positive top-electrode voltage above the SET threshold
-switches the element from the high resistance state (HRS, logical '0') to the
-low resistance state (LRS, logical '1'); a positive bottom-electrode voltage
-above the RESET threshold switches it back.  Fresh devices start in a
-high-ohmic pristine state and must be formed once before they switch.
+access transistor: a switch, on at a gate of at least ``V_G_ON``, whose series
+resistance is the device parameter ``VariabilityParams.r_on``.  A positive
+top-electrode voltage above the SET threshold switches the element from the
+high resistance state (HRS, logical '0') to the low resistance state (LRS,
+logical '1'); a positive bottom-electrode voltage above the RESET threshold
+switches it back.  Fresh devices start in a high-ohmic pristine state and
+must be formed once before they switch.
 
 Switching itself is threshold-deterministic; all stochastic behavior lives in
 the resistance values drawn after each switching event (lognormal, with
@@ -42,6 +44,13 @@ _TINY = math.ulp(0.0)  # the smallest positive float
 #: Largest log-space spread: exp(N(0, sigma)) overflows a float past about 709,
 #: a 70-sigma draw at this bound.
 MAX_LOG_SIGMA = 10.0
+
+#: The access transistor conducts at a gate voltage of at least V_G_ON volts.
+#: It is a constant: every gate voltage the simulator applies is 0 V or at least
+#: 1.1 V (``FORM_V_G`` and ``DEFAULT_VOLTAGES``), so every threshold in (0, 1.1]
+#: gives the same results.  It stays above 0 V because a grounded WL must isolate
+#: its cells, which the skipping drive path in ``array.resolve_drives`` relies on.
+V_G_ON = 0.7
 
 
 class SwitchEvent(Enum):
@@ -100,7 +109,8 @@ class VariabilityParams:
     Resistances are lognormal: ``value = median * exp(N(0, sigma))``, with
     ``sigma_c2c`` applied per switching event and ``sigma_d2d`` applied once
     per cell (to its median).  Thresholds are normal, truncated at zero.
-    Read noise is a per-read multiplicative lognormal jitter.
+    Read noise is a per-read multiplicative lognormal jitter.  ``r_on`` is the
+    access transistor's series resistance, added to every read.
     """
 
     lrs_median: float = 5.0e3
@@ -117,6 +127,7 @@ class VariabilityParams:
     v_form_th_sigma: float = 0.2
     read_noise_lrs: float = 0.02
     read_noise_hrs: float = 0.10
+    r_on: float = 0.0
 
     def __post_init__(self) -> None:
         _require_finite(self)
@@ -126,7 +137,7 @@ class VariabilityParams:
                 raise ValueError(f"{name} must be > 0")
         for name in ("lrs_sigma_c2c", "lrs_sigma_d2d", "hrs_sigma_c2c",
                      "hrs_sigma_d2d", "v_set_th_sigma", "v_reset_th_sigma",
-                     "v_form_th_sigma", "read_noise_lrs", "read_noise_hrs"):
+                     "v_form_th_sigma", "read_noise_lrs", "read_noise_hrs", "r_on"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("lrs_sigma_c2c", "lrs_sigma_d2d", "hrs_sigma_c2c",
@@ -142,28 +153,6 @@ class VariabilityParams:
 
     def replace(self, **changes) -> "VariabilityParams":
         return replace(self, **changes)
-
-
-@dataclass(frozen=True)
-class TransistorModel:
-    """Behavioral access transistor: an on/off switch with a series resistance.
-
-    The channel is open-circuit below ``v_g_on_threshold``.
-    """
-
-    v_g_on_threshold: float = 0.7
-    r_on: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.v_g_on_threshold <= 0:
-            raise ValueError("v_g_on_threshold must be > 0 (a grounded word line "
-                             "must isolate its cells)")
-        if self.r_on < 0:
-            raise ValueError("r_on must be >= 0")
-
-    def is_on(self, v_g: float) -> bool:
-        return v_g >= self.v_g_on_threshold
 
 
 @dataclass(frozen=True)
@@ -283,13 +272,12 @@ def _enter_hrs(cell: MemristorCell, rng: Uniforms) -> None:
     cell.state = STATE_HRS
 
 
-def apply_pulse(cell: MemristorCell, pulse: Pulse, transistor: TransistorModel,
-                rng: Uniforms) -> SwitchEvent:
+def apply_pulse(cell: MemristorCell, pulse: Pulse, rng: Uniforms) -> SwitchEvent:
     """Apply one pulse to the cell; mutate its state and return the event.
 
     Rules, in order:
 
-    1. Gate below the transistor on-threshold: nothing happens.
+    1. Gate below ``V_G_ON`` (the transistor is off): nothing happens.
     2. Pristine cell with a forming-level positive TE voltage: FORMED (to LRS).
     3. HRS cell with TE-BE at or above the SET threshold: SET (to LRS).
     4. LRS cell with BE-TE at or above the RESET threshold: RESET (to HRS,
@@ -305,7 +293,7 @@ def apply_pulse(cell: MemristorCell, pulse: Pulse, transistor: TransistorModel,
     super-threshold differential; the single-ended calibration of this model
     cannot be trusted for such drives.
     """
-    if not pulse.v_g >= transistor.v_g_on_threshold:  # ``transistor.is_on``, inlined
+    if not pulse.v_g >= V_G_ON:
         return SwitchEvent.NONE
     diff = pulse.v_te - pulse.v_be
     if (pulse.v_te >= cell.v_set_th and pulse.v_be >= cell.v_reset_th
@@ -328,24 +316,25 @@ def apply_pulse(cell: MemristorCell, pulse: Pulse, transistor: TransistorModel,
     return SwitchEvent.NONE
 
 
-def read_resistance(cell: MemristorCell, v_read: float, v_g: float,
-                    transistor: TransistorModel, rng: Normals) -> float:
+def read_resistance(cell: MemristorCell, v_read: float, v_g: float, rng: Normals) -> float:
     """Non-destructive resistance read-out.
 
     Returns the state resistance with multiplicative read jitter, plus the
-    transistor series resistance.  Reading with the transistor off returns
-    ``inf`` (open circuit).  The read voltage must sit below the cell's SET
-    threshold so the read cannot disturb the state.
+    transistor series resistance ``r_on`` of the cell's parameters.  Reading
+    with the transistor off (gate below ``V_G_ON``) returns ``inf`` (open
+    circuit).  The read voltage must sit below the cell's SET threshold so the
+    read cannot disturb the state.
     """
-    if not v_g >= transistor.v_g_on_threshold:  # ``transistor.is_on``, inlined
+    if not v_g >= V_G_ON:
         return math.inf
     if not 0 <= v_read < cell.v_set_th:
         raise ValueError(f"v_read={v_read} is not disturb-free for {cell.cell_id}")
+    params = cell.params
     if cell.state == STATE_PRISTINE:
-        return cell.resistance + transistor.r_on
-    sigma = (cell.params.read_noise_lrs if cell.state == STATE_LRS
-             else cell.params.read_noise_hrs)  # ``_lognormal_around``, inlined
-    return cell.resistance * math.exp(sigma * rng.standard_normal()) + transistor.r_on
+        return cell.resistance + params.r_on
+    sigma = (params.read_noise_lrs if cell.state == STATE_LRS
+             else params.read_noise_hrs)  # ``_lognormal_around``, inlined
+    return cell.resistance * math.exp(sigma * rng.standard_normal()) + params.r_on
 
 
 def binarize(resistance: float, r_boundary: float) -> int:
@@ -395,18 +384,17 @@ _FORM_RAMP = tuple(Pulse(v, 0.0, FORM_V_G) for v in takewhile(
     lambda v: v <= FORM_V_MAX + 1e-12, accumulate(repeat(FORM_V_STEP))))
 
 
-def form_by_ramp(cell: MemristorCell, transistor: TransistorModel,
-                 rng: Uniforms) -> int:
+def form_by_ramp(cell: MemristorCell, rng: Uniforms) -> int:
     """Apply pulses of increasing TE voltage until the cell forms.
 
     The ramp is the module's ``FORM_*`` constants.  Returns the number of
     pulses applied.  Raises ``NotFormedError`` if the ramp tops out without
-    forming, e.g. for a transistor threshold above the ramp's gate voltage.
+    forming, e.g. for a forming threshold above the ramp's top voltage.
     """
     if cell.is_formed:
         return 0
     for pulses, pulse in enumerate(_FORM_RAMP, 1):
-        if apply_pulse(cell, pulse, transistor, rng) == SwitchEvent.FORMED:
+        if apply_pulse(cell, pulse, rng) == SwitchEvent.FORMED:
             return pulses
     raise NotFormedError(f"{cell.cell_id} did not form up to {FORM_V_MAX} V "
                          f"(pulses at a {FORM_V_G} V gate)")

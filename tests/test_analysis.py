@@ -504,8 +504,8 @@ def test_each_drive_is_validated_once_per_array(monkeypatch, run):
 
     real_form = array_module.form_by_ramp
 
-    def forming(cell, transistor, rng):
-        pulses = real_form(cell, transistor, rng)
+    def forming(cell, rng):
+        pulses = real_form(cell, rng)
         applied["form_pulses"] += pulses
         return pulses
 

@@ -280,7 +280,7 @@ def test_apply_drive_reports_only_pulsed_cells():
 def pulse_every_cell(array, drive, rng):
     """Reference drive path: pulse all cells with their resolved voltages."""
     for addr, pulse in every_cell_pulse(array.topology, drive):
-        apply_pulse(array.cell(addr), pulse, array.transistor, rng)
+        apply_pulse(array.cell(addr), pulse, rng)
 
 
 LINE_VOLTS = st.sampled_from([0.0, 0.1, 1.3, 1.6])
@@ -483,7 +483,7 @@ def test_cell_rejects_foreign_addresses():
     (PSEUDO, LineDrive(wl={1: 3.0}, sl={3: 1.3}, bl={1: 1.6}), 1, [0, 1, 2, 3]),
     (PSEUDO, LineDrive(wl={1: 3.0}, sl={0: -0.0}, bl={1: 0.0}), 1, []),
 ])
-def test_live_cols_follow_the_wiring(topology, drive, row, expected):
+def test_resolve_drives_follows_the_wiring(topology, drive, row, expected):
     events = CellArray(topology, PARAMS).apply_drive(drive, np.random.default_rng(0))
     assert [addr.col for addr, _ in events if addr.row == row] == expected
     pulses = pulses_by_addr(topology, drive)
@@ -511,8 +511,8 @@ def test_a_copy_starts_from_equal_cells_of_its_own():
     template = formed_column()
     template.cell(CellAddress(3, 3))  # sampled, never formed
     copied = template.copy()
-    assert (copied.topology, copied.params, copied.transistor, copied.seed) == (
-        template.topology, template.params, template.transistor, template.seed)
+    assert (copied.topology, copied.params, copied.seed) == (
+        template.topology, template.params, template.seed)
     assert copied.cells == template.cells
     assert list(copied.cells) == list(template.cells)
     assert all(copied.cells[addr] is not cell for addr, cell in template.cells.items())

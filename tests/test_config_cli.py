@@ -27,7 +27,7 @@ def test_parse_config_scalars_and_lists(tmp_path):
         "# comment\n"
         "device.v_set_th_median = 2.0\n"
         "device.hrs_sigma_c2c = 0.5   # inline comment\n"
-        "transistor.r_on = 25.0\n"
+        "device.r_on = 25.0\n"
         "array.kind = pseudo-crossbar\n"
         "array.rows = 4\n"
         "array.cols = 6\n"
@@ -40,7 +40,7 @@ def test_parse_config_scalars_and_lists(tmp_path):
     app = load_config(cfg)
     assert app.experiment.device.v_set_th_median == 2.0
     assert app.experiment.device.hrs_sigma_c2c == 0.5
-    assert app.experiment.transistor.r_on == 25.0
+    assert app.experiment.device.r_on == 25.0
     assert app.experiment.topology.kind == TopologyKind.PSEUDO_CROSSBAR
     assert (app.experiment.topology.rows, app.experiment.topology.cols) == (4, 6)
     assert app.experiment.seed == 99
@@ -457,6 +457,7 @@ def test_cli_help_still_exits_0(capsys):
 @pytest.mark.parametrize("line", ["device.hrs_sigma_c2c = nan",
                                   "device.hrs_sigma_c2c = inf",
                                   "device.hrs_sigma_c2c = -1",
+                                  "device.r_on = nan",
                                   "transistor.r_on = nan",
                                   "transistor.i_sat_slope = 1e-4",
                                   "experiment.parallel = true",
@@ -479,6 +480,7 @@ def test_cli_help_still_exits_0(capsys):
                                   "device.min_pulse_set = 1e-7",
                                   "device.hrs_sigma_c2c = 471",
                                   "device.hrs_sigma_c2c = true",
+                                  "device.r_on = false",
                                   "transistor.r_on = false",
                                   "experiment.refs = 0",
                                   "experiment.rotate_cells = maybe"])
@@ -705,13 +707,22 @@ def test_one_process_runs_each_command_as_a_fresh_process_would(tmp_path, capsys
 
 @pytest.mark.parametrize("config_line, err", [
     ("device.v_set_th_median = 2.0\n",
-     "cell 0 is HRS after the 1.3 V SET pulse of cycle 1: device.v_set_th_median = 2.0\n"),
+     "cell 0 is HRS after the 1.3 V SET pulse of cycle 1: its drawn v_set_th = "
+     "1.962114834707387, with device.v_set_th_median = 2.0 and "
+     "device.v_set_th_sigma = 0.05\n"),
     ("device.v_reset_th_median = 1.7\n",
-     "cell 0 is LRS after the 1.6 V RESET pulse of cycle 0: device.v_reset_th_median = 1.7\n"),
-], ids=["set", "config"])
+     "cell 0 is LRS after the 1.6 V RESET pulse of cycle 0: its drawn v_reset_th = "
+     "1.73773621858717, with device.v_reset_th_median = 1.7 and "
+     "device.v_reset_th_sigma = 0.05\n"),
+    ("device.v_set_th_sigma = 0.2\nexperiment.seed = 0\n",
+     "cell 0 is HRS after the 1.3 V SET pulse of cycle 1: its drawn v_set_th = "
+     "1.347899804085343, with device.v_set_th_median = 1.0 and "
+     "device.v_set_th_sigma = 0.2\n"),
+], ids=["set", "config", "sigma"])
 def test_cli_characterize_that_cannot_switch_exits_2(tmp_path, capsys, config_line, err):
     """A cell the operating point cannot SET or RESET would export one state's
-    reads as the other's."""
+    reads as the other's.  The message names the cell's drawn threshold: a wide
+    spread (``sigma``) puts it out of reach with the median at its default."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config_line)
     argv = [str(cfg), "characterize", "--cells", "2", "--cycles", "3",

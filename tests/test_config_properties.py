@@ -1,11 +1,12 @@
 """Every config value either simulates or is rejected with exit 2 and one line.
 
 Each example writes a config file of one to three ``section.field = value``
-lines, drawn over every key of every section, and runs ``gate OR``,
-``scouting`` or ``characterize --cells 2`` on it for two cycles.  Sizes (rows,
-columns, input width, cycles) are drawn from small integers so each run stays
-short; the other keys get any integer, float (nan and inf included), bool or
-short string.
+lines, drawn over every key of every section of the config table
+(``config._MODELS`` and the experiment section) and over dead keys that must
+be rejected, and runs ``gate OR``, ``scouting`` or ``characterize --cells 2``
+on it for two cycles.  Sizes (rows, columns, input width, cycles) are drawn
+from small integers so each run stays short; the other keys get any integer,
+float (nan and inf included), bool or short string.
 """
 
 import contextlib
@@ -18,15 +19,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memlogic import cli
+from memlogic import cli, config
 from memlogic.analysis import ExperimentConfig
-from memlogic.device import TransistorModel, VariabilityParams
 
-KEYS = ([f"device.{f.name}" for f in fields(VariabilityParams)] + ["device.preset"]
-        + [f"transistor.{f.name}" for f in fields(TransistorModel)]
-        + ["array.kind", "array.rows", "array.cols"]
+#: Keys of deleted settings: each one alone exits 2.
+DEAD_KEYS = ["device.preset", "transistor.r_on", "transistor.v_g_on_threshold"]
+
+KEYS = ([f"{section}.{f.name}" for section, (cls, _) in config._MODELS.items()
+         for f in fields(cls)]
         + [f"experiment.{f.name}" for f in fields(ExperimentConfig)]
-        + ["experiment.output_dir", "experiment.format"])
+        + ["experiment.output_dir", "experiment.format"] + DEAD_KEYS)
 
 SIZE_KEYS = {"array.rows", "array.cols", "experiment.n_inputs", "experiment.cycles"}
 
@@ -60,6 +62,7 @@ def run_cli(lines, command):
 @example(lines=["experiment.transistor = 1"])
 @example(lines=["experiment.topology = x"])
 @example(lines=["transistor.v_g_on_threshold = 5"])
+@example(lines=["transistor.r_on = 0"])
 @example(lines=["device.min_pulse_set = 1"])
 @example(lines=["device.lrs_sigma_c2c = 471"])
 @example(lines=["experiment.refs = 0"])
@@ -68,3 +71,5 @@ def test_config_values_simulate_or_exit_2_with_one_line(command, lines):
     assert code in (0, 1, 2)
     if code == 2:
         assert len(err.strip().splitlines()) == 1, err
+    if any(line.partition(" =")[0] in DEAD_KEYS for line in lines):
+        assert code == 2

@@ -14,7 +14,6 @@ from memlogic.device import (
     MemristorCell,
     Pulse,
     SwitchEvent,
-    TransistorModel,
     VariabilityParams,
     apply_pulse,
     binarize,
@@ -25,7 +24,6 @@ from memlogic.device import (
 )
 
 PARAMS = VariabilityParams()
-T = TransistorModel()
 NOISE_FREE = VariabilityParams(
     lrs_sigma_c2c=0.0, lrs_sigma_d2d=0.0, hrs_sigma_c2c=0.0, hrs_sigma_d2d=0.0,
     v_set_th_sigma=0.0, v_reset_th_sigma=0.0, v_form_th_sigma=0.0,
@@ -35,9 +33,9 @@ NOISE_FREE = VariabilityParams(
 def formed_cell(params=PARAMS, seed=0, state="hrs"):
     rng = np.random.default_rng(seed)
     cell = sample_fresh_cell(params, rng, "c")
-    form_by_ramp(cell, T, rng)
+    form_by_ramp(cell, rng)
     if state == "hrs":
-        apply_pulse(cell, Pulse(0.0, 1.6, 3.0), T, rng)
+        apply_pulse(cell, Pulse(0.0, 1.6, 3.0), rng)
     return cell, rng
 
 
@@ -66,11 +64,11 @@ def test_population_ratio_near_anchor():
     ratios = []
     for ci in range(10):
         cell = sample_fresh_cell(PARAMS, rng, f"c{ci}")
-        form_by_ramp(cell, T, rng)
+        form_by_ramp(cell, rng)
         for _ in range(100):
-            apply_pulse(cell, Pulse(0.0, 1.6, 3.0), T, rng)
+            apply_pulse(cell, Pulse(0.0, 1.6, 3.0), rng)
             r_hrs = cell.resistance
-            apply_pulse(cell, Pulse(1.3, 0.0, 1.3), T, rng)
+            apply_pulse(cell, Pulse(1.3, 0.0, 1.3), rng)
             r_lrs = cell.resistance
             ratios.append(r_hrs / r_lrs)
     mean_ratio = sum(ratios) / len(ratios)
@@ -93,7 +91,7 @@ def test_d2d_spread_matches_configured_sigma():
 def test_set_pulse_on_hrs():
     cell, rng = formed_cell()
     assert cell.state == "hrs"
-    event = apply_pulse(cell, Pulse(1.3, 0.0, 1.3), T, rng)
+    event = apply_pulse(cell, Pulse(1.3, 0.0, 1.3), rng)
     assert event == SwitchEvent.SET
     assert cell.state == "lrs"
 
@@ -101,7 +99,7 @@ def test_set_pulse_on_hrs():
 def test_reset_pulse_on_lrs():
     cell, rng = formed_cell(state="lrs")
     assert cell.state == "lrs"
-    event = apply_pulse(cell, Pulse(0.0, 1.6, 3.0), T, rng)
+    event = apply_pulse(cell, Pulse(0.0, 1.6, 3.0), rng)
     assert event == SwitchEvent.RESET
     assert cell.state == "hrs"
     assert cell.cycle_count == 1  # the reset completes one switching cycle
@@ -110,7 +108,7 @@ def test_reset_pulse_on_lrs():
 def test_set_pulse_on_lrs_is_noop():
     cell, rng = formed_cell(state="lrs")
     r_before = cell.resistance
-    event = apply_pulse(cell, Pulse(1.3, 0.0, 1.3), T, rng)
+    event = apply_pulse(cell, Pulse(1.3, 0.0, 1.3), rng)
     assert event == SwitchEvent.NONE
     assert cell.resistance == r_before
 
@@ -120,7 +118,7 @@ def test_closed_gate_is_identity():
         cell, rng = formed_cell(state=state)
         r_before, s_before = cell.resistance, cell.state
         for v_te, v_be in ((1.3, 0.0), (0.0, 1.6), (4.0, 0.0)):
-            event = apply_pulse(cell, Pulse(v_te, v_be, 0.0), T, rng)
+            event = apply_pulse(cell, Pulse(v_te, v_be, 0.0), rng)
             assert event == SwitchEvent.NONE
             assert (cell.resistance, cell.state) == (r_before, s_before)
 
@@ -128,12 +126,12 @@ def test_closed_gate_is_identity():
 def test_forming_threshold_and_ramp():
     rng = np.random.default_rng(7)
     cell = sample_fresh_cell(PARAMS, rng)
-    ev = apply_pulse(cell, Pulse(cell.v_form_th - 0.05, 0.0, 3.0), T, rng)
+    ev = apply_pulse(cell, Pulse(cell.v_form_th - 0.05, 0.0, 3.0), rng)
     assert ev == SwitchEvent.NONE and not cell.is_formed
-    ev = apply_pulse(cell, Pulse(cell.v_form_th + 0.01, 0.0, 3.0), T, rng)
+    ev = apply_pulse(cell, Pulse(cell.v_form_th + 0.01, 0.0, 3.0), rng)
     assert ev == SwitchEvent.FORMED and cell.state == "lrs"
     fresh = sample_fresh_cell(PARAMS, rng)
-    pulses = form_by_ramp(fresh, T, rng)
+    pulses = form_by_ramp(fresh, rng)
     assert fresh.state == "lrs"
     assert pulses == math.ceil(fresh.v_form_th / 0.1)
 
@@ -143,7 +141,7 @@ def test_hrs_disturb_resamples_but_keeps_bit():
     cell, rng = formed_cell()
     values = set()
     for _ in range(20):
-        event = apply_pulse(cell, Pulse(0.0, 1.6, 3.0), T, rng)
+        event = apply_pulse(cell, Pulse(0.0, 1.6, 3.0), rng)
         assert event == SwitchEvent.HRS_DISTURB
         assert binarize(cell.resistance, boundary) == 0
         values.add(cell.resistance)
@@ -154,9 +152,9 @@ def test_ambiguous_drive_rejected():
     cell, rng = formed_cell()
     cell.v_set_th, cell.v_reset_th = 1.0, 0.9
     with pytest.raises(InvalidDriveError):
-        apply_pulse(cell, Pulse(2.3, 1.0, 3.0), T, rng)
+        apply_pulse(cell, Pulse(2.3, 1.0, 3.0), rng)
     # Both electrodes high but with a sub-threshold differential is benign.
-    event = apply_pulse(cell, Pulse(1.3, 1.6, 3.0), T, rng)
+    event = apply_pulse(cell, Pulse(1.3, 1.6, 3.0), rng)
     assert event == SwitchEvent.HRS_DISTURB
 
 
@@ -169,7 +167,7 @@ def test_ambiguous_drive_rejected_at_its_thresholds(v_set_th, v_reset_th, v_te, 
     cell, rng = formed_cell()
     cell.v_set_th, cell.v_reset_th = v_set_th, v_reset_th
     with pytest.raises(InvalidDriveError):
-        apply_pulse(cell, Pulse(v_te, v_be, 3.0), T, rng)
+        apply_pulse(cell, Pulse(v_te, v_be, 3.0), rng)
 
 
 def test_switching_happens_at_its_thresholds():
@@ -177,9 +175,9 @@ def test_switching_happens_at_its_thresholds():
     cell = sample_fresh_cell(PARAMS, np.random.default_rng(0), "c")
     cell.v_form_th, cell.v_set_th, cell.v_reset_th = 2.0, 1.0, 0.5
     rng = np.random.default_rng(1)
-    assert apply_pulse(cell, Pulse(2.0, 0.0, 3.0), T, rng) == SwitchEvent.FORMED
-    assert apply_pulse(cell, Pulse(0.0, 0.5, 3.0), T, rng) == SwitchEvent.RESET
-    assert apply_pulse(cell, Pulse(1.0, 0.0, 3.0), T, rng) == SwitchEvent.SET
+    assert apply_pulse(cell, Pulse(2.0, 0.0, 3.0), rng) == SwitchEvent.FORMED
+    assert apply_pulse(cell, Pulse(0.0, 0.5, 3.0), rng) == SwitchEvent.RESET
+    assert apply_pulse(cell, Pulse(1.0, 0.0, 3.0), rng) == SwitchEvent.SET
 
 
 def test_pulse_validation():
@@ -194,14 +192,14 @@ def test_pulse_validation():
 def test_noise_free_read_is_exact():
     cell, rng = formed_cell(NOISE_FREE, state="lrs")
     cell.resistance = 5000.0
-    assert read_resistance(cell, 0.1, 3.0, T, rng) == 5000.0
+    assert read_resistance(cell, 0.1, 3.0, rng) == 5000.0
 
 
 def test_read_spans():
     cell, rng = formed_cell()
-    hrs_reads = [read_resistance(cell, 0.1, 3.0, T, rng) for _ in range(100)]
-    apply_pulse(cell, Pulse(1.3, 0.0, 1.3), T, rng)
-    lrs_reads = [read_resistance(cell, 0.1, 3.0, T, rng) for _ in range(100)]
+    hrs_reads = [read_resistance(cell, 0.1, 3.0, rng) for _ in range(100)]
+    apply_pulse(cell, Pulse(1.3, 0.0, 1.3), rng)
+    lrs_reads = [read_resistance(cell, 0.1, 3.0, rng) for _ in range(100)]
     hrs_span = max(hrs_reads) / min(hrs_reads)
     lrs_span = max(lrs_reads) / min(lrs_reads)
     assert hrs_span < 10.0
@@ -210,21 +208,20 @@ def test_read_spans():
 
 def test_read_with_gate_off_is_open_circuit():
     cell, rng = formed_cell()
-    assert math.isinf(read_resistance(cell, 0.1, 0.0, T, rng))
+    assert math.isinf(read_resistance(cell, 0.1, 0.0, rng))
 
 
 def test_read_disturb_guard():
     cell, rng = formed_cell()
     with pytest.raises(ValueError):
-        read_resistance(cell, cell.v_set_th + 0.1, 3.0, T, rng)
-    assert 0 < read_resistance(cell, 0.0, 3.0, T, rng) < math.inf  # 0 V disturbs nothing
+        read_resistance(cell, cell.v_set_th + 0.1, 3.0, rng)
+    assert 0 < read_resistance(cell, 0.0, 3.0, rng) < math.inf  # 0 V disturbs nothing
 
 
 def test_series_resistance_added():
-    big_r_on = TransistorModel(r_on=100.0)
-    cell, rng = formed_cell(NOISE_FREE, state="lrs")
+    cell, rng = formed_cell(NOISE_FREE.replace(r_on=100.0), state="lrs")
     cell.resistance = 5000.0
-    assert read_resistance(cell, 0.1, 3.0, big_r_on, rng) == 5100.0
+    assert read_resistance(cell, 0.1, 3.0, rng) == 5100.0
 
 
 # --------------------------------------------------------- truncated draws
@@ -324,11 +321,11 @@ def test_no_overlap_over_population():
     lrs_all, hrs_all = [], []
     for ci in range(10):
         cell = sample_fresh_cell(PARAMS, rng, f"c{ci}")
-        form_by_ramp(cell, T, rng)
+        form_by_ramp(cell, rng)
         for _ in range(100):
-            apply_pulse(cell, Pulse(0.0, 1.6, 3.0), T, rng)
+            apply_pulse(cell, Pulse(0.0, 1.6, 3.0), rng)
             hrs_all.append(cell.resistance)
-            apply_pulse(cell, Pulse(1.3, 0.0, 1.3), T, rng)
+            apply_pulse(cell, Pulse(1.3, 0.0, 1.3), rng)
             lrs_all.append(cell.resistance)
     assert max(lrs_all) < min(hrs_all)
 
@@ -336,12 +333,12 @@ def test_no_overlap_over_population():
 def test_mean_ratio_window_1000_cycles():
     rng = np.random.default_rng(12)
     cell = sample_fresh_cell(PARAMS, rng)
-    form_by_ramp(cell, T, rng)
+    form_by_ramp(cell, rng)
     lrs, hrs = [], []
     for _ in range(1000):
-        apply_pulse(cell, Pulse(0.0, 1.6, 3.0), T, rng)
+        apply_pulse(cell, Pulse(0.0, 1.6, 3.0), rng)
         hrs.append(cell.resistance)
-        apply_pulse(cell, Pulse(1.3, 0.0, 1.3), T, rng)
+        apply_pulse(cell, Pulse(1.3, 0.0, 1.3), rng)
         lrs.append(cell.resistance)
     ratio = np.mean(hrs) / np.mean(lrs)
     assert 15.5 <= ratio <= 23.3
@@ -351,12 +348,12 @@ def test_determinism():
     def trajectory(seed):
         rng = np.random.default_rng(seed)
         cell = sample_fresh_cell(PARAMS, rng)
-        form_by_ramp(cell, T, rng)
+        form_by_ramp(cell, rng)
         out = []
         for _ in range(50):
-            apply_pulse(cell, Pulse(0.0, 1.6, 3.0), T, rng)
-            apply_pulse(cell, Pulse(1.3, 0.0, 1.3), T, rng)
-            out.append(read_resistance(cell, 0.1, 3.0, T, rng))
+            apply_pulse(cell, Pulse(0.0, 1.6, 3.0), rng)
+            apply_pulse(cell, Pulse(1.3, 0.0, 1.3), rng)
+            out.append(read_resistance(cell, 0.1, 3.0, rng))
         return out
 
     assert trajectory(99) == trajectory(99)
@@ -371,14 +368,14 @@ def test_polarity_and_stability_properties(v_te, v_be, v_g, state, seed):
     before_bit = binarize(cell.resistance, default_boundary(PARAMS))
     before_r = cell.resistance
     try:
-        event = apply_pulse(cell, Pulse(v_te, v_be, v_g), T, rng)
+        event = apply_pulse(cell, Pulse(v_te, v_be, v_g), rng)
     except InvalidDriveError:
         return
     if event == SwitchEvent.SET:
         assert v_te - v_be > 0
     if event == SwitchEvent.RESET:
         assert v_be - v_te > 0
-    if v_g < T.v_g_on_threshold:
+    if v_g < device.V_G_ON:
         assert event == SwitchEvent.NONE and cell.resistance == before_r
     if event in (SwitchEvent.NONE, SwitchEvent.HRS_DISTURB):
         assert binarize(cell.resistance, default_boundary(PARAMS)) == before_bit
@@ -397,12 +394,12 @@ def test_inert_pulse_draws_nothing(state, seed, gate_off, v_te, v_be, v_g):
     else:
         cell, rng = formed_cell(seed=seed, state=state)
     if gate_off:
-        pulse = Pulse(v_te, v_be, min(v_g, math.nextafter(T.v_g_on_threshold, 0.0)))
+        pulse = Pulse(v_te, v_be, min(v_g, math.nextafter(device.V_G_ON, 0.0)))
     else:
         pulse = Pulse(0.0, 0.0, v_g)
     before_cell = copy.copy(cell)
     before_rng = copy.deepcopy(rng.bit_generator.state)
-    assert apply_pulse(cell, pulse, T, rng) == SwitchEvent.NONE
+    assert apply_pulse(cell, pulse, rng) == SwitchEvent.NONE
     assert cell == before_cell
     assert rng.bit_generator.state == before_rng
 
@@ -420,7 +417,7 @@ def test_param_validation():
         VariabilityParams(lrs_median=0.0)
 
 
-@pytest.mark.parametrize("model", [VariabilityParams, TransistorModel])
+@pytest.mark.parametrize("model", [VariabilityParams])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.5"])
 def test_params_must_be_finite_numbers(model, bad):
     for f in fields(model):
@@ -428,9 +425,10 @@ def test_params_must_be_finite_numbers(model, bad):
             model(**{f.name: bad})
 
 
-def test_transistor_must_isolate_at_zero_gate():
-    with pytest.raises(ValueError):
-        TransistorModel(v_g_on_threshold=0.0)
+def test_transistor_isolates_at_zero_gate_and_conducts_at_every_applied_gate():
+    volts = device.DEFAULT_VOLTAGES
+    assert 0 < device.V_G_ON <= min(device.FORM_V_G, volts.v_g_set, volts.v_g_reset,
+                                    volts.v_g_read)
 
 
 @pytest.mark.parametrize("lrs, hrs", [(1e306, 1e307), (1e-200, 1e-199)])

@@ -20,7 +20,6 @@ from memlogic.analysis import (
 from memlogic.array import CellArray
 from memlogic.device import (
     DEFAULT_VOLTAGES,
-    TransistorModel,
     VariabilityParams,
     default_boundary,
 )
@@ -36,7 +35,7 @@ def test_characterization_matches_the_lognormal_model():
     ``ln R = ln m_S + D_c + W_ck``, where ``D_c ~ N(0, sd_S^2)`` is the cell's
     device-to-device offset, drawn once, and ``W_ck ~ N(0, w_S^2)`` with
     ``w_S^2 = c2c_S^2 + read_S^2`` is the cycle-to-cycle draw plus the read
-    jitter, fresh on every read.  The default transistor has ``r_on = 0``, so
+    jitter, fresh on every read.  The default device has ``r_on = 0``, so
     nothing is added in series.  The truncations (an LRS value below the last
     HRS, an HRS value above the last LRS, a cell's HRS median above its LRS
     median) lie more than 8 standard deviations out at these parameters and
@@ -60,7 +59,7 @@ def test_characterization_matches_the_lognormal_model():
     Every tolerance is ``Z = 4`` standard errors.
     """
     params = VariabilityParams()
-    assert TransistorModel().r_on == 0.0
+    assert params.r_on == 0.0
     cells, cycles = 200, 100
     n, big_n = cells, cells * cycles
     result = run_characterization(ExperimentConfig(seed=3, cycles=cycles, device=params), cells)
@@ -104,8 +103,8 @@ def test_scouting_mean_currents_match_the_lognormal_model():
     ``w^2 = c2c_S^2 + read_S^2``, and ``m_c`` the cell's own median in S.
     Every class reads the same cells ``(r, 0)``, sampled from the array seed,
     so the device-to-device offsets are fixed, not averaged out: ``m_c`` is
-    the median of the cell the config's seed samples.  The default transistor
-    adds no series resistance.  Lognormal moments give
+    the median of the cell the config's seed samples.  The default device's
+    ``r_on = 0`` adds no series resistance.  Lognormal moments give
     ``E[1/R_c] = exp(w^2 / 2) / m_c`` and
     ``Var[1/R_c] = exp(w^2) (exp(w^2) - 1) / m_c^2``; the cells are drawn
     independently, so over ``N`` cycles the class mean has
@@ -117,9 +116,9 @@ def test_scouting_mean_currents_match_the_lognormal_model():
     """
     config = ExperimentConfig(seed=11, cycles=400)
     params = config.device
-    assert config.transistor.r_on == 0.0
+    assert params.r_on == 0.0
     by_class = sample_scouting_currents(config, include_single=True)
-    array = CellArray(config.topology, params, config.transistor, seed=config.seed)
+    array = CellArray(config.topology, params, seed=config.seed)
     cells = [array.cell((r, 0)) for r in range(2)]
     states = {  # each bit's median (an attribute of the cell) and its w
         "1": ("lrs_median_cell", math.hypot(params.lrs_sigma_c2c, params.read_noise_lrs)),
@@ -175,7 +174,7 @@ def test_gate_flip_rates_match_the_lognormal_model():
     params = VariabilityParams(hrs_sigma_c2c=0.9)
     config = ExperimentConfig(seed=1, cycles=2000, gates=("NIMP", "XOR"), device=params)
     buckets = {b.label: b for b in run_1t1r_experiment(config).report.buckets}
-    array = CellArray(config.topology, params, config.transistor, seed=config.seed)
+    array = CellArray(config.topology, params, seed=config.seed)
     ln_b = math.log(default_boundary(params))
     c, r = params.hrs_sigma_c2c, params.read_noise_hrs
     normal = statistics.NormalDist()

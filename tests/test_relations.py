@@ -1,7 +1,8 @@
 """Exact metamorphic relations: what a change of the config must do to every
 result, checked on configs that no golden export pins.
 
-Resistance scale.  Multiplying ``lrs_median``, ``hrs_median`` and ``r_on`` by
+Resistance scale.  Multiplying the device's ``lrs_median``, ``hrs_median`` and
+``r_on`` (the access transistor's series resistance, a device parameter) by
 k = 2 or 1/2 multiplies every resistance by exactly k and every read current
 (and so every placed reference) by exactly 1/k, and changes no bit, failure
 or error.  It holds because every truncation bound is a ratio of
@@ -9,15 +10,24 @@ resistances, ``default_boundary`` scales with the medians, and scaling by a
 power of two is exact in binary floating point.  ``paper-refs`` is left out:
 its references are absolute currents.  The exit code is a function of the
 failure report alone, so equal reports give equal exit codes.
+
+Array size.  A 16 x 12 array gives the same gate results as the 8 x 8 one, on
+both wirings, and the same scouting results on the standard array (the
+pseudo-crossbar cannot read a scouting column).  A cell's parameters and every
+bucket's draws are keyed by addresses and indices that both sizes share.
+
+Gate prefix.  An ``OR AND`` (or ``OR AND NIMP``) run's rows, summaries and
+buckets equal that part of an ``OR AND NIMP XOR`` run.  Only a prefix holds: each
+gate's stream key and column is its index in the gate list, so dropping or
+reordering an earlier gate moves every later one.
 """
 
-from dataclasses import replace
 from functools import cache
 
 import numpy as np
 import pytest
 
-from memlogic import ExperimentConfig, TransistorModel, VariabilityParams
+from memlogic import ArrayTopology, ExperimentConfig, TopologyKind, VariabilityParams
 from memlogic.analysis import run_1t1r_experiment, run_characterization, run_scouting_experiment
 
 #: Overlapping scouting classes and gate failures at seed 9, so the relation
@@ -66,28 +76,69 @@ def characterization_parts(config):
     return ohms, fixed
 
 
+def assert_parts_scale(parts, base, other, factor=1.0):
+    """``parts(other)`` is ``parts(base)`` with its values times ``factor``."""
+    values, fixed = parts(base)
+    other_values, other_fixed = parts(other)
+    assert other_fixed == fixed, parts.__name__
+    # Equal arrays, a NaN (a margin without a reference) matching a NaN.
+    np.testing.assert_array_equal(other_values, np.multiply(values, factor),
+                                  err_msg=parts.__name__)
+
+
 def scaled(config, k):
     device = config.device
-    return config.replace(
-        device=device.replace(lrs_median=device.lrs_median * k,
-                              hrs_median=device.hrs_median * k),
-        transistor=replace(config.transistor, r_on=config.transistor.r_on * k))
+    return config.replace(device=device.replace(
+        lrs_median=device.lrs_median * k, hrs_median=device.hrs_median * k,
+        r_on=device.r_on * k))
+
+
+SEEDS_AND_DEVICES = pytest.mark.parametrize(
+    "seed, device", [(3, VariabilityParams()), (9, STRESSED)], ids=["default", "stressed"])
 
 
 @pytest.mark.parametrize("k", [2.0, 0.5])
 @pytest.mark.parametrize("r_on", [0.0, 1e3])
-@pytest.mark.parametrize("seed, device", [(3, VariabilityParams()), (9, STRESSED)],
-                         ids=["default", "stressed"])
+@SEEDS_AND_DEVICES
 def test_resistance_scale_scales_resistances_and_inverts_currents(seed, device, r_on, k):
-    base = ExperimentConfig(seed=seed, cycles=4, device=device,
-                            transistor=TransistorModel(r_on=r_on))
+    base = ExperimentConfig(seed=seed, cycles=4, device=device.replace(r_on=r_on))
     for parts, power in ((gate_parts, 1), (scouting_parts, -1), (characterization_parts, 1)):
-        values, fixed = parts(base)
-        scaled_values, scaled_fixed = parts(scaled(base, k))
-        assert scaled_fixed == fixed, parts.__name__
-        # Equal arrays, a NaN (a margin without a reference) matching a NaN.
-        np.testing.assert_array_equal(scaled_values, np.multiply(values, k ** power),
-                                      err_msg=parts.__name__)
+        assert_parts_scale(parts, base, scaled(base, k), k ** power)
     if device is STRESSED:  # the relation is checked on failing runs too
         gate_report, scouting_report = gate_parts(base)[1][2], scouting_parts(base)[1][3]
         assert gate_report.failures and scouting_report.failures
+
+
+@pytest.mark.parametrize("rotate_cells", [False, True])
+@pytest.mark.parametrize("kind", list(TopologyKind))
+@SEEDS_AND_DEVICES
+def test_a_larger_array_changes_no_result(seed, device, kind, rotate_cells):
+    base = ExperimentConfig(seed=seed, cycles=4, device=device, rotate_cells=rotate_cells,
+                            topology=ArrayTopology(kind))
+    larger = base.replace(topology=ArrayTopology(kind, rows=16, cols=12))
+    assert_parts_scale(gate_parts, base, larger)
+    if kind == TopologyKind.STANDARD_1T1R:
+        assert_parts_scale(scouting_parts, base, larger)
+    if device is STRESSED:
+        assert gate_parts(base)[1][2].failures
+
+
+@pytest.mark.parametrize("gates", [("OR", "AND"), ("OR", "AND", "NIMP")])
+@pytest.mark.parametrize("rotate_cells", [False, True])
+@SEEDS_AND_DEVICES
+def test_a_gate_prefix_runs_as_in_the_full_list(seed, device, rotate_cells, gates):
+    full = ExperimentConfig(seed=seed, cycles=4, device=device, rotate_cells=rotate_cells,
+                            gates=("OR", "AND", "NIMP", "XOR"))
+    full_result = run_1t1r_experiment(full)
+    result = run_1t1r_experiment(full.replace(gates=gates))
+
+    def in_prefix(label):
+        return label.partition("/")[0] in gates
+
+    assert result.rows == [row for row in full_result.rows if row.gate in gates]
+    assert result.summaries == [s for s in full_result.summaries if in_prefix(s.label)]
+    assert result.report.buckets == [b for b in full_result.report.buckets
+                                      if in_prefix(b.label)]
+    assert len(result.rows) == len(gates) * 4 * 4  # gates x input pairs x cycles
+    if device is STRESSED and "NIMP" in gates:  # a failing bucket lies in the prefix
+        assert result.report.failures

@@ -35,7 +35,7 @@ from memlogic.array import (
     CellArray,
     TopologyKind,
 )
-from memlogic.device import TransistorModel, VariabilityParams
+from memlogic.device import VariabilityParams
 from memlogic.logic1t1r import (
     INPUT_PAIRS,
     InitFailureError,
@@ -45,17 +45,17 @@ from memlogic.logic1t1r import (
 from memlogic.scouting import scout_class
 
 PARAMS = VariabilityParams()
-#: A 21 kOhm access transistor lifts LRS reads to the 22 kOhm boundary, and
-#: wide LRS and read spreads make a verified write of 1 give up now and then:
-#: an ``InitFailureError`` lands in the middle of a bucket.
-STRESSED = (PARAMS.replace(lrs_sigma_c2c=1.0, read_noise_lrs=0.5, read_noise_hrs=0.5),
-            TransistorModel(r_on=21e3))
+#: A 21 kOhm access transistor (``r_on``) lifts LRS reads to the 22 kOhm
+#: boundary, and wide LRS and read spreads make a verified write of 1 give up
+#: now and then: an ``InitFailureError`` lands in the middle of a bucket.
+STRESSED = PARAMS.replace(lrs_sigma_c2c=1.0, read_noise_lrs=0.5, read_noise_hrs=0.5,
+                          r_on=21e3)
 
 
 def twin_arrays(kind, stressed, seed, addrs):
     """Two identical 4x4 arrays, stressed or not, with ``addrs`` formed."""
-    params, transistor = STRESSED if stressed else (PARAMS, None)
-    arrays = [CellArray(ArrayTopology(kind, 4, 4), params, transistor, seed=seed)
+    params = STRESSED if stressed else PARAMS
+    arrays = [CellArray(ArrayTopology(kind, 4, 4), params, seed=seed)
               for _ in range(2)]
     for array in arrays:
         for addr in addrs:
@@ -193,7 +193,7 @@ def replayed_gate_bucket(cycles, gate, p, q):
     config = ExperimentConfig(seed=3, cycles=cycles, rotate_cells=True)
     gate_idx = config.gates.index(gate)
     addr = CellAddress(INPUT_PAIRS.index((p, q)), gate_idx)
-    array = CellArray(config.topology, config.device, config.transistor, seed=config.seed)
+    array = CellArray(config.topology, config.device, seed=config.seed)
     array.form(addr)
     rows = execute_gate_bucket(array, addr, builtin_mapping(gate), p, q, config.cycles,
                                *bucket_stream(config.seed, 10, gate_idx, p, q))
@@ -222,7 +222,7 @@ def replayed_scouting_class(cycles, input_class):
     experiment, whose classes all start from copies of one formed array."""
     config = ExperimentConfig(seed=3, cycles=cycles)
     addrs = [CellAddress(row, 0) for row in range(len(input_class))]
-    array = CellArray(config.topology, config.device, config.transistor, seed=config.seed)
+    array = CellArray(config.topology, config.device, seed=config.seed)
     for addr in addrs:
         array.form(addr)
     currents = scout_class(array, addrs, input_class, config.cycles,

@@ -149,7 +149,7 @@ def test_scout_class_rejects_a_length_mismatch():
 
 
 @pytest.mark.parametrize("bits", ["12", [0, 2], ["1", "x"], [1, None], [0, 0.5]])
-def test_write_inputs_rejects_non_bits_before_any_pulse(bits):
+def test_scout_class_rejects_non_bits_before_any_pulse(bits):
     array, addrs = column_array(params=VariabilityParams(), seed=11)
     rng = np.random.default_rng(11)
     scout_class(array, addrs, "10", 1, rng, rng)

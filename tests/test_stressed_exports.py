@@ -1,7 +1,7 @@
 """Exports of stressed runs, pinned byte for byte by their sha256 digests.
 
 The default goldens never see an initialization error.  Here a 21 kOhm access
-transistor and wide LRS and read spreads (``STRESSED`` in ``test_runners``)
+transistor (``r_on``) and wide LRS and read spreads (``STRESSED`` in ``test_runners``)
 make verified writes give up: ``InitFailureError`` lands mid-bucket, so these
 pins cover the per-bucket error, failure, summary and non-switching
 bookkeeping, with the input pairs on one cell or rotated over rows.  At three
@@ -28,12 +28,12 @@ from memlogic.analysis import (
     run_1t1r_experiment,
     run_scouting_experiment,
 )
-from memlogic.device import TransistorModel, VariabilityParams
+from memlogic.device import VariabilityParams
 
 STRESSED = ExperimentConfig(
     seed=1, cycles=20,
-    device=VariabilityParams(lrs_sigma_c2c=1.0, read_noise_lrs=0.5, read_noise_hrs=0.5),
-    transistor=TransistorModel(r_on=21e3))
+    device=VariabilityParams(lrs_sigma_c2c=1.0, read_noise_lrs=0.5, read_noise_hrs=0.5,
+                             r_on=21e3))
 
 RUNS = {
     "one_cell": STRESSED,
