@@ -462,7 +462,8 @@ def run_characterization(config: ExperimentConfig, cells: int = 10) -> Character
     HRS read after the RESET pulse.  A cell left in the wrong state by either
     pulse (a threshold out of the operating point's reach) is a ``ValueError``
     naming the cell, the cycle, the cell's drawn threshold and the median and
-    sigma it was drawn from.
+    sigma it was drawn from.  So is a mean HRS/LRS ratio of at most 1: reads
+    that cannot tell the states apart, such as every read equal to ``r_on``.
     """
     require_int("cells", cells, 1)
     params, cycles, seed = config.device, config.cycles, config.seed
@@ -494,6 +495,9 @@ def run_characterization(config: ExperimentConfig, cells: int = 10) -> Character
     hrs_values = [r[3] for r in rows]
     ratio = (sum(hrs_values) / len(hrs_values)) / (sum(lrs_values) / len(lrs_values))
     require_finite_result("mean HRS/LRS ratio", ratio, params)
+    if not ratio > 1.0:  # the states' resistances vanish in the sum ``resistance + r_on``
+        raise ValueError(f"mean HRS/LRS ratio is {ratio!r}: the reads cannot tell HRS "
+                         f"from LRS at device.r_on = {params.r_on!r}")
     summaries = [DistributionSummary.from_samples("lrs", lrs_values),
                  DistributionSummary.from_samples("hrs", hrs_values)]
     for ci in range(cells):  # each cell's rows are one run of ``cycles`` rows

@@ -14,7 +14,8 @@ unselected cells, and every selected cell sees the ideal line voltages.  The
 transistor is off at 0 V gate (below ``device.V_G_ON``), so a drive only
 pulses cells on its driven word lines.  An array resolves each drive it builds
 (``CellArray.cell_drives``) once, into its one drive cache; any other drive is
-resolved on every call.
+resolved on every call.  ``replay`` pulses a resolution's cells for
+``apply_drive`` and for the trial loops (``CellDrives.resolution``).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .device import (
     default_boundary,
     form_by_ramp,
     read_resistance,
-    require_finite_result,
     require_int,
     sample_fresh_cell,
 )
@@ -178,6 +178,22 @@ class CellDrives(dict):
         self.array._resolved[id(drive)] = resolve_drives(self.array, drive)
         return drive
 
+    def resolution(self, bits: tuple[int, int, int]) -> list[tuple]:
+        """The cached ``resolve_drives`` list of the drive of ``bits``, for ``replay``."""
+        return self.array._resolved[id(self[bits])]
+
+
+def replay(resolved: list[tuple], rng: Uniforms) -> list[SwitchEvent]:
+    """Pulse each (address, cell, pulse) of a ``resolve_drives`` list in order
+    and return the events; a pulse's error is re-raised naming the cell."""
+    events = []
+    for addr, cell, pulse in resolved:
+        try:
+            events.append(apply_pulse(cell, pulse, rng))
+        except Exception as exc:
+            raise type(exc)(f"at cell {tuple(addr)}: {exc}") from exc
+    return events
+
 
 def check_parallel_distinct_voltages(topology: ArrayTopology,
                                      cell_a: CellAddress | tuple[int, int],
@@ -296,14 +312,8 @@ class CellArray:
         resolved = self._resolved.get(id(drive))
         if resolved is None:
             resolved = resolve_drives(self, drive)
-        events = []
-        for addr, cell, pulse in resolved:
-            try:
-                event = apply_pulse(cell, pulse, rng)
-            except Exception as exc:
-                raise type(exc)(f"at cell {tuple(addr)}: {exc}") from exc
-            events.append((addr, event))
-        return events
+        events = replay(resolved, rng)
+        return [(addr, event) for (addr, _, _), event in zip(resolved, events)]
 
     def parallel_selection(self, addrs: Sequence) -> tuple[CellAddress, ...]:
         """``addrs`` as addresses the wiring can read in parallel, validated
@@ -315,14 +325,10 @@ class CellArray:
     def read_cell(self, addr: CellAddress | tuple[int, int],
                   rng: Normals) -> float:
         """The cell's noisy read resistance at the operating point
-        (``DEFAULT_VOLTAGES``); a 0 Ohm read (its infinite conductance) is a
-        ``ValueError`` naming the medians."""
+        (``DEFAULT_VOLTAGES``), by ``read_resistance``."""
         try:  # a sampled cell in one lookup
             cell = self.cells[addr]
         except (KeyError, TypeError):
             cell = self.cell(addr)
         volts = DEFAULT_VOLTAGES
-        r = read_resistance(cell, volts.v_read, volts.v_g_read, rng)
-        if r == 0.0:
-            require_finite_result("read conductance", math.inf, self.params)
-        return r
+        return read_resistance(cell, volts.v_read, volts.v_g_read, rng)

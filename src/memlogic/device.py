@@ -264,14 +264,6 @@ def _enter_lrs(cell: MemristorCell, rng: Uniforms) -> None:
     cell.state = STATE_LRS
 
 
-def _enter_hrs(cell: MemristorCell, rng: Uniforms) -> None:
-    """Switch to a fresh HRS value, conditioned above the realized LRS."""
-    floor = cell.last_lrs if cell.last_lrs is not None else cell.lrs_median_cell
-    cell.resistance = cell.last_hrs = _lognormal_above(
-        rng, cell.hrs_median_cell, cell.params.hrs_sigma_c2c, floor)
-    cell.state = STATE_HRS
-
-
 def apply_pulse(cell: MemristorCell, pulse: Pulse, rng: Uniforms) -> SwitchEvent:
     """Apply one pulse to the cell; mutate its state and return the event.
 
@@ -307,13 +299,18 @@ def apply_pulse(cell: MemristorCell, pulse: Pulse, rng: Uniforms) -> SwitchEvent
         _enter_lrs(cell, rng)
         return SwitchEvent.SET
     if cell.state == STATE_LRS and -diff >= cell.v_reset_th:
-        _enter_hrs(cell, rng)
+        event = SwitchEvent.RESET
         cell.cycle_count += 1
-        return SwitchEvent.RESET
-    if cell.state == STATE_HRS and -diff > 0:
-        _enter_hrs(cell, rng)
-        return SwitchEvent.HRS_DISTURB
-    return SwitchEvent.NONE
+    elif cell.state == STATE_HRS and -diff > 0:
+        event = SwitchEvent.HRS_DISTURB
+    else:
+        return SwitchEvent.NONE
+    # Both draw a fresh HRS value, conditioned above the realized LRS.
+    floor = cell.last_lrs if cell.last_lrs is not None else cell.lrs_median_cell
+    cell.resistance = cell.last_hrs = _lognormal_above(
+        rng, cell.hrs_median_cell, cell.params.hrs_sigma_c2c, floor)
+    cell.state = STATE_HRS
+    return event
 
 
 def read_resistance(cell: MemristorCell, v_read: float, v_g: float, rng: Normals) -> float:
@@ -323,18 +320,22 @@ def read_resistance(cell: MemristorCell, v_read: float, v_g: float, rng: Normals
     transistor series resistance ``r_on`` of the cell's parameters.  Reading
     with the transistor off (gate below ``V_G_ON``) returns ``inf`` (open
     circuit).  The read voltage must sit below the cell's SET threshold so the
-    read cannot disturb the state.
+    read cannot disturb the state.  A 0 Ohm read (its infinite conductance) is
+    a ``ValueError`` naming the medians.
     """
     if not v_g >= V_G_ON:
         return math.inf
     if not 0 <= v_read < cell.v_set_th:
         raise ValueError(f"v_read={v_read} is not disturb-free for {cell.cell_id}")
     params = cell.params
-    if cell.state == STATE_PRISTINE:
+    if cell.state == STATE_PRISTINE:  # sampled above 0 Ohm: ten times its HRS median
         return cell.resistance + params.r_on
     sigma = (params.read_noise_lrs if cell.state == STATE_LRS
              else params.read_noise_hrs)  # ``_lognormal_around``, inlined
-    return cell.resistance * math.exp(sigma * rng.standard_normal()) + params.r_on
+    r = cell.resistance * math.exp(sigma * rng.standard_normal()) + params.r_on
+    if r == 0.0:
+        require_finite_result("read conductance", math.inf, params)
+    return r
 
 
 def binarize(resistance: float, r_boundary: float) -> int:

@@ -16,13 +16,15 @@ physical execution path that initializes a cell, fires the logic pulse
 through the array wiring and reads the output back, all at the operating
 point ``device.DEFAULT_VOLTAGES``.
 A gate bucket (one gate, input pair and cell) runs in one call,
-``execute_gate_bucket``, with its case and logic drive (one of the cell's
-drives, ``CellArray.cell_drives``) resolved once; one trial is a bucket of
-one cycle.  It returns one ``TraceRow`` per cycle, the row the ``traces``
-table exports.  Each run takes two sources of draws: ``rng`` feeds the
-switching uniforms of every pulse, ``read_rng`` the noise of every read, so
-reading a cell more or less often never shifts its switching draws.  Either
-is a numpy ``Generator`` or a stream that serves only its one method.
+``execute_gate_bucket``, with its case and the cell's drives
+(``CellArray.cell_drives``) bound once; each cycle replays their cached
+resolutions (``array.replay``) and reads the bound cell
+(``device.read_resistance``).  One trial is a bucket of one cycle.  It
+returns one ``TraceRow`` per cycle, the row the ``traces`` table exports.
+Each run takes two sources of draws: ``rng`` feeds the switching uniforms of
+every pulse, ``read_rng`` the noise of every read, so reading a cell more or
+less often never shifts its switching draws.  Either is a numpy ``Generator``
+or a stream that serves only its one method.
 """
 
 from __future__ import annotations
@@ -34,14 +36,16 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .array import RESET_BITS, SET_BITS, CellAddress, CellArray
+from .array import RESET_BITS, SET_BITS, CellAddress, CellArray, CellDrives, replay
 from .device import (
+    DEFAULT_VOLTAGES,
     STATE_HRS,
     STATE_LRS,
     Normals,
     NotFormedError,
     Uniforms,
     binarize,
+    read_resistance,
 )
 
 
@@ -266,46 +270,46 @@ class InitFailureError(RuntimeError):
 INIT_RETRIES = 3
 
 
-def initialize_cell(array: CellArray, addr: CellAddress | tuple[int, int], bit: int,
-                    rng: Uniforms, read_rng: Normals,
+def initialize_cell(drives: CellDrives, bit: int, rng: Uniforms, read_rng: Normals,
                     refresh: bool = False, verify: bool = True) -> tuple[float, int]:
-    """Bring a cell to the binary state ``bit``, verifying by read: pulses draw
-    from ``rng``, reads from ``read_rng``.
+    """Bring the cell of ``drives`` (``CellArray.cell_drives``) to the binary
+    state ``bit``, verifying by read: pulses replay its SET and RESET drives
+    and draw from ``rng``, reads draw from ``read_rng``.
 
     Returns ``(verified read resistance, correction pulses applied)``.  With
     ``refresh=True`` a fresh resistance value is always cycled in, even when
     the binary state already matches (used by experiments that need new
     cycle-to-cycle draws every trial), and the cell is not read before it.
-    Reads binarize at ``array.boundary``; raises ``InitFailureError`` after
-    ``INIT_RETRIES`` failed corrections.
+    Reads binarize at the array's ``boundary``; raises ``InitFailureError``
+    after ``INIT_RETRIES`` failed corrections.
 
     ``verify=False`` fires the write pulses blindly, without the read-back
     loop.  Verified writes retry any draw that straddles the binarization
     boundary, which truncates the state distributions there; stress analyses
     that need the raw tails should disable verification.
     """
-    if not isinstance(addr, CellAddress):
-        addr = CellAddress(*addr)
-    drives = array.cell_drives(addr)
     cell = drives.cell
     if not cell.is_formed:
-        raise NotFormedError(f"cell {tuple(addr)} is pristine; form it first")
+        raise NotFormedError(f"cell {tuple(drives.addr)} is pristine; form it first")
     state = STATE_LRS if bit == 1 else STATE_HRS
+    boundary = drives.array.boundary
+    v_read, v_g = DEFAULT_VOLTAGES.v_read, DEFAULT_VOLTAGES.v_g_read
     pulses = 0
-    r = array.read_cell(addr, read_rng) if verify and not refresh else cell.resistance
+    r = (read_resistance(cell, v_read, v_g, read_rng) if verify and not refresh
+         else cell.resistance)
     # Write while a refresh is owed or the state is wrong (as read back, or as set).
-    while (refresh and not pulses) or (binarize(r, array.boundary) != bit if verify
+    while (refresh and not pulses) or (binarize(r, boundary) != bit if verify
                                        else not pulses and cell.state != state):
         if pulses > INIT_RETRIES:
-            raise InitFailureError(addr, bit, INIT_RETRIES)
+            raise InitFailureError(drives.addr, bit, INIT_RETRIES)
         # RESET switches an LRS cell or re-draws an HRS value; before a SET an
         # LRS cell cycles through HRS to re-draw its LRS value.
         if bit != 1 or cell.state == STATE_LRS:
-            array.apply_drive(drives[RESET_BITS], rng)
+            replay(drives.resolution(RESET_BITS), rng)
         if bit == 1:
-            array.apply_drive(drives[SET_BITS], rng)
+            replay(drives.resolution(SET_BITS), rng)
         pulses += 1
-        r = array.read_cell(addr, read_rng) if verify else cell.resistance
+        r = read_resistance(cell, v_read, v_g, read_rng) if verify else cell.resistance
     return r, pulses
 
 
@@ -315,22 +319,24 @@ def execute_gate_bucket(array: CellArray, addr: CellAddress | tuple[int, int],
     """Run one gate on a formed cell ``cycles`` times: bring the cell to the
     mapping's initial state (skipped when it already matches), fire the logic
     pulse, binarize the read.  Pulses draw from ``rng``, reads from
-    ``read_rng``.  The case and the logic drive are resolved once.  Each
-    cycle gives one row, its gate column ``mapping.name``; a cycle whose
-    initialization fails (``InitFailureError``) gives none.
+    ``read_rng``.  The case, the cell's drives and the logic drive's
+    resolution are bound once.  Each cycle gives one row, its gate column
+    ``mapping.name``; a cycle whose initialization fails (``InitFailureError``)
+    gives none.
     """
-    addr, case = CellAddress(*addr), evaluate_mapping(mapping, p, q)
-    drive = array.cell_drives(addr)[case.g, case.te, case.be]
+    case = evaluate_mapping(mapping, p, q)
+    drives = array.cell_drives(CellAddress(*addr))
+    logic, cell = drives.resolution((case.g, case.te, case.be)), drives.cell
     init_bit, case_id, output, boundary = case.i, case.case_id, case.output, array.boundary
-    apply_drive, read_cell = array.apply_drive, array.read_cell
-    rows = []
+    v_read, v_g = DEFAULT_VOLTAGES.v_read, DEFAULT_VOLTAGES.v_g_read
+    name, new_row, rows = mapping.name, tuple.__new__, []  # ``TraceRow._make``, unchecked
     for cycle in range(cycles):
         try:
-            r_init, _ = initialize_cell(array, addr, init_bit, rng, read_rng)
+            r_init, _ = initialize_cell(drives, init_bit, rng, read_rng)
         except InitFailureError:
             continue
-        apply_drive(drive, rng)
-        r_final = read_cell(addr, read_rng)
-        rows.append(TraceRow(mapping.name, p, q, case_id, cycle, r_init, r_final,
-                             binarize(r_final, boundary), output))
+        replay(logic, rng)
+        r_final = read_resistance(cell, v_read, v_g, read_rng)
+        rows.append(new_row(TraceRow, (name, p, q, case_id, cycle, r_init, r_final,
+                                       binarize(r_final, boundary), output)))
     return rows

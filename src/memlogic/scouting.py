@@ -8,11 +8,13 @@ and every operation is a predicate on it: OR is a popcount of at least one,
 AND a popcount of n, XOR an odd popcount.  READ is the one-cell case, with its
 own reference.  The read is non-destructive, so the gate never switches a
 device.  ``scout_class`` writes one input class and scouts it cycle after
-cycle, with the bits and the selection resolved once.  ``class_gaps`` finds
-the gaps from each class's currents, ``references_in`` places a reference in
-each gap, and ``classify_bucket`` compares a bucket of read currents against
-the references.  Writes draw uniforms from one source and reads normals from
-another.
+cycle, with the bits and the selection checked once and each cell's drives
+bound once: every cycle's writes replay them (``initialize_cell``) and its
+parallel read sums ``device.read_resistance`` of the bound cells.
+``class_gaps`` finds the gaps from each class's currents, ``references_in``
+places a reference in each gap, and ``classify_bucket`` compares a bucket of
+read currents against the references.  Writes draw uniforms from one source
+and reads normals from another.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .array import CellAddress, CellArray
-from .device import DEFAULT_VOLTAGES, Normals, Uniforms, require_finite_result
+from .device import DEFAULT_VOLTAGES, Normals, Uniforms, read_resistance, require_finite_result
 from .logic1t1r import initialize_cell
 
 #: The output of each operation as a predicate on (popcount k, input width n).
@@ -121,19 +123,22 @@ def scout_class(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]]
     read the cells in parallel: the read voltage times the summed conductance
     of the noisy reads, a ``ValueError`` beyond the float range.  Once per
     cycle, for ``cycles`` cycles; the bits and the selection are checked once,
-    before any pulse.  Pulses draw from ``rng``, reads from ``read_rng``.
+    before any pulse, and each cell's drives (``CellArray.cell_drives``) are
+    bound then.  Pulses draw from ``rng``, reads from ``read_rng``.
     Every write refreshes, so each cycle draws fresh states; ``verify=False``
     skips the read-back loop, for analyses that must not truncate the state
     tails.  Reads never switch."""
     writes = _input_writes(addrs, bits)
-    selection = array.parallel_selection(addrs)
-    v_read, read_cell, currents = DEFAULT_VOLTAGES.v_read, array.read_cell, []
+    array.parallel_selection(addrs)
+    writes = [(array.cell_drives(addr), bit) for addr, bit in writes]
+    cells = [drives.cell for drives, _ in writes]  # the selection, in its order
+    v_read, v_g, currents = DEFAULT_VOLTAGES.v_read, DEFAULT_VOLTAGES.v_g_read, []
     for _ in range(cycles):
-        for addr, bit in writes:
-            initialize_cell(array, addr, bit, rng, read_rng, True, verify)
+        for drives, bit in writes:
+            initialize_cell(drives, bit, rng, read_rng, True, verify)
         conductance = 0.0
-        for addr in selection:
-            conductance += 1.0 / read_cell(addr, read_rng)
+        for cell in cells:
+            conductance += 1.0 / read_resistance(cell, v_read, v_g, read_rng)
         currents.append(require_finite_result("read current", v_read * conductance,
                                               array.params))
     return currents

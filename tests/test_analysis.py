@@ -476,12 +476,13 @@ def test_sweep_export(tmp_path):
 
 @pytest.mark.parametrize("run", [run_1t1r_experiment, run_scouting_experiment],
                          ids=["gate", "scouting"])
-def test_each_drive_is_validated_once_per_array(monkeypatch, run):
+def test_each_drive_is_validated_once_per_array(rebind, monkeypatch, run):
     """A drive is built and validated once per array, not once per pulse.
 
     Every ``LineDrive`` and ``Pulse`` construction is counted, and so is every
-    distinct drive (by content) that each array applies, with the cells it
-    pulses the first time.  Forming ramps build their own pulses, one per step.
+    distinct drive resolution (one per drive an array builds) that the run
+    replays, with the cells it pulses.  Forming ramps build their own pulses,
+    one per step.
     """
     built = Counter()
     for cls in (LineDrive, Pulse):
@@ -490,15 +491,15 @@ def test_each_drive_is_validated_once_per_array(monkeypatch, run):
             real(self)
         monkeypatch.setattr(cls, "__post_init__", counting)
 
-    distinct: dict[tuple, int] = {}  # (array id, drive repr) -> cells pulsed
-    arrays: list[CellArray] = []  # keeps every array alive, so no id is reused
+    distinct: dict[int, int] = {}  # id of a resolution -> cells pulsed
+    resolutions: list[list] = []  # keeps every resolution alive, so no id is reused
     applied = Counter()
-    real_apply = CellArray.apply_drive
+    real_replay = array_module.replay
 
-    def recording(self, drive, rng):
-        events = real_apply(self, drive, rng)
-        arrays.append(self)
-        distinct.setdefault((id(self), repr(drive)), len(events))
+    def recording(resolved, rng):
+        events = real_replay(resolved, rng)
+        resolutions.append(resolved)
+        distinct.setdefault(id(resolved), len(events))
         applied["drives"] += 1
         return events
 
@@ -509,8 +510,8 @@ def test_each_drive_is_validated_once_per_array(monkeypatch, run):
         applied["form_pulses"] += pulses
         return pulses
 
-    monkeypatch.setattr(CellArray, "apply_drive", recording)
-    monkeypatch.setattr(array_module, "form_by_ramp", forming)
+    rebind(real_replay, recording)
+    rebind(real_form, forming)
     run(ExperimentConfig(seed=3, cycles=20, gates=("OR", "AND", "NIMP", "XOR")))
 
     assert applied["drives"] > 10 * len(distinct)
@@ -542,39 +543,34 @@ def test_a_default_scouting_run_validates_each_selection_once(monkeypatch):
 #: cell before it: 1,000 fewer ``scouting`` reads.  A scouting run samples and
 #: forms its two input cells once, not once per class (10 of each before):
 #: 167 fewer forming pulses, (0, 0)'s 22 five times and (1, 0)'s 19 three times.
+#: ``replay`` counts the drives applied: each call pulses one drive's cells.
 WORK_AT_SEED_7 = {
-    "gate": {"apply_pulse": 1290, "read_resistance": 3702, "apply_drive": 2102,
+    "gate": {"apply_pulse": 1290, "read_resistance": 3702, "replay": 2102,
              "initialize_cell": 1600, "sample_fresh_cell": 4, "form_by_ramp": 4,
              "resolve_drives": 15},
-    "scouting": {"apply_pulse": 1541, "read_resistance": 2000, "apply_drive": 1500,
+    "scouting": {"apply_pulse": 1541, "read_resistance": 2000, "replay": 1500,
                  "initialize_cell": 1000, "sample_fresh_cell": 2, "form_by_ramp": 2,
                  "resolve_drives": 15},
 }
 
 
+def count_calls(rebind, calls, functions):
+    """Count each function's calls under its name, in every module that binds it."""
+    for fn in functions:
+        def counted(*args, real=fn, **kwargs):
+            calls[real.__name__] += 1
+            return real(*args, **kwargs)
+        rebind(fn, counted)
+
+
 @pytest.mark.parametrize("run", [run_1t1r_experiment, run_scouting_experiment],
                          ids=["gate", "scouting"])
-def test_default_runs_do_the_pinned_work(monkeypatch, request, run):
+def test_default_runs_do_the_pinned_work(rebind, request, run):
     calls = Counter()
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return counted
-
-    # Each counted function is replaced in every module that binds it by name.
-    for home, name, users in ((device_module, "apply_pulse", (array_module,)),
-                              (device_module, "read_resistance", (array_module,)),
-                              (device_module, "sample_fresh_cell", (array_module,)),
-                              (device_module, "form_by_ramp", (array_module,)),
-                              (array_module, "resolve_drives", ()),
-                              (logic_module, "initialize_cell", (scouting_module,))):
-        counted = counting(name, getattr(home, name))
-        for module in (home, *users):
-            monkeypatch.setattr(module, name, counted)
-    monkeypatch.setattr(CellArray, "apply_drive",
-                        counting("apply_drive", CellArray.apply_drive))
+    count_calls(rebind, calls, (
+        device_module.apply_pulse, device_module.read_resistance,
+        device_module.sample_fresh_cell, device_module.form_by_ramp,
+        array_module.replay, array_module.resolve_drives, logic_module.initialize_cell))
     result = run(ExperimentConfig(seed=7))
     assert result.report.failures == result.report.errors == 0
     assert dict(calls) == WORK_AT_SEED_7[request.node.callspec.id]
@@ -587,22 +583,16 @@ CHARACTERIZE_WORK_AT_SEED_7 = {"apply_pulse": 2212, "read_resistance": 2000,
                                "apply_drive": 2000, "resolve_drives": 20}
 
 
-def test_default_characterization_does_the_pinned_work(monkeypatch):
+def test_default_characterization_does_the_pinned_work(rebind, monkeypatch):
     calls = Counter()
+    count_calls(rebind, calls, (device_module.apply_pulse, device_module.read_resistance,
+                                array_module.resolve_drives))
+    real_apply = CellArray.apply_drive
 
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return counted
+    def apply_drive(self, *args):
+        calls["apply_drive"] += 1
+        return real_apply(self, *args)
 
-    for name in ("apply_pulse", "read_resistance"):
-        counted = counting(name, getattr(device_module, name))
-        for module in (device_module, array_module):
-            monkeypatch.setattr(module, name, counted)
-    monkeypatch.setattr(CellArray, "apply_drive",
-                        counting("apply_drive", CellArray.apply_drive))
-    monkeypatch.setattr(array_module, "resolve_drives",
-                        counting("resolve_drives", array_module.resolve_drives))
+    monkeypatch.setattr(CellArray, "apply_drive", apply_drive)
     run_characterization(ExperimentConfig(seed=7))
     assert dict(calls) == CHARACTERIZE_WORK_AT_SEED_7

@@ -732,6 +732,30 @@ def test_cli_characterize_that_cannot_switch_exits_2(tmp_path, capsys, config_li
     assert not (tmp_path / "out" / "characterize.csv").exists()
 
 
+def test_cli_characterize_whose_reads_cannot_tell_the_states_apart_exits_2(tmp_path, capsys):
+    """A series resistance that absorbs every cell resistance in its float sum
+    reads LRS and HRS alike: a mean HRS/LRS ratio of 1 characterizes nothing."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("device.r_on = 1e300\n")
+    argv = [str(cfg), "characterize", "--cells", "2", "--cycles", "4",
+            "-o", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "device.r_on = 1e+300" in _one_line_error(capsys)
+    assert not (tmp_path / "out" / "characterize.csv").exists()
+
+
+def test_cli_gate_pulse_error_names_its_cell(tmp_path, capsys):
+    """A library gate whose pulse drives both electrodes above their thresholds
+    exits 2 with the pulse error, prefixed by the cell it was applied to."""
+    cfg, library = tmp_path / "run.cfg", tmp_path / "lib.csv"
+    cfg.write_text("device.v_reset_th_median = 0.2\ndevice.v_reset_th_sigma = 0\n")
+    library.write_text("SAME,1,q,q,p\n")
+    argv = [str(cfg), "gate", "SAME", "--library", str(library), "-o", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "at cell (0, 0): ambiguous drive on r0c0: v_te=1.3, v_be=1.6\n")
+
+
 @pytest.mark.parametrize("config_line, args, err", [
     ("", ["scouting", "or", "or"], "scouting op 'or' repeats 'or'"),
     ("", ["scouting", "xor", "OR", "or"], "scouting op 'or' repeats 'OR'"),

@@ -261,7 +261,7 @@ def test_truncated_draws_stay_finite_and_strictly_inside_their_bound(u, sigma, o
     # space for resistances; plain units at sigma = 0).
     bound = 1e4 * math.exp(offset * sigma if sigma else offset)
     cell = cell_between(bound, bound, sigma)
-    device._enter_hrs(cell, FixedUniform(u))
+    assert apply_pulse(cell, Pulse(0.0, 1.6, 3.0), FixedUniform(u)) == SwitchEvent.RESET
     assert bound < cell.resistance < math.inf
     cell = cell_between(bound, bound, sigma)
     device._enter_lrs(cell, FixedUniform(u))

@@ -20,6 +20,7 @@ from memlogic.array import (
 )
 from memlogic.device import (
     DEFAULT_VOLTAGES,
+    InvalidDriveError,
     NotFormedError,
     VariabilityParams,
     binarize,
@@ -265,7 +266,7 @@ def one_trial(array, addr, mapping, p, q, rng):
     return row
 
 
-def recorded_init_pulses(monkeypatch):
+def recorded_init_pulses(rebind):
     """The pulses each later ``initialize_cell`` call returns, in call order."""
     real, pulses = logic_module.initialize_cell, []
 
@@ -274,7 +275,7 @@ def recorded_init_pulses(monkeypatch):
         pulses.append(count)
         return r, count
 
-    monkeypatch.setattr(logic_module, "initialize_cell", initialize_cell)
+    rebind(real, initialize_cell)
     return pulses
 
 
@@ -327,13 +328,27 @@ def test_init_failure_raises():
     array.form(CellAddress(0, 0))
     rng = np.random.default_rng(5)
     with pytest.raises(InitFailureError, match=f"after {INIT_RETRIES} retries"):
-        initialize_cell(array, (0, 0), 0, rng, rng)
+        initialize_cell(array.cell_drives(CellAddress(0, 0)), 0, rng, rng)
 
 
-def test_cascade_reuses_matching_state(monkeypatch):
+@pytest.mark.parametrize("p", [0, 1])
+def test_a_pulse_error_names_its_cell(p):
+    # At q = 1 the SAME gate drives 1.3 V on the TE and 1.6 V on the BE, above
+    # both thresholds once the RESET threshold is 0.2 V; the writes stay valid.
+    params = PARAMS.replace(v_reset_th_median=0.2, v_reset_th_sigma=0.0)
+    array = CellArray(ArrayTopology(TopologyKind.STANDARD_1T1R, 4, 4), params, seed=0)
+    array.form(CellAddress(0, 0))
+    mapping = ParamMapping("SAME", Term.CONST1, Term.Q, Term.Q, Term.P)
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidDriveError) as info:
+        execute_gate_bucket(array, (0, 0), mapping, p, 1, 3, rng, rng)
+    assert str(info.value) == "at cell (0, 0): ambiguous drive on r0c0: v_te=1.3, v_be=1.6"
+
+
+def test_cascade_reuses_matching_state(rebind):
     array = formed_array()
     rng = np.random.default_rng(6)
-    pulses = recorded_init_pulses(monkeypatch)
+    pulses = recorded_init_pulses(rebind)
     rows = [one_trial(array, (0, 0), builtin_mapping(name), 1, 1, rng)
             for name in ("OR", "NIMP")]
     # OR(1,1) leaves LRS; NIMP(1,1) needs i=q=1, so no re-initialization.
@@ -359,16 +374,16 @@ def test_every_case_pulse_leaves_the_case_output(case, kind):
     addr = CellAddress(2, 1)
     array.form(addr)
     rng = np.random.default_rng(case.case_id)
-    initialize_cell(array, addr, case.i, rng, rng)
+    initialize_cell(array.cell_drives(addr), case.i, rng, rng)
     array.apply_drive(array.cell_drives(addr)[case.g, case.te, case.be], rng)
     assert binarize(array.read_cell(addr, rng), array.boundary) == case.output
 
 
-def test_pseudo_crossbar_gates_switch_both_ways(monkeypatch):
+def test_pseudo_crossbar_gates_switch_both_ways(rebind):
     array = CellArray(ArrayTopology(TopologyKind.PSEUDO_CROSSBAR, 4, 4), PARAMS, seed=3)
     array.form(CellAddress(2, 1))
     rng = np.random.default_rng(4)
-    pulses = recorded_init_pulses(monkeypatch)
+    pulses = recorded_init_pulses(rebind)
     for mapping, p, q in [(builtin_mapping("XOR"), 1, 1), (builtin_mapping("OR"), 0, 1),
                           (builtin_mapping("NIMP"), 1, 0)] * 5:
         row = one_trial(array, (2, 1), mapping, p, q, rng)

@@ -20,6 +20,11 @@ Gate prefix.  An ``OR AND`` (or ``OR AND NIMP``) run's rows, summaries and
 buckets equal that part of an ``OR AND NIMP XOR`` run.  Only a prefix holds: each
 gate's stream key and column is its index in the gate list, so dropping or
 reordering an earlier gate moves every later one.
+
+Cycle prefix.  A 37-cycle run's scouting currents and characterization rows are
+the first 37 cycles of a 100-cycle run, and so are its gate rows with
+``rotate_cells``.  Each bucket draws from streams keyed by the bucket, not by
+the cycle count, so its first cycles draw the same values in both runs.
 """
 
 from functools import cache
@@ -142,3 +147,29 @@ def test_a_gate_prefix_runs_as_in_the_full_list(seed, device, rotate_cells, gate
     assert len(result.rows) == len(gates) * 4 * 4  # gates x input pairs x cycles
     if device is STRESSED and "NIMP" in gates:  # a failing bucket lies in the prefix
         assert result.report.failures
+
+
+
+@SEEDS_AND_DEVICES
+def test_a_shorter_run_is_a_prefix_of_a_longer_one(seed, device):
+    long, short = (ExperimentConfig(seed=seed, cycles=cycles, device=device)
+                   for cycles in (100, 37))
+
+    def first_37(rows, first_bucket=False):
+        return [row for row in rows
+                if row.cycle < 37 and (not first_bucket or (row.p, row.q) == (0, 0))]
+
+    currents = run_scouting_experiment(long).currents
+    assert run_scouting_experiment(short).currents == {
+        cls: values[:37] for cls, values in currents.items()}
+    rows = run_characterization(long, cells=4).rows
+    assert run_characterization(short, cells=4).rows == [row for row in rows if row[1] < 37]
+    rotated = [run_1t1r_experiment(c.replace(rotate_cells=True)).rows for c in (long, short)]
+    assert rotated[1] == first_37(rotated[0])
+    # Without ``rotate_cells`` a gate's four buckets cascade on one cell: each
+    # starts from the state the bucket before it left, after its cycle 36 in
+    # the short run and after its cycle 99 in the long one.  Only the first
+    # bucket of each gate starts from the formed cell in both.
+    cascaded = [run_1t1r_experiment(c).rows for c in (long, short)]
+    assert cascaded[1] != first_37(cascaded[0])
+    assert first_37(cascaded[1], True) == first_37(cascaded[0], True)

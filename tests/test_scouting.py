@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from memlogic import array as array_module
 from memlogic.array import ArrayTopology, CellAddress, CellArray, TopologyError, TopologyKind
-from memlogic.device import VariabilityParams, binarize, default_boundary
+from memlogic.device import VariabilityParams, binarize, default_boundary, read_resistance
 from memlogic.scouting import (
     PAPER_REFS,
     SCOUTING_OPS,
@@ -97,20 +97,20 @@ def test_an_invalid_selection_raises_on_every_call(monkeypatch):
     assert validated[1] == tuple(addrs) and type(validated[1][0]) is CellAddress
 
 
-def test_scout_read_is_non_destructive(monkeypatch):
+def test_scout_read_is_non_destructive(rebind):
     # Every read of a bucket, verifying a write or scouting the class, leaves
     # every cell as it found it and draws nothing from the switching generator.
     array, addrs = column_array(params=VariabilityParams(), seed=4)
     rng, read_rng = np.random.default_rng(4), np.random.default_rng(5)
-    real_read, reads = array.read_cell, []
+    real_read, reads = read_resistance, []
 
-    def read_cell(addr, noise_rng):
+    def read(cell, v_read, v_g, noise_rng):
         before = cell_states(array), rng.bit_generator.state
-        reads.append(real_read(addr, noise_rng))
+        reads.append(real_read(cell, v_read, v_g, noise_rng))
         assert (cell_states(array), rng.bit_generator.state) == before
         return reads[-1]
 
-    monkeypatch.setattr(array, "read_cell", read_cell)
+    rebind(real_read, read)
     currents = scout_class(array, addrs, "10", 50, rng, read_rng)
     assert len(reads) >= 2 * 50  # at least the two scouting reads of every cycle
     assert len(set(currents)) == 50  # each cycle's read draws its own noise
