@@ -42,7 +42,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .array import RESET_BITS, SET_BITS, ArrayTopology, CellAddress, CellArray, TopologyKind
+from .array import (RESET_BITS, SET_BITS, ArrayTopology, CellAddress, CellArray,
+                    TopologyKind, replay)
 from .device import (
     DEFAULT_VOLTAGES,
     STATE_HRS,
@@ -52,6 +53,7 @@ from .device import (
     VariabilityParams,
     binarize,
     default_boundary,
+    read_resistance,
     require_finite_result,
     require_int,
 )
@@ -473,7 +475,7 @@ def run_characterization(config: ExperimentConfig, cells: int = 10) -> Character
               (RESET_BITS, STATE_HRS, f"{volts.v_be_reset} V RESET", "v_reset_th"))
     # A cell's drives leave every other cell's SL and BL at 0 V: none of them moves.
     array = CellArray(topology, params, seed=seed)
-    rows = []
+    v_read, v_g, rows = volts.v_read, volts.v_g_read, []
     for ci in range(cells):
         addr = CellAddress(0, ci)
         array.form(addr)
@@ -482,14 +484,14 @@ def run_characterization(config: ExperimentConfig, cells: int = 10) -> Character
         for cycle in range(cycles):
             reads = []
             for bits, state, pulse, th in phases:
-                array.apply_drive(drives[bits], rng)
+                replay(drives[bits], rng)
                 if cell.state != state:
                     raise ValueError(
                         f"cell {ci} is {cell.state.upper()} after the {pulse} pulse of "
                         f"cycle {cycle}: its drawn {th} = {getattr(cell, th)!r}, with "
                         f"device.{th}_median = {getattr(params, th + '_median')!r} and "
                         f"device.{th}_sigma = {getattr(params, th + '_sigma')!r}")
-                reads.append(array.read_cell(addr, read_rng))
+                reads.append(read_resistance(cell, v_read, v_g, read_rng))
             rows.append((ci, cycle, *reads))
     lrs_values = [r[2] for r in rows]
     hrs_values = [r[3] for r in rows]

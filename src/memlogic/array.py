@@ -12,10 +12,10 @@ resolution and both parallel checks follow from it.
 Line parasitics and sneak paths are ignored: the access transistor isolates
 unselected cells, and every selected cell sees the ideal line voltages.  The
 transistor is off at 0 V gate (below ``device.V_G_ON``), so a drive only
-pulses cells on its driven word lines.  An array resolves each drive it builds
-(``CellArray.cell_drives``) once, into its one drive cache; any other drive is
-resolved on every call.  ``replay`` pulses a resolution's cells for
-``apply_drive`` and for the trial loops (``CellDrives.resolution``).
+pulses cells on its driven word lines.  There is one drive cache
+(``CellDrives``: a cell's logic drives by their bits, each resolved by
+``resolve_drives`` once) and one path (``replay`` + ``read_resistance``):
+``replay`` pulses a resolution's cells, ``device.read_resistance`` reads a cell.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .device import (
     DEFAULT_VOLTAGES,
     V_G_ON,
     MemristorCell,
-    Normals,
     Pulse,
     SwitchEvent,
     Uniforms,
@@ -40,7 +39,6 @@ from .device import (
     apply_pulse,
     default_boundary,
     form_by_ramp,
-    read_resistance,
     require_int,
     sample_fresh_cell,
 )
@@ -141,8 +139,8 @@ def resolve_drives(array: CellArray, drive: LineDrive) -> list[tuple]:
     nonzero voltage on their SL or BL (``ArrayTopology.bl_of``).  Any other cell
     cannot switch and its pulse would draw no randomness (gate-off returns
     first, every switching threshold is > 0), so pulsing the listed cells
-    equals pulsing every cell.  Only the drives the array builds
-    (``CellDrives``) keep their resolution."""
+    equals pulsing every cell.  ``CellDrives``, the one drive cache, keeps the
+    lists it resolves for ``replay``."""
     topology = array.topology
     for name, lines, count in (("WL", drive.wl, topology.rows),
                                ("BL", drive.bl, topology.bl_count),
@@ -166,21 +164,17 @@ def resolve_drives(array: CellArray, drive: LineDrive) -> list[tuple]:
 
 class CellDrives(dict):
     """One cell (``cell``) of ``array`` and its logic drives by their bits
-    (g, te, be), each built on first use and resolved then into the array's one
-    drive cache, keyed by its id: this dict, kept for the array's life, holds it."""
+    (g, te, be): the array's one drive cache.  Each drive is built and resolved
+    on first use; ``drives[bits]`` is its ``resolve_drives`` list, for ``replay``."""
 
     def __init__(self, array: CellArray, addr: CellAddress):
         super().__init__()
         self.array, self.addr, self.cell = array, addr, array.cell(addr)
 
-    def __missing__(self, bits: tuple[int, int, int]) -> LineDrive:
-        drive = self[bits] = logic_drive(self.array.topology, self.addr, *bits)
-        self.array._resolved[id(drive)] = resolve_drives(self.array, drive)
-        return drive
-
-    def resolution(self, bits: tuple[int, int, int]) -> list[tuple]:
-        """The cached ``resolve_drives`` list of the drive of ``bits``, for ``replay``."""
-        return self.array._resolved[id(self[bits])]
+    def __missing__(self, bits: tuple[int, int, int]) -> list[tuple]:
+        drive = logic_drive(self.array.topology, self.addr, *bits)
+        self[bits] = resolved = resolve_drives(self.array, drive)
+        return resolved
 
 
 def replay(resolved: list[tuple], rng: Uniforms) -> list[SwitchEvent]:
@@ -266,7 +260,6 @@ class CellArray:
         self.boundary = default_boundary(params)
         self.cells: dict[CellAddress, MemristorCell] = {}
         self._drives: dict[CellAddress, CellDrives] = {}  # by cell
-        self._resolved: dict[int, list] = {}  # by id of a drive in _drives
 
     def cell(self, addr: CellAddress | tuple[int, int]) -> MemristorCell:
         """The cell at ``addr``, sampled from ``(seed, 0, row, col)`` on first touch."""
@@ -297,38 +290,10 @@ class CellArray:
             form_by_ramp(cell, rng)
 
     def cell_drives(self, addr: CellAddress) -> CellDrives:
-        """The cell with its drives (its SET and RESET writes among them), kept
-        for the array's life; sampled, and checked against the bounds, as ``cell``."""
+        """The cell with its resolved drives (its SET and RESET writes among
+        them), the one drive cache (``CellDrives``), kept for the array's life;
+        sampled, and checked against the bounds, as ``cell``."""
         drives = self._drives.get(addr)
         if drives is None:
             drives = self._drives[addr] = CellDrives(self, CellAddress(*addr))
         return drives
-
-    def apply_drive(self, drive: LineDrive,
-                    rng: Uniforms) -> list[tuple[CellAddress, SwitchEvent]]:
-        """Pulse the cells the drive can switch (``resolve_drives``), in address
-        order, and return their events.  A drive built by ``cell_drives`` replays
-        its cached resolution; any other is resolved on each call, uncached."""
-        resolved = self._resolved.get(id(drive))
-        if resolved is None:
-            resolved = resolve_drives(self, drive)
-        events = replay(resolved, rng)
-        return [(addr, event) for (addr, _, _), event in zip(resolved, events)]
-
-    def parallel_selection(self, addrs: Sequence) -> tuple[CellAddress, ...]:
-        """``addrs`` as addresses the wiring can read in parallel, validated
-        (``validate_parallel_selection``) on every call."""
-        selection = tuple(CellAddress(*a) for a in addrs)
-        validate_parallel_selection(self.topology, selection)
-        return selection
-
-    def read_cell(self, addr: CellAddress | tuple[int, int],
-                  rng: Normals) -> float:
-        """The cell's noisy read resistance at the operating point
-        (``DEFAULT_VOLTAGES``), by ``read_resistance``."""
-        try:  # a sampled cell in one lookup
-            cell = self.cells[addr]
-        except (KeyError, TypeError):
-            cell = self.cell(addr)
-        volts = DEFAULT_VOLTAGES
-        return read_resistance(cell, volts.v_read, volts.v_g_read, rng)

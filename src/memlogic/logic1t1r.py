@@ -17,10 +17,11 @@ through the array wiring and reads the output back, all at the operating
 point ``device.DEFAULT_VOLTAGES``.
 A gate bucket (one gate, input pair and cell) runs in one call,
 ``execute_gate_bucket``, with its case and the cell's drives
-(``CellArray.cell_drives``) bound once; each cycle replays their cached
-resolutions (``array.replay``) and reads the bound cell
-(``device.read_resistance``).  One trial is a bucket of one cycle.  It
-returns one ``TraceRow`` per cycle, the row the ``traces`` table exports.
+(``CellArray.cell_drives``) bound once.  It takes the array's one drive cache
+(``CellDrives``) and one path (``array.replay`` + ``device.read_resistance``):
+each cycle replays the cached resolutions and reads the bound cell.  One trial
+is a bucket of one cycle.  It returns one ``TraceRow`` per cycle, the row the
+``traces`` table exports.
 Each run takes two sources of draws: ``rng`` feeds the switching uniforms of
 every pulse, ``read_rng`` the noise of every read, so reading a cell more or
 less often never shifts its switching draws.  Either is a numpy ``Generator``
@@ -305,9 +306,9 @@ def initialize_cell(drives: CellDrives, bit: int, rng: Uniforms, read_rng: Norma
         # RESET switches an LRS cell or re-draws an HRS value; before a SET an
         # LRS cell cycles through HRS to re-draw its LRS value.
         if bit != 1 or cell.state == STATE_LRS:
-            replay(drives.resolution(RESET_BITS), rng)
+            replay(drives[RESET_BITS], rng)
         if bit == 1:
-            replay(drives.resolution(SET_BITS), rng)
+            replay(drives[SET_BITS], rng)
         pulses += 1
         r = read_resistance(cell, v_read, v_g, read_rng) if verify else cell.resistance
     return r, pulses
@@ -326,7 +327,7 @@ def execute_gate_bucket(array: CellArray, addr: CellAddress | tuple[int, int],
     """
     case = evaluate_mapping(mapping, p, q)
     drives = array.cell_drives(CellAddress(*addr))
-    logic, cell = drives.resolution((case.g, case.te, case.be)), drives.cell
+    logic, cell = drives[case.g, case.te, case.be], drives.cell
     init_bit, case_id, output, boundary = case.i, case.case_id, case.output, array.boundary
     v_read, v_g = DEFAULT_VOLTAGES.v_read, DEFAULT_VOLTAGES.v_g_read
     name, new_row, rows = mapping.name, tuple.__new__, []  # ``TraceRow._make``, unchecked

@@ -25,7 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .array import CellAddress, CellArray
+from .array import CellAddress, CellArray, validate_parallel_selection
 from .device import DEFAULT_VOLTAGES, Normals, Uniforms, read_resistance, require_finite_result
 from .logic1t1r import initialize_cell
 
@@ -129,7 +129,7 @@ def scout_class(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]]
     skips the read-back loop, for analyses that must not truncate the state
     tails.  Reads never switch."""
     writes = _input_writes(addrs, bits)
-    array.parallel_selection(addrs)
+    validate_parallel_selection(array.topology, tuple(addr for addr, _ in writes))
     writes = [(array.cell_drives(addr), bit) for addr, bit in writes]
     cells = [drives.cell for drives, _ in writes]  # the selection, in its order
     v_read, v_g, currents = DEFAULT_VOLTAGES.v_read, DEFAULT_VOLTAGES.v_g_read, []

@@ -32,7 +32,7 @@ from memlogic import array as array_module
 from memlogic import device as device_module
 from memlogic import logic1t1r as logic_module
 from memlogic import scouting as scouting_module
-from memlogic.array import ArrayTopology, CellArray, LineDrive
+from memlogic.array import ArrayTopology, LineDrive
 from memlogic.device import Pulse, VariabilityParams, default_boundary
 
 NOISE_FREE = VariabilityParams(
@@ -519,7 +519,7 @@ def test_each_drive_is_validated_once_per_array(rebind, monkeypatch, run):
     assert built["Pulse"] <= applied["form_pulses"] + sum(distinct.values())
 
 
-def test_a_default_scouting_run_validates_each_selection_once(monkeypatch):
+def test_a_default_scouting_run_validates_each_selection_once(rebind):
     validated = []
     real = array_module.validate_parallel_selection
 
@@ -527,7 +527,7 @@ def test_a_default_scouting_run_validates_each_selection_once(monkeypatch):
         validated.append(addrs)
         real(topology, addrs)
 
-    monkeypatch.setattr(array_module, "validate_parallel_selection", counting)
+    rebind(real, counting)
     result = run_scouting_experiment(ExperimentConfig(seed=7))
     assert sum(map(len, result.currents.values())) == 600
     # One array per class: four two-cell selections and two one-cell READ ones.
@@ -580,19 +580,12 @@ def test_default_runs_do_the_pinned_work(rebind, request, run):
 #: ``WORK_AT_SEED_7`` was: 10 cells x 100 cycles of one SET and one RESET
 #: drive and a read after each, plus the forming ramps' pulses.
 CHARACTERIZE_WORK_AT_SEED_7 = {"apply_pulse": 2212, "read_resistance": 2000,
-                               "apply_drive": 2000, "resolve_drives": 20}
+                               "replay": 2000, "resolve_drives": 20}
 
 
-def test_default_characterization_does_the_pinned_work(rebind, monkeypatch):
+def test_default_characterization_does_the_pinned_work(rebind):
     calls = Counter()
     count_calls(rebind, calls, (device_module.apply_pulse, device_module.read_resistance,
-                                array_module.resolve_drives))
-    real_apply = CellArray.apply_drive
-
-    def apply_drive(self, *args):
-        calls["apply_drive"] += 1
-        return real_apply(self, *args)
-
-    monkeypatch.setattr(CellArray, "apply_drive", apply_drive)
+                                array_module.replay, array_module.resolve_drives))
     run_characterization(ExperimentConfig(seed=7))
     assert dict(calls) == CHARACTERIZE_WORK_AT_SEED_7

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memlogic.array import (
+    RESET_BITS,
     SET_BITS,
     ArrayTopology,
     CellAddress,
@@ -16,13 +17,17 @@ from memlogic.array import (
     TopologyError,
     TopologyKind,
     check_parallel_distinct_voltages,
+    replay,
+    resolve_drives,
     validate_parallel_selection,
 )
 from memlogic.device import (
+    DEFAULT_VOLTAGES,
     Pulse,
     SwitchEvent,
     VariabilityParams,
     apply_pulse,
+    read_resistance,
     sample_fresh_cell,
 )
 from memlogic.scouting import scout_class
@@ -58,6 +63,19 @@ def every_cell(array):
 
 def pulses_by_addr(topology, drive):
     return dict(every_cell_pulse(topology, drive))
+
+
+def drive_events(array, drive, rng):
+    """Replay a fresh resolution of ``drive`` on ``array``; each pulsed cell's
+    address with its event, in address order."""
+    resolved = resolve_drives(array, drive)
+    return [(addr, event) for (addr, _, _), event in zip(resolved, replay(resolved, rng))]
+
+
+def read(array, addr, rng):
+    """The cell's noisy read at the operating point."""
+    volts = DEFAULT_VOLTAGES
+    return read_resistance(array.cell(addr), volts.v_read, volts.v_g_read, rng)
 
 
 def test_read_drive_resolution():
@@ -143,9 +161,9 @@ def test_line_drive_lines_cannot_change_after_it_is_built(wl, sl, bl, extra):
 def test_line_bounds_checked():
     array, rng = CellArray(STD, PARAMS), np.random.default_rng(0)
     with pytest.raises(ValueError, match="WL index 9"):
-        array.apply_drive(LineDrive(wl={9: 3.0}), rng)
+        replay(resolve_drives(array, LineDrive(wl={9: 3.0})), rng)
     with pytest.raises(ValueError, match="SL index -1"):
-        array.apply_drive(LineDrive(sl={-1: 1.0}), rng)
+        replay(resolve_drives(array, LineDrive(sl={-1: 1.0})), rng)
 
 
 def test_parallel_distinct_voltages_standard_violation():
@@ -220,36 +238,28 @@ def test_parallel_checks_take_plain_tuples(topology):
     assert verdict(validate_parallel_selection, one_bl) is None
 
 
-def test_only_built_drives_keep_a_resolution_and_no_id_is_taken_over(monkeypatch):
+def test_a_cell_drive_is_resolved_once_and_replays_on_its_cell_alone(monkeypatch, rebind):
     array, rng = CellArray(STD, PARAMS), np.random.default_rng(0)
-    built = []
+    built, resolutions, pulsed = [], [], []
     real_post_init = Pulse.__post_init__
     monkeypatch.setattr(Pulse, "__post_init__", lambda pulse: (built.append(pulse),
                                                                  real_post_init(pulse)))
-    own = array.cell_drives(CellAddress(0, 0))[SET_BITS]  # resolved as it is built
-    cached = dict(array._resolved)
-    assert list(cached) == [id(own)] and len(built) == 1
-    for _ in range(3):  # replayed
-        assert [a for a, _ in array.apply_drive(own, rng)] == [CellAddress(0, 0)]
-    assert len(built) == 1
-    # An equal drive built outside ``cell_drives`` is resolved on every call
-    # and leaves the cache as it was, so an array's memory stays bounded.
-    for _ in range(3):
-        array.apply_drive(single_cell_line_drive(STD, "set", CellAddress(0, 0)), rng)
-    assert len(built) == 4
-    assert array._resolved == cached
-    # Each drive is dropped after its pulse, so its memory and its id can go to
-    # the next one; a drive must still pulse its own cell, never a dropped one's.
-    ids = set()
-    for i in range(48):
-        addr = CellAddress(i % 4, i // 4 % 4)
-        drive = single_cell_line_drive(STD, "set", addr)
-        ids.add(id(drive))
-        events = array.apply_drive(drive, rng)
-        del drive
-        assert [a for a, _ in events] == [addr]
-    assert len(ids) < 48  # some ids were taken over
-    assert array._resolved == cached
+
+    def resolving(array, drive):
+        resolutions.append(resolve_drives(array, drive))
+        return resolutions[-1]
+
+    rebind(resolve_drives, resolving)
+    rebind(apply_pulse, lambda cell, *args: pulsed.append(cell) or apply_pulse(cell, *args))
+    addr = CellAddress(0, 0)
+    own = array.cell_drives(addr)[SET_BITS]  # resolved as it is built
+    assert len(resolutions) == len(built) == 1 and resolutions[0] is own
+    for _ in range(3):  # looked up and replayed
+        assert array.cell_drives(addr)[SET_BITS] is own
+        replay(own, rng)
+    assert len(resolutions) == len(built) == 1
+    # Only its own cell was pulsed, once per replay.
+    assert len(pulsed) == 3 and all(cell is array.cell(addr) for cell in pulsed)
 
 
 def make_array(seed=0):
@@ -261,8 +271,8 @@ def make_array(seed=0):
 def test_apply_drive_single_set_event():
     array = make_array()
     rng = np.random.default_rng(1)
-    array.apply_drive(LineDrive(wl={0: 3.0}, bl={0: 1.6}), rng)  # to HRS
-    events = dict(array.apply_drive(LineDrive(wl={0: 1.3}, sl={0: 1.3}), rng))
+    replay(resolve_drives(array, LineDrive(wl={0: 3.0}, bl={0: 1.6})), rng)  # to HRS
+    events = dict(drive_events(array, LineDrive(wl={0: 1.3}, sl={0: 1.3}), rng))
     assert events[CellAddress(0, 0)] == SwitchEvent.SET
     others = [ev for addr, ev in events.items() if addr != CellAddress(0, 0)]
     assert all(ev == SwitchEvent.NONE for ev in others)
@@ -271,10 +281,10 @@ def test_apply_drive_single_set_event():
 def test_apply_drive_reports_only_pulsed_cells():
     array = make_array()
     rng = np.random.default_rng(1)
-    events = array.apply_drive(LineDrive(wl={0: 3.0, 2: 0.0}, bl={0: 1.6}), rng)
+    events = drive_events(array, LineDrive(wl={0: 3.0, 2: 0.0}, bl={0: 1.6}), rng)
     assert events == [(CellAddress(0, 0), SwitchEvent.RESET)]
     with pytest.raises(ValueError):
-        array.apply_drive(LineDrive(wl={0: 3.0}, bl={4: 1.6}), rng)
+        replay(resolve_drives(array, LineDrive(wl={0: 3.0}, bl={4: 1.6})), rng)
 
 
 def pulse_every_cell(array, drive, rng):
@@ -302,7 +312,7 @@ def test_apply_drive_matches_pulsing_every_cell(kind, seed, formed, drives):
     rng_fast, rng_full = np.random.default_rng(seed), np.random.default_rng(seed)
     for wl, sl, bl in drives:
         drive = LineDrive(wl=wl, sl=sl, bl=bl)
-        fast.apply_drive(drive, rng_fast)
+        replay(resolve_drives(fast, drive), rng_fast)
         pulse_every_cell(full, drive, rng_full)
     assert every_cell(fast) == every_cell(full)
     assert rng_fast.bit_generator.state == rng_full.bit_generator.state
@@ -342,14 +352,14 @@ def test_replaying_a_drive_equals_building_it_anew(kind, seed, formed, steps):
     for addr in formed:
         replayed.form(addr)
         rebuilt.form(addr)
-    built = {}  # one drive object per (kind, cell), applied again and again
     rng_replayed, rng_rebuilt = np.random.default_rng(seed), np.random.default_rng(seed)
     for kind_name, addr in steps:
-        drive = built.setdefault((kind_name, addr),
-                                 single_cell_line_drive(topology, kind_name, addr))
-        assert (replayed.apply_drive(drive, rng_replayed)
-                == rebuilt.apply_drive(single_cell_line_drive(topology, kind_name, addr),
-                                       rng_rebuilt))
+        # The cell's cached drive, replayed again and again, against one built anew.
+        cached = replayed.cell_drives(addr)[SET_BITS if kind_name == "set" else RESET_BITS]
+        fresh = resolve_drives(rebuilt, single_cell_line_drive(topology, kind_name, addr))
+        assert ([(a, pulse) for a, _, pulse in cached]
+                == [(a, pulse) for a, _, pulse in fresh])
+        assert replay(cached, rng_replayed) == replay(fresh, rng_rebuilt)
     assert cell_states(replayed) == cell_states(rebuilt)
     assert every_cell(replayed) == every_cell(rebuilt)
     assert rng_replayed.bit_generator.state == rng_rebuilt.bit_generator.state
@@ -363,18 +373,18 @@ def test_pseudo_crossbar_reset_replays_onto_its_row_neighbours():
     rng = np.random.default_rng(1)
     reset = single_cell_line_drive(array.topology, "reset", CellAddress(0, 0))
     row = [CellAddress(0, col) for col in range(3)]
-    assert array.apply_drive(reset, rng) == [(addr, SwitchEvent.RESET) for addr in row]
-    array.apply_drive(single_cell_line_drive(array.topology, "set", row[1]), rng)
-    assert array.apply_drive(reset, rng) == [(row[0], SwitchEvent.HRS_DISTURB),
-                                             (row[1], SwitchEvent.RESET),
-                                             (row[2], SwitchEvent.HRS_DISTURB)]
+    assert drive_events(array, reset, rng) == [(addr, SwitchEvent.RESET) for addr in row]
+    drive_events(array, single_cell_line_drive(array.topology, "set", row[1]), rng)
+    assert drive_events(array, reset, rng) == [(row[0], SwitchEvent.HRS_DISTURB),
+                                               (row[1], SwitchEvent.RESET),
+                                               (row[2], SwitchEvent.HRS_DISTURB)]
 
 
 def test_apply_drive_idle_is_identity():
     array = make_array()
     rng = np.random.default_rng(2)
     before = {addr: (c.state, c.resistance) for addr, c in every_cell(array).items()}
-    events = array.apply_drive(LineDrive(), rng)
+    events = drive_events(array, LineDrive(), rng)
     assert all(ev == SwitchEvent.NONE for _, ev in events)
     after = {addr: (c.state, c.resistance) for addr, c in every_cell(array).items()}
     assert before == after
@@ -385,10 +395,10 @@ def test_two_wl_read_drive():
     array.form(CellAddress(1, 0))
     rng = np.random.default_rng(3)
     drive = LineDrive(wl={0: 3.0, 1: 3.0}, sl={0: 0.1}, bl={0: 0.0})
-    events = dict(array.apply_drive(drive, rng))
+    events = dict(drive_events(array, drive, rng))
     assert all(ev == SwitchEvent.NONE for ev in events.values())
     for row in (0, 1):
-        r = array.read_cell(CellAddress(row, 0), rng)
+        r = read(array, CellAddress(row, 0), rng)
         assert 0 < r < float("inf")
 
 
@@ -400,8 +410,8 @@ def test_unselected_cells_never_flip():
     before = cell_states(array)
     # Hammer row 0 with SET/RESET; all other rows have their WL grounded.
     for _ in range(20):
-        array.apply_drive(LineDrive(wl={0: 3.0}, bl={0: 1.6, 1: 1.6}), rng)
-        array.apply_drive(LineDrive(wl={0: 1.3}, sl={0: 1.3, 1: 1.3}), rng)
+        replay(resolve_drives(array, LineDrive(wl={0: 3.0}, bl={0: 1.6, 1: 1.6})), rng)
+        replay(resolve_drives(array, LineDrive(wl={0: 1.3}, sl={0: 1.3, 1: 1.3})), rng)
     after = cell_states(array)
     assert after[CellAddress(0, 0)] != before[CellAddress(0, 0)]
     # An unselected cell is not even disturbed: its state and resistance stay.
@@ -459,8 +469,8 @@ def test_untouched_cells_are_never_sampled(monkeypatch):
     assert sampled == []
     array.form((1, 2))
     rng = np.random.default_rng(5)
-    array.apply_drive(LineDrive(wl={1: 1.3}, sl={2: 1.3}), rng)
-    array.read_cell((1, 2), rng)
+    replay(resolve_drives(array, LineDrive(wl={1: 1.3}, sl={2: 1.3})), rng)
+    read(array, (1, 2), rng)
     assert sampled == ["r1c2"]
     assert list(array.cells) == [CellAddress(1, 2)]
 
@@ -484,7 +494,7 @@ def test_cell_rejects_foreign_addresses():
     (PSEUDO, LineDrive(wl={1: 3.0}, sl={0: -0.0}, bl={1: 0.0}), 1, []),
 ])
 def test_resolve_drives_follows_the_wiring(topology, drive, row, expected):
-    events = CellArray(topology, PARAMS).apply_drive(drive, np.random.default_rng(0))
+    events = drive_events(CellArray(topology, PARAMS), drive, np.random.default_rng(0))
     assert [addr.col for addr, _ in events if addr.row == row] == expected
     pulses = pulses_by_addr(topology, drive)
     assert expected == [col for col in range(topology.cols)
@@ -521,12 +531,13 @@ def test_a_copy_starts_from_equal_cells_of_its_own():
 def test_a_drive_on_one_copy_leaves_the_template_and_other_copies_alone():
     template, rng = formed_column(), np.random.default_rng(6)
     reset = single_cell_line_drive(STD, "reset", CellAddress(0, 0))
-    template.apply_drive(reset, rng)  # the template's drives are resolved, too
+    replay(resolve_drives(template, reset), rng)  # the template is pulsed, too
     before = copy.deepcopy(template.cells)
     first, second = template.copy(), template.copy()
     for _ in range(2):
         for kind in ("set", "reset"):
-            first.apply_drive(single_cell_line_drive(STD, kind, CellAddress(0, 0)), rng)
+            replay(resolve_drives(first, single_cell_line_drive(STD, kind, CellAddress(0, 0))),
+                   rng)
     assert first.cells != before
     assert template.cells == second.cells == before
 

@@ -17,6 +17,7 @@ from memlogic.array import (
     TopologyKind,
     logic_drive,
     logic_pulse_voltages,
+    replay,
 )
 from memlogic.device import (
     DEFAULT_VOLTAGES,
@@ -25,6 +26,7 @@ from memlogic.device import (
     VariabilityParams,
     binarize,
     default_boundary,
+    read_resistance,
 )
 from memlogic.logic1t1r import (
     BUILTIN_MAPPINGS,
@@ -374,9 +376,11 @@ def test_every_case_pulse_leaves_the_case_output(case, kind):
     addr = CellAddress(2, 1)
     array.form(addr)
     rng = np.random.default_rng(case.case_id)
-    initialize_cell(array.cell_drives(addr), case.i, rng, rng)
-    array.apply_drive(array.cell_drives(addr)[case.g, case.te, case.be], rng)
-    assert binarize(array.read_cell(addr, rng), array.boundary) == case.output
+    drives, volts = array.cell_drives(addr), DEFAULT_VOLTAGES
+    initialize_cell(drives, case.i, rng, rng)
+    replay(drives[case.g, case.te, case.be], rng)
+    r = read_resistance(drives.cell, volts.v_read, volts.v_g_read, rng)
+    assert binarize(r, array.boundary) == case.output
 
 
 def test_pseudo_crossbar_gates_switch_both_ways(rebind):

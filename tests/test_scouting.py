@@ -80,11 +80,10 @@ def test_scout_requires_parallel_selectable_addresses():
         scout_class(array, [CellAddress(0, 0), CellAddress(0, 1)], "11", 1, rng, rng)
 
 
-def test_an_invalid_selection_raises_on_every_call(monkeypatch):
+def test_an_invalid_selection_raises_on_every_call(rebind):
     validated = []
     real = array_module.validate_parallel_selection
-    monkeypatch.setattr(array_module, "validate_parallel_selection",
-                        lambda topology, addrs: validated.append(addrs) or real(topology, addrs))
+    rebind(real, lambda topology, addrs: validated.append(addrs) or real(topology, addrs))
     array, addrs = column_array()
     rng = np.random.default_rng(3)
     for _ in range(3):
