@@ -19,7 +19,6 @@ from .array import (
     ArrayTopology,
     CellAddress,
     CellArray,
-    LineDrive,
     TopologyKind,
     check_parallel_distinct_voltages,
 )

@@ -10,21 +10,21 @@ parallel-connected cells.  The BL a cell's bottom electrode hangs on
 resolution and both parallel checks follow from it.
 
 Line parasitics and sneak paths are ignored: the access transistor isolates
-unselected cells, and every selected cell sees the ideal line voltages.  The
-transistor is off at 0 V gate (below ``device.V_G_ON``), so a drive only
-pulses cells on its driven word lines.  There is one drive cache
-(``CellDrives``: a cell's logic drives by their bits, each resolved by
-``resolve_drives`` once) and one path (``replay`` + ``read_resistance``):
+unselected cells, and every selected cell sees the ideal line voltages.  A
+drive is one cell's logic pulse, the voltages of its resolved bits (g, te, be)
+on the cell's WL, its column SL and the BL its BE hangs on; there is no
+general line drive.  The transistor is off at 0 V gate (below
+``device.V_G_ON``), so a drive only pulses cells of its cell's row.  There is
+one drive cache (``CellDrives``: a cell's drives by their bits, each resolved
+by ``resolve_drives`` once) and one path (``replay`` + ``read_resistance``):
 ``replay`` pulses a resolution's cells, ``device.read_resistance`` reads a cell.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,10 +68,6 @@ class ArrayTopology:
         require_int("array rows", self.rows, 1)
         require_int("array cols", self.cols, 1)
 
-    @property
-    def bl_count(self) -> int:
-        return self.rows if self.kind == TopologyKind.PSEUDO_CROSSBAR else self.cols
-
     def bl_of(self, addr: CellAddress | tuple[int, int]) -> int:
         """The BL the cell's bottom electrode hangs on: its column in the
         standard array, its row in the pseudo-crossbar."""
@@ -84,24 +80,6 @@ class ArrayTopology:
         # Range membership admits ints and numpy integers, as dict keys do.
         if not (row in range(self.rows) and col in range(self.cols)):
             raise ValueError(f"address {tuple(addr)} out of bounds")
-
-
-@dataclass(frozen=True)
-class LineDrive:
-    """Voltages applied on the array lines; unlisted lines are held at 0 V.
-    The line maps are read-only copies of the ones the drive is built with."""
-
-    wl: Mapping[int, float] = field(default_factory=dict)
-    sl: Mapping[int, float] = field(default_factory=dict)
-    bl: Mapping[int, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for name in ("wl", "sl", "bl"):
-            lines = MappingProxyType(dict(getattr(self, name)))
-            for idx, volts in lines.items():
-                if not math.isfinite(volts):
-                    raise ValueError(f"{name.upper()} {idx} voltage must be finite")
-            object.__setattr__(self, name, lines)
 
 
 def logic_pulse_voltages(g: int, te: int, be: int) -> tuple[float, float, float]:
@@ -119,61 +97,48 @@ def logic_pulse_voltages(g: int, te: int, be: int) -> tuple[float, float, float]
     return v_te, v_be, v_g
 
 
-def logic_drive(topology: ArrayTopology, addr: CellAddress, g: int, te: int,
-                be: int) -> LineDrive:
-    """Drive one cell with the logic pulse of the resolved bits (g, te, be):
-    its WL, its column SL and the BL its BE hangs on."""
-    v_te, v_be, v_g = logic_pulse_voltages(g, te, be)
-    return LineDrive(wl={addr.row: v_g}, sl={addr.col: v_te},
-                     bl={topology.bl_of(addr): v_be})
-
-
 #: The writes are logic pulses: SET is case 4's (g, te, be), RESET case 5's.
 SET_BITS, RESET_BITS = (1, 1, 0), (1, 0, 1)
 
 
-def resolve_drives(array: CellArray, drive: LineDrive) -> list[tuple]:
-    """The (address, cell, pulse) of each cell ``drive`` can switch on ``array``,
-    in address order; a line outside the array is a ``ValueError``.  Listed are
-    the cells on a WL that turns the transistor on (at least ``V_G_ON``) with a
-    nonzero voltage on their SL or BL (``ArrayTopology.bl_of``).  Any other cell
-    cannot switch and its pulse would draw no randomness (gate-off returns
-    first, every switching threshold is > 0), so pulsing the listed cells
-    equals pulsing every cell.  ``CellDrives``, the one drive cache, keeps the
-    lists it resolves for ``replay``."""
+def resolve_drives(array: CellArray, addr: CellAddress,
+                   bits: tuple[int, int, int]) -> list[tuple]:
+    """The (address, cell, pulse) of each cell that the logic pulse of the
+    bits (g, te, be) on the cell at ``addr`` can switch, in address order; an
+    address outside the array is a ``ValueError``.  The pulse drives the
+    cell's WL, its column SL and the BL its BE hangs on (``bl_of``), so listed
+    are the cells of its row, if the gate is on (at least ``V_G_ON``), with a
+    nonzero SL or BL.  Any other cell cannot switch and its pulse would draw
+    no randomness (gate-off returns first, every switching threshold is > 0),
+    so pulsing the listed cells equals pulsing every cell."""
     topology = array.topology
-    for name, lines, count in (("WL", drive.wl, topology.rows),
-                               ("BL", drive.bl, topology.bl_count),
-                               ("SL", drive.sl, topology.cols)):
-        for idx in lines:
-            if not 0 <= idx < count:
-                raise ValueError(f"{name} index {idx} out of range")
-    resolved = []
-    for row in sorted(drive.wl):
-        v_g = drive.wl[row]
-        if not v_g >= V_G_ON:
-            continue
-        for col in range(topology.cols):
-            addr = CellAddress(row, col)
-            v_te = drive.sl.get(col, 0.0)
-            v_be = drive.bl.get(topology.bl_of(addr), 0.0)
-            if v_te != 0.0 or v_be != 0.0:
-                resolved.append((addr, array.cell(addr), Pulse(v_te, v_be, v_g)))
+    topology.require_address(addr)
+    v_te, v_be, v_g = logic_pulse_voltages(*bits)
+    if v_g < V_G_ON:
+        return []
+    row, col = addr
+    bl, resolved = topology.bl_of(addr), []
+    for other in range(topology.cols):
+        cell_addr = CellAddress(row, other)
+        te = v_te if other == col else 0.0
+        be = v_be if topology.bl_of(cell_addr) == bl else 0.0
+        if te or be:
+            resolved.append((cell_addr, array.cell(cell_addr), Pulse(te, be, v_g)))
     return resolved
 
 
 class CellDrives(dict):
     """One cell (``cell``) of ``array`` and its logic drives by their bits
-    (g, te, be): the array's one drive cache.  Each drive is built and resolved
-    on first use; ``drives[bits]`` is its ``resolve_drives`` list, for ``replay``."""
+    (g, te, be): the array's one drive cache.  A drive is the cell and its
+    bits, resolved on first use; ``drives[bits]`` is its ``resolve_drives``
+    list, for ``replay``."""
 
     def __init__(self, array: CellArray, addr: CellAddress):
         super().__init__()
         self.array, self.addr, self.cell = array, addr, array.cell(addr)
 
     def __missing__(self, bits: tuple[int, int, int]) -> list[tuple]:
-        drive = logic_drive(self.array.topology, self.addr, *bits)
-        self[bits] = resolved = resolve_drives(self.array, drive)
+        self[bits] = resolved = resolve_drives(self.array, self.addr, bits)
         return resolved
 
 
@@ -289,11 +254,15 @@ class CellArray:
             rng = np.random.default_rng(np.random.SeedSequence((self.seed, 1, *addr)))
             form_by_ramp(cell, rng)
 
-    def cell_drives(self, addr: CellAddress) -> CellDrives:
+    def cell_drives(self, addr: CellAddress | tuple[int, int]) -> CellDrives:
         """The cell with its resolved drives (its SET and RESET writes among
         them), the one drive cache (``CellDrives``), kept for the array's life;
-        sampled, and checked against the bounds, as ``cell``."""
-        drives = self._drives.get(addr)
-        if drives is None:
-            drives = self._drives[addr] = CellDrives(self, CellAddress(*addr))
-        return drives
+        an address is checked against the bounds and keyed as in ``cell``."""
+        try:
+            return self._drives[addr]
+        except (KeyError, TypeError):  # not built yet, or an unhashable list
+            self.topology.require_address(addr)
+        addr = CellAddress(*map(int, addr))
+        if addr not in self._drives:
+            self._drives[addr] = CellDrives(self, addr)
+        return self._drives[addr]

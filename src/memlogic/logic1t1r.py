@@ -150,8 +150,8 @@ BUILTIN_MAPPINGS: dict[str, ParamMapping] = {
 
 
 def lookup_gate(library: dict[str, ParamMapping], name: str) -> ParamMapping:
-    """The mapping named ``name``, upper-cased when the library has that key."""
-    key = name.upper() if name.upper() in library else name
+    """The mapping named ``name``, else its upper-cased form: an exact key wins."""
+    key = name if name in library else name.upper()
     try:
         return library[key]
     except KeyError:

@@ -32,7 +32,7 @@ from memlogic import array as array_module
 from memlogic import device as device_module
 from memlogic import logic1t1r as logic_module
 from memlogic import scouting as scouting_module
-from memlogic.array import ArrayTopology, LineDrive
+from memlogic.array import ArrayTopology
 from memlogic.device import Pulse, VariabilityParams, default_boundary
 
 NOISE_FREE = VariabilityParams(
@@ -477,19 +477,23 @@ def test_sweep_export(tmp_path):
 @pytest.mark.parametrize("run", [run_1t1r_experiment, run_scouting_experiment],
                          ids=["gate", "scouting"])
 def test_each_drive_is_validated_once_per_array(rebind, monkeypatch, run):
-    """A drive is built and validated once per array, not once per pulse.
+    """A drive (a cell and its bits) is resolved and validated once per array,
+    not once per pulse.
 
-    Every ``LineDrive`` and ``Pulse`` construction is counted, and so is every
-    distinct drive resolution (one per drive an array builds) that the run
-    replays, with the cells it pulses.  Forming ramps build their own pulses,
-    one per step.
+    Every ``resolve_drives`` call and ``Pulse`` construction is counted, and so
+    is every distinct drive resolution (one per drive an array builds) that the
+    run replays, with the cells it pulses.  Forming ramps build their own
+    pulses, one per step.
     """
     built = Counter()
-    for cls in (LineDrive, Pulse):
-        def counting(self, real=cls.__post_init__, name=cls.__name__):
-            built[name] += 1
-            real(self)
-        monkeypatch.setattr(cls, "__post_init__", counting)
+    real_post_init = Pulse.__post_init__
+
+    def counting(self):
+        built["Pulse"] += 1
+        real_post_init(self)
+
+    monkeypatch.setattr(Pulse, "__post_init__", counting)
+    count_calls(rebind, built, (array_module.resolve_drives,))
 
     distinct: dict[int, int] = {}  # id of a resolution -> cells pulsed
     resolutions: list[list] = []  # keeps every resolution alive, so no id is reused
@@ -515,7 +519,7 @@ def test_each_drive_is_validated_once_per_array(rebind, monkeypatch, run):
     run(ExperimentConfig(seed=3, cycles=20, gates=("OR", "AND", "NIMP", "XOR")))
 
     assert applied["drives"] > 10 * len(distinct)
-    assert built["LineDrive"] <= len(distinct)
+    assert built["resolve_drives"] <= len(distinct)
     assert built["Pulse"] <= applied["form_pulses"] + sum(distinct.values())
 
 

@@ -1,5 +1,5 @@
 import copy
-import math
+import itertools
 import re
 
 import numpy as np
@@ -13,16 +13,17 @@ from memlogic.array import (
     ArrayTopology,
     CellAddress,
     CellArray,
-    LineDrive,
     TopologyError,
     TopologyKind,
     check_parallel_distinct_voltages,
+    logic_pulse_voltages,
     replay,
     resolve_drives,
     validate_parallel_selection,
 )
 from memlogic.device import (
     DEFAULT_VOLTAGES,
+    V_G_ON,
     Pulse,
     SwitchEvent,
     VariabilityParams,
@@ -39,18 +40,23 @@ PARAMS = VariabilityParams()
 SET_PULSE = Pulse(1.3, 0.0, 1.3)
 RESET_PULSE = Pulse(0.0, 1.6, 3.0)
 
+#: Every resolved (g, te, be), the ones no gate reaches included.
+ALL_BITS = list(itertools.product((0, 1), repeat=3))
 
-def every_cell_pulse(topology, drive):
-    """Every cell's pulse under ``drive``, row-major, the inert cells included:
-    the oracle the skipping drive path is checked against."""
+
+def every_cell_pulse(topology, addr, bits):
+    """Every cell's pulse under the logic pulse of ``bits`` on the cell at
+    ``addr``, row-major, the inert cells included: the oracle the skipping
+    drive path is checked against.  The pulse drives the cell's WL, its column
+    SL and the BL its BE hangs on; every other line is held at 0 V."""
+    v_te, v_be, v_g = logic_pulse_voltages(*bits)
+    wl, sl, bl = {addr.row: v_g}, {addr.col: v_te}, {topology.bl_of(addr): v_be}
     resolved = []
     for row in range(topology.rows):
-        v_g = drive.wl.get(row, 0.0)
         for col in range(topology.cols):
-            addr = CellAddress(row, col)
-            v_te = drive.sl.get(col, 0.0)
-            v_be = drive.bl.get(topology.bl_of(addr), 0.0)
-            resolved.append((addr, Pulse(v_te, v_be, v_g)))
+            other = CellAddress(row, col)
+            resolved.append((other, Pulse(sl.get(col, 0.0), bl.get(topology.bl_of(other), 0.0),
+                                          wl.get(row, 0.0))))
     return resolved
 
 
@@ -61,15 +67,15 @@ def every_cell(array):
         for col in range(array.topology.cols))}
 
 
-def pulses_by_addr(topology, drive):
-    return dict(every_cell_pulse(topology, drive))
+def pulses_by_addr(topology, addr, bits):
+    return dict(every_cell_pulse(topology, addr, bits))
 
 
-def drive_events(array, drive, rng):
-    """Replay a fresh resolution of ``drive`` on ``array``; each pulsed cell's
-    address with its event, in address order."""
-    resolved = resolve_drives(array, drive)
-    return [(addr, event) for (addr, _, _), event in zip(resolved, replay(resolved, rng))]
+def drive_events(array, addr, bits, rng):
+    """Replay a fresh resolution of the cell's drive by ``bits`` on ``array``;
+    each pulsed cell's address with its event, in address order."""
+    resolved = resolve_drives(array, addr, bits)
+    return [(other, event) for (other, _, _), event in zip(resolved, replay(resolved, rng))]
 
 
 def read(array, addr, rng):
@@ -78,92 +84,57 @@ def read(array, addr, rng):
     return read_resistance(array.cell(addr), volts.v_read, volts.v_g_read, rng)
 
 
-def test_read_drive_resolution():
-    drive = LineDrive(wl={0: 3.0}, sl={0: 0.1}, bl={0: 0.0})
-    pulse = pulses_by_addr(STD, drive)[CellAddress(0, 0)]
-    assert (pulse.v_te, pulse.v_be, pulse.v_g) == (0.1, 0.0, 3.0)
-
-
 def test_idle_drive_resolves_to_zero_pulses():
-    resolved = every_cell_pulse(STD, LineDrive())
-    assert len(resolved) == 16
-    for _, pulse in resolved:
-        assert (pulse.v_te, pulse.v_be, pulse.v_g) == (0.0, 0.0, 0.0)
-
-
-def test_parallel_selection_sees_identical_pulses():
-    drive = LineDrive(wl={0: 3.0, 1: 3.0}, sl={0: 0.1}, bl={0: 0.0})
-    pulses = pulses_by_addr(STD, drive)
-    assert pulses[CellAddress(0, 0)] == pulses[CellAddress(1, 0)]
+    array = CellArray(STD, PARAMS)
+    for addr in every_cell(array):
+        resolved = every_cell_pulse(STD, addr, (0, 0, 0))
+        assert len(resolved) == 16
+        for _, pulse in resolved:
+            assert (pulse.v_te, pulse.v_be, pulse.v_g) == (0.0, 0.0, 0.0)
+        assert resolve_drives(array, addr, (0, 0, 0)) == []
 
 
 def test_unselected_rows_have_gate_grounded():
-    drive = LineDrive(wl={0: 3.0}, sl={1: 1.3})
-    pulses = pulses_by_addr(STD, drive)
+    pulses = pulses_by_addr(STD, CellAddress(0, 1), SET_BITS)
     assert pulses[CellAddress(2, 1)].v_g == 0.0
-    assert pulses[CellAddress(2, 1)].v_te == 1.3  # still reported for disturb analysis
+    # Still reported for disturb analysis.
+    assert pulses[CellAddress(2, 1)].v_te == DEFAULT_VOLTAGES.v_te_set
 
 
 def test_address_bijectivity():
-    resolved = every_cell_pulse(STD, LineDrive(wl={0: 3.0}))
+    resolved = every_cell_pulse(STD, CellAddress(0, 0), SET_BITS)
     addrs = [addr for addr, _ in resolved]
     assert len(addrs) == len(set(addrs)) == STD.rows * STD.cols
 
 
 def test_standard_same_column_structural_invariant():
-    drive = LineDrive(wl={0: 3.0, 2: 1.3}, sl={1: 1.3, 2: 0.5}, bl={1: 0.0})
-    by_col = {}
-    for addr, pulse in every_cell_pulse(STD, drive):
-        by_col.setdefault(addr.col, set()).add((pulse.v_te, pulse.v_be))
-    for col, electrode_pairs in by_col.items():
-        assert len(electrode_pairs) == 1
+    for addr, bits in itertools.product(every_cell(CellArray(STD, PARAMS)), ALL_BITS):
+        by_col = {}
+        for other, pulse in every_cell_pulse(STD, addr, bits):
+            by_col.setdefault(other.col, set()).add((pulse.v_te, pulse.v_be))
+        for col, electrode_pairs in by_col.items():
+            assert len(electrode_pairs) == 1
 
 
 def test_pseudo_crossbar_row_bl():
-    drive = LineDrive(wl={0: 3.0}, sl={0: 1.3, 1: 0.5}, bl={0: 0.2})
-    pulses = pulses_by_addr(PSEUDO, drive)
+    volts = DEFAULT_VOLTAGES
+    pulses = pulses_by_addr(PSEUDO, CellAddress(0, 0), (1, 1, 1))
     # Same row: shared BL and WL, per-column SL -> distinct TE voltages.
-    assert pulses[CellAddress(0, 0)].v_te == 1.3
-    assert pulses[CellAddress(0, 1)].v_te == 0.5
-    assert pulses[CellAddress(0, 0)].v_be == pulses[CellAddress(0, 1)].v_be == 0.2
+    assert pulses[CellAddress(0, 0)].v_te == volts.v_te_set
+    assert pulses[CellAddress(0, 1)].v_te == 0.0
+    assert pulses[CellAddress(0, 0)].v_be == pulses[CellAddress(0, 1)].v_be == volts.v_be_reset
 
 
-@pytest.mark.parametrize("line", ["wl", "sl", "bl"])
-@pytest.mark.parametrize("volts", [math.nan, math.inf, -math.inf])
-def test_line_drive_rejects_non_finite_voltage(line, volts):
-    with pytest.raises(ValueError, match="finite"):
-        LineDrive(**{line: {0: 1.0, 1: volts}})
-
-
-LINES = st.dictionaries(st.integers(0, 3), st.sampled_from([0.0, 0.1, 1.3, 1.6, 3.0]),
-                        max_size=4)
-
-
-@settings(max_examples=40, deadline=None)
-@given(wl=LINES, sl=LINES, bl=LINES, extra=st.integers(0, 3))
-def test_line_drive_lines_cannot_change_after_it_is_built(wl, sl, bl, extra):
-    """A drive keeps the content it was built with."""
-    drive = LineDrive(wl=wl, sl=sl, bl=bl)
-    key = (tuple(wl.items()), tuple(sl.items()), tuple(bl.items()))
-    for name, source in (("wl", wl), ("sl", sl), ("bl", bl)):
-        lines = getattr(drive, name)
-        source[extra] = 9.9  # the caller's dict is not the drive's
-        with pytest.raises(TypeError):
-            lines[extra] = 9.9
-        with pytest.raises(TypeError):
-            del lines[next(iter(lines), extra)]
-        with pytest.raises(AttributeError):
-            setattr(drive, name, {extra: 9.9})
-    assert (dict(drive.wl), dict(drive.sl), dict(drive.bl)) == tuple(
-        dict(items) for items in key)
-
-
-def test_line_bounds_checked():
-    array, rng = CellArray(STD, PARAMS), np.random.default_rng(0)
-    with pytest.raises(ValueError, match="WL index 9"):
-        replay(resolve_drives(array, LineDrive(wl={9: 3.0})), rng)
-    with pytest.raises(ValueError, match="SL index -1"):
-        replay(resolve_drives(array, LineDrive(sl={-1: 1.0})), rng)
+@pytest.mark.parametrize("kind", list(TopologyKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("bits", ALL_BITS, ids=lambda bits: "".join(map(str, bits)))
+def test_every_logic_pulse_resolves_to_the_cells_it_can_switch(kind, bits):
+    topology = ArrayTopology(kind, rows=3, cols=4)
+    array = CellArray(topology, PARAMS)
+    for addr in every_cell(array):
+        expected = [(other, array.cell(other), pulse)
+                    for other, pulse in every_cell_pulse(topology, addr, bits)
+                    if pulse.v_g >= V_G_ON and (pulse.v_te, pulse.v_be) != (0.0, 0.0)]
+        assert resolve_drives(array, addr, bits) == expected
 
 
 def test_parallel_distinct_voltages_standard_violation():
@@ -245,8 +216,8 @@ def test_a_cell_drive_is_resolved_once_and_replays_on_its_cell_alone(monkeypatch
     monkeypatch.setattr(Pulse, "__post_init__", lambda pulse: (built.append(pulse),
                                                                  real_post_init(pulse)))
 
-    def resolving(array, drive):
-        resolutions.append(resolve_drives(array, drive))
+    def resolving(array, addr, bits):
+        resolutions.append(resolve_drives(array, addr, bits))
         return resolutions[-1]
 
     rebind(resolve_drives, resolving)
@@ -271,8 +242,8 @@ def make_array(seed=0):
 def test_apply_drive_single_set_event():
     array = make_array()
     rng = np.random.default_rng(1)
-    replay(resolve_drives(array, LineDrive(wl={0: 3.0}, bl={0: 1.6})), rng)  # to HRS
-    events = dict(drive_events(array, LineDrive(wl={0: 1.3}, sl={0: 1.3}), rng))
+    replay(resolve_drives(array, CellAddress(0, 0), RESET_BITS), rng)  # to HRS
+    events = dict(drive_events(array, CellAddress(0, 0), SET_BITS, rng))
     assert events[CellAddress(0, 0)] == SwitchEvent.SET
     others = [ev for addr, ev in events.items() if addr != CellAddress(0, 0)]
     assert all(ev == SwitchEvent.NONE for ev in others)
@@ -281,28 +252,26 @@ def test_apply_drive_single_set_event():
 def test_apply_drive_reports_only_pulsed_cells():
     array = make_array()
     rng = np.random.default_rng(1)
-    events = drive_events(array, LineDrive(wl={0: 3.0, 2: 0.0}, bl={0: 1.6}), rng)
+    assert drive_events(array, CellAddress(2, 0), (0, 0, 1), rng) == []  # gate off
+    events = drive_events(array, CellAddress(0, 0), RESET_BITS, rng)
     assert events == [(CellAddress(0, 0), SwitchEvent.RESET)]
     with pytest.raises(ValueError):
-        replay(resolve_drives(array, LineDrive(wl={0: 3.0}, bl={4: 1.6})), rng)
+        replay(resolve_drives(array, CellAddress(0, 4), RESET_BITS), rng)
 
 
-def pulse_every_cell(array, drive, rng):
+def pulse_every_cell(array, addr, bits, rng):
     """Reference drive path: pulse all cells with their resolved voltages."""
-    for addr, pulse in every_cell_pulse(array.topology, drive):
-        apply_pulse(array.cell(addr), pulse, rng)
+    for other, pulse in every_cell_pulse(array.topology, addr, bits):
+        apply_pulse(array.cell(other), pulse, rng)
 
 
-LINE_VOLTS = st.sampled_from([0.0, 0.1, 1.3, 1.6])
+ADDRS = st.builds(CellAddress, st.integers(0, 2), st.integers(0, 2))
 
 
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(list(TopologyKind)), seed=st.integers(0, 20),
-       formed=st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2))),
-       drives=st.lists(st.tuples(
-           st.dictionaries(st.integers(0, 2), st.sampled_from([0.0, 0.5, 1.3, 3.0])),
-           st.dictionaries(st.integers(0, 2), LINE_VOLTS),
-           st.dictionaries(st.integers(0, 2), LINE_VOLTS)), min_size=1, max_size=4))
+       formed=st.sets(ADDRS),
+       drives=st.lists(st.tuples(ADDRS, st.sampled_from(ALL_BITS)), min_size=1, max_size=4))
 def test_apply_drive_matches_pulsing_every_cell(kind, seed, formed, drives):
     topology = ArrayTopology(kind, rows=3, cols=3)
     fast, full = (CellArray(topology, PARAMS, seed=seed) for _ in range(2))
@@ -310,20 +279,11 @@ def test_apply_drive_matches_pulsing_every_cell(kind, seed, formed, drives):
         fast.form(addr)
         full.form(addr)
     rng_fast, rng_full = np.random.default_rng(seed), np.random.default_rng(seed)
-    for wl, sl, bl in drives:
-        drive = LineDrive(wl=wl, sl=sl, bl=bl)
-        replay(resolve_drives(fast, drive), rng_fast)
-        pulse_every_cell(full, drive, rng_full)
+    for addr, bits in drives:
+        replay(resolve_drives(fast, addr, bits), rng_fast)
+        pulse_every_cell(full, addr, bits, rng_full)
     assert every_cell(fast) == every_cell(full)
     assert rng_fast.bit_generator.state == rng_full.bit_generator.state
-
-
-def single_cell_line_drive(topology, kind, addr):
-    """A SET or RESET drive of one cell, built anew on every call."""
-    if kind == "set":
-        return LineDrive(wl={addr.row: 1.3}, sl={addr.col: 1.3},
-                         bl={topology.bl_of(addr): 0.0})
-    return LineDrive(wl={addr.row: 3.0}, sl={addr.col: 0.0}, bl={topology.bl_of(addr): 1.6})
 
 
 def cell_states(array):
@@ -331,7 +291,7 @@ def cell_states(array):
             for addr, c in every_cell(array).items()}
 
 
-ADDRS = st.builds(CellAddress, st.integers(0, 2), st.integers(0, 2))
+WRITE_BITS = {"set": SET_BITS, "reset": RESET_BITS}
 
 
 @settings(max_examples=60, deadline=None)
@@ -355,8 +315,8 @@ def test_replaying_a_drive_equals_building_it_anew(kind, seed, formed, steps):
     rng_replayed, rng_rebuilt = np.random.default_rng(seed), np.random.default_rng(seed)
     for kind_name, addr in steps:
         # The cell's cached drive, replayed again and again, against one built anew.
-        cached = replayed.cell_drives(addr)[SET_BITS if kind_name == "set" else RESET_BITS]
-        fresh = resolve_drives(rebuilt, single_cell_line_drive(topology, kind_name, addr))
+        cached = replayed.cell_drives(addr)[WRITE_BITS[kind_name]]
+        fresh = resolve_drives(rebuilt, addr, WRITE_BITS[kind_name])
         assert ([(a, pulse) for a, _, pulse in cached]
                 == [(a, pulse) for a, _, pulse in fresh])
         assert replay(cached, rng_replayed) == replay(fresh, rng_rebuilt)
@@ -371,35 +331,23 @@ def test_pseudo_crossbar_reset_replays_onto_its_row_neighbours():
     for col in range(3):
         array.form((0, col))
     rng = np.random.default_rng(1)
-    reset = single_cell_line_drive(array.topology, "reset", CellAddress(0, 0))
     row = [CellAddress(0, col) for col in range(3)]
-    assert drive_events(array, reset, rng) == [(addr, SwitchEvent.RESET) for addr in row]
-    drive_events(array, single_cell_line_drive(array.topology, "set", row[1]), rng)
-    assert drive_events(array, reset, rng) == [(row[0], SwitchEvent.HRS_DISTURB),
-                                               (row[1], SwitchEvent.RESET),
-                                               (row[2], SwitchEvent.HRS_DISTURB)]
+    assert drive_events(array, row[0], RESET_BITS, rng) == [
+        (addr, SwitchEvent.RESET) for addr in row]
+    drive_events(array, row[1], SET_BITS, rng)
+    assert drive_events(array, row[0], RESET_BITS, rng) == [
+        (row[0], SwitchEvent.HRS_DISTURB), (row[1], SwitchEvent.RESET),
+        (row[2], SwitchEvent.HRS_DISTURB)]
 
 
 def test_apply_drive_idle_is_identity():
     array = make_array()
     rng = np.random.default_rng(2)
     before = {addr: (c.state, c.resistance) for addr, c in every_cell(array).items()}
-    events = drive_events(array, LineDrive(), rng)
-    assert all(ev == SwitchEvent.NONE for _, ev in events)
+    for addr, bits in itertools.product(before, [bits for bits in ALL_BITS if not bits[0]]):
+        assert drive_events(array, addr, bits, rng) == []
     after = {addr: (c.state, c.resistance) for addr, c in every_cell(array).items()}
     assert before == after
-
-
-def test_two_wl_read_drive():
-    array = make_array()
-    array.form(CellAddress(1, 0))
-    rng = np.random.default_rng(3)
-    drive = LineDrive(wl={0: 3.0, 1: 3.0}, sl={0: 0.1}, bl={0: 0.0})
-    events = dict(drive_events(array, drive, rng))
-    assert all(ev == SwitchEvent.NONE for ev in events.values())
-    for row in (0, 1):
-        r = read(array, CellAddress(row, 0), rng)
-        assert 0 < r < float("inf")
 
 
 def test_unselected_cells_never_flip():
@@ -410,8 +358,8 @@ def test_unselected_cells_never_flip():
     before = cell_states(array)
     # Hammer row 0 with SET/RESET; all other rows have their WL grounded.
     for _ in range(20):
-        replay(resolve_drives(array, LineDrive(wl={0: 3.0}, bl={0: 1.6, 1: 1.6})), rng)
-        replay(resolve_drives(array, LineDrive(wl={0: 1.3}, sl={0: 1.3, 1: 1.3})), rng)
+        for bits, col in itertools.product((RESET_BITS, SET_BITS), (0, 1)):
+            replay(resolve_drives(array, CellAddress(0, col), bits), rng)
     after = cell_states(array)
     assert after[CellAddress(0, 0)] != before[CellAddress(0, 0)]
     # An unselected cell is not even disturbed: its state and resistance stay.
@@ -469,7 +417,7 @@ def test_untouched_cells_are_never_sampled(monkeypatch):
     assert sampled == []
     array.form((1, 2))
     rng = np.random.default_rng(5)
-    replay(resolve_drives(array, LineDrive(wl={1: 1.3}, sl={2: 1.3})), rng)
+    replay(resolve_drives(array, CellAddress(1, 2), SET_BITS), rng)
     read(array, (1, 2), rng)
     assert sampled == ["r1c2"]
     assert list(array.cells) == [CellAddress(1, 2)]
@@ -486,20 +434,45 @@ def test_cell_rejects_foreign_addresses():
     assert list(array.cells) == [CellAddress(0, 0), CellAddress(1, 2)]
 
 
+def test_cell_drives_takes_the_addresses_cell_takes():
+    array = make_array()
+
+    def outcome(lookup, addr):
+        try:
+            lookup(addr)
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    for addr in [(4, 0), (0, -1), (0.5, 0), "r0c0", (0, 0, 0), [0], 7]:
+        assert outcome(array.cell_drives, addr) == outcome(array.cell, addr) is not None
+    drives = array.cell_drives((np.int64(1), np.int64(2)))
+    assert drives is array.cell_drives([1, 2]) is array.cell_drives(CellAddress(1, 2))
+    assert drives.cell is array.cell((1, 2))
+    # Keyed, and resolved, by plain-int addresses.
+    assert [type(i) for i in drives.addr] == [int, int]
+    assert [(other, [type(i) for i in other]) for other, _, _ in drives[SET_BITS]] == [
+        (CellAddress(1, 2), [int, int])]
+
+
 @pytest.mark.parametrize("topology, drive, row, expected", [
-    (STD, LineDrive(wl={0: 3.0}, sl={2: 1.3}, bl={0: 1.6, 3: 0.0}), 0, [0, 2]),
-    (STD, LineDrive(wl={1: 3.0}), 1, []),
-    (PSEUDO, LineDrive(wl={0: 3.0}, sl={3: 1.3}, bl={1: 1.6}), 0, [3]),
-    (PSEUDO, LineDrive(wl={1: 3.0}, sl={3: 1.3}, bl={1: 1.6}), 1, [0, 1, 2, 3]),
-    (PSEUDO, LineDrive(wl={1: 3.0}, sl={0: -0.0}, bl={1: 0.0}), 1, []),
+    (STD, (2, RESET_BITS), 0, [2]),
+    (STD, (0, (0, 1, 1)), 1, []),
+    (PSEUDO, (3, SET_BITS), 0, [3]),
+    (PSEUDO, (3, RESET_BITS), 1, [0, 1, 2, 3]),
+    (PSEUDO, (0, (1, 0, 0)), 1, []),
+    (STD, (1, (1, 1, 1)), 3, [1]),
 ])
 def test_resolve_drives_follows_the_wiring(topology, drive, row, expected):
-    events = drive_events(CellArray(topology, PARAMS), drive, np.random.default_rng(0))
-    assert [addr.col for addr, _ in events if addr.row == row] == expected
-    pulses = pulses_by_addr(topology, drive)
+    """``drive`` is the column and bits of the driven cell on ``row``."""
+    col, bits = drive
+    addr = CellAddress(row, col)
+    events = drive_events(CellArray(topology, PARAMS), addr, bits, np.random.default_rng(0))
+    assert [other for other, _ in events] == [CellAddress(row, c) for c in expected]
+    pulses = pulses_by_addr(topology, addr, bits)
     assert expected == [col for col in range(topology.cols)
-                        if (pulses[CellAddress(row, col)].v_te,
-                            pulses[CellAddress(row, col)].v_be) != (0.0, 0.0)]
+                        if pulses[CellAddress(row, col)].v_g >= V_G_ON
+                        and (pulses[CellAddress(row, col)].v_te,
+                             pulses[CellAddress(row, col)].v_be) != (0.0, 0.0)]
 
 
 @pytest.mark.parametrize("rows, cols", [(2.5, 4), (4, 2.0), (True, 4), (4, False),
@@ -530,14 +503,12 @@ def test_a_copy_starts_from_equal_cells_of_its_own():
 
 def test_a_drive_on_one_copy_leaves_the_template_and_other_copies_alone():
     template, rng = formed_column(), np.random.default_rng(6)
-    reset = single_cell_line_drive(STD, "reset", CellAddress(0, 0))
-    replay(resolve_drives(template, reset), rng)  # the template is pulsed, too
+    replay(resolve_drives(template, CellAddress(0, 0), RESET_BITS), rng)  # pulsed, too
     before = copy.deepcopy(template.cells)
     first, second = template.copy(), template.copy()
     for _ in range(2):
-        for kind in ("set", "reset"):
-            replay(resolve_drives(first, single_cell_line_drive(STD, kind, CellAddress(0, 0))),
-                   rng)
+        for bits in (SET_BITS, RESET_BITS):
+            replay(resolve_drives(first, CellAddress(0, 0), bits), rng)
     assert first.cells != before
     assert template.cells == second.cells == before
 

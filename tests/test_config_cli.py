@@ -159,6 +159,19 @@ def test_cli_gate_custom_library(tmp_path, capsys):
     assert "MYOR p=1 q=0 -> 1" in capsys.readouterr().out
 
 
+def test_cli_an_exact_library_name_wins_over_its_upper_case(tmp_path, capsys):
+    """A library row named ``or`` is what ``or`` selects; ``OR`` stays the
+    built-in gate, so the two are no repeat.  Without that row they are."""
+    lib = tmp_path / "lib.csv"
+    lib.write_text("name,g,te,be,i\nor,1,0,0,0\n")
+    assert main(["gate", "or", "OR", "--cycles", "3", "--library", str(lib),
+                 "-o", str(tmp_path / "lib")]) == 0
+    out = capsys.readouterr().out
+    assert "or p=1 q=0 -> 0" in out and "OR p=1 q=0 -> 1" in out
+    assert main(["gate", "or", "OR", "--cycles", "3", "-o", str(tmp_path / "default")]) == 2
+    assert _one_line_error(capsys).strip() == "gate 'OR' repeats 'or'"
+
+
 def test_cli_synthesize(tmp_path, capsys):
     assert main(["synthesize", "-o", str(tmp_path)]) == 0
     out = capsys.readouterr().out

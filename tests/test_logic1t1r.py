@@ -15,9 +15,9 @@ from memlogic.array import (
     CellAddress,
     CellArray,
     TopologyKind,
-    logic_drive,
     logic_pulse_voltages,
     replay,
+    resolve_drives,
 )
 from memlogic.device import (
     DEFAULT_VOLTAGES,
@@ -360,11 +360,13 @@ def test_cascade_reuses_matching_state(rebind):
 
 def test_reset_drive_uses_the_cell_bl():
     addr = CellAddress(2, 1)
-    volts = DEFAULT_VOLTAGES
-    standard = ArrayTopology(TopologyKind.STANDARD_1T1R, 4, 4)
-    pseudo = ArrayTopology(TopologyKind.PSEUDO_CROSSBAR, 4, 4)
-    assert logic_drive(standard, addr, *RESET_BITS).bl == {1: volts.v_be_reset}
-    assert logic_drive(pseudo, addr, *RESET_BITS).bl == {2: volts.v_be_reset}
+    # The standard BL is the cell's column, the pseudo-crossbar's its whole row.
+    for kind, bl, cols in ((TopologyKind.STANDARD_1T1R, 1, [1]),
+                           (TopologyKind.PSEUDO_CROSSBAR, 2, [0, 1, 2, 3])):
+        topology = ArrayTopology(kind, 4, 4)
+        resolved = resolve_drives(CellArray(topology, NOISE_FREE), addr, RESET_BITS)
+        assert [(a, topology.bl_of(a), pulse.v_be) for a, _, pulse in resolved] == [
+            (CellAddress(2, col), bl, DEFAULT_VOLTAGES.v_be_reset) for col in cols]
 
 
 @pytest.mark.parametrize("kind", list(TopologyKind))
