@@ -23,7 +23,6 @@ from .array import (
     check_parallel_distinct_voltages,
 )
 from .device import (
-    LogicVoltages,
     MemristorCell,
     Pulse,
     SwitchEvent,

@@ -45,9 +45,10 @@ import numpy as np
 from .array import (RESET_BITS, SET_BITS, ArrayTopology, CellAddress, CellArray,
                     TopologyKind, replay)
 from .device import (
-    DEFAULT_VOLTAGES,
     STATE_HRS,
     STATE_LRS,
+    V_BE_RESET,
+    V_TE_SET,
     Normals,
     Uniforms,
     VariabilityParams,
@@ -470,12 +471,11 @@ def run_characterization(config: ExperimentConfig, cells: int = 10) -> Character
     require_int("cells", cells, 1)
     params, cycles, seed = config.device, config.cycles, config.seed
     topology = ArrayTopology(TopologyKind.STANDARD_1T1R, rows=1, cols=cells)
-    volts = DEFAULT_VOLTAGES
-    phases = ((SET_BITS, STATE_LRS, f"{volts.v_te_set} V SET", "v_set_th"),
-              (RESET_BITS, STATE_HRS, f"{volts.v_be_reset} V RESET", "v_reset_th"))
+    phases = ((SET_BITS, STATE_LRS, f"{V_TE_SET} V SET", "v_set_th"),
+              (RESET_BITS, STATE_HRS, f"{V_BE_RESET} V RESET", "v_reset_th"))
     # A cell's drives leave every other cell's SL and BL at 0 V: none of them moves.
     array = CellArray(topology, params, seed=seed)
-    v_read, v_g, rows = volts.v_read, volts.v_g_read, []
+    rows = []
     for ci in range(cells):
         addr = CellAddress(0, ci)
         array.form(addr)
@@ -491,7 +491,7 @@ def run_characterization(config: ExperimentConfig, cells: int = 10) -> Character
                         f"cycle {cycle}: its drawn {th} = {getattr(cell, th)!r}, with "
                         f"device.{th}_median = {getattr(params, th + '_median')!r} and "
                         f"device.{th}_sigma = {getattr(params, th + '_sigma')!r}")
-                reads.append(read_resistance(cell, v_read, v_g, read_rng))
+                reads.append(read_resistance(cell, read_rng))
             rows.append((ci, cycle, *reads))
     lrs_values = [r[2] for r in rows]
     hrs_values = [r[3] for r in rows]

@@ -22,6 +22,7 @@ by ``resolve_drives`` once) and one path (``replay`` + ``read_resistance``):
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -29,8 +30,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .device import (
-    DEFAULT_VOLTAGES,
+    V_BE_RESET,
     V_G_ON,
+    V_G_RESET,
+    V_G_SET,
+    V_TE_SET,
     MemristorCell,
     Pulse,
     SwitchEvent,
@@ -75,9 +79,11 @@ class ArrayTopology:
         return row if self.kind == TopologyKind.PSEUDO_CROSSBAR else col
 
     def require_address(self, addr: CellAddress | tuple[int, int]) -> None:
-        """Raise ``ValueError`` unless ``addr`` (row, col) lies in the array."""
+        """Raise ``ValueError`` unless ``addr`` (row, col) is two integers (numpy
+        integers too, a bool not) that lie in the array."""
         row, col = addr
-        # Range membership admits ints and numpy integers, as dict keys do.
+        if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in (row, col)):
+            raise ValueError(f"address {tuple(addr)} must be two integers")
         if not (row in range(self.rows) and col in range(self.cols)):
             raise ValueError(f"address {tuple(addr)} out of bounds")
 
@@ -90,10 +96,9 @@ def logic_pulse_voltages(g: int, te: int, be: int) -> tuple[float, float, float]
     SET polarity and the (higher) RESET gate voltage otherwise; a logic-0 gate
     grounds the word line.
     """
-    volts = DEFAULT_VOLTAGES
-    v_te = volts.v_te_set if te else 0.0
-    v_be = volts.v_be_reset if be else 0.0
-    v_g = (volts.v_g_set if te > be else volts.v_g_reset) if g else 0.0
+    v_te = V_TE_SET if te else 0.0
+    v_be = V_BE_RESET if be else 0.0
+    v_g = (V_G_SET if te > be else V_G_RESET) if g else 0.0
     return v_te, v_be, v_g
 
 
@@ -227,11 +232,9 @@ class CellArray:
         self._drives: dict[CellAddress, CellDrives] = {}  # by cell
 
     def cell(self, addr: CellAddress | tuple[int, int]) -> MemristorCell:
-        """The cell at ``addr``, sampled from ``(seed, 0, row, col)`` on first touch."""
-        try:
-            return self.cells[addr]
-        except (KeyError, TypeError):  # not sampled yet, or an unhashable list
-            self.topology.require_address(addr)
+        """The cell at ``addr``, sampled from ``(seed, 0, row, col)`` on first
+        touch; the address is checked first (``require_address``)."""
+        self.topology.require_address(addr)
         addr = CellAddress(*map(int, addr))
         if addr not in self.cells:
             rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0, *addr)))
@@ -257,11 +260,8 @@ class CellArray:
     def cell_drives(self, addr: CellAddress | tuple[int, int]) -> CellDrives:
         """The cell with its resolved drives (its SET and RESET writes among
         them), the one drive cache (``CellDrives``), kept for the array's life;
-        an address is checked against the bounds and keyed as in ``cell``."""
-        try:
-            return self._drives[addr]
-        except (KeyError, TypeError):  # not built yet, or an unhashable list
-            self.topology.require_address(addr)
+        an address is checked and keyed as in ``cell``."""
+        self.topology.require_address(addr)
         addr = CellAddress(*map(int, addr))
         if addr not in self._drives:
             self._drives[addr] = CellDrives(self, addr)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from _statistics import _normal_dist_inv_cdf  # what statistics.NormalDist.inv_cdf calls
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import accumulate, repeat, takewhile
 from typing import Protocol
@@ -47,7 +47,7 @@ MAX_LOG_SIGMA = 10.0
 
 #: The access transistor conducts at a gate voltage of at least V_G_ON volts.
 #: It is a constant: every gate voltage the simulator applies is 0 V or at least
-#: 1.1 V (``FORM_V_G`` and ``DEFAULT_VOLTAGES``), so every threshold in (0, 1.1]
+#: 1.1 V (``FORM_V_G``, ``V_G_SET`` and ``V_G_RESET``), so every threshold in (0, 1.1]
 #: gives the same results.  It stays above 0 V because a grounded WL must isolate
 #: its cells, which the skipping drive path in ``array.resolve_drives`` relies on.
 V_G_ON = 0.7
@@ -71,18 +71,6 @@ class NotFormedError(RuntimeError):
     """Operation requires a formed cell but the cell is still pristine."""
 
 
-def _require_finite(params) -> None:
-    for f in fields(params):
-        value = getattr(params, f.name)
-        try:
-            finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                      and math.isfinite(value))
-        except OverflowError:  # an integer too large for a float
-            finite = False
-        if not finite:
-            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-
-
 def require_int(name: str, value, least: int) -> None:
     """Reject a bool, a non-integer or a value below ``least``, naming it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -100,6 +88,42 @@ def require_finite_result(what: str, value: float, params: VariabilityParams) ->
                          f" = {params.lrs_median!r} and device.hrs_median = "
                          f"{params.hrs_median!r} leave the float range")
     return value
+
+
+POSITIVE, NON_NEGATIVE, LOG_SIGMA = "positive", "non-negative", "log-sigma"
+
+#: The bound of each ``VariabilityParams`` field, in field order: a median is
+#: ``POSITIVE`` (> 0); a log-space spread (resistance or read noise) is a
+#: ``LOG_SIGMA`` in [0, ``MAX_LOG_SIGMA``]; a threshold spread and ``r_on`` are
+#: ``NON_NEGATIVE`` (>= 0).  Every field is a finite real number.
+PARAM_BOUNDS = {
+    "lrs_median": POSITIVE, "lrs_sigma_c2c": LOG_SIGMA, "lrs_sigma_d2d": LOG_SIGMA,
+    "hrs_median": POSITIVE, "hrs_sigma_c2c": LOG_SIGMA, "hrs_sigma_d2d": LOG_SIGMA,
+    "v_set_th_median": POSITIVE, "v_set_th_sigma": NON_NEGATIVE,
+    "v_reset_th_median": POSITIVE, "v_reset_th_sigma": NON_NEGATIVE,
+    "v_form_th_median": POSITIVE, "v_form_th_sigma": NON_NEGATIVE,
+    "read_noise_lrs": LOG_SIGMA, "read_noise_hrs": LOG_SIGMA, "r_on": NON_NEGATIVE,
+}
+
+
+def _is_finite_real(value) -> bool:
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+#: The checks of ``PARAM_BOUNDS``, one pass each: (the kinds it checks, the test a
+#: value must pass, the message).  A pass checks every field before the next runs.
+_BOUND_CHECKS = (
+    ((POSITIVE, NON_NEGATIVE, LOG_SIGMA), _is_finite_real,
+     "{name} must be a finite number, got {value!r}"),
+    ((POSITIVE,), lambda value: value > 0, "{name} must be > 0"),
+    ((NON_NEGATIVE, LOG_SIGMA), lambda value: value >= 0, "{name} must be >= 0"),
+    ((LOG_SIGMA,), lambda value: value <= MAX_LOG_SIGMA,
+     f"{{name}} must be <= {MAX_LOG_SIGMA}"),
+)
 
 
 @dataclass(frozen=True)
@@ -130,20 +154,11 @@ class VariabilityParams:
     r_on: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        for name in ("lrs_median", "hrs_median", "v_set_th_median",
-                     "v_reset_th_median", "v_form_th_median"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("lrs_sigma_c2c", "lrs_sigma_d2d", "hrs_sigma_c2c",
-                     "hrs_sigma_d2d", "v_set_th_sigma", "v_reset_th_sigma",
-                     "v_form_th_sigma", "read_noise_lrs", "read_noise_hrs", "r_on"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("lrs_sigma_c2c", "lrs_sigma_d2d", "hrs_sigma_c2c",
-                     "hrs_sigma_d2d", "read_noise_lrs", "read_noise_hrs"):
-            if getattr(self, name) > MAX_LOG_SIGMA:
-                raise ValueError(f"{name} must be <= {MAX_LOG_SIGMA}")
+        for kinds, holds, message in _BOUND_CHECKS:
+            for name, kind in PARAM_BOUNDS.items():
+                value = getattr(self, name)
+                if kind in kinds and not holds(value):
+                    raise ValueError(message.format(name=name, value=value))
         if self.hrs_median <= self.lrs_median:
             raise ValueError("hrs_median must exceed lrs_median")
         if self.hrs_median / self.lrs_median < 2.0:
@@ -313,20 +328,17 @@ def apply_pulse(cell: MemristorCell, pulse: Pulse, rng: Uniforms) -> SwitchEvent
     return event
 
 
-def read_resistance(cell: MemristorCell, v_read: float, v_g: float, rng: Normals) -> float:
-    """Non-destructive resistance read-out.
+def read_resistance(cell: MemristorCell, rng: Normals) -> float:
+    """Non-destructive resistance read-out at ``V_READ``.
 
     Returns the state resistance with multiplicative read jitter, plus the
-    transistor series resistance ``r_on`` of the cell's parameters.  Reading
-    with the transistor off (gate below ``V_G_ON``) returns ``inf`` (open
-    circuit).  The read voltage must sit below the cell's SET threshold so the
-    read cannot disturb the state.  A 0 Ohm read (its infinite conductance) is
-    a ``ValueError`` naming the medians.
+    transistor series resistance ``r_on`` of the cell's parameters.  The read
+    voltage must sit below the cell's SET threshold so the read cannot disturb
+    the state.  A 0 Ohm read (its infinite conductance) is a ``ValueError``
+    naming the medians.
     """
-    if not v_g >= V_G_ON:
-        return math.inf
-    if not 0 <= v_read < cell.v_set_th:
-        raise ValueError(f"v_read={v_read} is not disturb-free for {cell.cell_id}")
+    if not V_READ < cell.v_set_th:
+        raise ValueError(f"v_read={V_READ} is not disturb-free for {cell.cell_id}")
     params = cell.params
     if cell.state == STATE_PRISTINE:  # sampled above 0 Ohm: ten times its HRS median
         return cell.resistance + params.r_on
@@ -352,27 +364,17 @@ def default_boundary(params: VariabilityParams) -> float:
     return math.sqrt(params.lrs_median) * math.sqrt(params.hrs_median)
 
 
-@dataclass(frozen=True)
-class LogicVoltages:
-    """The one physical operating point of the simulator.
-
-    Logic pulses, initialization writes, verify reads, scouting reads and
-    characterization all run at ``DEFAULT_VOLTAGES`` (forming has its own ramp):
-    SET drives 1.3 V on the TE with a 1.3 V gate; RESET drives 1.6 V on the BE
-    with a 3 V gate; reads use 0.1 V with a 3 V gate.  The model has no pulse
-    timing: a pulse switches a cell when its voltages reach the cell's thresholds.
-    """
-
-    v_te_set: float = 1.3
-    v_g_set: float = 1.3
-    v_be_reset: float = 1.6
-    v_g_reset: float = 3.0
-    v_read: float = 0.1
-    v_g_read: float = 3.0
-
-
-DEFAULT_VOLTAGES = LogicVoltages()
-
+#: The one operating point: every logic pulse, write, verify read, scouting read
+#: and characterization runs at it (forming has its own ramp).  SET drives
+#: V_TE_SET on the TE at a V_G_SET gate, RESET V_BE_RESET on the BE at a
+#: V_G_RESET gate; reads apply V_READ with the transistor on.  The model has no
+#: pulse timing: a pulse switches a cell when its voltages reach the cell's
+#: thresholds.
+V_TE_SET = 1.3
+V_G_SET = 1.3
+V_BE_RESET = 1.6
+V_G_RESET = 3.0
+V_READ = 0.1
 
 #: The forming ramp: TE pulses at a FORM_V_G gate, rising in FORM_V_STEP steps
 #: from FORM_V_STEP up to FORM_V_MAX volts.

@@ -13,8 +13,8 @@ synthesizer are derived from it.
 This module provides the pure case/mapping algebra (no device model), an
 exhaustive synthesizer covering all 16 two-input Boolean functions, and the
 physical execution path that initializes a cell, fires the logic pulse
-through the array wiring and reads the output back, all at the operating
-point ``device.DEFAULT_VOLTAGES``.
+through the array wiring and reads the output back, all at the one operating
+point, the ``device`` constants ``V_TE_SET`` to ``V_READ``.
 A gate bucket (one gate, input pair and cell) runs in one call,
 ``execute_gate_bucket``, with its case and the cell's drives
 (``CellArray.cell_drives``) bound once.  It takes the array's one drive cache
@@ -39,7 +39,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .array import RESET_BITS, SET_BITS, CellAddress, CellArray, CellDrives, replay
 from .device import (
-    DEFAULT_VOLTAGES,
     STATE_HRS,
     STATE_LRS,
     Normals,
@@ -294,10 +293,8 @@ def initialize_cell(drives: CellDrives, bit: int, rng: Uniforms, read_rng: Norma
         raise NotFormedError(f"cell {tuple(drives.addr)} is pristine; form it first")
     state = STATE_LRS if bit == 1 else STATE_HRS
     boundary = drives.array.boundary
-    v_read, v_g = DEFAULT_VOLTAGES.v_read, DEFAULT_VOLTAGES.v_g_read
     pulses = 0
-    r = (read_resistance(cell, v_read, v_g, read_rng) if verify and not refresh
-         else cell.resistance)
+    r = read_resistance(cell, read_rng) if verify and not refresh else cell.resistance
     # Write while a refresh is owed or the state is wrong (as read back, or as set).
     while (refresh and not pulses) or (binarize(r, boundary) != bit if verify
                                        else not pulses and cell.state != state):
@@ -310,7 +307,7 @@ def initialize_cell(drives: CellDrives, bit: int, rng: Uniforms, read_rng: Norma
         if bit == 1:
             replay(drives[SET_BITS], rng)
         pulses += 1
-        r = read_resistance(cell, v_read, v_g, read_rng) if verify else cell.resistance
+        r = read_resistance(cell, read_rng) if verify else cell.resistance
     return r, pulses
 
 
@@ -329,7 +326,6 @@ def execute_gate_bucket(array: CellArray, addr: CellAddress | tuple[int, int],
     drives = array.cell_drives(CellAddress(*addr))
     logic, cell = drives[case.g, case.te, case.be], drives.cell
     init_bit, case_id, output, boundary = case.i, case.case_id, case.output, array.boundary
-    v_read, v_g = DEFAULT_VOLTAGES.v_read, DEFAULT_VOLTAGES.v_g_read
     name, new_row, rows = mapping.name, tuple.__new__, []  # ``TraceRow._make``, unchecked
     for cycle in range(cycles):
         try:
@@ -337,7 +333,7 @@ def execute_gate_bucket(array: CellArray, addr: CellAddress | tuple[int, int],
         except InitFailureError:
             continue
         replay(logic, rng)
-        r_final = read_resistance(cell, v_read, v_g, read_rng)
+        r_final = read_resistance(cell, read_rng)
         rows.append(new_row(TraceRow, (name, p, q, case_id, cycle, r_init, r_final,
                                        binarize(r_final, boundary), output)))
     return rows

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .array import CellAddress, CellArray, validate_parallel_selection
-from .device import DEFAULT_VOLTAGES, Normals, Uniforms, read_resistance, require_finite_result
+from .device import V_READ, Normals, Uniforms, read_resistance, require_finite_result
 from .logic1t1r import initialize_cell
 
 #: The output of each operation as a predicate on (popcount k, input width n).
@@ -132,14 +132,14 @@ def scout_class(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]]
     validate_parallel_selection(array.topology, tuple(addr for addr, _ in writes))
     writes = [(array.cell_drives(addr), bit) for addr, bit in writes]
     cells = [drives.cell for drives, _ in writes]  # the selection, in its order
-    v_read, v_g, currents = DEFAULT_VOLTAGES.v_read, DEFAULT_VOLTAGES.v_g_read, []
+    currents = []
     for _ in range(cycles):
         for drives, bit in writes:
             initialize_cell(drives, bit, rng, read_rng, True, verify)
         conductance = 0.0
         for cell in cells:
-            conductance += 1.0 / read_resistance(cell, v_read, v_g, read_rng)
-        currents.append(require_finite_result("read current", v_read * conductance,
+            conductance += 1.0 / read_resistance(cell, read_rng)
+        currents.append(require_finite_result("read current", V_READ * conductance,
                                               array.params))
     return currents
 

@@ -20,6 +20,7 @@ from memlogic.analysis import (
     export_scouting_result,
     export_sweep,
     export_table,
+    find_overlap_sigma,
     non_switching_report,
     run_1t1r_experiment,
     run_characterization,
@@ -197,6 +198,14 @@ def test_scouting_overlap_recorded_as_total_failure():
     assert result.refs is None
     assert [(b.trials, b.failures) for b in result.report.buckets] == [(15, 15)] * 12
     assert result.report.first_failure == (9, "or/00", 15)
+
+
+def test_find_overlap_sigma_returns_lo_when_lo_already_collides(rebind):
+    probes = []
+    real = analysis_module.overlap_collides
+    rebind(real, lambda config, sigma: probes.append(sigma) or real(config, sigma))
+    assert find_overlap_sigma(ExperimentConfig(seed=9, cycles=30), 2, lo=2.0) == 2.0
+    assert probes == [2.0]  # no bisection
 
 
 def test_scouting_three_inputs():

@@ -22,8 +22,9 @@ from memlogic.array import (
     validate_parallel_selection,
 )
 from memlogic.device import (
-    DEFAULT_VOLTAGES,
+    V_BE_RESET,
     V_G_ON,
+    V_TE_SET,
     Pulse,
     SwitchEvent,
     VariabilityParams,
@@ -80,8 +81,7 @@ def drive_events(array, addr, bits, rng):
 
 def read(array, addr, rng):
     """The cell's noisy read at the operating point."""
-    volts = DEFAULT_VOLTAGES
-    return read_resistance(array.cell(addr), volts.v_read, volts.v_g_read, rng)
+    return read_resistance(array.cell(addr), rng)
 
 
 def test_idle_drive_resolves_to_zero_pulses():
@@ -98,7 +98,7 @@ def test_unselected_rows_have_gate_grounded():
     pulses = pulses_by_addr(STD, CellAddress(0, 1), SET_BITS)
     assert pulses[CellAddress(2, 1)].v_g == 0.0
     # Still reported for disturb analysis.
-    assert pulses[CellAddress(2, 1)].v_te == DEFAULT_VOLTAGES.v_te_set
+    assert pulses[CellAddress(2, 1)].v_te == V_TE_SET
 
 
 def test_address_bijectivity():
@@ -117,12 +117,11 @@ def test_standard_same_column_structural_invariant():
 
 
 def test_pseudo_crossbar_row_bl():
-    volts = DEFAULT_VOLTAGES
     pulses = pulses_by_addr(PSEUDO, CellAddress(0, 0), (1, 1, 1))
     # Same row: shared BL and WL, per-column SL -> distinct TE voltages.
-    assert pulses[CellAddress(0, 0)].v_te == volts.v_te_set
+    assert pulses[CellAddress(0, 0)].v_te == V_TE_SET
     assert pulses[CellAddress(0, 1)].v_te == 0.0
-    assert pulses[CellAddress(0, 0)].v_be == pulses[CellAddress(0, 1)].v_be == volts.v_be_reset
+    assert pulses[CellAddress(0, 0)].v_be == pulses[CellAddress(0, 1)].v_be == V_BE_RESET
 
 
 @pytest.mark.parametrize("kind", list(TopologyKind), ids=lambda kind: kind.value)
@@ -239,7 +238,7 @@ def make_array(seed=0):
     return array
 
 
-def test_apply_drive_single_set_event():
+def test_replay_of_a_set_drive_sets_its_cell_alone():
     array = make_array()
     rng = np.random.default_rng(1)
     replay(resolve_drives(array, CellAddress(0, 0), RESET_BITS), rng)  # to HRS
@@ -249,7 +248,7 @@ def test_apply_drive_single_set_event():
     assert all(ev == SwitchEvent.NONE for ev in others)
 
 
-def test_apply_drive_reports_only_pulsed_cells():
+def test_resolve_drives_lists_only_the_cells_a_drive_pulses():
     array = make_array()
     rng = np.random.default_rng(1)
     assert drive_events(array, CellAddress(2, 0), (0, 0, 1), rng) == []  # gate off
@@ -272,7 +271,7 @@ ADDRS = st.builds(CellAddress, st.integers(0, 2), st.integers(0, 2))
 @given(kind=st.sampled_from(list(TopologyKind)), seed=st.integers(0, 20),
        formed=st.sets(ADDRS),
        drives=st.lists(st.tuples(ADDRS, st.sampled_from(ALL_BITS)), min_size=1, max_size=4))
-def test_apply_drive_matches_pulsing_every_cell(kind, seed, formed, drives):
+def test_replay_matches_pulsing_every_cell(kind, seed, formed, drives):
     topology = ArrayTopology(kind, rows=3, cols=3)
     fast, full = (CellArray(topology, PARAMS, seed=seed) for _ in range(2))
     for addr in formed:
@@ -340,7 +339,7 @@ def test_pseudo_crossbar_reset_replays_onto_its_row_neighbours():
         (row[2], SwitchEvent.HRS_DISTURB)]
 
 
-def test_apply_drive_idle_is_identity():
+def test_replay_of_an_idle_drive_is_identity():
     array = make_array()
     rng = np.random.default_rng(2)
     before = {addr: (c.state, c.resistance) for addr, c in every_cell(array).items()}
@@ -432,6 +431,17 @@ def test_cell_rejects_foreign_addresses():
     assert cell is array.cell(CellAddress(1, 2)) is array.cell([1, 2])
     assert cell.cell_id == "r1c2"
     assert list(array.cells) == [CellAddress(0, 0), CellAddress(1, 2)]
+
+
+def test_an_address_is_two_integers_even_once_its_cell_is_sampled():
+    array = make_array()
+    array.cell((1, 2)), array.cell((1, 0)), array.cell_drives((0, 2))  # sampled, cached
+    for lookup, addr in [(array.cell, (1.0, 2)), (array.cell, (True, 0)),
+                         (array.cell_drives, (0, 2.0))]:
+        with pytest.raises(ValueError, match=f"^address {re.escape(str(addr))} must be two "
+                                             "integers$"):
+            lookup(addr)
+    assert array.cell((np.int64(1), np.int64(2))) is array.cell((1, 2))
 
 
 def test_cell_drives_takes_the_addresses_cell_takes():

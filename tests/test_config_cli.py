@@ -325,6 +325,17 @@ def test_cli_sweep(tmp_path, capsys):
         assert code == 1
 
 
+def test_cli_sweep_range_equals_its_values(tmp_path, capsys):
+    run = ["--cycles", "4", "-o"]
+    codes = [main(["sweep", "hrs_sigma_c2c", *span, *run, str(tmp_path / name)])
+             for name, span in (("range", ["--start", "0.32", "--stop", "0.5", "--steps", "2"]),
+                                ("values", ["--values", "0.32,0.5"]))]
+    assert codes[0] == codes[1]
+    assert ((tmp_path / "range" / "sweep.csv").read_bytes()
+            == (tmp_path / "values" / "sweep.csv").read_bytes())
+    capsys.readouterr()
+
+
 def test_cli_sweep_bad_usage(tmp_path, capsys):
     usage = "sweep needs --values or --start/--stop/--steps\n"
     assert main(["sweep", "hrs_sigma_c2c", "-o", str(tmp_path)]) == 2
@@ -496,12 +507,35 @@ def test_cli_help_still_exits_0(capsys):
                                   "device.r_on = false",
                                   "transistor.r_on = false",
                                   "experiment.refs = 0",
-                                  "experiment.rotate_cells = maybe"])
+                                  "experiment.rotate_cells = maybe",
+                                  "experiment.format = xml",
+                                  "experiment.split = halves",
+                                  "device.hrs_median = 9000",
+                                  "device.r_on = 1" + "0" * 400])
 def test_cli_rejects_bad_config_values(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     assert main([str(cfg), "gate", "OR", "--cycles", "2", "-o", str(tmp_path)]) == 2
     _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("lines, err", [
+    (["device.hrs_median = -1"], "hrs_median must be > 0"),
+    (["device.v_form_th_sigma = -1"], "v_form_th_sigma must be >= 0"),
+    (["device.read_noise_hrs = -1"], "read_noise_hrs must be >= 0"),
+    (["device.read_noise_hrs = 11"], "read_noise_hrs must be <= 10.0"),
+    (["device.lrs_median = inf"], "lrs_median must be a finite number, got inf"),
+    (["device.r_on = 1" + "0" * 400],
+     "r_on must be a finite number, got 1" + "0" * 400),
+    # Two faults: every field's > 0 check runs before any field's >= 0 check.
+    (["device.lrs_sigma_c2c = -1", "device.hrs_median = -1"], "hrs_median must be > 0"),
+])
+def test_cli_names_the_first_broken_device_bound(tmp_path, capsys, lines, err):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main([str(cfg), "gate", "OR", "--cycles", "2", "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", err + "\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("lines", [

@@ -52,9 +52,12 @@ def test_zero_d2d_gives_global_medians():
 
 def test_fresh_cell_is_pristine_and_high_ohmic():
     rng = np.random.default_rng(2)
-    cell = sample_fresh_cell(PARAMS, rng)
+    cell = sample_fresh_cell(PARAMS.replace(r_on=100.0), rng)
     assert not cell.is_formed
     assert cell.resistance >= 10 * cell.hrs_median_cell
+    state = rng.bit_generator.state
+    assert read_resistance(cell, rng) == 10 * cell.hrs_median_cell + 100.0
+    assert rng.bit_generator.state == state  # a pristine read draws no noise
 
 
 def test_population_ratio_near_anchor():
@@ -134,6 +137,9 @@ def test_forming_threshold_and_ramp():
     pulses = form_by_ramp(fresh, rng)
     assert fresh.state == "lrs"
     assert pulses == math.ceil(fresh.v_form_th / 0.1)
+    state = rng.bit_generator.state
+    assert form_by_ramp(fresh, rng) == 0  # formed already: no pulse, no draw
+    assert rng.bit_generator.state == state
 
 
 def test_hrs_disturb_resamples_but_keeps_bit():
@@ -192,36 +198,31 @@ def test_pulse_validation():
 def test_noise_free_read_is_exact():
     cell, rng = formed_cell(NOISE_FREE, state="lrs")
     cell.resistance = 5000.0
-    assert read_resistance(cell, 0.1, 3.0, rng) == 5000.0
+    assert read_resistance(cell, rng) == 5000.0
 
 
 def test_read_spans():
     cell, rng = formed_cell()
-    hrs_reads = [read_resistance(cell, 0.1, 3.0, rng) for _ in range(100)]
+    hrs_reads = [read_resistance(cell, rng) for _ in range(100)]
     apply_pulse(cell, Pulse(1.3, 0.0, 1.3), rng)
-    lrs_reads = [read_resistance(cell, 0.1, 3.0, rng) for _ in range(100)]
+    lrs_reads = [read_resistance(cell, rng) for _ in range(100)]
     hrs_span = max(hrs_reads) / min(hrs_reads)
     lrs_span = max(lrs_reads) / min(lrs_reads)
     assert hrs_span < 10.0
     assert hrs_span > lrs_span
 
 
-def test_read_with_gate_off_is_open_circuit():
-    cell, rng = formed_cell()
-    assert math.isinf(read_resistance(cell, 0.1, 0.0, rng))
-
-
 def test_read_disturb_guard():
     cell, rng = formed_cell()
-    with pytest.raises(ValueError):
-        read_resistance(cell, cell.v_set_th + 0.1, 3.0, rng)
-    assert 0 < read_resistance(cell, 0.0, 3.0, rng) < math.inf  # 0 V disturbs nothing
+    cell.v_set_th = device.V_READ  # a read at the SET threshold could switch the cell
+    with pytest.raises(ValueError, match=r"^v_read=0\.1 is not disturb-free for c$"):
+        read_resistance(cell, rng)
 
 
 def test_series_resistance_added():
     cell, rng = formed_cell(NOISE_FREE.replace(r_on=100.0), state="lrs")
     cell.resistance = 5000.0
-    assert read_resistance(cell, 0.1, 3.0, rng) == 5100.0
+    assert read_resistance(cell, rng) == 5100.0
 
 
 # --------------------------------------------------------- truncated draws
@@ -353,7 +354,7 @@ def test_determinism():
         for _ in range(50):
             apply_pulse(cell, Pulse(0.0, 1.6, 3.0), rng)
             apply_pulse(cell, Pulse(1.3, 0.0, 1.3), rng)
-            out.append(read_resistance(cell, 0.1, 3.0, rng))
+            out.append(read_resistance(cell, rng))
         return out
 
     assert trajectory(99) == trajectory(99)
@@ -426,9 +427,11 @@ def test_params_must_be_finite_numbers(model, bad):
 
 
 def test_transistor_isolates_at_zero_gate_and_conducts_at_every_applied_gate():
-    volts = device.DEFAULT_VOLTAGES
-    assert 0 < device.V_G_ON <= min(device.FORM_V_G, volts.v_g_set, volts.v_g_reset,
-                                    volts.v_g_read)
+    assert 0 < device.V_G_ON <= min(device.FORM_V_G, device.V_G_SET, device.V_G_RESET)
+
+
+def test_the_bounds_table_covers_every_param_field():
+    assert list(device.PARAM_BOUNDS) == [f.name for f in fields(VariabilityParams)]
 
 
 @pytest.mark.parametrize("lrs, hrs", [(1e306, 1e307), (1e-200, 1e-199)])

@@ -20,7 +20,7 @@ from memlogic.array import (
     resolve_drives,
 )
 from memlogic.device import (
-    DEFAULT_VOLTAGES,
+    V_BE_RESET,
     InvalidDriveError,
     NotFormedError,
     VariabilityParams,
@@ -366,7 +366,7 @@ def test_reset_drive_uses_the_cell_bl():
         topology = ArrayTopology(kind, 4, 4)
         resolved = resolve_drives(CellArray(topology, NOISE_FREE), addr, RESET_BITS)
         assert [(a, topology.bl_of(a), pulse.v_be) for a, _, pulse in resolved] == [
-            (CellAddress(2, col), bl, DEFAULT_VOLTAGES.v_be_reset) for col in cols]
+            (CellAddress(2, col), bl, V_BE_RESET) for col in cols]
 
 
 @pytest.mark.parametrize("kind", list(TopologyKind))
@@ -378,10 +378,10 @@ def test_every_case_pulse_leaves_the_case_output(case, kind):
     addr = CellAddress(2, 1)
     array.form(addr)
     rng = np.random.default_rng(case.case_id)
-    drives, volts = array.cell_drives(addr), DEFAULT_VOLTAGES
+    drives = array.cell_drives(addr)
     initialize_cell(drives, case.i, rng, rng)
     replay(drives[case.g, case.te, case.be], rng)
-    r = read_resistance(drives.cell, volts.v_read, volts.v_g_read, rng)
+    r = read_resistance(drives.cell, rng)
     assert binarize(r, array.boundary) == case.output
 
 

@@ -19,7 +19,7 @@ from memlogic.analysis import (
 )
 from memlogic.array import CellArray
 from memlogic.device import (
-    DEFAULT_VOLTAGES,
+    V_READ,
     VariabilityParams,
     default_boundary,
 )
@@ -125,12 +125,11 @@ def test_scouting_mean_currents_match_the_lognormal_model():
         "0": ("hrs_median_cell", math.hypot(params.hrs_sigma_c2c, params.read_noise_hrs)),
     }
     assert sorted(by_class) == ["0", "00", "01", "1", "10", "11"]
-    v_read = DEFAULT_VOLTAGES.v_read
     for input_class, currents in by_class.items():
         predicted = variance = 0.0
         for cell, bit in zip(cells, input_class):
             median_name, w = states[bit]
-            g = v_read / getattr(cell, median_name)
+            g = V_READ / getattr(cell, median_name)
             predicted += g * math.exp(w ** 2 / 2)
             variance += g ** 2 * math.exp(w ** 2) * math.expm1(w ** 2)
         se = math.sqrt(variance / len(currents))

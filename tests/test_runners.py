@@ -36,7 +36,7 @@ from memlogic.array import (
     TopologyKind,
     replay,
 )
-from memlogic.device import DEFAULT_VOLTAGES, VariabilityParams, read_resistance
+from memlogic.device import VariabilityParams, read_resistance
 from memlogic.logic1t1r import (
     INPUT_PAIRS,
     InitFailureError,
@@ -258,14 +258,14 @@ def test_a_characterized_cell_replays_alone():
                       seed=seed)
     addr = CellAddress(0, 2)
     array.form(addr)
-    drives, volts = array.cell_drives(addr), DEFAULT_VOLTAGES
+    drives = array.cell_drives(addr)
     rng, read_rng = bucket_stream(seed, 32, 2)
     reads = []
     for cycle in range(cycles):
         row = [2, cycle]
         for bits in (SET_BITS, RESET_BITS):
             replay(drives[bits], rng)
-            row.append(read_resistance(drives.cell, volts.v_read, volts.v_g_read, read_rng))
+            row.append(read_resistance(drives.cell, read_rng))
         reads.append(tuple(row))
     config = ExperimentConfig(seed=seed, cycles=cycles, device=PARAMS)
     result = run_characterization(config, cells=3)

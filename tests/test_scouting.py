@@ -78,6 +78,8 @@ def test_scout_requires_parallel_selectable_addresses():
     rng = np.random.default_rng(3)
     with pytest.raises(TopologyError):
         scout_class(array, [CellAddress(0, 0), CellAddress(0, 1)], "11", 1, rng, rng)
+    with pytest.raises(TopologyError, match="^duplicate addresses in parallel selection$"):
+        scout_class(array, [CellAddress(0, 0), (0, 0)], "11", 1, rng, rng)
 
 
 def test_an_invalid_selection_raises_on_every_call(rebind):
@@ -103,9 +105,9 @@ def test_scout_read_is_non_destructive(rebind):
     rng, read_rng = np.random.default_rng(4), np.random.default_rng(5)
     real_read, reads = read_resistance, []
 
-    def read(cell, v_read, v_g, noise_rng):
+    def read(cell, noise_rng):
         before = cell_states(array), rng.bit_generator.state
-        reads.append(real_read(cell, v_read, v_g, noise_rng))
+        reads.append(real_read(cell, noise_rng))
         assert (cell_states(array), rng.bit_generator.state) == before
         return reads[-1]
 
