@@ -12,10 +12,11 @@ Each experiment hands every bucket's (label, expected bit, trials, failed
 cycles, errors) to ``FailureReport.tally``, which builds the report whole.
 A gate bucket's runner returns the rows the ``traces`` table exports, and a
 cycle without a row is an error.  The one scouting sampler,
-``sample_scouting_currents``, forms the input cells once, runs each class on a
-copy of them and returns each class's currents.  A scouting run's training
-and classified halves are slices of them, and the gaps between the training
-currents are computed once, for the references and the margins.
+``sample_scouting_currents``, forms the input cells once, starts each class
+from them restored in place and returns each class's currents.  A scouting
+run's training and classified halves are slices of them, and the gaps
+between the training currents are computed once, for the references and the
+margins.
 A characterization runs all its cells on one array, whose drives for one
 cell leave every other cell at 0 V.
 
@@ -61,6 +62,7 @@ from .device import (
 from .logic1t1r import (
     CASE_TABLE,
     INPUT_PAIRS,
+    InitFailureError,
     ParamMapping,
     TraceRow,
     default_gate_library,
@@ -361,22 +363,33 @@ def sample_scouting_currents(config: ExperimentConfig, include_single: bool = Fa
 
     The input cells occupy one column (rows 0..n-1), which the standard array
     can select in parallel, so n may not exceed the row count; they are formed
-    once, and each class runs on a copy of them, equal to a fresh array.
-    States are rewritten every cycle so each current carries a fresh
-    cycle-to-cycle draw.
+    once, on one array, and each class starts from them restored in place,
+    equal to a fresh array.  States are rewritten every cycle so each current
+    carries a fresh cycle-to-cycle draw.  A write that gives up raises
+    ``InitFailureError`` naming the seed, the class, the cycle and the cell.
     """
     n = config.n_inputs
     if n > config.topology.rows:
         raise ValueError(f"n={n} input cells do not fit in one column of "
                          f"{config.topology.rows} rows")
     addrs = tuple(CellAddress(r, 0) for r in range(n))
-    formed = CellArray(config.topology, config.device, seed=config.seed)
+    array = CellArray(config.topology, config.device, seed=config.seed)
     for addr in addrs:
-        formed.form(addr)
-    return {bits: scout_class(formed.copy(), addrs[:len(bits)], bits, config.cycles,
-                              *_stream(config.seed, "scouting", len(bits), int(bits, 2)),
-                              verify)
-            for bits in input_patterns(n) + (["0", "1"] if include_single and n > 1 else [])}
+        array.form(addr)
+    formed = [(cell, replace(cell)) for cell in map(array.cell, addrs)]
+    currents = {}
+    for bits in input_patterns(n) + (["0", "1"] if include_single and n > 1 else []):
+        for cell, snapshot in formed:  # ``vars(cell).update`` would slow later reads
+            for name in cell.__dataclass_fields__:
+                setattr(cell, name, getattr(snapshot, name))
+        try:
+            currents[bits] = scout_class(array, addrs[:len(bits)], bits, config.cycles,
+                                         *_stream(config.seed, "scouting", len(bits),
+                                                  int(bits, 2)), verify)
+        except InitFailureError as exc:  # one line that says where to replay it
+            exc.args = (f"seed {config.seed}, class {bits!r}, cycle {exc.cycle}: {exc}",)
+            raise
+    return currents
 
 
 def _margins(level_gaps: Sequence[Gap], read_gap: Gap | None,

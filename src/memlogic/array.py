@@ -23,7 +23,7 @@ by ``resolve_drives`` once) and one path (``replay`` + ``read_resistance``):
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -241,13 +241,6 @@ class CellArray:
             self.cells[addr] = sample_fresh_cell(self.params, rng,
                                                  cell_id=f"r{addr.row}c{addr.col}")
         return self.cells[addr]
-
-    def copy(self) -> "CellArray":
-        """A new array of the same topology, parameters and seed, with copies
-        of this array's sampled cells (each through its ``__init__``)."""
-        array = CellArray(self.topology, self.params, self.seed)
-        array.cells = {addr: replace(cell) for addr, cell in self.cells.items()}
-        return array
 
     def form(self, addr: CellAddress | tuple[int, int]) -> None:
         """Form one cell with the voltage-ramp routine (idempotent)."""

@@ -39,8 +39,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .array import RESET_BITS, SET_BITS, CellAddress, CellArray, CellDrives, replay
 from .device import (
-    STATE_HRS,
     STATE_LRS,
+    MemristorCell,
     Normals,
     NotFormedError,
     Uniforms,
@@ -264,51 +264,48 @@ class InitFailureError(RuntimeError):
         self.addr = addr
         self.target = target
         self.retries = retries
+        self.cycle: int | None = None  # the failed cycle of a ``scout_class`` class
 
 
-#: Correction pulses a verified write may apply before it gives up.
+#: Writes a verified write may retry: after 1 + INIT_RETRIES = 4 writes whose
+#: reads are all wrong, it raises ``InitFailureError``.
 INIT_RETRIES = 3
 
 
-def initialize_cell(drives: CellDrives, bit: int, rng: Uniforms, read_rng: Normals,
-                    refresh: bool = False, verify: bool = True) -> tuple[float, int]:
-    """Bring the cell of ``drives`` (``CellArray.cell_drives``) to the binary
-    state ``bit``, verifying by read: pulses replay its SET and RESET drives
-    and draw from ``rng``, reads draw from ``read_rng``.
+def write_bit(cell: MemristorCell, bit: int, reset: list[tuple], set_: list[tuple],
+              rng: Uniforms, writes: int, addr: CellAddress) -> int:
+    """Write ``bit`` to ``cell`` at ``addr`` once more with its pre-bound
+    resolutions ``drives[RESET_BITS]`` and ``drives[SET_BITS]``, and return
+    ``writes + 1``; ``writes`` counts the writes made, and past 1 +
+    ``INIT_RETRIES`` it raises ``InitFailureError`` instead.  RESET switches an
+    LRS cell or re-draws an HRS value; before a SET an LRS cell cycles through
+    HRS to re-draw its LRS value."""
+    if writes > INIT_RETRIES:
+        raise InitFailureError(addr, bit, INIT_RETRIES)
+    if bit != 1 or cell.state == STATE_LRS:
+        replay(reset, rng)
+    if bit == 1:
+        replay(set_, rng)
+    return writes + 1
 
-    Returns ``(verified read resistance, correction pulses applied)``.  With
-    ``refresh=True`` a fresh resistance value is always cycled in, even when
-    the binary state already matches (used by experiments that need new
-    cycle-to-cycle draws every trial), and the cell is not read before it.
-    Reads binarize at the array's ``boundary``; raises ``InitFailureError``
-    after ``INIT_RETRIES`` failed corrections.
 
-    ``verify=False`` fires the write pulses blindly, without the read-back
-    loop.  Verified writes retry any draw that straddles the binarization
-    boundary, which truncates the state distributions there; stress analyses
-    that need the raw tails should disable verification.
-    """
+def initialize_cell(drives: CellDrives, bit: int, rng: Uniforms,
+                    read_rng: Normals) -> tuple[float, int]:
+    """Bring the formed cell of ``drives`` (``CellArray.cell_drives``) to the
+    binary state ``bit``, the gate's write: read first, then ``write_bit``
+    (pulses draw from ``rng``) until a read (from ``read_rng``, binarized at
+    the array's ``boundary``) gives ``bit``.  Returns ``(that read, writes
+    made)``; ``InitFailureError`` after 1 + ``INIT_RETRIES`` wrong writes."""
     cell = drives.cell
     if not cell.is_formed:
         raise NotFormedError(f"cell {tuple(drives.addr)} is pristine; form it first")
-    state = STATE_LRS if bit == 1 else STATE_HRS
-    boundary = drives.array.boundary
-    pulses = 0
-    r = read_resistance(cell, read_rng) if verify and not refresh else cell.resistance
-    # Write while a refresh is owed or the state is wrong (as read back, or as set).
-    while (refresh and not pulses) or (binarize(r, boundary) != bit if verify
-                                       else not pulses and cell.state != state):
-        if pulses > INIT_RETRIES:
-            raise InitFailureError(drives.addr, bit, INIT_RETRIES)
-        # RESET switches an LRS cell or re-draws an HRS value; before a SET an
-        # LRS cell cycles through HRS to re-draw its LRS value.
-        if bit != 1 or cell.state == STATE_LRS:
-            replay(drives[RESET_BITS], rng)
-        if bit == 1:
-            replay(drives[SET_BITS], rng)
-        pulses += 1
-        r = read_resistance(cell, read_rng) if verify else cell.resistance
-    return r, pulses
+    boundary, writes = drives.array.boundary, 0
+    r = read_resistance(cell, read_rng)
+    while binarize(r, boundary) != bit:
+        writes = write_bit(cell, bit, drives[RESET_BITS], drives[SET_BITS], rng, writes,
+                           drives.addr)
+        r = read_resistance(cell, read_rng)
+    return r, writes
 
 
 def execute_gate_bucket(array: CellArray, addr: CellAddress | tuple[int, int],

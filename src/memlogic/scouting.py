@@ -8,8 +8,8 @@ and every operation is a predicate on it: OR is a popcount of at least one,
 AND a popcount of n, XOR an odd popcount.  READ is the one-cell case, with its
 own reference.  The read is non-destructive, so the gate never switches a
 device.  ``scout_class`` writes one input class and scouts it cycle after
-cycle, with the bits and the selection checked once and each cell's drives
-bound once: every cycle's writes replay them (``initialize_cell``) and its
+cycle, with the bits and the selection checked once and each cell's writes
+bound once: every cycle's refresh writes replay them (``write_bit``) and its
 parallel read sums ``device.read_resistance`` of the bound cells.
 ``class_gaps`` finds the gaps from each class's currents, ``references_in``
 places a reference in each gap, and ``classify_bucket`` compares a bucket of
@@ -25,9 +25,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .array import CellAddress, CellArray, validate_parallel_selection
-from .device import V_READ, Normals, Uniforms, read_resistance, require_finite_result
-from .logic1t1r import initialize_cell
+from .array import RESET_BITS, SET_BITS, CellAddress, CellArray, validate_parallel_selection
+from .device import (V_READ, Normals, NotFormedError, Uniforms, binarize, read_resistance,
+                     require_finite_result)
+from .logic1t1r import InitFailureError, write_bit
 
 #: The output of each operation as a predicate on (popcount k, input width n).
 OP_TABLE: dict[str, Callable[[int, int], bool]] = {
@@ -119,28 +120,39 @@ def _input_writes(addrs: Sequence[CellAddress | tuple[int, int]],
 def scout_class(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
                 bits: Sequence[int] | str, cycles: int, rng: Uniforms,
                 read_rng: Normals, verify: bool = True) -> list[float]:
-    """Store one bit (0, 1, "0" or "1") per cell with ``initialize_cell``, then
-    read the cells in parallel: the read voltage times the summed conductance
-    of the noisy reads, a ``ValueError`` beyond the float range.  Once per
-    cycle, for ``cycles`` cycles; the bits and the selection are checked once,
-    before any pulse, and each cell's drives (``CellArray.cell_drives``) are
-    bound then.  Pulses draw from ``rng``, reads from ``read_rng``.
-    Every write refreshes, so each cycle draws fresh states; ``verify=False``
-    skips the read-back loop, for analyses that must not truncate the state
-    tails.  Reads never switch."""
+    """Store one bit (0, 1, "0" or "1") per cell, then read the cells in
+    parallel: the read voltage times the summed conductance of the noisy
+    reads, a ``ValueError`` beyond the float range.  Once per cycle, for
+    ``cycles`` cycles; the bits, the selection and that the cells are formed
+    are checked once, before any pulse, and each cell's SET and RESET
+    resolutions (``CellArray.cell_drives``) are bound then.  Pulses draw from
+    ``rng``, reads from ``read_rng``.  Every write refreshes: it writes once
+    (``write_bit``), so each cycle draws fresh states, then until a read gives
+    its bit; ``verify=False`` skips the reads, for analyses that must not
+    truncate the state tails.  An ``InitFailureError`` carries its ``cycle``."""
     writes = _input_writes(addrs, bits)
     validate_parallel_selection(array.topology, tuple(addr for addr, _ in writes))
-    writes = [(array.cell_drives(addr), bit) for addr, bit in writes]
-    cells = [drives.cell for drives, _ in writes]  # the selection, in its order
-    currents = []
-    for _ in range(cycles):
-        for drives, bit in writes:
-            initialize_cell(drives, bit, rng, read_rng, True, verify)
-        conductance = 0.0
-        for cell in cells:
-            conductance += 1.0 / read_resistance(cell, read_rng)
-        currents.append(require_finite_result("read current", V_READ * conductance,
-                                              array.params))
+    writes = [(drives.cell, bit, drives[RESET_BITS], drives[SET_BITS], drives.addr)
+              for drives, bit in ((array.cell_drives(addr), bit) for addr, bit in writes)]
+    for cell, *_, addr in writes:
+        if not cell.is_formed:
+            raise NotFormedError(f"cell {tuple(addr)} is pristine; form it first")
+    cells = [cell for cell, *_ in writes]  # the selection, in its order
+    boundary, currents = array.boundary, []
+    try:
+        for _ in range(cycles):
+            for cell, bit, reset, set_, addr in writes:
+                done = write_bit(cell, bit, reset, set_, rng, 0, addr)
+                while verify and binarize(read_resistance(cell, read_rng), boundary) != bit:
+                    done = write_bit(cell, bit, reset, set_, rng, done, addr)
+            conductance = 0.0
+            for cell in cells:
+                conductance += 1.0 / read_resistance(cell, read_rng)
+            currents.append(require_finite_result("read current", V_READ * conductance,
+                                                  array.params))
+    except InitFailureError as exc:
+        exc.cycle = len(currents)
+        raise
     return currents
 
 

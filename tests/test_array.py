@@ -1,4 +1,3 @@
-import copy
 import itertools
 import re
 
@@ -7,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from memlogic import analysis as analysis_module
+from memlogic.analysis import ExperimentConfig, _stream, sample_scouting_currents
 from memlogic.array import (
     RESET_BITS,
     SET_BITS,
@@ -32,7 +33,7 @@ from memlogic.device import (
     read_resistance,
     sample_fresh_cell,
 )
-from memlogic.scouting import scout_class
+from memlogic.scouting import input_patterns, scout_class
 
 STD = ArrayTopology(TopologyKind.STANDARD_1T1R, rows=4, cols=4)
 PSEUDO = ArrayTopology(TopologyKind.PSEUDO_CROSSBAR, rows=4, cols=4)
@@ -492,42 +493,29 @@ def test_topology_rejects_non_integer_or_small_sizes(rows, cols):
         ArrayTopology(rows=rows, cols=cols)
 
 
-def formed_column(seed=5, rows=2):
-    """A fresh array with cells (0, 0) .. (rows - 1, 0) formed."""
-    array = CellArray(STD, PARAMS, seed=seed)
-    for row in range(rows):
-        array.form(CellAddress(row, 0))
-    return array
+#: State spreads wide enough that each draw's truncation at the other state's
+#: last value (``last_lrs``, ``last_hrs``) shows in the currents.
+WIDE = PARAMS.replace(lrs_sigma_c2c=1.0, hrs_sigma_c2c=2.0)
 
 
-def test_a_copy_starts_from_equal_cells_of_its_own():
-    template = formed_column()
-    template.cell(CellAddress(3, 3))  # sampled, never formed
-    copied = template.copy()
-    assert (copied.topology, copied.params, copied.seed) == (
-        template.topology, template.params, template.seed)
-    assert copied.cells == template.cells
-    assert list(copied.cells) == list(template.cells)
-    assert all(copied.cells[addr] is not cell for addr, cell in template.cells.items())
-
-
-def test_a_drive_on_one_copy_leaves_the_template_and_other_copies_alone():
-    template, rng = formed_column(), np.random.default_rng(6)
-    replay(resolve_drives(template, CellAddress(0, 0), RESET_BITS), rng)  # pulsed, too
-    before = copy.deepcopy(template.cells)
-    first, second = template.copy(), template.copy()
-    for _ in range(2):
-        for bits in (SET_BITS, RESET_BITS):
-            replay(resolve_drives(first, CellAddress(0, 0), bits), rng)
-    assert first.cells != before
-    assert template.cells == second.cells == before
-
-
-def test_a_copy_of_a_formed_template_scouts_as_a_fresh_array():
-    template = formed_column(rows=3)
-    for bits, addrs in (("101", [(0, 0), (1, 0), (2, 0)]), ("1", [(0, 0)])):
-        currents = [scout_class(array, addrs, bits, 40, np.random.default_rng(7),
-                                np.random.default_rng(8))
-                    for array in (template.copy(), formed_column(rows=len(bits)))]
-        assert currents[0] == currents[1]
-        assert len(currents[0]) == 40
+@pytest.mark.parametrize("verify", [True, False])
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_scouting_class_runs_as_on_a_fresh_array(monkeypatch, n, verify):
+    # The sampler runs every class on one array, restored to its formed input
+    # cells: each class equals that class scouted alone on a freshly formed
+    # column, and running the classes in reverse order changes none of them.
+    config = ExperimentConfig(seed=5, cycles=30, n_inputs=n, topology=STD, device=WIDE)
+    sampled = sample_scouting_currents(config, include_single=True, verify=verify)
+    assert list(sampled) == input_patterns(n) + ["0", "1"]
+    for bits, currents in sampled.items():
+        fresh = CellArray(STD, WIDE, seed=config.seed)
+        addrs = [CellAddress(row, 0) for row in range(len(bits))]
+        for addr in addrs:
+            fresh.form(addr)
+        alone = scout_class(fresh, addrs, bits, config.cycles,
+                            *_stream(config.seed, "scouting", len(bits), int(bits, 2)), verify)
+        assert currents == alone and len(currents) == 30
+    monkeypatch.setattr(analysis_module, "input_patterns", lambda k: input_patterns(k)[::-1])
+    reversed_run = sample_scouting_currents(config, include_single=True, verify=verify)
+    assert list(reversed_run) == input_patterns(n)[::-1] + ["0", "1"]
+    assert reversed_run == sampled

@@ -699,6 +699,19 @@ def test_cli_experiment_errors_exit_2(tmp_path, capsys, monkeypatch, error):
     assert str(error) in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("seed, line", [
+    (2, "seed 2, class '00', cycle 80: cell (1, 0) failed to initialize to 0 after 3 retries"),
+    (3, "seed 3, class '01', cycle 52: cell (1, 0) failed to initialize to 1 after 3 retries"),
+])
+def test_a_scouting_write_that_gives_up_names_where_to_replay_it(tmp_path, capsys, seed,
+                                                                 line):
+    # Reads noisy enough to straddle the boundary four times running.
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text("device.read_noise_hrs = 1.5\ndevice.read_noise_lrs = 1.5\n")
+    assert main([str(cfg), "scouting", "--seed", str(seed), "-o", str(tmp_path)]) == 2
+    assert _one_line_error(capsys) == line + "\n"
+
+
 @pytest.mark.parametrize("args, name", [(["gate", "OR", "--seed", "-1"], "seed"),
                                         (["scouting", "--seed", "-1"], "seed"),
                                         (["characterize", "--cells", "0"], "cells"),

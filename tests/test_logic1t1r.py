@@ -11,6 +11,7 @@ import pytest
 from memlogic import logic1t1r as logic_module
 from memlogic.array import (
     RESET_BITS,
+    SET_BITS,
     ArrayTopology,
     CellAddress,
     CellArray,
@@ -47,6 +48,7 @@ from memlogic.logic1t1r import (
     synthesize_mapping,
     truth_table_of,
 )
+from memlogic.scouting import scout_class
 
 PARAMS = VariabilityParams()
 BOUNDARY = default_boundary(PARAMS)
@@ -331,6 +333,26 @@ def test_init_failure_raises():
     rng = np.random.default_rng(5)
     with pytest.raises(InitFailureError, match=f"after {INIT_RETRIES} retries"):
         initialize_cell(array.cell_drives(CellAddress(0, 0)), 0, rng, rng)
+
+
+@pytest.mark.parametrize("writer", ["initialize_cell", "scout_class"])
+def test_a_verified_write_gives_up_after_four_writes(rebind, writer):
+    # At a 1 GOhm access transistor no read binarizes to 1, so every write of a 1
+    # to the formed (LRS) cell is a RESET and a SET: 1 + INIT_RETRIES = 4 writes,
+    # 8 replays, then the error, for the read-first and the refresh write alike.
+    array = CellArray(ArrayTopology(TopologyKind.STANDARD_1T1R, 4, 4),
+                      PARAMS.replace(r_on=1e9), seed=0)
+    array.form(CellAddress(0, 0))
+    rng, replays = np.random.default_rng(5), []
+    rebind(replay, lambda resolved, rng: replays.append(resolved) or replay(resolved, rng))
+    with pytest.raises(InitFailureError, match=f"to 1 after {INIT_RETRIES} retries"):
+        if writer == "initialize_cell":
+            initialize_cell(array.cell_drives(CellAddress(0, 0)), 1, rng, rng)
+        else:
+            scout_class(array, [CellAddress(0, 0)], "1", 1, rng, rng)
+    drives = array.cell_drives(CellAddress(0, 0))
+    assert replays == [drives[RESET_BITS], drives[SET_BITS]] * (1 + INIT_RETRIES)
+    assert len(replays) == 8
 
 
 @pytest.mark.parametrize("p", [0, 1])

@@ -160,8 +160,9 @@ def test_a_scouting_init_failure_stops_the_class_where_the_cycles_stop():
     addrs = [CellAddress(0, 0), CellAddress(1, 0)]
     expected = scout_trials(trial_array, addrs, "10", 40, *trial_rngs, True)
     assert isinstance(expected[-1], InitFailureError) and len(expected) > 1
-    with pytest.raises(InitFailureError, match=re.escape(str(expected[-1]))):
+    with pytest.raises(InitFailureError, match=re.escape(str(expected[-1]))) as info:
         scout_class(bucket_array, addrs, "10", 40, *bucket_rngs, True)
+    assert info.value.cycle == len(expected) - 1  # the cycle it failed in
     assert states(bucket_rngs) == states(trial_rngs)
     assert bucket_array.cells == trial_array.cells
 
