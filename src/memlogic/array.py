@@ -17,7 +17,8 @@ general line drive.  The transistor is off at 0 V gate (below
 ``device.V_G_ON``), so a drive only pulses cells of its cell's row.  There is
 one drive cache (``CellDrives``: a cell's drives by their bits, each resolved
 by ``resolve_drives`` once) and one path (``replay`` + ``read_resistance``):
-``replay`` pulses a resolution's cells, ``device.read_resistance`` reads a cell.
+``replay`` pulses a resolution's cells and returns nothing (no caller reads
+the switching events), ``device.read_resistance`` reads a cell.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .device import (
     V_TE_SET,
     MemristorCell,
     Pulse,
-    SwitchEvent,
     Uniforms,
     VariabilityParams,
     apply_pulse,
@@ -147,16 +147,14 @@ class CellDrives(dict):
         return resolved
 
 
-def replay(resolved: list[tuple], rng: Uniforms) -> list[SwitchEvent]:
-    """Pulse each (address, cell, pulse) of a ``resolve_drives`` list in order
-    and return the events; a pulse's error is re-raised naming the cell."""
-    events = []
+def replay(resolved: list[tuple], rng: Uniforms) -> None:
+    """Pulse each (address, cell, pulse) of a ``resolve_drives`` list in order;
+    a pulse's error is re-raised naming the cell."""
     for addr, cell, pulse in resolved:
         try:
-            events.append(apply_pulse(cell, pulse, rng))
+            apply_pulse(cell, pulse, rng)
         except Exception as exc:
             raise type(exc)(f"at cell {tuple(addr)}: {exc}") from exc
-    return events
 
 
 def check_parallel_distinct_voltages(topology: ArrayTopology,

@@ -12,16 +12,17 @@ synthesizer are derived from it.
 
 This module provides the pure case/mapping algebra (no device model), an
 exhaustive synthesizer covering all 16 two-input Boolean functions, and the
-physical execution path that initializes a cell, fires the logic pulse
-through the array wiring and reads the output back, all at the one operating
-point, the ``device`` constants ``V_TE_SET`` to ``V_READ``.
+physical execution path that writes a cell's initial state, fires the logic
+pulse through the array wiring and reads the output back, all at the one
+operating point, the ``device`` constants ``V_TE_SET`` to ``V_READ``.
 A gate bucket (one gate, input pair and cell) runs in one call,
-``execute_gate_bucket``, with its case and the cell's drives
-(``CellArray.cell_drives``) bound once.  It takes the array's one drive cache
-(``CellDrives``) and one path (``array.replay`` + ``device.read_resistance``):
-each cycle replays the cached resolutions and reads the bound cell.  One trial
-is a bucket of one cycle.  It returns one ``TraceRow`` per cycle, the row the
-``traces`` table exports.
+``execute_gate_bucket``, with its case, the cell and its logic, SET and RESET
+resolutions (``CellArray.cell_drives``) bound once.  It takes the array's one
+drive cache (``CellDrives``) and one path (``array.replay`` +
+``device.read_resistance``): each cycle runs the verified write in its own
+loop (``write_bit`` for each write), replays the logic resolution and reads
+the bound cell.  One trial is a bucket of one cycle.  It returns one
+``TraceRow`` per cycle, the row the ``traces`` table exports.
 Each run takes two sources of draws: ``rng`` feeds the switching uniforms of
 every pulse, ``read_rng`` the noise of every read, so reading a cell more or
 less often never shifts its switching draws.  Either is a numpy ``Generator``
@@ -37,7 +38,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .array import RESET_BITS, SET_BITS, CellAddress, CellArray, CellDrives, replay
+from .array import RESET_BITS, SET_BITS, CellAddress, CellArray, replay
 from .device import (
     STATE_LRS,
     MemristorCell,
@@ -268,7 +269,7 @@ class InitFailureError(RuntimeError):
 
 
 #: Writes a verified write may retry: after 1 + INIT_RETRIES = 4 writes whose
-#: reads are all wrong, it raises ``InitFailureError``.
+#: reads are all wrong, ``write_bit`` raises ``InitFailureError`` at the next.
 INIT_RETRIES = 3
 
 
@@ -276,10 +277,13 @@ def write_bit(cell: MemristorCell, bit: int, reset: list[tuple], set_: list[tupl
               rng: Uniforms, writes: int, addr: CellAddress) -> int:
     """Write ``bit`` to ``cell`` at ``addr`` once more with its pre-bound
     resolutions ``drives[RESET_BITS]`` and ``drives[SET_BITS]``, and return
-    ``writes + 1``; ``writes`` counts the writes made, and past 1 +
-    ``INIT_RETRIES`` it raises ``InitFailureError`` instead.  RESET switches an
-    LRS cell or re-draws an HRS value; before a SET an LRS cell cycles through
-    HRS to re-draw its LRS value."""
+    ``writes + 1``; ``writes`` counts the writes made so far in this verified
+    write (0 at its start), and past 1 + ``INIT_RETRIES`` it raises
+    ``InitFailureError`` instead.  RESET switches an LRS cell or re-draws an
+    HRS value; before a SET an LRS cell cycles through HRS to re-draw its LRS
+    value.  The write pulse pair and the retry bound are stated here alone;
+    the verified-write loops of ``execute_gate_bucket`` (read first) and
+    ``scout_class`` (write first) call it."""
     if writes > INIT_RETRIES:
         raise InitFailureError(addr, bit, INIT_RETRIES)
     if bit != 1 or cell.state == STATE_LRS:
@@ -289,44 +293,34 @@ def write_bit(cell: MemristorCell, bit: int, reset: list[tuple], set_: list[tupl
     return writes + 1
 
 
-def initialize_cell(drives: CellDrives, bit: int, rng: Uniforms,
-                    read_rng: Normals) -> tuple[float, int]:
-    """Bring the formed cell of ``drives`` (``CellArray.cell_drives``) to the
-    binary state ``bit``, the gate's write: read first, then ``write_bit``
-    (pulses draw from ``rng``) until a read (from ``read_rng``, binarized at
-    the array's ``boundary``) gives ``bit``.  Returns ``(that read, writes
-    made)``; ``InitFailureError`` after 1 + ``INIT_RETRIES`` wrong writes."""
-    cell = drives.cell
-    if not cell.is_formed:
-        raise NotFormedError(f"cell {tuple(drives.addr)} is pristine; form it first")
-    boundary, writes = drives.array.boundary, 0
-    r = read_resistance(cell, read_rng)
-    while binarize(r, boundary) != bit:
-        writes = write_bit(cell, bit, drives[RESET_BITS], drives[SET_BITS], rng, writes,
-                           drives.addr)
-        r = read_resistance(cell, read_rng)
-    return r, writes
-
-
 def execute_gate_bucket(array: CellArray, addr: CellAddress | tuple[int, int],
                         mapping: ParamMapping, p: int, q: int, cycles: int,
                         rng: Uniforms, read_rng: Normals) -> list[TraceRow]:
     """Run one gate on a formed cell ``cycles`` times: bring the cell to the
-    mapping's initial state (skipped when it already matches), fire the logic
-    pulse, binarize the read.  Pulses draw from ``rng``, reads from
-    ``read_rng``.  The case, the cell's drives and the logic drive's
-    resolution are bound once.  Each cycle gives one row, its gate column
-    ``mapping.name``; a cycle whose initialization fails (``InitFailureError``)
-    gives none.
+    mapping's initial state I with a read-first verified write (read, then
+    ``write_bit`` and read again until the read binarizes to I, so a cell
+    already in I takes no write), fire the logic pulse, binarize the read.
+    Pulses draw from ``rng``, reads from ``read_rng``.  The case, the cell,
+    its logic, SET and RESET resolutions and the boundary are bound once, and
+    that the cell is formed is checked once (``NotFormedError``), before any
+    pulse.  Each cycle gives one row, its gate column ``mapping.name``; a cycle
+    whose write gives up (``InitFailureError``, the write count starting at 0
+    in every cycle) gives none.
     """
     case = evaluate_mapping(mapping, p, q)
     drives = array.cell_drives(CellAddress(*addr))
-    logic, cell = drives[case.g, case.te, case.be], drives.cell
+    cell, addr = drives.cell, drives.addr
+    if not cell.is_formed:
+        raise NotFormedError(f"cell {tuple(addr)} is pristine; form it first")
+    logic, reset, set_ = drives[case.g, case.te, case.be], drives[RESET_BITS], drives[SET_BITS]
     init_bit, case_id, output, boundary = case.i, case.case_id, case.output, array.boundary
     name, new_row, rows = mapping.name, tuple.__new__, []  # ``TraceRow._make``, unchecked
     for cycle in range(cycles):
+        r_init, writes = read_resistance(cell, read_rng), 0
         try:
-            r_init, _ = initialize_cell(drives, init_bit, rng, read_rng)
+            while binarize(r_init, boundary) != init_bit:
+                writes = write_bit(cell, init_bit, reset, set_, rng, writes, addr)
+                r_init = read_resistance(cell, read_rng)
         except InitFailureError:
             continue
         replay(logic, rng)

@@ -27,7 +27,6 @@ from memlogic.device import (
     VariabilityParams,
     binarize,
     default_boundary,
-    read_resistance,
 )
 from memlogic.logic1t1r import (
     BUILTIN_MAPPINGS,
@@ -42,11 +41,11 @@ from memlogic.logic1t1r import (
     default_gate_library,
     evaluate_mapping,
     execute_gate_bucket,
-    initialize_cell,
     load_gate_library,
     save_gate_library,
     synthesize_mapping,
     truth_table_of,
+    write_bit,
 )
 from memlogic.scouting import scout_class
 
@@ -270,17 +269,17 @@ def one_trial(array, addr, mapping, p, q, rng):
     return row
 
 
-def recorded_init_pulses(rebind):
-    """The pulses each later ``initialize_cell`` call returns, in call order."""
-    real, pulses = logic_module.initialize_cell, []
+def counting_writes(rebind):
+    """A ``one_trial`` that returns ``(row, writes)``: ``writes`` counts the
+    ``write_bit`` calls of the trial's verified write."""
+    real, calls = logic_module.write_bit, []
+    rebind(real, lambda *args: calls.append(args) or real(*args))
 
-    def initialize_cell(*args, **kwargs):
-        r, count = real(*args, **kwargs)
-        pulses.append(count)
-        return r, count
+    def trial(*args):
+        calls.clear()
+        return one_trial(*args), len(calls)
 
-    rebind(real, initialize_cell)
-    return pulses
+    return trial
 
 
 def formed_array(seed=0, rows=4, cols=4):
@@ -331,28 +330,41 @@ def test_init_failure_raises():
     array = CellArray(ArrayTopology(TopologyKind.STANDARD_1T1R, 4, 4), params, seed=0)
     array.form(CellAddress(0, 0))
     rng = np.random.default_rng(5)
-    with pytest.raises(InitFailureError, match=f"after {INIT_RETRIES} retries"):
-        initialize_cell(array.cell_drives(CellAddress(0, 0)), 0, rng, rng)
+    drives, writes = array.cell_drives(CellAddress(0, 0)), 0
+    with pytest.raises(InitFailureError, match=f"to 0 after {INIT_RETRIES} retries"):
+        while True:
+            writes = write_bit(drives.cell, 0, drives[RESET_BITS], drives[SET_BITS], rng,
+                               writes, drives.addr)
+    assert writes == 1 + INIT_RETRIES and drives.cell.state == "lrs"
+    # So every cycle of a gate whose I is 0 gives up: no row.
+    assert execute_gate_bucket(array, (0, 0), builtin_mapping("AND"), 0, 0, 3, rng, rng) == []
 
 
-@pytest.mark.parametrize("writer", ["initialize_cell", "scout_class"])
-def test_a_verified_write_gives_up_after_four_writes(rebind, writer):
+@pytest.mark.parametrize("writer, cycles", [
+    pytest.param("execute_gate_bucket", 1, id="execute_gate_bucket-1"),
+    pytest.param("execute_gate_bucket", 2, id="execute_gate_bucket-2"),
+    pytest.param("scout_class", 1, id="scout_class"),
+])
+def test_a_verified_write_gives_up_after_four_writes(rebind, writer, cycles):
     # At a 1 GOhm access transistor no read binarizes to 1, so every write of a 1
     # to the formed (LRS) cell is a RESET and a SET: 1 + INIT_RETRIES = 4 writes,
     # 8 replays, then the error, for the read-first and the refresh write alike.
+    # A gate bucket skips the cycle that gave up, and the next cycle counts its
+    # writes from 0 again: 8 replays per cycle and no row, no logic pulse.
     array = CellArray(ArrayTopology(TopologyKind.STANDARD_1T1R, 4, 4),
                       PARAMS.replace(r_on=1e9), seed=0)
     array.form(CellAddress(0, 0))
     rng, replays = np.random.default_rng(5), []
     rebind(replay, lambda resolved, rng: replays.append(resolved) or replay(resolved, rng))
-    with pytest.raises(InitFailureError, match=f"to 1 after {INIT_RETRIES} retries"):
-        if writer == "initialize_cell":
-            initialize_cell(array.cell_drives(CellAddress(0, 0)), 1, rng, rng)
-        else:
-            scout_class(array, [CellAddress(0, 0)], "1", 1, rng, rng)
+    if writer == "execute_gate_bucket":  # OR at p = 1 needs I = 1
+        assert execute_gate_bucket(array, (0, 0), builtin_mapping("OR"), 1, 0, cycles,
+                                   rng, rng) == []
+    else:
+        with pytest.raises(InitFailureError, match=f"to 1 after {INIT_RETRIES} retries"):
+            scout_class(array, [CellAddress(0, 0)], "1", cycles, rng, rng)
     drives = array.cell_drives(CellAddress(0, 0))
-    assert replays == [drives[RESET_BITS], drives[SET_BITS]] * (1 + INIT_RETRIES)
-    assert len(replays) == 8
+    assert replays == [drives[RESET_BITS], drives[SET_BITS]] * (1 + INIT_RETRIES) * cycles
+    assert len(replays) == 8 * cycles
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -372,11 +384,11 @@ def test_a_pulse_error_names_its_cell(p):
 def test_cascade_reuses_matching_state(rebind):
     array = formed_array()
     rng = np.random.default_rng(6)
-    pulses = recorded_init_pulses(rebind)
-    rows = [one_trial(array, (0, 0), builtin_mapping(name), 1, 1, rng)
-            for name in ("OR", "NIMP")]
+    trial = counting_writes(rebind)
+    rows, writes = zip(*(trial(array, (0, 0), builtin_mapping(name), 1, 1, rng)
+                         for name in ("OR", "NIMP")))
     # OR(1,1) leaves LRS; NIMP(1,1) needs i=q=1, so no re-initialization.
-    assert len(pulses) == 2 and pulses[1] == 0
+    assert len(writes) == 2 and writes[1] == 0
     assert [row.out_bit for row in rows] == [1, 0]
 
 
@@ -395,28 +407,31 @@ def test_reset_drive_uses_the_cell_bl():
 @pytest.mark.parametrize("case", CASE_TABLE, ids=lambda case: f"case{case.case_id}")
 def test_every_case_pulse_leaves_the_case_output(case, kind):
     # The one switching rule holds against the device model for all 16 cases,
-    # including those no shipped gate reaches.
+    # including those no shipped gate reaches: a mapping of constants resolves
+    # to the case on every input pair.
     array = CellArray(ArrayTopology(kind, 4, 4), NOISE_FREE, seed=1)
     addr = CellAddress(2, 1)
     array.form(addr)
     rng = np.random.default_rng(case.case_id)
-    drives = array.cell_drives(addr)
-    initialize_cell(drives, case.i, rng, rng)
-    replay(drives[case.g, case.te, case.be], rng)
-    r = read_resistance(drives.cell, rng)
-    assert binarize(r, array.boundary) == case.output
+    const = (Term.CONST0, Term.CONST1)
+    mapping = ParamMapping("CASE", const[case.g], const[case.te], const[case.be],
+                           const[case.i])
+    row = one_trial(array, addr, mapping, 0, 0, rng)
+    assert row.case_id == case.case_id and row.expected_bit == case.output
+    assert binarize(row.r_final_ohm, array.boundary) == case.output
 
 
 def test_pseudo_crossbar_gates_switch_both_ways(rebind):
     array = CellArray(ArrayTopology(TopologyKind.PSEUDO_CROSSBAR, 4, 4), PARAMS, seed=3)
     array.form(CellAddress(2, 1))
     rng = np.random.default_rng(4)
-    pulses = recorded_init_pulses(rebind)
+    trial, writes = counting_writes(rebind), []
     for mapping, p, q in [(builtin_mapping("XOR"), 1, 1), (builtin_mapping("OR"), 0, 1),
                           (builtin_mapping("NIMP"), 1, 0)] * 5:
-        row = one_trial(array, (2, 1), mapping, p, q, rng)
+        row, count = trial(array, (2, 1), mapping, p, q, rng)
+        writes.append(count)
         assert row.out_bit == row.expected_bit
-    assert len(pulses) == 15 and max(pulses) <= 1
+    assert len(writes) == 15 and max(writes) <= 1
 
 
 def test_hundred_cycle_repetition_without_failures():

@@ -17,8 +17,10 @@ any does, 0 otherwise.
 The matrix runs each case at seeds 3, 7 and 19: the default gate, scouting,
 characterize and sweep commands, wider and paper-referenced scouting reads,
 stressed and noisy-read device configs (a noisy-read scouting write gives up
-at seeds 3 and 7: exit 2), the pseudo-crossbar wiring (whose scouting exits
-2) and a library gate whose drive is ambiguous (exit 2).
+at seeds 3 and 7: exit 2; a noisy-read gate's verified write gives up
+mid-bucket at seeds 7 and 19, one gate error each), gates on rotated cells
+(``experiment.rotate_cells``), the pseudo-crossbar wiring (whose scouting
+exits 2) and a library gate whose drive is ambiguous (exit 2).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ CONFIGS = {
     "stressed": ["device.hrs_sigma_c2c = 1.0", "device.read_noise_hrs = 0.4"],
     "noisy-reads": ["device.read_noise_hrs = 1.5", "device.read_noise_lrs = 1.5"],
     "pseudo-crossbar": ["array.kind = pseudo-crossbar"],
+    "rotated": ["experiment.rotate_cells = true"],
     "ambiguous": ["device.v_reset_th_median = 0.2", "device.v_reset_th_sigma = 0"],
 }
 
@@ -54,7 +57,9 @@ CASES = [
     ("sweep", None, ["sweep", "hrs_sigma_c2c", "--values", "0.2,0.8,1.5"]),
     ("stressed gate", "stressed", GATE),
     ("stressed scouting", "stressed", SCOUTING),
+    ("noisy-read gate", "noisy-reads", GATE),
     ("noisy-read scouting", "noisy-reads", SCOUTING),
+    ("rotated gate", "rotated", GATE),
     ("pseudo-crossbar gate", "pseudo-crossbar", GATE),
     ("pseudo-crossbar scouting", "pseudo-crossbar", SCOUTING),
     ("ambiguous library gate", "ambiguous", ["gate", "BOTH", "--library", "{library}"]),
