@@ -219,7 +219,6 @@ class GapMargin(NamedTuple):
 
 @dataclass
 class LogicExperimentResult:
-    config: ExperimentConfig
     rows: list[TraceRow]
     summaries: list[DistributionSummary]
     report: FailureReport
@@ -228,7 +227,6 @@ class LogicExperimentResult:
 
 @dataclass
 class ScoutingExperimentResult:
-    config: ExperimentConfig
     currents: dict[str, list[float]]  # by class, in sampling order; each in cycle order
     refs: ReferenceLevels | None
     summaries: list[DistributionSummary]
@@ -313,7 +311,7 @@ def run_1t1r_experiment(config: ExperimentConfig,
             rows += bucket_rows
     summaries.sort()  # by label, which no two buckets share
     return LogicExperimentResult(
-        config=config, rows=rows, summaries=summaries,
+        rows=rows, summaries=summaries,
         report=FailureReport.tally(config.seed, tallies),
         non_switching=non_switching_report(rows, default_boundary(config.device)))
 
@@ -461,7 +459,7 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
     summaries = [DistributionSummary.from_samples(label, currents[label])
                  for label in sorted(currents)]
     return ScoutingExperimentResult(
-        config=config, currents=currents, refs=refs, summaries=summaries,
+        currents=currents, refs=refs, summaries=summaries,
         report=FailureReport.tally(config.seed, tallies),
         margins=_margins(level_gaps, read_gap, refs), overlap=overlap)
 

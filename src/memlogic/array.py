@@ -69,6 +69,11 @@ class ArrayTopology:
     cols: int = 8
 
     def __post_init__(self) -> None:
+        kinds = [k.value for k in TopologyKind]
+        if not isinstance(self.kind, str) or self.kind.lower() not in kinds:
+            raise ValueError(f"array kind must be one of {kinds}, in any case, "
+                             f"got {self.kind!r}")
+        object.__setattr__(self, "kind", TopologyKind(self.kind.lower()))
         require_int("array rows", self.rows, 1)
         require_int("array cols", self.cols, 1)
 

@@ -4,15 +4,16 @@ Usage::
 
     memlogic [CONFIG] SUBCOMMAND [options]
 
-The optional leading positional is a flat-key config file; command-line
-overrides win over config values (each flag that sets an experiment field is
-one entry of ``_OVERRIDES``), and the ``MEMLOGIC_OUTPUT_DIR`` environment
-variable overrides the configured output directory (but not an explicit
-``--output``).  The exit code is 0 only when the run evaluated at least one
-trial and saw zero logical failures and zero experiment errors, so scripts can
-gate on correctness; a rejected setting or a usage error exits 2 with a
-one-line message.  The config file is loaded before the arguments are parsed,
-so a misspelled subcommand is reported as the file it was taken for.
+The optional leading positional is a flat-key config file.  A flag that sets
+a setting has its config key for its argparse ``dest`` (``--seed`` sets
+``experiment.seed``), and ``config.build_config`` builds the settings once:
+the file's keys, then ``MEMLOGIC_OUTPUT_DIR`` as ``experiment.output_dir``,
+then each given flag, each over the last.  The exit code is 0 only when the
+run evaluated at least one trial and saw zero logical failures and zero
+experiment errors, so scripts can gate on correctness; a rejected setting or
+a usage error exits 2 with a one-line message.  The config file is checked
+alone before the arguments are parsed, so a misspelled subcommand is reported
+as the file it was taken for, and no flag can rescue a bad file value.
 The argument parser is built once per process, at the first call, and reused
 by every later one: argparse keeps no state between ``parse_args`` calls.
 """
@@ -38,7 +39,7 @@ from .analysis import (
     run_scouting_experiment,
     sweep_parameter,
 )
-from .config import AppConfig, load_config
+from .config import AppConfig, build_config, parse_config_file
 from .device import NotFormedError
 from .logic1t1r import (
     CASE_TABLE,
@@ -64,11 +65,17 @@ def _kohm(ohms: float) -> str:
 def _common_flags(parser: argparse.ArgumentParser, runs: bool = True,
                   tables: bool = True) -> None:
     if runs:  # only the commands that simulate read a seed and a cycle count
-        parser.add_argument("--seed", type=int, help="override the experiment seed")
-        parser.add_argument("--cycles", type=int, help="override the cycle count")
-    parser.add_argument("-o", "--output", help="output directory for exports")
+        parser.add_argument("--seed", type=int, dest="experiment.seed", metavar="SEED",
+                            help="override the experiment seed")
+        parser.add_argument("--cycles", type=int, dest="experiment.cycles", metavar="CYCLES",
+                            help="override the cycle count")
+    # An empty directory is left out, as an empty MEMLOGIC_OUTPUT_DIR is.
+    parser.add_argument("-o", "--output", type=lambda text: text or None,
+                        dest="experiment.output_dir", metavar="OUTPUT",
+                        help="output directory for exports")
     if tables:
-        parser.add_argument("--format", choices=("csv", "json"), help="export table format")
+        parser.add_argument("--format", choices=("csv", "json"), dest="experiment.format",
+                            help="export table format")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("gate", help="run gate experiments and print truth tables")
-    p.add_argument("names", nargs="+", help="gate names (built-in or from --library)")
+    p.add_argument("experiment.gates", nargs="+", metavar="names",
+                   help="gate names (built-in or from --library)")
     p.add_argument("--library", help="gate library file (name,g,te,be,i rows)")
     _common_flags(p)
 
@@ -96,9 +104,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(p, runs=False, tables=False)  # the library file is the CSV that --library reads
 
     p = sub.add_parser("scouting", help="run scouting-logic experiments")
-    p.add_argument("ops", nargs="*", help="read / or / and / xor")
-    p.add_argument("--n", type=int, help="number of input cells (default: n_inputs, 2)")
-    p.add_argument("--refs", help="'placed' or 'paper-refs', in any case (default: placed)")
+    p.add_argument("experiment.scouting_ops", nargs="*", metavar="ops",
+                   help="read / or / and / xor")
+    p.add_argument("--n", type=int, dest="experiment.n_inputs", metavar="N",
+                   help="number of input cells (default: n_inputs, 2)")
+    p.add_argument("--refs", dest="experiment.refs", metavar="REFS",
+                   help="'placed' or 'paper-refs', in any case (default: placed)")
     _common_flags(p)
 
     p = sub.add_parser("sweep", help="sweep one device parameter")
@@ -112,26 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cases", help="print the 16-row input case table")
     _common_flags(p, runs=False)
     return parser
-
-
-#: Each flag that sets an experiment field: {argparse dest: field}.
-_OVERRIDES = {"seed": "seed", "cycles": "cycles", "names": "gates",
-              "ops": "scouting_ops", "n": "n_inputs", "refs": "refs"}
-
-
-def _apply_overrides(app: AppConfig, args: argparse.Namespace) -> AppConfig:
-    # A flag left out (None) or an empty op list keeps the config's value.
-    changes = {name: tuple(value) if isinstance(value, list) else value
-               for dest, name in _OVERRIDES.items()
-               if (value := getattr(args, dest, None)) not in (None, [])}
-    exp = app.experiment.replace(**changes)
-    output_dir = app.output_dir
-    if os.environ.get(OUTPUT_DIR_ENV):
-        output_dir = os.environ[OUTPUT_DIR_ENV]
-    if getattr(args, "output", None):
-        output_dir = args.output
-    fmt = args.format if getattr(args, "format", None) else app.format
-    return AppConfig(experiment=exp, output_dir=output_dir, format=fmt)
 
 
 def _exit_code(failures: int, errors: int, trials: int) -> int:
@@ -268,13 +259,21 @@ def main(argv: list[str] | None = None) -> int:
     if argv and not argv[0].startswith("-") and argv[0] not in _COMMANDS:
         config_path = argv.pop(0)
     try:
-        app = load_config(config_path) if config_path else AppConfig()
+        keys = parse_config_file(config_path) if config_path else {}
+        if config_path:  # the file alone, as load_config checks it
+            build_config(keys, source=config_path)
         args = _build_parser().parse_args(argv)
     except (OSError, TypeError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    if os.environ.get(OUTPUT_DIR_ENV):
+        keys["experiment.output_dir"] = os.environ[OUTPUT_DIR_ENV]
+    # A flag left out (None) or an empty op list keeps the key's value.
+    keys.update((key, tuple(value) if isinstance(value, list) else value)
+                for key, value in vars(args).items()
+                if "." in key and value not in (None, []))
     try:
-        app = _apply_overrides(app, args)
+        app = build_config(keys)
         return _COMMANDS[args.command](app, args)
     except (KeyError, OSError, ValueError, InitFailureError, NotFormedError,
             OverlapError) as exc:

@@ -15,8 +15,9 @@ configure, e.g.::
 Each model section (``_MODELS``) builds its class from its keys, and the
 experiment section builds ``ExperimentConfig`` around those models; a key that
 names no field of its class is rejected.  A setting's accepted values are
-stated once, by the type that holds it: ``array.kind`` is a ``TopologyKind``
-value (``standard`` or ``pseudo-crossbar``, in any case).
+stated once, by the type that holds it: ``ArrayTopology`` takes ``array.kind``
+as a ``TopologyKind`` value (``standard`` or ``pseudo-crossbar``, in any case).
+The command line sets its flags as these keys too (``cli.main``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .analysis import ExperimentConfig
-from .array import ArrayTopology, TopologyKind
+from .array import ArrayTopology
 from .device import VariabilityParams
 
 
@@ -106,13 +107,6 @@ def build_config(raw: dict[str, object], source: str = "<config>") -> AppConfig:
         for name in keys:
             if name not in {f.name for f in fields(cls)}:
                 raise ConfigError(f"{source}: unknown key {section}.{name}")
-        if "kind" in keys:  # the array wiring, by its value
-            kind = str(keys["kind"]).lower()
-            try:
-                keys["kind"] = TopologyKind(kind)
-            except ValueError:
-                raise ConfigError(f"{source}: unknown array.kind {kind!r}; "
-                                  f"one of {[k.value for k in TopologyKind]}") from None
         models[field_name] = cls(**keys)
 
     experiment_keys = sections["experiment"]

@@ -179,13 +179,11 @@ def truth_table_of(mapping: ParamMapping) -> str:
 @functools.cache
 def _first_terms() -> tuple[tuple[Term, Term, Term, Term], ...]:
     """The first (G, TE, BE, I) in search order realizing each truth vector,
-    indexed by the vector; searched once per process."""
+    indexed by the vector; all 6^4 assignments are searched, once per process."""
     first: dict[int, tuple[int, int, int, int]] = {}
     for vectors in itertools.product(_TERM_VECTORS.values(), repeat=4):
         first.setdefault(_output_vector(*vectors), vectors)
-        if len(first) == 16:
-            return tuple(tuple(_TERM_OF_VECTOR[v] for v in first[out]) for out in range(16))
-    raise RuntimeError("some truth table has no mapping")  # unreachable
+    return tuple(tuple(_TERM_OF_VECTOR[v] for v in first[out]) for out in range(16))
 
 
 def synthesize_mapping(truth_table: str | Sequence[int]) -> ParamMapping:

@@ -192,6 +192,30 @@ def test_validate_parallel_selection():
         validate_parallel_selection(STD, [])
 
 
+@pytest.mark.parametrize("kind", [TopologyKind.PSEUDO_CROSSBAR, "pseudo-crossbar",
+                                  "Pseudo-Crossbar"], ids=["enum", "value", "mixed-case"])
+def test_topology_stores_its_kind_as_the_enum(kind):
+    topology = ArrayTopology(kind=kind)
+    assert topology.kind is TopologyKind.PSEUDO_CROSSBAR
+    assert topology == ArrayTopology(TopologyKind.PSEUDO_CROSSBAR)
+
+
+@pytest.mark.parametrize("kind", ["pseudo_crossbar", "hexagon", 1, None])
+def test_topology_rejects_an_unknown_kind_naming_the_accepted_values(kind):
+    with pytest.raises(ValueError, match=(r"^array kind must be one of \['standard', "
+                                          r"'pseudo-crossbar'\], in any case, got ")):
+        ArrayTopology(kind=kind)
+
+
+@pytest.mark.parametrize("kind", [TopologyKind.PSEUDO_CROSSBAR, "Pseudo-Crossbar"],
+                         ids=["enum", "mixed-case"])
+def test_scouting_on_the_pseudo_crossbar_raises_in_any_spelling(kind):
+    # Scouting stores its inputs in one column, which no pseudo-crossbar BL holds.
+    config = ExperimentConfig(cycles=4, topology=ArrayTopology(kind=kind))
+    with pytest.raises(TopologyError, match="pseudo-crossbar parallel selection requires"):
+        analysis_module.run_scouting_experiment(config)
+
+
 def test_parallel_checks_reject_addresses_outside_the_array():
     topology = ArrayTopology(rows=4, cols=4)
     for addrs, bad in [([(99, 0), (100, 0)], (99, 0)),

@@ -71,12 +71,14 @@ def test_config_error_diagnostics(tmp_path):
     with pytest.raises(ConfigError):
         load_config(cfg)
 
+    # ArrayTopology checks the wiring, so its message names no file, as no
+    # other model value error does.
     for kind in ("hexagon", "standard1t1r", "pseudo_crossbar"):
         cfg.write_text(f"array.kind = {kind}\n")
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(ValueError) as info:
             load_config(cfg)
-        assert str(info.value) == (f"{cfg}: unknown array.kind '{kind}'; "
-                                   "one of ['standard', 'pseudo-crossbar']")
+        assert str(info.value) == ("array kind must be one of ['standard', 'pseudo-crossbar'], "
+                                   f"in any case, got '{kind}'")
     cfg.write_text("array.kind = Pseudo-Crossbar\n")
     assert load_config(cfg).experiment.topology.kind == TopologyKind.PSEUDO_CROSSBAR
 
@@ -416,6 +418,26 @@ def test_cli_flags_win_over_the_config(tmp_path, monkeypatch, argv, changes):
     assert ran.value.args[0] == from_file.replace(**changes) != from_file
 
 
+@pytest.mark.parametrize("env, argv, lands", [
+    (False, [], "cfg/cases.json"),
+    (True, [], "env/cases.json"),
+    (True, ["-o", "{tmp}/flag"], "flag/cases.json"),
+    (False, ["-o", ""], "cfg/cases.json"),  # an empty directory is left out
+    (False, ["--format", "csv"], "cfg/cases.csv"),
+], ids=["file", "env-over-file", "flag-over-env", "empty-flag", "format-flag-over-file"])
+def test_cli_file_env_and_flag_precedence(tmp_path, capsys, monkeypatch, env, argv, lands):
+    """experiment.output_dir < MEMLOGIC_OUTPUT_DIR < -o; experiment.format < --format."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"experiment.output_dir = {tmp_path / 'cfg'}\nexperiment.format = json\n")
+    if env:
+        monkeypatch.setenv("MEMLOGIC_OUTPUT_DIR", str(tmp_path / "env"))
+    else:
+        monkeypatch.delenv("MEMLOGIC_OUTPUT_DIR", raising=False)
+    assert main([str(cfg), "cases", *(arg.format(tmp=tmp_path) for arg in argv)]) == 0
+    assert [str(p.relative_to(tmp_path)) for p in sorted(tmp_path.glob("*/*"))] == [lands]
+    capsys.readouterr()
+
+
 def test_cli_missing_config_file(capsys):
     assert main(["/nonexistent/path.cfg", "cases"]) == 2
     capsys.readouterr()
@@ -463,9 +485,16 @@ def _one_line_error(capsys) -> str:
      "memlogic: error: unrecognized arguments: --preset table3-logic"),
     (["cases", "--seed", "1"], "memlogic: error: unrecognized arguments: --seed 1"),
     (["synthesize", "--cycles", "3"], "memlogic: error: unrecognized arguments: --cycles 3"),
+    # The file is checked alone first: a flag cannot rescue its value, and
+    # its error comes before a usage error.
+    (["{bad_cfg}", "gate", "OR", "--cycles", "5"], "cycles must be >= 1, got 0"),
+    (["{bad_cfg}", "gate", "OR", "--bogus"], "cycles must be >= 1, got 0"),
 ], ids=["missing-argument", "unknown-flag", "misspelled-subcommand", "preset",
-        "cases-seed", "synthesize-cycles"])
+        "cases-seed", "synthesize-cycles", "flag-under-a-bad-file", "usage-under-a-bad-file"])
 def test_cli_usage_errors_exit_2_in_one_line(tmp_path, capsys, argv, names):
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text("experiment.cycles = 0\n")
+    argv = [arg.format(bad_cfg=bad_cfg) for arg in argv]
     assert main([*argv, "-o", str(tmp_path / "out")]) == 2
     assert names in _one_line_error(capsys)
     assert not (tmp_path / "out").exists()

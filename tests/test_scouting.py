@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from memlogic import array as array_module
 from memlogic.array import ArrayTopology, CellAddress, CellArray, TopologyError, TopologyKind
-from memlogic.device import VariabilityParams, binarize, default_boundary, read_resistance
+from memlogic.device import (NotFormedError, VariabilityParams, binarize, default_boundary,
+                             read_resistance)
 from memlogic.scouting import (
     PAPER_REFS,
     SCOUTING_OPS,
@@ -80,6 +81,19 @@ def test_scout_requires_parallel_selectable_addresses():
         scout_class(array, [CellAddress(0, 0), CellAddress(0, 1)], "11", 1, rng, rng)
     with pytest.raises(TopologyError, match="^duplicate addresses in parallel selection$"):
         scout_class(array, [CellAddress(0, 0), (0, 0)], "11", 1, rng, rng)
+
+
+def test_scout_class_rejects_a_pristine_cell_before_any_pulse():
+    array = CellArray(ArrayTopology(rows=2, cols=2), VariabilityParams(), seed=8)
+    array.form((0, 0))
+    rng, read_rng = np.random.default_rng(8), np.random.default_rng(9)
+    formed = cell_states(array)
+    states = rng.bit_generator.state, read_rng.bit_generator.state
+    with pytest.raises(NotFormedError, match=r"^cell \(1, 0\) is pristine; form it first$"):
+        scout_class(array, [(0, 0), (1, 0)], "10", 1, rng, read_rng)
+    assert {a: s for a, s in cell_states(array).items() if a in formed} == formed
+    assert not array.cell((1, 0)).is_formed
+    assert (rng.bit_generator.state, read_rng.bit_generator.state) == states
 
 
 def test_an_invalid_selection_raises_on_every_call(rebind):

@@ -20,7 +20,10 @@ stressed and noisy-read device configs (a noisy-read scouting write gives up
 at seeds 3 and 7: exit 2; a noisy-read gate's verified write gives up
 mid-bucket at seeds 7 and 19, one gate error each), gates on rotated cells
 (``experiment.rotate_cells``), the pseudo-crossbar wiring (whose scouting
-exits 2) and a library gate whose drive is ambiguous (exit 2).
+exits 2), that wiring named in mixed case, and a library gate whose drive is
+ambiguous (exit 2).  Two cases check the settings path: a config file that
+sets every key a flag also sets, under a gate and a scouting run that pass
+every flag their command takes, so each flag must win over its key.
 """
 
 from __future__ import annotations
@@ -43,8 +46,14 @@ CONFIGS = {
     "stressed": ["device.hrs_sigma_c2c = 1.0", "device.read_noise_hrs = 0.4"],
     "noisy-reads": ["device.read_noise_hrs = 1.5", "device.read_noise_lrs = 1.5"],
     "pseudo-crossbar": ["array.kind = pseudo-crossbar"],
+    "mixed-case-pseudo-crossbar": ["array.kind = Pseudo-Crossbar"],
     "rotated": ["experiment.rotate_cells = true"],
     "ambiguous": ["device.v_reset_th_median = 0.2", "device.v_reset_th_sigma = 0"],
+    # Each key a flag sets, at a value the flag replaces.
+    "every-flag-key": ["experiment.seed = 11", "experiment.cycles = 9",
+                       "experiment.gates = NOTP", "experiment.scouting_ops = read",
+                       "experiment.n_inputs = 2", "experiment.refs = paper-refs",
+                       "experiment.output_dir = from_config", "experiment.format = json"],
 }
 
 #: Each case: (name, config name or None, CLI arguments before the seed).
@@ -62,7 +71,12 @@ CASES = [
     ("rotated gate", "rotated", GATE),
     ("pseudo-crossbar gate", "pseudo-crossbar", GATE),
     ("pseudo-crossbar scouting", "pseudo-crossbar", SCOUTING),
+    ("mixed-case pseudo-crossbar gate", "mixed-case-pseudo-crossbar", GATE),
     ("ambiguous library gate", "ambiguous", ["gate", "BOTH", "--library", "{library}"]),
+    ("every-flag gate", "every-flag-key",
+     [*GATE, "--cycles", "20", "--format", "csv"]),
+    ("every-flag scouting", "every-flag-key",
+     [*SCOUTING, "--n", "3", "--refs", "placed", "--cycles", "20", "--format", "csv"]),
 ]
 
 
@@ -77,13 +91,14 @@ def extract(rev: str, into: Path) -> Path:
 
 def run_case(tree: Path, argv: list[str], out: Path) -> tuple:
     """One CLI run on ``tree``'s sources: (exit code, masked stdout, stderr,
-    {export name: bytes})."""
+    {export path under the output directory: bytes})."""
     env = {k: v for k, v in os.environ.items() if k != "MEMLOGIC_OUTPUT_DIR"}
     env["PYTHONPATH"] = str(tree / "src")
     out.mkdir(parents=True)
     proc = subprocess.run([sys.executable, "-m", "memlogic", *argv, "-o", str(out)],
                           capture_output=True, env=env, cwd=out, timeout=600)
-    exports = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    exports = {str(path.relative_to(out)): path.read_bytes()
+               for path in sorted(out.rglob("*")) if path.is_file()}
     return proc.returncode, proc.stdout.replace(bytes(out), b"<out>"), proc.stderr, exports
 
 
