@@ -352,6 +352,15 @@ def non_switching_report(rows: Sequence[TraceRow],
 # Scouting experiment
 # ---------------------------------------------------------------------------
 
+def _input_cells(config: ExperimentConfig) -> tuple[CellAddress, ...]:
+    """The n scouting input cells: rows 0..n-1 of one column, which the standard
+    array can select in parallel, so n may not exceed the row count."""
+    n, rows = config.n_inputs, config.topology.rows
+    if n > rows:
+        raise ValueError(f"n={n} input cells do not fit in one column of {rows} rows")
+    return tuple(CellAddress(r, 0) for r in range(n))
+
+
 def sample_scouting_currents(config: ExperimentConfig, include_single: bool = False,
                              verify: bool = True) -> dict[str, list[float]]:
     """Each input class with its ``config.cycles`` read currents, in sampling
@@ -359,18 +368,14 @@ def sample_scouting_currents(config: ExperimentConfig, include_single: bool = Fa
     ``include_single`` the one-cell classes "0" and "1" (for the read
     operation) unless n = 1 has measured them already.
 
-    The input cells occupy one column (rows 0..n-1), which the standard array
-    can select in parallel, so n may not exceed the row count; they are formed
-    once, on one array, and each class starts from them restored in place,
-    equal to a fresh array.  States are rewritten every cycle so each current
-    carries a fresh cycle-to-cycle draw.  A write that gives up raises
-    ``InitFailureError`` naming the seed, the class, the cycle and the cell.
+    The input cells (``_input_cells``) are formed once, on one array, and each
+    class starts from them restored in place, equal to a fresh array.  States
+    are rewritten every cycle so each current carries a fresh cycle-to-cycle
+    draw.  A write that gives up raises ``InitFailureError`` naming the seed,
+    the class, the cycle and the cell.
     """
     n = config.n_inputs
-    if n > config.topology.rows:
-        raise ValueError(f"n={n} input cells do not fit in one column of "
-                         f"{config.topology.rows} rows")
-    addrs = tuple(CellAddress(r, 0) for r in range(n))
+    addrs = _input_cells(config)
     array = CellArray(config.topology, config.device, seed=config.seed)
     for addr in addrs:
         array.form(addr)
@@ -388,6 +393,27 @@ def sample_scouting_currents(config: ExperimentConfig, include_single: bool = Fa
             exc.args = (f"seed {config.seed}, class {bits!r}, cycle {exc.cycle}: {exc}",)
             raise
     return currents
+
+
+def _scouting_settings(config: ExperimentConfig) -> tuple[tuple, ReferenceLevels | None]:
+    """A checked scouting config's ops, lower-cased, and fixed references (None: placed)."""
+    ops = tuple(op.lower() for op in config.scouting_ops)
+    for op in ops:
+        if op not in SCOUTING_OPS:
+            raise ValueError(f"unknown scouting op {op!r}; expected one of {SCOUTING_OPS}")
+    _reject_repeats("scouting op", config.scouting_ops, list(ops))
+    n = config.n_inputs
+    if n < 2:
+        raise ValueError("scouting needs at least two input cells")
+    if config.split == "split" and config.cycles < 2:
+        raise ValueError("split mode needs cycles >= 2 (one half places the "
+                         "references, the other is classified)")
+    refs = PAPER_REFS if config.refs.lower() == "paper-refs" else None
+    if refs is not None and refs.n != n:
+        raise ValueError(f"refs {config.refs!r} has {refs.n} levels; "
+                         f"a {n}-input read needs {n}")
+    _input_cells(config)
+    return ops, refs
 
 
 def _margins(level_gaps: Sequence[Gap], read_gap: Gap | None,
@@ -417,21 +443,7 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
     overlap between adjacent classes is recorded as a total failure of every
     evaluated trial.
     """
-    ops = tuple(op.lower() for op in config.scouting_ops)
-    for op in ops:
-        if op not in SCOUTING_OPS:
-            raise ValueError(f"unknown scouting op {op!r}; expected one of {SCOUTING_OPS}")
-    _reject_repeats("scouting op", config.scouting_ops, list(ops))
-    n = config.n_inputs
-    if n < 2:
-        raise ValueError("scouting needs at least two input cells")
-    if config.split == "split" and config.cycles < 2:
-        raise ValueError("split mode needs cycles >= 2 (one half places the "
-                         "references, the other is classified)")
-    refs = PAPER_REFS if config.refs.lower() == "paper-refs" else None
-    if refs is not None and refs.n != n:
-        raise ValueError(f"refs {config.refs!r} has {refs.n} levels; "
-                         f"a {n}-input read needs {n}")
+    ops, refs = _scouting_settings(config)
     # A cycle is its current's index.
     currents = sample_scouting_currents(config, include_single="read" in ops)
     half = (config.cycles + 1) // 2 if config.split == "split" else config.cycles
@@ -448,7 +460,7 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
 
     tallies = []
     for op in ops:
-        for input_class in ("0", "1") if op == "read" else input_patterns(n):
+        for input_class in ("0", "1") if op == "read" else input_patterns(config.n_inputs):
             expected = expected_bit(op, input_class)
             evaluated = currents[input_class][start:]
             # A collapsed gap leaves nothing to compare against: every cycle fails.
@@ -547,6 +559,7 @@ def sweep_parameter(config: ExperimentConfig, parameter: str,
     fields = sorted(VariabilityParams.__dataclass_fields__)
     if parameter not in fields:
         raise ValueError(f"unknown device parameter {parameter!r}; one of {fields}")
+    _scouting_settings(config)  # no point may simulate a setting scouting rejects
     points = []
     for value in values:
         cfg = config.replace(device=config.device.replace(**{parameter: value}))

@@ -49,7 +49,6 @@ from .logic1t1r import (
     save_gate_library,
     truth_table_of,
 )
-from .scouting import OverlapError
 
 OUTPUT_DIR_ENV = "MEMLOGIC_OUTPUT_DIR"
 
@@ -263,23 +262,17 @@ def main(argv: list[str] | None = None) -> int:
         if config_path:  # the file alone, as load_config checks it
             build_config(keys, source=config_path)
         args = _build_parser().parse_args(argv)
-    except (OSError, TypeError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if os.environ.get(OUTPUT_DIR_ENV):
-        keys["experiment.output_dir"] = os.environ[OUTPUT_DIR_ENV]
-    # A flag left out (None) or an empty op list keeps the key's value.
-    keys.update((key, tuple(value) if isinstance(value, list) else value)
-                for key, value in vars(args).items()
-                if "." in key and value not in (None, []))
-    try:
+        if os.environ.get(OUTPUT_DIR_ENV):
+            keys["experiment.output_dir"] = os.environ[OUTPUT_DIR_ENV]
+        # A flag left out (None) or an empty op list keeps the key's value.
+        keys.update((key, tuple(value) if isinstance(value, list) else value)
+                    for key, value in vars(args).items()
+                    if "." in key and value not in (None, []))
         app = build_config(keys)
         return _COMMANDS[args.command](app, args)
-    except (KeyError, OSError, ValueError, InitFailureError, NotFormedError,
-            OverlapError) as exc:
+    except (KeyError, OSError, ValueError, InitFailureError, NotFormedError) as exc:
         # A KeyError's str() quotes its message; an OSError's first arg is its errno.
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(str(message), file=sys.stderr)
+        print(exc.args[0] if isinstance(exc, KeyError) and exc.args else exc, file=sys.stderr)
         return 2
 
 

@@ -260,9 +260,6 @@ class InitFailureError(RuntimeError):
     def __init__(self, addr: CellAddress, target: int, retries: int):
         super().__init__(
             f"cell {tuple(addr)} failed to initialize to {target} after {retries} retries")
-        self.addr = addr
-        self.target = target
-        self.retries = retries
         self.cycle: int | None = None  # the failed cycle of a ``scout_class`` class
 
 

@@ -233,6 +233,8 @@ def test_scouting_inputs_may_fill_their_column():
     assert list(map(len, sample_scouting_currents(cfg.replace(n_inputs=3)).values())) == [2] * 8
     with pytest.raises(ValueError, match="do not fit in one column of 3 rows"):
         sample_scouting_currents(cfg.replace(n_inputs=4))
+    with pytest.raises(ValueError, match="^n=9 input cells do not fit in one column of 8 rows$"):
+        find_overlap_sigma(ExperimentConfig(cycles=2), 9)
 
 
 @pytest.mark.parametrize("n, err", [(0, ">= 1, got 0"), (-1, ">= 1, got -1"),
@@ -325,6 +327,13 @@ def test_config_rejects_names_that_are_not_a_tuple_of_strings(field, names):
     # would fail only at run time.
     with pytest.raises(ValueError, match=f"^{field} must be a tuple of names, got "):
         ExperimentConfig(**{field: names})
+
+
+@pytest.mark.parametrize("field", ["gates", "scouting_ops"])
+def test_config_rejects_an_empty_name_list(field):
+    # An empty list would evaluate nothing: exit 0 must never be vacuous.
+    with pytest.raises(ValueError, match=f"^{field} must name at least one entry$"):
+        ExperimentConfig(**{field: ()})
 
 
 # ----------------------------------------------------------------- exports

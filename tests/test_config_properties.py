@@ -16,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlogic import cli, config
@@ -57,15 +57,6 @@ def run_cli(lines, command):
                          ids=["gate", "scouting", "characterize"])
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(lines=st.lists(config_lines(), min_size=1, max_size=3))
-@example(lines=["device.preset = nope"])
-@example(lines=["experiment.device = 1"])
-@example(lines=["experiment.transistor = 1"])
-@example(lines=["experiment.topology = x"])
-@example(lines=["transistor.v_g_on_threshold = 5"])
-@example(lines=["transistor.r_on = 0"])
-@example(lines=["device.min_pulse_set = 1"])
-@example(lines=["device.lrs_sigma_c2c = 471"])
-@example(lines=["experiment.refs = 0"])
 def test_config_values_simulate_or_exit_2_with_one_line(command, lines):
     code, err = run_cli(lines, command)
     assert code in (0, 1, 2)

@@ -23,7 +23,9 @@ mid-bucket at seeds 7 and 19, one gate error each), gates on rotated cells
 exits 2), that wiring named in mixed case, and a library gate whose drive is
 ambiguous (exit 2).  Two cases check the settings path: a config file that
 sets every key a flag also sets, under a gate and a scouting run that pass
-every flag their command takes, so each flag must win over its key.
+every flag their command takes, so each flag must win over its key.  A sweep
+over a config with an unknown scouting op exits 2 with the same line and no
+exports, whether it rejects the op before its first point or after it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ CONFIGS = {
     "mixed-case-pseudo-crossbar": ["array.kind = Pseudo-Crossbar"],
     "rotated": ["experiment.rotate_cells = true"],
     "ambiguous": ["device.v_reset_th_median = 0.2", "device.v_reset_th_sigma = 0"],
+    "unknown-op": ["experiment.scouting_ops = read,nand"],
     # Each key a flag sets, at a value the flag replaces.
     "every-flag-key": ["experiment.seed = 11", "experiment.cycles = 9",
                        "experiment.gates = NOTP", "experiment.scouting_ops = read",
@@ -64,6 +67,7 @@ CASES = [
     ("scouting paper-refs", None, ["scouting", "--refs", "paper-refs"]),
     ("characterize", None, ["characterize"]),
     ("sweep", None, ["sweep", "hrs_sigma_c2c", "--values", "0.2,0.8,1.5"]),
+    ("unknown-op sweep", "unknown-op", ["sweep", "hrs_sigma_c2c", "--values", "0.32"]),
     ("stressed gate", "stressed", GATE),
     ("stressed scouting", "stressed", SCOUTING),
     ("noisy-read gate", "noisy-reads", GATE),
