@@ -667,8 +667,101 @@ CONTRACT = (
       for command in (GATE, SCOUTING)),
 )
 
+#: Rows that name the first broken bound of the device when more than one is.
+FIRST_BROKEN = {
+    "lines0-hrs_median must be > 0": "device.hrs_median = -1",
+    "lines1-v_form_th_sigma must be >= 0": "device.v_form_th_sigma = -1",
+    "lines2-read_noise_hrs must be >= 0": "device.read_noise_hrs = -1",
+    "lines3-read_noise_hrs must be <= 10.0": "device.read_noise_hrs = 11",
+    "lines4-lrs_median must be a finite number, got inf": "device.lrs_median = inf",
+    "lines5-r_on must be a finite number, got 1" + "0" * 400: "device.r_on = 1e400",
+    "lines6-hrs_median must be > 0": "two broken bounds",
+}
 
-@pytest.mark.parametrize("row", CONTRACT, ids=[row.id for row in CONTRACT])
+#: Rows that were tests of their own before the contract became one table
+#: keep those tests' ids: a test name with its one row, or with its case ids
+#: and the row of each.  Every other row runs as ``test_cli_contract[ID]``.
+OWN_TESTS: dict[str, str | dict[str, str]] = {
+    "test_cli_rejects_bad_config_values": {
+        **{line: line for line in BAD_LINES if line not in FIRST_BROKEN.values()},
+        "device.r_on = 1" + "0" * 400: "device.r_on = 1e400"},
+    "test_cli_names_the_first_broken_device_bound": FIRST_BROKEN,
+    "test_cli_gate_and_scouting_that_cannot_switch_exit_2": {
+        f"args{i}-{case}": f"{command} {setting}"
+        for i, command in enumerate(("gate", "scouting"))
+        for case, setting in (("reset-3e-06", "min_pulse_reset = 3e-06"),
+                              ("set", "min_pulse_set = 2e-6"),
+                              ("reset", "min_pulse_reset = 1.5e-6"))},
+    "test_every_command_rejects_a_bad_refs_value": {
+        command: f"{command} refs = bogus"
+        for command in ("gate", "characterize", "cases", "synthesize", "sweep", "scouting")},
+    "test_cli_rejects_an_empty_gate_or_op_list": {
+        "gates-command0": "sweep gates =", "gates-command1": "gate gates =",
+        "scouting_ops-command2": "sweep scouting_ops ="},
+    "test_cli_usage_errors_exit_2_in_one_line": {
+        "missing-argument": "missing argument", "unknown-flag": "unknown flag",
+        "misspelled-subcommand": "misspelled subcommand", "preset": "preset flag",
+        "cases-seed": "cases --seed", "synthesize-cycles": "synthesize --cycles",
+        "flag-under-a-bad-file": "a flag under a bad file",
+        "usage-under-a-bad-file": "a usage error under a bad file"},
+    "test_cli_synthesize_takes_no_format": "synthesize --format",
+    "test_cli_missing_config_file": "missing config file",
+    "test_cli_rejects_bad_counts_by_name": {
+        "args0-seed": "gate --seed -1", "args1-seed": "scouting --seed -1",
+        "args2-cells": "characterize --cells 0", "args3-cells": "characterize --cells -3"},
+    "test_cli_sweep_bad_usage": "sweep without values",
+    "test_cli_rejects_a_repeated_gate_or_op": {
+        "-args0-scouting op 'or' repeats 'or'": "scouting or or",
+        "-args1-scouting op 'or' repeats 'OR'": "scouting xor OR or",
+        "-args2-gate 'OR' repeats 'OR'": "gate OR OR",
+        "-args3-gate 'OR' repeats 'or'": "gate or AND OR",
+        "experiment.scouting_ops = and,XOR,xor\n-args4-scouting op 'xor' repeats 'XOR'":
+            "scouting scouting_ops = and,XOR,xor",
+        "experiment.gates = XOR,xor\n-args5-gate 'xor' repeats 'XOR'": "sweep gates = XOR,xor"},
+    "test_cli_scouting_rejects_before_sampling": {
+        "args0": "scouting nand --n 3", "args1": "scouting --refs paper-refs --n 3",
+        "args2": "scouting --refs ''"},
+    "test_cli_rejects_an_unknown_refs_value_before_sampling": "scouting --refs nope",
+    "test_cli_scouting_rejects_single_cell": "scouting --n 1",
+    "test_cli_scouting_rejects_n_above_the_row_count_at_once": "scouting --n 9",
+    "test_cli_scouting_split_needs_two_cycles": "scouting --cycles 1",
+    "test_cli_unusable_output_dir_exits_2": {
+        f"{below}-args{i}": f"{command} -o {out}"
+        for i, command in enumerate(("gate", "synthesize", "cases"))
+        for below, out in (("False", "a_file"), ("True", "a_file/x"))},
+    "test_cli_unusable_env_output_dir_exits_2": "cases MEMLOGIC_OUTPUT_DIR=a_file/x",
+    "test_cli_missing_library_exits_2": "gate --library missing",
+    "test_cli_gate_pulse_error_names_its_cell": "ambiguous library drive",
+    "test_a_scouting_write_that_gives_up_names_where_to_replay_it": {
+        f"{seed}-seed {seed}, class {bits!r}, cycle {cycle}: cell (1, 0) failed to initialize "
+        f"to {bit} after 3 retries": f"scouting write gives up at seed {seed}"
+        for seed, bits, cycle, bit in ((2, "00", 80, 0), (3, "01", 52, 1))},
+    # A write that gives up is the error a runner raises past its trials.
+    "test_cli_experiment_errors_exit_2": {"error0": "scouting write gives up at seed 2"},
+    "test_cli_characterize_that_cannot_switch_exits_2": {
+        "set": "characterize cannot set", "config": "characterize cannot reset",
+        "sigma": "characterize cannot set at sigma 0.2"},
+    "test_cli_characterize_whose_reads_cannot_tell_the_states_apart_exits_2":
+        "characterize r_on = 1e300",
+    "test_cli_non_finite_results_exit_2": {
+        f"lines{i}-args{i}": row_id for i, row_id in enumerate((
+            "characterize lrs 1e-320", "scouting lrs 1e-320", "scouting lrs 1e-300 wide",
+            "scouting lrs 5e-324", "characterize lrs 5e-324", "gate lrs 5e-324 seed 1",
+            "gate lrs 5e-324 seed 2", "gate lrs 5e-324 seed 3"))},
+    "test_cli_gate_runs_while_reads_stay_above_0_ohm": {
+        "lines0": "gate lrs 1e-320", "lines1": "gate lrs 1e-300 wide"},
+    "test_cli_extreme_medians_keep_a_finite_boundary": {
+        f"args{i}-lines{j}": f"{command} medians product {product}"
+        for i, command in enumerate(("gate", "scouting"))
+        for j, product in enumerate(("inf", "0"))},
+}
+ROWS = {row.id: row for row in CONTRACT}
+OWN_ROWS = {row_id for rows in OWN_TESTS.values()
+            for row_id in ([rows] if isinstance(rows, str) else rows.values())}
+
+
+@pytest.mark.parametrize("row", [row for row in CONTRACT if row.id not in OWN_ROWS],
+                         ids=lambda row: row.id)
 def test_cli_contract(tmp_path, capsys, monkeypatch, row):
     """The row's exit code and its one stderr line.  An exit 2 creates no output
     directory and, unless the directory is the fault, prints nothing; an exit
@@ -702,6 +795,22 @@ def test_cli_contract(tmp_path, capsys, monkeypatch, row):
     assert out.is_dir() == (code != 2)
     assert code != 2 or own_output or stdout == ""
     assert bool(built) != row.early
+
+
+def _own_test(rows: str | dict[str, str]):
+    """`test_cli_contract` on one row, or on each of ``rows`` under its case id."""
+    if isinstance(rows, str):
+        def test(tmp_path, capsys, monkeypatch):
+            test_cli_contract(tmp_path, capsys, monkeypatch, ROWS[rows])
+        return test
+
+    @pytest.mark.parametrize("row", [ROWS[row_id] for row_id in rows.values()], ids=list(rows))
+    def test(tmp_path, capsys, monkeypatch, row):
+        test_cli_contract(tmp_path, capsys, monkeypatch, row)
+    return test
+
+
+globals().update((name, _own_test(rows)) for name, rows in OWN_TESTS.items())
 
 
 def test_cli_help_still_exits_0(capsys):
