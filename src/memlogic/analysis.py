@@ -23,9 +23,10 @@ cell leave every other cell at 0 V.
 A table's rows are tuples in column order, and its columns are stated once:
 the fields of its row type (``TraceRow`` of ``logic1t1r``,
 ``DistributionSummary``, ``GapMargin``, ``NonSwitchingCaseReport``,
-``SweepPoint``) or a column tuple next to the rows it heads.  ``export_table``
-writes any of them as CSV (each value's ``str``, quoted as ``csv.writer``
-quotes) or JSON (a non-finite float is null).
+``SweepPoint``) or a column tuple next to the rows it heads.  A result's
+``tables()`` are its exports, and ``write_exports`` writes them all, each
+table through ``export_table`` as CSV (each value's ``str``, quoted as
+``csv.writer`` quotes) or JSON (a non-finite float is null).
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from .logic1t1r import (
 )
 from .scouting import (
     PAPER_REFS,
-    SCOUTING_OPS,
     Gap,
     OverlapError,
     ReferenceLevels,
@@ -82,6 +82,7 @@ from .scouting import (
     input_patterns,
     references_in,
     scout_class,
+    scouting_op,
 )
 
 
@@ -198,6 +199,15 @@ class FailureReport:
     def errors(self) -> int:
         return sum(b.errors for b in self.buckets)
 
+    def payload(self, **extra) -> dict:
+        """The ``report.json`` object: each bucket's counts, the totals, the first
+        failure, and ``extra``."""
+        return {"buckets": [{"label": b.label, "trials": b.trials, "failures": b.failures,
+                             "errors": b.errors} for b in self.buckets],
+                "trials": self.trials, "failures": self.failures, "errors": self.errors,
+                "first_failure": list(self.first_failure) if self.first_failure else None,
+                **extra}
+
 
 class GapMargin(NamedTuple):
     gap: str
@@ -217,12 +227,20 @@ class GapMargin(NamedTuple):
                    midpoint, width / midpoint if midpoint else 0.0, reference_a)
 
 
+# Each result's ``tables()`` is its exports, in the order ``write_exports`` writes them.
+
 @dataclass
 class LogicExperimentResult:
     rows: list[TraceRow]
     summaries: list[DistributionSummary]
     report: FailureReport
     non_switching: list["NonSwitchingCaseReport"]
+
+    def tables(self) -> list[tuple]:
+        return [("traces", TraceRow._fields, self.rows),
+                ("summary", DistributionSummary._fields, self.summaries),
+                ("non_switching", NonSwitchingCaseReport._fields, self.non_switching),
+                ("report", None, self.report.payload())]
 
 
 @dataclass
@@ -234,6 +252,23 @@ class ScoutingExperimentResult:
     margins: list[GapMargin]
     overlap: OverlapError | None
 
+    def tables(self) -> list[tuple]:
+        refs = self.refs
+        return [
+            ("currents", ("op", "class", "cycle", "current_a"),
+             [("scout" if len(input_class) > 1 else "read", input_class, cycle, current)
+              for input_class, currents in self.currents.items()
+              for cycle, current in enumerate(currents)]),
+            ("refs", ("i_read_a", "i_or_a", "i_and_a"),
+             [] if refs is None else [(refs.i_read, refs.i_or, refs.i_and)]),
+            ("margins", GapMargin._fields, self.margins),
+            ("summary", DistributionSummary._fields, self.summaries),
+            # The refs table holds only the OR and AND levels; wider reads list all.
+            ("report", None, self.report.payload(
+                overlap=None if self.overlap is None else str(self.overlap),
+                thresholds=list(refs.levels) if refs is not None and refs.n > 2 else None)),
+        ]
+
 
 @dataclass
 class CharacterizationResult:
@@ -242,6 +277,13 @@ class CharacterizationResult:
     hrs_lrs_ratio: float
     lrs_log_spread: float
     hrs_log_spread: float
+
+    def tables(self) -> list[tuple]:
+        return [("characterize", ("cell", "cycle", "r_lrs_ohm", "r_hrs_ohm"), self.rows),
+                ("summary", DistributionSummary._fields, self.summaries),
+                ("characterize_report", None, {"hrs_lrs_ratio": self.hrs_lrs_ratio,
+                                               "lrs_log_spread": self.lrs_log_spread,
+                                               "hrs_log_spread": self.hrs_log_spread})]
 
 
 #: The stream kind of each bucket type, the word after the seed in its keys.
@@ -397,10 +439,7 @@ def sample_scouting_currents(config: ExperimentConfig, include_single: bool = Fa
 
 def _scouting_settings(config: ExperimentConfig) -> tuple[tuple, ReferenceLevels | None]:
     """A checked scouting config's ops, lower-cased, and fixed references (None: placed)."""
-    ops = tuple(op.lower() for op in config.scouting_ops)
-    for op in ops:
-        if op not in SCOUTING_OPS:
-            raise ValueError(f"unknown scouting op {op!r}; expected one of {SCOUTING_OPS}")
+    ops = tuple(map(scouting_op, config.scouting_ops))
     _reject_repeats("scouting op", config.scouting_ops, list(ops))
     n = config.n_inputs
     if n < 2:
@@ -560,9 +599,11 @@ def sweep_parameter(config: ExperimentConfig, parameter: str,
     if parameter not in fields:
         raise ValueError(f"unknown device parameter {parameter!r}; one of {fields}")
     _scouting_settings(config)  # no point may simulate a setting scouting rejects
+    # Every point's settings are checked before the first point simulates.
+    configs = [config.replace(device=config.device.replace(**{parameter: value}))
+               for value in values]
     points = []
-    for value in values:
-        cfg = config.replace(device=config.device.replace(**{parameter: value}))
+    for value, cfg in zip(values, configs):
         logic = run_1t1r_experiment(cfg)
         scouting = run_scouting_experiment(cfg)
         margins = [m.margin for m in scouting.margins]
@@ -636,12 +677,10 @@ def _csv_body(rows: list, width: int) -> str | None:
 
 def export_table(name: str, columns: Sequence[str], rows: Iterable[tuple],
                  out_dir: str | Path, fmt: str = "csv") -> Path:
-    """Write one table: a ``columns`` header, then each row's values in
-    column order; deterministic bytes.  A CSV row holds its values' ``str``,
-    written through ``csv.writer`` where some field needs quoting."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{name}.{fmt}"
+    """Write one table into the existing ``out_dir``: a ``columns`` header, then
+    each row's values in column order; deterministic bytes.  A CSV row holds its
+    values' ``str``, written through ``csv.writer`` where some field needs quoting."""
+    path = Path(out_dir) / f"{name}.{fmt}"
     if fmt == "csv":
         rows = list(rows)
         body = _csv_body(rows, len(columns))
@@ -661,70 +700,13 @@ def export_table(name: str, columns: Sequence[str], rows: Iterable[tuple],
     return path
 
 
-def _write_failure_report(report: FailureReport, out_dir: str | Path,
-                          extra: dict | None = None) -> Path:
-    payload = {
-        "buckets": [{"label": b.label, "trials": b.trials, "failures": b.failures,
-                     "errors": b.errors} for b in report.buckets],
-        "trials": report.trials,
-        "failures": report.failures,
-        "errors": report.errors,
-        "first_failure": list(report.first_failure) if report.first_failure else None,
-    }
-    if extra:
-        payload.update(extra)
-    return _write_json(Path(out_dir) / "report.json", payload)
-
-
-def export_logic_result(result: LogicExperimentResult, out_dir: str | Path,
-                        fmt: str = "csv") -> list[Path]:
-    return [
-        export_table("traces", TraceRow._fields, result.rows, out_dir, fmt),
-        export_table("summary", DistributionSummary._fields, result.summaries,
-                     out_dir, fmt),
-        export_table("non_switching", NonSwitchingCaseReport._fields,
-                     result.non_switching, out_dir, fmt),
-        _write_failure_report(result.report, out_dir),
-    ]
-
-
-def export_scouting_result(result: ScoutingExperimentResult, out_dir: str | Path,
-                           fmt: str = "csv") -> list[Path]:
-    refs = result.refs
-    extra = {
-        "overlap": str(result.overlap) if result.overlap is not None else None,
-        # The refs table holds only the OR and AND levels; wider reads list all.
-        "thresholds": list(refs.levels) if refs is not None and refs.n > 2 else None,
-    }
-    return [
-        export_table("currents", ("op", "class", "cycle", "current_a"),
-                     [("scout" if len(input_class) > 1 else "read", input_class, cycle, current)
-                      for input_class, currents in result.currents.items()
-                      for cycle, current in enumerate(currents)], out_dir, fmt),
-        export_table("refs", ("i_read_a", "i_or_a", "i_and_a"),
-                     [] if refs is None else [(refs.i_read, refs.i_or, refs.i_and)],
-                     out_dir, fmt),
-        export_table("margins", GapMargin._fields, result.margins, out_dir, fmt),
-        export_table("summary", DistributionSummary._fields, result.summaries,
-                     out_dir, fmt),
-        _write_failure_report(result.report, out_dir, extra=extra),
-    ]
-
-
-def export_characterization(result: CharacterizationResult, out_dir: str | Path,
-                            fmt: str = "csv") -> list[Path]:
-    return [
-        export_table("characterize", ("cell", "cycle", "r_lrs_ohm", "r_hrs_ohm"),
-                     result.rows, out_dir, fmt),
-        export_table("summary", DistributionSummary._fields, result.summaries,
-                     out_dir, fmt),
-        _write_json(Path(out_dir) / "characterize_report.json",
-                    {"hrs_lrs_ratio": result.hrs_lrs_ratio,
-                     "lrs_log_spread": result.lrs_log_spread,
-                     "hrs_log_spread": result.hrs_log_spread}),
-    ]
-
-
-def export_sweep(points: Sequence[SweepPoint], out_dir: str | Path,
-                 fmt: str = "csv") -> Path:
-    return export_table("sweep", SweepPoint._fields, points, out_dir, fmt)
+def write_exports(tables: Iterable[tuple], out_dir: str | Path,
+                  fmt: str = "csv") -> list[Path]:
+    """Create ``out_dir`` and write every ``(name, columns, rows)`` table into it,
+    in order, through ``export_table``; a table whose columns are ``None`` is a
+    JSON payload, written as ``name.json`` in any format.  Returns the paths."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return [_write_json(out_dir / f"{name}.json", rows) if columns is None
+            else export_table(name, columns, rows, out_dir, fmt)
+            for name, columns, rows in tables]

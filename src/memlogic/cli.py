@@ -8,14 +8,18 @@ The optional leading positional is a flat-key config file.  A flag that sets
 a setting has its config key for its argparse ``dest`` (``--seed`` sets
 ``experiment.seed``), and ``config.build_config`` builds the settings once:
 the file's keys, then ``MEMLOGIC_OUTPUT_DIR`` as ``experiment.output_dir``,
-then each given flag, each over the last.  The exit code is 0 only when the
-run evaluated at least one trial and saw zero logical failures and zero
-experiment errors, so scripts can gate on correctness; a rejected setting or
-a usage error exits 2 with a one-line message.  The config file is checked
-alone before the arguments are parsed, so a misspelled subcommand is reported
-as the file it was taken for, and no flag can rescue a bad file value.
-The argument parser is built once per process, at the first call, and reused
-by every later one: argparse keeps no state between ``parse_args`` calls.
+then each given flag, each over the last.  Each command returns its run's
+tables, the lines it prints and its exit code, and ``main`` writes every
+table through ``analysis.write_exports`` before it prints a line.  The exit
+code is 0 only when the run evaluated at least one trial and saw zero logical
+failures and zero experiment errors, so scripts can gate on correctness; a
+rejected setting, an unusable output directory or a usage error exits 2 with
+a one-line message on stderr and nothing on stdout.  The config file is
+checked alone before the arguments are parsed, so a misspelled subcommand is
+reported as the file it was taken for, and no flag can rescue a bad file
+value.  The argument parser is built once per process, at the first call,
+and reused by every later one: argparse keeps no state between
+``parse_args`` calls.
 """
 
 from __future__ import annotations
@@ -24,20 +28,16 @@ import argparse
 import functools
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
-    export_characterization,
-    export_logic_result,
-    export_scouting_result,
-    export_sweep,
-    export_table,
+    SweepPoint,
     run_1t1r_experiment,
     run_characterization,
     run_scouting_experiment,
     sweep_parameter,
+    write_exports,
 )
 from .config import AppConfig, build_config, parse_config_file
 from .device import NotFormedError
@@ -46,7 +46,6 @@ from .logic1t1r import (
     InitFailureError,
     default_gate_library,
     load_gate_library,
-    save_gate_library,
     truth_table_of,
 )
 
@@ -129,78 +128,64 @@ def _exit_code(failures: int, errors: int, trials: int) -> int:
     return 0 if trials > 0 and failures == 0 and errors == 0 else 1
 
 
-def cmd_characterize(app: AppConfig, args: argparse.Namespace) -> int:
+def cmd_characterize(app: AppConfig, args: argparse.Namespace) -> tuple[list, list[str], int]:
     result = run_characterization(app.experiment, cells=args.cells)
-    paths = export_characterization(result, app.output_dir, app.format)
-    for s in result.summaries[:2]:
-        print(f"{s.label}: n={s.count} median={_kohm(s.median)} "
-              f"p1={_kohm(s.p1)} p99={_kohm(s.p99)}")
-    print(f"mean HRS/LRS ratio: {result.hrs_lrs_ratio:.2f}")
-    print(f"log-space spread: lrs={result.lrs_log_spread:.4f} "
-          f"hrs={result.hrs_log_spread:.4f}")
-    print("wrote:", ", ".join(str(p) for p in paths))
-    return 0
+    lines = [f"{s.label}: n={s.count} median={_kohm(s.median)} "
+             f"p1={_kohm(s.p1)} p99={_kohm(s.p99)}" for s in result.summaries[:2]]
+    lines.append(f"mean HRS/LRS ratio: {result.hrs_lrs_ratio:.2f}")
+    lines.append(f"log-space spread: lrs={result.lrs_log_spread:.4f} "
+                 f"hrs={result.hrs_log_spread:.4f}")
+    return result.tables(), lines, 0
 
 
-def cmd_gate(app: AppConfig, args: argparse.Namespace) -> int:
+def cmd_gate(app: AppConfig, args: argparse.Namespace) -> tuple[list, list[str], int]:
     library = default_gate_library()
     if args.library:
         library.update(load_gate_library(args.library))
     result = run_1t1r_experiment(app.experiment, library=library)
-    for bucket in result.report.buckets:
+    report, lines = result.report, []
+    for bucket in report.buckets:
         gate_name, combo = bucket.label.rsplit("/", 1)
-        print(f"{gate_name} p={combo[0]} q={combo[1]} -> {bucket.expected}  "
-              f"failures {bucket.failures}/{bucket.trials} errors {bucket.errors}")
-    for case in result.non_switching:
-        print(f"non-switching case {case.case_id}: n={case.count} "
+        lines.append(f"{gate_name} p={combo[0]} q={combo[1]} -> {bucket.expected}  "
+                     f"failures {bucket.failures}/{bucket.trials} errors {bucket.errors}")
+    lines += [f"non-switching case {case.case_id}: n={case.count} "
               f"binary_changes={case.binary_changes} "
-              f"log_variation={case.log_variation:.4f}")
-    paths = export_logic_result(result, app.output_dir, app.format)
-    print("wrote:", ", ".join(str(p) for p in paths))
-    return _exit_code(result.report.failures, result.report.errors,
-                      result.report.trials)
+              f"log_variation={case.log_variation:.4f}" for case in result.non_switching]
+    return result.tables(), lines, _exit_code(report.failures, report.errors, report.trials)
 
 
-def cmd_synthesize(app: AppConfig, args: argparse.Namespace) -> int:
+def cmd_synthesize(app: AppConfig, args: argparse.Namespace) -> tuple[list, list[str], int]:
     library = default_gate_library()
     mappings = [library[f"F{n:04b}"] for n in range(16)]
-    out_dir = Path(app.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "gates_synthesized.csv"
-    save_gate_library(mappings, path)
-    bad = 0
-    for m in mappings:
-        ok = truth_table_of(m) == m.name[1:]
-        bad += 0 if ok else 1
-        print(f"{m.name}: g={m.g.value} te={m.te.value} be={m.be.value} "
-              f"i={m.i.value}  {'ok' if ok else 'INVALID'}")
-    print("wrote:", path)
-    return _exit_code(bad, 0, len(mappings))
+    valid = [truth_table_of(m) == m.name[1:] for m in mappings]
+    lines = [f"{m.name}: g={m.g.value} te={m.te.value} be={m.be.value} "
+             f"i={m.i.value}  {'ok' if ok else 'INVALID'}" for m, ok in zip(mappings, valid)]
+    # The library file, the name,g,te,be,i rows that ``gate --library`` reads.
+    table = ("gates_synthesized", ("name", "g", "te", "be", "i"),
+             [(m.name, *(term.value for term in m.terms())) for m in mappings])
+    return [table], lines, _exit_code(valid.count(False), 0, len(mappings))
 
 
-def cmd_scouting(app: AppConfig, args: argparse.Namespace) -> int:
+def cmd_scouting(app: AppConfig, args: argparse.Namespace) -> tuple[list, list[str], int]:
     result = run_scouting_experiment(app.experiment)
-    refs = result.refs
+    refs, report, lines = result.refs, result.report, []
     if refs is not None:
-        print(f"references: read={_ua(refs.i_read)} "
-              f"or={_ua(refs.i_or)} and={_ua(refs.i_and)} "
-              f"({refs.i_read!r}, {refs.i_or!r}, {refs.i_and!r} A)")
+        lines.append(f"references: read={_ua(refs.i_read)} "
+                     f"or={_ua(refs.i_or)} and={_ua(refs.i_and)} "
+                     f"({refs.i_read!r}, {refs.i_or!r}, {refs.i_and!r} A)")
         if refs.n > 2:
             levels = ", ".join(_ua(t) for t in refs.levels)
-            print(f"popcount thresholds (n={refs.n}): {levels}")
+            lines.append(f"popcount thresholds (n={refs.n}): {levels}")
     if result.overlap is not None:
-        print(f"overlap: {result.overlap}")
-    for bucket in result.report.buckets:
-        print(f"{bucket.label}: failures {bucket.failures}/{bucket.trials}")
-    for m in result.margins:
-        print(f"gap {m.gap}: [{_ua(m.lower_max_a)}, {_ua(m.upper_min_a)}] "
-              f"margin {m.margin:.3f}")
-    paths = export_scouting_result(result, app.output_dir, app.format)
-    print("wrote:", ", ".join(str(p) for p in paths))
-    return _exit_code(result.report.failures, result.report.errors, result.report.trials)
+        lines.append(f"overlap: {result.overlap}")
+    lines += [f"{bucket.label}: failures {bucket.failures}/{bucket.trials}"
+              for bucket in report.buckets]
+    lines += [f"gap {m.gap}: [{_ua(m.lower_max_a)}, {_ua(m.upper_min_a)}] "
+              f"margin {m.margin:.3f}" for m in result.margins]
+    return result.tables(), lines, _exit_code(report.failures, report.errors, report.trials)
 
 
-def cmd_sweep(app: AppConfig, args: argparse.Namespace) -> int:
+def cmd_sweep(app: AppConfig, args: argparse.Namespace) -> tuple[list, list[str], int]:
     span = (args.start, args.stop, args.steps)
     if args.values is not None and span != (None, None, None):
         raise ValueError("sweep takes --values or --start/--stop/--steps, not both")
@@ -213,33 +198,27 @@ def cmd_sweep(app: AppConfig, args: argparse.Namespace) -> int:
     else:
         raise ValueError("sweep needs --values or --start/--stop/--steps")
     points = sweep_parameter(app.experiment, args.parameter, values)
-    for pt in points:
-        print(f"{pt.parameter}={pt.value:.4g}: logic {pt.logic_failures}/"
-              f"{pt.logic_trials} scouting {pt.scouting_failures}/"
-              f"{pt.scouting_trials} overlap={int(pt.overlap)} "
-              f"min_margin={pt.min_margin:.3f}")
-    path = export_sweep(points, app.output_dir, app.format)
-    print("wrote:", path)
+    lines = [f"{pt.parameter}={pt.value:.4g}: logic {pt.logic_failures}/"
+             f"{pt.logic_trials} scouting {pt.scouting_failures}/"
+             f"{pt.scouting_trials} overlap={int(pt.overlap)} "
+             f"min_margin={pt.min_margin:.3f}" for pt in points]
     failures = sum(p.logic_failures + p.scouting_failures for p in points)
     errors = sum(p.logic_errors for p in points)
     trials = sum(p.logic_trials + p.scouting_trials for p in points)
-    return _exit_code(failures, errors, trials)
+    return [("sweep", SweepPoint._fields, points)], lines, _exit_code(failures, errors, trials)
 
 
-def cmd_cases(app: AppConfig, args: argparse.Namespace) -> int:
+def cmd_cases(app: AppConfig, args: argparse.Namespace) -> tuple[list, list[str], int]:
     columns = ("case_id", "g", "te", "be", "i", "te_minus_be", "process", "possible")
-    rows = []
-    print("case  g te be i  te-be  process  possible")
+    rows, lines = [], ["case  g te be i  te-be  process  possible"]
     for case in CASE_TABLE:
         process = case.process if case.process else "/"
         possible = "yes" if case.possible else ("no" if case.process else "/")
-        print(f"{case.case_id:>4}  {case.g} {case.te}  {case.be} {case.i}  "
-              f"{case.te_minus_be:>5}  {process:<7}  {possible}")
+        lines.append(f"{case.case_id:>4}  {case.g} {case.te}  {case.be} {case.i}  "
+                     f"{case.te_minus_be:>5}  {process:<7}  {possible}")
         rows.append((case.case_id, case.g, case.te, case.be, case.i,
                      case.te_minus_be, process, int(case.possible)))
-    path = export_table("cases", columns, rows, app.output_dir, app.format)
-    print("wrote:", path)
-    return 0
+    return [("cases", columns, rows)], lines, 0
 
 
 _COMMANDS = {
@@ -269,11 +248,18 @@ def main(argv: list[str] | None = None) -> int:
                     for key, value in vars(args).items()
                     if "." in key and value not in (None, []))
         app = build_config(keys)
-        return _COMMANDS[args.command](app, args)
+        tables, lines, code = _COMMANDS[args.command](app, args)
+        # A command without --format (synthesize) writes the CSV that --library reads.
+        paths = write_exports(tables, app.output_dir,
+                              app.format if "experiment.format" in vars(args) else "csv")
     except (KeyError, OSError, ValueError, InitFailureError, NotFormedError) as exc:
         # A KeyError's str() quotes its message; an OSError's first arg is its errno.
         print(exc.args[0] if isinstance(exc, KeyError) and exc.args else exc, file=sys.stderr)
         return 2
+    for line in lines:
+        print(line)
+    print("wrote:", ", ".join(map(str, paths)))
+    return code
 
 
 if __name__ == "__main__":

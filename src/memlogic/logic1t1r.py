@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .array import RESET_BITS, SET_BITS, CellAddress, CellArray, replay
 from .device import (
@@ -213,14 +213,6 @@ def default_gate_library() -> dict[str, ParamMapping]:
 
 
 _TOKEN_TO_TERM = {t.value: t for t in Term}
-
-
-def save_gate_library(mappings: Iterable[ParamMapping], path: str | Path) -> None:
-    """Write mappings as 'name,g,te,be,i' rows with tokens 0,1,p,!p,q,!q."""
-    lines = ["name,g,te,be,i"]
-    for m in mappings:
-        lines.append(",".join([m.name, m.g.value, m.te.value, m.be.value, m.i.value]))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_gate_library(path: str | Path) -> dict[str, ParamMapping]:

@@ -41,6 +41,14 @@ SCOUTING_OPS = tuple(OP_TABLE)
 _BITS = {0: 0, 1: 1, "0": 0, "1": 1}  # the bit each input symbol stores
 
 
+def scouting_op(op: str) -> str:
+    """``op`` lower-cased, which must name an operation of ``OP_TABLE``."""
+    op = op.lower()
+    if op not in OP_TABLE:
+        raise ValueError(f"unknown scouting op {op!r}; expected one of {SCOUTING_OPS}")
+    return op
+
+
 def expected_bit(op: str, input_class: str) -> int:
     """The ideal output of ``op`` for one stored bit pattern."""
     return int(OP_TABLE[op](input_class.count("1"), len(input_class)))
@@ -227,9 +235,7 @@ def classify_bucket(currents: Iterable[float], refs: ReferenceLevels,
     against ``i_read`` as a one-cell read.  A current equal to a level maps to
     0 (ideal comparator, conservative tie-break).
     """
-    op = op.lower()
-    if op not in OP_TABLE:
-        raise ValueError(f"unknown scouting op {op!r}; expected one of {SCOUTING_OPS}")
+    op = scouting_op(op)
     levels = (refs.i_read,) if op == "read" else refs.levels
     n = len(levels)
     outputs = [int(OP_TABLE[op](k, n)) for k in range(n + 1)]  # by popcount

@@ -14,13 +14,12 @@ import pytest
 
 from memlogic.analysis import (
     ExperimentConfig,
-    export_logic_result,
-    export_scouting_result,
     find_overlap_sigma,
     run_1t1r_experiment,
     run_characterization,
     run_scouting_experiment,
     sample_scouting_currents,
+    write_exports,
 )
 from memlogic.array import ArrayTopology, CellAddress, TopologyKind, \
     check_parallel_distinct_voltages
@@ -222,8 +221,8 @@ def test_c10_topology_constraint():
 def test_c11_reproducibility(tmp_path):
     cfg = ExperimentConfig(seed=7, cycles=30)
     for sub in ("a", "b"):
-        export_logic_result(run_1t1r_experiment(cfg), tmp_path / sub, "csv")
-        export_scouting_result(run_scouting_experiment(cfg), tmp_path / sub, "csv")
+        write_exports(run_1t1r_experiment(cfg).tables(), tmp_path / sub, "csv")
+        write_exports(run_scouting_experiment(cfg).tables(), tmp_path / sub, "csv")
     for name in ("traces.csv", "summary.csv", "non_switching.csv",
                  "currents.csv", "refs.csv", "margins.csv", "report.json"):
         assert (tmp_path / "a" / name).read_bytes() == \

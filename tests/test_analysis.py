@@ -14,11 +14,8 @@ from hypothesis import strategies as st
 from memlogic.analysis import (
     DistributionSummary,
     ExperimentConfig,
+    SweepPoint,
     TraceRow,
-    export_characterization,
-    export_logic_result,
-    export_scouting_result,
-    export_sweep,
     export_table,
     find_overlap_sigma,
     non_switching_report,
@@ -27,6 +24,7 @@ from memlogic.analysis import (
     run_scouting_experiment,
     sample_scouting_currents,
     sweep_parameter,
+    write_exports,
 )
 from memlogic import analysis as analysis_module
 from memlogic import array as array_module
@@ -135,7 +133,7 @@ def test_typed_gate_names_label_the_rows_summaries_and_report(tmp_path):
     labels = [f"{name}/{p}{q}" for name in ("xor", "Or") for p in (0, 1) for q in (0, 1)]
     assert [b.label for b in result.report.buckets] == labels
     assert [s.label for s in result.summaries] == sorted(labels)
-    export_logic_result(result, tmp_path)
+    write_exports(result.tables(), tmp_path)
     assert hashlib.sha256((tmp_path / "traces.csv").read_bytes()).hexdigest() == (
         "277c2bb26551f601626020331fb5f549afb63e1f2dc5e516518834254ebee54a")
 
@@ -351,7 +349,7 @@ def test_scouting_row_accounting(tmp_path):
     # 100 cycles over the four pair classes: 400 current rows, 1 reference row.
     cfg = ExperimentConfig(seed=14, cycles=100, scouting_ops=("or", "and", "xor"))
     result = run_scouting_experiment(cfg)
-    paths = export_scouting_result(result, tmp_path, "csv")
+    write_exports(result.tables(), tmp_path, "csv")
     currents = (tmp_path / "currents.csv").read_text().splitlines()
     refs = (tmp_path / "refs.csv").read_text().splitlines()
     assert len(currents) == 1 + 400
@@ -435,15 +433,15 @@ def test_export_files_are_deterministic(tmp_path):
     a = run_1t1r_experiment(cfg)
     b = run_1t1r_experiment(cfg)
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    export_logic_result(a, dir_a, "csv")
-    export_logic_result(b, dir_b, "csv")
+    write_exports(a.tables(), dir_a, "csv")
+    write_exports(b.tables(), dir_b, "csv")
     for name in ("traces.csv", "summary.csv", "non_switching.csv"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
 def test_characterization_export(tmp_path):
     result = run_characterization(ExperimentConfig(seed=17, cycles=3), cells=2)
-    paths = export_characterization(result, tmp_path, "csv")
+    write_exports(result.tables(), tmp_path, "csv")
     rows = (tmp_path / "characterize.csv").read_text().splitlines()
     assert rows[0] == "cell,cycle,r_lrs_ohm,r_hrs_ohm"
     assert len(rows) == 1 + 6
@@ -483,7 +481,7 @@ def test_sweep_validation():
 def test_sweep_export(tmp_path):
     cfg = ExperimentConfig(seed=22, cycles=5)
     points = sweep_parameter(cfg, "hrs_sigma_c2c", [0.32])
-    path = export_sweep(points, tmp_path, "csv")
+    [path] = write_exports([("sweep", SweepPoint._fields, points)], tmp_path, "csv")
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("parameter,value,")

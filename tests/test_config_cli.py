@@ -547,6 +547,10 @@ CONTRACT = (
         "sweep needs --values or --start/--stop/--steps"),
     Row("sweep --values ,", [], ["sweep", "hrs_sigma_c2c", "--values", ","],
         "sweep range is empty"),
+    # A later point's value is rejected before the first point simulates.
+    Row("sweep --values 0.32,471", [],
+        ["sweep", "hrs_sigma_c2c", "--values", "0.32,471", "--cycles", "2"],
+        "hrs_sigma_c2c must be <= 10.0"),
     # --steps 0 is given, so it is named rather than taken for a missing flag.
     Row("sweep --steps 0", [], ["sweep", "hrs_sigma_c2c", "--start", "0.1", "--stop", "1.2",
                                 "--steps", "0"], "sweep needs --steps >= 1"),
@@ -591,10 +595,11 @@ CONTRACT = (
         "split mode needs cycles >= 2 (one half places the references, the other is "
         "classified)"),
 
-    # Files: an existing file, or a path below one, is no output directory.
+    # Files: an existing file, or a path below one, is no output directory.  A
+    # command that simulates finds that out after its run: mkdir is the check.
     *(Row(f"{command[0]} -o {out}", [], [*command, "-o", "{tmp}/" + out], err,
-          early=command[0] != "gate", files=A_FILE)
-      for command in (GATE, ["synthesize"], ["cases"])
+          early=command[0] in ("synthesize", "cases"), files=A_FILE)
+      for command in ([*CHARACTERIZE, "2"], GATE, ["synthesize"], SCOUTING, SWEEP, ["cases"])
       for out, err in (("a_file", "[Errno 17] File exists: '{tmp}/a_file'"),
                        ("a_file/x", "[Errno 20] Not a directory: '{tmp}/a_file/x'"))),
     Row("cases MEMLOGIC_OUTPUT_DIR=a_file/x", [], ["cases"],
@@ -764,8 +769,8 @@ OWN_ROWS = {row_id for rows in OWN_TESTS.values()
                          ids=lambda row: row.id)
 def test_cli_contract(tmp_path, capsys, monkeypatch, row):
     """The row's exit code and its one stderr line.  An exit 2 creates no output
-    directory and, unless the directory is the fault, prints nothing; an exit
-    0 or 1 writes its exports.  An early row builds no cell array."""
+    directory and prints nothing; an exit 0 or 1 writes its exports.  An early
+    row builds no cell array."""
     def at_tmp(text: str) -> str:
         return text.replace("{tmp}", str(tmp_path))
 
@@ -793,7 +798,7 @@ def test_cli_contract(tmp_path, capsys, monkeypatch, row):
     line, err = stderr.removesuffix("\n"), at_tmp(row.err)
     assert line.startswith(err[:-3]) if err.endswith("...") else line == err
     assert out.is_dir() == (code != 2)
-    assert code != 2 or own_output or stdout == ""
+    assert code != 2 or stdout == ""
     assert bool(built) != row.early
 
 

@@ -24,15 +24,13 @@ import pytest
 
 from memlogic.analysis import (
     ExperimentConfig,
-    export_characterization,
-    export_logic_result,
-    export_scouting_result,
-    export_sweep,
+    SweepPoint,
     run_1t1r_experiment,
     run_characterization,
     run_scouting_experiment,
     sample_scouting_currents,
     sweep_parameter,
+    write_exports,
 )
 from memlogic.array import ArrayTopology, TopologyKind
 from memlogic.cli import main
@@ -130,35 +128,35 @@ UNVERIFIED_CURRENTS_SHA256 = {
 }
 
 EXPORTERS = {
-    "gate": lambda out: export_logic_result(run_1t1r_experiment(CONFIG), out),
-    "scouting": lambda out: export_scouting_result(run_scouting_experiment(CONFIG), out),
-    "characterize": lambda out: export_characterization(run_characterization(CONFIG), out),
-    "gate_seed_2**32+3": lambda out: export_logic_result(
-        run_1t1r_experiment(CONFIG.replace(seed=2**32 + 3)), out),
-    "scouting_n3": lambda out: export_scouting_result(run_scouting_experiment(
-        CONFIG.replace(n_inputs=3, scouting_ops=("read", "or", "and", "xor"))), out),
-    "characterize_cells3": lambda out: export_characterization(
-        run_characterization(CONFIG, cells=3), out),
-    "gate_pseudo_crossbar": lambda out: export_logic_result(
-        run_1t1r_experiment(PSEUDO_CROSSBAR), out),
-    "gate_pseudo_crossbar_rotated": lambda out: export_logic_result(
-        run_1t1r_experiment(PSEUDO_CROSSBAR.replace(rotate_cells=True)), out),
-    "sweep": lambda out: [export_sweep(sweep_parameter(
-        CONFIG, "hrs_sigma_c2c", list(np.linspace(0.1, 1.2, 3))), out)],
-    "gate_300": lambda out: export_logic_result(run_1t1r_experiment(LONG), out),
-    "scouting_300": lambda out: export_scouting_result(run_scouting_experiment(LONG), out),
-    "characterize_300": lambda out: export_characterization(run_characterization(LONG), out),
+    "gate": lambda out: write_exports(run_1t1r_experiment(CONFIG).tables(), out),
+    "scouting": lambda out: write_exports(run_scouting_experiment(CONFIG).tables(), out),
+    "characterize": lambda out: write_exports(run_characterization(CONFIG).tables(), out),
+    "gate_seed_2**32+3": lambda out: write_exports(
+        run_1t1r_experiment(CONFIG.replace(seed=2**32 + 3)).tables(), out),
+    "scouting_n3": lambda out: write_exports(run_scouting_experiment(
+        CONFIG.replace(n_inputs=3, scouting_ops=("read", "or", "and", "xor"))).tables(), out),
+    "characterize_cells3": lambda out: write_exports(
+        run_characterization(CONFIG, cells=3).tables(), out),
+    "gate_pseudo_crossbar": lambda out: write_exports(
+        run_1t1r_experiment(PSEUDO_CROSSBAR).tables(), out),
+    "gate_pseudo_crossbar_rotated": lambda out: write_exports(
+        run_1t1r_experiment(PSEUDO_CROSSBAR.replace(rotate_cells=True)).tables(), out),
+    "sweep": lambda out: write_exports([("sweep", SweepPoint._fields, sweep_parameter(
+        CONFIG, "hrs_sigma_c2c", list(np.linspace(0.1, 1.2, 3))))], out),
+    "gate_300": lambda out: write_exports(run_1t1r_experiment(LONG).tables(), out),
+    "scouting_300": lambda out: write_exports(run_scouting_experiment(LONG).tables(), out),
+    "characterize_300": lambda out: write_exports(run_characterization(LONG).tables(), out),
 }
 
 
 JSON_EXPORTERS = {
-    "gate": lambda out: export_logic_result(run_1t1r_experiment(CONFIG), out, "json"),
-    "scouting": lambda out: export_scouting_result(
-        run_scouting_experiment(CONFIG), out, "json"),
-    "characterize": lambda out: export_characterization(
-        run_characterization(CONFIG), out, "json"),
-    "sweep": lambda out: [export_sweep(sweep_parameter(
-        CONFIG, "hrs_sigma_c2c", list(np.linspace(0.1, 1.2, 3))), out, "json")],
+    "gate": lambda out: write_exports(run_1t1r_experiment(CONFIG).tables(), out, "json"),
+    "scouting": lambda out: write_exports(
+        run_scouting_experiment(CONFIG).tables(), out, "json"),
+    "characterize": lambda out: write_exports(
+        run_characterization(CONFIG).tables(), out, "json"),
+    "sweep": lambda out: write_exports([("sweep", SweepPoint._fields, sweep_parameter(
+        CONFIG, "hrs_sigma_c2c", list(np.linspace(0.1, 1.2, 3))))], out, "json"),
 }
 
 GOLDEN_JSON_SHA256 = {

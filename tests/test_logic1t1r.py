@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from memlogic import logic1t1r as logic_module
+from memlogic.analysis import write_exports
 from memlogic.array import (
     RESET_BITS,
     SET_BITS,
@@ -42,7 +43,6 @@ from memlogic.logic1t1r import (
     evaluate_mapping,
     execute_gate_bucket,
     load_gate_library,
-    save_gate_library,
     synthesize_mapping,
     truth_table_of,
     write_bit,
@@ -243,8 +243,10 @@ def test_term_resolve_rejects_non_bits():
 
 
 def test_library_roundtrip(tmp_path):
-    path = tmp_path / "gates.csv"
-    save_gate_library(BUILTIN_MAPPINGS.values(), path)
+    # A library file is the name,g,te,be,i table that ``memlogic synthesize`` writes.
+    [path] = write_exports([("gates", ("name", "g", "te", "be", "i"),
+                             [(m.name, *(t.value for t in m.terms()))
+                              for m in BUILTIN_MAPPINGS.values()])], tmp_path)
     loaded = load_gate_library(path)
     assert loaded == BUILTIN_MAPPINGS
     bad = tmp_path / "bad.csv"

@@ -23,10 +23,9 @@ import pytest
 
 from memlogic.analysis import (
     ExperimentConfig,
-    export_logic_result,
-    export_scouting_result,
     run_1t1r_experiment,
     run_scouting_experiment,
+    write_exports,
 )
 from memlogic.device import VariabilityParams
 
@@ -72,7 +71,7 @@ def test_stressed_exports_match_golden_digests(kind, tmp_path):
         assert len(result.summaries) < len(result.report.buckets)
     else:  # mid-bucket: the bucket's other trials still ran
         assert any(b.errors < b.trials for b in errored)
-    paths = export_logic_result(result, tmp_path)
+    paths = write_exports(result.tables(), tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert digests == GOLDEN_SHA256[kind]
 
@@ -94,6 +93,6 @@ def test_collapsed_scouting_exports_match_golden_digests(tmp_path):
     assert result.overlap is not None and result.refs is None
     assert result.report.failures == result.report.trials
     assert any(m.width_a < 0 for m in result.margins)
-    paths = export_scouting_result(result, tmp_path)
+    paths = write_exports(result.tables(), tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert digests == COLLAPSED_SHA256

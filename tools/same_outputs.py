@@ -10,9 +10,10 @@ Usage::
 memlogic``, in a subprocess, once with ``PYTHONPATH`` at REV's ``src`` and
 once at this checkout's, each writing its exports to a directory of its own.
 A case is the same when the exit code, the standard output (each run's output
-directory masked as ``<out>``), the standard error and the bytes of every
-export all agree.  The script lists every case that differs and exits 1 if
-any does, 0 otherwise.
+directory masked as ``<out>``, then the temporary directory as ``<tmp>``),
+the standard error (masked alike) and the bytes of every export all agree.
+The script lists every case that differs and exits 1 if any does, 0
+otherwise.
 
 The matrix runs each case at seeds 3, 7 and 19: the default gate, scouting,
 characterize and sweep commands, wider and paper-referenced scouting reads,
@@ -26,6 +27,10 @@ sets every key a flag also sets, under a gate and a scouting run that pass
 every flag their command takes, so each flag must win over its key.  A sweep
 over a config with an unknown scouting op exits 2 with the same line and no
 exports, whether it rejects the op before its first point or after it.
+Four cases give ``characterize``, ``gate``, ``scouting`` and ``sweep`` an
+existing file as their output directory (``-o``, in place of the run's own):
+each simulates, then exits 2 with one line, writes nothing and prints
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (3, 7, 19)
 GATE = ["gate", "OR", "AND", "NIMP", "XOR"]
 SCOUTING = ["scouting", "read", "or", "and", "xor"]
+SWEEP = ["sweep", "hrs_sigma_c2c", "--values", "0.32"]
 
 #: The config files the cases read, by name: their lines.
 CONFIGS = {
@@ -67,7 +73,7 @@ CASES = [
     ("scouting paper-refs", None, ["scouting", "--refs", "paper-refs"]),
     ("characterize", None, ["characterize"]),
     ("sweep", None, ["sweep", "hrs_sigma_c2c", "--values", "0.2,0.8,1.5"]),
-    ("unknown-op sweep", "unknown-op", ["sweep", "hrs_sigma_c2c", "--values", "0.32"]),
+    ("unknown-op sweep", "unknown-op", SWEEP),
     ("stressed gate", "stressed", GATE),
     ("stressed scouting", "stressed", SCOUTING),
     ("noisy-read gate", "noisy-reads", GATE),
@@ -81,6 +87,8 @@ CASES = [
      [*GATE, "--cycles", "20", "--format", "csv"]),
     ("every-flag scouting", "every-flag-key",
      [*SCOUTING, "--n", "3", "--refs", "placed", "--cycles", "20", "--format", "csv"]),
+    *((f"unusable-output {args[0]}", None, [*args, "-o", "{a_file}"])
+      for args in (["characterize"], GATE, SCOUTING, SWEEP)),
 ]
 
 
@@ -93,17 +101,22 @@ def extract(rev: str, into: Path) -> Path:
     return into
 
 
-def run_case(tree: Path, argv: list[str], out: Path) -> tuple:
-    """One CLI run on ``tree``'s sources: (exit code, masked stdout, stderr,
-    {export path under the output directory: bytes})."""
+def run_case(tree: Path, argv: list[str], out: Path, tmp: Path) -> tuple:
+    """One CLI run on ``tree``'s sources, writing to ``out`` unless ``argv``
+    names its own ``-o``: (exit code, masked stdout, masked stderr, {export
+    path under ``out``: bytes})."""
     env = {k: v for k, v in os.environ.items() if k != "MEMLOGIC_OUTPUT_DIR"}
     env["PYTHONPATH"] = str(tree / "src")
     out.mkdir(parents=True)
-    proc = subprocess.run([sys.executable, "-m", "memlogic", *argv, "-o", str(out)],
+    own = [] if "-o" in argv else ["-o", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "memlogic", *argv, *own],
                           capture_output=True, env=env, cwd=out, timeout=600)
     exports = {str(path.relative_to(out)): path.read_bytes()
                for path in sorted(out.rglob("*")) if path.is_file()}
-    return proc.returncode, proc.stdout.replace(bytes(out), b"<out>"), proc.stderr, exports
+
+    def mask(text: bytes) -> bytes:
+        return text.replace(bytes(out), b"<out>").replace(bytes(tmp), b"<tmp>")
+    return proc.returncode, mask(proc.stdout), mask(proc.stderr), exports
 
 
 def differences(old: tuple, new: tuple) -> list[str]:
@@ -128,12 +141,15 @@ def main(argv: list[str]) -> int:
             path.write_text("\n".join(CONFIGS[name]) + "\n")
         library = tmp / "library.csv"
         library.write_text("name,g,te,be,i\nBOTH,1,1,1,p\n")
+        a_file = tmp / "a_file"  # an existing file: no output directory
+        a_file.write_text("")
         differ = 0
         for (case, config, args), seed in ((case, seed) for case in CASES for seed in SEEDS):
             cli_args = ([str(files[config])] if config else []) + [
-                arg.format(library=library) for arg in args] + ["--seed", str(seed)]
+                arg.format(library=library, a_file=a_file) for arg in args] + [
+                "--seed", str(seed)]
             slug = f"{case.replace(' ', '_')}-{seed}"
-            old, new = (run_case(tree, cli_args, tmp / "runs" / side / slug)
+            old, new = (run_case(tree, cli_args, tmp / "runs" / side / slug, tmp)
                         for side, tree in trees.items())
             found = differences(old, new)
             if found:
