@@ -3,20 +3,21 @@
 Sweeping the high-state cycle-to-cycle spread degrades single-cell logic
 first (fresh HRS draws crossing the bit boundary), then collapses the
 scouting current classes; the collapse arrives earlier for wider scouting
-gates.  The standard column-wired array also cannot drive parallel cells at
-different voltages, which the pseudo-crossbar wiring fixes.
+gates.  The standard column-wired array also cannot drive the parallel cells
+of a column at different TE voltages, which the pseudo-crossbar wiring allows
+along a row, at one gate voltage: a row shares one word line.
 
 Run:  python demos/05_variability_stress.py
 """
 
-from memlogic import Pulse
+from memlogic import Pulse, check_parallel
 from memlogic.analysis import (
     ExperimentConfig,
     find_overlap_sigma,
     sweep_parameter,
 )
-from memlogic.array import ArrayTopology, CellAddress, TopologyKind, \
-    check_parallel_distinct_voltages
+from memlogic.array import ArrayTopology, CellAddress, TopologyError, TopologyKind
+from memlogic.device import V_G_SET, V_TE_SET
 
 config = ExperimentConfig(seed=20, cycles=40)
 
@@ -39,15 +40,19 @@ print(f"  3-cell scouting collapses at sigma ~ {sigma3:.3f}")
 print("wider gates collapse earlier: more cells, more tail current in the gaps.")
 
 print()
-print("parallel cells at different voltages:")
-set_pulse = Pulse(1.3, 0.0, 1.3)
-half_pulse = Pulse(0.5, 0.0, 3.0)
+print("parallel cells at different TE voltages, at one gate voltage:")
+set_pulse = Pulse(V_TE_SET, 0.0, V_G_SET)
+half_pulse = Pulse(0.5, 0.0, V_G_SET)
 standard = ArrayTopology(TopologyKind.STANDARD_1T1R, 8, 8)
 pseudo = ArrayTopology(TopologyKind.PSEUDO_CROSSBAR, 8, 8)
-verdict = check_parallel_distinct_voltages(
-    standard, CellAddress(0, 0), CellAddress(1, 0), set_pulse, half_pulse)
-print(f"  standard array : {verdict}")
-verdict = check_parallel_distinct_voltages(
-    pseudo, CellAddress(0, 0), CellAddress(0, 1), set_pulse, half_pulse)
-print(f"  pseudo-crossbar: {'ok' if verdict is None else verdict} "
-      "(per-cell source lines, shared bit/word line)")
+try:
+    check_parallel(standard, [CellAddress(0, 0), CellAddress(1, 0)], [set_pulse, half_pulse])
+except TopologyError as exc:
+    print(f"  standard array : {exc}")
+check_parallel(pseudo, [CellAddress(0, 0), CellAddress(0, 1)], [set_pulse, half_pulse])
+print("  pseudo-crossbar: ok (per-cell source lines, shared bit/word line)")
+try:  # a row's one word line takes one gate voltage in either wiring
+    check_parallel(pseudo, [CellAddress(0, 0), CellAddress(0, 1)],
+                   [set_pulse, Pulse(0.5, 0.0, 3.0)])
+except TopologyError as exc:
+    print(f"  pseudo-crossbar at two gate voltages: {exc}")

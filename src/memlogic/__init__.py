@@ -20,7 +20,7 @@ from .array import (
     CellAddress,
     CellArray,
     TopologyKind,
-    check_parallel_distinct_voltages,
+    check_parallel,
 )
 from .device import (
     MemristorCell,

@@ -109,7 +109,7 @@ class ExperimentConfig:
         for name, least in (("seed", 0), ("cycles", 1), ("n_inputs", 1)):
             require_int(name, getattr(self, name), least)
         if self.split not in ("split", "insample"):
-            raise ValueError("split must be 'split' or 'insample'")
+            raise ValueError(f"split must be 'split' or 'insample', got {self.split!r}")
         if not isinstance(self.refs, str) or self.refs.lower() not in ("placed", "paper-refs"):
             raise ValueError(f"refs must be 'placed' or 'paper-refs', got {self.refs!r}")
         if not isinstance(self.rotate_cells, bool):
@@ -541,7 +541,8 @@ def run_characterization(config: ExperimentConfig, cells: int = 10) -> Character
     for ci in range(cells):
         addr = CellAddress(0, ci)
         array.form(addr)
-        cell, drives = array.cell(addr), array.cell_drives(addr)
+        drives = array.cell_drives(addr)
+        cell = drives.cell
         rng, read_rng = _stream(seed, "cell", ci)
         for cycle in range(cycles):
             reads = []

@@ -4,10 +4,10 @@ Two wiring schemes are modeled.  In the standard array, SL and BL run
 column-wise (one pair per column) and WL runs row-wise, so parallel-selected
 cells in a column necessarily see the same electrode voltages.  In the
 pseudo-crossbar variant each cell's TE keeps its own column SL while BE and
-the gate share row-wise BL/WL lines, which allows different voltages on
-parallel-connected cells.  The BL a cell's bottom electrode hangs on
-(``ArrayTopology.bl_of``) is the only difference between the two: drive
-resolution and both parallel checks follow from it.
+the gate share row-wise BL/WL lines, so the parallel cells of a row can take
+different TE voltages at one gate voltage.  The BL a cell's bottom electrode
+hangs on (``ArrayTopology.bl_of``) is the only difference between the two:
+drive resolution and the parallel check follow from it.
 
 Line parasitics and sneak paths are ignored: the access transistor isolates
 unselected cells, and every selected cell sees the ideal line voltages.  A
@@ -162,57 +162,42 @@ def replay(resolved: list[tuple], rng: Uniforms) -> None:
             raise type(exc)(f"at cell {tuple(addr)}: {exc}") from exc
 
 
-def check_parallel_distinct_voltages(topology: ArrayTopology,
-                                     cell_a: CellAddress | tuple[int, int],
-                                     cell_b: CellAddress | tuple[int, int],
-                                     pulse_a: Pulse, pulse_b: Pulse) -> str | None:
-    """Can these two cells be driven simultaneously with these pulses?
-
-    Returns ``None`` when the request is wirable and a human-readable
-    violation description otherwise: a shared SL cannot carry different TE
-    voltages, nor a shared BL different BE voltages.  In the standard array,
-    cells sharing a column share its SL/BL pair; the pseudo-crossbar's row
-    BLs let a column's cells take distinct BE voltages and a row's distinct TE
-    voltages.
-    """
-    if cell_a == cell_b:
-        raise ValueError("cell_a and cell_b must differ")
-    for addr in (cell_a, cell_b):  # an address outside the array is a ValueError
-        topology.require_address(addr)
-    cell_a, cell_b = CellAddress(*cell_a), CellAddress(*cell_b)
-    cells = f"cells {tuple(cell_a)} and {tuple(cell_b)}"
-    bl = topology.bl_of(cell_a)
-    shared_sl = cell_a.col == cell_b.col
-    shared_bl = bl == topology.bl_of(cell_b)
-    distinct_te = pulse_a.v_te != pulse_b.v_te
-    distinct_be = pulse_a.v_be != pulse_b.v_be
-    if shared_sl and shared_bl and (distinct_te or distinct_be):
-        return (f"{cells} share the SL/BL pair of column {cell_a.col}; "
-                "distinct electrode voltages are impossible")
-    if shared_sl and distinct_te:
-        return f"{cells} share SL {cell_a.col}; distinct TE voltages are impossible"
-    if shared_bl and distinct_be:
-        return f"{cells} share BL {bl}; distinct BE voltages are impossible"
-    return None
-
-
-def validate_parallel_selection(topology: ArrayTopology,
-                                addrs: Sequence[CellAddress | tuple[int, int]]) -> None:
-    """Check that the addressed cells can be read out in parallel: distinct
-    cells that all share one BL (a column in the standard array, a row in the
-    pseudo-crossbar).  Raises ``TopologyError`` otherwise.
+def check_parallel(topology: ArrayTopology,
+                   addrs: Sequence[CellAddress | tuple[int, int]],
+                   pulses: Sequence[Pulse] | None = None) -> None:
+    """Check that the addressed cells, distinct and in the array, can be
+    selected at once; raises ``TopologyError`` if not (a ``ValueError`` for
+    an address outside the array or a pulse count that does not match).
+    Each cell hangs on its column's SL (TE), the BL its BE hangs on
+    (``bl_of``) and its row's WL (gate).  With ``pulses``, one per address,
+    the cells are pulsed at once, so each line they share carries one
+    voltage.  Without, they are read in parallel, so they share the one
+    sensed BL (a column in the standard array, a row in the pseudo-crossbar).
     """
     if not addrs:
         raise TopologyError("empty selection")
     if len(set(addrs)) != len(addrs):
         raise TopologyError("duplicate addresses in parallel selection")
-    for addr in addrs:  # an address outside the array is a ValueError
+    for addr in addrs:
         topology.require_address(addr)
-    bls = {topology.bl_of(a) for a in addrs}
-    if len(bls) != 1:
-        name, line = (("pseudo-crossbar", "row") if topology.kind == TopologyKind.PSEUDO_CROSSBAR
-                      else ("standard array", "column"))
-        raise TopologyError(f"{name} parallel selection requires one {line}, got {sorted(bls)}")
+    if pulses is None:
+        bls = {topology.bl_of(a) for a in addrs}
+        if len(bls) != 1:
+            name, line = (("pseudo-crossbar", "row") if topology.kind == TopologyKind.PSEUDO_CROSSBAR
+                          else ("standard array", "column"))
+            raise TopologyError(f"{name} parallel selection requires one {line}, got {sorted(bls)}")
+        return
+    if len(pulses) != len(addrs):
+        raise ValueError("need exactly one pulse per address")
+    carried = {}  # by line: the first cell on it and its voltage
+    for addr, pulse in zip(addrs, pulses):
+        row, col = addr
+        for line, volts in ((f"SL {col}", pulse.v_te), (f"BL {topology.bl_of(addr)}", pulse.v_be),
+                            (f"WL {row}", pulse.v_g)):
+            first, first_volts = carried.setdefault(line, (addr, volts))
+            if volts != first_volts:
+                raise TopologyError(f"cells {tuple(first)} and {tuple(addr)} share {line}, "
+                                    f"which cannot carry {first_volts} V and {volts} V at once")
 
 
 class CellArray:

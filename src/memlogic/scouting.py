@@ -25,7 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .array import RESET_BITS, SET_BITS, CellAddress, CellArray, validate_parallel_selection
+from .array import RESET_BITS, SET_BITS, CellAddress, CellArray, check_parallel
 from .device import (V_READ, Normals, NotFormedError, Uniforms, binarize, read_resistance,
                      require_finite_result)
 from .logic1t1r import InitFailureError, write_bit
@@ -139,7 +139,7 @@ def scout_class(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]]
     its bit; ``verify=False`` skips the reads, for analyses that must not
     truncate the state tails.  An ``InitFailureError`` carries its ``cycle``."""
     writes = _input_writes(addrs, bits)
-    validate_parallel_selection(array.topology, tuple(addr for addr, _ in writes))
+    check_parallel(array.topology, tuple(addr for addr, _ in writes))
     writes = [(drives.cell, bit, drives[RESET_BITS], drives[SET_BITS], drives.addr)
               for drives, bit in ((array.cell_drives(addr), bit) for addr, bit in writes)]
     for cell, *_, addr in writes:

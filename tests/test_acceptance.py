@@ -21,10 +21,9 @@ from memlogic.analysis import (
     sample_scouting_currents,
     write_exports,
 )
-from memlogic.array import ArrayTopology, CellAddress, TopologyKind, \
-    check_parallel_distinct_voltages
+from memlogic.array import ArrayTopology, CellAddress, TopologyError, TopologyKind, check_parallel
 from memlogic.cli import main
-from memlogic.device import Pulse, VariabilityParams, binarize, default_boundary
+from memlogic.device import V_G_SET, V_TE_SET, Pulse, VariabilityParams, binarize, default_boundary
 from memlogic.logic1t1r import (
     builtin_mapping,
     classify_case,
@@ -203,19 +202,21 @@ def test_c09_overlap_detection():
 
 
 def test_c10_topology_constraint():
-    set_pulse = Pulse(1.3, 0.0, 1.3)
-    other = Pulse(0.5, 0.0, 3.0)
+    # Distinct TE voltages at one gate voltage: the cells of a standard
+    # column share one SL, those of a pseudo-crossbar row each keep their own.
+    set_pulse, other = Pulse(V_TE_SET, 0.0, V_G_SET), Pulse(0.5, 0.0, V_G_SET)
     standard = ArrayTopology(TopologyKind.STANDARD_1T1R, 8, 8)
     pseudo = ArrayTopology(TopologyKind.PSEUDO_CROSSBAR, 8, 8)
-    verdict = check_parallel_distinct_voltages(
-        standard, CellAddress(0, 0), CellAddress(1, 0), set_pulse, other)
-    assert verdict is not None
-    verdict = check_parallel_distinct_voltages(
-        pseudo, CellAddress(0, 0), CellAddress(0, 1), set_pulse, other)
-    assert verdict is None
+    row, column = [CellAddress(0, 0), CellAddress(0, 1)], [CellAddress(0, 0), CellAddress(1, 0)]
+    with pytest.raises(TopologyError, match="share SL 0, which cannot carry 1.3 V and 0.5 V"):
+        check_parallel(standard, column, [set_pulse, other])
+    assert check_parallel(pseudo, row, [set_pulse, other]) is None
+    # The cells of a row share one WL in both wirings: one gate voltage.
+    with pytest.raises(TopologyError, match="share WL 0, which cannot carry 1.3 V and 3.0 V"):
+        check_parallel(pseudo, row, [set_pulse, Pulse(0.5, 0.0, 3.0)])
     report("criterion 10 (topology constraint)",
-           "distinct parallel voltages rejected on the standard array, "
-           "allowed on the pseudo-crossbar")
+           "distinct parallel TE voltages rejected on a standard column, "
+           "allowed on a pseudo-crossbar row at one gate voltage")
 
 
 def test_c11_reproducibility(tmp_path):

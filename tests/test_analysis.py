@@ -539,7 +539,7 @@ def test_each_drive_is_validated_once_per_array(rebind, monkeypatch, run):
 
 def test_a_default_scouting_run_validates_each_selection_once(rebind):
     validated = []
-    real = array_module.validate_parallel_selection
+    real = array_module.check_parallel
 
     def counting(topology, addrs):
         validated.append(addrs)

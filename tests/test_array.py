@@ -18,11 +18,10 @@ from memlogic.array import (
     CellArray,
     TopologyError,
     TopologyKind,
-    check_parallel_distinct_voltages,
+    check_parallel,
     logic_pulse_voltages,
     replay,
     resolve_drives,
-    validate_parallel_selection,
 )
 from memlogic.device import (
     V_BE_RESET,
@@ -155,43 +154,6 @@ def test_every_logic_pulse_resolves_to_the_cells_it_can_switch(kind, bits):
         assert resolve_drives(array, addr, bits) == expected
 
 
-def test_parallel_distinct_voltages_standard_violation():
-    verdict = check_parallel_distinct_voltages(
-        STD, CellAddress(0, 0), CellAddress(1, 0), SET_PULSE, RESET_PULSE)
-    assert verdict is not None and "impossible" in verdict
-
-
-def test_parallel_identical_pulses_ok():
-    verdict = check_parallel_distinct_voltages(
-        STD, CellAddress(0, 0), CellAddress(1, 0), SET_PULSE, SET_PULSE)
-    assert verdict is None
-
-
-def test_parallel_distinct_voltages_pseudo_ok():
-    a = Pulse(1.3, 0.0, 3.0)
-    b = Pulse(0.5, 0.0, 3.0)
-    verdict = check_parallel_distinct_voltages(
-        PSEUDO, CellAddress(0, 0), CellAddress(0, 1), a, b)
-    assert verdict is None
-
-
-def test_parallel_same_cell_rejected():
-    with pytest.raises(ValueError):
-        check_parallel_distinct_voltages(STD, CellAddress(0, 0), CellAddress(0, 0),
-                                         SET_PULSE, SET_PULSE)
-
-
-def test_validate_parallel_selection():
-    validate_parallel_selection(STD, [CellAddress(0, 0), CellAddress(1, 0)])
-    with pytest.raises(TopologyError):
-        validate_parallel_selection(STD, [CellAddress(0, 0), CellAddress(0, 1)])
-    validate_parallel_selection(PSEUDO, [CellAddress(0, 0), CellAddress(0, 1)])
-    with pytest.raises(TopologyError):
-        validate_parallel_selection(PSEUDO, [CellAddress(0, 0), CellAddress(1, 0)])
-    with pytest.raises(TopologyError):
-        validate_parallel_selection(STD, [])
-
-
 @pytest.mark.parametrize("kind", [TopologyKind.PSEUDO_CROSSBAR, "pseudo-crossbar",
                                   "Pseudo-Crossbar"], ids=["enum", "value", "mixed-case"])
 def test_topology_stores_its_kind_as_the_enum(kind):
@@ -216,39 +178,76 @@ def test_scouting_on_the_pseudo_crossbar_raises_in_any_spelling(kind):
         analysis_module.run_scouting_experiment(config)
 
 
-def test_parallel_checks_reject_addresses_outside_the_array():
-    topology = ArrayTopology(rows=4, cols=4)
-    for addrs, bad in [([(99, 0), (100, 0)], (99, 0)),
-                       ([CellAddress(0, 0), CellAddress(0, 4)], (0, 4))]:
-        with pytest.raises(ValueError, match=f"^address {re.escape(str(bad))} out of bounds$"):
-            validate_parallel_selection(topology, addrs)
-    for cell_a, cell_b, bad in [((99, 7), (-5, 7), (99, 7)), ((1, 3), (1, -1), (1, -1))]:
-        with pytest.raises(ValueError, match=f"^address {re.escape(str(bad))} out of bounds$"):
-            check_parallel_distinct_voltages(topology, CellAddress(*cell_a),
-                                             CellAddress(*cell_b), SET_PULSE, RESET_PULSE)
-    # In-bounds requests keep their verdicts.
-    assert "share the SL/BL pair of column 3" in check_parallel_distinct_voltages(
-        topology, CellAddress(0, 3), CellAddress(3, 3), SET_PULSE, RESET_PULSE)
+#: Each wiring's lines of the cell at (row, col), written out: its (SL, BL, WL).
+LINES = {TopologyKind.STANDARD_1T1R: lambda row, col: (f"SL {col}", f"BL {col}", f"WL {row}"),
+         TopologyKind.PSEUDO_CROSSBAR: lambda row, col: (f"SL {col}", f"BL {row}", f"WL {row}")}
+HALF_SET = Pulse(0.5, 0.0, 1.3)  # SET_PULSE at a lower TE voltage
+#: Pulse pairs: alike, then differing in the TE, the BE or the gate voltage alone.
+PULSE_PAIRS = {"alike": (SET_PULSE, SET_PULSE), "te": (SET_PULSE, HALF_SET),
+               "be": (RESET_PULSE, Pulse(0.0, 0.8, 3.0)), "g": (SET_PULSE, Pulse(1.3, 0.0, 3.0))}
+STD_READ, PSEUDO_READ = ("standard array parallel selection requires one column, got [0, 1]",
+                         "pseudo-crossbar parallel selection requires one row, got [0, 1]")
+
+#: Selections beside the oracle's pairs, each a test by its name: rows of the wiring, the
+#: addresses, the pulses (None for a parallel read) and the error's message (None: wirable).
+PARALLEL_TESTS = {
+    "test_parallel_distinct_voltages_standard_violation": [
+        (STD, [(0, 0), (1, 0)], [SET_PULSE, RESET_PULSE],
+         "cells (0, 0) and (1, 0) share SL 0, which cannot carry 1.3 V and 0.0 V at once")],
+    "test_parallel_identical_pulses_ok": [(STD, [(0, 0), (1, 0)], [SET_PULSE] * 2, None)],
+    "test_parallel_distinct_voltages_pseudo_ok": [
+        (PSEUDO, [(0, 0), (0, 1)], [SET_PULSE, HALF_SET], None),
+        (PSEUDO, [(2, 0), (2, 1), (2, 3)], [SET_PULSE, HALF_SET, Pulse(1.3, 0.0, 3.0)],
+         "cells (2, 0) and (2, 3) share WL 2, which cannot carry 1.3 V and 3.0 V at once")],
+    "test_parallel_same_cell_rejected": [
+        (STD, [(0, 0), CellAddress(0, 0)], [SET_PULSE] * 2,
+         "duplicate addresses in parallel selection"),
+        (PSEUDO, [(1, 1), (1, 1)], None, "duplicate addresses in parallel selection")],
+    "test_parallel_check_takes_one_pulse_per_address": [
+        (STD, [(0, 0), (1, 0)], [SET_PULSE], "need exactly one pulse per address")],
+    "test_validate_parallel_selection": [
+        (STD, [(0, 0), (1, 0), (3, 0)], None, None), (PSEUDO, [(0, 0), (0, 1)], None, None),
+        (STD, [(0, 0), (0, 1)], None, STD_READ), (PSEUDO, [(0, 0), (1, 0)], None, PSEUDO_READ),
+        (STD, [], None, "empty selection"), (PSEUDO, [], [], "empty selection")],
+    "test_parallel_checks_reject_addresses_outside_the_array": [
+        (STD, [(99, 0), (100, 0)], None, "address (99, 0) out of bounds"),
+        (PSEUDO, [(1, 3), (1, -1)], [SET_PULSE, RESET_PULSE], "address (1, -1) out of bounds")],
+}
+
+
+def check_rows(rows):
+    # An error is a TopologyError unless it is about an address or the pulse count.
+    for topology, addrs, pulses, message in rows:
+        if message is None:
+            assert check_parallel(topology, addrs, pulses) is None
+            continue
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+            check_parallel(topology, addrs, pulses)
+        assert isinstance(caught.value, TopologyError) != message.startswith(("address", "need"))
+
+
+globals().update((name, lambda rows=rows: check_rows(rows))
+                 for name, rows in PARALLEL_TESTS.items())
+
+
+@pytest.mark.parametrize("kind", list(TopologyKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("pair", PULSE_PAIRS.values(), ids=PULSE_PAIRS)
+def test_parallel_check_agrees_with_the_line_oracle(kind, pair):
+    # A pair is wirable exactly when each line the two cells share carries one voltage.
+    topology, volts = ArrayTopology(kind, rows=4, cols=4), [(p.v_te, p.v_be, p.v_g) for p in pair]
+    for a, b in itertools.permutations(itertools.product(range(4), repeat=2), 2):
+        conflicts = [f"cells {a} and {b} share {line}, which cannot carry {v} V and {w} V at once"
+                     for line, other, v, w in zip(LINES[kind](*a), LINES[kind](*b), *volts)
+                     if line == other and v != w]
+        check_rows([(topology, [a, b], pair, conflicts[0] if conflicts else None)])
 
 
 @pytest.mark.parametrize("topology", [STD, PSEUDO], ids=["standard", "pseudo-crossbar"])
 def test_parallel_checks_take_plain_tuples(topology):
-    def verdict(check, *args):
-        try:
-            return check(topology, *args)
-        except (TopologyError, ValueError) as exc:
-            return type(exc), str(exc)
-
-    pairs = [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((2, 3), (3, 3)), ((1, 1), (2, 2))]
-    for a, b in pairs:
-        addrs = [CellAddress(*a), CellAddress(*b)]
-        assert (verdict(validate_parallel_selection, [a, b])
-                == verdict(validate_parallel_selection, addrs))
-        for pulse_b in (SET_PULSE, RESET_PULSE):
-            assert (verdict(check_parallel_distinct_voltages, a, b, SET_PULSE, pulse_b)
-                    == verdict(check_parallel_distinct_voltages, *addrs, SET_PULSE, pulse_b))
-    one_bl = [(0, 0), (1, 0)] if topology is STD else [(0, 0), (0, 1)]
-    assert verdict(validate_parallel_selection, one_bl) is None
+    # Each row of the wiring gives one verdict for tuples and for CellAddresses.
+    rows = [row for rows in PARALLEL_TESTS.values() for row in rows if row[0] is topology]
+    check_rows([(topology, [tuple(a) for a in addrs], *rest) for _, addrs, *rest in rows])
+    check_rows([(topology, [CellAddress(*a) for a in addrs], *rest) for _, addrs, *rest in rows])
 
 
 def test_a_cell_drive_is_resolved_once_and_replays_on_its_cell_alone(monkeypatch, rebind):

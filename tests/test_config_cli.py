@@ -460,7 +460,8 @@ BAD_LINES = {
     "experiment.seed = -1": "seed must be >= 0, got -1",
     "experiment.refs = 0": "refs must be 'placed' or 'paper-refs', got 0",
     "experiment.rotate_cells = maybe": "rotate_cells must be true or false, got 'maybe'",
-    "experiment.split = halves": "split must be 'split' or 'insample'",
+    "experiment.split = halves": "split must be 'split' or 'insample', got 'halves'",
+    "experiment.split = 3": "split must be 'split' or 'insample', got 3",
 }
 
 #: Scouting settings in the config: their stderr line, under ``scouting`` and

@@ -98,7 +98,7 @@ def test_scout_class_rejects_a_pristine_cell_before_any_pulse():
 
 def test_an_invalid_selection_raises_on_every_call(rebind):
     validated = []
-    real = array_module.validate_parallel_selection
+    real = array_module.check_parallel
     rebind(real, lambda topology, addrs: validated.append(addrs) or real(topology, addrs))
     array, addrs = column_array()
     rng = np.random.default_rng(3)
