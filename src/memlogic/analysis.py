@@ -541,13 +541,13 @@ def run_characterization(config: ExperimentConfig, cells: int = 10) -> Character
     for ci in range(cells):
         addr = CellAddress(0, ci)
         array.form(addr)
-        drives = array.cell_drives(addr)
-        cell = drives.cell
+        cell = array.cell(addr)
+        drives = [(array.drive(addr, bits), *phase) for bits, *phase in phases]
         rng, read_rng = _stream(seed, "cell", ci)
         for cycle in range(cycles):
             reads = []
-            for bits, state, pulse, th in phases:
-                replay(drives[bits], rng)
+            for drive, state, pulse, th in drives:
+                replay(drive, rng)
                 if cell.state != state:
                     raise ValueError(
                         f"cell {ci} is {cell.state.upper()} after the {pulse} pulse of "

@@ -15,10 +15,14 @@ drive is one cell's logic pulse, the voltages of its resolved bits (g, te, be)
 on the cell's WL, its column SL and the BL its BE hangs on; there is no
 general line drive.  The transistor is off at 0 V gate (below
 ``device.V_G_ON``), so a drive only pulses cells of its cell's row.  There is
-one drive cache (``CellDrives``: a cell's drives by their bits, each resolved
-by ``resolve_drives`` once) and one path (``replay`` + ``read_resistance``):
-``replay`` pulses a resolution's cells and returns nothing (no caller reads
-the switching events), ``device.read_resistance`` reads a cell.
+one drive cache (``CellArray.drive``: a drive by its address and bits, each
+resolved by ``resolve_drives`` once) and one path (``replay`` +
+``read_resistance``): ``replay`` pulses a resolution's cells and returns
+nothing (no caller reads the switching events), ``device.read_resistance``
+reads a cell.  The array is the one place an address enters: ``CellArray``
+checks it and turns it into a key (``ArrayTopology.require_address``), and
+each cell carries its one name, ``cell (row, col)``, which every cell error
+states.
 """
 
 from __future__ import annotations
@@ -83,14 +87,17 @@ class ArrayTopology:
         row, col = addr
         return row if self.kind == TopologyKind.PSEUDO_CROSSBAR else col
 
-    def require_address(self, addr: CellAddress | tuple[int, int]) -> None:
-        """Raise ``ValueError`` unless ``addr`` (row, col) is two integers (numpy
-        integers too, a bool not) that lie in the array."""
-        row, col = addr
-        if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in (row, col)):
+    def require_address(self, addr: CellAddress | tuple[int, int]) -> CellAddress:
+        """``addr`` as a ``CellAddress`` of ints, the key of its cell; a
+        ``ValueError`` unless it is two integers (row, col), numpy integers too
+        and a bool not, that lie in the array."""
+        if len(addr) != 2 or any(isinstance(i, bool) or not isinstance(i, numbers.Integral)
+                                 for i in addr):
             raise ValueError(f"address {tuple(addr)} must be two integers")
+        row, col = addr
         if not (row in range(self.rows) and col in range(self.cols)):
             raise ValueError(f"address {tuple(addr)} out of bounds")
+        return CellAddress(int(row), int(col))
 
 
 def logic_pulse_voltages(g: int, te: int, be: int) -> tuple[float, float, float]:
@@ -111,10 +118,10 @@ def logic_pulse_voltages(g: int, te: int, be: int) -> tuple[float, float, float]
 SET_BITS, RESET_BITS = (1, 1, 0), (1, 0, 1)
 
 
-def resolve_drives(array: CellArray, addr: CellAddress,
-                   bits: tuple[int, int, int]) -> list[tuple]:
-    """The (address, cell, pulse) of each cell that the logic pulse of the
-    bits (g, te, be) on the cell at ``addr`` can switch, in address order; an
+def resolve_drives(array: CellArray, addr: CellAddress | tuple[int, int],
+                   bits: tuple[int, int, int]) -> list[tuple[MemristorCell, Pulse]]:
+    """The (cell, pulse) of each cell that the logic pulse of the bits
+    (g, te, be) on the cell at ``addr`` can switch, in address order; an
     address outside the array is a ``ValueError``.  The pulse drives the
     cell's WL, its column SL and the BL its BE hangs on (``bl_of``), so listed
     are the cells of its row, if the gate is on (at least ``V_G_ON``), with a
@@ -122,44 +129,23 @@ def resolve_drives(array: CellArray, addr: CellAddress,
     no randomness (gate-off returns first, every switching threshold is > 0),
     so pulsing the listed cells equals pulsing every cell."""
     topology = array.topology
-    topology.require_address(addr)
+    row, col = addr = topology.require_address(addr)
     v_te, v_be, v_g = logic_pulse_voltages(*bits)
     if v_g < V_G_ON:
         return []
-    row, col = addr
     bl, resolved = topology.bl_of(addr), []
     for other in range(topology.cols):
-        cell_addr = CellAddress(row, other)
         te = v_te if other == col else 0.0
-        be = v_be if topology.bl_of(cell_addr) == bl else 0.0
+        be = v_be if topology.bl_of((row, other)) == bl else 0.0
         if te or be:
-            resolved.append((cell_addr, array.cell(cell_addr), Pulse(te, be, v_g)))
+            resolved.append((array.cell((row, other)), Pulse(te, be, v_g)))
     return resolved
 
 
-class CellDrives(dict):
-    """One cell (``cell``) of ``array`` and its logic drives by their bits
-    (g, te, be): the array's one drive cache.  A drive is the cell and its
-    bits, resolved on first use; ``drives[bits]`` is its ``resolve_drives``
-    list, for ``replay``."""
-
-    def __init__(self, array: CellArray, addr: CellAddress):
-        super().__init__()
-        self.array, self.addr, self.cell = array, addr, array.cell(addr)
-
-    def __missing__(self, bits: tuple[int, int, int]) -> list[tuple]:
-        self[bits] = resolved = resolve_drives(self.array, self.addr, bits)
-        return resolved
-
-
-def replay(resolved: list[tuple], rng: Uniforms) -> None:
-    """Pulse each (address, cell, pulse) of a ``resolve_drives`` list in order;
-    a pulse's error is re-raised naming the cell."""
-    for addr, cell, pulse in resolved:
-        try:
-            apply_pulse(cell, pulse, rng)
-        except Exception as exc:
-            raise type(exc)(f"at cell {tuple(addr)}: {exc}") from exc
+def replay(resolved: list[tuple[MemristorCell, Pulse]], rng: Uniforms) -> None:
+    """Pulse each (cell, pulse) of a ``resolve_drives`` list in order."""
+    for cell, pulse in resolved:
+        apply_pulse(cell, pulse, rng)
 
 
 def check_parallel(topology: ArrayTopology,
@@ -217,33 +203,33 @@ class CellArray:
         self.seed = seed
         self.boundary = default_boundary(params)
         self.cells: dict[CellAddress, MemristorCell] = {}
-        self._drives: dict[CellAddress, CellDrives] = {}  # by cell
+        self._drives: dict[tuple[CellAddress, tuple[int, int, int]], list] = {}
 
     def cell(self, addr: CellAddress | tuple[int, int]) -> MemristorCell:
-        """The cell at ``addr``, sampled from ``(seed, 0, row, col)`` on first
-        touch; the address is checked first (``require_address``)."""
-        self.topology.require_address(addr)
-        addr = CellAddress(*map(int, addr))
+        """The cell at ``addr``, named ``cell (row, col)`` and sampled from
+        ``(seed, 0, row, col)`` on first touch; the address is checked and
+        keyed first (``require_address``)."""
+        addr = self.topology.require_address(addr)
         if addr not in self.cells:
             rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0, *addr)))
-            self.cells[addr] = sample_fresh_cell(self.params, rng,
-                                                 cell_id=f"r{addr.row}c{addr.col}")
+            self.cells[addr] = sample_fresh_cell(self.params, rng, cell_id=f"cell {tuple(addr)}")
         return self.cells[addr]
 
     def form(self, addr: CellAddress | tuple[int, int]) -> None:
         """Form one cell with the voltage-ramp routine (idempotent)."""
-        addr = CellAddress(*addr)
+        addr = self.topology.require_address(addr)
         cell = self.cell(addr)
         if not cell.is_formed:
             rng = np.random.default_rng(np.random.SeedSequence((self.seed, 1, *addr)))
             form_by_ramp(cell, rng)
 
-    def cell_drives(self, addr: CellAddress | tuple[int, int]) -> CellDrives:
-        """The cell with its resolved drives (its SET and RESET writes among
-        them), the one drive cache (``CellDrives``), kept for the array's life;
-        an address is checked and keyed as in ``cell``."""
-        self.topology.require_address(addr)
-        addr = CellAddress(*map(int, addr))
-        if addr not in self._drives:
-            self._drives[addr] = CellDrives(self, addr)
-        return self._drives[addr]
+    def drive(self, addr: CellAddress | tuple[int, int],
+              bits: tuple[int, int, int]) -> list[tuple[MemristorCell, Pulse]]:
+        """The ``resolve_drives`` list of the logic pulse of ``bits`` (g, te,
+        be) on the cell at ``addr``, for ``replay``: the one drive cache,
+        resolved on first use and kept for the array's life; an address is
+        checked and keyed as in ``cell``."""
+        key = (self.topology.require_address(addr), bits)
+        if key not in self._drives:
+            self._drives[key] = resolve_drives(self, *key)
+        return self._drives[key]

@@ -197,10 +197,10 @@ class MemristorCell:
     v_form_th: float
     state: str = STATE_PRISTINE
     resistance: float = 0.0
-    cycle_count: int = 0
-    # Most recent realized values; used to keep LRS strictly below HRS.
-    last_lrs: float | None = field(default=None, repr=False)
-    last_hrs: float | None = field(default=None, repr=False)
+    # Most recent realized values, the cell's medians before its first switch;
+    # used to keep LRS strictly below HRS.
+    last_lrs: float = field(kw_only=True, repr=False)
+    last_hrs: float = field(kw_only=True, repr=False)
 
     @property
     def is_formed(self) -> bool:
@@ -264,6 +264,8 @@ def sample_fresh_cell(params: VariabilityParams, rng: np.random.Generator,
         v_set_th=_positive_normal(rng, params.v_set_th_median, params.v_set_th_sigma),
         v_reset_th=_positive_normal(rng, params.v_reset_th_median, params.v_reset_th_sigma),
         v_form_th=_positive_normal(rng, params.v_form_th_median, params.v_form_th_sigma),
+        last_lrs=lrs_med,
+        last_hrs=hrs_med,
     )
     cell.resistance = PRISTINE_RESISTANCE_FACTOR * hrs_med
     return cell
@@ -271,7 +273,7 @@ def sample_fresh_cell(params: VariabilityParams, rng: np.random.Generator,
 
 def _enter_lrs(cell: MemristorCell, rng: Uniforms) -> None:
     """Switch to a fresh LRS value, conditioned below the realized HRS."""
-    ceiling = cell.last_hrs if cell.last_hrs is not None else cell.hrs_median_cell
+    ceiling = cell.last_hrs
     median, sigma = cell.lrs_median_cell, cell.params.lrs_sigma_c2c
     bound = math.log(max(_TINY, median / ceiling))
     value = median * math.exp(-_normal_above(rng, bound, sigma))
@@ -287,8 +289,7 @@ def apply_pulse(cell: MemristorCell, pulse: Pulse, rng: Uniforms) -> SwitchEvent
     1. Gate below ``V_G_ON`` (the transistor is off): nothing happens.
     2. Pristine cell with a forming-level positive TE voltage: FORMED (to LRS).
     3. HRS cell with TE-BE at or above the SET threshold: SET (to LRS).
-    4. LRS cell with BE-TE at or above the RESET threshold: RESET (to HRS,
-       cycle count incremented).
+    4. LRS cell with BE-TE at or above the RESET threshold: RESET (to HRS).
     5. HRS cell under any positive BE-polarity stress: HRS_DISTURB -- the HRS
        value is re-drawn from the cycle distribution but the binary state is
        preserved.  An already-reset cell cannot switch again, so the stress
@@ -315,15 +316,13 @@ def apply_pulse(cell: MemristorCell, pulse: Pulse, rng: Uniforms) -> SwitchEvent
         return SwitchEvent.SET
     if cell.state == STATE_LRS and -diff >= cell.v_reset_th:
         event = SwitchEvent.RESET
-        cell.cycle_count += 1
     elif cell.state == STATE_HRS and -diff > 0:
         event = SwitchEvent.HRS_DISTURB
     else:
         return SwitchEvent.NONE
     # Both draw a fresh HRS value, conditioned above the realized LRS.
-    floor = cell.last_lrs if cell.last_lrs is not None else cell.lrs_median_cell
     cell.resistance = cell.last_hrs = _lognormal_above(
-        rng, cell.hrs_median_cell, cell.params.hrs_sigma_c2c, floor)
+        rng, cell.hrs_median_cell, cell.params.hrs_sigma_c2c, cell.last_lrs)
     cell.state = STATE_HRS
     return event
 

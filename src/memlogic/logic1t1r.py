@@ -16,13 +16,14 @@ physical execution path that writes a cell's initial state, fires the logic
 pulse through the array wiring and reads the output back, all at the one
 operating point, the ``device`` constants ``V_TE_SET`` to ``V_READ``.
 A gate bucket (one gate, input pair and cell) runs in one call,
-``execute_gate_bucket``, with its case, the cell and its logic, SET and RESET
-resolutions (``CellArray.cell_drives``) bound once.  It takes the array's one
-drive cache (``CellDrives``) and one path (``array.replay`` +
+``execute_gate_bucket``, with its case, the cell (``CellArray.cell``) and its
+logic, SET and RESET resolutions (``CellArray.drive``, the array's one drive
+cache) bound once.  It takes the array's one path (``array.replay`` +
 ``device.read_resistance``): each cycle runs the verified write in its own
 loop (``write_bit`` for each write), replays the logic resolution and reads
 the bound cell.  One trial is a bucket of one cycle.  It returns one
-``TraceRow`` per cycle, the row the ``traces`` table exports.
+``TraceRow`` per cycle, the row the ``traces`` table exports.  A cell error
+names the cell as the cell names itself (``MemristorCell.cell_id``).
 Each run takes two sources of draws: ``rng`` feeds the switching uniforms of
 every pulse, ``read_rng`` the noise of every read, so reading a cell more or
 less often never shifts its switching draws.  Either is a numpy ``Generator``
@@ -249,9 +250,9 @@ class TraceRow(NamedTuple):
 class InitFailureError(RuntimeError):
     """Cell could not be brought to the required initial state."""
 
-    def __init__(self, addr: CellAddress, target: int, retries: int):
+    def __init__(self, cell: MemristorCell, target: int, retries: int):
         super().__init__(
-            f"cell {tuple(addr)} failed to initialize to {target} after {retries} retries")
+            f"{cell.cell_id} failed to initialize to {target} after {retries} retries")
         self.cycle: int | None = None  # the failed cycle of a ``scout_class`` class
 
 
@@ -261,18 +262,17 @@ INIT_RETRIES = 3
 
 
 def write_bit(cell: MemristorCell, bit: int, reset: list[tuple], set_: list[tuple],
-              rng: Uniforms, writes: int, addr: CellAddress) -> int:
-    """Write ``bit`` to ``cell`` at ``addr`` once more with its pre-bound
-    resolutions ``drives[RESET_BITS]`` and ``drives[SET_BITS]``, and return
-    ``writes + 1``; ``writes`` counts the writes made so far in this verified
-    write (0 at its start), and past 1 + ``INIT_RETRIES`` it raises
-    ``InitFailureError`` instead.  RESET switches an LRS cell or re-draws an
+              rng: Uniforms, writes: int) -> int:
+    """Write ``bit`` to ``cell`` once more with its pre-bound RESET and SET
+    resolutions (``CellArray.drive``), and return ``writes + 1``; ``writes``
+    counts the writes made so far in this verified write (0 at its start), and
+    past 1 + ``INIT_RETRIES`` it raises ``InitFailureError`` instead.  RESET switches an LRS cell or re-draws an
     HRS value; before a SET an LRS cell cycles through HRS to re-draw its LRS
     value.  The write pulse pair and the retry bound are stated here alone;
     the verified-write loops of ``execute_gate_bucket`` (read first) and
     ``scout_class`` (write first) call it."""
     if writes > INIT_RETRIES:
-        raise InitFailureError(addr, bit, INIT_RETRIES)
+        raise InitFailureError(cell, bit, INIT_RETRIES)
     if bit != 1 or cell.state == STATE_LRS:
         replay(reset, rng)
     if bit == 1:
@@ -295,18 +295,18 @@ def execute_gate_bucket(array: CellArray, addr: CellAddress | tuple[int, int],
     in every cycle) gives none.
     """
     case = evaluate_mapping(mapping, p, q)
-    drives = array.cell_drives(CellAddress(*addr))
-    cell, addr = drives.cell, drives.addr
+    cell = array.cell(addr)
     if not cell.is_formed:
-        raise NotFormedError(f"cell {tuple(addr)} is pristine; form it first")
-    logic, reset, set_ = drives[case.g, case.te, case.be], drives[RESET_BITS], drives[SET_BITS]
+        raise NotFormedError(f"{cell.cell_id} is pristine; form it first")
+    logic, reset, set_ = (array.drive(addr, bits)
+                          for bits in ((case.g, case.te, case.be), RESET_BITS, SET_BITS))
     init_bit, case_id, output, boundary = case.i, case.case_id, case.output, array.boundary
     name, new_row, rows = mapping.name, tuple.__new__, []  # ``TraceRow._make``, unchecked
     for cycle in range(cycles):
         r_init, writes = read_resistance(cell, read_rng), 0
         try:
             while binarize(r_init, boundary) != init_bit:
-                writes = write_bit(cell, init_bit, reset, set_, rng, writes, addr)
+                writes = write_bit(cell, init_bit, reset, set_, rng, writes)
                 r_init = read_resistance(cell, read_rng)
         except InitFailureError:
             continue

@@ -113,18 +113,6 @@ class OverlapError(RuntimeError):
         self.upper_min = upper_min
 
 
-def _input_writes(addrs: Sequence[CellAddress | tuple[int, int]],
-                  bits: Sequence[int] | str) -> list[tuple[CellAddress, int]]:
-    """Each address with the bit it stores; checked before any pulse."""
-    try:
-        bit_list = [_BITS[b] for b in bits]
-    except (KeyError, TypeError):
-        raise ValueError(f"input bits must be 0 or 1, got {bits!r}") from None
-    if len(addrs) != len(bit_list):
-        raise ValueError("need exactly one bit per address")
-    return [(CellAddress(*addr), bit) for addr, bit in zip(addrs, bit_list)]
-
-
 def scout_class(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]],
                 bits: Sequence[int] | str, cycles: int, rng: Uniforms,
                 read_rng: Normals, verify: bool = True) -> list[float]:
@@ -133,26 +121,32 @@ def scout_class(array: CellArray, addrs: Sequence[CellAddress | tuple[int, int]]
     reads, a ``ValueError`` beyond the float range.  Once per cycle, for
     ``cycles`` cycles; the bits, the selection and that the cells are formed
     are checked once, before any pulse, and each cell's SET and RESET
-    resolutions (``CellArray.cell_drives``) are bound then.  Pulses draw from
+    resolutions (``CellArray.drive``) are bound then.  Pulses draw from
     ``rng``, reads from ``read_rng``.  Every write refreshes: it writes once
     (``write_bit``), so each cycle draws fresh states, then until a read gives
     its bit; ``verify=False`` skips the reads, for analyses that must not
     truncate the state tails.  An ``InitFailureError`` carries its ``cycle``."""
-    writes = _input_writes(addrs, bits)
-    check_parallel(array.topology, tuple(addr for addr, _ in writes))
-    writes = [(drives.cell, bit, drives[RESET_BITS], drives[SET_BITS], drives.addr)
-              for drives, bit in ((array.cell_drives(addr), bit) for addr, bit in writes)]
-    for cell, *_, addr in writes:
+    try:
+        bit_list = [_BITS[b] for b in bits]
+    except (KeyError, TypeError):
+        raise ValueError(f"input bits must be 0 or 1, got {bits!r}") from None
+    if len(addrs) != len(bit_list):
+        raise ValueError("need exactly one bit per address")
+    addrs = tuple(map(array.topology.require_address, addrs))
+    check_parallel(array.topology, addrs)
+    writes = [(array.cell(addr), bit, array.drive(addr, RESET_BITS), array.drive(addr, SET_BITS))
+              for addr, bit in zip(addrs, bit_list)]
+    for cell, *_ in writes:
         if not cell.is_formed:
-            raise NotFormedError(f"cell {tuple(addr)} is pristine; form it first")
+            raise NotFormedError(f"{cell.cell_id} is pristine; form it first")
     cells = [cell for cell, *_ in writes]  # the selection, in its order
     boundary, currents = array.boundary, []
     try:
         for _ in range(cycles):
-            for cell, bit, reset, set_, addr in writes:
-                done = write_bit(cell, bit, reset, set_, rng, 0, addr)
+            for cell, bit, reset, set_ in writes:
+                done = write_bit(cell, bit, reset, set_, rng, 0)
                 while verify and binarize(read_resistance(cell, read_rng), boundary) != bit:
-                    done = write_bit(cell, bit, reset, set_, rng, done, addr)
+                    done = write_bit(cell, bit, reset, set_, rng, done)
             conductance = 0.0
             for cell in cells:
                 conductance += 1.0 / read_resistance(cell, read_rng)

@@ -34,6 +34,7 @@ from memlogic.device import (
     read_resistance,
     sample_fresh_cell,
 )
+from memlogic.logic1t1r import builtin_mapping, execute_gate_bucket
 from memlogic.scouting import input_patterns, scout_class
 
 STD = ArrayTopology(TopologyKind.STANDARD_1T1R, rows=4, cols=4)
@@ -88,13 +89,19 @@ def replay_events(resolved, rng):
     return events
 
 
+def address_of(array, cell):
+    """The address ``array`` sampled ``cell`` at."""
+    [addr] = [addr for addr, other in array.cells.items() if other is cell]
+    return addr
+
+
 def drive_events(array, addr, bits, rng):
     """Replay a fresh resolution of the cell's drive by ``bits`` on ``array``;
     each pulsed cell's address with its event, in address order."""
     resolved = resolve_drives(array, addr, bits)
     events = replay_events(resolved, rng)
     assert len(events) == len(resolved)
-    return [(other, event) for (other, _, _), event in zip(resolved, events)]
+    return [(address_of(array, cell), event) for (cell, _), event in zip(resolved, events)]
 
 
 def read(array, addr, rng):
@@ -148,7 +155,7 @@ def test_every_logic_pulse_resolves_to_the_cells_it_can_switch(kind, bits):
     topology = ArrayTopology(kind, rows=3, cols=4)
     array = CellArray(topology, PARAMS)
     for addr in every_cell(array):
-        expected = [(other, array.cell(other), pulse)
+        expected = [(array.cell(other), pulse)
                     for other, pulse in every_cell_pulse(topology, addr, bits)
                     if pulse.v_g >= V_G_ON and (pulse.v_te, pulse.v_be) != (0.0, 0.0)]
         assert resolve_drives(array, addr, bits) == expected
@@ -264,10 +271,10 @@ def test_a_cell_drive_is_resolved_once_and_replays_on_its_cell_alone(monkeypatch
     rebind(resolve_drives, resolving)
     rebind(apply_pulse, lambda cell, *args: pulsed.append(cell) or apply_pulse(cell, *args))
     addr = CellAddress(0, 0)
-    own = array.cell_drives(addr)[SET_BITS]  # resolved as it is built
+    own = array.drive(addr, SET_BITS)  # resolved on first use
     assert len(resolutions) == len(built) == 1 and resolutions[0] is own
     for _ in range(3):  # looked up and replayed
-        assert array.cell_drives(addr)[SET_BITS] is own
+        assert array.drive(addr, SET_BITS) is own
         replay(own, rng)
     assert len(resolutions) == len(built) == 1
     # Only its own cell was pulsed, once per replay.
@@ -328,7 +335,7 @@ def test_replay_matches_pulsing_every_cell(kind, seed, formed, drives):
 
 
 def cell_states(array):
-    return {addr: (c.state, c.resistance, c.last_lrs, c.last_hrs, c.cycle_count)
+    return {addr: (c.state, c.resistance, c.last_lrs, c.last_hrs)
             for addr, c in every_cell(array).items()}
 
 
@@ -356,10 +363,10 @@ def test_replaying_a_drive_equals_building_it_anew(kind, seed, formed, steps):
     rng_replayed, rng_rebuilt = np.random.default_rng(seed), np.random.default_rng(seed)
     for kind_name, addr in steps:
         # The cell's cached drive, replayed again and again, against one built anew.
-        cached = replayed.cell_drives(addr)[WRITE_BITS[kind_name]]
+        cached = replayed.drive(addr, WRITE_BITS[kind_name])
         fresh = resolve_drives(rebuilt, addr, WRITE_BITS[kind_name])
-        assert ([(a, pulse) for a, _, pulse in cached]
-                == [(a, pulse) for a, _, pulse in fresh])
+        assert ([(cell.cell_id, pulse) for cell, pulse in cached]
+                == [(cell.cell_id, pulse) for cell, pulse in fresh])
         assert replay_events(cached, rng_replayed) == replay_events(fresh, rng_rebuilt)
     assert cell_states(replayed) == cell_states(rebuilt)
     assert every_cell(replayed) == every_cell(rebuilt)
@@ -460,7 +467,7 @@ def test_untouched_cells_are_never_sampled(monkeypatch):
     rng = np.random.default_rng(5)
     replay(resolve_drives(array, CellAddress(1, 2), SET_BITS), rng)
     read(array, (1, 2), rng)
-    assert sampled == ["r1c2"]
+    assert sampled == ["cell (1, 2)"]
     assert list(array.cells) == [CellAddress(1, 2)]
 
 
@@ -471,15 +478,15 @@ def test_cell_rejects_foreign_addresses():
             array.cell(addr)
     cell = array.cell((np.int64(1), np.int64(2)))
     assert cell is array.cell(CellAddress(1, 2)) is array.cell([1, 2])
-    assert cell.cell_id == "r1c2"
+    assert cell.cell_id == "cell (1, 2)"
     assert list(array.cells) == [CellAddress(0, 0), CellAddress(1, 2)]
 
 
 def test_an_address_is_two_integers_even_once_its_cell_is_sampled():
     array = make_array()
-    array.cell((1, 2)), array.cell((1, 0)), array.cell_drives((0, 2))  # sampled, cached
+    array.cell((1, 2)), array.cell((1, 0)), array.drive((0, 2), SET_BITS)  # sampled, cached
     for lookup, addr in [(array.cell, (1.0, 2)), (array.cell, (True, 0)),
-                         (array.cell_drives, (0, 2.0))]:
+                         (lambda addr: array.drive(addr, SET_BITS), (0, 2.0))]:
         with pytest.raises(ValueError, match=f"^address {re.escape(str(addr))} must be two "
                                              "integers$"):
             lookup(addr)
@@ -495,15 +502,42 @@ def test_cell_drives_takes_the_addresses_cell_takes():
         except (TypeError, ValueError) as exc:
             return type(exc), str(exc)
 
+    def drive(addr):
+        return array.drive(addr, SET_BITS)
+
     for addr in [(4, 0), (0, -1), (0.5, 0), "r0c0", (0, 0, 0), [0], 7]:
-        assert outcome(array.cell_drives, addr) == outcome(array.cell, addr) is not None
-    drives = array.cell_drives((np.int64(1), np.int64(2)))
-    assert drives is array.cell_drives([1, 2]) is array.cell_drives(CellAddress(1, 2))
-    assert drives.cell is array.cell((1, 2))
-    # Keyed, and resolved, by plain-int addresses.
-    assert [type(i) for i in drives.addr] == [int, int]
-    assert [(other, [type(i) for i in other]) for other, _, _ in drives[SET_BITS]] == [
-        (CellAddress(1, 2), [int, int])]
+        assert outcome(drive, addr) == outcome(array.cell, addr) is not None
+    resolved = drive((np.int64(1), np.int64(2)))
+    assert resolved is drive([1, 2]) is drive(CellAddress(1, 2))
+    # Keyed, and its cell sampled and named, by a plain-int address.
+    assert resolved == [(array.cell((1, 2)), SET_PULSE)]
+    assert array.cell((1, 2)).cell_id == "cell (1, 2)"
+
+
+#: Every way an address enters, each called with one address on a formed 4 x 4 array.
+ADDRESS_TAKERS = {
+    "cell": lambda array, addr, rng: array.cell(addr),
+    "form": lambda array, addr, rng: array.form(addr),
+    "drive": lambda array, addr, rng: array.drive(addr, SET_BITS),
+    "execute_gate_bucket": lambda array, addr, rng: execute_gate_bucket(
+        array, addr, builtin_mapping("OR"), 0, 1, 1, rng, rng),
+    "scout_class": lambda array, addr, rng: scout_class(array, [addr], "1", 1, rng, rng),
+    "check_parallel": lambda array, addr, rng: check_parallel(array.topology, [addr]),
+}
+
+
+@pytest.mark.parametrize("taker", ADDRESS_TAKERS)
+@pytest.mark.parametrize("addr, message", [
+    ((1, 2, 3), "must be two integers"), ((0,), "must be two integers"),
+    ((True, 0), "must be two integers"), ((0, 1.0), "must be two integers"),
+    ((4, 0), "out of bounds"), ((0, -1), "out of bounds")], ids=str)
+def test_every_address_taker_rejects_a_foreign_address_alike(taker, addr, message):
+    # One check, before any cell is sampled or any draw is taken.
+    array, rng = make_array(), np.random.default_rng(0)
+    cells, state = dict(array.cells), rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^address {re.escape(str(addr))} {message}$"):
+        ADDRESS_TAKERS[taker](array, addr, rng)
+    assert (array.cells, rng.bit_generator.state) == (cells, state)
 
 
 @pytest.mark.parametrize("topology, drive, row, expected", [

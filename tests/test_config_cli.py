@@ -614,10 +614,10 @@ CONTRACT = (
     Row("ambiguous library drive", ["device.v_reset_th_median = 0.2",
                                     "device.v_reset_th_sigma = 0"],
         ["gate", "SAME", "--library", "{tmp}/lib.csv"],
-        "at cell (0, 0): ambiguous drive on r0c0: v_te=1.3, v_be=1.6",
+        "ambiguous drive on cell (0, 0): v_te=1.3, v_be=1.6",
         early=False, files={"lib.csv": "SAME,1,q,q,p\n"}),
     Row("device.v_form_th_median = 6", ["device.v_form_th_median = 6"], GATE,
-        "r0c0 did not form up to 4.8 V (pulses at a 1.1 V gate)", early=False),
+        "cell (0, 0) did not form up to 4.8 V (pulses at a 1.1 V gate)", early=False),
     # A scouting write that gives up says where to replay it: reads noisy
     # enough to straddle the boundary four times running.
     *(Row(f"scouting write gives up at seed {seed}",

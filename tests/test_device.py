@@ -105,7 +105,7 @@ def test_reset_pulse_on_lrs():
     event = apply_pulse(cell, Pulse(0.0, 1.6, 3.0), rng)
     assert event == SwitchEvent.RESET
     assert cell.state == "hrs"
-    assert cell.cycle_count == 1  # the reset completes one switching cycle
+    assert cell.resistance == cell.last_hrs  # the reset drew a fresh HRS value
 
 
 def test_set_pulse_on_lrs_is_noop():

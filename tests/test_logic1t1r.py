@@ -332,12 +332,12 @@ def test_init_failure_raises():
     array = CellArray(ArrayTopology(TopologyKind.STANDARD_1T1R, 4, 4), params, seed=0)
     array.form(CellAddress(0, 0))
     rng = np.random.default_rng(5)
-    drives, writes = array.cell_drives(CellAddress(0, 0)), 0
+    cell, writes = array.cell((0, 0)), 0
+    reset, set_ = array.drive((0, 0), RESET_BITS), array.drive((0, 0), SET_BITS)
     with pytest.raises(InitFailureError, match=f"to 0 after {INIT_RETRIES} retries"):
         while True:
-            writes = write_bit(drives.cell, 0, drives[RESET_BITS], drives[SET_BITS], rng,
-                               writes, drives.addr)
-    assert writes == 1 + INIT_RETRIES and drives.cell.state == "lrs"
+            writes = write_bit(cell, 0, reset, set_, rng, writes)
+    assert writes == 1 + INIT_RETRIES and cell.state == "lrs"
     # So every cycle of a gate whose I is 0 gives up: no row.
     assert execute_gate_bucket(array, (0, 0), builtin_mapping("AND"), 0, 0, 3, rng, rng) == []
 
@@ -364,8 +364,8 @@ def test_a_verified_write_gives_up_after_four_writes(rebind, writer, cycles):
     else:
         with pytest.raises(InitFailureError, match=f"to 1 after {INIT_RETRIES} retries"):
             scout_class(array, [CellAddress(0, 0)], "1", cycles, rng, rng)
-    drives = array.cell_drives(CellAddress(0, 0))
-    assert replays == [drives[RESET_BITS], drives[SET_BITS]] * (1 + INIT_RETRIES) * cycles
+    drives = [array.drive((0, 0), RESET_BITS), array.drive((0, 0), SET_BITS)]
+    assert replays == drives * (1 + INIT_RETRIES) * cycles
     assert len(replays) == 8 * cycles
 
 
@@ -380,7 +380,48 @@ def test_a_pulse_error_names_its_cell(p):
     rng = np.random.default_rng(0)
     with pytest.raises(InvalidDriveError) as info:
         execute_gate_bucket(array, (0, 0), mapping, p, 1, 3, rng, rng)
-    assert str(info.value) == "at cell (0, 0): ambiguous drive on r0c0: v_te=1.3, v_be=1.6"
+    assert str(info.value) == "ambiguous drive on cell (0, 0): v_te=1.3, v_be=1.6"
+
+
+#: Each cell error, raised on the cell at (2, 1) of a 4 x 4 array: the device
+#: parameters that cause it, whether the cell is formed first, the call that
+#: raises it and its message.  Every one names the cell as ``cell (2, 1)``.
+SAME = ParamMapping("SAME", Term.CONST1, Term.Q, Term.Q, Term.P)
+CELL_ERRORS = {
+    "ambiguous drive": (
+        {"v_reset_th_median": 0.2, "v_reset_th_sigma": 0.0}, True,
+        lambda array, rng: execute_gate_bucket(array, (2, 1), SAME, 0, 1, 1, rng, rng),
+        InvalidDriveError, "ambiguous drive on cell (2, 1): v_te=1.3, v_be=1.6"),
+    "forming give-up": (
+        {"v_form_th_median": 6.0}, False, lambda array, rng: array.form((2, 1)),
+        NotFormedError, "cell (2, 1) did not form up to 4.8 V (pulses at a 1.1 V gate)"),
+    "not formed, gate": (
+        {}, False,
+        lambda array, rng: execute_gate_bucket(array, (2, 1), SAME, 0, 1, 1, rng, rng),
+        NotFormedError, "cell (2, 1) is pristine; form it first"),
+    "not formed, scouting": (
+        {}, False, lambda array, rng: scout_class(array, [(2, 1)], "1", 1, rng, rng),
+        NotFormedError, "cell (2, 1) is pristine; form it first"),
+    "init give-up": (
+        {"r_on": 1e9}, True, lambda array, rng: scout_class(array, [(2, 1)], "1", 1, rng, rng),
+        InitFailureError, f"cell (2, 1) failed to initialize to 1 after {INIT_RETRIES} retries"),
+    "read disturb": (
+        {"v_set_th_median": 0.05, "v_set_th_sigma": 0.0}, True,
+        lambda array, rng: execute_gate_bucket(array, (2, 1), SAME, 0, 1, 1, rng, rng),
+        ValueError, "v_read=0.1 is not disturb-free for cell (2, 1)"),
+}
+
+
+@pytest.mark.parametrize("error", CELL_ERRORS)
+def test_every_cell_error_names_its_cell_one_way(error):
+    changes, formed, call, kind, message = CELL_ERRORS[error]
+    array = CellArray(ArrayTopology(TopologyKind.STANDARD_1T1R, 4, 4),
+                      PARAMS.replace(**changes), seed=0)
+    if formed:
+        array.form((2, 1))
+    with pytest.raises(kind) as info:
+        call(array, np.random.default_rng(0))
+    assert str(info.value) == message
 
 
 def test_cascade_reuses_matching_state(rebind):
@@ -400,8 +441,11 @@ def test_reset_drive_uses_the_cell_bl():
     for kind, bl, cols in ((TopologyKind.STANDARD_1T1R, 1, [1]),
                            (TopologyKind.PSEUDO_CROSSBAR, 2, [0, 1, 2, 3])):
         topology = ArrayTopology(kind, 4, 4)
-        resolved = resolve_drives(CellArray(topology, NOISE_FREE), addr, RESET_BITS)
-        assert [(a, topology.bl_of(a), pulse.v_be) for a, _, pulse in resolved] == [
+        array = CellArray(topology, NOISE_FREE)
+        resolved = resolve_drives(array, addr, RESET_BITS)
+        address = {id(cell): a for a, cell in array.cells.items()}
+        assert [(a, topology.bl_of(a), pulse.v_be)
+                for a, pulse in ((address[id(cell)], pulse) for cell, pulse in resolved)] == [
             (CellAddress(2, col), bl, V_BE_RESET) for col in cols]
 
 

@@ -259,14 +259,14 @@ def test_a_characterized_cell_replays_alone():
                       seed=seed)
     addr = CellAddress(0, 2)
     array.form(addr)
-    drives = array.cell_drives(addr)
+    cell = array.cell(addr)
     rng, read_rng = bucket_stream(seed, 32, 2)
     reads = []
     for cycle in range(cycles):
         row = [2, cycle]
         for bits in (SET_BITS, RESET_BITS):
-            replay(drives[bits], rng)
-            row.append(read_resistance(drives.cell, read_rng))
+            replay(array.drive(addr, bits), rng)
+            row.append(read_resistance(cell, read_rng))
         reads.append(tuple(row))
     config = ExperimentConfig(seed=seed, cycles=cycles, device=PARAMS)
     result = run_characterization(config, cells=3)

@@ -44,7 +44,7 @@ def classify_one(current, refs, op):
 
 
 def cell_states(array):
-    return {a: (c.state, c.resistance, c.cycle_count) for a, c in array.cells.items()}
+    return {a: (c.state, c.resistance, c.last_lrs, c.last_hrs) for a, c in array.cells.items()}
 
 
 def column_array(params=NOISE_FREE, n=2, seed=0):
