@@ -550,7 +550,7 @@ def run_characterization(config: ExperimentConfig, cells: int = 10) -> Character
                 replay(drive, rng)
                 if cell.state != state:
                     raise ValueError(
-                        f"cell {ci} is {cell.state.upper()} after the {pulse} pulse of "
+                        f"{cell.cell_id} is {cell.state.upper()} after the {pulse} pulse of "
                         f"cycle {cycle}: its drawn {th} = {getattr(cell, th)!r}, with "
                         f"device.{th}_median = {getattr(params, th + '_median')!r} and "
                         f"device.{th}_sigma = {getattr(params, th + '_sigma')!r}")

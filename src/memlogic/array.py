@@ -90,9 +90,9 @@ class ArrayTopology:
     def require_address(self, addr: CellAddress | tuple[int, int]) -> CellAddress:
         """``addr`` as a ``CellAddress`` of ints, the key of its cell; a
         ``ValueError`` unless it is two integers (row, col), numpy integers too
-        and a bool not, that lie in the array."""
-        if len(addr) != 2 or any(isinstance(i, bool) or not isinstance(i, numbers.Integral)
-                                 for i in addr):
+        and a bool not, that lie in the array; an exact int passes at once."""
+        if len(addr) != 2 or any(type(i) is not int and (
+                isinstance(i, bool) or not isinstance(i, numbers.Integral)) for i in addr):
             raise ValueError(f"address {tuple(addr)} must be two integers")
         row, col = addr
         if not (row in range(self.rows) and col in range(self.cols)):
@@ -118,19 +118,27 @@ def logic_pulse_voltages(g: int, te: int, be: int) -> tuple[float, float, float]
 SET_BITS, RESET_BITS = (1, 1, 0), (1, 0, 1)
 
 
+def require_bits(bits: Sequence[int]) -> tuple[int, int, int]:
+    """``bits`` as the tuple that keys their drive; a ``ValueError`` unless a tuple or list of
+    three values (g, te, be), each 0 or 1: ``classify_case``'s rule for a bit."""
+    if not (isinstance(bits, (tuple, list)) and len(bits) == 3 and all(b in (0, 1) for b in bits)):
+        raise ValueError(f"bits {bits!r} must be three values (g, te, be), each 0 or 1")
+    return tuple(bits)
+
+
 def resolve_drives(array: CellArray, addr: CellAddress | tuple[int, int],
-                   bits: tuple[int, int, int]) -> list[tuple[MemristorCell, Pulse]]:
+                   bits: Sequence[int]) -> list[tuple[MemristorCell, Pulse]]:
     """The (cell, pulse) of each cell that the logic pulse of the bits
-    (g, te, be) on the cell at ``addr`` can switch, in address order; an
-    address outside the array is a ``ValueError``.  The pulse drives the
-    cell's WL, its column SL and the BL its BE hangs on (``bl_of``), so listed
-    are the cells of its row, if the gate is on (at least ``V_G_ON``), with a
-    nonzero SL or BL.  Any other cell cannot switch and its pulse would draw
-    no randomness (gate-off returns first, every switching threshold is > 0),
-    so pulsing the listed cells equals pulsing every cell."""
+    (g, te, be) on the cell at ``addr`` can switch, in address order; an address
+    outside the array or bits ``require_bits`` rejects is a ``ValueError``.  The
+    pulse drives the cell's WL, its column SL and the BL its BE hangs on
+    (``bl_of``), so listed are the cells of its row, if the gate is on (at least
+    ``V_G_ON``), with a nonzero SL or BL.  Any other cell cannot switch and its
+    pulse would draw no randomness (gate-off returns first, every switching
+    threshold is > 0), so pulsing the listed cells equals pulsing every cell."""
     topology = array.topology
     row, col = addr = topology.require_address(addr)
-    v_te, v_be, v_g = logic_pulse_voltages(*bits)
+    v_te, v_be, v_g = logic_pulse_voltages(*require_bits(bits))
     if v_g < V_G_ON:
         return []
     bl, resolved = topology.bl_of(addr), []
@@ -162,7 +170,7 @@ def check_parallel(topology: ArrayTopology,
     """
     if not addrs:
         raise TopologyError("empty selection")
-    if len(set(addrs)) != len(addrs):
+    if len({tuple(a) for a in addrs}) != len(addrs):
         raise TopologyError("duplicate addresses in parallel selection")
     for addr in addrs:
         topology.require_address(addr)
@@ -224,12 +232,12 @@ class CellArray:
             form_by_ramp(cell, rng)
 
     def drive(self, addr: CellAddress | tuple[int, int],
-              bits: tuple[int, int, int]) -> list[tuple[MemristorCell, Pulse]]:
+              bits: Sequence[int]) -> list[tuple[MemristorCell, Pulse]]:
         """The ``resolve_drives`` list of the logic pulse of ``bits`` (g, te,
         be) on the cell at ``addr``, for ``replay``: the one drive cache,
         resolved on first use and kept for the array's life; an address is
-        checked and keyed as in ``cell``."""
-        key = (self.topology.require_address(addr), bits)
+        checked and keyed as in ``cell``, the bits by ``require_bits``."""
+        key = (self.topology.require_address(addr), require_bits(bits))
         if key not in self._drives:
             self._drives[key] = resolve_drives(self, *key)
         return self._drives[key]

@@ -16,7 +16,8 @@ per-read jitter.  Every truncated draw (a new LRS value below the last HRS,
 a new HRS value above the last LRS, a cell's HRS median above its LRS median,
 a threshold above zero) inverts the normal CDF at one uniform, so a switching
 event costs exactly one ``random()`` of the source it is given (``Uniforms``),
-and a noisy read one ``standard_normal()`` (``Normals``).
+and a noisy read one ``standard_normal()`` (``Normals``).  The draws clamp by
+comparison, not by builtin ``max``/``min``, whose calls were ~40% of a draw.
 """
 
 from __future__ import annotations
@@ -226,12 +227,13 @@ def _normal_above(rng: Uniforms, bound: float, sigma: float) -> float:
     the value at or past the bound; callers clamp."""
     a = bound / sigma if sigma else math.copysign(math.inf, bound)
     p = rng.random() * 0.5 * math.erfc(a / _SQRT2)  # v * Phi(-a), or 0 on underflow
-    return -sigma * _normal_dist_inv_cdf(max(_TINY, p), 0.0, 1.0)
+    return -sigma * _normal_dist_inv_cdf(p if p > _TINY else _TINY, 0.0, 1.0)
 
 
 def _positive_normal(rng: Uniforms, mean: float, sigma: float) -> float:
     """Normal draw truncated at zero."""
-    return max(_TINY, mean + _normal_above(rng, -mean, sigma))
+    value = mean + _normal_above(rng, -mean, sigma)
+    return value if value > _TINY else _TINY
 
 
 def _lognormal_around(rng: Normals, median: float, sigma: float) -> float:
@@ -243,9 +245,11 @@ def _lognormal_around(rng: Normals, median: float, sigma: float) -> float:
 def _lognormal_above(rng: Uniforms, median: float, sigma: float,
                      floor: float) -> float:
     """``median * exp(N(0, sigma))`` conditioned above ``floor``, strictly."""
-    bound = math.log(max(_TINY, floor / median))
+    ratio = floor / median
+    bound = math.log(ratio if ratio > _TINY else _TINY)
     value = median * math.exp(_normal_above(rng, bound, sigma))
-    return max(value, math.nextafter(floor, math.inf))
+    edge = math.nextafter(floor, math.inf)
+    return edge if edge > value else value
 
 
 def sample_fresh_cell(params: VariabilityParams, rng: np.random.Generator,
@@ -275,9 +279,11 @@ def _enter_lrs(cell: MemristorCell, rng: Uniforms) -> None:
     """Switch to a fresh LRS value, conditioned below the realized HRS."""
     ceiling = cell.last_hrs
     median, sigma = cell.lrs_median_cell, cell.params.lrs_sigma_c2c
-    bound = math.log(max(_TINY, median / ceiling))
+    ratio = median / ceiling
+    bound = math.log(ratio if ratio > _TINY else _TINY)
     value = median * math.exp(-_normal_above(rng, bound, sigma))
-    cell.resistance = cell.last_lrs = min(value, math.nextafter(ceiling, 0.0))
+    edge = math.nextafter(ceiling, 0.0)
+    cell.resistance = cell.last_lrs = edge if edge < value else value
     cell.state = STATE_LRS
 
 

@@ -1,3 +1,4 @@
+import enum
 import itertools
 import re
 from unittest import mock
@@ -251,10 +252,11 @@ def test_parallel_check_agrees_with_the_line_oracle(kind, pair):
 
 @pytest.mark.parametrize("topology", [STD, PSEUDO], ids=["standard", "pseudo-crossbar"])
 def test_parallel_checks_take_plain_tuples(topology):
-    # Each row of the wiring gives one verdict for tuples and for CellAddresses.
+    # Each row of the wiring gives one verdict for tuples, CellAddresses and
+    # [row, col] lists.
     rows = [row for rows in PARALLEL_TESTS.values() for row in rows if row[0] is topology]
-    check_rows([(topology, [tuple(a) for a in addrs], *rest) for _, addrs, *rest in rows])
-    check_rows([(topology, [CellAddress(*a) for a in addrs], *rest) for _, addrs, *rest in rows])
+    for form in (tuple, lambda a: CellAddress(*a), list):
+        check_rows([(topology, [form(a) for a in addrs], *rest) for _, addrs, *rest in rows])
 
 
 def test_a_cell_drive_is_resolved_once_and_replays_on_its_cell_alone(monkeypatch, rebind):
@@ -471,13 +473,19 @@ def test_untouched_cells_are_never_sampled(monkeypatch):
     assert list(array.cells) == [CellAddress(1, 2)]
 
 
+class Lane(enum.IntEnum):
+    ONE, TWO = 1, 2
+
+
 def test_cell_rejects_foreign_addresses():
     array = make_array()
     for addr in [(4, 0), (0, -1), (0.5, 0), "r0c0", (0, 0, 0), [0], 7]:
         with pytest.raises((TypeError, ValueError)):
             array.cell(addr)
     cell = array.cell((np.int64(1), np.int64(2)))
-    assert cell is array.cell(CellAddress(1, 2)) is array.cell([1, 2])
+    # An int subclass that is not a bool is an integer too, keyed as plain ints.
+    assert cell is array.cell(CellAddress(1, 2)) is array.cell([1, 2]) is array.cell(
+        (Lane.ONE, Lane.TWO))
     assert cell.cell_id == "cell (1, 2)"
     assert list(array.cells) == [CellAddress(0, 0), CellAddress(1, 2)]
 
@@ -512,6 +520,26 @@ def test_cell_drives_takes_the_addresses_cell_takes():
     # Keyed, and its cell sampled and named, by a plain-int address.
     assert resolved == [(array.cell((1, 2)), SET_PULSE)]
     assert array.cell((1, 2)).cell_id == "cell (1, 2)"
+
+
+#: Bits that are not three values, each 0 or 1: the drive of none resolves.
+BAD_BITS = [(2, 1, 0), (1, -1, 0), (0.5, 1, 0), (1, 1), (1, 1, 0, 0), (), "110", None, 6]
+
+
+@pytest.mark.parametrize("bits", BAD_BITS, ids=repr)
+def test_a_drive_rejects_bits_that_are_not_three_of_0_or_1(bits):
+    array = make_array()
+    cells = dict(array.cells)
+    for resolve in (array.drive, lambda addr, bits: resolve_drives(array, addr, bits)):
+        with pytest.raises(ValueError, match=f"^bits {re.escape(repr(bits))} must be three "
+                                             r"values \(g, te, be\), each 0 or 1$"):
+            resolve((0, 1), bits)
+    assert array.cells == cells  # rejected before any cell is sampled
+
+
+def test_a_drive_is_keyed_by_its_bits_as_a_tuple():
+    array = make_array()
+    assert array.drive((0, 1), [1, 1, 0]) is array.drive((0, 1), (1, 1, 0))
 
 
 #: Every way an address enters, each called with one address on a formed 4 x 4 array.

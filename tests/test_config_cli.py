@@ -630,16 +630,16 @@ CONTRACT = (
     # reads as the other's; the line names its drawn threshold, which a wide
     # spread (sigma) puts out of reach with the median at its default.
     Row("characterize cannot set", ["device.v_set_th_median = 2.0"], [*CHARACTERIZE, "3"],
-        "cell 0 is HRS after the 1.3 V SET pulse of cycle 1: its drawn v_set_th = "
+        "cell (0, 0) is HRS after the 1.3 V SET pulse of cycle 1: its drawn v_set_th = "
         "1.962114834707387, with device.v_set_th_median = 2.0 and "
         "device.v_set_th_sigma = 0.05", early=False),
     Row("characterize cannot reset", ["device.v_reset_th_median = 1.7"], [*CHARACTERIZE, "3"],
-        "cell 0 is LRS after the 1.6 V RESET pulse of cycle 0: its drawn v_reset_th = "
+        "cell (0, 0) is LRS after the 1.6 V RESET pulse of cycle 0: its drawn v_reset_th = "
         "1.73773621858717, with device.v_reset_th_median = 1.7 and "
         "device.v_reset_th_sigma = 0.05", early=False),
     Row("characterize cannot set at sigma 0.2",
         ["device.v_set_th_sigma = 0.2", "experiment.seed = 0"], [*CHARACTERIZE, "3"],
-        "cell 0 is HRS after the 1.3 V SET pulse of cycle 1: its drawn v_set_th = "
+        "cell (0, 0) is HRS after the 1.3 V SET pulse of cycle 1: its drawn v_set_th = "
         "1.347899804085343, with device.v_set_th_median = 1.0 and "
         "device.v_set_th_sigma = 0.2", early=False),
     # A series resistance that absorbs every cell resistance reads LRS and HRS

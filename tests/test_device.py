@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import statistics
 from dataclasses import fields
@@ -253,10 +254,13 @@ def cell_between(floor, ceiling, sigma):
                          last_lrs=floor, last_hrs=ceiling)
 
 
+#: (sigma, offset): a bound ``offset`` sigmas from the median (plain units at sigma 0).
+OFFSETS = [(0.32, 40.0), (0.32, -40.0), (0.32, 0.0), (10.0, 40.0), (10.0, -40.0),
+           (0.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+
+
 @pytest.mark.parametrize("u", UNIFORM_ENDS)
-@pytest.mark.parametrize("sigma, offset", [
-    (0.32, 40.0), (0.32, -40.0), (0.32, 0.0), (10.0, 40.0), (10.0, -40.0),
-    (0.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+@pytest.mark.parametrize("sigma, offset", OFFSETS)
 def test_truncated_draws_stay_finite_and_strictly_inside_their_bound(u, sigma, offset):
     # ``offset``: the bound's distance from the median, in sigmas (in log
     # space for resistances; plain units at sigma = 0).
@@ -270,6 +274,70 @@ def test_truncated_draws_stay_finite_and_strictly_inside_their_bound(u, sigma, o
     # A threshold's zero lies 1/40, 1 or 40 sigmas below its mean.
     for mean in (sigma / 40, sigma, 40 * sigma) if sigma else (1.0,):
         assert 0 < device._positive_normal(FixedUniform(u), mean, sigma) < math.inf
+
+
+TINY = math.ulp(0.0)
+
+
+def builtin_normal_above(rng, bound, sigma):
+    """``device._normal_above`` with its clamp written as ``max``, the oracle of
+    the draws below."""
+    a = bound / sigma if sigma else math.copysign(math.inf, bound)
+    p = rng.random() * 0.5 * math.erfc(a / math.sqrt(2.0))
+    return -sigma * device._normal_dist_inv_cdf(max(TINY, p), 0.0, 1.0)
+
+
+def builtin_draws(u, x, sigma, floor):
+    """Each truncated draw at the uniform ``u`` in the builtin ``max``/``min``
+    form: ``_normal_above`` with bound ``x`` and ``_positive_normal`` with mean
+    ``x``, then, for a median ``x`` > 0, ``_lognormal_above`` above ``floor``
+    and the LRS value ``_enter_lrs`` stores below a last HRS of ``floor``."""
+    rng = FixedUniform(u)
+    draws = [builtin_normal_above(rng, x, sigma),
+             max(TINY, x + builtin_normal_above(rng, -x, sigma))]
+    if x > 0:
+        above, below = math.log(max(TINY, floor / x)), math.log(max(TINY, x / floor))
+        draws += [max(x * math.exp(builtin_normal_above(rng, above, sigma)),
+                      math.nextafter(floor, math.inf)),
+                  min(x * math.exp(-builtin_normal_above(rng, below, sigma)),
+                      math.nextafter(floor, 0.0))]
+    return draws
+
+
+def comparison_draws(u, x, sigma, floor):
+    """The same draws by ``device``, whose clamps are comparisons."""
+    rng = FixedUniform(u)
+    draws = [device._normal_above(rng, x, sigma), device._positive_normal(rng, x, sigma)]
+    if x > 0:
+        cell = MemristorCell("c", PARAMS.replace(lrs_sigma_c2c=sigma), x, x, 1.0, 0.9, 2.0,
+                             last_lrs=x, last_hrs=floor)
+        device._enter_lrs(cell, rng)
+        draws += [device._lognormal_above(rng, x, sigma, floor), cell.resistance]
+    return draws
+
+
+def draw_inputs():
+    """(u, x, sigma, floor): both uniform ends over ``OFFSETS`` at a 10 kOhm
+    median, then 12,000 seeded draws, a quarter at sigma = 0, with ``x`` of
+    either sign or 0 and magnitudes from 1e-320 to 1e300, so that ``floor /
+    x`` and ``x / floor`` fall below ``TINY`` and each clamp both bites and
+    lets the value pass."""
+    for u, (sigma, offset) in itertools.product(UNIFORM_ENDS, OFFSETS):
+        yield u, 1e4, sigma, 1e4 * math.exp(offset * sigma if sigma else offset)
+    rng = np.random.default_rng(39)
+    for _ in range(12_000):
+        u = rng.choice([rng.random(), 0.0, 2.0 ** -rng.integers(1, 1075), UNIFORM_ENDS[1]])
+        sigma = 0.0 if rng.random() < 0.25 else rng.uniform(0.0, device.MAX_LOG_SIGMA)
+        x = rng.choice([1.0, -1.0, 0.0]) * 10.0 ** rng.uniform(-320, 300)
+        yield float(u), float(x), float(sigma), float(10.0 ** rng.uniform(-320, 300))
+
+
+def test_the_comparison_clamps_equal_builtin_max_and_min_bit_for_bit():
+    # No CLI run reaches a clamp's edge or ``TINY``, so the golden digests
+    # cannot tell the two forms apart; this compares every bit, and -0.0 too.
+    for u, x, sigma, floor in draw_inputs():
+        assert [v.hex() for v in comparison_draws(u, x, sigma, floor)] == [
+            v.hex() for v in builtin_draws(u, x, sigma, floor)], (u, x, sigma, floor)
 
 
 @pytest.mark.parametrize("u", UNIFORM_ENDS)

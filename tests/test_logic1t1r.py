@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from memlogic import logic1t1r as logic_module
-from memlogic.analysis import write_exports
+from memlogic.analysis import ExperimentConfig, run_characterization, write_exports
 from memlogic.array import (
     RESET_BITS,
     SET_BITS,
@@ -385,7 +385,8 @@ def test_a_pulse_error_names_its_cell(p):
 
 #: Each cell error, raised on the cell at (2, 1) of a 4 x 4 array: the device
 #: parameters that cause it, whether the cell is formed first, the call that
-#: raises it and its message.  Every one names the cell as ``cell (2, 1)``.
+#: raises it and its message.  Every one names the cell as ``cell (2, 1)``, but
+#: characterization's, on the first cell of its own 1 x cells array: ``cell (0, 0)``.
 SAME = ParamMapping("SAME", Term.CONST1, Term.Q, Term.Q, Term.P)
 CELL_ERRORS = {
     "ambiguous drive": (
@@ -409,6 +410,13 @@ CELL_ERRORS = {
         {"v_set_th_median": 0.05, "v_set_th_sigma": 0.0}, True,
         lambda array, rng: execute_gate_bucket(array, (2, 1), SAME, 0, 1, 1, rng, rng),
         ValueError, "v_read=0.1 is not disturb-free for cell (2, 1)"),
+    "characterization, cannot set": (
+        {"v_set_th_median": 2.0}, False,
+        lambda array, rng: run_characterization(
+            ExperimentConfig(device=array.params, cycles=3, seed=array.seed), cells=1),
+        ValueError, "cell (0, 0) is HRS after the 1.3 V SET pulse of cycle 1: its drawn "
+                    "v_set_th = 2.0869749443382966, with device.v_set_th_median = 2.0 and "
+                    "device.v_set_th_sigma = 0.05"),
 }
 
 

@@ -22,10 +22,11 @@ at seeds 3 and 7: exit 2; a noisy-read gate's verified write gives up
 mid-bucket at seeds 7 and 19, one gate error each), gates on rotated cells
 (``experiment.rotate_cells``), the pseudo-crossbar wiring (whose scouting
 exits 2), that wiring named in mixed case, a library gate whose drive is
-ambiguous and a gate whose cells cannot form (each exit 2, one line naming
-the cell).  Two cases check the settings path: a config file that sets
-every key a flag also sets, under a gate and a scouting run that pass
-every flag their command takes, so each flag must win over its key.  A sweep
+ambiguous, a gate whose cells cannot form and a characterize run whose
+cells cannot SET (each exit 2, one line naming the cell).  Two cases check
+the settings path: a config file that sets every key a flag also sets,
+under a gate and a scouting run that pass every flag their command takes,
+so each flag must win over its key.  A sweep
 over a config with an unknown scouting op exits 2 with the same line and no
 exports, whether it rejects the op before its first point or after it.
 Four cases give ``characterize``, ``gate``, ``scouting`` and ``sweep`` an
@@ -59,6 +60,7 @@ CONFIGS = {
     "rotated": ["experiment.rotate_cells = true"],
     "ambiguous": ["device.v_reset_th_median = 0.2", "device.v_reset_th_sigma = 0"],
     "unformable": ["device.v_form_th_median = 6"],
+    "unsettable": ["device.v_set_th_median = 2.0"],
     "unknown-op": ["experiment.scouting_ops = read,nand"],
     # Each key a flag sets, at a value the flag replaces.
     "every-flag-key": ["experiment.seed = 11", "experiment.cycles = 9",
@@ -86,6 +88,7 @@ CASES = [
     ("mixed-case pseudo-crossbar gate", "mixed-case-pseudo-crossbar", GATE),
     ("ambiguous library gate", "ambiguous", ["gate", "BOTH", "--library", "{library}"]),
     ("unformable gate", "unformable", GATE),
+    ("characterize cannot set", "unsettable", ["characterize"]),
     ("every-flag gate", "every-flag-key",
      [*GATE, "--cycles", "20", "--format", "csv"]),
     ("every-flag scouting", "every-flag-key",
