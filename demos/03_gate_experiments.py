@@ -8,12 +8,7 @@ freshly reset high state while the output bits stay failure-free.
 Run:  python demos/03_gate_experiments.py
 """
 
-from memlogic import VariabilityParams, default_boundary
-from memlogic.analysis import (
-    ExperimentConfig,
-    non_switching_report,
-    run_1t1r_experiment,
-)
+from memlogic.analysis import ExperimentConfig, run_1t1r_experiment
 
 config = ExperimentConfig(seed=7, cycles=100)
 result = run_1t1r_experiment(config)
@@ -38,8 +33,7 @@ print(f"freshly reset HRS outputs span {max(hrs_fresh) / min(hrs_fresh):.1f}x "
 
 print()
 print("non-switching cases: initial vs final state")
-boundary = default_boundary(VariabilityParams())
-for case in non_switching_report(result.rows, boundary):
+for case in result.non_switching:
     note = "reset-polarity stress re-draws the high state" if case.case_id == 6 else ""
     print(f"  case {case.case_id:>2}: n={case.count:>3}  "
           f"binary changes {case.binary_changes}  "

@@ -11,12 +11,12 @@ draws depend on the buckets run before it.
 Each experiment hands every bucket's (label, expected bit, trials, failed
 cycles, errors) to ``FailureReport.tally``, which builds the report whole.
 A gate bucket's runner returns the rows the ``traces`` table exports, and a
-cycle without a row is an error.  The one scouting sampler,
-``sample_scouting_currents``, forms the input cells once, starts each class
-from them restored in place and returns each class's currents.  A scouting
-run's training and classified halves are slices of them, and the gaps
-between the training currents are computed once, for the references and the
-margins.
+cycle without a row is an error.  Only the runners binarize; the harness reads
+the bits off the rows.  The one scouting sampler, ``sample_scouting_currents``,
+forms the input cells once, starts each class from them restored in place and
+returns each class's currents.  A scouting run's training and classified halves
+are slices of them, and the gaps between the training currents are computed
+once, for the references and the margins.
 A characterization runs all its cells on one array, whose drives for one
 cell leave every other cell at 0 V.
 
@@ -54,8 +54,6 @@ from .device import (
     Normals,
     Uniforms,
     VariabilityParams,
-    binarize,
-    default_boundary,
     read_resistance,
     require_finite_result,
     require_int,
@@ -355,7 +353,7 @@ def run_1t1r_experiment(config: ExperimentConfig,
     return LogicExperimentResult(
         rows=rows, summaries=summaries,
         report=FailureReport.tally(config.seed, tallies),
-        non_switching=non_switching_report(rows, default_boundary(config.device)))
+        non_switching=non_switching_report(rows))
 
 
 class NonSwitchingCaseReport(NamedTuple):
@@ -365,29 +363,23 @@ class NonSwitchingCaseReport(NamedTuple):
     log_variation: float
 
 
-def non_switching_report(rows: Sequence[TraceRow],
-                         boundary: float) -> list[NonSwitchingCaseReport]:
+def non_switching_report(rows: Sequence[TraceRow]) -> list[NonSwitchingCaseReport]:
     """Initial-versus-final resistance scatter for every non-switching case
     the rows reach (``LogicCase.possible`` is false).
 
-    ``binary_changes`` must stay zero; ``log_variation`` is the standard
-    deviation of ln(final/initial), the analog drift of the resident state.
+    ``binary_changes`` (output bits that are not I) must stay zero; ``log_variation``
+    is the standard deviation of ln(final/initial), the analog drift of the resident state.
     """
     by_case: dict[int, list[TraceRow]] = defaultdict(list)
     for case_id, run in groupby(rows, attrgetter("case_id")):  # a bucket is one run
-        by_case[case_id] += run
-    reports = []
-    for case_id in sorted(by_case):
-        if CASE_TABLE[case_id - 1].possible:
-            continue
-        case_rows = by_case[case_id]
-        changes = sum(1 for r in case_rows
-                      if binarize(r.r_init_ohm, boundary) != binarize(r.r_final_ohm, boundary))
-        ratios = [math.log(r.r_final_ohm / r.r_init_ohm) for r in case_rows]
-        reports.append(NonSwitchingCaseReport(
-            case_id=case_id, count=len(case_rows), binary_changes=changes,
-            log_variation=float(np.std(np.asarray(ratios)))))
-    return reports
+        if not CASE_TABLE[case_id - 1].possible:
+            by_case[case_id] += run
+    return [NonSwitchingCaseReport(
+        case_id=case_id, count=len(case_rows),
+        binary_changes=sum(r.out_bit != r.expected_bit for r in case_rows),
+        log_variation=float(np.std(np.asarray(
+            [math.log(r.r_final_ohm / r.r_init_ohm) for r in case_rows]))))
+        for case_id, case_rows in sorted(by_case.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +491,7 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
 
     tallies = []
     for op in ops:
-        for input_class in ("0", "1") if op == "read" else input_patterns(config.n_inputs):
+        for input_class in input_patterns(1 if op == "read" else config.n_inputs):
             expected = expected_bit(op, input_class)
             evaluated = currents[input_class][start:]
             # A collapsed gap leaves nothing to compare against: every cycle fails.
@@ -676,11 +668,16 @@ def _csv_body(rows: list, width: int) -> str | None:
     return body
 
 
+EXPORT_FORMATS = ("csv", "json")  # the formats a table is exported in, each its suffix
+
+
 def export_table(name: str, columns: Sequence[str], rows: Iterable[tuple],
                  out_dir: str | Path, fmt: str = "csv") -> Path:
     """Write one table into the existing ``out_dir``: a ``columns`` header, then
     each row's values in column order; deterministic bytes.  A CSV row holds its
     values' ``str``, written through ``csv.writer`` where some field needs quoting."""
+    if fmt not in EXPORT_FORMATS:
+        raise ValueError(f"unknown export format {fmt!r} ({' or '.join(EXPORT_FORMATS)})")
     path = Path(out_dir) / f"{name}.{fmt}"
     if fmt == "csv":
         rows = list(rows)
@@ -692,12 +689,10 @@ def export_table(name: str, columns: Sequence[str], rows: Iterable[tuple],
                 writer.writerows(rows)
             else:
                 handle.write(body)
-    elif fmt == "json":  # JSON has no NaN or infinity: a non-finite float is null
+    else:  # JSON has no NaN or infinity: a non-finite float is null
         _write_json(path, [{column: None if isinstance(value, float)
                             and not math.isfinite(value) else value
                             for column, value in zip(columns, row)} for row in rows])
-    else:
-        raise ValueError(f"unknown export format {fmt!r} (csv or json)")
     return path
 
 

@@ -88,16 +88,21 @@ class ArrayTopology:
         return row if self.kind == TopologyKind.PSEUDO_CROSSBAR else col
 
     def require_address(self, addr: CellAddress | tuple[int, int]) -> CellAddress:
-        """``addr`` as a ``CellAddress`` of ints, the key of its cell; a
-        ``ValueError`` unless it is two integers (row, col), numpy integers too
-        and a bool not, that lie in the array; an exact int passes at once."""
-        if len(addr) != 2 or any(type(i) is not int and (
-                isinstance(i, bool) or not isinstance(i, numbers.Integral)) for i in addr):
-            raise ValueError(f"address {tuple(addr)} must be two integers")
-        row, col = addr
-        if not (row in range(self.rows) and col in range(self.cols)):
+        """``addr`` as its cell's key (``require_pair``); a ``ValueError`` outside the array."""
+        row, col = key = require_pair(addr)
+        if not (0 <= row < self.rows and 0 <= col < self.cols):
             raise ValueError(f"address {tuple(addr)} out of bounds")
-        return CellAddress(int(row), int(col))
+        return key
+
+
+def require_pair(addr: CellAddress | tuple[int, int]) -> CellAddress:
+    """``addr`` as a ``CellAddress`` of ints; a ``ValueError`` unless two integers (not bools)."""
+    if not hasattr(addr, "__len__") or len(addr) != 2 or any(type(i) is not int and (
+            isinstance(i, bool) or not isinstance(i, numbers.Integral)) for i in addr):
+        raise ValueError(f"address {tuple(addr) if hasattr(addr, '__len__') else addr} "
+                         "must be two integers")
+    row, col = addr
+    return CellAddress(int(row), int(col))
 
 
 def logic_pulse_voltages(g: int, te: int, be: int) -> tuple[float, float, float]:
@@ -170,7 +175,7 @@ def check_parallel(topology: ArrayTopology,
     """
     if not addrs:
         raise TopologyError("empty selection")
-    if len({tuple(a) for a in addrs}) != len(addrs):
+    if len(set(map(require_pair, addrs))) != len(addrs):
         raise TopologyError("duplicate addresses in parallel selection")
     for addr in addrs:
         topology.require_address(addr)
@@ -225,8 +230,7 @@ class CellArray:
 
     def form(self, addr: CellAddress | tuple[int, int]) -> None:
         """Form one cell with the voltage-ramp routine (idempotent)."""
-        addr = self.topology.require_address(addr)
-        cell = self.cell(addr)
+        cell = self.cell(addr := self.topology.require_address(addr))
         if not cell.is_formed:
             rng = np.random.default_rng(np.random.SeedSequence((self.seed, 1, *addr)))
             form_by_ramp(cell, rng)

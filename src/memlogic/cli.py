@@ -32,6 +32,7 @@ import sys
 import numpy as np
 
 from .analysis import (
+    EXPORT_FORMATS,
     SweepPoint,
     run_1t1r_experiment,
     run_characterization,
@@ -43,6 +44,7 @@ from .config import AppConfig, build_config, parse_config_file
 from .device import NotFormedError
 from .logic1t1r import (
     CASE_TABLE,
+    LIBRARY_COLUMNS,
     InitFailureError,
     default_gate_library,
     load_gate_library,
@@ -72,7 +74,7 @@ def _common_flags(parser: argparse.ArgumentParser, runs: bool = True,
                         dest="experiment.output_dir", metavar="OUTPUT",
                         help="output directory for exports")
     if tables:
-        parser.add_argument("--format", choices=("csv", "json"), dest="experiment.format",
+        parser.add_argument("--format", choices=EXPORT_FORMATS, dest="experiment.format",
                             help="export table format")
 
 
@@ -160,8 +162,7 @@ def cmd_synthesize(app: AppConfig, args: argparse.Namespace) -> tuple[list, list
     valid = [truth_table_of(m) == m.name[1:] for m in mappings]
     lines = [f"{m.name}: g={m.g.value} te={m.te.value} be={m.be.value} "
              f"i={m.i.value}  {'ok' if ok else 'INVALID'}" for m, ok in zip(mappings, valid)]
-    # The library file, the name,g,te,be,i rows that ``gate --library`` reads.
-    table = ("gates_synthesized", ("name", "g", "te", "be", "i"),
+    table = ("gates_synthesized", LIBRARY_COLUMNS,  # the library file ``gate --library`` reads
              [(m.name, *(term.value for term in m.terms())) for m in mappings])
     return [table], lines, _exit_code(valid.count(False), 0, len(mappings))
 

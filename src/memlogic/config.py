@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .analysis import ExperimentConfig
+from .analysis import EXPORT_FORMATS, ExperimentConfig
 from .array import ArrayTopology
 from .device import VariabilityParams
 
@@ -112,8 +112,8 @@ def build_config(raw: dict[str, object], source: str = "<config>") -> AppConfig:
     experiment_keys = sections["experiment"]
     output_dir = str(experiment_keys.pop("output_dir", AppConfig.output_dir))
     fmt = str(experiment_keys.pop("format", AppConfig.format))
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"{source}: experiment.format must be csv or json")
+    if fmt not in EXPORT_FORMATS:
+        raise ConfigError(f"{source}: experiment.format must be {' or '.join(EXPORT_FORMATS)}")
     # The nested models are set through their own sections.
     for name in experiment_keys:
         if name in models or name not in {f.name for f in fields(ExperimentConfig)}:

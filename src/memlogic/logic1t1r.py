@@ -11,7 +11,9 @@ the case table (``LogicCase.output``), every mapping's truth table and the
 synthesizer are derived from it.
 
 This module provides the pure case/mapping algebra (no device model), an
-exhaustive synthesizer covering all 16 two-input Boolean functions, and the
+exhaustive synthesizer covering all 16 two-input Boolean functions, the
+library file reader (``load_gate_library``: ``LIBRARY_COLUMNS`` rows in the
+CSV dialect ``csv.writer`` writes, ``memlogic synthesize``'s table) and the
 physical execution path that writes a cell's initial state, fires the logic
 pulse through the array wiring and reads the output back, all at the one
 operating point, the ``device`` constants ``V_TE_SET`` to ``V_READ``.
@@ -32,6 +34,7 @@ or a stream that serves only its one method.
 
 from __future__ import annotations
 
+import csv
 import functools
 import itertools
 from dataclasses import dataclass
@@ -214,24 +217,26 @@ def default_gate_library() -> dict[str, ParamMapping]:
 
 
 _TOKEN_TO_TERM = {t.value: t for t in Term}
+LIBRARY_COLUMNS = ("name", "g", "te", "be", "i")  # a library file's, as ``synthesize`` writes
 
 
 def load_gate_library(path: str | Path) -> dict[str, ParamMapping]:
+    """The mappings of a library file by name; an error names its line."""
     mappings: dict[str, ParamMapping] = {}
-    lines = Path(path).read_text().splitlines()
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
-        if not line or line.startswith("#") or line.lower() == "name,g,te,be,i":
+        if not line or line.startswith("#") or line.lower() == ",".join(LIBRARY_COLUMNS):
             continue
-        parts = [part.strip() for part in line.split(",")]
-        if len(parts) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-        name, *tokens = parts
         try:
-            g, te, be, i = (_TOKEN_TO_TERM[tok] for tok in tokens)
+            parts = [part.strip() for part in next(csv.reader([line], skipinitialspace=True))]
+            if len(parts) != len(LIBRARY_COLUMNS):
+                raise ValueError(f"expected {len(LIBRARY_COLUMNS)} fields, got {len(parts)}")
+            name, *tokens = parts
+            mappings[name] = ParamMapping(name, *(_TOKEN_TO_TERM[tok] for tok in tokens))
+        except (csv.Error, ValueError) as exc:  # a csv.Error: a field past its size limit
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         except KeyError as exc:
             raise ValueError(f"{path}:{lineno}: unknown token {exc.args[0]!r}") from None
-        mappings[name] = ParamMapping(name, g, te, be, i)
     return mappings
 
 

@@ -6,7 +6,7 @@ reference levels placed in the gaps between the popcount classes (the number
 of cells in LRS).  The number of levels below the current is the popcount,
 and every operation is a predicate on it: OR is a popcount of at least one,
 AND a popcount of n, XOR an odd popcount.  READ is the one-cell case, with its
-own reference.  The read is non-destructive, so the gate never switches a
+popcount gap.  The read is non-destructive, so the gate never switches a
 device.  ``scout_class`` writes one input class and scouts it cycle after
 cycle, with the bits and the selection checked once and each cell's writes
 bound once: every cycle's refresh writes replay them (``write_bit``) and its
@@ -166,12 +166,11 @@ def class_gaps(currents: Mapping[str, Sequence[float]]) -> tuple[list[Gap], Gap 
 
     ``currents`` holds each class's read currents; a gap runs from the lower
     class's largest current to the upper class's smallest.  The width n is
-    inferred from the multi-bit input classes, which must cover every n-bit
-    pattern.  They are grouped by popcount, and a group is labelled by its
-    patterns joined with "|" (for n = 2: "00", "01|10", "11").  The READ gap
-    lies between the single-cell classes "0" and "1"; it is ``None`` when
-    neither was sampled, and one without the other is rejected.  Collisions
-    appear at smaller spreads as n grows: the overlap risk of wider gates.
+    inferred from the multi-bit classes.  The classes of width n, then of
+    width 1 if "0" or "1" was sampled, must cover every pattern of their width;
+    each width's are grouped by popcount, labelled by their patterns joined
+    with "|" (n = 2: "00", "01|10", "11"), and width 1's one gap is READ's, else
+    ``None``.  Collisions appear at smaller spreads as n grows: wider gates' risk.
     """
     for cls in currents:
         if not cls or set(cls) - {"0", "1"}:
@@ -179,25 +178,21 @@ def class_gaps(currents: Mapping[str, Sequence[float]]) -> tuple[list[Gap], Gap 
     widths = sorted({len(cls) for cls in currents if len(cls) > 1})
     if len(widths) != 1:
         raise ValueError(f"need samples of one input width >= 2, got widths {widths}")
-    n = widths[0]
-    groups = [[p for p in input_patterns(n) if p.count("1") == k] for k in range(n + 1)]
-    missing = [p for group in groups for p in group if p not in currents]
+    if any(len(cls) == 1 for cls in currents):  # READ's classes
+        widths.append(1)
+    missing = [p for n in widths for p in input_patterns(n) if p not in currents]
     if missing:
         raise ValueError(f"missing samples for classes {sorted(missing)}")
-    single = [cls for cls in ("0", "1") if cls in currents]
-    if len(single) == 1:
-        raise ValueError(f"single-cell class {single[0]!r} was sampled without its partner")
     empty = [cls for cls, values in currents.items() if not values]
     if empty:
         raise ValueError(f"no currents for classes {sorted(empty)}")
-    labels = ["|".join(group) for group in groups]
-    spans = [(min(min(currents[p]) for p in group), max(max(currents[p]) for p in group))
-             for group in groups]
-    level_gaps = [(labels[k], labels[k + 1], spans[k][1], spans[k + 1][0]) for k in range(n)]
-    read_gap = None
-    if single:
-        read_gap = ("0", "1", max(currents["0"]), min(currents["1"]))
-    return level_gaps, read_gap
+    gaps = []
+    for n in widths:
+        groups = [[p for p in input_patterns(n) if p.count("1") == k] for k in range(n + 1)]
+        gaps.append([("|".join(lower), "|".join(upper), max(max(currents[p]) for p in lower),
+                      min(min(currents[p]) for p in upper))
+                     for lower, upper in zip(groups, groups[1:])])
+    return gaps[0], gaps[1][0] if len(gaps) > 1 else None  # READ's gap is width 1's one gap
 
 
 def _midpoint(lower_class: str, upper_class: str, lower_max: float, upper_min: float) -> float:

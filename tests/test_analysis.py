@@ -31,7 +31,7 @@ from memlogic import array as array_module
 from memlogic import device as device_module
 from memlogic import scouting as scouting_module
 from memlogic.array import ArrayTopology
-from memlogic.device import Pulse, VariabilityParams, default_boundary
+from memlogic.device import Pulse, VariabilityParams, binarize, default_boundary
 
 NOISE_FREE = VariabilityParams(
     lrs_sigma_c2c=0.0, lrs_sigma_d2d=0.0, hrs_sigma_c2c=0.0, hrs_sigma_d2d=0.0,
@@ -142,8 +142,7 @@ def test_typed_gate_names_label_the_rows_summaries_and_report(tmp_path):
 
 def test_non_switching_exact_when_noise_free():
     result = run_1t1r_experiment(ExperimentConfig(seed=5, cycles=10, device=NOISE_FREE))
-    boundary = default_boundary(NOISE_FREE)
-    reports = {r.case_id: r for r in non_switching_report(result.rows, boundary)}
+    reports = {r.case_id: r for r in non_switching_report(result.rows)}
     assert all(r.binary_changes == 0 for r in reports.values())
     # Without read noise the resident state reads back bit-identically in
     # every non-switching case that applies no reset-polarity stress (case 6
@@ -155,8 +154,7 @@ def test_non_switching_exact_when_noise_free():
 
 def test_case6_has_largest_variation():
     result = run_1t1r_experiment(ExperimentConfig(seed=6, cycles=60))
-    boundary = default_boundary(VariabilityParams())
-    reports = {r.case_id: r for r in non_switching_report(result.rows, boundary)}
+    reports = {r.case_id: r for r in non_switching_report(result.rows)}
     assert set(reports) == {3, 6, 7, 8, 12, 13, 16}
     assert all(r.binary_changes == 0 for r in reports.values())
     case6 = reports[6].log_variation
@@ -164,6 +162,23 @@ def test_case6_has_largest_variation():
     # The blocked SET polarity on an already-set cell leaves read jitter only,
     # visible but far below the HRS instability of case 6.
     assert 0 < reports[3].log_variation < case6
+
+
+@pytest.mark.parametrize("rotate_cells", [False, True])
+@pytest.mark.parametrize("seed", [3, 7, 19])
+def test_binary_changes_are_the_rows_bits_that_left_their_initial_state(seed, rotate_cells):
+    """A non-switching row's bits are its initial and final reads binarized at
+    the run's boundary: reads noisy enough to cross it give non-zero counts."""
+    device = VariabilityParams(read_noise_hrs=1.5, read_noise_lrs=1.5)
+    config = ExperimentConfig(seed=seed, gates=("OR", "AND", "NIMP", "XOR", "NOTP"),
+                              device=device, rotate_cells=rotate_cells)
+    result = run_1t1r_experiment(config)
+    boundary = default_boundary(config.device)
+    rebinarized = {case.case_id: sum(
+        binarize(r.r_init_ohm, boundary) != binarize(r.r_final_ohm, boundary)
+        for r in result.rows if r.case_id == case.case_id) for case in result.non_switching}
+    assert {case.case_id: case.binary_changes for case in result.non_switching} == rebinarized
+    assert any(rebinarized.values())
 
 
 # ---------------------------------------------------- scouting experiment
@@ -426,6 +441,14 @@ def test_csv_tables_equal_the_csv_writer_bytes(table):
 def test_export_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         export_table("traces", TraceRow._fields, [], tmp_path, "xml")
+
+
+def test_an_unknown_export_format_is_named_before_any_file(tmp_path):
+    # ``EXPORT_FORMATS`` is the one list, here as in ``--format`` and the config check.
+    assert analysis_module.EXPORT_FORMATS == ("csv", "json")
+    with pytest.raises(ValueError, match=r"^unknown export format 'xml' \(csv or json\)$"):
+        export_table("traces", TraceRow._fields, [], tmp_path, "xml")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_export_files_are_deterministic(tmp_path):

@@ -558,7 +558,8 @@ ADDRESS_TAKERS = {
 @pytest.mark.parametrize("addr, message", [
     ((1, 2, 3), "must be two integers"), ((0,), "must be two integers"),
     ((True, 0), "must be two integers"), ((0, 1.0), "must be two integers"),
-    ((4, 0), "out of bounds"), ((0, -1), "out of bounds")], ids=str)
+    ((4, 0), "out of bounds"), ((0, -1), "out of bounds"),
+    (7, "must be two integers"), (None, "must be two integers")], ids=str)
 def test_every_address_taker_rejects_a_foreign_address_alike(taker, addr, message):
     # One check, before any cell is sampled or any draw is taken.
     array, rng = make_array(), np.random.default_rng(0)

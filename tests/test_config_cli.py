@@ -525,6 +525,9 @@ CONTRACT = (
     # The library file has one format, the CSV that --library reads.
     Row("synthesize --format", [], ["synthesize", "--format", "json"],
         "memlogic: error: unrecognized arguments: --format json"),
+    Row("gate --format xml", [], [*GATE, "--format", "xml"],
+        "memlogic gate: error: argument --format: invalid choice: 'xml' "
+        "(choose from 'csv', 'json')"),
     Row("a flag under a bad file", ["experiment.cycles = 0"], ["gate", "OR", "--cycles", "5"],
         "cycles must be >= 1, got 0"),
     Row("a usage error under a bad file", ["experiment.cycles = 0"], ["gate", "OR", "--bogus"],
@@ -671,6 +674,12 @@ CONTRACT = (
                              ("product 0", ["device.lrs_median = 1e-200",
                                             "device.hrs_median = 1e-199"]))
       for command in (GATE, SCOUTING)),
+
+    # A library file is read in the CSV dialect it is written in: a quoted name
+    # may hold a comma.
+    Row("gate 'A,B' --library", [], ["gate", "A,B", "--cycles", "2", "--library",
+                                     "{tmp}/lib.csv"], code=0, early=False,
+        files={"lib.csv": 'name,g,te,be,i\n"A,B",1,q,0,p\n'}),
 )
 
 #: Rows that name the first broken bound of the device when more than one is.

@@ -33,6 +33,7 @@ from memlogic.logic1t1r import (
     BUILTIN_MAPPINGS,
     CASE_TABLE,
     INIT_RETRIES,
+    LIBRARY_COLUMNS,
     TERM_ORDER,
     InitFailureError,
     ParamMapping,
@@ -243,8 +244,8 @@ def test_term_resolve_rejects_non_bits():
 
 
 def test_library_roundtrip(tmp_path):
-    # A library file is the name,g,te,be,i table that ``memlogic synthesize`` writes.
-    [path] = write_exports([("gates", ("name", "g", "te", "be", "i"),
+    # A library file is the ``LIBRARY_COLUMNS`` table that ``memlogic synthesize`` writes.
+    [path] = write_exports([("gates", LIBRARY_COLUMNS,
                              [(m.name, *(t.value for t in m.terms()))
                               for m in BUILTIN_MAPPINGS.values()])], tmp_path)
     loaded = load_gate_library(path)
@@ -256,6 +257,18 @@ def test_library_roundtrip(tmp_path):
     bad.write_text("X,1,q,0,z\n")
     with pytest.raises(ValueError):
         load_gate_library(bad)
+
+
+def test_library_names_that_csv_quotes_round_trip(tmp_path):
+    # Written as ``cmd_synthesize`` writes its table, read back as ``--library`` reads it.
+    mappings = {name: ParamMapping(name, Term.CONST1, Term.Q, Term.CONST0, Term.P)
+                for name in ("A,B", 'Q"R', '"quoted"')}
+    [path] = write_exports([("gates", LIBRARY_COLUMNS,
+                             [(m.name, *(t.value for t in m.terms()))
+                              for m in mappings.values()])], tmp_path)
+    assert path.read_text().splitlines()[1:] == [
+        '"A,B",1,q,0,p', '"Q""R",1,q,0,p', '"""quoted""",1,q,0,p']
+    assert load_gate_library(path) == mappings
 
 
 def test_logic_pulse_voltage_mapping():

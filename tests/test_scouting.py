@@ -354,8 +354,8 @@ def test_class_gaps_names_an_empty_class(currents, name):
 
 @pytest.mark.parametrize("extra, message", [
     ({"": [5.0]}, "input class '' is not a bit pattern"),
-    ({"0": [I_HRS]}, "single-cell class '0' was sampled without its partner"),
-    ({"1": [I_LRS]}, "single-cell class '1' was sampled without its partner"),
+    ({"0": [I_HRS]}, r"missing samples for classes \['1'\]"),
+    ({"1": [I_LRS]}, r"missing samples for classes \['0'\]"),
 ], ids=["empty-name", "lone-0", "lone-1"])
 def test_class_gaps_names_a_class_it_cannot_use(extra, message):
     """A class the gaps cannot use is named, not dropped without a word."""

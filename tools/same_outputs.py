@@ -23,7 +23,8 @@ mid-bucket at seeds 7 and 19, one gate error each), gates on rotated cells
 (``experiment.rotate_cells``), the pseudo-crossbar wiring (whose scouting
 exits 2), that wiring named in mixed case, a library gate whose drive is
 ambiguous, a gate whose cells cannot form and a characterize run whose
-cells cannot SET (each exit 2, one line naming the cell).  Two cases check
+cells cannot SET (each exit 2, one line naming the cell), and a library gate
+whose name holds a comma, quoted as ``csv.writer`` quotes it.  Two cases check
 the settings path: a config file that sets every key a flag also sets,
 under a gate and a scouting run that pass every flag their command takes,
 so each flag must win over its key.  A sweep
@@ -87,6 +88,7 @@ CASES = [
     ("pseudo-crossbar scouting", "pseudo-crossbar", SCOUTING),
     ("mixed-case pseudo-crossbar gate", "mixed-case-pseudo-crossbar", GATE),
     ("ambiguous library gate", "ambiguous", ["gate", "BOTH", "--library", "{library}"]),
+    ("quoted library gate", None, ["gate", "A,B", "--library", "{quoted_library}"]),
     ("unformable gate", "unformable", GATE),
     ("characterize cannot set", "unsettable", ["characterize"]),
     ("every-flag gate", "every-flag-key",
@@ -147,12 +149,15 @@ def main(argv: list[str]) -> int:
             path.write_text("\n".join(CONFIGS[name]) + "\n")
         library = tmp / "library.csv"
         library.write_text("name,g,te,be,i\nBOTH,1,1,1,p\n")
+        quoted_library = tmp / "quoted_library.csv"  # a name that holds a comma
+        quoted_library.write_text('name,g,te,be,i\n"A,B",1,q,0,p\n')
         a_file = tmp / "a_file"  # an existing file: no output directory
         a_file.write_text("")
         differ = 0
         for (case, config, args), seed in ((case, seed) for case in CASES for seed in SEEDS):
             cli_args = ([str(files[config])] if config else []) + [
-                arg.format(library=library, a_file=a_file) for arg in args] + [
+                arg.format(library=library, quoted_library=quoted_library, a_file=a_file)
+                for arg in args] + [
                 "--seed", str(seed)]
             slug = f"{case.replace(' ', '_')}-{seed}"
             old, new = (run_case(tree, cli_args, tmp / "runs" / side / slug, tmp)
