@@ -6,7 +6,8 @@ Every bucket (a gate and input pair, a scouting class or a characterized
 cell) is one runner call over its cycles and draws from two streams of its
 own, ``_stream``: purposes 0 (switching) and 1 (read noise) of
 ``SeedSequence((seed, STREAM_KINDS[kind], *key, purpose))``, served in blocks
-of exactly its scalar draws.  Results are bit-reproducible, and no bucket's
+of exactly its scalar draws; ``array.STREAM_KINDS`` is the one table of the
+words of every seeded stream.  Results are bit-reproducible, and no bucket's
 draws depend on the buckets run before it.
 Each experiment hands every bucket's (label, expected bit, trials, failed
 cycles, errors) to ``FailureReport.tally``, which builds the report whole.
@@ -44,9 +45,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .array import (RESET_BITS, SET_BITS, ArrayTopology, CellAddress, CellArray,
-                    TopologyKind, replay)
+from .array import (RESET_BITS, SET_BITS, STREAM_KINDS, ArrayTopology, CellAddress,
+                    CellArray, TopologyKind, replay)
 from .device import (
+    PARAM_BOUNDS,
     STATE_HRS,
     STATE_LRS,
     V_BE_RESET,
@@ -284,8 +286,6 @@ class CharacterizationResult:
                                                "hrs_log_spread": self.hrs_log_spread})]
 
 
-#: The stream kind of each bucket type, the word after the seed in its keys.
-STREAM_KINDS = {"gate": 10, "scouting": 20, "cell": 32}
 #: The draws a served stream takes from its generator in one numpy call.
 STREAM_BLOCK = 256
 
@@ -348,6 +348,7 @@ def run_1t1r_experiment(config: ExperimentConfig,
             if bucket_rows:  # a bucket whose every trial errored has no summary
                 summaries.append(DistributionSummary.from_samples(
                     label, [row.r_final_ohm for row in bucket_rows]))
+                require_finite_result(f"summary {label} mean", summaries[-1].mean, config.device)
             rows += bucket_rows
     summaries.sort()  # by label, which no two buckets share
     return LogicExperimentResult(
@@ -415,7 +416,7 @@ def sample_scouting_currents(config: ExperimentConfig, include_single: bool = Fa
         array.form(addr)
     formed = [(cell, replace(cell)) for cell in map(array.cell, addrs)]
     currents = {}
-    for bits in input_patterns(n) + (["0", "1"] if include_single and n > 1 else []):
+    for bits in input_patterns(n) + (input_patterns(1) if include_single and n > 1 else []):
         for cell, snapshot in formed:  # ``vars(cell).update`` would slow later reads
             for name in cell.__dataclass_fields__:
                 setattr(cell, name, getattr(snapshot, name))
@@ -501,6 +502,8 @@ def run_scouting_experiment(config: ExperimentConfig) -> ScoutingExperimentResul
 
     summaries = [DistributionSummary.from_samples(label, currents[label])
                  for label in sorted(currents)]
+    for summary in summaries:  # finite currents whose sum overflows
+        require_finite_result(f"summary {summary.label} mean", summary.mean, config.device)
     return ScoutingExperimentResult(
         currents=currents, refs=refs, summaries=summaries,
         report=FailureReport.tally(config.seed, tallies),
@@ -588,7 +591,7 @@ def sweep_parameter(config: ExperimentConfig, parameter: str,
     """Re-run the logic and scouting experiments across device parameter values."""
     if not values:
         raise ValueError("sweep range is empty")
-    fields = sorted(VariabilityParams.__dataclass_fields__)
+    fields = sorted(PARAM_BOUNDS)
     if parameter not in fields:
         raise ValueError(f"unknown device parameter {parameter!r}; one of {fields}")
     _scouting_settings(config)  # no point may simulate a setting scouting rejects

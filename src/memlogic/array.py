@@ -22,7 +22,7 @@ nothing (no caller reads the switching events), ``device.read_resistance``
 reads a cell.  The array is the one place an address enters: ``CellArray``
 checks it and turns it into a key (``ArrayTopology.require_address``), and
 each cell carries its one name, ``cell (row, col)``, which every cell error
-states.
+states.  ``STREAM_KINDS`` keys every seeded stream of a run.
 """
 
 from __future__ import annotations
@@ -199,6 +199,11 @@ def check_parallel(topology: ArrayTopology,
                                     f"which cannot carry {first_volts} V and {volts} V at once")
 
 
+#: The word after the seed in the key of every seeded stream (its ``SeedSequence``'s entropy):
+#: a cell's sample and forming ramp, ``(seed, kind, row, col)``, then each bucket type's.
+STREAM_KINDS = {"sample": 0, "form": 1, "gate": 10, "scouting": 20, "cell": 32}
+
+
 class CellArray:
     """A rectangular array of independently sampled 1T1R cells.
 
@@ -219,12 +224,12 @@ class CellArray:
         self._drives: dict[tuple[CellAddress, tuple[int, int, int]], list] = {}
 
     def cell(self, addr: CellAddress | tuple[int, int]) -> MemristorCell:
-        """The cell at ``addr``, named ``cell (row, col)`` and sampled from
-        ``(seed, 0, row, col)`` on first touch; the address is checked and
-        keyed first (``require_address``)."""
+        """The cell at ``addr``, named ``cell (row, col)`` and sampled from its
+        ``"sample"`` stream on first touch; the address is checked and keyed
+        first (``require_address``)."""
         addr = self.topology.require_address(addr)
         if addr not in self.cells:
-            rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0, *addr)))
+            rng = np.random.default_rng((self.seed, STREAM_KINDS["sample"], *addr))
             self.cells[addr] = sample_fresh_cell(self.params, rng, cell_id=f"cell {tuple(addr)}")
         return self.cells[addr]
 
@@ -232,8 +237,7 @@ class CellArray:
         """Form one cell with the voltage-ramp routine (idempotent)."""
         cell = self.cell(addr := self.topology.require_address(addr))
         if not cell.is_formed:
-            rng = np.random.default_rng(np.random.SeedSequence((self.seed, 1, *addr)))
-            form_by_ramp(cell, rng)
+            form_by_ramp(cell, np.random.default_rng((self.seed, STREAM_KINDS["form"], *addr)))
 
     def drive(self, addr: CellAddress | tuple[int, int],
               bits: Sequence[int]) -> list[tuple[MemristorCell, Pulse]]:

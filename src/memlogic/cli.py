@@ -195,7 +195,7 @@ def cmd_sweep(app: AppConfig, args: argparse.Namespace) -> tuple[list, list[str]
     elif None not in span:
         if args.steps < 1:
             raise ValueError("sweep needs --steps >= 1")
-        values = list(np.linspace(args.start, args.stop, args.steps))
+        values = np.linspace(args.start, args.stop, args.steps).tolist()  # floats, not np.float64
     else:
         raise ValueError("sweep needs --values or --start/--stop/--steps")
     points = sweep_parameter(app.experiment, args.parameter, values)

@@ -83,7 +83,7 @@ def require_int(name: str, value, least: int) -> None:
 def require_finite_result(what: str, value: float, params: VariabilityParams) -> float:
     """``value`` when finite; otherwise a ``ValueError`` naming the medians,
     whose reads left the float range (a subnormal ``lrs_median`` reads as 0 Ohm
-    or as an infinite current)."""
+    or as an infinite current, a huge ``hrs_median`` as an infinite resistance)."""
     if not math.isfinite(value):
         raise ValueError(f"{what} is {value!r}, not finite: reads at device.lrs_median"
                          f" = {params.lrs_median!r} and device.hrs_median = "
@@ -339,8 +339,8 @@ def read_resistance(cell: MemristorCell, rng: Normals) -> float:
     Returns the state resistance with multiplicative read jitter, plus the
     transistor series resistance ``r_on`` of the cell's parameters.  The read
     voltage must sit below the cell's SET threshold so the read cannot disturb
-    the state.  A 0 Ohm read (its infinite conductance) is a ``ValueError``
-    naming the medians.
+    the state.  A 0 Ohm read (its infinite conductance) or an infinite one is
+    a ``ValueError`` naming the medians.
     """
     if not V_READ < cell.v_set_th:
         raise ValueError(f"v_read={V_READ} is not disturb-free for {cell.cell_id}")
@@ -352,6 +352,8 @@ def read_resistance(cell: MemristorCell, rng: Normals) -> float:
     r = cell.resistance * math.exp(sigma * rng.standard_normal()) + params.r_on
     if r == 0.0:
         require_finite_result("read conductance", math.inf, params)
+    if r == math.inf:
+        require_finite_result("read resistance", r, params)
     return r
 
 

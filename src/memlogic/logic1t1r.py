@@ -70,8 +70,8 @@ class Term(Enum):
         return _TERM_VECTORS[self] >> (3 - 2 * int(p) - int(q)) & 1
 
 
-#: Deterministic search order used by the synthesizer.
-TERM_ORDER = (Term.CONST0, Term.CONST1, Term.P, Term.NOT_P, Term.Q, Term.NOT_Q)
+#: Deterministic search order used by the synthesizer: ``Term``'s members in order.
+TERM_ORDER = tuple(Term)
 
 #: The input pairs (p, q) in truth-table order: 00, 01, 10, 11.
 INPUT_PAIRS = tuple(itertools.product((0, 1), repeat=2))
@@ -181,13 +181,14 @@ def truth_table_of(mapping: ParamMapping) -> str:
 
 
 @functools.cache
-def _first_terms() -> tuple[tuple[Term, Term, Term, Term], ...]:
-    """The first (G, TE, BE, I) in search order realizing each truth vector,
-    indexed by the vector; all 6^4 assignments are searched, once per process."""
+def _first_terms() -> tuple[ParamMapping, ...]:
+    """Each truth vector's mapping ``F<bits>`` (frozen, so shared), at its index: the
+    first (G, TE, BE, I) in search order realizing it; all 6^4 are searched once."""
     first: dict[int, tuple[int, int, int, int]] = {}
     for vectors in itertools.product(_TERM_VECTORS.values(), repeat=4):
         first.setdefault(_output_vector(*vectors), vectors)
-    return tuple(tuple(_TERM_OF_VECTOR[v] for v in first[out]) for out in range(16))
+    return tuple(ParamMapping(f"F{out:04b}", *(_TERM_OF_VECTOR[v] for v in first[out]))
+                 for out in range(16))
 
 
 def synthesize_mapping(truth_table: str | Sequence[int]) -> ParamMapping:
@@ -196,24 +197,21 @@ def synthesize_mapping(truth_table: str | Sequence[int]) -> ParamMapping:
     The 6^4 assignments are searched exhaustively in a fixed order (constants
     first, then p, !p, q, !q; fields ordered G, TE, BE, I) and the first match
     is returned, so synthesis is deterministic.  Every two-input Boolean
-    function is realizable.
+    function is realizable.  The table is four entries, each equal to 0 or 1
+    (a bool or a numpy integer too) or the character "0" or "1"; anything
+    else, such as 0.5, is a ``ValueError``.
     """
-    bits = "".join(str(int(b)) for b in truth_table)
-    if len(bits) != 4 or any(c not in "01" for c in bits):
+    if len(truth_table) != 4 or any(b not in (0, 1, "0", "1") for b in truth_table):
         raise ValueError(f"truth table must be 4 bits, got {truth_table!r}")
-    return ParamMapping(f"F{bits}", *_first_terms()[int(bits, 2)])
+    bits = "".join(str(int(b)) for b in truth_table)
+    return _first_terms()[int(bits, 2)]
 
 
 def default_gate_library() -> dict[str, ParamMapping]:
     """A new dict, free to update, of the five named mappings plus
     ``synthesize_mapping``'s mapping for each truth table, all found in one
     pass over the search order."""
-    first = _first_terms()
-    library = dict(BUILTIN_MAPPINGS)
-    for n in range(16):
-        bits = format(n, "04b")
-        library[f"F{bits}"] = ParamMapping(f"F{bits}", *first[n])
-    return library
+    return {**BUILTIN_MAPPINGS, **{m.name: m for m in _first_terms()}}
 
 
 _TOKEN_TO_TERM = {t.value: t for t in Term}
@@ -253,11 +251,11 @@ class TraceRow(NamedTuple):
 
 
 class InitFailureError(RuntimeError):
-    """Cell could not be brought to the required initial state."""
+    """Cell could not be brought to the required initial state in 1 + ``INIT_RETRIES`` writes."""
 
-    def __init__(self, cell: MemristorCell, target: int, retries: int):
+    def __init__(self, cell: MemristorCell, target: int):
         super().__init__(
-            f"{cell.cell_id} failed to initialize to {target} after {retries} retries")
+            f"{cell.cell_id} failed to initialize to {target} after {INIT_RETRIES} retries")
         self.cycle: int | None = None  # the failed cycle of a ``scout_class`` class
 
 
@@ -277,7 +275,7 @@ def write_bit(cell: MemristorCell, bit: int, reset: list[tuple], set_: list[tupl
     the verified-write loops of ``execute_gate_bucket`` (read first) and
     ``scout_class`` (write first) call it."""
     if writes > INIT_RETRIES:
-        raise InitFailureError(cell, bit, INIT_RETRIES)
+        raise InitFailureError(cell, bit)
     if bit != 1 or cell.state == STATE_LRS:
         replay(reset, rng)
     if bit == 1:

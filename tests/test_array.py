@@ -621,5 +621,5 @@ def test_each_scouting_class_runs_as_on_a_fresh_array(monkeypatch, n, verify):
         assert currents == alone and len(currents) == 30
     monkeypatch.setattr(analysis_module, "input_patterns", lambda k: input_patterns(k)[::-1])
     reversed_run = sample_scouting_currents(config, include_single=True, verify=verify)
-    assert list(reversed_run) == input_patterns(n)[::-1] + ["0", "1"]
+    assert list(reversed_run) == input_patterns(n)[::-1] + input_patterns(1)[::-1]
     assert reversed_run == sampled

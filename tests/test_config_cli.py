@@ -411,6 +411,8 @@ WIDE = ["device.lrs_median = 1e-300", "device.hrs_median = 1", "device.lrs_sigma
 TINY = ["device.lrs_median = 5e-324", "device.hrs_median = 1", "device.lrs_sigma_c2c = 10"]
 NOT_FINITE = ("{} is inf, not finite: reads at device.lrs_median = {} and "
               "device.hrs_median = 1 leave the float range")
+#: ``NOT_FINITE`` at any HRS median.
+PAST_RANGE = NOT_FINITE.replace("hrs_median = 1 ", "hrs_median = {} ")
 #: Each model type and ``ExperimentConfig`` check their own values; only
 #: ``build_config``'s own errors (a key no section or field holds, an export
 #: format) name the file.
@@ -555,6 +557,9 @@ CONTRACT = (
     Row("sweep --values 0.32,471", [],
         ["sweep", "hrs_sigma_c2c", "--values", "0.32,471", "--cycles", "2"],
         "hrs_sigma_c2c must be <= 10.0"),
+    # A range's values are floats, as --values' are: the line names a nan as nan.
+    Row("sweep --stop nan", [], ["sweep", "hrs_sigma_c2c", "--start", "0.1", "--stop", "nan",
+                                 "--steps", "2"], "hrs_sigma_c2c must be a finite number, got nan"),
     # --steps 0 is given, so it is named rather than taken for a missing flag.
     Row("sweep --steps 0", [], ["sweep", "hrs_sigma_c2c", "--start", "0.1", "--stop", "1.2",
                                 "--steps", "0"], "sweep needs --steps >= 1"),
@@ -662,6 +667,18 @@ CONTRACT = (
         NOT_FINITE.format("read conductance", "5e-324"), early=False),
     *(Row(f"gate lrs 5e-324 seed {seed}", TINY, [*GATES, "--seed", seed],
           NOT_FINITE.format("read conductance", "5e-324"), early=False) for seed in "123"),
+    # Finite reads whose sum overflows leave a summary's mean infinite, and a
+    # huge HRS median reads an infinite resistance.
+    Row("gate hrs 2e307 mean", ["device.hrs_median = 2e307"], ["gate", "OR", "--cycles", "20"],
+        PAST_RANGE.format("summary OR/00 mean", "5000.0", "2e+307"), early=False),
+    Row("scouting lrs 1e-307 mean", ["device.lrs_median = 1e-307"], ["scouting"],
+        PAST_RANGE.format("summary 11 mean", "1e-307", "97000.0"), early=False),
+    *(Row(f"gate hrs {hrs}", [f"device.hrs_median = {hrs}"], GATES,
+          PAST_RANGE.format("summary OR/00 mean", "5000.0", f"{float(hrs)!r}"), early=False)
+      for hrs in ("1e308", "1.7e308")),
+    *(Row(f"{command[0]} hrs 1e308", ["device.hrs_median = 1e308"], command,
+          PAST_RANGE.format("read resistance", "5000.0", "1e+308"), early=False)
+      for command in (SCOUTING, ["characterize"])),
 
     # Extreme settings that still simulate: tiny LRS medians whose reads stay
     # above 0 Ohm, and medians whose boundary (their geometric mean) would
@@ -874,6 +891,21 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "OR p=1 q=1 -> 1" in proc.stdout
     assert (tmp_path / "traces.csv").exists()
+
+
+def test_a_range_sweep_past_the_float_range_exits_2_in_the_line_of_its_values(tmp_path):
+    """A subnormal range point warns of no numpy overflow and names its value
+    as ``--values`` does: the same one stderr line."""
+    env = dict(os.environ, PYTHONPATH=str(Path(memlogic.__file__).parents[1]))
+    errs = [subprocess.run([sys.executable, "-m", "memlogic", "sweep", "lrs_median", *span,
+                            "--cycles", "2", "-o", str(tmp_path / name)], capture_output=True,
+                           text=True, env=env, timeout=120)
+            for name, span in (("range", ["--start", "1e-320", "--stop", "1e-320", "--steps", "1"]),
+                               ("values", ["--values", "1e-320"]))]
+    assert [proc.returncode for proc in errs] == [2, 2]
+    assert errs[0].stderr == errs[1].stderr
+    assert errs[1].stderr == ("read current is inf, not finite: reads at device.lrs_median = "
+                              "1e-320 and device.hrs_median = 97000.0 leave the float range\n")
 
 
 def test_one_process_runs_each_command_as_a_fresh_process_would(tmp_path, capsys):

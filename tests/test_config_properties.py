@@ -11,6 +11,7 @@ float (nan and inf included), bool or short string.
 
 import contextlib
 import io
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -43,13 +44,16 @@ def config_lines(draw):
 
 
 def run_cli(lines, command):
+    """The exit code, the stderr text and the text of every export."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text("".join(line + "\n" for line in lines))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([str(cfg), *command, "--cycles", "2", "-o", tmp])
-    return code, err.getvalue()
+        exports = "".join(path.read_text() for path in sorted(Path(tmp).glob("*.*"))
+                          if path != cfg)
+    return code, err.getvalue(), exports
 
 
 @pytest.mark.parametrize("command", [["gate", "OR"], ["scouting"],
@@ -58,8 +62,10 @@ def run_cli(lines, command):
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(lines=st.lists(config_lines(), min_size=1, max_size=3))
 def test_config_values_simulate_or_exit_2_with_one_line(command, lines):
-    code, err = run_cli(lines, command)
+    code, err, exports = run_cli(lines, command)
     assert code in (0, 1, 2)
+    if code == 0:  # a pass exports finite results only
+        assert not {"inf", "nan"} & set(re.findall(r"[a-z]+", exports)), exports
     if code == 2:
         assert len(err.strip().splitlines()) == 1, err
     if any(line.partition(" =")[0] in DEAD_KEYS for line in lines):

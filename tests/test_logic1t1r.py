@@ -169,6 +169,10 @@ def test_synthesize_validates_input():
         synthesize_mapping("011")
     with pytest.raises(ValueError):
         synthesize_mapping("01x1")
+    # An entry is a bit, not a number that truncates to one.
+    for table in ([1.9, 0, 0, 0], [0.5, 0, 0, 1], [-0.7, 0, 0, 0]):
+        with pytest.raises(ValueError, match="truth table must be 4 bits"):
+            synthesize_mapping(table)
 
 
 def test_default_library():

@@ -27,6 +27,7 @@ from memlogic.analysis import (
     run_scouting_experiment,
     sample_scouting_currents,
 )
+from memlogic.array import STREAM_KINDS as ARRAY_STREAM_KINDS
 from memlogic.array import (
     RESET_BITS,
     SET_BITS,
@@ -36,7 +37,7 @@ from memlogic.array import (
     TopologyKind,
     replay,
 )
-from memlogic.device import VariabilityParams, read_resistance
+from memlogic.device import VariabilityParams, form_by_ramp, read_resistance, sample_fresh_cell
 from memlogic.logic1t1r import (
     INPUT_PAIRS,
     InitFailureError,
@@ -186,6 +187,22 @@ def test_a_served_stream_gives_its_generators_scalar_draws(purpose, method, othe
             == [getattr(generator, method)().hex() for _ in range(count)])
     with pytest.raises(AttributeError):
         getattr(served, other)()
+
+
+def test_one_table_keys_every_seeded_stream():
+    """The harness's bucket streams and the array's cell streams take their
+    words from one table, and no two kinds share a word: a cell is sampled
+    and formed from ``(seed, kind, row, col)``."""
+    assert STREAM_KINDS is ARRAY_STREAM_KINDS
+    assert len(set(STREAM_KINDS.values())) == len(STREAM_KINDS) == 5
+    params = VariabilityParams()
+    array = CellArray(ArrayTopology(), params, seed=4)
+    array.form((1, 2))
+    sample, form = (np.random.default_rng(np.random.SeedSequence((4, STREAM_KINDS[kind], 1, 2)))
+                    for kind in ("sample", "form"))
+    cell = sample_fresh_cell(params, sample, cell_id="cell (1, 2)")
+    form_by_ramp(cell, form)
+    assert array.cell((1, 2)) == cell
 
 
 def replayed_gate_bucket(cycles, gate, p, q):

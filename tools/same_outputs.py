@@ -16,14 +16,18 @@ The script lists every case that differs and exits 1 if any does, 0
 otherwise.
 
 The matrix runs each case at seeds 3, 7 and 19: the default gate, scouting,
-characterize and sweep commands, wider and paper-referenced scouting reads,
+characterize and sweep commands, a sweep over a range and one over a
+subnormal ``lrs_median`` range (exit 2, its line naming the value as
+``--values`` does), wider and paper-referenced scouting reads,
 stressed and noisy-read device configs (a noisy-read scouting write gives up
 at seeds 3 and 7: exit 2; a noisy-read gate's verified write gives up
 mid-bucket at seeds 7 and 19, one gate error each), gates on rotated cells
 (``experiment.rotate_cells``), the pseudo-crossbar wiring (whose scouting
 exits 2), that wiring named in mixed case, a library gate whose drive is
 ambiguous, a gate whose cells cannot form and a characterize run whose
-cells cannot SET (each exit 2, one line naming the cell), and a library gate
+cells cannot SET (each exit 2, one line naming the cell), a gate at a huge
+HRS median and a scouting run at a tiny LRS median, whose finite reads sum
+past the float range (each exit 2, one line naming the medians), and a library gate
 whose name holds a comma, quoted as ``csv.writer`` quotes it.  Two cases check
 the settings path: a config file that sets every key a flag also sets,
 under a gate and a scouting run that pass every flag their command takes,
@@ -63,6 +67,8 @@ CONFIGS = {
     "unformable": ["device.v_form_th_median = 6"],
     "unsettable": ["device.v_set_th_median = 2.0"],
     "unknown-op": ["experiment.scouting_ops = read,nand"],
+    "huge-hrs": ["device.hrs_median = 2e307"],
+    "tiny-lrs": ["device.lrs_median = 1e-307"],
     # Each key a flag sets, at a value the flag replaces.
     "every-flag-key": ["experiment.seed = 11", "experiment.cycles = 9",
                        "experiment.gates = NOTP", "experiment.scouting_ops = read",
@@ -78,6 +84,10 @@ CASES = [
     ("scouting paper-refs", None, ["scouting", "--refs", "paper-refs"]),
     ("characterize", None, ["characterize"]),
     ("sweep", None, ["sweep", "hrs_sigma_c2c", "--values", "0.2,0.8,1.5"]),
+    ("range sweep", None, ["sweep", "hrs_sigma_c2c", "--start", "0.2", "--stop", "1.4",
+                           "--steps", "3"]),
+    ("subnormal range sweep", None, ["sweep", "lrs_median", "--start", "1e-320", "--stop",
+                                     "1e-320", "--steps", "1", "--cycles", "2"]),
     ("unknown-op sweep", "unknown-op", SWEEP),
     ("stressed gate", "stressed", GATE),
     ("stressed scouting", "stressed", SCOUTING),
@@ -90,6 +100,8 @@ CASES = [
     ("ambiguous library gate", "ambiguous", ["gate", "BOTH", "--library", "{library}"]),
     ("quoted library gate", None, ["gate", "A,B", "--library", "{quoted_library}"]),
     ("unformable gate", "unformable", GATE),
+    ("huge-HRS gate", "huge-hrs", GATE),
+    ("tiny-LRS scouting", "tiny-lrs", SCOUTING),
     ("characterize cannot set", "unsettable", ["characterize"]),
     ("every-flag gate", "every-flag-key",
      [*GATE, "--cycles", "20", "--format", "csv"]),
